@@ -59,10 +59,7 @@ class ProbabilityWindow:
 
 
 def _require_disjoint_supports(pair: WeightedDensityPair):
-    tol = pair.tol
-    overlap = la.intersect(la.support(pair.gamma1, tol),
-                           la.support(pair.gamma2, tol), tol)
-    if overlap.size:
+    if la.intersect(*pair.supports, pair.tol).size:
         raise PreconditionViolated(
             "state supports overlap; apply the parallel reduction first")
 
@@ -98,17 +95,17 @@ def try_single_state_detection(pair: WeightedDensityPair) -> SolverOutcome | Non
     _require_disjoint_supports(pair)
     tol = pair.tol
     g1, g2 = pair.gamma1, pair.gamma2
-    s_all = pair.collective_support()
+    sup1, sup2 = pair.supports
+    lam1, lam2 = pair.detectors
+    # (condition, support of the state given up, detector of the other)
     branches = (
-        (g1 @ (g2 - g1) @ g1, g1, False),
-        (g2 @ (g1 - g2) @ g2, g2, True),
+        (g1 @ (g2 - g1) @ g1, sup1, lam2, False),
+        (g2 @ (g1 - g2) @ g2, sup2, lam1, True),
     )
-    for condition, given_up, detects_first in branches:
-        ok, marginal = _psd_with_boundary(condition, tol,
-                                          la.support(given_up, tol).basis)
+    for condition, given_up, detector, detects_first in branches:
+        ok, marginal = _psd_with_boundary(condition, tol, given_up.basis)
         if not ok:
             continue
-        detector = la.intersect(la.kernel(given_up, tol), s_all, tol).projector()
         e_q = np.eye(pair.dim) - detector
         if detects_first:
             m = UsdMeasurement(detector, np.zeros_like(detector), e_q)
@@ -192,8 +189,9 @@ def try_fidelity_form(pair: WeightedDensityPair) -> SolverOutcome | None:
     root2 = la.sqrt_psd(g2, tol)
     f1 = la.sqrt_psd(root1 @ g2 @ root1, tol)
     f2 = la.sqrt_psd(root2 @ g1 @ root2, tol)
-    ok1, marginal1 = _psd_with_boundary(g1 - f1, tol, la.support(g1, tol).basis)
-    ok2, marginal2 = _psd_with_boundary(g2 - f2, tol, la.support(g2, tol).basis)
+    sup1, sup2 = pair.supports
+    ok1, marginal1 = _psd_with_boundary(g1 - f1, tol, sup1.basis)
+    ok2, marginal2 = _psd_with_boundary(g2 - f2, tol, sup2.basis)
     if not (ok1 and ok2):
         return None
     total_inv = la.pseudo_inverse(pair.total, tol)

@@ -16,7 +16,8 @@ from .tolerances import DEFAULT_TOL, ToleranceContext
 
 __all__ = [
     "Subspace", "dag", "hermitian_part", "is_hermitian", "assert_hermitian",
-    "min_eigenvalue", "is_psd", "rank", "support", "kernel", "intersect",
+    "min_eigenvalue", "is_psd", "rank", "support", "kernel",
+    "support_and_kernel", "intersect",
     "subspace_sum", "orthogonal_projector", "oblique_projector",
     "pseudo_inverse", "sqrt_psd", "jordan_bases",
 ]
@@ -120,16 +121,27 @@ def _eig_split(a, tol):
     return w, u, cut
 
 
+def support_and_kernel(a: np.ndarray, tol: ToleranceContext = DEFAULT_TOL,
+                       ) -> tuple[Subspace, Subspace]:
+    """Support and kernel from one eigendecomposition.
+
+    The support is spanned by the eigenvectors with eigenvalue above the
+    rank cutoff; the kernel is its orthocomplement.
+    """
+    w, u, cut = _eig_split(a, tol)
+    keep = w > cut
+    return (Subspace(a.shape[0], u[:, keep].astype(complex)),
+            Subspace(a.shape[0], u[:, ~keep].astype(complex)))
+
+
 def support(a: np.ndarray, tol: ToleranceContext = DEFAULT_TOL) -> Subspace:
     """Span of eigenvectors with eigenvalue above the rank cutoff."""
-    w, u, cut = _eig_split(a, tol)
-    return Subspace(a.shape[0], u[:, w > cut].astype(complex))
+    return support_and_kernel(a, tol)[0]
 
 
 def kernel(a: np.ndarray, tol: ToleranceContext = DEFAULT_TOL) -> Subspace:
     """Orthocomplement of the support."""
-    w, u, cut = _eig_split(a, tol)
-    return Subspace(a.shape[0], u[:, w <= cut].astype(complex))
+    return support_and_kernel(a, tol)[1]
 
 
 def _check_same_dim(a: Subspace, b: Subspace):

@@ -9,6 +9,7 @@ measurement, and this module implements that completion explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -54,8 +55,9 @@ class WeightedDensityPair:
         total = float(np.real(np.trace(g1) + np.trace(g2)))
         if total > 1.0 + self.tol.equality:
             raise ValueError(f"trace(gamma1)+trace(gamma2) = {total} exceeds 1")
-        object.__setattr__(self, "gamma1", g1)
-        object.__setattr__(self, "gamma2", g2)
+        # read-only: the geometry cached below must not go stale
+        object.__setattr__(self, "gamma1", _freeze(g1))
+        object.__setattr__(self, "gamma2", _freeze(g2))
 
     @staticmethod
     def from_states(rho1: np.ndarray, rho2: np.ndarray, p1: float,
@@ -76,11 +78,80 @@ class WeightedDensityPair:
     def total_trace(self) -> float:
         return float(np.real(np.trace(self.total)))
 
+    # The spectral geometry below depends only on the two operators, so
+    # each value is computed on first use and kept for the life of the pair.
+    # Its arrays are shared by every caller and are read-only.
+
+    @cached_property
+    def _spectral(self) -> tuple[tuple[Subspace, Subspace], ...]:
+        """(support, kernel) of gamma1, gamma2 and gamma1 + gamma2."""
+        out = tuple(la.support_and_kernel(g, self.tol)
+                    for g in (self.gamma1, self.gamma2, self.total))
+        for spaces in out:
+            for s in spaces:
+                _freeze(s.basis)
+        return out
+
+    @property
+    def supports(self) -> tuple[Subspace, Subspace]:
+        """(supp gamma1, supp gamma2)."""
+        return self._spectral[0][0], self._spectral[1][0]
+
+    @property
+    def kernels(self) -> tuple[Subspace, Subspace]:
+        """(ker gamma1, ker gamma2)."""
+        return self._spectral[0][1], self._spectral[1][1]
+
     def collective_support(self) -> Subspace:
-        return la.support(self.total, self.tol)
+        return self._spectral[2][0]
 
     def common_kernel(self) -> Subspace:
-        return la.kernel(self.total, self.tol)
+        return self._spectral[2][1]
+
+    @cached_property
+    def detector_spaces(self) -> tuple[Subspace, Subspace]:
+        """ker(gamma2) resp. ker(gamma1) inside the collective support: the
+        directions on which state 1 resp. state 2 is detected for sure."""
+        s_all = self.collective_support()
+        k1, k2 = self.kernels
+        out = (la.intersect(k2, s_all, self.tol),
+               la.intersect(k1, s_all, self.tol))
+        for s in out:
+            _freeze(s.basis)
+        return out
+
+    @cached_property
+    def detectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Lambda1, Lambda2): orthogonal projectors onto the detector spaces."""
+        return tuple(_freeze(s.projector()) for s in self.detector_spaces)
+
+    @cached_property
+    def obliques(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Q1, Q2): oblique projectors that complete e1, e2 from e_q.
+
+        Q1 has kernel ker(Lambda1) and projects onto the part of
+        supp(gamma1) outside the support overlap; Q2 swaps the roles.  A
+        state without a detector space gets the zero operator.
+        """
+        tol = self.tol
+        sup1, sup2 = self.supports
+        overlap = la.intersect(sup1, sup2, tol)
+        non_parallel = la.kernel(overlap.projector(), tol)
+        out = []
+        for lam_space, own in zip(self.detector_spaces, (sup1, sup2)):
+            if lam_space.size == 0:
+                q = np.zeros((self.dim, self.dim), dtype=complex)
+            else:
+                target = la.intersect(own, non_parallel, tol)
+                q = la.oblique_projector(lam_space.projector(),
+                                         target.projector(), tol)
+            out.append(_freeze(q))
+        return tuple(out)
+
+
+def _freeze(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -218,40 +289,19 @@ def validate_inconclusive(e_q: np.ndarray,
     )
 
 
-def _conclusive_oblique(pair: WeightedDensityPair, which: int) -> np.ndarray:
-    """Oblique projector used to complete element `which` from e_q.
-
-    For which=1 this projects from ker(gamma2) within the collective
-    support onto the part of supp(gamma1) outside the common support
-    overlap; the roles swap for which=2.
-    """
-    tol = pair.tol
-    own = pair.gamma1 if which == 1 else pair.gamma2
-    other = pair.gamma2 if which == 1 else pair.gamma1
-    s_all = pair.collective_support()
-    lam_space = la.intersect(la.kernel(other, tol), s_all, tol)
-    if lam_space.size == 0:
-        return np.zeros((pair.dim, pair.dim), dtype=complex)
-    overlap = la.intersect(la.support(own, tol), la.support(other, tol), tol)
-    non_parallel = la.kernel(overlap.projector(), tol)
-    target = la.intersect(la.support(own, tol), non_parallel, tol)
-    return la.oblique_projector(lam_space.projector(), target.projector(), tol)
-
-
 def complete_measurement(e_q: np.ndarray,
                          pair: WeightedDensityPair) -> UsdMeasurement:
     """The unique proper USD measurement with the given inconclusive element.
 
-    e1 = Q1^dag (1 - e_q) Q1 with Q1 the oblique projector of the
-    conclusive-1 geometry; e2 analogously.
+    e1 = Q1^dag (1 - e_q) Q1 with Q1 the pair's first oblique projector
+    (`WeightedDensityPair.obliques`); e2 analogously.
     """
     diag = validate_inconclusive(e_q, pair)
     if not diag.ok:
         raise InvalidInconclusive(
             f"inconclusive operator rejected: {diag.first_failure()}", diag)
     one = np.eye(pair.dim)
-    q1 = _conclusive_oblique(pair, 1)
-    q2 = _conclusive_oblique(pair, 2)
+    q1, q2 = pair.obliques
     e1 = hermitian_part(dag(q1) @ (one - e_q) @ q1)
     e2 = hermitian_part(dag(q2) @ (one - e_q) @ q2)
     m = UsdMeasurement(e1, e2, hermitian_part(e_q))
@@ -302,8 +352,9 @@ def projective_kernel_decomposition(
     """
     tol = pair.tol
     fixed = la.kernel(np.eye(pair.dim) - e_q, tol)
-    part1 = la.intersect(fixed, la.support(pair.gamma1, tol), tol)
-    part2 = la.intersect(fixed, la.support(pair.gamma2, tol), tol)
+    sup1, sup2 = pair.supports
+    part1 = la.intersect(fixed, sup1, tol)
+    part2 = la.intersect(fixed, sup2, tol)
     return part1, part2, pair.common_kernel()
 
 

@@ -65,14 +65,6 @@ class OptimalityReport:
         }
 
 
-def _detector_projectors(pair: WeightedDensityPair):
-    tol = pair.tol
-    s_all = pair.collective_support()
-    lam1 = la.intersect(la.kernel(pair.gamma2, tol), s_all, tol).projector()
-    lam2 = la.intersect(la.kernel(pair.gamma1, tol), s_all, tol).projector()
-    return lam1, lam2
-
-
 def check_optimality(m: UsdMeasurement, pair: WeightedDensityPair,
                      require_proper: bool = True) -> OptimalityReport:
     """Evaluate the four operational optimality conditions for a measurement.
@@ -88,7 +80,7 @@ def check_optimality(m: UsdMeasurement, pair: WeightedDensityPair,
     if require_proper and not is_proper(m, pair):
         raise NotProper("optimality conditions apply to proper measurements")
     tol = pair.tol
-    lam1, lam2 = _detector_projectors(pair)
+    lam1, lam2 = pair.detectors
     e = m.e_inconclusive
     core = e @ (pair.gamma2 - pair.gamma1) @ e
     scale = max(1.0, pair.total_trace)
@@ -130,8 +122,8 @@ def rank_law_check(m: UsdMeasurement, pair: WeightedDensityPair) -> bool:
     expected = la.rank(pair.gamma1 @ pair.gamma2, tol) + k_dim
     if e_supp.size != expected:
         return False
-    for gamma in (pair.gamma1, pair.gamma2):
-        meet = la.intersect(e_supp, la.kernel(gamma, tol), tol)
+    for kern in pair.kernels:
+        meet = la.intersect(e_supp, kern, tol)
         if meet.size != k_dim:
             return False
     return True
@@ -177,8 +169,7 @@ def projective_part_law(m: UsdMeasurement, pair: WeightedDensityPair) -> bool:
     projects onto supp(e) and D onto ker(1-e).
     """
     tol = pair.tol
-    if la.intersect(la.support(pair.gamma1, tol),
-                    la.support(pair.gamma2, tol), tol).size:
+    if la.intersect(*pair.supports, tol).size:
         raise PreconditionViolated("state supports overlap; reduce first")
     e = m.e_inconclusive
     diff = pair.gamma2 - pair.gamma1
@@ -212,7 +203,7 @@ class CertificateZ:
 
 
 def _certificate_residuals(z, m: UsdMeasurement, pair: WeightedDensityPair):
-    lam1, lam2 = _detector_projectors(pair)
+    lam1, lam2 = pair.detectors
     return {
         "z_psd": min(0.0, la.min_eigenvalue(z)),
         "z_annihilates_inconclusive": float(np.linalg.norm(z @ m.e_inconclusive)),
@@ -227,15 +218,12 @@ def _build_certificate_skew(m: UsdMeasurement, pair: WeightedDensityPair,
                             residual_tol: float) -> CertificateZ:
     tol = pair.tol
     g1, g2 = pair.gamma1, pair.gamma2
-    k1 = la.kernel(g1, tol).projector()
-    k2 = la.kernel(g2, tol).projector()
-    p1 = la.support(g1, tol).projector()
-    p2 = la.support(g2, tol).projector()
-    lam1, lam2 = _detector_projectors(pair)
-    # oblique projectors between the kernels and onto the supports
+    k1, k2 = (k.projector() for k in pair.kernels)
+    lam1, lam2 = pair.detectors
+    # oblique projectors between the kernels and, on a strictly skew pair,
+    # along the detector spaces onto the supports
     r1 = la.oblique_projector(k2, k1, tol)
-    q1 = la.oblique_projector(lam1, p1, tol)
-    q2 = la.oblique_projector(lam2, p2, tol)
+    q1, q2 = pair.obliques
     e = m.e_inconclusive
     v1 = hermitian_part(lam1 @ e @ (g2 - g1) @ e @ lam1 + lam1 @ g1 @ lam1)
     v2 = hermitian_part(lam2 @ e @ (g1 - g2) @ e @ lam2 + lam2 @ g2 @ lam2)

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg as la
-from .closed_form import (BRANCH_FIDELITY, BRANCH_SINGLE_STATE,
-                          try_fidelity_form, try_single_state_detection)
-from .errors import CertificateFailure, NoSolutionFound, UsdKitError
+from .closed_form import (_min_supported_eigenvalue, try_fidelity_form,
+                          try_single_state_detection)
+from .errors import CertificateFailure, UsdKitError
 from .model import (MeasurementClassTag, UsdMeasurement, WeightedDensityPair,
                     complete_measurement, success_probability)
 from .optimality import (SolverOutcome, build_certificate, check_optimality,
@@ -94,33 +94,35 @@ def dispatch(pair: WeightedDensityPair,
              with_certificate: bool = True) -> SolverOutcome:
     """Solve an arbitrary two-state instance end to end.
 
-    Reduces first, then tries: closed forms, the four-dimensional solver
-    (when the core is 4-dim of ranks two), the oracle as last resort.  The
+    Reduces first.  A core that is 4-dim with two rank-2 states goes to the
+    four-dimensional solver, which tries the closed forms itself; any
+    other core gets the closed forms.  The oracle is the last resort.  The
     outcome's class tag always refers to the strictly skew core
     measurement; the measurement itself and the optimality report refer to
     the original pair.
+
+    At most one certificate is built, for the original pair, and only
+    with `with_certificate`; `solve_4d` itself returns none.
     """
     record = reduce_fully(pair)
     notes = tuple(record.boundary_warnings)
     core = record.reduced_pair
-    core_support = la.rank(core.total, pair.tol)
+    core_support = core.collective_support().size
     if core_support == 0:
         return _trivial_outcome(record, pair)
     notes = notes + (BLOCK_STRUCTURE_NOTE,)
 
     core_outcome: SolverOutcome | None = None
-    for family in (try_single_state_detection, try_fidelity_form):
-        core_outcome = family(core)
-        if core_outcome is not None:
-            break
-    if core_outcome is None and core_support == 4 and \
-            la.rank(core.gamma1, pair.tol) == 2 and \
-            la.rank(core.gamma2, pair.tol) == 2:
+    if core_support == 4 and all(s.size == 2 for s in core.supports):
         try:
             core_outcome = solve_4d(core)
-        except (NoSolutionFound, UsdKitError) as exc:
+        except UsdKitError as exc:
             notes = notes + (f"four-dimensional solver failed: {exc}",)
-            core_outcome = None
+    else:
+        for family in (try_single_state_detection, try_fidelity_form):
+            core_outcome = family(core)
+            if core_outcome is not None:
+                break
     if core_outcome is None:
         return _oracle_fallback(record, pair, oracle_cfg, notes)
 
@@ -159,17 +161,6 @@ class SweepRow:
     branch: str
     lower_bound: float
     upper_bound: float
-
-
-def _min_supported_eigenvalue(a: np.ndarray, b: np.ndarray,
-                              tol: ToleranceContext) -> float:
-    sup = la.support(a, tol)
-    if sup.size == 0:
-        return 0.0
-    root_inv = la.pseudo_inverse(la.sqrt_psd(a, tol), tol)
-    compressed = la.hermitian_part(
-        sup.basis.conj().T @ root_inv @ b @ root_inv @ sup.basis)
-    return float(np.linalg.eigvalsh(compressed).min())
 
 
 def sweep_bounds(rho1: np.ndarray, rho2: np.ndarray,

@@ -73,9 +73,7 @@ def tau_parallel(pair: WeightedDensityPair,
     i.e. the orthocomplement of supp(g1) ∩ supp(g2).  Proper measurements
     and their success probabilities coincide for both problems.
     """
-    tol = pair.tol
-    overlap = la.intersect(la.support(pair.gamma1, tol),
-                           la.support(pair.gamma2, tol), tol)
+    overlap = la.intersect(*pair.supports, pair.tol)
     p = np.eye(pair.dim) - overlap.projector()
     return _projected_pair(pair, p), p
 
@@ -89,8 +87,9 @@ def tau_skew(pair: WeightedDensityPair,
     probability is preserved between the two problems.
     """
     tol = pair.tol
-    s1 = la.intersect(la.support(pair.gamma1, tol), la.kernel(pair.gamma2, tol), tol)
-    s2 = la.intersect(la.kernel(pair.gamma1, tol), la.support(pair.gamma2, tol), tol)
+    (sup1, sup2), (k1, k2) = pair.supports, pair.kernels
+    s1 = la.intersect(sup1, k2, tol)
+    s2 = la.intersect(k1, sup2, tol)
     p = np.eye(pair.dim) - s1.projector() - s2.projector()
     return _projected_pair(pair, p), p
 
@@ -104,8 +103,7 @@ def reduce_fully(pair: WeightedDensityPair) -> ReductionRecord:
     """
     tol = pair.tol
     d = pair.dim
-    sup1 = la.support(pair.gamma1, tol)
-    sup2 = la.support(pair.gamma2, tol)
+    sup1, sup2 = pair.supports
     b1, b2, cosines = la.jordan_bases(sup1, sup2, tol)
     npair = len(cosines)
     warnings = []
@@ -125,7 +123,10 @@ def reduce_fully(pair: WeightedDensityPair) -> ReductionRecord:
     sigma1 = _projector_from(b1, y1, d)
     sigma2 = _projector_from(b2, y2, d)
     xi = np.eye(d) - pi_par - sigma1 - sigma2
-    reduced = _projected_pair(pair, xi)
+    # with nothing removed xi is exactly the identity and projecting would
+    # only copy the pair; keeping the pair keeps its computed geometry
+    reduced = (_projected_pair(pair, xi) if parallel_idx or y1 or y2
+               else pair)
     offset = float(np.real(np.trace((sigma1 + sigma2) @ pair.total)))
     return ReductionRecord(pair, pi_par, sigma1, sigma2, xi, offset, reduced,
                            tuple(warnings))
@@ -148,16 +149,13 @@ def is_strictly_skew(pair: WeightedDensityPair) -> bool:
     ignored (any measurement acts as identity there).
     """
     tol = pair.tol
-    sup1 = la.support(pair.gamma1, tol)
-    sup2 = la.support(pair.gamma2, tol)
-    s_all = pair.collective_support()
+    sup1, sup2 = pair.supports
+    lam1, lam2 = pair.detector_spaces
     if la.intersect(sup1, sup2, tol).size:
         return False
-    if la.intersect(sup1, la.intersect(la.kernel(pair.gamma2, tol), s_all, tol),
-                    tol).size:
+    if la.intersect(sup1, lam1, tol).size:
         return False
-    if la.intersect(sup2, la.intersect(la.kernel(pair.gamma1, tol), s_all, tol),
-                    tol).size:
+    if la.intersect(sup2, lam2, tol).size:
         return False
     r1, r2 = sup1.size, sup2.size
     r_total = la.rank(pair.total, tol)

@@ -11,20 +11,19 @@ and optimality evidence.
 from __future__ import annotations
 
 import warnings as _warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import linalg as la
 from .closed_form import try_fidelity_form, try_single_state_detection
-from .errors import (CertificateFailure, DegenerateFamily, InvalidInconclusive,
-                     NoSolutionFound, PreconditionViolated, SkewViolation,
-                     UsdNumericsWarning)
+from .errors import (DegenerateFamily, InvalidInconclusive, NoSolutionFound,
+                     PreconditionViolated, SkewViolation, UsdNumericsWarning)
 from .linalg import dag, hermitian_part
 from .model import (UsdMeasurement, WeightedDensityPair, complete_measurement,
                     compress_pair, expand_measurement)
-from .optimality import (OptimalityReport, SolverOutcome, build_certificate,
-                         check_optimality, classify)
+from .optimality import (OptimalityReport, SolverOutcome, check_optimality,
+                         classify)
 from .reductions import is_strictly_skew
 from .tolerances import ToleranceContext
 
@@ -103,15 +102,14 @@ class Candidate11:
     jordan_data: JordanData11
 
 
-def _host_eigenbasis(host_gamma: np.ndarray, other_gamma: np.ndarray,
-                     tol: ToleranceContext):
-    """Eigenbasis (s1, s2) of the host on its support, with g23 >= 0.
+def _host_eigenbasis(sup: la.Subspace, host_gamma: np.ndarray,
+                     other_gamma: np.ndarray, tol: ToleranceContext):
+    """Eigenbasis (s1, s2) of the host on its support `sup`, with g23 >= 0.
 
     s1 carries the larger host eigenvalue.  If the host is degenerate on
     its support, the basis is rotated to diagonalize the other state's
     quadratic form instead (g23 = 0 convention).
     """
-    sup = la.support(host_gamma, tol)
     compressed = hermitian_part(dag(sup.basis) @ host_gamma @ sup.basis)
     w, v = np.linalg.eigh(compressed)
     s1, s2 = sup.basis @ v[:, 1], sup.basis @ v[:, 0]
@@ -132,7 +130,8 @@ def _host_eigenbasis(host_gamma: np.ndarray, other_gamma: np.ndarray,
     return s1, s2, (g11, g12, g21, g22, g23)
 
 
-def _finish_candidate_12(phi, phi_perp, x, g, host, pair) -> Candidate12 | None:
+def _finish_candidate_12(phi, phi_perp, x, g, host, pair,
+                         total_inv) -> Candidate12 | None:
     host_gamma = pair.gamma1 if host == 1 else pair.gamma2
     other_gamma = pair.gamma2 if host == 1 else pair.gamma1
     q_host = float(np.real(np.vdot(phi_perp, host_gamma @ phi_perp)))
@@ -142,7 +141,7 @@ def _finish_candidate_12(phi, phi_perp, x, g, host, pair) -> Candidate12 | None:
     a_over_b = float(np.sqrt(q_other / q_host))
     scaling = (np.sqrt(a_over_b) * host_gamma
                + (1.0 / np.sqrt(a_over_b)) * other_gamma)
-    n_vec = la.pseudo_inverse(pair.total, pair.tol) @ (scaling @ phi_perp)
+    n_vec = total_inv @ (scaling @ phi_perp)
     nu = float(np.real(np.vdot(n_vec, n_vec)))
     return Candidate12(phi, phi_perp, x, g, a_over_b, n_vec, nu, host)
 
@@ -163,18 +162,22 @@ def enumerate_candidates_12(pair: WeightedDensityPair,
     tol = pair.tol
     host_gamma = pair.gamma1 if detect_on == 1 else pair.gamma2
     other_gamma = pair.gamma2 if detect_on == 1 else pair.gamma1
-    s1, s2, g = _host_eigenbasis(host_gamma, other_gamma, tol)
+    s1, s2, g = _host_eigenbasis(pair.supports[detect_on - 1], host_gamma,
+                                 other_gamma, tol)
     g11, g12, g21, g22, g23 = g
     diff1, diff2 = g11 - g12, g21 - g22
     scale = max(g11, g21, g22, g23)
+    total_inv = la.pseudo_inverse(pair.total, tol)
     out: list[Candidate12] = []
     if g23 <= tol.equality * scale:
         if g21 >= g11 - tol.equality * scale:
-            cand = _finish_candidate_12(s1, s2, 0.0, g, detect_on, pair)
+            cand = _finish_candidate_12(s1, s2, 0.0, g, detect_on, pair,
+                                        total_inv)
             if cand is not None:
                 out.append(cand)
         if g22 >= g12 - tol.equality * scale:
-            cand = _finish_candidate_12(s2, s1, 0.0, g, detect_on, pair)
+            cand = _finish_candidate_12(s2, s1, 0.0, g, detect_on, pair,
+                                        total_inv)
             if cand is not None:
                 out.append(cand)
         # uniqueness forbids mixed-basis solutions here; flag any that the
@@ -189,11 +192,12 @@ def enumerate_candidates_12(pair: WeightedDensityPair,
         return out
     # mixing polynomial: x^2 g1^2 (g21 x^2 - 2 g23 x + g22)
     #                    - (g23 x^2 + g2 x - g23)^2 (g11 x^2 + g12)
-    lead = np.poly1d([diff1 ** 2, 0.0, 0.0]) * np.poly1d([g21, -2 * g23, g22])
-    cross = np.poly1d([g23, diff2, -g23])
-    host_form = np.poly1d([g11, 0.0, g12])
-    poly = lead - cross * cross * host_form
-    for x in _real_nonzero_roots(poly.c):
+    # (coefficient arrays, highest power first)
+    lead = np.convolve([diff1 ** 2, 0.0, 0.0], [g21, -2 * g23, g22])
+    cross = [g23, diff2, -g23]
+    poly = -np.convolve(np.convolve(cross, cross), [g11, 0.0, g12])
+    poly[2:] += lead
+    for x in _real_nonzero_roots(poly):
         if x * diff1 * (x * diff2 + g23 * (x * x - 1)) < -tol.equality * scale ** 2:
             continue
         norm = 1.0 / np.sqrt(1.0 + x * x)
@@ -202,7 +206,8 @@ def enumerate_candidates_12(pair: WeightedDensityPair,
         if np.real(np.vdot(phi, (other_gamma - host_gamma) @ phi)) < \
                 -tol.equality * scale:
             continue
-        cand = _finish_candidate_12(phi, phi_perp, x, g, detect_on, pair)
+        cand = _finish_candidate_12(phi, phi_perp, x, g, detect_on, pair,
+                                    total_inv)
         if cand is not None:
             out.append(cand)
     return out
@@ -262,8 +267,7 @@ def _kernel_jordan_data(pair: WeightedDensityPair):
     """Jordan bases of the two kernels with the phase conventions the
     rank-(1,1) candidate equations assume."""
     tol = pair.tol
-    k1 = la.kernel(pair.gamma1, tol)
-    k2 = la.kernel(pair.gamma2, tol)
+    k1, k2 = pair.kernels
     basis1, basis2, cosines = la.jordan_bases(k1, k2, tol,
                                               degeneracy_operator=pair.gamma1)
     if len(cosines) < 2 or not (0 < cosines[1] <= cosines[0] < 1):
@@ -348,21 +352,28 @@ def enumerate_candidates_11(pair: WeightedDensityPair) -> list[Candidate11]:
     if g13 == 0.0 and g23 == 0.0:
         _degenerate_family_probe(pair, out, c, d1, d2, vecs)
         return out
-    u = np.poly1d([c * c, 0.0, 1.0])       # c^2 x^2 + 1
-    v = np.poly1d([1.0, 0.0, 1.0])         # x^2 + 1
+    # coefficient arrays, highest power first
+    u = np.array([c * c, 0.0, 1.0])        # c^2 x^2 + 1
+    v = np.array([1.0, 0.0, 1.0])          # x^2 + 1
     a1_poly = (v * (c * g23) - u * g13) * cos_phase
     a2_poly = (v * (c * g23) + u * g13) * sin_phase
-    b1_poly = u * u * np.poly1d([d1, 0.0]) - v * v * np.poly1d([c * c * d2, 0.0])
-    x2m1 = np.poly1d([1.0, 0.0, -1.0])
-    c2x2m1 = np.poly1d([c * c, 0.0, -1.0])
-    b2_poly = (u * u * g13 * x2m1 - v * v * (c * g23) * c2x2m1) * cos_phase
-    b3_poly = (u * u * g13 * x2m1 + v * v * (c * g23) * c2x2m1) * sin_phase
-    poly = (b1_poly * b1_poly * (a1_poly * a1_poly + a2_poly * a2_poly)
-            - (a1_poly * b2_poly - a2_poly * b3_poly) ** 2)
+    b1_poly = _b1_poly(c, d1, d2)
+    g13_part = np.convolve(np.convolve(u, u) * g13, [1.0, 0.0, -1.0])
+    g23_part = np.convolve(np.convolve(v, v) * (c * g23), [c * c, 0.0, -1.0])
+    b2_poly = (g13_part - g23_part) * cos_phase
+    b3_poly = (g13_part + g23_part) * sin_phase
+    # B1^2 (A1^2 + A2^2) - (A1 B2 - A2 B3)^2; the first term has degree 14,
+    # the second degree 16
+    mixed = np.convolve(a1_poly, b2_poly) - np.convolve(a2_poly, b3_poly)
+    poly = -np.convolve(mixed, mixed)
+    poly[2:] += np.convolve(np.convolve(b1_poly, b1_poly),
+                            np.convolve(a1_poly, a1_poly)
+                            + np.convolve(a2_poly, a2_poly))
     coeff_scale = max(abs(d1), abs(d2), g13, g23)
-    for x in _real_nonzero_roots(poly.c):
-        a1, a2 = float(a1_poly(x)), float(a2_poly(x))
-        b1, b2, b3 = float(b1_poly(x)), float(b2_poly(x)), float(b3_poly(x))
+    for x in _real_nonzero_roots(poly):
+        a1, a2 = np.polyval(a1_poly, x), np.polyval(a2_poly, x)
+        b1, b2, b3 = (np.polyval(b1_poly, x), np.polyval(b2_poly, x),
+                      np.polyval(b3_poly, x))
         bscale = max(1.0, abs(b1), abs(b2), abs(b3))
         if abs(a1) > 1e-11 * coeff_scale:
             theta = float(np.arctan(a2 / a1))
@@ -387,6 +398,14 @@ def enumerate_candidates_11(pair: WeightedDensityPair) -> list[Candidate11]:
     return out
 
 
+def _b1_poly(c: float, d1: float, d2: float) -> np.ndarray:
+    """Coefficients of B1(x) = x [(c^2 x^2 + 1)^2 d1 - c^2 (x^2 + 1)^2 d2]."""
+    u = [c * c, 0.0, 1.0]
+    v = [1.0, 0.0, 1.0]
+    return (np.convolve(np.convolve(u, u), [d1, 0.0])
+            - np.convolve(np.convolve(v, v), [c * c * d2, 0.0]))
+
+
 def _degenerate_family_probe(pair, basis_candidates, c, d1, d2, vecs):
     """With both cross elements zero, any nonzero-x solution of the
     remaining conditions would form a continuous optimal family, which
@@ -394,11 +413,9 @@ def _degenerate_family_probe(pair, basis_candidates, c, d1, d2, vecs):
     degenerate for this method."""
     tol = pair.tol
     k11, k12, k21, k22 = vecs
-    denom = d1 - c ** 4 * d2  # leading balance of (c^2x^2+1)^2 d1 = c^2 (x^2+1)^2 d2
-    # solve (c^2 y + 1)^2 d1 = c^2 (y+1)^2 d2 for y = x^2 > 0
-    coeffs = np.array([c ** 4 * d1 - c ** 2 * c ** 2 * d2,
-                       2 * c ** 2 * d1 - 2 * c ** 2 * d2,
-                       d1 - c ** 2 * d2])
+    # B1(x) = 0 with x != 0: B1(x) / x is a quadratic in y = x^2, with the
+    # coefficients of x^4, x^2 and x^0
+    coeffs = _b1_poly(c, d1, d2)[0:5:2]
     top = float(np.abs(coeffs).max())
     if top == 0.0:
         return
@@ -479,12 +496,16 @@ def _residual_total(report: OptimalityReport) -> float:
 def solve_4d(pair: WeightedDensityPair) -> SolverOutcome:
     """Optimal measurement of a strictly skew rank-(2,2) pair (4-dim support).
 
-    Families are tried cheapest first: single state detection, fidelity
-    form, the two rank-(1,2) orientations, then rank-(1,1).  Every
-    accepted measurement has passed the operational optimality check;
-    uniqueness guarantees at most one family fires away from class
-    boundaries, and numerical ties are broken by the smaller total
-    residual (with a boundary warning).
+    Families are tried cheapest first, each once, on the pair compressed
+    to its collective support: single state detection, fidelity form, the
+    two rank-(1,2) orientations, then rank-(1,1).  Every accepted
+    measurement has passed the operational optimality check; uniqueness
+    guarantees at most one family fires away from class boundaries, and
+    numerical ties are broken by the smaller total residual (with a
+    boundary warning).
+
+    The outcome carries no certificate (its `certificate` is None); call
+    `build_certificate` on the measurement when one is needed.
     """
     if not is_strictly_skew(pair):
         raise PreconditionViolated("solver requires a strictly skew pair")
@@ -492,7 +513,7 @@ def solve_4d(pair: WeightedDensityPair) -> SolverOutcome:
     if core.dim != 4:
         raise PreconditionViolated(
             f"collective support must be four-dimensional, got {core.dim}")
-    if la.rank(core.gamma1, pair.tol) != 2 or la.rank(core.gamma2, pair.tol) != 2:
+    if any(s.size != 2 for s in core.supports):
         raise PreconditionViolated("both states must have rank two")
 
     found: list[SolverOutcome] = []
@@ -535,26 +556,11 @@ def solve_4d(pair: WeightedDensityPair) -> SolverOutcome:
             "no measurement family passed verification; the instance sits "
             "too close to a numerical degeneracy")
     if len(found) == 1:
-        best = found[0]
-    else:
-        # class-transition prior: candidates agree up to tolerance; keep
-        # the one with the smaller residual and mark the outcome as boundary
-        found.sort(key=lambda oc: _residual_total(oc.report))
-        best = found[0]
-        note = (f"{len(found)} families passed verification (class boundary);"
-                f" kept {best.branch} by smaller residual")
-        best = SolverOutcome(
-            measurement=best.measurement, class_tag=best.class_tag,
-            success=best.success, report=best.report, branch=best.branch,
-            boundary=True, warnings=best.warnings + (note,))
-    certificate = None
-    extra: tuple[str, ...] = ()
-    try:
-        certificate = build_certificate(best.measurement, pair)
-    except CertificateFailure as exc:
-        extra = (f"certificate construction failed: {exc}",)
-    return SolverOutcome(
-        measurement=best.measurement, class_tag=best.class_tag,
-        success=best.success, report=best.report, branch=best.branch,
-        certificate=certificate, boundary=best.boundary,
-        warnings=best.warnings + extra)
+        return found[0]
+    # class-transition prior: candidates agree up to tolerance; keep the
+    # one with the smaller residual and mark the outcome as boundary
+    found.sort(key=lambda oc: _residual_total(oc.report))
+    best = found[0]
+    note = (f"{len(found)} families passed verification (class boundary);"
+            f" kept {best.branch} by smaller residual")
+    return replace(best, boundary=True, warnings=best.warnings + (note,))

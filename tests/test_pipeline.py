@@ -1,4 +1,6 @@
 import json
+import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +50,22 @@ def test_dispatch_identical_states_trivial():
                                atol=1e-12)
 
 
+def _assert_dispatch_matches_solve_4d(pair):
+    """dispatch agrees with solve_4d on the reduced core; returns the branch."""
+    from usdkit import reduce_fully, solve_4d
+
+    outcome = dispatch(pair)
+    assert outcome.optimal
+    # success splits into the free offset plus the core optimum
+    rec = reduce_fully(pair)
+    core_outcome = solve_4d(rec.reduced_pair)
+    assert outcome.success == pytest.approx(
+        core_outcome.success + rec.lifted_offset, abs=1e-12)
+    assert outcome.class_tag == core_outcome.class_tag
+    assert outcome.branch == core_outcome.branch
+    return outcome
+
+
 def test_dispatch_composite_six_dim(rng):
     from util import random_skew_pair
     from usdkit.linalg import dag
@@ -61,16 +79,61 @@ def test_dispatch_composite_six_dim(rng):
     g2[5, 5] = 0.1
     q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
     pair = WeightedDensityPair(6, q @ g1 @ dag(q), q @ g2 @ dag(q))
-    outcome = dispatch(pair)
-    assert outcome.optimal
+    outcome = _assert_dispatch_matches_solve_4d(pair)
     assert outcome.success == pytest.approx(
         success_probability(outcome.measurement, pair), abs=1e-12)
-    # success splits into the free offset plus the core optimum
-    from usdkit import reduce_fully, solve_4d
-    rec = reduce_fully(pair)
-    core_outcome = solve_4d(rec.reduced_pair)
-    assert outcome.success == pytest.approx(
-        core_outcome.success + rec.lifted_offset, abs=1e-9)
+
+
+@pytest.mark.parametrize("dim, rank2", [(4, 2), (5, 3)])
+def test_dispatch_matches_solve_4d_in_every_branch(dim, rank2):
+    # (4;2,2) pairs are their own core; (5;2,3) pairs reduce to a (4;2,2)
+    # core.  The seed gives priors in all four branches of the solver.
+    from util import random_density
+
+    rng = np.random.default_rng(1)
+    branches = set()
+    for trial in range(3):
+        rho1 = random_density(rng, dim, 2)
+        rho2 = random_density(rng, dim, rank2)
+        for p1 in np.linspace(0.05, 0.95, 19):
+            pair = WeightedDensityPair.from_states(rho1, rho2, float(p1))
+            branches.add(_assert_dispatch_matches_solve_4d(pair).branch)
+    assert branches == {"single-state-detection", "fidelity-form",
+                        "class-12", "class-11"}
+
+
+def _count_calls(monkeypatch, *functions):
+    """Count calls of each function at every usdkit module that holds it."""
+    counts = Counter()
+    for fn in functions:
+        def counted(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "usdkit"
+                    and getattr(module, fn.__name__, None) is fn):
+                monkeypatch.setattr(module, fn.__name__, counted)
+    return counts
+
+
+def test_dispatch_runs_each_stage_once(monkeypatch):
+    from usdkit.closed_form import (try_fidelity_form,
+                                    try_single_state_detection)
+    from usdkit.optimality import build_certificate
+    from usdkit.solver4d import solve_4d
+
+    counts = _count_calls(monkeypatch, try_single_state_detection,
+                          try_fidelity_form, solve_4d, build_certificate)
+    rho1, rho2 = example1_states()
+    outcome = dispatch(WeightedDensityPair.from_states(rho1, rho2, 0.5))
+    assert outcome.certificate is not None
+    for name in ("try_single_state_detection", "try_fidelity_form",
+                 "solve_4d", "build_certificate"):
+        assert counts[name] <= 1, name
+    counts.clear()
+    rows = sweep(rho1, rho2, np.linspace(0.05, 0.95, 7))
+    assert len(rows) == 7
+    assert counts["build_certificate"] == 0
 
 
 def test_dispatch_with_parallel_component(rng):
