@@ -168,6 +168,7 @@ def _cmd_oracle(args) -> int:
         payload = {}
     payload.update({
         "success_probability": result.success,
+        "upper_bound": result.upper_bound,
         "feasibility_residual": result.feasibility_residual,
         "iterations": result.iterations,
         "per_restart_distances": list(result.per_restart_distances),

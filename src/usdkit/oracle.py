@@ -1,16 +1,20 @@
-"""Independent brute-force optimizer over inconclusive operators.
+"""Independent numerical optimizer over inconclusive operators.
 
 The feasible set is the convex body of Hermitian E with 0 <= E <= 1 that
 act as identity on the common kernel and satisfy the linear separation
-constraint gamma1 (1 - E) gamma2 = 0.  The success probability is a linear
-functional of E, so the optimum is found by projected supergradient
-ascent, where the projection onto the feasible set runs cyclic
-Dykstra-style alternating projections (both spectral clips plus the exact
-affine projection).  A diminishing-step first-order phase alone hovers at
-step-size accuracy, so a splitting refinement (alternating the affine
-projection with the spectral box, plus a running dual correction) is run
-afterwards to push the iterate to certificate-grade residuals; the final
-answer is re-projected onto the feasible set.
+constraint gamma1 (1 - E) gamma2 = 0.  The success probability
+tr[(1 - E) Gamma], with Gamma = gamma1 + gamma2, is linear in E, so the
+optimum solves a semidefinite program.  Each restart solves it with one
+Douglas-Rachford (ADMM) splitting: the exact affine projection alternates
+with the spectral box [0, 1] while a scaled dual variable accumulates the
+constraint forces.  A Dykstra polish then makes the answer feasible.
+
+The splitting's dual also yields an upper bound on the success.  Any
+Hermitian Y orthogonal to the null space of the affine constraints has
+tr(E Y) = tr(E_a Y) on the whole affine set, E_a being one point of it,
+and the box bounds tr(E (Gamma - Y)) below by the sum of the negative
+eigenvalues of Gamma - Y.  So every feasible E has
+success <= tr Gamma - tr(E_a Y) - sum min(eig(Gamma - Y), 0).
 
 This module deliberately knows nothing about optimal-measurement theory:
 it only uses the feasibility conditions, so it can serve as an
@@ -18,7 +22,7 @@ independent reference for the analytic solvers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -37,39 +41,40 @@ __all__ = [
 class OracleConfig:
     """Knobs for the optimizer.
 
-    step_rule selects the diminishing schedule of the ascent phase
-    ("1/sqrt(k)" or "geometric"); refine enables the splitting phase that
-    follows it.  max_iters caps the total iteration count across phases.
+    Each of the `restarts` runs draws its start from `seed` and runs the
+    splitting for at most `max_iters` iterations, stopping early once the
+    primal and dual residuals drop below min(1e-13, convergence_tol).  The
+    oracle raises NonConvergence when the returned operator's feasibility
+    residual exceeds convergence_tol.
     """
 
     seed: int = 0
     restarts: int = 1
     max_iters: int = 200_000
-    step_rule: str = "1/sqrt(k)"
-    step_scale: float = 0.3
-    ascent_iters: int = 150
     convergence_tol: float = 1e-8
-    refine: bool = True
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.convergence_tol <= 0:
             raise ValueError("convergence_tol must be positive")
-        if self.step_rule not in ("1/sqrt(k)", "geometric"):
-            raise ValueError(f"unknown step_rule {self.step_rule!r}")
 
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Best feasible inconclusive operator found, with diagnostics."""
+    """Best feasible inconclusive operator found, with diagnostics.
+
+    upper_bound is the smallest of the restarts' dual bounds; it holds for
+    every feasible operator, so upper_bound - success bounds the distance
+    to the optimal success.
+    """
 
     e_q_opt: np.ndarray
     success: float
+    upper_bound: float
     per_restart_distances: tuple[float, ...]
     feasibility_residual: float
     iterations: int
-    history: tuple[float, ...] = field(default=(), repr=False)
 
 
 @dataclass(frozen=True)
@@ -84,61 +89,38 @@ class UniquenessReport:
         return self.unique
 
 
-def _hermitian_basis(d: int) -> np.ndarray:
-    """Orthonormal real basis of d x d Hermitian matrices."""
-    mats = []
-    for i in range(d):
-        m = np.zeros((d, d), dtype=complex)
-        m[i, i] = 1.0
-        mats.append(m)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(d):
-        for j in range(i + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[i, j] = m[j, i] = inv_sqrt2
-            mats.append(m)
-            m = np.zeros((d, d), dtype=complex)
-            m[i, j] = -1j * inv_sqrt2
-            m[j, i] = 1j * inv_sqrt2
-            mats.append(m)
-    return np.array(mats)
-
-
 class FeasibleSet:
-    """Projection machinery for the inconclusive-operator feasible set."""
+    """Projection machinery for the inconclusive-operator feasible set.
+
+    The affine projection is one real matrix plus an offset, acting on the
+    float view of E (its 2 d^2 real and imaginary parts).  The matrix is
+    the orthogonal projector onto the Hermitian matrices minus the part
+    normal to the constraints.
+    """
 
     def __init__(self, pair: WeightedDensityPair):
         self.pair = pair
         d = pair.dim
         self.dim = d
-        self.kernel_basis = pair.common_kernel().basis
-        self._basis = _hermitian_basis(d)
-        n = len(self._basis)
+        self.kernel_basis = kb = pair.common_kernel().basis
+        n = 2 * d * d
+        # herm[k] is the Hermitian part of the k-th coordinate matrix
+        units = np.eye(n).view(complex).reshape(n, d, d)
+        herm = 0.5 * (units + units.conj().transpose(0, 2, 1))
         g1, g2 = pair.gamma1, pair.gamma2
-        blocks = [(np.array([(g1 @ h @ g2).ravel() for h in self._basis]).T,
-                   (g1 @ g2).ravel())]
-        if self.kernel_basis.shape[1]:
-            kb = self.kernel_basis
-            blocks.append((np.array([(h @ kb).ravel() for h in self._basis]).T,
-                           kb.ravel()))
-        rows = np.vstack([np.vstack([b.real, b.imag]) for b, _ in blocks])
-        rhs = np.concatenate([np.concatenate([c.real, c.imag]) for _, c in blocks])
-        self._rows = rows
-        self._rhs = rhs
-        self._solver = np.linalg.pinv(rows, rcond=1e-12)
-
-    # -- vectorization ----------------------------------------------------
-    def to_vec(self, e: np.ndarray) -> np.ndarray:
-        return np.real(np.tensordot(self._basis.conj(), e, axes=([1, 2], [0, 1])))
-
-    def to_mat(self, x: np.ndarray) -> np.ndarray:
-        return np.tensordot(x, self._basis, axes=(0, 0))
+        images = np.concatenate([(g1 @ herm @ g2).reshape(n, -1),
+                                 (herm @ kb).reshape(n, -1)], axis=1)
+        rhs = np.concatenate([(g1 @ g2).ravel(), kb.ravel()]).view(float)
+        rows = images.view(float).T
+        solver = np.linalg.pinv(rows, rcond=1e-12)
+        self._linear = herm.reshape(n, -1).view(float) - solver @ rows
+        self._offset = solver @ rhs
 
     # -- individual projections -------------------------------------------
     def project_affine(self, e: np.ndarray) -> np.ndarray:
-        x = self.to_vec(e)
-        x = x - self._solver @ (self._rows @ x - self._rhs)
-        return self.to_mat(x)
+        x = np.ascontiguousarray(e, dtype=complex).reshape(-1).view(float)
+        y = self._linear @ x + self._offset
+        return y.view(complex).reshape(self.dim, self.dim)
 
     @staticmethod
     def _clip_spectrum(e: np.ndarray, lo, hi) -> np.ndarray:
@@ -186,6 +168,29 @@ class FeasibleSet:
     def success(self, e: np.ndarray) -> float:
         return float(np.real(np.trace((np.eye(self.dim) - e) @ self.pair.total)))
 
+    def success_bound(self, m: np.ndarray) -> float:
+        """Upper bound on the success of every feasible operator.
+
+        Y is the part of the Hermitian m normal to the affine constraints,
+        m minus its image under the linear part of `project_affine`; the
+        bound is the one in the module docstring, with E_a the affine
+        point nearest 0.
+        """
+        e_a = self._offset.view(complex).reshape(self.dim, self.dim)
+        y = m - (self.project_affine(m) - e_a)
+        total = self.pair.total
+        w = np.linalg.eigvalsh(hermitian_part(total - y))
+        return float(np.trace(total).real - np.vdot(e_a, y).real
+                     - np.minimum(w, 0.0).sum())
+
+
+def _random_start(d: int, seed: int) -> np.ndarray:
+    """1 - X X^dag for a random contraction X; inside the spectral box."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    x /= 1.3 * np.linalg.norm(x, 2)
+    return np.eye(d) - x @ dag(x)
+
 
 def random_feasible_inconclusive(pair: WeightedDensityPair, seed: int = 0,
                                  cycles: int = 60_000,
@@ -195,99 +200,63 @@ def random_feasible_inconclusive(pair: WeightedDensityPair, seed: int = 0,
     Draws a contraction X, forms 1 - X X^dag and projects it onto the
     feasible set; deterministic in the seed.
     """
-    feas = FeasibleSet(pair)
-    rng = np.random.default_rng(seed)
-    d = pair.dim
-    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    x /= 1.3 * np.linalg.norm(x, 2)
-    return feas.project(np.eye(d) - x @ dag(x), cycles=cycles, tol=tol)
+    start = _random_start(pair.dim, seed)
+    return FeasibleSet(pair).project(start, cycles=cycles, tol=tol)
 
 
-def _ascent_phase(feas: FeasibleSet, e0, iters, cfg: OracleConfig):
-    """Projected supergradient ascent with a diminishing step schedule."""
-    grad = feas.pair.total  # ascent direction is -grad for the failure mass
-    grad_norm = max(float(np.linalg.norm(grad, 2)), 1e-300)
-    e = e0
-    best = e0
-    best_success = feas.success(e0)
-    history = [best_success]
-    step = cfg.step_scale / grad_norm
-    for k in range(1, iters + 1):
-        if cfg.step_rule == "1/sqrt(k)":
-            alpha = step / np.sqrt(k)
-        else:
-            alpha = step * 0.5 ** (k // 50)
-        e = feas.project(e - alpha * grad, cycles=20, tol=1e-12)
-        s = feas.success(e)
-        if s > best_success and feas.residual(e) <= cfg.convergence_tol:
-            best_success, best = s, e
-        history.append(best_success)
-    # pull the tracked point fully into the feasible set so later phases
-    # compare genuinely feasible successes (loose projections inflate them)
-    best = feas.project(best, cycles=30_000, tol=1e-13)
-    best_success = feas.success(best)
-    history.append(best_success)
-    return best, best_success, history
+def _split(feas: FeasibleSet, start, objective, iters, tol):
+    """Douglas-Rachford splitting for min tr(E objective) on the feasible set.
 
-
-def _refine_phase(feas: FeasibleSet, e0, iters, tol):
-    """Operator-splitting refinement: alternate the exact affine projection
-    with the spectral box while a running correction term accumulates the
-    constraint forces; converges linearly on non-degenerate instances."""
-    objective = feas.pair.total
-    objective = objective / max(float(np.linalg.norm(objective, 2)), 1e-300)
-    boxed = hermitian_part(e0)
-    correction = np.zeros_like(boxed)
+    Alternates the exact affine projection with the spectral box while the
+    scaled dual accumulates the constraint forces; stops when the primal
+    residual |affine - boxed| and the dual residual |boxed - prev| are
+    both below tol.  Returns the boxed iterate, the dual and the iteration
+    count.
+    """
+    boxed = hermitian_part(start)
+    dual = np.zeros_like(boxed)
     used = 0
     for used in range(1, iters + 1):
-        affine = feas.project_affine(boxed - correction - objective)
+        affine = feas.project_affine(boxed - dual - objective)
         prev = boxed
-        boxed = feas._clip_spectrum(affine + correction, 0.0, 1.0)
-        correction = correction + affine - boxed
+        boxed = feas._clip_spectrum(affine + dual, 0.0, 1.0)
+        dual = dual + affine - boxed
         if (np.linalg.norm(affine - boxed) < tol
                 and np.linalg.norm(boxed - prev) < tol):
             break
-    return boxed, used
+    return boxed, dual, used
 
 
 def oracle_optimize(pair: WeightedDensityPair,
                     cfg: OracleConfig = OracleConfig()) -> OracleResult:
     """Maximize the success probability over valid inconclusive operators.
 
-    Each restart starts from a random feasible point, runs the projected
-    supergradient ascent and (when enabled) the splitting refinement, and
-    ends with a final Dykstra projection so the reported operator is
-    feasible to within the convergence tolerance.  The reported success is
-    the best over restarts; restart-to-restart spreads are returned for
+    Each restart runs the splitting from its own random start, takes the
+    dual bound, and polishes the iterate onto the feasible set with a
+    Dykstra projection.  The reported success is the best over restarts,
+    the bound the smallest; restart-to-restart spreads are returned for
     uniqueness probing.
     """
     feas = FeasibleSet(pair)
+    scale = max(float(np.linalg.norm(pair.total, 2)), 1e-300)
+    objective = pair.total / scale
     finals = []
+    bounds = []
     best = None
     best_success = -np.inf
-    best_history: list[float] = []
     total_iters = 0
     for restart in range(cfg.restarts):
-        seed = cfg.seed * 1_000_003 + restart
-        e = random_feasible_inconclusive(pair, seed=seed)
-        budget = cfg.max_iters
-        ascent_iters = min(cfg.ascent_iters, budget) if cfg.refine else budget
-        e, success, history = _ascent_phase(feas, e, ascent_iters, cfg)
-        total_iters += ascent_iters
-        if cfg.refine and budget > ascent_iters:
-            refined, used = _refine_phase(feas, e, budget - ascent_iters,
-                                          tol=min(1e-13, cfg.convergence_tol))
-            total_iters += used
-            refined = feas.project(refined, cycles=30_000,
-                                   tol=min(1e-14, cfg.convergence_tol))
-            s = feas.success(refined)
-            if s >= success - 1e-12 and \
-                    feas.residual(refined) <= cfg.convergence_tol:
-                e, success = refined, s
-                history.append(s)
+        start = _random_start(pair.dim, cfg.seed * 1_000_003 + restart)
+        boxed, dual, used = _split(feas, start, objective, cfg.max_iters,
+                                   tol=min(1e-13, cfg.convergence_tol))
+        total_iters += used
+        bounds.append(feas.success_bound(scale * (dual + objective)))
+        e = feas.project(boxed, cycles=30_000,
+                         tol=min(1e-14, cfg.convergence_tol))
+        success = feas.success(e)
         finals.append(e)
         if success > best_success:
-            best, best_success, best_history = e, success, history
+            best, best_success = e, success
     residual = feas.residual(best)
     if residual > cfg.convergence_tol:
         raise NonConvergence(
@@ -299,10 +268,10 @@ def oracle_optimize(pair: WeightedDensityPair,
     return OracleResult(
         e_q_opt=best,
         success=best_success,
+        upper_bound=min(bounds),
         per_restart_distances=distances,
         feasibility_residual=residual,
         iterations=total_iters,
-        history=tuple(best_history),
     )
 
 

@@ -21,7 +21,8 @@ from .closed_form import (_min_supported_eigenvalue, try_fidelity_form,
                           try_single_state_detection)
 from .errors import CertificateFailure, UsdKitError
 from .model import (MeasurementClassTag, UsdMeasurement, WeightedDensityPair,
-                    complete_measurement, success_probability)
+                    complete_measurement, compress_pair, expand_measurement,
+                    success_probability)
 from .optimality import (SolverOutcome, build_certificate, check_optimality,
                          classify)
 from .oracle import OracleConfig, oracle_optimize
@@ -70,15 +71,15 @@ def _oracle_fallback(record: ReductionRecord, pair: WeightedDensityPair,
                      oracle_cfg: OracleConfig | None,
                      notes: tuple[str, ...]) -> SolverOutcome:
     cfg = oracle_cfg if oracle_cfg is not None else OracleConfig(restarts=3)
-    reduced = record.reduced_pair
-    result = oracle_optimize(reduced, cfg)
-    m_red = complete_measurement(result.e_q_opt, reduced)
-    m = lift_measurement(m_red, record)
+    core, isometry = compress_pair(record.reduced_pair)
+    result = oracle_optimize(core, cfg)
+    m_core = complete_measurement(result.e_q_opt, core)
+    m = lift_measurement(expand_measurement(m_core, isometry), record)
     report = check_optimality(m, pair)
     certified = report.is_optimal
     return SolverOutcome(
         measurement=m,
-        class_tag=classify(m_red, reduced),
+        class_tag=classify(m_core, core),
         success=success_probability(m, pair),
         report=report,
         branch=BRANCH_ORACLE_CERTIFIED if certified else BRANCH_ORACLE,

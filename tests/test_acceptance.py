@@ -127,8 +127,7 @@ def test_criterion_05_oracle_agreement_on_example_sweeps():
         rows = sweep(rho1, rho2, grid)
         for row in rows:
             pair = WeightedDensityPair.from_states(rho1, rho2, row.p1)
-            reference = oracle_optimize(
-                pair, OracleConfig(seed=17, ascent_iters=40))
+            reference = oracle_optimize(pair, OracleConfig(seed=17))
             assert abs(row.success_probability - reference.success) < 1e-6, \
                 (name, row.p1)
             m = complete_measurement(reference.e_q_opt, pair)
@@ -149,8 +148,7 @@ def test_criterion_06_uniqueness_probe():
     rng = np.random.default_rng(406)
     for trial in range(10):
         pair = random_skew_pair(rng)
-        probe = uniqueness_probe(
-            pair, OracleConfig(seed=trial, restarts=10, ascent_iters=30))
+        probe = uniqueness_probe(pair, OracleConfig(seed=trial, restarts=10))
         assert probe.unique
         assert probe.max_distance <= 1e-5
         m = complete_measurement(probe.result.e_q_opt, pair)
@@ -228,8 +226,7 @@ def test_criterion_10_checker_soundness_and_certificates():
             pair = random_skew_pair(rng, d=2, r=1)
         else:
             pair = random_skew_pair(rng)
-        reference = oracle_optimize(
-            pair, OracleConfig(seed=trial, ascent_iters=30))
+        reference = oracle_optimize(pair, OracleConfig(seed=trial))
         m_opt = complete_measurement(reference.e_q_opt, pair)
         report = check_optimality(m_opt, pair)
         assert report.is_optimal, (trial, report.to_dict())

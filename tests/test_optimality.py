@@ -62,7 +62,7 @@ def test_forced_detection_on_violating_pair(rng):
         report = check_optimality(m, pair)
         assert not report.is_optimal
         # oracle beats the forced detection
-        res = oracle_optimize(pair, OracleConfig(seed=3, ascent_iters=60))
+        res = oracle_optimize(pair, OracleConfig(seed=3))
         assert res.success > success_probability(m, pair) + 1e-6
         return
     pytest.fail("no violating pair found")
@@ -72,7 +72,7 @@ def test_checker_oracle_agreement(rng):
     # optimal iff within 1e-6 of the oracle optimum
     for trial in range(12):
         pair = random_skew_pair(rng)
-        res = oracle_optimize(pair, OracleConfig(seed=trial, ascent_iters=60))
+        res = oracle_optimize(pair, OracleConfig(seed=trial))
         m = complete_measurement(res.e_q_opt, pair)
         report = check_optimality(m, pair)
         assert report.is_optimal, (trial, report.to_dict())
@@ -191,8 +191,7 @@ def test_uniqueness_two_optimal_measurements_agree(rng):
     for trial in range(5):
         pair = random_skew_pair(rng)
         outcome = solve_4d(pair)
-        res = oracle_optimize(pair, OracleConfig(seed=40 + trial,
-                                                 ascent_iters=60))
+        res = oracle_optimize(pair, OracleConfig(seed=40 + trial))
         m_oracle = complete_measurement(res.e_q_opt, pair)
         assert check_optimality(m_oracle, pair).is_optimal
         dist = np.linalg.norm(m_oracle.e_inconclusive

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from usdkit import (UsdMeasurement, WeightedDensityPair, dispatch,
+from usdkit import (UsdMeasurement, WeightedDensityPair, classify,
+                    complete_measurement, dispatch, reduce_fully,
                     success_probability)
 from usdkit.cli import main
 from usdkit.pipeline import (ProblemFile, load_measurement, load_problem,
@@ -155,7 +156,7 @@ def test_dispatch_with_parallel_component(rng):
     pair = WeightedDensityPair(5, q @ g1 @ dag(q), q @ g2 @ dag(q))
     outcome = dispatch(pair)
     assert outcome.optimal
-    reference = oracle_optimize(pair, OracleConfig(seed=77, ascent_iters=40))
+    reference = oracle_optimize(pair, OracleConfig(seed=77))
     assert outcome.success == pytest.approx(reference.success, abs=1e-6)
     # nothing is gained on the shared direction
     shared = q @ np.eye(5)[:, 4:]
@@ -189,6 +190,26 @@ def test_dispatch_oracle_fallback_six_dim_skew(rng):
         assert outcome.report is not None
         # oracle fallback on a generic instance still verifies
         assert outcome.optimal == outcome.report.is_optimal
+
+
+def test_oracle_fallback_runs_on_the_compressed_core(rng):
+    # a rank-(3,3) pair in C^7 has a common kernel; the oracle runs on the
+    # 6-dim core and the lifted answer matches an oracle run on the
+    # uncompressed reduced pair
+    from util import random_density
+    from usdkit.oracle import OracleConfig, oracle_optimize
+
+    rho1 = random_density(rng, 7, 3)
+    rho2 = random_density(rng, 7, 3)
+    pair = WeightedDensityPair.from_states(rho1, rho2, 0.45)
+    outcome = dispatch(pair)
+    assert outcome.branch == "oracle-checker"
+    reduced = reduce_fully(pair).reduced_pair
+    assert reduced.dim == 7 and reduced.collective_support().size == 6
+    ambient = oracle_optimize(reduced, OracleConfig(restarts=3))
+    m_ambient = complete_measurement(ambient.e_q_opt, reduced)
+    assert outcome.success == pytest.approx(ambient.success, abs=1e-9)
+    assert outcome.class_tag == classify(m_ambient, reduced)
 
 
 # ------------------------------------------------------------- sweeps
@@ -364,6 +385,8 @@ def test_cli_oracle(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert payload["success_probability"] == pytest.approx(IDP, abs=1e-8)
+    assert payload["upper_bound"] == pytest.approx(IDP, abs=1e-8)
+    assert payload["upper_bound"] >= payload["success_probability"] - 1e-12
     assert len(payload["per_restart_distances"]) == 1
 
 

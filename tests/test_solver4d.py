@@ -16,7 +16,7 @@ from util import example1_states, examples2_states, random_skew_pair
 
 
 def oracle_value(pair, seed=0):
-    return oracle_optimize(pair, OracleConfig(seed=seed, ascent_iters=60)).success
+    return oracle_optimize(pair, OracleConfig(seed=seed)).success
 
 
 def test_solver_matches_oracle_on_random_pairs(rng):
