@@ -59,7 +59,7 @@ class ProbabilityWindow:
 
 
 def _require_disjoint_supports(pair: WeightedDensityPair):
-    if la.intersect(*pair.supports, pair.tol).size:
+    if pair.support_overlap.size:
         raise PreconditionViolated(
             "state supports overlap; apply the parallel reduction first")
 

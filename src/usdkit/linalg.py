@@ -16,8 +16,9 @@ from .tolerances import DEFAULT_TOL, ToleranceContext
 
 __all__ = [
     "Subspace", "dag", "hermitian_part", "is_hermitian", "assert_hermitian",
-    "min_eigenvalue", "is_psd", "rank", "support", "kernel",
-    "support_and_kernel", "intersect",
+    "min_eigenvalue", "is_psd", "rank", "rank_from_values",
+    "rank_survives_scaling", "support", "kernel", "spectral_split",
+    "intersect",
     "subspace_sum", "orthogonal_projector", "oblique_projector",
     "pseudo_inverse", "sqrt_psd", "jordan_bases",
 ]
@@ -62,6 +63,9 @@ def is_psd(a: np.ndarray, tol: ToleranceContext = DEFAULT_TOL) -> bool:
     return bool(w.min() >= -floor)
 
 
+_EPS = float(np.finfo(float).eps)
+
+
 def _rank_threshold(values: np.ndarray, tol: ToleranceContext) -> float:
     top = float(values.max(initial=0.0))
     return max(tol.rank_cutoff * top, tol.rank_atol)
@@ -71,8 +75,36 @@ def rank(a: np.ndarray, tol: ToleranceContext = DEFAULT_TOL) -> int:
     """Numerical rank by singular values against the shared cutoff."""
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    return int(np.sum(s > _rank_threshold(s, tol)))
+    return rank_from_values(np.linalg.svd(a, compute_uv=False), tol)
+
+
+def rank_from_values(values: np.ndarray,
+                     tol: ToleranceContext = DEFAULT_TOL) -> int:
+    """Number of singular (or eigen-) values above the shared cutoff."""
+    return int(np.sum(values > _rank_threshold(values, tol)))
+
+
+def rank_survives_scaling(values: np.ndarray, lo: float, hi: float,
+                          norm: float, tol: ToleranceContext) -> bool:
+    """Whether scaling provably keeps every rank decision taken on `values`.
+
+    `values` are the eigen- or singular values of an operator, each kept
+    or dropped against the shared cutoff.  The question is whether any
+    operator whose k-th value lies in [lo * values[k], hi * values[k]] gets
+    the same decisions.  Each value must clear the cutoffs of that range by
+    a factor of two, after an allowance for the rounding of a
+    decomposition of an operator of norm `norm`.
+    """
+    # a few values per call, checked many times per sweep: plain floats
+    # are several times faster here than numpy calls on tiny arrays
+    vals = values.tolist()
+    top = max(max(vals, default=0.0), 0.0)
+    cut = max(tol.rank_cutoff * top, tol.rank_atol)
+    cut_lo = max(tol.rank_cutoff * lo * top, tol.rank_atol)
+    cut_hi = max(tol.rank_cutoff * hi * top, tol.rank_atol)
+    slack = 16 * len(vals) * _EPS * norm
+    return all(lo * v - slack > 2 * cut_hi if v > cut
+               else hi * v + slack < 0.5 * cut_lo for v in vals)
 
 
 @dataclass(frozen=True)
@@ -121,27 +153,27 @@ def _eig_split(a, tol):
     return w, u, cut
 
 
-def support_and_kernel(a: np.ndarray, tol: ToleranceContext = DEFAULT_TOL,
-                       ) -> tuple[Subspace, Subspace]:
-    """Support and kernel from one eigendecomposition.
+def spectral_split(a: np.ndarray, tol: ToleranceContext = DEFAULT_TOL,
+                   ) -> tuple[np.ndarray, Subspace, Subspace]:
+    """Eigenvalues, support and kernel from one eigendecomposition.
 
     The support is spanned by the eigenvectors with eigenvalue above the
     rank cutoff; the kernel is its orthocomplement.
     """
     w, u, cut = _eig_split(a, tol)
     keep = w > cut
-    return (Subspace(a.shape[0], u[:, keep].astype(complex)),
+    return (w, Subspace(a.shape[0], u[:, keep].astype(complex)),
             Subspace(a.shape[0], u[:, ~keep].astype(complex)))
 
 
 def support(a: np.ndarray, tol: ToleranceContext = DEFAULT_TOL) -> Subspace:
     """Span of eigenvectors with eigenvalue above the rank cutoff."""
-    return support_and_kernel(a, tol)[0]
+    return spectral_split(a, tol)[1]
 
 
 def kernel(a: np.ndarray, tol: ToleranceContext = DEFAULT_TOL) -> Subspace:
     """Orthocomplement of the support."""
-    return support_and_kernel(a, tol)[1]
+    return spectral_split(a, tol)[2]
 
 
 def _check_same_dim(a: Subspace, b: Subspace):

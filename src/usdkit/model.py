@@ -8,7 +8,7 @@ measurement, and this module implements that completion explicitly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -28,6 +28,53 @@ __all__ = [
 ]
 
 
+def _geometry(derive=None):
+    """A cached property of the pair's prior-independent geometry.
+
+    A pair that shares a base pair's geometry (see
+    `WeightedDensityPair.reweighted`) takes the value from the base,
+    passed through derive(value, pair, c1, c2) when the value also depends
+    on the weights (derive returns None to have the pair compute its own
+    value); any other pair computes it on first use.
+    """
+    def wrap(compute):
+        def get(self):
+            if self._base is not None:
+                base, c1, c2 = self._base
+                value = getattr(base, compute.__name__)
+                if derive is None:
+                    return value
+                value = derive(value, self, c1, c2)
+                if value is not None:
+                    return value
+            return compute(self)
+        get.__name__, get.__doc__ = compute.__name__, compute.__doc__
+        return cached_property(get)
+    return wrap
+
+
+def _reweighted_compression(value, pair, c1, c2):
+    core, isometry = value
+    return core.reweighted(c1, c2), isometry
+
+
+def _reweighted_skew(value, pair, c1, c2):
+    # the subspace tests are shared; only the rank of gamma1 gamma2 scales
+    verdict, cross = value
+    if cross is None:
+        return value
+    (w1, _, _), (w2, _, _), _ = pair._spectral
+    norm = c1 * c2 * w1.max(initial=0.0) * w2.max(initial=0.0)
+    if la.rank_survives_scaling(cross, c1 * c2, c1 * c2, norm, pair.tol):
+        return value
+    return None
+
+
+def _reweighted_reduction(record, pair, c1, c2):
+    from .reductions import _reweighted_record  # reductions imports model
+    return _reweighted_record(record, pair, c1, c2)
+
+
 @dataclass(frozen=True)
 class WeightedDensityPair:
     """The two input states as weighted density operators.
@@ -41,6 +88,9 @@ class WeightedDensityPair:
     gamma1: np.ndarray
     gamma2: np.ndarray
     tol: ToleranceContext = field(default=DEFAULT_TOL)
+    # (base pair, c1, c2) when this pair shares the base pair's geometry
+    _base: tuple | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
         g1 = la.assert_hermitian(np.asarray(self.gamma1, dtype=complex),
@@ -70,6 +120,39 @@ class WeightedDensityPair:
                                    (1.0 - p1) * np.asarray(rho2, dtype=complex),
                                    tol)
 
+    def reweighted(self, c1: float, c2: float) -> "WeightedDensityPair":
+        """The pair (c1 gamma1, c2 gamma2), sharing this pair's geometry.
+
+        Supports, kernels and everything built from them depend on the
+        states alone, so the new pair takes them from this one; values
+        that carry the weights (the reduced pair, the compressed core, the
+        lifted offset) are reweighted alike.  A rank decision is shared
+        only when it provably matches the one the new pair would take
+        itself (`linalg.rank_survives_scaling`): the spectra of the two
+        operators scale by c1 and c2, and by Loewner order each eigenvalue
+        of the sum moves by a factor between min(c1, c2) and max(c1, c2).
+        Otherwise the new pair computes its own geometry.
+        """
+        if not (c1 > 0.0 and c2 > 0.0):
+            raise ValueError("weights must be positive")
+        return self._lend_geometry(
+            WeightedDensityPair(self.dim, c1 * self.gamma1, c2 * self.gamma2,
+                                self.tol), c1, c2)
+
+    def _lend_geometry(self, pair: "WeightedDensityPair", c1: float,
+                       c2: float) -> "WeightedDensityPair":
+        """Let `pair`, which must be (c1 gamma1, c2 gamma2) up to rounding,
+        share this pair's geometry as `reweighted` describes; returns it."""
+        base, w1, w2 = self._base or (self, 1.0, 1.0)
+        w1, w2 = w1 * c1, w2 * c2
+        (v1, _, _), (v2, _, _), (v, _, _) = base._spectral
+        lo, hi = min(w1, w2), max(w1, w2)
+        if all(la.rank_survives_scaling(values, a, b,
+                                        b * values.max(initial=0.0), base.tol)
+               for values, a, b in ((v1, w1, w1), (v2, w2, w2), (v, lo, hi))):
+            object.__setattr__(pair, "_base", (base, w1, w2))
+        return pair
+
     @property
     def total(self) -> np.ndarray:
         return self.gamma1 + self.gamma2
@@ -78,37 +161,49 @@ class WeightedDensityPair:
     def total_trace(self) -> float:
         return float(np.real(np.trace(self.total)))
 
-    # The spectral geometry below depends only on the two operators, so
-    # each value is computed on first use and kept for the life of the pair.
-    # Its arrays are shared by every caller and are read-only.
+    # The geometry below does not depend on the prior: it is built from the
+    # supports of the two operators, or (the compressed core, the reduction)
+    # carries the weights in a way a reweighting can follow.  Each value is
+    # computed on first use and kept for the life of the pair, and a
+    # reweighted pair derives it from its base.  Its arrays are shared by
+    # every caller and are read-only.
 
-    @cached_property
-    def _spectral(self) -> tuple[tuple[Subspace, Subspace], ...]:
-        """(support, kernel) of gamma1, gamma2 and gamma1 + gamma2."""
-        out = tuple(la.support_and_kernel(g, self.tol)
+    @_geometry()
+    def _spectral(self) -> tuple[tuple[np.ndarray, Subspace, Subspace], ...]:
+        """(eigenvalues, support, kernel) of gamma1, gamma2 and their sum."""
+        out = tuple(la.spectral_split(g, self.tol)
                     for g in (self.gamma1, self.gamma2, self.total))
-        for spaces in out:
-            for s in spaces:
-                _freeze(s.basis)
+        for w, sup, ker in out:
+            _freeze(w)
+            _freeze(sup.basis)
+            _freeze(ker.basis)
         return out
 
     @property
     def supports(self) -> tuple[Subspace, Subspace]:
         """(supp gamma1, supp gamma2)."""
-        return self._spectral[0][0], self._spectral[1][0]
+        return self._spectral[0][1], self._spectral[1][1]
 
     @property
     def kernels(self) -> tuple[Subspace, Subspace]:
         """(ker gamma1, ker gamma2)."""
-        return self._spectral[0][1], self._spectral[1][1]
+        return self._spectral[0][2], self._spectral[1][2]
 
     def collective_support(self) -> Subspace:
-        return self._spectral[2][0]
-
-    def common_kernel(self) -> Subspace:
         return self._spectral[2][1]
 
-    @cached_property
+    def common_kernel(self) -> Subspace:
+        return self._spectral[2][2]
+
+    @_geometry()
+    def support_overlap(self) -> Subspace:
+        """supp(gamma1) ∩ supp(gamma2), the part the parallel reduction
+        removes."""
+        out = la.intersect(*self.supports, self.tol)
+        _freeze(out.basis)
+        return out
+
+    @_geometry()
     def detector_spaces(self) -> tuple[Subspace, Subspace]:
         """ker(gamma2) resp. ker(gamma1) inside the collective support: the
         directions on which state 1 resp. state 2 is detected for sure."""
@@ -120,12 +215,12 @@ class WeightedDensityPair:
             _freeze(s.basis)
         return out
 
-    @cached_property
+    @_geometry()
     def detectors(self) -> tuple[np.ndarray, np.ndarray]:
         """(Lambda1, Lambda2): orthogonal projectors onto the detector spaces."""
         return tuple(_freeze(s.projector()) for s in self.detector_spaces)
 
-    @cached_property
+    @_geometry()
     def obliques(self) -> tuple[np.ndarray, np.ndarray]:
         """(Q1, Q2): oblique projectors that complete e1, e2 from e_q.
 
@@ -135,8 +230,7 @@ class WeightedDensityPair:
         """
         tol = self.tol
         sup1, sup2 = self.supports
-        overlap = la.intersect(sup1, sup2, tol)
-        non_parallel = la.kernel(overlap.projector(), tol)
+        non_parallel = la.kernel(self.support_overlap.projector(), tol)
         out = []
         for lam_space, own in zip(self.detector_spaces, (sup1, sup2)):
             if lam_space.size == 0:
@@ -147,6 +241,53 @@ class WeightedDensityPair:
                                          target.projector(), tol)
             out.append(_freeze(q))
         return tuple(out)
+
+    @_geometry(_reweighted_skew)
+    def _skew(self) -> tuple[bool, np.ndarray | None]:
+        """(strictly skew?, singular values of gamma1 gamma2 when a rank of
+        theirs decided it, else None); see `reductions.is_strictly_skew`."""
+        tol = self.tol
+        sup1, sup2 = self.supports
+        lam1, lam2 = self.detector_spaces
+        if (self.support_overlap.size or la.intersect(sup1, lam1, tol).size
+                or la.intersect(sup2, lam2, tol).size):
+            return False, None
+        r1, r2 = sup1.size, sup2.size
+        if self.collective_support().size != r1 + r2:
+            return False, None
+        cross = _freeze(np.linalg.svd(self.gamma1 @ self.gamma2,
+                                      compute_uv=False))
+        r_cross = la.rank_from_values(cross, tol)
+        return r_cross == r1 == r2, cross
+
+    @property
+    def strictly_skew(self) -> bool:
+        """The verdict of `reductions.is_strictly_skew`, taken once."""
+        return self._skew[0]
+
+    @_geometry(_reweighted_compression)
+    def compressed(self) -> tuple["WeightedDensityPair", np.ndarray]:
+        """`compress_pair(self)`: the pair restricted to its collective
+        support, and the isometry back."""
+        v = self.collective_support().basis
+        g1 = hermitian_part(dag(v) @ self.gamma1 @ v)
+        g2 = hermitian_part(dag(v) @ self.gamma2 @ v)
+        return WeightedDensityPair(v.shape[1], g1, g2, self.tol), v
+
+    @_geometry(_reweighted_reduction)
+    def _reduction(self):
+        """`reduction` with None in place of every reference to this pair:
+        a pair that held itself would live until a cyclic garbage
+        collection instead of going when it is dropped."""
+        from .reductions import _reduction_record  # reductions imports model
+        return _reduction_record(self)
+
+    @property
+    def reduction(self):
+        """`reductions.reduce_fully(self)`: the record of both reductions."""
+        record = self._reduction
+        return replace(record, pair=self,
+                       reduced_pair=record.reduced_pair or self)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -363,12 +504,10 @@ def compress_pair(pair: WeightedDensityPair,
     """Restrict the pair to its collective support.
 
     Returns the compressed pair and the isometry (columns = support basis)
-    mapping compressed vectors back into the ambient space.
+    mapping compressed vectors back into the ambient space.  Both are
+    computed once per pair and kept (`WeightedDensityPair.compressed`).
     """
-    v = pair.collective_support().basis
-    g1 = hermitian_part(dag(v) @ pair.gamma1 @ v)
-    g2 = hermitian_part(dag(v) @ pair.gamma2 @ v)
-    return WeightedDensityPair(v.shape[1], g1, g2, pair.tol), v
+    return pair.compressed
 
 
 def expand_measurement(m: UsdMeasurement, isometry: np.ndarray) -> UsdMeasurement:

@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg as la
-from . import reductions as red
 from .errors import CertificateFailure, NotProper, PreconditionViolated
 from .linalg import dag, hermitian_part
 from .model import (MeasurementClassTag, UsdMeasurement, WeightedDensityPair,
-                    compress_pair, is_proper)
+                    is_proper)
 from .tolerances import ToleranceContext
 
 __all__ = [
@@ -169,7 +168,7 @@ def projective_part_law(m: UsdMeasurement, pair: WeightedDensityPair) -> bool:
     projects onto supp(e) and D onto ker(1-e).
     """
     tol = pair.tol
-    if la.intersect(*pair.supports, tol).size:
+    if pair.support_overlap.size:
         raise PreconditionViolated("state supports overlap; reduce first")
     e = m.e_inconclusive
     diff = pair.gamma2 - pair.gamma1
@@ -255,16 +254,16 @@ def build_certificate(m: UsdMeasurement, pair: WeightedDensityPair,
     parts folded into the conclusive elements, then compressed onto the
     skew core); the certificate is built and verified for that core
     problem, which is equivalent to the original by the reduction laws.
+    The reduction and the core are the ones the pair already holds.
     """
     report = check_optimality(m, pair)
     if not report.is_optimal:
         raise CertificateFailure(
             "measurement fails the operational optimality conditions; "
             "no certificate exists", report.to_dict())
-    if red.is_strictly_skew(pair):
+    if pair.strictly_skew:
         return _build_certificate_skew(m, pair, residual_tol)
-    record = red.reduce_fully(pair)
-    core, isometry = compress_pair(record.reduced_pair)
+    core, isometry = pair.reduction.reduced_pair.compressed
     if core.dim == 0:
         raise CertificateFailure(
             "pair reduces to nothing; optimality is trivial and the "

@@ -43,9 +43,12 @@ class OracleConfig:
 
     Each of the `restarts` runs draws its start from `seed` and runs the
     splitting for at most `max_iters` iterations, stopping early once the
-    primal and dual residuals drop below min(1e-13, convergence_tol).  The
-    oracle raises NonConvergence when the returned operator's feasibility
-    residual exceeds convergence_tol.
+    primal and dual residuals drop below convergence_tol clipped to
+    [5e-14, 1e-13]; the polish stops likewise at [5e-15, 1e-14].  The lower
+    ends sit just above the rounding level where the residuals stall, so a
+    tighter convergence_tol does not run out the budgets.  The oracle
+    raises NonConvergence when the returned operator's feasibility residual
+    exceeds convergence_tol.
     """
 
     seed: int = 0
@@ -247,12 +250,13 @@ def oracle_optimize(pair: WeightedDensityPair,
     total_iters = 0
     for restart in range(cfg.restarts):
         start = _random_start(pair.dim, cfg.seed * 1_000_003 + restart)
-        boxed, dual, used = _split(feas, start, objective, cfg.max_iters,
-                                   tol=min(1e-13, cfg.convergence_tol))
+        boxed, dual, used = _split(
+            feas, start, objective, cfg.max_iters,
+            tol=float(np.clip(cfg.convergence_tol, 5e-14, 1e-13)))
         total_iters += used
         bounds.append(feas.success_bound(scale * (dual + objective)))
         e = feas.project(boxed, cycles=30_000,
-                         tol=min(1e-14, cfg.convergence_tol))
+                         tol=float(np.clip(cfg.convergence_tol, 5e-15, 1e-14)))
         success = feas.success(e)
         finals.append(e)
         if success > best_success:

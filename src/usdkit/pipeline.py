@@ -175,6 +175,12 @@ def sweep_bounds(rho1: np.ndarray, rho2: np.ndarray,
     range it coincides with the lower bound.
     """
     probe = WeightedDensityPair.from_states(rho1, rho2, 0.5, tol)
+    return _bounds(probe, rho1, rho2)
+
+
+def _bounds(probe: WeightedDensityPair, rho1: np.ndarray, rho2: np.ndarray):
+    """`sweep_bounds` from the states and their pair at p1 = 0.5."""
+    tol = probe.tol
     record = reduce_fully(probe)
     sig1, sig2, xi = record.sigma1, record.sigma2, record.xi
     core1 = xi @ np.asarray(rho1, dtype=complex) @ xi
@@ -216,16 +222,31 @@ def sweep(rho1: np.ndarray, rho2: np.ndarray, p1_grid,
           tol: ToleranceContext = DEFAULT_TOL,
           oracle_cfg: OracleConfig | None = None,
           with_certificate: bool = False) -> list[SweepRow]:
-    """Dispatch every prior on the grid independently."""
-    bounds = sweep_bounds(rho1, rho2, tol)
+    """Dispatch every prior on the grid, sharing one pair's geometry.
+
+    The prior only weights the two states, so their supports, kernels,
+    detector spaces and reduction to the strictly skew core are computed
+    once, on the pair at p1 = 0.5.  Each prior's pair, built by
+    `WeightedDensityPair.from_states(rho1, rho2, p1)`, borrows them as its
+    reweighting by (2 p1, 2 (1 - p1)) would (`WeightedDensityPair.reweighted`).
+    A rank decision is borrowed only when it provably matches the one that
+    pair would take itself; a prior where an eigenvalue sits close enough
+    to the rank cutoff for the decision to flip computes its own geometry.
+    So every row is the answer `dispatch` gives on the pair built afresh.
+    """
+    base = WeightedDensityPair.from_states(rho1, rho2, 0.5, tol)
+    bounds = _bounds(base, rho1, rho2)
     rows = []
     for p1 in p1_grid:
-        pair = WeightedDensityPair.from_states(rho1, rho2, float(p1), tol)
+        p1 = float(p1)
+        pair = base._lend_geometry(
+            WeightedDensityPair.from_states(rho1, rho2, p1, tol),
+            2.0 * p1, 2.0 * (1.0 - p1))
         outcome = dispatch(pair, oracle_cfg=oracle_cfg,
                            with_certificate=with_certificate)
-        low, up = bounds(float(p1))
+        low, up = bounds(p1)
         rows.append(SweepRow(
-            p1=float(p1),
+            p1=p1,
             success_probability=outcome.success,
             class_tag=(outcome.class_tag.e1_rank, outcome.class_tag.e2_rank),
             branch=outcome.branch,

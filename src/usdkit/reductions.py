@@ -8,7 +8,7 @@ with a closed-form success offset.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -73,8 +73,7 @@ def tau_parallel(pair: WeightedDensityPair,
     i.e. the orthocomplement of supp(g1) ∩ supp(g2).  Proper measurements
     and their success probabilities coincide for both problems.
     """
-    overlap = la.intersect(*pair.supports, pair.tol)
-    p = np.eye(pair.dim) - overlap.projector()
+    p = np.eye(pair.dim) - pair.support_overlap.projector()
     return _projected_pair(pair, p), p
 
 
@@ -100,7 +99,16 @@ def reduce_fully(pair: WeightedDensityPair) -> ReductionRecord:
     Jordan pairs with cosine 1 span the parallel part, pairs with cosine 0
     (and unpaired directions) span the sigma parts; the remainder is the
     strictly skew core.  A second application never changes the result.
+    The record is computed once per pair and kept
+    (`WeightedDensityPair.reduction`).
     """
+    return pair.reduction
+
+
+def _reduction_record(pair: WeightedDensityPair) -> ReductionRecord:
+    """The record of `pair` with None in place of the pair, and of the
+    reduced pair when that is the pair itself; `reduce_fully` fills them
+    in from `WeightedDensityPair.reduction`."""
     tol = pair.tol
     d = pair.dim
     sup1, sup2 = pair.supports
@@ -123,13 +131,31 @@ def reduce_fully(pair: WeightedDensityPair) -> ReductionRecord:
     sigma1 = _projector_from(b1, y1, d)
     sigma2 = _projector_from(b2, y2, d)
     xi = np.eye(d) - pi_par - sigma1 - sigma2
+    for projector in (pi_par, sigma1, sigma2, xi):
+        projector.setflags(write=False)  # shared by the pair's reweightings
     # with nothing removed xi is exactly the identity and projecting would
-    # only copy the pair; keeping the pair keeps its computed geometry
+    # only copy the pair; keeping the pair (None here, see
+    # `WeightedDensityPair._reduction`) keeps its computed geometry
     reduced = (_projected_pair(pair, xi) if parallel_idx or y1 or y2
-               else pair)
-    offset = float(np.real(np.trace((sigma1 + sigma2) @ pair.total)))
-    return ReductionRecord(pair, pi_par, sigma1, sigma2, xi, offset, reduced,
+               else None)
+    return ReductionRecord(None, pi_par, sigma1, sigma2, xi,
+                           _offset(sigma1, sigma2, pair), reduced,
                            tuple(warnings))
+
+
+def _offset(sigma1, sigma2, pair: WeightedDensityPair) -> float:
+    return float(np.real(np.trace((sigma1 + sigma2) @ pair.total)))
+
+
+def _reweighted_record(record: ReductionRecord, pair: WeightedDensityPair,
+                       c1: float, c2: float) -> ReductionRecord:
+    """The record of `pair` from that of the pair it is the (c1, c2)
+    reweighting of: the projectors are shared, the offset is taken on
+    `pair` and the reduced pair is reweighted alike."""
+    reduced = (None if record.reduced_pair is None
+               else record.reduced_pair.reweighted(c1, c2))
+    return replace(record, reduced_pair=reduced,
+                   lifted_offset=_offset(record.sigma1, record.sigma2, pair))
 
 
 def _projector_from(basis: np.ndarray, idx, d: int) -> np.ndarray:
@@ -146,21 +172,10 @@ def is_strictly_skew(pair: WeightedDensityPair) -> bool:
     support/kernel intersections must vanish there.  Cross-checked by the
     equivalent rank laws rank(g1+g2) = rank g1 + rank g2 and
     rank g_mu = rank(g1 g2).  Directions outside the collective support are
-    ignored (any measurement acts as identity there).
+    ignored (any measurement acts as identity there).  The verdict is
+    taken once per pair and kept.
     """
-    tol = pair.tol
-    sup1, sup2 = pair.supports
-    lam1, lam2 = pair.detector_spaces
-    if la.intersect(sup1, sup2, tol).size:
-        return False
-    if la.intersect(sup1, lam1, tol).size:
-        return False
-    if la.intersect(sup2, lam2, tol).size:
-        return False
-    r1, r2 = sup1.size, sup2.size
-    r_total = la.rank(pair.total, tol)
-    r_cross = la.rank(pair.gamma1 @ pair.gamma2, tol)
-    return r_total == r1 + r2 and r_cross == r1 == r2
+    return pair.strictly_skew
 
 
 def lift_measurement(m_reduced: UsdMeasurement,

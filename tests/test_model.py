@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from usdkit import (InvalidInconclusive, NotPSD, UsdMeasurement,
-                    WeightedDensityPair, complete_measurement,
+                    WeightedDensityPair, complete_measurement, dispatch,
                     failure_probability, is_proper, is_usd,
                     projective_kernel_decomposition, reconstruct_from_core,
-                    success_probability, validate_inconclusive)
+                    reduce_fully, success_probability, validate_inconclusive)
 from usdkit import linalg as la
 from usdkit.oracle import random_feasible_inconclusive
 
-from util import peres_nonproper_measurement, peres_states, random_skew_pair
+from util import (example1_states, peres_nonproper_measurement, peres_states,
+                  random_skew_pair)
 
 IDP = 1 - 1 / np.sqrt(2)  # optimal success for the symmetric |1>,|+> pair
 
@@ -36,6 +37,33 @@ def test_pair_subnormalized_accepted():
     pair = WeightedDensityPair(2, np.diag([0.3, 0.0]).astype(complex),
                                np.diag([0.0, 0.2]).astype(complex))
     assert pair.total_trace == pytest.approx(0.5)
+
+
+def test_reweighted_pair_shares_geometry_where_rank_decisions_hold():
+    # rho1 carries an eigenvalue of 5e-8: far above the relative cutoff, so
+    # it is support at any weight that keeps it above rank_atol = 1e-12
+    rho1, rho2 = example1_states()
+    rho1 = rho1 + np.diag([0.0, 0.0, 5e-8, 0.0])
+    base = WeightedDensityPair(4, 0.5 * rho1, 0.4 * rho2)
+    for c1, c2, shares in ((0.6, 1.4, True), (1e-5, 1.0, False)):
+        pair = base.reweighted(c1, c2)
+        fresh = WeightedDensityPair(4, c1 * base.gamma1, c2 * base.gamma2)
+        assert [s.size for s in pair.supports] == \
+            [s.size for s in fresh.supports]
+        assert (pair.supports[0] is base.supports[0]) == shares
+        record, fresh_record = reduce_fully(pair), reduce_fully(fresh)
+        assert record.pair is pair
+        assert (record.xi is reduce_fully(base).xi) == shares
+        assert record.lifted_offset == pytest.approx(
+            fresh_record.lifted_offset, abs=1e-15)
+        outcome = dispatch(pair, with_certificate=False)
+        assert outcome.success == pytest.approx(
+            dispatch(fresh, with_certificate=False).success, abs=1e-12)
+    # the eigenvalue is support at c1 = 0.6 and kernel at c1 = 1e-5
+    assert base.reweighted(0.6, 1.4).supports[0].size == 3
+    assert base.reweighted(1e-5, 1.0).supports[0].size == 2
+    with pytest.raises(ValueError):
+        base.reweighted(0.0, 1.0)
 
 
 def test_success_zero_measurement(peres_pair3):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,19 @@ def test_nonconvergence_raised(rng):
     cfg = OracleConfig(seed=9, max_iters=2, convergence_tol=1e-300)
     with pytest.raises(NonConvergence):
         oracle_optimize(pair, cfg)
+
+
+def test_subrounding_tolerance_stops_at_rounding_level(rng):
+    # no rounded residual meets 1e-17, so the oracle must still raise, but
+    # the splitting and the polish stop where their residuals stall instead
+    # of running out their budgets
+    pair = random_skew_pair(rng)
+    cfg = OracleConfig(seed=9, convergence_tol=1e-17)
+    with pytest.raises(NonConvergence) as info:
+        oracle_optimize(pair, cfg)
+    iterations = int(re.search(r"after (\d+) iterations",
+                               str(info.value)).group(1))
+    assert iterations < cfg.max_iters / 100
 
 
 def test_probe_requires_ten_restarts(rng):

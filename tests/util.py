@@ -101,3 +101,35 @@ def examples2_states():
     ], dtype=complex)
     rho2 = (5 / 46) * np.outer(v, v.conj()) + (41 / 46) * np.outer(w, w.conj())
     return rho1, rho2
+
+
+def generic_pair(rng: np.random.Generator, d: int, r1: int, r2: int,
+                 margin: float = 0.05):
+    """Random states of ranks (r1, r2) on C^d with generic support geometry.
+
+    Beyond the max(0, r1 + r2 - d) principal cosines that a generic pair
+    shares, every cosine between the two supports stays `margin` away from
+    0 and 1; draws that miss are redrawn.
+    """
+    shared = max(0, r1 + r2 - d)
+    while True:
+        rho1 = random_density(rng, d, r1)
+        rho2 = random_density(rng, d, r2)
+        top1 = np.linalg.eigh(rho1)[1][:, -r1:]
+        top2 = np.linalg.eigh(rho2)[1][:, -r2:]
+        cosines = np.clip(np.linalg.svd(dag(top1) @ top2, compute_uv=False),
+                          0.0, 1.0)[shared:]
+        if len(cosines) and (cosines.max() > 1 - margin
+                             or cosines.min() < margin):
+            continue
+        return rho1, rho2
+
+
+def with_eigenvalue_tails(rho: np.ndarray, tails) -> np.ndarray:
+    """rho with its eigenvalues below 1e-6 set to `tails` (ascending order),
+    renormalized to unit trace."""
+    w, u = np.linalg.eigh(rho)
+    w = w.copy()
+    w[w < 1e-6] = tails
+    out = (u * w) @ dag(u)
+    return out / np.real(np.trace(out))
