@@ -121,7 +121,7 @@ def _cmd_verify(args) -> int:
     payload["violated_conditions"] = violated
     if report.is_optimal and payload["proper"]:
         try:
-            cert = build_certificate(m, pair)
+            cert = build_certificate(m, pair, report=report)
             payload["certificate"] = {
                 "valid": True,
                 "residuals": cert.residuals,

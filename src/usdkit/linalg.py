@@ -212,20 +212,33 @@ def oblique_projector(lam: np.ndarray, pi: np.ndarray,
     (neither may contain a direction orthogonal to the other).  Q is the
     Moore-Penrose inverse of lam @ pi and satisfies
     Q lam = Q,  pi Q = Q,  lam Q = lam,  Q pi = pi.
+    The supports of lam and pi are taken first; a caller that already
+    holds both subspaces skips that through `_oblique_between`.
     """
-    lam_s = support(lam, tol)
-    pi_s = support(pi, tol)
-    if lam_s.size != pi_s.size:
+    return _oblique_between(support(lam, tol), support(pi, tol), tol)
+
+
+def _oblique_between(lam: Subspace, pi: Subspace,
+                     tol: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
+    """`oblique_projector` of the projectors onto lam and pi, from their bases.
+
+    With L, P the bases, Q = P (L^dag P)^-1 L^dag, inverted through the SVD
+    of the k x k overlap that also gives the principal cosines.  Every
+    cosine kept exceeds tol.equality, far above the rank cutoff, so this is
+    exactly the Moore-Penrose inverse of (L L^dag)(P P^dag).
+    """
+    _check_same_dim(lam, pi)
+    if lam.size != pi.size:
         raise SkewViolation(
-            f"subspace dimensions differ: {lam_s.size} vs {pi_s.size}")
-    if lam_s.size == 0:
-        return np.zeros_like(lam)
-    cosines = np.linalg.svd(dag(lam_s.basis) @ pi_s.basis, compute_uv=False)
+            f"subspace dimensions differ: {lam.size} vs {pi.size}")
+    if lam.size == 0:
+        return np.zeros((lam.dim, lam.dim), dtype=complex)
+    x, cosines, yh = np.linalg.svd(dag(lam.basis) @ pi.basis)
     if cosines.min() <= tol.equality:
         raise SkewViolation(
             "subspaces contain near-orthogonal directions; oblique projector "
             f"is unbounded (smallest principal cosine {cosines.min():.3e})")
-    return np.linalg.pinv(lam @ pi, rcond=tol.rank_cutoff)
+    return (pi.basis @ dag(yh) / cosines) @ dag(lam.basis @ x)
 
 
 def pseudo_inverse(a: np.ndarray, tol: ToleranceContext = DEFAULT_TOL) -> np.ndarray:

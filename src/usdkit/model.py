@@ -226,19 +226,23 @@ class WeightedDensityPair:
 
         Q1 has kernel ker(Lambda1) and projects onto the part of
         supp(gamma1) outside the support overlap; Q2 swaps the roles.  A
-        state without a detector space gets the zero operator.
+        state without a detector space gets the zero operator.  Each is
+        built from the subspace bases the pair already holds
+        (`linalg._oblique_between`), and the supports are cut down to
+        their non-parallel parts only when they overlap.
         """
         tol = self.tol
-        sup1, sup2 = self.supports
-        non_parallel = la.kernel(self.support_overlap.projector(), tol)
+        overlap = self.support_overlap
+        non_parallel = (la.kernel(overlap.projector(), tol) if overlap.size
+                        else None)
         out = []
-        for lam_space, own in zip(self.detector_spaces, (sup1, sup2)):
+        for lam_space, own in zip(self.detector_spaces, self.supports):
             if lam_space.size == 0:
                 q = np.zeros((self.dim, self.dim), dtype=complex)
             else:
-                target = la.intersect(own, non_parallel, tol)
-                q = la.oblique_projector(lam_space.projector(),
-                                         target.projector(), tol)
+                target = (own if non_parallel is None
+                          else la.intersect(own, non_parallel, tol))
+                q = la._oblique_between(lam_space, target, tol)
             out.append(_freeze(q))
         return tuple(out)
 

@@ -217,19 +217,23 @@ def _build_certificate_skew(m: UsdMeasurement, pair: WeightedDensityPair,
                             residual_tol: float) -> CertificateZ:
     tol = pair.tol
     g1, g2 = pair.gamma1, pair.gamma2
-    k1, k2 = (k.projector() for k in pair.kernels)
+    ker1, ker2 = pair.kernels
     lam1, lam2 = pair.detectors
     # oblique projectors between the kernels and, on a strictly skew pair,
     # along the detector spaces onto the supports
-    r1 = la.oblique_projector(k2, k1, tol)
+    r1 = la._oblique_between(ker2, ker1, tol)
     q1, q2 = pair.obliques
     e = m.e_inconclusive
     v1 = hermitian_part(lam1 @ e @ (g2 - g1) @ e @ lam1 + lam1 @ g1 @ lam1)
     v2 = hermitian_part(lam2 @ e @ (g1 - g2) @ e @ lam2 + lam2 @ g2 @ lam2)
     w1 = (r1 @ (lam1 - m.e1) + lam2 @ m.e1) @ v1
-    v1_pinv = la.pseudo_inverse(v1, tol)
-    sv = np.linalg.svd(v1, compute_uv=False)
-    sv = sv[sv > max(tol.rank_cutoff * sv.max(initial=0.0), tol.rank_atol)]
+    # pseudo-inverse (cutoff relative to the largest singular value, as in
+    # `linalg.pseudo_inverse`) and condition number from one SVD
+    u, sv, vh = np.linalg.svd(v1)
+    top = sv.max(initial=0.0)
+    keep = sv > tol.rank_cutoff * top
+    v1_pinv = (dag(vh[keep]) / sv[keep]) @ dag(u[:, keep])
+    sv = sv[sv > max(tol.rank_cutoff * top, tol.rank_atol)]
     v1_cond = float(sv.max() / sv.min()) if sv.size else float("inf")
     t = q1 + q2 @ w1 @ v1_pinv
     z = hermitian_part(t @ v1 @ dag(t))
@@ -247,7 +251,8 @@ def _build_certificate_skew(m: UsdMeasurement, pair: WeightedDensityPair,
 
 
 def build_certificate(m: UsdMeasurement, pair: WeightedDensityPair,
-                      residual_tol: float = 1e-7) -> CertificateZ:
+                      residual_tol: float = 1e-7, *,
+                      report: OptimalityReport | None = None) -> CertificateZ:
     """Construct and verify the dual certificate for an optimal measurement.
 
     Pairs that are not strictly skew are first reduced (the free detector
@@ -255,8 +260,13 @@ def build_certificate(m: UsdMeasurement, pair: WeightedDensityPair,
     skew core); the certificate is built and verified for that core
     problem, which is equivalent to the original by the reduction laws.
     The reduction and the core are the ones the pair already holds.
+
+    `report` is the `check_optimality(m, pair)` a caller already holds;
+    without it the measurement is checked here.  Either way a report that
+    is not optimal raises `CertificateFailure`.
     """
-    report = check_optimality(m, pair)
+    if report is None:
+        report = check_optimality(m, pair)
     if not report.is_optimal:
         raise CertificateFailure(
             "measurement fails the operational optimality conditions; "

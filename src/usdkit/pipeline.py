@@ -103,7 +103,11 @@ def dispatch(pair: WeightedDensityPair,
     the original pair.
 
     At most one certificate is built, for the original pair, and only
-    with `with_certificate`; `solve_4d` itself returns none.
+    with `with_certificate`; `solve_4d` itself returns none.  Each accepted
+    measurement is checked once per pair: when the reduction removed
+    nothing, the core outcome's measurement and report are the answer (no
+    lift by the identity, no second check), and the certificate takes
+    that report instead of checking again.
     """
     record = reduce_fully(pair)
     notes = tuple(record.boundary_warnings)
@@ -127,12 +131,17 @@ def dispatch(pair: WeightedDensityPair,
     if core_outcome is None:
         return _oracle_fallback(record, pair, oracle_cfg, notes)
 
-    m = lift_measurement(core_outcome.measurement, record)
-    report = check_optimality(m, pair)
+    if core is pair:
+        # nothing was reduced: the core outcome already holds this pair's
+        # measurement and its check
+        m, report = core_outcome.measurement, core_outcome.report
+    else:
+        m = lift_measurement(core_outcome.measurement, record)
+        report = check_optimality(m, pair)
     certificate = None
     if with_certificate and report.is_optimal:
         try:
-            certificate = build_certificate(m, pair)
+            certificate = build_certificate(m, pair, report=report)
         except CertificateFailure as exc:
             notes = notes + (f"certificate construction failed: {exc}",)
     return SolverOutcome(

@@ -155,6 +155,34 @@ def test_oblique_projector_identities(rng):
         np.testing.assert_allclose(q @ q, q, atol=1e-8)
 
 
+def test_oblique_between_matches_oblique_projector():
+    # the basis form agrees with the projector form and obeys its identities
+    rng = np.random.default_rng([5, 3])
+    for d in range(3, 7):
+        for k in range(1, 4):
+            lam_s, pi_s = (Subspace.from_columns(
+                rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k)))
+                for _ in range(2))
+            lam, pi = lam_s.projector(), pi_s.projector()
+            q = la._oblique_between(lam_s, pi_s)
+            np.testing.assert_allclose(q, la.oblique_projector(lam, pi),
+                                       atol=1e-12)
+            for lhs, rhs in ((q @ lam, q), (pi @ q, q), (lam @ q, lam),
+                             (q @ pi, pi)):
+                np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+def test_oblique_between_rejects_what_oblique_projector_rejects():
+    line = subspace([1, 0, 0])
+    plane = subspace([1, 0, 0], [0, 1, 0])
+    tilted = subspace([1e-9, 1, 0])
+    for a, b in ((line, plane), (line, tilted)):
+        with pytest.raises(SkewViolation):
+            la._oblique_between(a, b)
+        with pytest.raises(SkewViolation):
+            la.oblique_projector(a.projector(), b.projector())
+
+
 def test_pseudo_inverse_cases():
     a = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
     np.testing.assert_allclose(la.pseudo_inverse(a), np.linalg.inv(a), atol=1e-12)

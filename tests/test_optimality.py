@@ -258,6 +258,23 @@ def test_certificate_rejects_suboptimal(rng):
         build_certificate(UsdMeasurement(zero, zero, np.eye(d)), pair)
 
 
+def test_certificate_takes_the_callers_report(rng):
+    pair = random_skew_pair(rng)
+    d = pair.dim
+    zero = np.zeros((d, d), dtype=complex)
+    idle = UsdMeasurement(zero, zero, np.eye(d))
+    idle_report = check_optimality(idle, pair)
+    assert not idle_report.is_optimal
+    with pytest.raises(CertificateFailure):
+        build_certificate(idle, pair, report=idle_report)
+    m = solve_4d(pair).measurement
+    report = check_optimality(m, pair)
+    assert report.is_optimal
+    given = build_certificate(m, pair, report=report)
+    checked = build_certificate(m, pair)
+    np.testing.assert_allclose(given.z, checked.z, rtol=0, atol=1e-14)
+
+
 def test_certificate_for_reduced_pair(rng):
     # non-strictly-skew input: certificate is built for the skew core
     from usdkit import dispatch

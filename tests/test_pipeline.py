@@ -122,21 +122,62 @@ def _count_calls(monkeypatch, *functions):
 def test_dispatch_runs_each_stage_once(monkeypatch):
     from usdkit.closed_form import (try_fidelity_form,
                                     try_single_state_detection)
-    from usdkit.optimality import build_certificate
+    from usdkit.optimality import build_certificate, check_optimality
     from usdkit.solver4d import solve_4d
 
     counts = _count_calls(monkeypatch, try_single_state_detection,
-                          try_fidelity_form, solve_4d, build_certificate)
+                          try_fidelity_form, solve_4d, build_certificate,
+                          check_optimality)
     rho1, rho2 = example1_states()
     outcome = dispatch(WeightedDensityPair.from_states(rho1, rho2, 0.5))
     assert outcome.certificate is not None
     for name in ("try_single_state_detection", "try_fidelity_form",
-                 "solve_4d", "build_certificate"):
+                 "solve_4d"):
         assert counts[name] <= 1, name
+    assert counts["build_certificate"] == 1
+    # one check on the compressed core, one on the pair; the certificate
+    # takes the pair's report
+    assert counts["check_optimality"] <= 2
     counts.clear()
     rows = sweep(rho1, rho2, np.linspace(0.05, 0.95, 7))
     assert len(rows) == 7
     assert counts["build_certificate"] == 0
+
+
+def _reduced_pair():
+    # the pair of test_certificate_for_reduced_pair: a shared support
+    # direction and a free detector part reduce away
+    g1 = np.diag([0.2, 0.25, 0.0, 0.0]).astype(complex)
+    plus = np.array([1, 0, 1, 0], dtype=complex) / np.sqrt(2)
+    e3 = np.array([0, 0, 0, 1], dtype=complex)
+    g2 = 0.25 * np.outer(plus, plus.conj()) + 0.2 * np.outer(e3, e3.conj())
+    return WeightedDensityPair(4, g1, g2)
+
+
+def test_dispatch_report_is_the_check_of_its_measurement():
+    # whether the reduction removed nothing (the core outcome's report is
+    # returned) or something (the lifted measurement is checked), the
+    # report is that of the returned measurement on the original pair
+    from usdkit.optimality import check_optimality
+
+    rho1, rho2 = generic_pair(np.random.default_rng([31, 4]), 4, 2, 2)
+    skew = WeightedDensityPair.from_states(rho1, rho2, 0.4)
+    reduced = _reduced_pair()
+    assert reduce_fully(skew).reduced_pair is skew
+    assert reduce_fully(reduced).reduced_pair is not reduced
+    for pair in (skew, reduced):
+        outcome = dispatch(pair)
+        assert outcome.optimal and outcome.certificate is not None
+        report = outcome.report
+        assert report.lambda1.shape == (pair.dim, pair.dim)
+        assert report.lambda2.shape == (pair.dim, pair.dim)
+        fresh = check_optimality(outcome.measurement, pair)
+        for name in ("residual_a1", "residual_a2", "residual_cross",
+                     "residual_b", "residual_antihermitian"):
+            assert getattr(report, name) == pytest.approx(
+                getattr(fresh, name), abs=1e-12), name
+        for name in ("cond_a1", "cond_a2", "cond_cross", "cond_b"):
+            assert getattr(report, name) == getattr(fresh, name), name
 
 
 def test_dispatch_with_parallel_component(rng):
