@@ -41,14 +41,15 @@ __all__ = [
 class OracleConfig:
     """Knobs for the optimizer.
 
-    Each of the `restarts` runs draws its start from `seed` and runs the
+    Restart k draws its start from `seed` and k alone and runs the
     splitting for at most `max_iters` iterations, stopping early once the
     primal and dual residuals drop below convergence_tol clipped to
     [5e-14, 1e-13]; the polish stops likewise at [5e-15, 1e-14].  The lower
     ends sit just above the rounding level where the residuals stall, so a
     tighter convergence_tol does not run out the budgets.  The oracle
     raises NonConvergence when the returned operator's feasibility residual
-    exceeds convergence_tol.
+    exceeds convergence_tol.  `dispatch` runs restart 0 alone first, and
+    all `restarts` only when the checker refuses that point.
     """
 
     seed: int = 0

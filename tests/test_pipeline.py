@@ -1,14 +1,16 @@
 import json
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from usdkit import (InvalidInconclusive, OracleConfig, UsdMeasurement,
-                    WeightedDensityPair, classify, complete_measurement,
-                    dispatch, reduce_fully, success_probability)
+from usdkit import (InvalidInconclusive, NonConvergence, OracleConfig,
+                    UsdMeasurement, WeightedDensityPair, classify,
+                    complete_measurement, dispatch, is_strictly_skew,
+                    lift_measurement, reduce_fully, success_probability)
 from usdkit import pipeline
 from usdkit.cli import main
 from usdkit.pipeline import (ProblemFile, load_measurement, load_problem,
@@ -235,24 +237,92 @@ def test_dispatch_oracle_fallback_six_dim_skew(rng):
         assert outcome.optimal == outcome.report.is_optimal
 
 
-def test_oracle_fallback_runs_on_the_compressed_core(rng):
-    # a rank-(3,3) pair in C^7 has a common kernel; the oracle runs on the
-    # 6-dim core and the lifted answer matches an oracle run on the
-    # uncompressed reduced pair
+def _c7_pair(rng):
+    """Rank-(3,3) states in C^7: a common kernel and a 6-dim skew core."""
     from util import random_density
-    from usdkit.oracle import OracleConfig, oracle_optimize
 
     rho1 = random_density(rng, 7, 3)
     rho2 = random_density(rng, 7, 3)
-    pair = WeightedDensityPair.from_states(rho1, rho2, 0.45)
+    return WeightedDensityPair.from_states(rho1, rho2, 0.45)
+
+
+def _spy_oracle(monkeypatch, first_run=None):
+    """Record the cfg of each oracle call dispatch makes; `first_run`
+    replaces what a one-restart call returns."""
+    real = pipeline.oracle_optimize
+    calls = []
+
+    def spy(pair, cfg):
+        calls.append(cfg)
+        if first_run is not None and cfg.restarts == 1:
+            return first_run(real(pair, cfg))
+        return real(pair, cfg)
+
+    monkeypatch.setattr(pipeline, "oracle_optimize", spy)
+    return calls
+
+
+def _refuse(result):
+    # the identity is feasible, so it completes, but it detects nothing
+    # and the checker refuses it
+    return replace(result, e_q_opt=np.eye(result.e_q_opt.shape[0]))
+
+
+def _not_converged(result):
+    raise NonConvergence("forced")
+
+
+def test_oracle_fallback_runs_on_the_compressed_core(rng, monkeypatch):
+    # a rank-(3,3) pair in C^7 has a common kernel; the oracle runs once,
+    # one restart on the 6-dim core, and the lifted answer matches the
+    # three-restart runs on the core and on the uncompressed reduced pair
+    from usdkit.model import compress_pair
+    from usdkit.oracle import oracle_optimize
+
+    pair = _c7_pair(rng)
+    calls = _spy_oracle(monkeypatch)
     outcome = dispatch(pair)
+    assert [cfg.restarts for cfg in calls] == [1]
     assert outcome.branch == "oracle-checker"
     reduced = reduce_fully(pair).reduced_pair
     assert reduced.dim == 7 and reduced.collective_support().size == 6
-    ambient = oracle_optimize(reduced, OracleConfig(restarts=3))
-    m_ambient = complete_measurement(ambient.e_q_opt, reduced)
-    assert outcome.success == pytest.approx(ambient.success, abs=1e-9)
-    assert outcome.class_tag == classify(m_ambient, reduced)
+    core, _ = compress_pair(reduced)
+    for problem in (core, reduced):
+        full = oracle_optimize(problem, OracleConfig(restarts=3))
+        m_full = complete_measurement(full.e_q_opt, problem)
+        assert outcome.success == pytest.approx(full.success, abs=1e-9)
+        assert outcome.class_tag == classify(m_full, problem)
+
+
+@pytest.mark.parametrize("first_run", [_refuse, _not_converged])
+def test_oracle_fallback_runs_the_configured_restarts_on_refusal(
+        first_run, rng, monkeypatch):
+    # a first point the checker refuses, or a first run that raises, sends
+    # dispatch to the default three restarts, whose answer it returns
+    from usdkit.model import compress_pair, expand_measurement
+    from usdkit.oracle import oracle_optimize
+
+    pair = _c7_pair(rng)
+    calls = _spy_oracle(monkeypatch, first_run)
+    outcome = dispatch(pair)
+    assert [cfg.restarts for cfg in calls] == [1, 3]
+    assert outcome.branch == "oracle-checker" and outcome.optimal
+    record = reduce_fully(pair)
+    core, isometry = compress_pair(record.reduced_pair)
+    full = oracle_optimize(core, OracleConfig(restarts=3))
+    m_core = complete_measurement(full.e_q_opt, core)
+    expected = lift_measurement(expand_measurement(m_core, isometry), record)
+    for name in ("e1", "e2", "e_inconclusive"):
+        np.testing.assert_allclose(getattr(outcome.measurement, name),
+                                   getattr(expected, name), rtol=0, atol=1e-12)
+
+
+def test_oracle_fallback_with_one_restart_runs_once(rng, monkeypatch):
+    pair = _c7_pair(rng)
+    calls = _spy_oracle(monkeypatch, _refuse)
+    outcome = dispatch(pair, oracle_cfg=OracleConfig(restarts=1))
+    assert [cfg.restarts for cfg in calls] == [1]
+    assert outcome.branch == "oracle-best-known" and not outcome.optimal
 
 
 # ------------------------------------------------------------- sweeps
@@ -446,6 +516,25 @@ def test_cli_solve_peres(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "0.292893" in out
+
+
+def test_skew6_problem_is_the_seeded_draw():
+    # tests/data/skew6.json holds this draw, written by save_problem
+    rho1, rho2 = generic_pair(np.random.default_rng([6, 3, 3]), 6, 3, 3)
+    problem = load_problem(DATA / "skew6.json")
+    assert np.array_equal(problem.rho1, rho1)
+    assert np.array_equal(problem.rho2, rho2)
+    assert problem.p1 is None
+    assert is_strictly_skew(problem.pair(0.5))
+
+
+def test_cli_solve_reaches_the_oracle(capsys):
+    # a strictly skew rank-(3,3) pair on C^6: no analytic family applies
+    code = main(["solve", str(DATA / "skew6.json"), "--p1", "0.5", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["branch"] == "oracle-checker"
+    assert payload["optimal"] is True
 
 
 def test_cli_solve_json_payload(capsys):
