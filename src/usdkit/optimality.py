@@ -33,8 +33,12 @@ class OptimalityReport:
 
     The two PSD residuals are most-negative eigenvalues of the Hermitian
     parts (>= -psd_floor passes); the equality residuals are Frobenius
-    norms.  lambda1/lambda2 are the projectors onto ker(gamma2) resp.
-    ker(gamma1) within the collective support.
+    norms.  The detector projectors are the pair's (`pair.detectors`), so
+    the report holds no operator and no basis.  It does not change under
+    the compression isometry V of `compress_pair`: every operator it
+    measures vanishes off range V and is V (.) V^dag of its version on the
+    compressed pair, so the report of a core measurement is that of its
+    `expand_measurement` on the pair.
     """
 
     cond_a1: bool
@@ -46,8 +50,6 @@ class OptimalityReport:
     residual_cross: float
     residual_b: float
     residual_antihermitian: float
-    lambda1: np.ndarray
-    lambda2: np.ndarray
 
     @property
     def is_optimal(self) -> bool:
@@ -103,8 +105,6 @@ def check_optimality(m: UsdMeasurement, pair: WeightedDensityPair,
         residual_cross=res_cross,
         residual_b=res_b,
         residual_antihermitian=anti,
-        lambda1=lam1,
-        lambda2=lam2,
     )
 
 

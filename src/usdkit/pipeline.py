@@ -120,10 +120,12 @@ def dispatch(pair: WeightedDensityPair,
 
     At most one certificate is built, for the original pair, and only
     with `with_certificate`; `solve_4d` itself returns none.  Each accepted
-    measurement is checked once per pair: when the reduction removed
-    nothing, the core outcome's measurement and report are the answer (no
-    lift by the identity, no second check), and the certificate takes
-    that report instead of checking again.
+    measurement is checked once on the core, by the family that accepts
+    it, and `solve_4d` returns that report unchanged.  When the reduction
+    removed nothing, the core outcome's measurement and report are the
+    answer (no lift by the identity, no second check); otherwise the
+    lifted measurement is checked once more, on the pair passed in.  The
+    certificate takes the returned report instead of checking again.
     """
     record = reduce_fully(pair)
     notes = tuple(record.boundary_warnings)
@@ -212,14 +214,15 @@ def _bounds(probe: WeightedDensityPair, rho1: np.ndarray, rho2: np.ndarray):
     core2 = xi @ np.asarray(rho2, dtype=complex) @ xi
     off1 = float(np.real(np.trace(sig1 @ rho1)))
     off2 = float(np.real(np.trace(sig2 @ rho2)))
-    core_total = la.support(core1 + core2, tol)
-    if core_total.size == 0:
+    # the reduced pair is (core1, core2) weighted by 0.5 each: it holds
+    # their collective support and detector projectors
+    reduced = record.reduced_pair
+    if reduced.collective_support().size == 0:
         def bounds(p1: float):
             value = p1 * off1 + (1 - p1) * off2
             return value, value
         return bounds
-    det2 = la.intersect(la.kernel(core1, tol), core_total, tol).projector()
-    det1 = la.intersect(la.kernel(core2, tol), core_total, tol).projector()
+    det1, det2 = reduced.detectors
     gain2 = float(np.real(np.trace(det2 @ core2)))
     gain1 = float(np.real(np.trace(det1 @ core1)))
     lam1 = max(_min_supported_eigenvalue(core1, core2, tol), 0.0)

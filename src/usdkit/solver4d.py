@@ -21,7 +21,7 @@ from .errors import (DegenerateFamily, InvalidInconclusive, NoSolutionFound,
                      PreconditionViolated, SkewViolation, UsdNumericsWarning)
 from .linalg import dag, hermitian_part
 from .model import (UsdMeasurement, WeightedDensityPair, complete_measurement,
-                    compress_pair, expand_measurement)
+                    compress_pair, expand_measurement, success_probability)
 from .optimality import (OptimalityReport, SolverOutcome, check_optimality,
                          classify)
 from .reductions import is_strictly_skew
@@ -241,13 +241,28 @@ def balance_residual_12(cand: Candidate12, pair: WeightedDensityPair) -> float:
     return float(abs(lhs - rhs))
 
 
+def _accepted(m: UsdMeasurement, pair: WeightedDensityPair,
+              branch: str) -> SolverOutcome | Rejection:
+    """The outcome of a candidate measurement that passes the optimality
+    check on `pair`, with that check as its report."""
+    report = check_optimality(m, pair)
+    if not report.is_optimal:
+        return Rejection("optimality_residual")
+    return SolverOutcome(measurement=m, class_tag=classify(m, pair),
+                         success=success_probability(m, pair), report=report,
+                         branch=branch)
+
+
 def finalize_candidate_12(cand: Candidate12, pair: WeightedDensityPair,
-                          ) -> UsdMeasurement | Rejection:
+                          ) -> SolverOutcome | Rejection:
     """Build and verify the measurement of a rank-(1,2) candidate.
 
     The inconclusive element is |phi><phi| + n n^dag; the candidate is
-    accepted only if its weight nu lies strictly inside (0, 1) and the
-    completed measurement passes the full optimality check.
+    accepted only if its weight nu lies strictly inside (0, 1), the
+    inconclusive element completes to a measurement ("not_completable"
+    otherwise) and that measurement passes the full optimality check.  An
+    accepted candidate gives the outcome on `pair`: its measurement, class
+    tag, success, the report of that one check and branch class-12.
     """
     if not 0.0 < cand.nu < 1.0 - pair.tol.rank_atol:
         return Rejection("nu_ge_one")
@@ -257,10 +272,8 @@ def finalize_candidate_12(cand: Candidate12, pair: WeightedDensityPair,
     try:
         m = complete_measurement(hermitian_part(e_q), pair)
     except (InvalidInconclusive, SkewViolation):
-        return Rejection("optimality_residual")
-    if not check_optimality(m, pair).is_optimal:
-        return Rejection("optimality_residual")
-    return m
+        return Rejection("not_completable")
+    return _accepted(m, pair, BRANCH_CLASS_12)
 
 
 def _kernel_jordan_data(pair: WeightedDensityPair):
@@ -419,8 +432,7 @@ def _degenerate_family_probe(pair, basis_candidates, c, d1, d2, vecs):
     top = float(np.abs(coeffs).max())
     if top == 0.0:
         return
-    roots = np.roots(np.trim_zeros(coeffs / top, "f")) if np.any(coeffs) else []
-    for y in np.atleast_1d(roots):
+    for y in np.roots(np.trim_zeros(coeffs / top, "f")):
         if abs(np.imag(y)) > 1e-10 or np.real(y) <= 1e-12:
             continue
         x = float(np.sqrt(np.real(y)))
@@ -457,12 +469,14 @@ def balance_residual_11(cand: Candidate11) -> float:
 
 
 def finalize_candidate_11(cand: Candidate11, pair: WeightedDensityPair,
-                          ) -> UsdMeasurement | Rejection:
+                          ) -> SolverOutcome | Rejection:
     """Build and verify the projective measurement of a rank-(1,1) candidate.
 
     e1 = |psi1><psi1| and e2 = |psi2><psi2|; the candidate must leave the
     inconclusive element PSD and satisfy both acceptance inequalities
-    before the full optimality check is consulted.
+    before the full optimality check is consulted.  An accepted candidate
+    gives the outcome on `pair`: its measurement, class tag, success, the
+    report of that one check and branch class-11.
     """
     tol = pair.tol
     if abs(np.vdot(cand.psi1, cand.psi2)) > np.sqrt(tol.equality):
@@ -482,10 +496,8 @@ def finalize_candidate_11(cand: Candidate11, pair: WeightedDensityPair,
     rhs = float(np.real(np.vdot(cand.psi2_perp, pair.gamma2 @ cand.psi2_perp)))
     if lhs < rhs - tol.equality:
         return Rejection("second_acceptance_inequality")
-    m = UsdMeasurement(e1, e2, hermitian_part(e_q))
-    if not check_optimality(m, pair).is_optimal:
-        return Rejection("optimality_residual")
-    return m
+    return _accepted(UsdMeasurement(e1, e2, hermitian_part(e_q)), pair,
+                     BRANCH_CLASS_11)
 
 
 def _residual_total(report: OptimalityReport) -> float:
@@ -498,11 +510,13 @@ def solve_4d(pair: WeightedDensityPair) -> SolverOutcome:
 
     Families are tried cheapest first, each once, on the pair compressed
     to its collective support: single state detection, fidelity form, the
-    two rank-(1,2) orientations, then rank-(1,1).  Every accepted
-    measurement has passed the operational optimality check; uniqueness
-    guarantees at most one family fires away from class boundaries, and
-    numerical ties are broken by the smaller total residual (with a
-    boundary warning).
+    two rank-(1,2) orientations, then rank-(1,1).  Each family checks its
+    measurement once, on the compressed pair, and that check is the
+    outcome's report: the report does not change under the compression
+    isometry, so the outcome only expands the measurement back onto
+    `pair`.  Uniqueness guarantees at most one family fires away from
+    class boundaries; numerical ties are broken by the smaller total
+    residual (with a boundary warning).
 
     The outcome carries no certificate (its `certificate` is None); call
     `build_certificate` on the measurement when one is needed.
@@ -518,39 +532,19 @@ def solve_4d(pair: WeightedDensityPair) -> SolverOutcome:
 
     found: list[SolverOutcome] = []
 
-    def record(m_core: UsdMeasurement, branch: str, success: float | None,
-               boundary: bool):
-        m = expand_measurement(m_core, isometry)
-        report = check_optimality(m, pair)
-        if not report.is_optimal:
-            return
-        found.append(SolverOutcome(
-            measurement=m,
-            class_tag=classify(m_core, core),
-            success=(success if success is not None
-                     else float(np.real(np.trace(m.e1 @ pair.gamma1)
-                                        + np.trace(m.e2 @ pair.gamma2)))),
-            report=report,
-            branch=branch,
-            boundary=boundary,
-        ))
+    def record(outcome: SolverOutcome | Rejection | None):
+        if isinstance(outcome, SolverOutcome):
+            found.append(replace(outcome, measurement=expand_measurement(
+                outcome.measurement, isometry)))
 
-    ssd = try_single_state_detection(core)
-    if ssd is not None:
-        record(ssd.measurement, ssd.branch, ssd.success, ssd.boundary)
-    fid = try_fidelity_form(core)
-    if fid is not None:
-        record(fid.measurement, fid.branch, fid.success, fid.boundary)
+    record(try_single_state_detection(core))
+    record(try_fidelity_form(core))
     if not found:
         for host in (1, 2):
             for cand in enumerate_candidates_12(core, detect_on=host):
-                m = finalize_candidate_12(cand, core)
-                if isinstance(m, UsdMeasurement):
-                    record(m, BRANCH_CLASS_12, None, False)
+                record(finalize_candidate_12(cand, core))
         for cand in enumerate_candidates_11(core):
-            m = finalize_candidate_11(cand, core)
-            if isinstance(m, UsdMeasurement):
-                record(m, BRANCH_CLASS_11, None, False)
+            record(finalize_candidate_11(cand, core))
     if not found:
         raise NoSolutionFound(
             "no measurement family passed verification; the instance sits "

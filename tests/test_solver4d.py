@@ -12,7 +12,8 @@ from usdkit.solver4d import (Rejection, balance_residual_11,
                              enumerate_candidates_12, finalize_candidate_11,
                              finalize_candidate_12)
 
-from util import example1_states, examples2_states, random_skew_pair
+from util import (example1_states, examples2_states, generic_pair,
+                  random_skew_pair)
 
 
 def oracle_value(pair, seed=0):
@@ -158,7 +159,7 @@ def test_candidates_12_nu_gate(rng):
                         assert cand.nu >= 1 - 1e-12
                         rejected += 1
                 else:
-                    assert isinstance(result, UsdMeasurement)
+                    assert isinstance(result.measurement, UsdMeasurement)
                     assert 0 < cand.nu < 1
                     # accepted geometry: phi ⊥ phi_perp and n ⊥ phi
                     assert abs(np.vdot(cand.phi, cand.phi_perp)) < 1e-10
@@ -267,13 +268,13 @@ def test_exclusivity_all_accepted_measurements_coincide(rng):
                 accepted.append(oc.measurement)
         for host in (1, 2):
             for cand in enumerate_candidates_12(pair, detect_on=host):
-                m = finalize_candidate_12(cand, pair)
-                if isinstance(m, UsdMeasurement):
-                    accepted.append(m)
+                oc = finalize_candidate_12(cand, pair)
+                if not isinstance(oc, Rejection):
+                    accepted.append(oc.measurement)
         for cand in enumerate_candidates_11(pair):
-            m = finalize_candidate_11(cand, pair)
-            if isinstance(m, UsdMeasurement):
-                accepted.append(m)
+            oc = finalize_candidate_11(cand, pair)
+            if not isinstance(oc, Rejection):
+                accepted.append(oc.measurement)
         assert len(accepted) >= 1
         for m in accepted[1:]:
             assert np.linalg.norm(m.e_inconclusive
@@ -312,3 +313,83 @@ def test_degenerate_probe_roots_solve_b1(monkeypatch):
         # B1(x) / x = (c^2 x^2 + 1)^2 d1 - c^2 (x^2 + 1)^2 d2
         terms = ((c * c * x * x + 1) ** 2 * d1, c * c * (x * x + 1) ** 2 * d2)
         assert abs(terms[0] - terms[1]) <= 1e-12 * max(map(abs, terms))
+
+
+# ---------------------------------------------------------------- reports
+
+def _rotated(rng, rho1, rho2, p1, d=4):
+    """The pair of (rho1, rho2) at p1, padded with zeros to C^d and
+    conjugated by a random unitary."""
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    n = rho1.shape[0]
+    pad = [np.zeros((d, d), dtype=complex) for _ in range(2)]
+    pad[0][:n, :n], pad[1][:n, :n] = rho1, rho2
+    return WeightedDensityPair.from_states(q @ pad[0] @ dag(q),
+                                           q @ pad[1] @ dag(q), p1)
+
+
+def _report_cases():
+    from usdkit import reduce_fully
+
+    rng = np.random.default_rng([7, 4, 2, 2])
+    ex1, ex2 = example1_states(), examples2_states()
+    reduced = reduce_fully(WeightedDensityPair.from_states(
+        *generic_pair(np.random.default_rng([0, 5, 2, 3]), 5, 2, 3), 0.5))
+    return {
+        "single-state-detection": ("single-state-detection",
+                                   _rotated(rng, *ex1, 0.95)),
+        "fidelity-form": ("fidelity-form", _rotated(rng, *ex2, 0.4)),
+        "class-12": ("class-12", _rotated(rng, *ex1, 0.7)),
+        "class-11": ("class-11", _rotated(rng, *ex1, 0.4)),
+        # a common kernel of dimension two
+        "embedded-in-c6": ("class-12", _rotated(rng, *ex1, 0.2, d=6)),
+        # the (2, 2) core of a (5; 2, 3) pair, on C^5
+        "reduced-5-2-3": ("class-12", reduced.reduced_pair),
+    }
+
+
+@pytest.mark.parametrize("case", ["single-state-detection", "fidelity-form",
+                                  "class-12", "class-11", "embedded-in-c6",
+                                  "reduced-5-2-3"])
+def test_outcome_report_is_a_fresh_check_of_its_measurement(case):
+    # each family checks its measurement on the compressed pair only; that
+    # report must be the check of the expanded measurement on the pair
+    branch, pair = _report_cases()[case]
+    outcome = solve_4d(pair)
+    assert outcome.branch == branch
+    report = outcome.report
+    fresh = check_optimality(outcome.measurement, pair)
+    for name in ("residual_a1", "residual_a2", "residual_cross",
+                 "residual_b", "residual_antihermitian"):
+        assert getattr(report, name) == pytest.approx(
+            getattr(fresh, name), abs=1e-12), name
+    for name in ("cond_a1", "cond_a2", "cond_cross", "cond_b"):
+        assert getattr(report, name) == getattr(fresh, name), name
+    assert report.is_optimal
+    assert outcome.success == pytest.approx(
+        success_probability(outcome.measurement, pair), abs=1e-12)
+
+
+def test_uncompletable_candidate_is_rejected_as_such(monkeypatch):
+    # a candidate whose inconclusive element does not complete to a
+    # measurement never reaches the optimality check
+    import usdkit.solver4d as s4
+    from usdkit import InvalidInconclusive
+
+    rho1, rho2 = example1_states()
+    pair = WeightedDensityPair.from_states(rho1, rho2, 0.7)
+    cands = [c for host in (1, 2)
+             for c in enumerate_candidates_12(pair, detect_on=host)
+             if 0 < c.nu < 1 - pair.tol.rank_atol]
+    assert cands
+
+    def refuse(e_q, pair):
+        raise InvalidInconclusive("refused")
+
+    def unreachable(m, pair):
+        raise AssertionError("checked a measurement that was never built")
+
+    monkeypatch.setattr(s4, "complete_measurement", refuse)
+    monkeypatch.setattr(s4, "check_optimality", unreachable)
+    for cand in cands:
+        assert finalize_candidate_12(cand, pair) == Rejection("not_completable")
