@@ -64,11 +64,10 @@ def _cmd_solve(args) -> int:
     if args.json:
         print(json.dumps(payload, indent=1))
     elif args.csv:
-        rows = [(problem.p1 if args.p1 is None else args.p1, outcome)]
-        print("p1,success,class_e1,class_e2,branch", end="\n")
-        for p1, oc in rows:
-            print(f"{p1:.17g},{oc.success:.17g},{oc.class_tag.e1_rank},"
-                  f"{oc.class_tag.e2_rank},{oc.branch}")
+        p1 = problem.p1 if args.p1 is None else args.p1
+        print("p1,success,class_e1,class_e2,branch")
+        print(f"{p1:.17g},{outcome.success:.17g},{outcome.class_tag.e1_rank},"
+              f"{outcome.class_tag.e2_rank},{outcome.branch}")
     else:
         print(f"success probability : {outcome.success:.12f}")
         print(f"measurement class   : ({outcome.class_tag.e1_rank},"
@@ -134,8 +133,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    from .linalg import rank
-
     tol = _tolerances(args)
     problem = load_problem(args.problem, tol)
     pair = problem.pair(args.p1, tol)
@@ -146,7 +143,7 @@ def _cmd_reduce(args) -> int:
         "sigma1_dim": int(round(float(np.real(np.trace(record.sigma1))))),
         "sigma2_dim": int(round(float(np.real(np.trace(record.sigma2))))),
         "core_dim": int(round(float(np.real(np.trace(record.xi))))),
-        "core_support_dim": rank(record.reduced_pair.total, tol),
+        "core_support_dim": record.reduced_pair.collective_support().size,
         "lifted_offset": record.lifted_offset,
         "warnings": list(record.boundary_warnings),
     }

@@ -19,7 +19,7 @@ from . import linalg as la
 from .errors import PreconditionViolated
 from .linalg import hermitian_part
 from .model import UsdMeasurement, WeightedDensityPair, complete_measurement
-from .optimality import SolverOutcome, check_optimality, classify
+from .optimality import SolverOutcome, accepted_outcome
 from .tolerances import DEFAULT_TOL, ToleranceContext
 
 __all__ = [
@@ -89,8 +89,9 @@ def try_single_state_detection(pair: WeightedDensityPair) -> SolverOutcome | Non
     Giving up on gamma1 is optimal iff gamma1 (gamma2-gamma1) gamma1 >= 0;
     the measurement is then (0, L2, 1-L2) with L2 the projector onto
     ker(gamma1) inside the collective support, and the success probability
-    is tr(L2 gamma2).  The mirrored branch detects gamma1.  Returns None
-    when neither condition holds.
+    is tr(L2 gamma2).  The mirrored branch detects gamma1.  The first
+    branch whose condition holds and whose measurement the optimality
+    check accepts (`accepted_outcome`) is the outcome; None otherwise.
     """
     _require_disjoint_supports(pair)
     tol = pair.tol
@@ -111,17 +112,9 @@ def try_single_state_detection(pair: WeightedDensityPair) -> SolverOutcome | Non
             m = UsdMeasurement(detector, np.zeros_like(detector), e_q)
         else:
             m = UsdMeasurement(np.zeros_like(detector), detector, e_q)
-        report = check_optimality(m, pair)
-        if not report.is_optimal:
-            continue
-        return SolverOutcome(
-            measurement=m,
-            class_tag=classify(m, pair),
-            success=float(np.real(np.trace(m.e1 @ g1) + np.trace(m.e2 @ g2))),
-            report=report,
-            branch=BRANCH_SINGLE_STATE,
-            boundary=marginal,
-        )
+        outcome = accepted_outcome(m, pair, BRANCH_SINGLE_STATE, marginal)
+        if outcome is not None:
+            return outcome
     return None
 
 
@@ -178,9 +171,11 @@ def try_fidelity_form(pair: WeightedDensityPair) -> SolverOutcome | None:
     """Balanced measurement attaining the squared Bures distance.
 
     Feasible iff gamma_mu - sqrt(sqrt(g_mu) g_nu sqrt(g_mu)) >= 0 for both
-    states; the inconclusive element is then built in closed form, the
-    measurement completed, and the success probability equals
-    tr(g1+g2) - 2 tr|sqrt(g1) sqrt(g2)|.  Returns None when infeasible.
+    states; the inconclusive element is then built in closed form and the
+    measurement completed.  When the optimality check accepts it
+    (`accepted_outcome`), its success probability equals
+    tr(g1+g2) - 2 tr|sqrt(g1) sqrt(g2)|.  Returns None when infeasible or
+    refused.
     """
     _require_disjoint_supports(pair)
     tol = pair.tol
@@ -197,16 +192,5 @@ def try_fidelity_form(pair: WeightedDensityPair) -> SolverOutcome | None:
     total_inv = la.pseudo_inverse(pair.total, tol)
     deficit = root1 @ (g1 - f1) @ root1 + root2 @ (g2 - f2) @ root2
     e_q = hermitian_part(np.eye(pair.dim) - total_inv @ deficit @ total_inv)
-    m = complete_measurement(e_q, pair)
-    report = check_optimality(m, pair)
-    if not report.is_optimal:
-        return None
-    bures_overlap = float(np.sum(np.linalg.svd(root1 @ root2, compute_uv=False)))
-    return SolverOutcome(
-        measurement=m,
-        class_tag=classify(m, pair),
-        success=pair.total_trace - 2.0 * bures_overlap,
-        report=report,
-        branch=BRANCH_FIDELITY,
-        boundary=marginal1 or marginal2,
-    )
+    return accepted_outcome(complete_measurement(e_q, pair), pair,
+                            BRANCH_FIDELITY, marginal1 or marginal2)

@@ -17,7 +17,7 @@ from . import linalg as la
 from .errors import CertificateFailure, NotProper, PreconditionViolated
 from .linalg import dag, hermitian_part
 from .model import (MeasurementClassTag, UsdMeasurement, WeightedDensityPair,
-                    is_proper)
+                    is_proper, success_probability)
 from .tolerances import ToleranceContext
 
 __all__ = [
@@ -34,11 +34,27 @@ class OptimalityReport:
     The two PSD residuals are most-negative eigenvalues of the Hermitian
     parts (>= -psd_floor passes); the equality residuals are Frobenius
     norms.  The detector projectors are the pair's (`pair.detectors`), so
-    the report holds no operator and no basis.  It does not change under
-    the compression isometry V of `compress_pair`: every operator it
-    measures vanishes off range V and is V (.) V^dag of its version on the
-    compressed pair, so the report of a core measurement is that of its
-    `expand_measurement` on the pair.
+    the report holds no operator and no basis, and one report serves a
+    measurement on every pair the reductions connect:
+
+    - Compression.  It does not change under the compression isometry V of
+      `compress_pair`: every operator it measures vanishes off range V and
+      is V (.) V^dag of its version on the compressed pair, so the report
+      of a core measurement is that of its `expand_measurement` on the
+      pair.
+    - Lift.  It does not change under `lift_measurement` either.  The
+      reduction splits the supports into orthogonal sums,
+      supp gamma1 = pi_par + sigma1 + C1 and supp gamma2 = pi_par + sigma2
+      + C2 with C_mu inside xi, so the detectors of the pair are
+      Lambda_mu = sigma_mu + Lambda_mu(reduced), and Lambda_mu pi_par = 0.
+      The lifted inconclusive element is e = pi_par + xi e_r xi, with e_r
+      the reduced one, so Lambda_mu e = Lambda_mu(reduced) e_r and
+      e (1 - e) = e_r (1 - e_r) live inside xi.  Each residual then sees
+      gamma2 - gamma1 only through xi (gamma2 - gamma1) xi, the reduced
+      pair's difference, and equals the one on the reduced pair.  This
+      holds up to rounding while the reduction's rank decisions are clear;
+      near a Jordan-cosine cutoff (a record with `boundary_warnings`) the
+      two can drift apart.
     """
 
     cond_a1: bool
@@ -106,6 +122,25 @@ def check_optimality(m: UsdMeasurement, pair: WeightedDensityPair,
         residual_b=res_b,
         residual_antihermitian=anti,
     )
+
+
+def accepted_outcome(m: UsdMeasurement, pair: WeightedDensityPair,
+                     branch: str, boundary: bool = False,
+                     ) -> SolverOutcome | None:
+    """The outcome of `m` on `pair` if `m` passes the optimality check.
+
+    This is the acceptance gate of every analytic family.  It checks `m`
+    once; only a measurement that passes is classified and has its
+    success evaluated, and that check is the outcome's report.  By
+    uniqueness of the optimum, the one passed check certifies the answer.
+    Returns None when the check refuses `m`.
+    """
+    report = check_optimality(m, pair)
+    if not report.is_optimal:
+        return None
+    return SolverOutcome(measurement=m, class_tag=classify(m, pair),
+                         success=success_probability(m, pair), report=report,
+                         branch=branch, boundary=boundary)
 
 
 def rank_law_check(m: UsdMeasurement, pair: WeightedDensityPair) -> bool:

@@ -23,8 +23,8 @@ from .errors import CertificateFailure, UsdKitError
 from .model import (MeasurementClassTag, UsdMeasurement, WeightedDensityPair,
                     complete_measurement, compress_pair, expand_measurement,
                     success_probability)
-from .optimality import (SolverOutcome, build_certificate, check_optimality,
-                         classify)
+from .optimality import (OptimalityReport, SolverOutcome, build_certificate,
+                         check_optimality, classify)
 from .oracle import OracleConfig, oracle_optimize
 from .reductions import ReductionRecord, lift_measurement, reduce_fully
 from .solver4d import solve_4d
@@ -67,6 +67,18 @@ def _trivial_outcome(record: ReductionRecord,
     )
 
 
+def _rechecked_if_warned(report: OptimalityReport, m: UsdMeasurement,
+                         record: ReductionRecord) -> OptimalityReport:
+    """`report`, the check of the core measurement that `m` lifts, or a
+    fresh check of `m` on the pair when the reduction removed something
+    and one of its Jordan cosines sits near a cutoff.  There the lifted
+    residuals can drift from the core's, by up to about 3e-9 in the
+    equality residuals and 2e-10, twice psd_floor, in the PSD ones."""
+    if record.boundary_warnings and record.reduced_pair is not record.pair:
+        return check_optimality(m, record.pair)
+    return report
+
+
 def _oracle_fallback(record: ReductionRecord, pair: WeightedDensityPair,
                      oracle_cfg: OracleConfig | None,
                      notes: tuple[str, ...]) -> SolverOutcome:
@@ -77,6 +89,9 @@ def _oracle_fallback(record: ReductionRecord, pair: WeightedDensityPair,
     # the checker refuses it, or it does not complete to a measurement, do
     # the configured restarts run; restart k's start depends on cfg.seed
     # and k alone, so that run is the one a single call with cfg makes.
+    # Each point is checked on the core it was found on: that report is the
+    # one of its expansion and lift on the pair (`OptimalityReport`), so
+    # only the point kept is expanded and lifted.
     runs = (replace(cfg, restarts=1), cfg) if cfg.restarts > 1 else (cfg,)
     for run in runs:
         try:
@@ -86,10 +101,11 @@ def _oracle_fallback(record: ReductionRecord, pair: WeightedDensityPair,
             if run is runs[-1]:
                 raise
             continue
-        m = lift_measurement(expand_measurement(m_core, isometry), record)
-        report = check_optimality(m, pair)
+        report = check_optimality(m_core, core)
         if report.is_optimal:
             break
+    m = lift_measurement(expand_measurement(m_core, isometry), record)
+    report = _rechecked_if_warned(report, m, record)
     certified = report.is_optimal
     return SolverOutcome(
         measurement=m,
@@ -118,14 +134,18 @@ def dispatch(pair: WeightedDensityPair,
     refers to the strictly skew core measurement; the measurement itself
     and the optimality report refer to the original pair.
 
-    At most one certificate is built, for the original pair, and only
-    with `with_certificate`; `solve_4d` itself returns none.  Each accepted
-    measurement is checked once on the core, by the family that accepts
-    it, and `solve_4d` returns that report unchanged.  When the reduction
-    removed nothing, the core outcome's measurement and report are the
-    answer (no lift by the identity, no second check); otherwise the
-    lifted measurement is checked once more, on the pair passed in.  The
-    certificate takes the returned report instead of checking again.
+    Each answer is checked once, where it is accepted: by the family on
+    the core (`optimality.accepted_outcome`), or by the oracle's gate on
+    the compressed core.  That check is the returned report; it equals the
+    check of the lifted measurement on the pair passed in, because the
+    residuals change neither under compression nor under the lift
+    (`OptimalityReport`).  Only a record whose `boundary_warnings` put a
+    Jordan cosine within 10x of a reduction cutoff has its lifted answer
+    checked again on the pair.  At most one certificate is built, for the
+    original pair, only with `with_certificate`, and it takes the returned
+    report instead of checking again; `solve_4d` itself returns none.
+    `BLOCK_STRUCTURE_NOTE` is among the warnings when the core's
+    collective support is larger than four dimensions.
     """
     record = reduce_fully(pair)
     notes = tuple(record.boundary_warnings)
@@ -133,7 +153,8 @@ def dispatch(pair: WeightedDensityPair,
     core_support = core.collective_support().size
     if core_support == 0:
         return _trivial_outcome(record, pair)
-    notes = notes + (BLOCK_STRUCTURE_NOTE,)
+    if core_support > 4:
+        notes = notes + (BLOCK_STRUCTURE_NOTE,)
 
     core_outcome: SolverOutcome | None = None
     if core_support == 4 and all(s.size == 2 for s in core.supports):
@@ -149,13 +170,10 @@ def dispatch(pair: WeightedDensityPair,
     if core_outcome is None:
         return _oracle_fallback(record, pair, oracle_cfg, notes)
 
-    if core is pair:
-        # nothing was reduced: the core outcome already holds this pair's
-        # measurement and its check
-        m, report = core_outcome.measurement, core_outcome.report
-    else:
-        m = lift_measurement(core_outcome.measurement, record)
-        report = check_optimality(m, pair)
+    m = core_outcome.measurement
+    if core is not pair:
+        m = lift_measurement(m, record)
+    report = _rechecked_if_warned(core_outcome.report, m, record)
     certificate = None
     if with_certificate and report.is_optimal:
         try:

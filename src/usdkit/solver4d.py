@@ -21,9 +21,8 @@ from .errors import (DegenerateFamily, InvalidInconclusive, NoSolutionFound,
                      PreconditionViolated, SkewViolation, UsdNumericsWarning)
 from .linalg import dag, hermitian_part
 from .model import (UsdMeasurement, WeightedDensityPair, complete_measurement,
-                    compress_pair, expand_measurement, success_probability)
-from .optimality import (OptimalityReport, SolverOutcome, check_optimality,
-                         classify)
+                    compress_pair, expand_measurement)
+from .optimality import OptimalityReport, SolverOutcome, accepted_outcome
 from .reductions import is_strictly_skew
 from .tolerances import ToleranceContext
 
@@ -241,18 +240,6 @@ def balance_residual_12(cand: Candidate12, pair: WeightedDensityPair) -> float:
     return float(abs(lhs - rhs))
 
 
-def _accepted(m: UsdMeasurement, pair: WeightedDensityPair,
-              branch: str) -> SolverOutcome | Rejection:
-    """The outcome of a candidate measurement that passes the optimality
-    check on `pair`, with that check as its report."""
-    report = check_optimality(m, pair)
-    if not report.is_optimal:
-        return Rejection("optimality_residual")
-    return SolverOutcome(measurement=m, class_tag=classify(m, pair),
-                         success=success_probability(m, pair), report=report,
-                         branch=branch)
-
-
 def finalize_candidate_12(cand: Candidate12, pair: WeightedDensityPair,
                           ) -> SolverOutcome | Rejection:
     """Build and verify the measurement of a rank-(1,2) candidate.
@@ -260,9 +247,9 @@ def finalize_candidate_12(cand: Candidate12, pair: WeightedDensityPair,
     The inconclusive element is |phi><phi| + n n^dag; the candidate is
     accepted only if its weight nu lies strictly inside (0, 1), the
     inconclusive element completes to a measurement ("not_completable"
-    otherwise) and that measurement passes the full optimality check.  An
-    accepted candidate gives the outcome on `pair`: its measurement, class
-    tag, success, the report of that one check and branch class-12.
+    otherwise) and that measurement passes the full optimality check
+    ("optimality_residual" otherwise).  An accepted candidate gives the
+    outcome of `optimality.accepted_outcome` on `pair`, branch class-12.
     """
     if not 0.0 < cand.nu < 1.0 - pair.tol.rank_atol:
         return Rejection("nu_ge_one")
@@ -273,7 +260,8 @@ def finalize_candidate_12(cand: Candidate12, pair: WeightedDensityPair,
         m = complete_measurement(hermitian_part(e_q), pair)
     except (InvalidInconclusive, SkewViolation):
         return Rejection("not_completable")
-    return _accepted(m, pair, BRANCH_CLASS_12)
+    return (accepted_outcome(m, pair, BRANCH_CLASS_12)
+            or Rejection("optimality_residual"))
 
 
 def _kernel_jordan_data(pair: WeightedDensityPair):
@@ -475,8 +463,8 @@ def finalize_candidate_11(cand: Candidate11, pair: WeightedDensityPair,
     e1 = |psi1><psi1| and e2 = |psi2><psi2|; the candidate must leave the
     inconclusive element PSD and satisfy both acceptance inequalities
     before the full optimality check is consulted.  An accepted candidate
-    gives the outcome on `pair`: its measurement, class tag, success, the
-    report of that one check and branch class-11.
+    gives the outcome of `optimality.accepted_outcome` on `pair`, branch
+    class-11.
     """
     tol = pair.tol
     if abs(np.vdot(cand.psi1, cand.psi2)) > np.sqrt(tol.equality):
@@ -496,8 +484,9 @@ def finalize_candidate_11(cand: Candidate11, pair: WeightedDensityPair,
     rhs = float(np.real(np.vdot(cand.psi2_perp, pair.gamma2 @ cand.psi2_perp)))
     if lhs < rhs - tol.equality:
         return Rejection("second_acceptance_inequality")
-    return _accepted(UsdMeasurement(e1, e2, hermitian_part(e_q)), pair,
-                     BRANCH_CLASS_11)
+    return (accepted_outcome(UsdMeasurement(e1, e2, hermitian_part(e_q)),
+                             pair, BRANCH_CLASS_11)
+            or Rejection("optimality_residual"))
 
 
 def _residual_total(report: OptimalityReport) -> float:

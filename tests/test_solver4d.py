@@ -373,6 +373,7 @@ def test_outcome_report_is_a_fresh_check_of_its_measurement(case):
 def test_uncompletable_candidate_is_rejected_as_such(monkeypatch):
     # a candidate whose inconclusive element does not complete to a
     # measurement never reaches the optimality check
+    import usdkit.optimality as optimality
     import usdkit.solver4d as s4
     from usdkit import InvalidInconclusive
 
@@ -390,6 +391,6 @@ def test_uncompletable_candidate_is_rejected_as_such(monkeypatch):
         raise AssertionError("checked a measurement that was never built")
 
     monkeypatch.setattr(s4, "complete_measurement", refuse)
-    monkeypatch.setattr(s4, "check_optimality", unreachable)
+    monkeypatch.setattr(optimality, "check_optimality", unreachable)
     for cand in cands:
         assert finalize_candidate_12(cand, pair) == Rejection("not_completable")
