@@ -51,10 +51,12 @@ class OptimalityReport:
       the reduced one, so Lambda_mu e = Lambda_mu(reduced) e_r and
       e (1 - e) = e_r (1 - e_r) live inside xi.  Each residual then sees
       gamma2 - gamma1 only through xi (gamma2 - gamma1) xi, the reduced
-      pair's difference, and equals the one on the reduced pair.  This
-      holds up to rounding while the reduction's rank decisions are clear;
-      near a Jordan-cosine cutoff (a record with `boundary_warnings`) the
-      two can drift apart.
+      pair's difference, and equals the one on the reduced pair, up to
+      rounding.  The split, and so the lift argument, needs the reduced
+      pair to be strictly skew.  Near a Jordan-cosine cutoff the
+      reduction's and the reduced pair's rank decisions can disagree: the
+      reduced pair is then not strictly skew, and the lifted measurement
+      can have other residuals or not be proper on the pair at all.
     """
 
     cond_a1: bool

@@ -67,14 +67,19 @@ def _trivial_outcome(record: ReductionRecord,
     )
 
 
-def _rechecked_if_warned(report: OptimalityReport, m: UsdMeasurement,
+def _lifted_report(report: OptimalityReport, m: UsdMeasurement,
                          record: ReductionRecord) -> OptimalityReport:
     """`report`, the check of the core measurement that `m` lifts, or a
     fresh check of `m` on the pair when the reduction removed something
-    and one of its Jordan cosines sits near a cutoff.  There the lifted
-    residuals can drift from the core's, by up to about 3e-9 in the
-    equality residuals and 2e-10, twice psd_floor, in the PSD ones."""
-    if record.boundary_warnings and record.reduced_pair is not record.pair:
+    and the supports may not split as the lift needs (`OptimalityReport`):
+    one of its Jordan cosines sits near a cutoff, or the reduced pair is
+    not strictly skew.  There the lifted residuals can drift from the
+    core's, by up to about 3e-9 in the equality residuals and 2e-10, twice
+    psd_floor, in the PSD ones, and the lifted answer need not be proper
+    on the pair."""
+    core = record.reduced_pair
+    if core is not record.pair and (record.boundary_warnings
+                                    or not core.strictly_skew):
         return check_optimality(m, record.pair)
     return report
 
@@ -105,7 +110,7 @@ def _oracle_fallback(record: ReductionRecord, pair: WeightedDensityPair,
         if report.is_optimal:
             break
     m = lift_measurement(expand_measurement(m_core, isometry), record)
-    report = _rechecked_if_warned(report, m, record)
+    report = _lifted_report(report, m, record)
     certified = report.is_optimal
     return SolverOutcome(
         measurement=m,
@@ -139,9 +144,10 @@ def dispatch(pair: WeightedDensityPair,
     the compressed core.  That check is the returned report; it equals the
     check of the lifted measurement on the pair passed in, because the
     residuals change neither under compression nor under the lift
-    (`OptimalityReport`).  Only a record whose `boundary_warnings` put a
-    Jordan cosine within 10x of a reduction cutoff has its lifted answer
-    checked again on the pair.  At most one certificate is built, for the
+    (`OptimalityReport`).  That needs the reduced pair to be strictly
+    skew; a lifted answer is checked again on the pair when it is not, or
+    when the record's `boundary_warnings` put a Jordan cosine within 10x
+    of a reduction cutoff.  At most one certificate is built, for the
     original pair, only with `with_certificate`, and it takes the returned
     report instead of checking again; `solve_4d` itself returns none.
     `BLOCK_STRUCTURE_NOTE` is among the warnings when the core's
@@ -173,7 +179,7 @@ def dispatch(pair: WeightedDensityPair,
     m = core_outcome.measurement
     if core is not pair:
         m = lift_measurement(m, record)
-    report = _rechecked_if_warned(core_outcome.report, m, record)
+    report = _lifted_report(core_outcome.report, m, record)
     certificate = None
     if with_certificate and report.is_optimal:
         try:

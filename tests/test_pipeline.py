@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from usdkit import (InvalidInconclusive, NonConvergence, NotProper,
-                    OracleConfig, UsdMeasurement, WeightedDensityPair, classify,
+                    OracleConfig, PreconditionViolated, SkewViolation,
+                    UsdMeasurement, WeightedDensityPair, classify,
                     complete_measurement, dispatch, is_strictly_skew,
                     lift_measurement, reduce_fully, success_probability)
 from usdkit import pipeline
@@ -212,17 +213,16 @@ def test_dispatch_report_is_the_check_of_its_measurement():
         _assert_report_is_a_fresh_check(outcome, pair)
 
 
-def _near_cutoff_states(offset):
-    """States on C^8 whose supports have one Jordan cosine `offset` and one
-    1 - `offset`, beside a generic (4;2,2) block, in a random basis."""
+def _near_cutoff_states(ortho, par):
+    """States on C^8 whose supports have one Jordan cosine `ortho` and one
+    1 - `par`, beside a generic (4;2,2) block, in a random basis."""
     from usdkit.linalg import dag
 
     core1, core2 = generic_pair(np.random.default_rng([41, 0]), 4, 2, 2)
     basis = np.eye(8)
-    near_orthogonal = (offset * basis[4]
-                       + np.sqrt(1 - offset ** 2) * basis[5])
-    near_parallel = ((1 - offset) * basis[6]
-                     + np.sqrt(1 - (1 - offset) ** 2) * basis[7])
+    near_orthogonal = ortho * basis[4] + np.sqrt(1 - ortho ** 2) * basis[5]
+    near_parallel = ((1 - par) * basis[6]
+                     + np.sqrt(1 - (1 - par) ** 2) * basis[7])
     rho1 = np.zeros((8, 8), dtype=complex)
     rho2 = np.zeros((8, 8), dtype=complex)
     rho1[:4, :4], rho2[:4, :4] = 0.6 * core1, 0.6 * core2
@@ -236,32 +236,59 @@ def _near_cutoff_states(offset):
 
 
 _RANK_CUTOFF_CLASH = pytest.mark.xfail(
-    strict=True, raises=(NotProper, InvalidInconclusive), reason=(
+    strict=True, raises=(NotProper, InvalidInconclusive, SkewViolation,
+                         PreconditionViolated), reason=(
         "near-cutoff pair: the reduction classifies a Jordan cosine by "
         "its 1e-9 cutoff while the reduced pair's supports keep a tail "
-        "near the rank cutoff; dispatch raises (ROADMAP item 2)"))
+        "near the rank cutoff, so the reduced pair is not strictly skew; "
+        "dispatch raises (ROADMAP item 2)"))
+
+# (ortho, par) -> the priors at which dispatch raises
+_CLASHING_PRIORS = {
+    (1e-11, 1e-10): (0.2, 0.4, 0.5), (1e-11, 1e-9): (0.2, 0.5, 0.8),
+    (1e-10, 1e-10): (0.2, 0.4, 0.5), (1e-10, 1e-9): (0.2, 0.4, 0.5, 0.8),
+    (1e-9, 1e-11): (0.5,), (1e-9, 1e-10): (0.2, 0.4, 0.5),
+    (1e-9, 1e-9): (0.2, 0.5, 0.8), (2e-10, 2e-10): (0.2, 0.4, 0.5),
+    (8e-10, 8e-10): (0.5,),
+}
+_NEAR_CUTOFF_OFFSETS = [(o, p) for o in (1e-11, 1e-10, 1e-9)
+                        for p in (1e-11, 1e-10, 1e-9)] + [
+    (3e-11, 3e-11), (2e-10, 2e-10), (8e-10, 8e-10)]
+_NEAR_CUTOFF_ORACLE = OracleConfig(restarts=1, max_iters=2000)
 
 
-@pytest.mark.parametrize("offset, p1", [
-    (1e-11, 0.2), (1e-11, 0.5), (1e-11, 0.8),
-    (3e-11, 0.2), (3e-11, 0.5), (3e-11, 0.8),
-    pytest.param(2e-10, 0.2, marks=_RANK_CUTOFF_CLASH),
-    pytest.param(2e-10, 0.5, marks=_RANK_CUTOFF_CLASH),
-    (2e-10, 0.8),
-    (8e-10, 0.2),
-    pytest.param(8e-10, 0.5, marks=_RANK_CUTOFF_CLASH),
-    (8e-10, 0.8),
-])
-def test_near_cutoff_reductions_report_a_fresh_check(offset, p1):
+@pytest.mark.parametrize("ortho, par, p1", [
+    pytest.param(ortho, par, p1, marks=(
+        _RANK_CUTOFF_CLASH if p1 in _CLASHING_PRIORS.get((ortho, par), ())
+        else ()))
+    for ortho, par in _NEAR_CUTOFF_OFFSETS for p1 in (0.2, 0.4, 0.5, 0.8)])
+def test_near_cutoff_reductions_report_a_fresh_check(ortho, par, p1):
     # the reduction removes both near-cutoff directions; the returned
     # report must still be the check of the returned measurement on the
-    # pair, whether the record warns (the lift is checked again) or not.
+    # pair, whether the core report is kept or the lift is checked again.
     # A small oracle budget keeps the uncertified fallbacks cheap.
-    rho1, rho2 = _near_cutoff_states(offset)
+    rho1, rho2 = _near_cutoff_states(ortho, par)
     pair = WeightedDensityPair.from_states(rho1, rho2, p1)
-    outcome = dispatch(pair, oracle_cfg=OracleConfig(restarts=1,
-                                                     max_iters=2000))
+    outcome = dispatch(pair, oracle_cfg=_NEAR_CUTOFF_ORACLE)
     assert reduce_fully(pair).reduced_pair is not pair
+    _assert_report_is_a_fresh_check(outcome, pair)
+
+
+def test_unwarned_clashing_reduction_is_checked_on_the_pair():
+    # 1 - c rounds to 9.99998973e-11, just below the boundary-warning zone,
+    # yet the reduced pair is not strictly skew and the lifted oracle answer
+    # is not proper on the pair.  dispatch must not return it with the
+    # core's report: it refuses it (NotProper, from the check on the pair),
+    # or returns an answer whose report is a fresh check.
+    rho1, rho2 = _near_cutoff_states(1e-11, 1e-10)
+    pair = WeightedDensityPair.from_states(rho1, rho2, 0.4)
+    record = reduce_fully(pair)
+    assert not record.boundary_warnings
+    assert not record.reduced_pair.strictly_skew
+    try:
+        outcome = dispatch(pair, oracle_cfg=_NEAR_CUTOFF_ORACLE)
+    except NotProper:
+        return
     _assert_report_is_a_fresh_check(outcome, pair)
 
 
