@@ -189,7 +189,7 @@ def try_fidelity_form(pair: WeightedDensityPair) -> SolverOutcome | None:
     ok2, marginal2 = _psd_with_boundary(g2 - f2, tol, sup2.basis)
     if not (ok1 and ok2):
         return None
-    total_inv = la.pseudo_inverse(pair.total, tol)
+    total_inv = pair.total_inverse
     deficit = root1 @ (g1 - f1) @ root1 + root2 @ (g2 - f2) @ root2
     e_q = hermitian_part(np.eye(pair.dim) - total_inv @ deficit @ total_inv)
     return accepted_outcome(complete_measurement(e_q, pair), pair,

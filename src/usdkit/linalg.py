@@ -16,7 +16,7 @@ from .tolerances import DEFAULT_TOL, ToleranceContext
 
 __all__ = [
     "Subspace", "dag", "hermitian_part", "is_hermitian", "assert_hermitian",
-    "min_eigenvalue", "is_psd", "rank", "rank_from_values",
+    "min_eigenvalue", "is_psd", "rank", "rank_from_values", "rank_margin",
     "rank_survives_scaling", "support", "kernel", "spectral_split",
     "intersect",
     "subspace_sum", "orthogonal_projector", "oblique_projector",
@@ -82,6 +82,15 @@ def rank_from_values(values: np.ndarray,
                      tol: ToleranceContext = DEFAULT_TOL) -> int:
     """Number of singular (or eigen-) values above the shared cutoff."""
     return int(np.sum(values > _rank_threshold(values, tol)))
+
+
+def rank_margin(values: np.ndarray,
+                tol: ToleranceContext = DEFAULT_TOL) -> float:
+    """How far the rank decision on `values` cleared the shared cutoff: the
+    smallest ratio of a kept value to the cutoff (inf when none is kept)."""
+    cut = _rank_threshold(values, tol)
+    kept = values[values > cut]
+    return float(kept.min() / cut) if kept.size else float("inf")
 
 
 def rank_survives_scaling(values: np.ndarray, lo: float, hi: float,

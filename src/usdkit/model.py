@@ -161,6 +161,12 @@ class WeightedDensityPair:
     def total_trace(self) -> float:
         return float(np.real(np.trace(self.total)))
 
+    @cached_property
+    def total_inverse(self) -> np.ndarray:
+        """Moore-Penrose inverse of gamma1 + gamma2, computed once.  It
+        carries the weights, so a reweighted pair computes its own."""
+        return _freeze(la.pseudo_inverse(self.total, self.tol))
+
     # The geometry below does not depend on the prior: it is built from the
     # supports of the two operators, or (the compressed core, the reduction)
     # carries the weights in a way a reweighting can follow.  Each value is
@@ -336,11 +342,15 @@ class MeasurementClassTag:
     For strictly skew pairs with conclusive rank r the ranks obey
     e_mu <= r <= e1 + e2; the unordered pair [e1, e2] is the measurement
     class.  The measurement is von Neumann exactly when e1 + e2 = r.
+    rank_margin is how far the two conclusive rank decisions cleared the
+    rank cutoff (`linalg.rank_margin`); it does not take part in
+    comparisons.
     """
 
     e1_rank: int
     e2_rank: int
     is_von_neumann: bool
+    rank_margin: float = field(default=float("inf"), compare=False)
 
     @property
     def as_class(self) -> tuple[int, int]:
@@ -471,7 +481,7 @@ def reconstruct_from_core(core: np.ndarray,
     """
     tol = pair.tol
     g1, g2 = pair.gamma1, pair.gamma2
-    total_inv = la.pseudo_inverse(pair.total, tol)
+    total_inv = pair.total_inverse
     p_kernel = pair.common_kernel().projector()
     r1 = la.sqrt_psd(g1, tol)
     r2 = la.sqrt_psd(g2, tol)

@@ -170,11 +170,13 @@ def classify(m: UsdMeasurement, pair: WeightedDensityPair) -> MeasurementClassTa
 
     A measurement is von Neumann exactly when the conclusive ranks sum to
     rank(gamma1 gamma2); all three elements are then verified to be
-    projectors.
+    projectors.  The tag's rank_margin comes from the singular values of
+    e1 and e2 that decide their ranks.
     """
     tol = pair.tol
-    e1_rank = la.rank(m.e1, tol)
-    e2_rank = la.rank(m.e2, tol)
+    values = [np.linalg.svd(e, compute_uv=False) for e in (m.e1, m.e2)]
+    e1_rank, e2_rank = (la.rank_from_values(v, tol) for v in values)
+    margin = min(la.rank_margin(v, tol) for v in values)
     r = la.rank(pair.gamma1 @ pair.gamma2, tol)
     von_neumann = e1_rank + e2_rank == r
     if von_neumann:
@@ -182,7 +184,7 @@ def classify(m: UsdMeasurement, pair: WeightedDensityPair) -> MeasurementClassTa
             if np.abs(e @ e - e).max() > tol.idempotent:
                 von_neumann = False
                 break
-    return MeasurementClassTag(e1_rank, e2_rank, von_neumann)
+    return MeasurementClassTag(e1_rank, e2_rank, von_neumann, margin)
 
 
 def count_types_classes(r: int) -> tuple[int, int]:

@@ -4,9 +4,11 @@ With both states of rank two, the optimal measurement falls into one of
 six rank types.  Single state detection and the fidelity form cover the
 extreme classes; the remaining classes [1,2] and [1,1] reduce to real
 roots of explicit polynomials (degree six, respectively degree eight in
-x^2) plus sign and positivity gates.  Exactly one family survives
-verification, and the accepted measurement is returned with its class tag
-and optimality evidence.
+x^2) plus sign and positivity gates.  By uniqueness of the optimum, the
+first family whose measurement passes verification is the answer, and it
+is returned with its class tag and optimality evidence.  Only at a class
+boundary, where two families can both pass within tolerance, are the
+other families tried as well.
 """
 from __future__ import annotations
 
@@ -16,7 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linalg as la
-from .closed_form import try_fidelity_form, try_single_state_detection
+from .closed_form import (BRANCH_FIDELITY, BRANCH_SINGLE_STATE,
+                          try_fidelity_form, try_single_state_detection)
 from .errors import (DegenerateFamily, InvalidInconclusive, NoSolutionFound,
                      PreconditionViolated, SkewViolation, UsdNumericsWarning)
 from .linalg import dag, hermitian_part
@@ -38,6 +41,14 @@ BRANCH_CLASS_11 = "class-11"
 
 # roots of the candidate polynomials count as real below this imag/real ratio
 _REAL_ROOT_TOL = 1e-8
+
+# the unordered class (rank pair) of each family's measurement on a
+# rank-(2,2) core
+_FAMILY_CLASS = {BRANCH_SINGLE_STATE: (0, 2), BRANCH_FIDELITY: (2, 2),
+                 BRANCH_CLASS_12: (1, 2), BRANCH_CLASS_11: (1, 1)}
+# an answer whose conclusive ranks clear the rank cutoff by less than this
+# factor sits on a class boundary
+_BOUNDARY_RANK_MARGIN = 100.0
 
 
 @dataclass(frozen=True)
@@ -129,8 +140,8 @@ def _host_eigenbasis(sup: la.Subspace, host_gamma: np.ndarray,
     return s1, s2, (g11, g12, g21, g22, g23)
 
 
-def _finish_candidate_12(phi, phi_perp, x, g, host, pair,
-                         total_inv) -> Candidate12 | None:
+def _finish_candidate_12(phi, phi_perp, x, g, host,
+                         pair) -> Candidate12 | None:
     host_gamma = pair.gamma1 if host == 1 else pair.gamma2
     other_gamma = pair.gamma2 if host == 1 else pair.gamma1
     q_host = float(np.real(np.vdot(phi_perp, host_gamma @ phi_perp)))
@@ -140,7 +151,7 @@ def _finish_candidate_12(phi, phi_perp, x, g, host, pair,
     a_over_b = float(np.sqrt(q_other / q_host))
     scaling = (np.sqrt(a_over_b) * host_gamma
                + (1.0 / np.sqrt(a_over_b)) * other_gamma)
-    n_vec = total_inv @ (scaling @ phi_perp)
+    n_vec = pair.total_inverse @ (scaling @ phi_perp)
     nu = float(np.real(np.vdot(n_vec, n_vec)))
     return Candidate12(phi, phi_perp, x, g, a_over_b, n_vec, nu, host)
 
@@ -166,17 +177,14 @@ def enumerate_candidates_12(pair: WeightedDensityPair,
     g11, g12, g21, g22, g23 = g
     diff1, diff2 = g11 - g12, g21 - g22
     scale = max(g11, g21, g22, g23)
-    total_inv = la.pseudo_inverse(pair.total, tol)
     out: list[Candidate12] = []
     if g23 <= tol.equality * scale:
         if g21 >= g11 - tol.equality * scale:
-            cand = _finish_candidate_12(s1, s2, 0.0, g, detect_on, pair,
-                                        total_inv)
+            cand = _finish_candidate_12(s1, s2, 0.0, g, detect_on, pair)
             if cand is not None:
                 out.append(cand)
         if g22 >= g12 - tol.equality * scale:
-            cand = _finish_candidate_12(s2, s1, 0.0, g, detect_on, pair,
-                                        total_inv)
+            cand = _finish_candidate_12(s2, s1, 0.0, g, detect_on, pair)
             if cand is not None:
                 out.append(cand)
         # uniqueness forbids mixed-basis solutions here; flag any that the
@@ -205,8 +213,7 @@ def enumerate_candidates_12(pair: WeightedDensityPair,
         if np.real(np.vdot(phi, (other_gamma - host_gamma) @ phi)) < \
                 -tol.equality * scale:
             continue
-        cand = _finish_candidate_12(phi, phi_perp, x, g, detect_on, pair,
-                                    total_inv)
+        cand = _finish_candidate_12(phi, phi_perp, x, g, detect_on, pair)
         if cand is not None:
             out.append(cand)
     return out
@@ -494,18 +501,59 @@ def _residual_total(report: OptimalityReport) -> float:
             + report.residual_cross + report.residual_b)
 
 
+def _accepted_outcomes(core: WeightedDensityPair):
+    """The outcomes of the families that pass their check on `core`, in
+    the order they are tried.  The candidate classes run only when neither
+    closed form passes."""
+    closed = False
+    for family in (try_single_state_detection, try_fidelity_form):
+        outcome = family(core)
+        if outcome is not None:
+            closed = True
+            yield outcome
+    if closed:
+        return
+    for host in (1, 2):
+        for cand in enumerate_candidates_12(core, detect_on=host):
+            outcome = finalize_candidate_12(cand, core)
+            if isinstance(outcome, SolverOutcome):
+                yield outcome
+    for cand in enumerate_candidates_11(core):
+        outcome = finalize_candidate_11(cand, core)
+        if isinstance(outcome, SolverOutcome):
+            yield outcome
+
+
+def _on_boundary(outcome: SolverOutcome) -> bool:
+    """Whether an accepted answer sits on a class boundary: its closed form
+    called it marginal, its class is not its family's, or a kept singular
+    value of e1 or e2 sits within `_BOUNDARY_RANK_MARGIN` of the cutoff."""
+    tag = outcome.class_tag
+    return (outcome.boundary
+            or tag.as_class != _FAMILY_CLASS[outcome.branch]
+            or tag.rank_margin <= _BOUNDARY_RANK_MARGIN)
+
+
 def solve_4d(pair: WeightedDensityPair) -> SolverOutcome:
     """Optimal measurement of a strictly skew rank-(2,2) pair (4-dim support).
 
-    Families are tried cheapest first, each once, on the pair compressed
-    to its collective support: single state detection, fidelity form, the
-    two rank-(1,2) orientations, then rank-(1,1).  Each family checks its
-    measurement once, on the compressed pair, and that check is the
+    Families are tried cheapest first, each at most once, on the pair
+    compressed to its collective support: single state detection, the
+    fidelity form, the two rank-(1,2) orientations, then rank-(1,1); the
+    last three only when neither closed form passes.  Each family checks
+    its measurement once, on the compressed pair, and that check is the
     outcome's report: the report does not change under the compression
     isometry, so the outcome only expands the measurement back onto
-    `pair`.  Uniqueness guarantees at most one family fires away from
-    class boundaries; numerical ties are broken by the smaller total
-    residual (with a boundary warning).
+    `pair`.
+
+    By uniqueness, the first answer that passes is the optimum, and the
+    remaining families are skipped, unless that answer sits on a class
+    boundary: its closed form flagged it marginal, its class tag is not
+    its family's class, or a kept singular value of e1 or e2 lies within
+    100x above the rank cutoff.  There two families can both pass within
+    tolerance, so all of them run; when more than one passes, the one with
+    the smallest total residual is kept, with `boundary` set and a note
+    naming how many families passed.
 
     The outcome carries no certificate (its `certificate` is None); call
     `build_certificate` on the measurement when one is needed.
@@ -519,31 +567,20 @@ def solve_4d(pair: WeightedDensityPair) -> SolverOutcome:
     if any(s.size != 2 for s in core.supports):
         raise PreconditionViolated("both states must have rank two")
 
-    found: list[SolverOutcome] = []
-
-    def record(outcome: SolverOutcome | Rejection | None):
-        if isinstance(outcome, SolverOutcome):
-            found.append(replace(outcome, measurement=expand_measurement(
-                outcome.measurement, isometry)))
-
-    record(try_single_state_detection(core))
-    record(try_fidelity_form(core))
-    if not found:
-        for host in (1, 2):
-            for cand in enumerate_candidates_12(core, detect_on=host):
-                record(finalize_candidate_12(cand, core))
-        for cand in enumerate_candidates_11(core):
-            record(finalize_candidate_11(cand, core))
-    if not found:
+    outcomes = _accepted_outcomes(core)
+    first = next(outcomes, None)
+    if first is None:
         raise NoSolutionFound(
             "no measurement family passed verification; the instance sits "
             "too close to a numerical degeneracy")
-    if len(found) == 1:
-        return found[0]
-    # class-transition prior: candidates agree up to tolerance; keep the
-    # one with the smaller residual and mark the outcome as boundary
+    found = [first, *outcomes] if _on_boundary(first) else [first]
+    # on a class boundary, answers of two families can agree up to
+    # tolerance: keep the one with the smaller residual and mark the outcome
     found.sort(key=lambda oc: _residual_total(oc.report))
-    best = found[0]
+    best = replace(found[0], measurement=expand_measurement(
+        found[0].measurement, isometry))
+    if len(found) == 1:
+        return best
     note = (f"{len(found)} families passed verification (class boundary);"
             f" kept {best.branch} by smaller residual")
     return replace(best, boundary=True, warnings=best.warnings + (note,))

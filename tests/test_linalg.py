@@ -183,6 +183,12 @@ def test_oblique_between_rejects_what_oblique_projector_rejects():
             la.oblique_projector(a.projector(), b.projector())
 
 
+def test_rank_margin_is_the_smallest_kept_value_over_the_cutoff():
+    # the cutoff is rank_cutoff = 1e-10 times the largest value, 2e-10 here
+    assert la.rank_margin(np.array([2.0, 1e-8, 1e-11])) == pytest.approx(50.0)
+    assert la.rank_margin(np.zeros(2)) == np.inf
+
+
 def test_pseudo_inverse_cases():
     a = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
     np.testing.assert_allclose(la.pseudo_inverse(a), np.linalg.inv(a), atol=1e-12)

@@ -66,6 +66,17 @@ def test_reweighted_pair_shares_geometry_where_rank_decisions_hold():
         base.reweighted(0.0, 1.0)
 
 
+def test_total_inverse_is_computed_once_per_pair():
+    # it carries the weights, so a reweighted pair computes its own
+    rho1, rho2 = example1_states()
+    base = WeightedDensityPair.from_states(rho1, rho2, 0.5)
+    assert base.total_inverse is base.total_inverse
+    assert not base.total_inverse.flags.writeable
+    for pair in (base, base.reweighted(0.4, 1.6)):
+        np.testing.assert_array_equal(pair.total_inverse,
+                                      la.pseudo_inverse(pair.total))
+
+
 def test_success_zero_measurement(peres_pair3):
     d = peres_pair3.dim
     zero = np.zeros((d, d), dtype=complex)

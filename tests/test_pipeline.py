@@ -161,6 +161,61 @@ def test_dispatch_runs_each_stage_once(monkeypatch):
     assert counts["build_certificate"] == 0
 
 
+# Priors inside class-transition ties, where two families pass their checks
+# and `solve_4d` keeps the one with the smaller total residual.  Bisecting
+# example1's class-12 <-> class-11 transitions and examples2's single state
+# detection -> fidelity form transition lands on them.  The class-12
+# answers tagged (1, 2) or (2, 1) keep a singular value close to the rank
+# cutoff; the ones tagged (1, 1) are not of their family's class; the
+# single-state-detection answer at the examples2 tie loses to the fidelity
+# form.
+TIE_PRIORS = (
+    (example1_states, 0.3091481307148933, "class-12", (1, 2, False)),
+    (example1_states, 0.3091481308033689, "class-12", (1, 1, True)),
+    (example1_states, 0.49805963240563866, "class-12", (2, 1, False)),
+    (example1_states, 0.49805963234044615, "class-12", (1, 1, True)),
+    (examples2_states, 0.32352941185235967, "fidelity-form", (2, 2, False)),
+)
+
+
+@pytest.mark.parametrize("states, p1, branch, tag", TIE_PRIORS)
+def test_class_transition_tie_keeps_the_smaller_residual(states, p1, branch,
+                                                         tag):
+    outcome = dispatch(WeightedDensityPair.from_states(*states(), p1))
+    assert outcome.optimal
+    assert outcome.branch == branch
+    assert (outcome.class_tag.e1_rank, outcome.class_tag.e2_rank,
+            outcome.class_tag.is_von_neumann) == tag
+    assert outcome.boundary
+    assert (f"2 families passed verification (class boundary); kept {branch}"
+            " by smaller residual") in outcome.warnings
+
+
+def test_solve_4d_stops_at_the_first_accepted_family(monkeypatch):
+    from usdkit import solver4d
+
+    counts = _count_calls(monkeypatch, solver4d.enumerate_candidates_11,
+                          solver4d.try_fidelity_form)
+    rho1, rho2 = example1_states()
+    # a class-12 prior away from any transition: class 11 is not enumerated
+    outcome = dispatch(WeightedDensityPair.from_states(rho1, rho2, 0.7))
+    assert outcome.branch == "class-12" and not outcome.boundary
+    assert counts["enumerate_candidates_11"] == 0
+    # single state detection passes: the fidelity form is not tried
+    counts.clear()
+    outcome = dispatch(WeightedDensityPair.from_states(rho1, rho2, 0.01))
+    assert outcome.branch == "single-state-detection"
+    assert counts["try_fidelity_form"] == 0
+    # on a class boundary every family runs
+    for states, p1, _, _ in (TIE_PRIORS[0], TIE_PRIORS[-1]):
+        counts.clear()
+        outcome = dispatch(WeightedDensityPair.from_states(*states(), p1))
+        assert outcome.boundary
+        assert counts["try_fidelity_form"] == 1
+        assert counts["enumerate_candidates_11"] == (
+            1 if outcome.branch == "class-12" else 0)
+
+
 def _reduced_pair():
     # the pair of test_certificate_for_reduced_pair: a shared support
     # direction and a free detector part reduce away
