@@ -5,7 +5,9 @@ unique optimal measurement that never misidentifies a state: reductions
 to the strictly skew core, closed-form measurement families, the complete
 four-dimensional solver, operational optimality checks with explicit dual
 certificates, and an independent convex-feasibility oracle for
-verification.
+verification.  Candidate, linear-algebra and oracle internals live in
+their submodules (`usdkit.solver4d`, `usdkit.linalg`, `usdkit.oracle`,
+...).
 """
 from .closed_form import (ProbabilityWindow, fidelity_window,
                           single_detection_window, try_fidelity_form,
@@ -15,58 +17,35 @@ from .errors import (CertificateFailure, DegenerateFamily, DimensionMismatch,
                      NonConvergence, NotHermitian, NotPSD, NotProper,
                      NotReconstructible, PreconditionViolated, SkewViolation,
                      UsdKitError, UsdNumericsWarning)
-from .linalg import (Subspace, intersect, jordan_bases, kernel,
-                     oblique_projector, orthogonal_projector, pseudo_inverse,
-                     sqrt_psd, subspace_sum, support)
-from .model import (InconclusiveDiagnostics, MeasurementClassTag,
-                    UsdMeasurement, WeightedDensityPair, complete_measurement,
-                    failure_probability, is_proper, is_usd,
-                    projective_kernel_decomposition, reconstruct_from_core,
-                    success_probability, validate_inconclusive)
+from .model import (MeasurementClassTag, UsdMeasurement, WeightedDensityPair,
+                    is_proper, is_usd, success_probability)
 from .optimality import (CertificateZ, OptimalityReport, SolverOutcome,
-                         build_certificate, check_optimality, classify,
-                         count_types_classes, projective_part_law,
-                         rank_law_check)
-from .oracle import (FeasibleSet, OracleConfig, OracleResult,
-                     UniquenessReport, oracle_optimize,
-                     random_feasible_inconclusive, uniqueness_probe)
+                         build_certificate, check_optimality, classify)
+from .oracle import (OracleConfig, OracleResult, UniquenessReport,
+                     oracle_optimize, uniqueness_probe)
 from .pipeline import (ProblemFile, SweepRow, dispatch, load_measurement,
                        load_problem, rows_to_csv, save_measurement,
                        save_problem, sweep, sweep_bounds)
-from .reductions import (ReductionRecord, is_strictly_skew, lift_measurement,
-                         reduce_fully, tau_parallel, tau_skew)
-from .solver4d import (Candidate11, Candidate12, Rejection,
-                       balance_residual_11, balance_residual_12,
-                       enumerate_candidates_11, enumerate_candidates_12,
-                       finalize_candidate_11, finalize_candidate_12, solve_4d)
+from .reductions import ReductionRecord, lift_measurement, reduce_fully
+from .solver4d import solve_4d
 from .tolerances import DEFAULT_TOL, ToleranceContext
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CertificateFailure", "CertificateZ", "Candidate11", "Candidate12",
-    "DEFAULT_TOL", "DegenerateFamily", "DimensionMismatch", "FeasibleSet",
-    "IncompatibleRecord", "InconclusiveDiagnostics", "InvalidInconclusive",
+    "CertificateFailure", "CertificateZ", "DEFAULT_TOL", "DegenerateFamily",
+    "DimensionMismatch", "IncompatibleRecord", "InvalidInconclusive",
     "MeasurementClassTag", "NoSolutionFound", "NonConvergence",
     "NotHermitian", "NotPSD", "NotProper", "NotReconstructible",
     "OptimalityReport", "OracleConfig", "OracleResult",
     "PreconditionViolated", "ProbabilityWindow", "ProblemFile",
-    "ReductionRecord", "Rejection", "SkewViolation", "SolverOutcome",
-    "Subspace", "SweepRow", "ToleranceContext", "UniquenessReport",
-    "UsdKitError", "UsdMeasurement", "UsdNumericsWarning",
-    "WeightedDensityPair", "balance_residual_11", "balance_residual_12",
-    "build_certificate", "check_optimality", "classify",
-    "complete_measurement", "count_types_classes", "dispatch",
-    "enumerate_candidates_11", "enumerate_candidates_12",
-    "failure_probability", "fidelity_window", "finalize_candidate_11",
-    "finalize_candidate_12", "intersect", "is_proper", "is_strictly_skew",
-    "is_usd", "jordan_bases", "kernel", "lift_measurement",
-    "load_measurement", "load_problem", "oblique_projector",
-    "oracle_optimize", "orthogonal_projector", "projective_kernel_decomposition",
-    "projective_part_law", "pseudo_inverse", "random_feasible_inconclusive",
-    "rank_law_check", "reconstruct_from_core", "reduce_fully", "rows_to_csv",
-    "save_measurement", "save_problem", "single_detection_window", "solve_4d",
-    "sqrt_psd", "subspace_sum", "success_probability", "support", "sweep",
-    "sweep_bounds", "tau_parallel", "tau_skew", "try_fidelity_form",
-    "try_single_state_detection", "uniqueness_probe", "validate_inconclusive",
+    "ReductionRecord", "SkewViolation", "SolverOutcome", "SweepRow",
+    "ToleranceContext", "UniquenessReport", "UsdKitError", "UsdMeasurement",
+    "UsdNumericsWarning", "WeightedDensityPair", "build_certificate",
+    "check_optimality", "classify", "dispatch", "fidelity_window",
+    "is_proper", "is_usd", "lift_measurement", "load_measurement",
+    "load_problem", "oracle_optimize", "reduce_fully", "rows_to_csv",
+    "save_measurement", "save_problem", "single_detection_window",
+    "solve_4d", "success_probability", "sweep", "sweep_bounds",
+    "try_fidelity_form", "try_single_state_detection", "uniqueness_probe",
 ]

@@ -13,13 +13,12 @@ import sys
 import numpy as np
 
 from .errors import CertificateFailure, UsdKitError
-from .model import (UsdMeasurement, WeightedDensityPair, is_proper, is_usd,
-                    success_probability)
+from .model import is_proper, is_usd, success_probability
 from .optimality import build_certificate, check_optimality, classify
 from .oracle import OracleConfig, oracle_optimize, uniqueness_probe
 from .pipeline import (dispatch, load_measurement, load_problem, rows_to_csv,
                        sweep)
-from .reductions import is_strictly_skew, reduce_fully
+from .reductions import reduce_fully
 from .tolerances import DEFAULT_TOL, ToleranceContext
 
 EXIT_OK = 0
@@ -32,7 +31,7 @@ def _tolerances(args) -> ToleranceContext:
     overrides = {}
     if args.tol is not None:
         overrides.update(equality=args.tol, idempotent=args.tol,
-                         hermitian=args.tol, orthonormal=args.tol)
+                         hermitian=args.tol)
     if getattr(args, "rank_cutoff", None) is not None:
         overrides["rank_cutoff"] = args.rank_cutoff
     if getattr(args, "psd_floor", None) is not None:
@@ -138,7 +137,7 @@ def _cmd_reduce(args) -> int:
     pair = problem.pair(args.p1, tol)
     record = reduce_fully(pair)
     payload = {
-        "strictly_skew_input": is_strictly_skew(pair),
+        "strictly_skew_input": pair.strictly_skew,
         "parallel_dim": int(round(float(np.real(np.trace(record.pi_parallel))))),
         "sigma1_dim": int(round(float(np.real(np.trace(record.sigma1))))),
         "sigma2_dim": int(round(float(np.real(np.trace(record.sigma2))))),

@@ -65,16 +65,15 @@ def _require_disjoint_supports(pair: WeightedDensityPair):
 
 
 def _psd_with_boundary(a: np.ndarray, tol: ToleranceContext,
-                       support: np.ndarray | None = None):
+                       support: np.ndarray):
     """(is_psd, is_marginal): marginal when the minimum eigenvalue sits
     within 10x psd_floor of zero (a class-transition prior).
 
-    When a basis is passed in `support`, the operator is compressed onto
-    it first: the tested operators vanish structurally outside the state
-    support, and those hard zeros would otherwise always look marginal.
+    The operator is compressed onto the basis `support` first: the tested
+    operators vanish structurally outside the state support, and those
+    hard zeros would otherwise always look marginal.
     """
-    if support is not None:
-        a = support.conj().T @ a @ support
+    a = support.conj().T @ a @ support
     if a.shape[0] == 0:
         return True, False
     w = np.linalg.eigvalsh(hermitian_part(a))

@@ -19,7 +19,7 @@ __all__ = [
     "min_eigenvalue", "is_psd", "rank", "rank_from_values", "rank_margin",
     "rank_survives_scaling", "support", "kernel", "spectral_split",
     "intersect",
-    "subspace_sum", "orthogonal_projector", "oblique_projector",
+    "subspace_sum", "oblique_projector",
     "pseudo_inverse", "sqrt_psd", "jordan_bases",
 ]
 
@@ -207,10 +207,6 @@ def subspace_sum(a: Subspace, b: Subspace,
     """Column space of the concatenated bases."""
     _check_same_dim(a, b)
     return Subspace.from_columns(np.hstack([a.basis, b.basis]), tol)
-
-
-def orthogonal_projector(s: Subspace) -> np.ndarray:
-    return s.projector()
 
 
 def oblique_projector(lam: np.ndarray, pi: np.ndarray,

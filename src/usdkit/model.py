@@ -24,7 +24,7 @@ __all__ = [
     "InconclusiveDiagnostics",
     "success_probability", "failure_probability", "is_proper", "is_usd",
     "validate_inconclusive", "complete_measurement", "reconstruct_from_core",
-    "projective_kernel_decomposition", "compress_pair", "expand_measurement",
+    "projective_kernel_decomposition", "expand_measurement",
 ]
 
 
@@ -255,7 +255,7 @@ class WeightedDensityPair:
     @_geometry(_reweighted_skew)
     def _skew(self) -> tuple[bool, np.ndarray | None]:
         """(strictly skew?, singular values of gamma1 gamma2 when a rank of
-        theirs decided it, else None); see `reductions.is_strictly_skew`."""
+        theirs decided it, else None); see `strictly_skew`."""
         tol = self.tol
         sup1, sup2 = self.supports
         lam1, lam2 = self.detector_spaces
@@ -272,13 +272,22 @@ class WeightedDensityPair:
 
     @property
     def strictly_skew(self) -> bool:
-        """The verdict of `reductions.is_strictly_skew`, taken once."""
+        """True iff both reductions act trivially on the pair.
+
+        Checked on the collective support: the support overlap and both
+        support/kernel intersections must vanish there.  Cross-checked by
+        the equivalent rank laws rank(g1+g2) = rank g1 + rank g2 and
+        rank g_mu = rank(g1 g2).  Directions outside the collective support
+        are ignored (any measurement acts as identity there).  The verdict
+        is taken once per pair and kept.
+        """
         return self._skew[0]
 
     @_geometry(_reweighted_compression)
     def compressed(self) -> tuple["WeightedDensityPair", np.ndarray]:
-        """`compress_pair(self)`: the pair restricted to its collective
-        support, and the isometry back."""
+        """The pair restricted to its collective support, and the isometry
+        (columns = support basis) mapping compressed vectors back into the
+        ambient space."""
         v = self.collective_support().basis
         g1 = hermitian_part(dag(v) @ self.gamma1 @ v)
         g2 = hermitian_part(dag(v) @ self.gamma2 @ v)
@@ -511,17 +520,6 @@ def projective_kernel_decomposition(
     part1 = la.intersect(fixed, sup1, tol)
     part2 = la.intersect(fixed, sup2, tol)
     return part1, part2, pair.common_kernel()
-
-
-def compress_pair(pair: WeightedDensityPair,
-                  ) -> tuple[WeightedDensityPair, np.ndarray]:
-    """Restrict the pair to its collective support.
-
-    Returns the compressed pair and the isometry (columns = support basis)
-    mapping compressed vectors back into the ambient space.  Both are
-    computed once per pair and kept (`WeightedDensityPair.compressed`).
-    """
-    return pair.compressed
 
 
 def expand_measurement(m: UsdMeasurement, isometry: np.ndarray) -> UsdMeasurement:

@@ -18,13 +18,15 @@ from .errors import CertificateFailure, NotProper, PreconditionViolated
 from .linalg import dag, hermitian_part
 from .model import (MeasurementClassTag, UsdMeasurement, WeightedDensityPair,
                     is_proper, success_probability)
-from .tolerances import ToleranceContext
 
 __all__ = [
     "OptimalityReport", "CertificateZ", "SolverOutcome", "check_optimality",
     "rank_law_check", "classify", "count_types_classes",
     "projective_part_law", "build_certificate",
 ]
+
+# absolute bound on every residual of a built certificate
+_CERTIFICATE_RESIDUAL_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -37,11 +39,11 @@ class OptimalityReport:
     the report holds no operator and no basis, and one report serves a
     measurement on every pair the reductions connect:
 
-    - Compression.  It does not change under the compression isometry V of
-      `compress_pair`: every operator it measures vanishes off range V and
-      is V (.) V^dag of its version on the compressed pair, so the report
-      of a core measurement is that of its `expand_measurement` on the
-      pair.
+    - Compression.  It does not change under the compression isometry V
+      of `WeightedDensityPair.compressed`: every operator it measures
+      vanishes off range V and is V (.) V^dag of its version on the
+      compressed pair, so the report of a core measurement is that of its
+      `expand_measurement` on the pair.
     - Lift.  It does not change under `lift_measurement` either.  The
       reduction splits the supports into orthogonal sums,
       supp gamma1 = pi_par + sigma1 + C1 and supp gamma2 = pi_par + sigma2
@@ -252,8 +254,8 @@ def _certificate_residuals(z, m: UsdMeasurement, pair: WeightedDensityPair):
     }
 
 
-def _build_certificate_skew(m: UsdMeasurement, pair: WeightedDensityPair,
-                            residual_tol: float) -> CertificateZ:
+def _build_certificate_skew(m: UsdMeasurement,
+                            pair: WeightedDensityPair) -> CertificateZ:
     tol = pair.tol
     g1, g2 = pair.gamma1, pair.gamma2
     ker1, ker2 = pair.kernels
@@ -280,17 +282,16 @@ def _build_certificate_skew(m: UsdMeasurement, pair: WeightedDensityPair,
     cert = CertificateZ(z, v1, v2, w1, pair, residuals, v1_cond)
     for name, value in residuals.items():
         if name.startswith(("z_psd", "dominates")):
-            if value < -residual_tol:
+            if value < -_CERTIFICATE_RESIDUAL_TOL:
                 raise CertificateFailure(
                     f"certificate violates {name}: {value:.3e}", residuals)
-        elif value > residual_tol:
+        elif value > _CERTIFICATE_RESIDUAL_TOL:
             raise CertificateFailure(
                 f"certificate violates {name}: {value:.3e}", residuals)
     return cert
 
 
-def build_certificate(m: UsdMeasurement, pair: WeightedDensityPair,
-                      residual_tol: float = 1e-7, *,
+def build_certificate(m: UsdMeasurement, pair: WeightedDensityPair, *,
                       report: OptimalityReport | None = None) -> CertificateZ:
     """Construct and verify the dual certificate for an optimal measurement.
 
@@ -299,6 +300,9 @@ def build_certificate(m: UsdMeasurement, pair: WeightedDensityPair,
     skew core); the certificate is built and verified for that core
     problem, which is equivalent to the original by the reduction laws.
     The reduction and the core are the ones the pair already holds.
+    Every residual of the certificate (`CertificateZ.residuals`) must lie
+    within the fixed absolute bound 1e-7, or `CertificateFailure` is
+    raised.
 
     `report` is the `check_optimality(m, pair)` a caller already holds;
     without it the measurement is checked here.  Either way a report that
@@ -311,7 +315,7 @@ def build_certificate(m: UsdMeasurement, pair: WeightedDensityPair,
             "measurement fails the operational optimality conditions; "
             "no certificate exists", report.to_dict())
     if pair.strictly_skew:
-        return _build_certificate_skew(m, pair, residual_tol)
+        return _build_certificate_skew(m, pair)
     core, isometry = pair.reduction.reduced_pair.compressed
     if core.dim == 0:
         raise CertificateFailure(
@@ -321,7 +325,7 @@ def build_certificate(m: UsdMeasurement, pair: WeightedDensityPair,
         hermitian_part(dag(isometry) @ m.e1 @ isometry),
         hermitian_part(dag(isometry) @ m.e2 @ isometry),
         hermitian_part(dag(isometry) @ m.e_inconclusive @ isometry))
-    return _build_certificate_skew(mc, core, residual_tol)
+    return _build_certificate_skew(mc, core)
 
 
 @dataclass(frozen=True)
@@ -334,6 +338,10 @@ class SolverOutcome:
     report: OptimalityReport
     branch: str
     certificate: CertificateZ | None = None
-    optimal: bool = True
     boundary: bool = False
     warnings: tuple[str, ...] = ()
+
+    @property
+    def optimal(self) -> bool:
+        """Whether the report certifies the measurement optimal."""
+        return self.report.is_optimal

@@ -21,7 +21,7 @@ from .closed_form import (_min_supported_eigenvalue, try_fidelity_form,
                           try_single_state_detection)
 from .errors import CertificateFailure, UsdKitError
 from .model import (MeasurementClassTag, UsdMeasurement, WeightedDensityPair,
-                    complete_measurement, compress_pair, expand_measurement,
+                    complete_measurement, expand_measurement,
                     success_probability)
 from .optimality import (OptimalityReport, SolverOutcome, build_certificate,
                          check_optimality, classify)
@@ -63,7 +63,6 @@ def _trivial_outcome(record: ReductionRecord,
         success=success_probability(m, pair),
         report=report,
         branch=BRANCH_TRIVIAL,
-        optimal=report.is_optimal,
     )
 
 
@@ -88,7 +87,7 @@ def _oracle_fallback(record: ReductionRecord, pair: WeightedDensityPair,
                      oracle_cfg: OracleConfig | None,
                      notes: tuple[str, ...]) -> SolverOutcome:
     cfg = oracle_cfg if oracle_cfg is not None else OracleConfig(restarts=3)
-    core, isometry = compress_pair(record.reduced_pair)
+    core, isometry = record.reduced_pair.compressed
     # The optimum is unique and the checker's conditions are necessary and
     # sufficient, so a certified first restart is the answer.  Only when
     # the checker refuses it, or it does not complete to a measurement, do
@@ -118,7 +117,6 @@ def _oracle_fallback(record: ReductionRecord, pair: WeightedDensityPair,
         success=success_probability(m, pair),
         report=report,
         branch=BRANCH_ORACLE_CERTIFIED if certified else BRANCH_ORACLE,
-        optimal=certified,
         warnings=notes + (() if certified else (
             "no analytic branch applied; success is the oracle's best known "
             "value and the checker did not certify it",)),
@@ -193,7 +191,6 @@ def dispatch(pair: WeightedDensityPair,
         report=report,
         branch=core_outcome.branch,
         certificate=certificate,
-        optimal=report.is_optimal,
         boundary=core_outcome.boundary,
         warnings=notes + core_outcome.warnings,
     )
@@ -271,9 +268,7 @@ def _bounds(probe: WeightedDensityPair, rho1: np.ndarray, rho2: np.ndarray):
 
 
 def sweep(rho1: np.ndarray, rho2: np.ndarray, p1_grid,
-          tol: ToleranceContext = DEFAULT_TOL,
-          oracle_cfg: OracleConfig | None = None,
-          with_certificate: bool = False) -> list[SweepRow]:
+          tol: ToleranceContext = DEFAULT_TOL) -> list[SweepRow]:
     """Dispatch every prior on the grid, sharing one pair's geometry.
 
     The prior only weights the two states, so their supports, kernels,
@@ -285,6 +280,7 @@ def sweep(rho1: np.ndarray, rho2: np.ndarray, p1_grid,
     pair would take itself; a prior where an eigenvalue sits close enough
     to the rank cutoff for the decision to flip computes its own geometry.
     So every row is the answer `dispatch` gives on the pair built afresh.
+    A row keeps no measurement, so no certificate is built.
     """
     base = WeightedDensityPair.from_states(rho1, rho2, 0.5, tol)
     bounds = _bounds(base, rho1, rho2)
@@ -294,8 +290,7 @@ def sweep(rho1: np.ndarray, rho2: np.ndarray, p1_grid,
         pair = base._lend_geometry(
             WeightedDensityPair.from_states(rho1, rho2, p1, tol),
             2.0 * p1, 2.0 * (1.0 - p1))
-        outcome = dispatch(pair, oracle_cfg=oracle_cfg,
-                           with_certificate=with_certificate)
+        outcome = dispatch(pair, with_certificate=False)
         low, up = bounds(p1)
         rows.append(SweepRow(
             p1=p1,
@@ -340,6 +335,11 @@ class ProblemFile:
         return WeightedDensityPair.from_states(self.rho1, self.rho2, prior, tol)
 
 
+def _is_number(value) -> bool:
+    """A JSON number: bool is a subclass of int, but not a number here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _matrix_from_json(obj, dim: int, where: str) -> np.ndarray:
     if not isinstance(obj, list) or len(obj) != dim:
         raise ValueError(f"{where}: expected {dim} rows")
@@ -349,7 +349,7 @@ def _matrix_from_json(obj, dim: int, where: str) -> np.ndarray:
             raise ValueError(f"{where}: row {i} must have {dim} entries")
         for j, entry in enumerate(row):
             if (not isinstance(entry, list) or len(entry) != 2
-                    or not all(isinstance(v, (int, float)) for v in entry)):
+                    or not all(_is_number(v) for v in entry)):
                 raise ValueError(
                     f"{where}: entry ({i},{j}) must be a [re, im] pair")
             out[i, j] = complex(entry[0], entry[1])
@@ -378,9 +378,11 @@ def load_problem(path, tol: ToleranceContext = DEFAULT_TOL) -> ProblemFile:
     if not isinstance(data, dict):
         raise ValueError("problem file must contain a JSON object")
     try:
-        dim = int(data["dim"])
+        dim = data["dim"]
     except KeyError:
         raise ValueError("problem file: missing field 'dim'") from None
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise ValueError("problem file: dim must be a JSON integer")
     if dim <= 0:
         raise ValueError("problem file: dim must be positive")
     rho1 = _matrix_from_json(data.get("rho1"), dim, "rho1")
@@ -389,6 +391,8 @@ def load_problem(path, tol: ToleranceContext = DEFAULT_TOL) -> ProblemFile:
     _validate_state(rho2, tol, "rho2")
     p1 = data.get("p1")
     if p1 is not None:
+        if not _is_number(p1):
+            raise ValueError("problem file: p1 must be a JSON number")
         p1 = float(p1)
         if not 0.0 < p1 < 1.0:
             raise ValueError("problem file: p1 must lie strictly in (0, 1)")

@@ -14,13 +14,12 @@ import numpy as np
 
 from . import linalg as la
 from .errors import IncompatibleRecord
-from .linalg import Subspace, dag
+from .linalg import dag
 from .model import UsdMeasurement, WeightedDensityPair
-from .tolerances import ToleranceContext
 
 __all__ = [
     "ReductionRecord", "tau_parallel", "tau_skew", "reduce_fully",
-    "is_strictly_skew", "lift_measurement",
+    "lift_measurement",
     "PARALLEL_COSINE_CUTOFF", "ORTHOGONAL_COSINE_CUTOFF",
 ]
 
@@ -163,19 +162,6 @@ def _projector_from(basis: np.ndarray, idx, d: int) -> np.ndarray:
         return np.zeros((d, d), dtype=complex)
     cols = basis[:, idx]
     return cols @ dag(cols)
-
-
-def is_strictly_skew(pair: WeightedDensityPair) -> bool:
-    """True iff both reductions act trivially on the pair.
-
-    Checked on the collective support: the support overlap and both
-    support/kernel intersections must vanish there.  Cross-checked by the
-    equivalent rank laws rank(g1+g2) = rank g1 + rank g2 and
-    rank g_mu = rank(g1 g2).  Directions outside the collective support are
-    ignored (any measurement acts as identity there).  The verdict is
-    taken once per pair and kept.
-    """
-    return pair.strictly_skew
 
 
 def lift_measurement(m_reduced: UsdMeasurement,

@@ -24,9 +24,8 @@ from .errors import (DegenerateFamily, InvalidInconclusive, NoSolutionFound,
                      PreconditionViolated, SkewViolation, UsdNumericsWarning)
 from .linalg import dag, hermitian_part
 from .model import (UsdMeasurement, WeightedDensityPair, complete_measurement,
-                    compress_pair, expand_measurement)
+                    expand_measurement)
 from .optimality import OptimalityReport, SolverOutcome, accepted_outcome
-from .reductions import is_strictly_skew
 from .tolerances import ToleranceContext
 
 __all__ = [
@@ -64,16 +63,13 @@ class Candidate12:
 
     (phi, phi_perp) is an orthonormal basis of the support of the host
     state; the inconclusive element fixes phi and keeps weight nu on the
-    unit vector behind n_vector = sqrt(nu)*n.  g_coeffs stores the host
-    eigenbasis scalars (g11, g12, g21, g22, g23); x is the real root that
+    unit vector behind n_vector = sqrt(nu)*n.  x is the real root that
     generated the basis (0 for the eigenvector candidates).
     """
 
     phi: np.ndarray
     phi_perp: np.ndarray
     x: float
-    g_coeffs: tuple[float, float, float, float, float]
-    a_over_b: float
     n_vector: np.ndarray
     nu: float
     host: int  # which state's support hosts ker(1 - e_inconclusive)
@@ -81,18 +77,12 @@ class Candidate12:
 
 @dataclass(frozen=True)
 class JordanData11:
-    cosines: tuple[float, float]
     phase: float
     c: float
     g13: float
     g23: float
     g1: float
     g2: float
-    a1: float
-    a2: float
-    b1: float
-    b2: float
-    b3: float
 
 
 @dataclass(frozen=True)
@@ -140,7 +130,7 @@ def _host_eigenbasis(sup: la.Subspace, host_gamma: np.ndarray,
     return s1, s2, (g11, g12, g21, g22, g23)
 
 
-def _finish_candidate_12(phi, phi_perp, x, g, host,
+def _finish_candidate_12(phi, phi_perp, x, host,
                          pair) -> Candidate12 | None:
     host_gamma = pair.gamma1 if host == 1 else pair.gamma2
     other_gamma = pair.gamma2 if host == 1 else pair.gamma1
@@ -153,7 +143,7 @@ def _finish_candidate_12(phi, phi_perp, x, g, host,
                + (1.0 / np.sqrt(a_over_b)) * other_gamma)
     n_vec = pair.total_inverse @ (scaling @ phi_perp)
     nu = float(np.real(np.vdot(n_vec, n_vec)))
-    return Candidate12(phi, phi_perp, x, g, a_over_b, n_vec, nu, host)
+    return Candidate12(phi, phi_perp, x, n_vec, nu, host)
 
 
 def enumerate_candidates_12(pair: WeightedDensityPair,
@@ -180,11 +170,11 @@ def enumerate_candidates_12(pair: WeightedDensityPair,
     out: list[Candidate12] = []
     if g23 <= tol.equality * scale:
         if g21 >= g11 - tol.equality * scale:
-            cand = _finish_candidate_12(s1, s2, 0.0, g, detect_on, pair)
+            cand = _finish_candidate_12(s1, s2, 0.0, detect_on, pair)
             if cand is not None:
                 out.append(cand)
         if g22 >= g12 - tol.equality * scale:
-            cand = _finish_candidate_12(s2, s1, 0.0, g, detect_on, pair)
+            cand = _finish_candidate_12(s2, s1, 0.0, detect_on, pair)
             if cand is not None:
                 out.append(cand)
         # uniqueness forbids mixed-basis solutions here; flag any that the
@@ -213,7 +203,7 @@ def enumerate_candidates_12(pair: WeightedDensityPair,
         if np.real(np.vdot(phi, (other_gamma - host_gamma) @ phi)) < \
                 -tol.equality * scale:
             continue
-        cand = _finish_candidate_12(phi, phi_perp, x, g, detect_on, pair)
+        cand = _finish_candidate_12(phi, phi_perp, x, detect_on, pair)
         if cand is not None:
             out.append(cand)
     return out
@@ -310,8 +300,7 @@ def _kernel_jordan_data(pair: WeightedDensityPair):
     g21 = float(np.real(np.vdot(k11, pair.gamma2 @ k11)))
     g22 = float(np.real(np.vdot(k12, pair.gamma2 @ k12)))
     c = float(cosines[1] / cosines[0])
-    return ((k11, k12, k21, k22), (float(cosines[0]), float(cosines[1])),
-            phase, c, g13, g23, g11 - g12, g21 - g22)
+    return (k11, k12, k21, k22), phase, c, g13, g23, g11 - g12, g21 - g22
 
 
 def _vectors_11(k11, k12, k21, k22, c, x, theta):
@@ -337,15 +326,14 @@ def enumerate_candidates_11(pair: WeightedDensityPair) -> list[Candidate11]:
     determinate angle must also satisfy B1 = B3 sin(theta) - B2 cos(theta).
     """
     tol = pair.tol
-    (vecs, cosines, phase, c, g13, g23, d1, d2) = _kernel_jordan_data(pair)
+    vecs, phase, c, g13, g23, d1, d2 = _kernel_jordan_data(pair)
     k11, k12, k21, k22 = vecs
     out: list[Candidate11] = []
     scale = max(pair.total_trace, 1e-300)
     sin_phase, cos_phase = float(np.sin(phase)), float(np.cos(phase))
+    data = JordanData11(phase, c, g13, g23, d1, d2)
 
-    def make(x, theta, a1=0.0, a2=0.0, b1=0.0, b2=0.0, b3=0.0):
-        data = JordanData11(cosines, phase, c, g13, g23, d1, d2,
-                            a1, a2, b1, b2, b3)
+    def make(x, theta):
         return Candidate11(*_vectors_11(k11, k12, k21, k22, c, x, theta),
                            x, theta, data)
 
@@ -354,8 +342,6 @@ def enumerate_candidates_11(pair: WeightedDensityPair) -> list[Candidate11]:
             out.append(make(0.0, 0.0))
         if abs(c * g13 - g23) <= tol.equality * scale:
             # swapped basis-vector candidate psi1 = k22
-            data = JordanData11(cosines, phase, c, g13, g23, d1, d2,
-                                0.0, 0.0, 0.0, 0.0, 0.0)
             out.append(Candidate11(k22, k21, k11, k12, 0.0, 0.0, data))
     if g13 == 0.0 and g23 == 0.0:
         _degenerate_family_probe(pair, out, c, d1, d2, vecs)
@@ -386,11 +372,11 @@ def enumerate_candidates_11(pair: WeightedDensityPair) -> list[Candidate11]:
         if abs(a1) > 1e-11 * coeff_scale:
             theta = float(np.arctan(a2 / a1))
             if abs(b1 - b3 * np.sin(theta) + b2 * np.cos(theta)) <= 1e-7 * bscale:
-                out.append(make(x, theta, a1, a2, b1, b2, b3))
+                out.append(make(x, theta))
         elif abs(a2) > 1e-11 * coeff_scale:
             theta = -np.pi / 2
             if abs(b1 - b3 * np.sin(theta) + b2 * np.cos(theta)) <= 1e-7 * bscale:
-                out.append(make(x, theta, a1, a2, b1, b2, b3))
+                out.append(make(x, theta))
         else:
             # both angle coefficients vanish: theta only fixed up to sign
             denom = 2.0 * g13 * g23 * (c * g23 - g13)
@@ -400,9 +386,9 @@ def enumerate_candidates_11(pair: WeightedDensityPair) -> list[Candidate11]:
             if abs(cos_theta) > 1.0 + 1e-10:
                 continue
             theta = float(np.arccos(np.clip(cos_theta, -1.0, 1.0)))
-            out.append(make(x, theta, a1, a2, b1, b2, b3))
+            out.append(make(x, theta))
             if theta != 0.0:
-                out.append(make(x, -theta, a1, a2, b1, b2, b3))
+                out.append(make(x, -theta))
     return out
 
 
@@ -558,9 +544,9 @@ def solve_4d(pair: WeightedDensityPair) -> SolverOutcome:
     The outcome carries no certificate (its `certificate` is None); call
     `build_certificate` on the measurement when one is needed.
     """
-    if not is_strictly_skew(pair):
+    if not pair.strictly_skew:
         raise PreconditionViolated("solver requires a strictly skew pair")
-    core, isometry = compress_pair(pair)
+    core, isometry = pair.compressed
     if core.dim != 4:
         raise PreconditionViolated(
             f"collective support must be four-dimensional, got {core.dim}")

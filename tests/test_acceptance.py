@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 from usdkit import (OracleConfig, UsdMeasurement, WeightedDensityPair,
-                    build_certificate, check_optimality, complete_measurement,
-                    count_types_classes, dispatch, fidelity_window, is_proper,
-                    is_usd, rank_law_check, reconstruct_from_core,
+                    build_certificate, check_optimality, dispatch,
+                    fidelity_window, is_proper, is_usd,
                     single_detection_window, success_probability,
                     try_fidelity_form, uniqueness_probe)
 from usdkit import linalg as la
+from usdkit.model import complete_measurement, reconstruct_from_core
+from usdkit.optimality import count_types_classes, rank_law_check
 from usdkit.oracle import FeasibleSet, oracle_optimize, random_feasible_inconclusive
 from usdkit.pipeline import load_problem, sweep
 from usdkit.reductions import lift_measurement, reduce_fully, tau_parallel, tau_skew
@@ -245,7 +246,7 @@ def test_criterion_10_checker_soundness_and_certificates():
         m_bad = complete_measurement(perturbed, pair)
         assert not check_optimality(m_bad, pair).is_optimal, trial
         # certificate residuals within 1e-7 on every accepted instance
-        cert = build_certificate(m_opt, pair, residual_tol=1e-7)
+        cert = build_certificate(m_opt, pair)
         for name, value in cert.residuals.items():
             if name.startswith(("z_psd", "dominates")):
                 assert value >= -1e-7, (trial, name, value)

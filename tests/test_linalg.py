@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from usdkit import (DimensionMismatch, NotHermitian, NotPSD, SkewViolation,
-                    Subspace, ToleranceContext)
+                    ToleranceContext)
 from usdkit import linalg as la
-from usdkit.linalg import dag
+from usdkit.linalg import Subspace, dag
 
 from util import random_unit
 

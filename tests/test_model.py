@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from usdkit import (InvalidInconclusive, NotPSD, UsdMeasurement,
-                    WeightedDensityPair, complete_measurement, dispatch,
-                    failure_probability, is_proper, is_usd,
-                    projective_kernel_decomposition, reconstruct_from_core,
-                    reduce_fully, success_probability, validate_inconclusive)
+                    WeightedDensityPair, dispatch, is_proper, is_usd,
+                    reduce_fully, success_probability)
 from usdkit import linalg as la
+from usdkit.model import (complete_measurement, failure_probability,
+                          projective_kernel_decomposition,
+                          reconstruct_from_core, validate_inconclusive)
 from usdkit.oracle import random_feasible_inconclusive
 
 from util import (example1_states, peres_nonproper_measurement, peres_states,

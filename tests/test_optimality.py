@@ -3,12 +3,13 @@ import pytest
 
 from usdkit import (CertificateFailure, NotProper, OracleConfig,
                     PreconditionViolated, UsdMeasurement, WeightedDensityPair,
-                    build_certificate, check_optimality, classify,
-                    complete_measurement, count_types_classes, is_proper,
-                    projective_part_law, rank_law_check, solve_4d,
-                    success_probability, try_fidelity_form,
+                    build_certificate, check_optimality, classify, is_proper,
+                    solve_4d, success_probability, try_fidelity_form,
                     try_single_state_detection)
 from usdkit import linalg as la
+from usdkit.model import complete_measurement
+from usdkit.optimality import (count_types_classes, projective_part_law,
+                               rank_law_check)
 from usdkit.oracle import FeasibleSet, oracle_optimize
 
 from util import peres_nonproper_measurement, peres_states, random_skew_pair

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from usdkit import (NonConvergence, OracleConfig, WeightedDensityPair,
-                    complete_measurement, dispatch, is_proper,
-                    success_probability, try_single_state_detection,
-                    uniqueness_probe)
+                    dispatch, is_proper, success_probability,
+                    try_single_state_detection, uniqueness_probe)
 from usdkit import linalg as la
+from usdkit.model import complete_measurement
 from usdkit.oracle import (FeasibleSet, oracle_optimize,
                            random_feasible_inconclusive)
 

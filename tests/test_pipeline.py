@@ -9,11 +9,11 @@ import pytest
 
 from usdkit import (InvalidInconclusive, NonConvergence, NotProper,
                     OracleConfig, PreconditionViolated, SkewViolation,
-                    UsdMeasurement, WeightedDensityPair, classify,
-                    complete_measurement, dispatch, is_strictly_skew,
+                    UsdMeasurement, WeightedDensityPair, classify, dispatch,
                     lift_measurement, reduce_fully, success_probability)
 from usdkit import pipeline
 from usdkit.cli import main
+from usdkit.model import complete_measurement
 from usdkit.pipeline import (BLOCK_STRUCTURE_NOTE, ProblemFile,
                              load_measurement, load_problem, rows_to_csv,
                              save_measurement, save_problem, sweep,
@@ -439,8 +439,7 @@ def test_dispatch_oracle_fallback_six_dim_skew(rng):
         rho1 = random_density(rng, 6, 3)
         rho2 = random_density(rng, 6, 3)
         pair = WeightedDensityPair.from_states(rho1, rho2, 0.45)
-        from usdkit import is_strictly_skew
-        if is_strictly_skew(pair):
+        if pair.strictly_skew:
             break
     outcome = dispatch(pair)
     assert outcome.branch in ("oracle-checker", "oracle-best-known",
@@ -490,7 +489,6 @@ def test_oracle_fallback_runs_on_the_compressed_core(rng, monkeypatch):
     # a rank-(3,3) pair in C^7 has a common kernel; the oracle runs once,
     # one restart on the 6-dim core, and the lifted answer matches the
     # three-restart runs on the core and on the uncompressed reduced pair
-    from usdkit.model import compress_pair
     from usdkit.oracle import oracle_optimize
 
     pair = _c7_pair(rng)
@@ -500,7 +498,7 @@ def test_oracle_fallback_runs_on_the_compressed_core(rng, monkeypatch):
     assert outcome.branch == "oracle-checker"
     reduced = reduce_fully(pair).reduced_pair
     assert reduced.dim == 7 and reduced.collective_support().size == 6
-    core, _ = compress_pair(reduced)
+    core, _ = reduced.compressed
     for problem in (core, reduced):
         full = oracle_optimize(problem, OracleConfig(restarts=3))
         m_full = complete_measurement(full.e_q_opt, problem)
@@ -513,7 +511,7 @@ def test_oracle_fallback_runs_the_configured_restarts_on_refusal(
         first_run, rng, monkeypatch):
     # a first point the checker refuses, or a first run that raises, sends
     # dispatch to the default three restarts, whose answer it returns
-    from usdkit.model import compress_pair, expand_measurement
+    from usdkit.model import expand_measurement
     from usdkit.oracle import oracle_optimize
 
     pair = _c7_pair(rng)
@@ -522,7 +520,7 @@ def test_oracle_fallback_runs_the_configured_restarts_on_refusal(
     assert [cfg.restarts for cfg in calls] == [1, 3]
     assert outcome.branch == "oracle-checker" and outcome.optimal
     record = reduce_fully(pair)
-    core, isometry = compress_pair(record.reduced_pair)
+    core, isometry = record.reduced_pair.compressed
     full = oracle_optimize(core, OracleConfig(restarts=3))
     m_core = complete_measurement(full.e_q_opt, core)
     expected = lift_measurement(expand_measurement(m_core, isometry), record)
@@ -699,6 +697,20 @@ def test_problem_validation_errors(tmp_path):
     bad.write_text('{"rho1": []}')
     with pytest.raises(ValueError, match="dim"):
         load_problem(bad)
+    # JSON types are taken as written: no truncation, parsing or bools
+    one = [[[1.0, 0.0]]]
+    for problem, field in (({"dim": 1.9, "rho1": one, "rho2": one}, "dim"),
+                           ({"dim": "1", "rho1": one, "rho2": one}, "dim"),
+                           ({"dim": True, "rho1": one, "rho2": one}, "dim"),
+                           ({"dim": 1, "rho1": one, "rho2": one, "p1": "0.5"},
+                            "p1"),
+                           ({"dim": 1, "rho1": one, "rho2": one, "p1": True},
+                            "p1"),
+                           ({"dim": 1, "rho1": [[[True, False]]], "rho2": one},
+                            "rho1")):
+        bad.write_text(json.dumps(problem))
+        with pytest.raises(ValueError, match=field):
+            load_problem(bad)
 
 
 def test_measurement_round_trip(tmp_path):
@@ -774,7 +786,7 @@ def test_skew6_problem_is_the_seeded_draw():
     assert np.array_equal(problem.rho1, rho1)
     assert np.array_equal(problem.rho2, rho2)
     assert problem.p1 is None
-    assert is_strictly_skew(problem.pair(0.5))
+    assert problem.pair(0.5).strictly_skew
 
 
 def test_cli_solve_reaches_the_oracle(capsys):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from usdkit import (IncompatibleRecord, UsdMeasurement, WeightedDensityPair,
-                    is_strictly_skew, lift_measurement, reduce_fully,
-                    success_probability, tau_parallel, tau_skew)
+                    lift_measurement, reduce_fully, success_probability)
 from usdkit import linalg as la
 from usdkit.linalg import dag
+from usdkit.reductions import tau_parallel, tau_skew
 
 from util import peres_states, random_density, random_skew_pair
 
@@ -175,19 +175,19 @@ def test_nontriviality_rank_criteria(rng):
 
 
 def test_is_strictly_skew_cases(rng):
-    assert is_strictly_skew(random_skew_pair(rng))
+    assert random_skew_pair(rng).strictly_skew
     rho = np.diag([0.5, 0.5]).astype(complex)
-    assert not is_strictly_skew(WeightedDensityPair.from_states(rho, rho, 0.5))
+    assert not WeightedDensityPair.from_states(rho, rho, 0.5).strictly_skew
     g1 = np.diag([0.5, 0.0]).astype(complex)
     g2 = np.diag([0.0, 0.5]).astype(complex)
-    assert not is_strictly_skew(WeightedDensityPair(2, g1, g2))
+    assert not WeightedDensityPair(2, g1, g2).strictly_skew
 
 
 def test_is_strictly_skew_ignores_common_kernel(rng):
     skew = random_skew_pair(rng)
     g1 = np.zeros((5, 5), dtype=complex); g1[:4, :4] = skew.gamma1
     g2 = np.zeros((5, 5), dtype=complex); g2[:4, :4] = skew.gamma2
-    assert is_strictly_skew(WeightedDensityPair(5, g1, g2))
+    assert WeightedDensityPair(5, g1, g2).strictly_skew
 
 
 def test_lift_identity_reduction(rng):

@@ -5,7 +5,6 @@ import numpy as np
 
 from usdkit import WeightedDensityPair
 from usdkit.linalg import dag
-from usdkit.reductions import is_strictly_skew
 
 
 def unit_phase(q: float) -> complex:
@@ -42,7 +41,7 @@ def random_skew_pair(rng: np.random.Generator, p1: float | None = None,
         rho2 = random_density(rng, d, r)
         weight = float(rng.uniform(0.1, 0.9)) if p1 is None else p1
         pair = WeightedDensityPair.from_states(rho1, rho2, weight)
-        if not is_strictly_skew(pair):
+        if not pair.strictly_skew:
             continue
         _, _, cosines = jordan_bases(support(pair.gamma1), support(pair.gamma2))
         if len(cosines) and (cosines.max() > 1 - margin or cosines.min() < margin):
