@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg as la
-from .errors import PreconditionViolated
+from .errors import InvalidInconclusive, PreconditionViolated
 from .linalg import hermitian_part
 from .model import UsdMeasurement, WeightedDensityPair, complete_measurement
 from .optimality import SolverOutcome, accepted_outcome
@@ -173,8 +173,8 @@ def try_fidelity_form(pair: WeightedDensityPair) -> SolverOutcome | None:
     states; the inconclusive element is then built in closed form and the
     measurement completed.  When the optimality check accepts it
     (`accepted_outcome`), its success probability equals
-    tr(g1+g2) - 2 tr|sqrt(g1) sqrt(g2)|.  Returns None when infeasible or
-    refused.
+    tr(g1+g2) - 2 tr|sqrt(g1) sqrt(g2)|.  Returns None when infeasible,
+    not completable (just outside the window) or refused.
     """
     _require_disjoint_supports(pair)
     tol = pair.tol
@@ -191,5 +191,8 @@ def try_fidelity_form(pair: WeightedDensityPair) -> SolverOutcome | None:
     total_inv = pair.total_inverse
     deficit = root1 @ (g1 - f1) @ root1 + root2 @ (g2 - f2) @ root2
     e_q = hermitian_part(np.eye(pair.dim) - total_inv @ deficit @ total_inv)
-    return accepted_outcome(complete_measurement(e_q, pair), pair,
-                            BRANCH_FIDELITY, marginal1 or marginal2)
+    try:
+        m = complete_measurement(e_q, pair)
+    except InvalidInconclusive:
+        return None
+    return accepted_outcome(m, pair, BRANCH_FIDELITY, marginal1 or marginal2)

@@ -20,8 +20,8 @@ from .linalg import Subspace, dag, hermitian_part
 from .tolerances import DEFAULT_TOL, ToleranceContext
 
 __all__ = [
-    "WeightedDensityPair", "UsdMeasurement", "MeasurementClassTag",
-    "InconclusiveDiagnostics",
+    "WeightedDensityPair", "JordanSplit", "UsdMeasurement",
+    "MeasurementClassTag", "InconclusiveDiagnostics",
     "success_probability", "failure_probability", "is_proper", "is_usd",
     "validate_inconclusive", "complete_measurement", "reconstruct_from_core",
     "projective_kernel_decomposition", "expand_measurement",
@@ -34,20 +34,15 @@ def _geometry(derive=None):
     A pair that shares a base pair's geometry (see
     `WeightedDensityPair.reweighted`) takes the value from the base,
     passed through derive(value, pair, c1, c2) when the value also depends
-    on the weights (derive returns None to have the pair compute its own
-    value); any other pair computes it on first use.
+    on the weights; any other pair computes it on first use.
     """
     def wrap(compute):
         def get(self):
-            if self._base is not None:
-                base, c1, c2 = self._base
-                value = getattr(base, compute.__name__)
-                if derive is None:
-                    return value
-                value = derive(value, self, c1, c2)
-                if value is not None:
-                    return value
-            return compute(self)
+            if self._base is None:
+                return compute(self)
+            base, c1, c2 = self._base
+            value = getattr(base, compute.__name__)
+            return value if derive is None else derive(value, self, c1, c2)
         get.__name__, get.__doc__ = compute.__name__, compute.__doc__
         return cached_property(get)
     return wrap
@@ -58,21 +53,64 @@ def _reweighted_compression(value, pair, c1, c2):
     return core.reweighted(c1, c2), isometry
 
 
-def _reweighted_skew(value, pair, c1, c2):
-    # the subspace tests are shared; only the rank of gamma1 gamma2 scales
-    verdict, cross = value
-    if cross is None:
-        return value
-    (w1, _, _), (w2, _, _), _ = pair._spectral
-    norm = c1 * c2 * w1.max(initial=0.0) * w2.max(initial=0.0)
-    if la.rank_survives_scaling(cross, c1 * c2, c1 * c2, norm, pair.tol):
-        return value
-    return None
-
-
 def _reweighted_reduction(record, pair, c1, c2):
     from .reductions import _reweighted_record  # reductions imports model
     return _reweighted_record(record, pair, c1, c2)
+
+
+# Jordan-angle classification: cosines this close to 1 count as a shared
+# direction, cosines this close to 0 as mutually orthogonal directions.
+PARALLEL_COSINE_CUTOFF = 1e-9
+ORTHOGONAL_COSINE_CUTOFF = 1e-9
+
+
+@dataclass(frozen=True)
+class JordanSplit:
+    """The supports in Jordan bases (`linalg.jordan_bases`: <b1_i|b2_j> is
+    cosines[i] for i = j, else 0; cosines descending), classified once.
+
+    The first n_parallel pairs are parallel (cosine >= 1 -
+    PARALLEL_COSINE_CUTOFF), the next n_skew skew.  The other columns,
+    of orthogonal pairs (cosine <= ORTHOGONAL_COSINE_CUTOFF) or unpaired,
+    are free: there the state is detected for sure.  values holds the
+    eigenvalues that decided the two supports, None for a split handed
+    down by a reduction (`core`).
+    """
+
+    supports: tuple[Subspace, Subspace]
+    kernels: tuple[Subspace, Subspace]
+    cosines: np.ndarray
+    n_parallel: int
+    n_skew: int
+    values: tuple[np.ndarray, np.ndarray] | None
+
+    @property
+    def skew(self) -> slice:
+        """The columns of the skew pairs, in either basis."""
+        return slice(self.n_parallel, self.n_parallel + self.n_skew)
+
+    @property
+    def cross_rank(self) -> int:
+        """rank(gamma1 gamma2): the Jordan pairs that are not orthogonal."""
+        return self.n_parallel + self.n_skew
+
+    def core(self) -> "JordanSplit":
+        """The split of the reduced pair (`reductions.reduce_fully`): only
+        the skew pairs, each kernel taking in the other columns."""
+        skew = self.skew
+        kernels = tuple(Subspace(k.dim, _freeze(np.hstack((
+            k.basis, np.delete(s.basis, skew, axis=1)))))
+            for s, k in zip(self.supports, self.kernels))
+        supports = tuple(Subspace(s.dim, s.basis[:, skew])
+                         for s in self.supports)
+        return JordanSplit(supports, kernels, self.cosines[skew], 0,
+                           self.n_skew, None)
+
+
+def _normal(b: np.ndarray, a: np.ndarray, cosines: np.ndarray) -> np.ndarray:
+    """(b_k - c_k a_k) / sqrt(1 - c_k^2) per Jordan pair (a_k, b_k) with
+    cosine c_k < 1: the unit vector of span{a_k, b_k} orthogonal to a_k."""
+    return (b - a * cosines) / np.sqrt(1.0 - cosines ** 2)
 
 
 @dataclass(frozen=True)
@@ -129,9 +167,9 @@ class WeightedDensityPair:
         lifted offset) are reweighted alike.  A rank decision is shared
         only when it provably matches the one the new pair would take
         itself (`linalg.rank_survives_scaling`): the spectra of the two
-        operators scale by c1 and c2, and by Loewner order each eigenvalue
-        of the sum moves by a factor between min(c1, c2) and max(c1, c2).
-        Otherwise the new pair computes its own geometry.
+        operators scale by c1 and c2, and the Jordan cosines do not move.
+        Otherwise the new pair computes its own geometry.  A split handed
+        down by a reduction holds no rank decision and is always shared.
         """
         if not (c1 > 0.0 and c2 > 0.0):
             raise ValueError("weights must be positive")
@@ -145,11 +183,11 @@ class WeightedDensityPair:
         share this pair's geometry as `reweighted` describes; returns it."""
         base, w1, w2 = self._base or (self, 1.0, 1.0)
         w1, w2 = w1 * c1, w2 * c2
-        (v1, _, _), (v2, _, _), (v, _, _) = base._spectral
-        lo, hi = min(w1, w2), max(w1, w2)
-        if all(la.rank_survives_scaling(values, a, b,
-                                        b * values.max(initial=0.0), base.tol)
-               for values, a, b in ((v1, w1, w1), (v2, w2, w2), (v, lo, hi))):
+        values = base.jordan.values
+        if values is None or all(
+                la.rank_survives_scaling(v, w, w, w * v.max(initial=0.0),
+                                         base.tol)
+                for v, w in zip(values, (w1, w2))):
             object.__setattr__(pair, "_base", (base, w1, w2))
         return pair
 
@@ -168,58 +206,77 @@ class WeightedDensityPair:
         return _freeze(la.pseudo_inverse(self.total, self.tol))
 
     # The geometry below does not depend on the prior: it is built from the
-    # supports of the two operators, or (the compressed core, the reduction)
-    # carries the weights in a way a reweighting can follow.  Each value is
-    # computed on first use and kept for the life of the pair, and a
-    # reweighted pair derives it from its base.  Its arrays are shared by
-    # every caller and are read-only.
+    # Jordan classification of the two supports, or (the compressed core,
+    # the reduction) carries the weights in a way a reweighting can follow.
+    # Each value is computed on first use and kept for the life of the
+    # pair, and a reweighted pair derives it from its base.  Its arrays are
+    # shared by every caller and are read-only.
 
     @_geometry()
-    def _spectral(self) -> tuple[tuple[np.ndarray, Subspace, Subspace], ...]:
-        """(eigenvalues, support, kernel) of gamma1, gamma2 and their sum."""
-        out = tuple(la.spectral_split(g, self.tol)
-                    for g in (self.gamma1, self.gamma2, self.total))
-        for w, sup, ker in out:
-            _freeze(w)
-            _freeze(sup.basis)
-            _freeze(ker.basis)
-        return out
+    def jordan(self) -> JordanSplit:
+        """The classification every support-geometry value below is read
+        from: an eigendecomposition per state decides its support, one SVD
+        gives the Jordan pairs, and the two cosine cutoffs classify them."""
+        (w1, sup1, ker1), (w2, sup2, ker2) = (la.spectral_split(
+            g, self.tol) for g in (self.gamma1, self.gamma2))
+        b1, b2, cosines = la.jordan_bases(sup1, sup2, self.tol)
+        n_parallel = int(np.sum(cosines >= 1 - PARALLEL_COSINE_CUTOFF))
+        n_skew = int(np.sum(cosines > ORTHOGONAL_COSINE_CUTOFF)) - n_parallel
+        for a in (w1, w2, b1, b2, ker1.basis, ker2.basis, cosines):
+            _freeze(a)
+        return JordanSplit((Subspace(self.dim, b1), Subspace(self.dim, b2)),
+                           (ker1, ker2), cosines, n_parallel, n_skew, (w1, w2))
 
     @property
     def supports(self) -> tuple[Subspace, Subspace]:
-        """(supp gamma1, supp gamma2)."""
-        return self._spectral[0][1], self._spectral[1][1]
+        """(supp gamma1, supp gamma2), in Jordan bases."""
+        return self.jordan.supports
 
     @property
     def kernels(self) -> tuple[Subspace, Subspace]:
         """(ker gamma1, ker gamma2)."""
-        return self._spectral[0][2], self._spectral[1][2]
+        return self.jordan.kernels
+
+    @_geometry()
+    def _collective(self) -> tuple[Subspace, Subspace]:
+        """(collective support, common kernel): supp gamma1, the unit
+        vector orthogonal to it in each Jordan pair that is not parallel,
+        the unpaired columns of supp gamma2; the rest, from one QR."""
+        split = self.jordan
+        b1, b2 = (s.basis for s in self.supports)
+        paired = slice(split.n_parallel, len(split.cosines))
+        basis = np.hstack((b1, _normal(b2[:, paired], b1[:, paired],
+                                       split.cosines[paired]),
+                           b2[:, paired.stop:]))
+        q = np.linalg.qr(basis, mode="complete")[0]
+        return (Subspace(self.dim, _freeze(basis)),
+                Subspace(self.dim, _freeze(q[:, basis.shape[1]:])))
 
     def collective_support(self) -> Subspace:
-        return self._spectral[2][1]
+        return self._collective[0]
 
     def common_kernel(self) -> Subspace:
-        return self._spectral[2][2]
+        return self._collective[1]
 
     @_geometry()
     def support_overlap(self) -> Subspace:
-        """supp(gamma1) ∩ supp(gamma2), the part the parallel reduction
-        removes."""
-        out = la.intersect(*self.supports, self.tol)
-        _freeze(out.basis)
-        return out
+        """supp(gamma1) ∩ supp(gamma2): the parallel Jordan directions, the
+        part the parallel reduction removes."""
+        return Subspace(self.dim,
+                        self.supports[0].basis[:, :self.jordan.n_parallel])
 
     @_geometry()
     def detector_spaces(self) -> tuple[Subspace, Subspace]:
         """ker(gamma2) resp. ker(gamma1) inside the collective support: the
-        directions on which state 1 resp. state 2 is detected for sure."""
-        s_all = self.collective_support()
-        k1, k2 = self.kernels
-        out = (la.intersect(k2, s_all, self.tol),
-               la.intersect(k1, s_all, self.tol))
-        for s in out:
-            _freeze(s.basis)
-        return out
+        directions on which state 1 resp. state 2 is detected for sure;
+        for state 1, (b1 - c b2) / sqrt(1 - c^2) per skew pair and the
+        free columns of supp gamma1."""
+        skew = self.jordan.skew
+        c = self.jordan.cosines[skew]
+        b1, b2 = (s.basis for s in self.supports)
+        return tuple(Subspace(self.dim, _freeze(np.hstack((
+            _normal(own[:, skew], other[:, skew], c), own[:, skew.stop:]))))
+            for own, other in ((b1, b2), (b2, b1)))
 
     @_geometry()
     def detectors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -231,57 +288,28 @@ class WeightedDensityPair:
         """(Q1, Q2): oblique projectors that complete e1, e2 from e_q.
 
         Q1 has kernel ker(Lambda1) and projects onto the part of
-        supp(gamma1) outside the support overlap; Q2 swaps the roles.  A
-        state without a detector space gets the zero operator.  Each is
-        built from the subspace bases the pair already holds
-        (`linalg._oblique_between`), and the supports are cut down to
-        their non-parallel parts only when they overlap.
+        supp(gamma1) outside the support overlap; Q2 swaps the roles.
+        With L the detector basis and T the non-parallel Jordan columns of
+        supp(gamma1), L^dag T is diagonal, so Q1 = T (L^dag T)^-1 L^dag
+        needs no decomposition.  A state without a detector space gets the
+        zero operator.
         """
-        tol = self.tol
-        overlap = self.support_overlap
-        non_parallel = (la.kernel(overlap.projector(), tol) if overlap.size
-                        else None)
         out = []
-        for lam_space, own in zip(self.detector_spaces, self.supports):
-            if lam_space.size == 0:
-                q = np.zeros((self.dim, self.dim), dtype=complex)
-            else:
-                target = (own if non_parallel is None
-                          else la.intersect(own, non_parallel, tol))
-                q = la._oblique_between(lam_space, target, tol)
-            out.append(_freeze(q))
+        for lam, own in zip(self.detector_spaces, self.supports):
+            t = own.basis[:, self.jordan.n_parallel:]
+            diag = np.einsum("ij,ij->j", lam.basis.conj(), t)
+            out.append(_freeze((t / diag) @ dag(lam.basis)))
         return tuple(out)
-
-    @_geometry(_reweighted_skew)
-    def _skew(self) -> tuple[bool, np.ndarray | None]:
-        """(strictly skew?, singular values of gamma1 gamma2 when a rank of
-        theirs decided it, else None); see `strictly_skew`."""
-        tol = self.tol
-        sup1, sup2 = self.supports
-        lam1, lam2 = self.detector_spaces
-        if (self.support_overlap.size or la.intersect(sup1, lam1, tol).size
-                or la.intersect(sup2, lam2, tol).size):
-            return False, None
-        r1, r2 = sup1.size, sup2.size
-        if self.collective_support().size != r1 + r2:
-            return False, None
-        cross = _freeze(np.linalg.svd(self.gamma1 @ self.gamma2,
-                                      compute_uv=False))
-        r_cross = la.rank_from_values(cross, tol)
-        return r_cross == r1 == r2, cross
 
     @property
     def strictly_skew(self) -> bool:
-        """True iff both reductions act trivially on the pair.
-
-        Checked on the collective support: the support overlap and both
-        support/kernel intersections must vanish there.  Cross-checked by
-        the equivalent rank laws rank(g1+g2) = rank g1 + rank g2 and
-        rank g_mu = rank(g1 g2).  Directions outside the collective support
-        are ignored (any measurement acts as identity there).  The verdict
-        is taken once per pair and kept.
-        """
-        return self._skew[0]
+        """True iff both reductions act trivially on the pair: every Jordan
+        direction (`jordan`) is skew, none parallel, orthogonal or
+        unpaired.  Directions outside the collective support are ignored
+        (any measurement acts as identity there)."""
+        split = self.jordan
+        return (split.n_parallel == 0 and split.n_skew
+                == self.supports[0].size == self.supports[1].size)
 
     @_geometry(_reweighted_compression)
     def compressed(self) -> tuple["WeightedDensityPair", np.ndarray]:

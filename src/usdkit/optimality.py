@@ -53,12 +53,9 @@ class OptimalityReport:
       the reduced one, so Lambda_mu e = Lambda_mu(reduced) e_r and
       e (1 - e) = e_r (1 - e_r) live inside xi.  Each residual then sees
       gamma2 - gamma1 only through xi (gamma2 - gamma1) xi, the reduced
-      pair's difference, and equals the one on the reduced pair, up to
-      rounding.  The split, and so the lift argument, needs the reduced
-      pair to be strictly skew.  Near a Jordan-cosine cutoff the
-      reduction's and the reduced pair's rank decisions can disagree: the
-      reduced pair is then not strictly skew, and the lifted measurement
-      can have other residuals or not be proper on the pair at all.
+      pair's difference up to the tails its classification drops, and
+      equals the one on the reduced pair up to rounding.  The split needs
+      the reduced pair to be strictly skew, as it is by construction.
     """
 
     cond_a1: bool
@@ -157,7 +154,7 @@ def rank_law_check(m: UsdMeasurement, pair: WeightedDensityPair) -> bool:
     tol = pair.tol
     e_supp = la.support(m.e_inconclusive, tol)
     k_dim = pair.common_kernel().size
-    expected = la.rank(pair.gamma1 @ pair.gamma2, tol) + k_dim
+    expected = pair.jordan.cross_rank + k_dim
     if e_supp.size != expected:
         return False
     for kern in pair.kernels:
@@ -171,16 +168,15 @@ def classify(m: UsdMeasurement, pair: WeightedDensityPair) -> MeasurementClassTa
     """Rank-based measurement type (e1, e2).
 
     A measurement is von Neumann exactly when the conclusive ranks sum to
-    rank(gamma1 gamma2); all three elements are then verified to be
-    projectors.  The tag's rank_margin comes from the singular values of
-    e1 and e2 that decide their ranks.
+    rank(gamma1 gamma2) (`JordanSplit.cross_rank`); all three elements are
+    then verified to be projectors.  The tag's rank_margin comes from the
+    singular values of e1 and e2 that decide their ranks.
     """
     tol = pair.tol
     values = [np.linalg.svd(e, compute_uv=False) for e in (m.e1, m.e2)]
     e1_rank, e2_rank = (la.rank_from_values(v, tol) for v in values)
     margin = min(la.rank_margin(v, tol) for v in values)
-    r = la.rank(pair.gamma1 @ pair.gamma2, tol)
-    von_neumann = e1_rank + e2_rank == r
+    von_neumann = e1_rank + e2_rank == pair.jordan.cross_rank
     if von_neumann:
         for e in m.elements():
             if np.abs(e @ e - e).max() > tol.idempotent:
@@ -227,16 +223,14 @@ class CertificateZ:
 
     z is PSD, annihilates the inconclusive element, dominates gamma_mu on
     the detector subspaces and agrees with gamma_mu against the conclusive
-    elements.  v1/v2/w12 are the intermediate operators of the
-    construction; v1_condition tracks how ill-posed the inversion of v1
-    was.  For pairs that are not strictly skew the certificate refers to
-    the strictly skew core recorded in `pair`.
+    elements.  v1 is the operator the construction inverts; v1_condition
+    tracks how ill-posed that inversion was.  For pairs that are not
+    strictly skew the certificate refers to the strictly skew core
+    recorded in `pair`.
     """
 
     z: np.ndarray
     v1: np.ndarray
-    v2: np.ndarray
-    w12: np.ndarray
     pair: WeightedDensityPair
     residuals: dict = field(default_factory=dict)
     v1_condition: float = float("nan")
@@ -266,7 +260,6 @@ def _build_certificate_skew(m: UsdMeasurement,
     q1, q2 = pair.obliques
     e = m.e_inconclusive
     v1 = hermitian_part(lam1 @ e @ (g2 - g1) @ e @ lam1 + lam1 @ g1 @ lam1)
-    v2 = hermitian_part(lam2 @ e @ (g1 - g2) @ e @ lam2 + lam2 @ g2 @ lam2)
     w1 = (r1 @ (lam1 - m.e1) + lam2 @ m.e1) @ v1
     # pseudo-inverse (cutoff relative to the largest singular value, as in
     # `linalg.pseudo_inverse`) and condition number from one SVD
@@ -279,13 +272,10 @@ def _build_certificate_skew(m: UsdMeasurement,
     t = q1 + q2 @ w1 @ v1_pinv
     z = hermitian_part(t @ v1 @ dag(t))
     residuals = _certificate_residuals(z, m, pair)
-    cert = CertificateZ(z, v1, v2, w1, pair, residuals, v1_cond)
+    cert = CertificateZ(z, v1, pair, residuals, v1_cond)
     for name, value in residuals.items():
-        if name.startswith(("z_psd", "dominates")):
-            if value < -_CERTIFICATE_RESIDUAL_TOL:
-                raise CertificateFailure(
-                    f"certificate violates {name}: {value:.3e}", residuals)
-        elif value > _CERTIFICATE_RESIDUAL_TOL:
+        # the PSD residuals are at most 0, the norms at least 0
+        if abs(value) > _CERTIFICATE_RESIDUAL_TOL:
             raise CertificateFailure(
                 f"certificate violates {name}: {value:.3e}", residuals)
     return cert

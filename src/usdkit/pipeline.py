@@ -69,16 +69,12 @@ def _trivial_outcome(record: ReductionRecord,
 def _lifted_report(report: OptimalityReport, m: UsdMeasurement,
                          record: ReductionRecord) -> OptimalityReport:
     """`report`, the check of the core measurement that `m` lifts, or a
-    fresh check of `m` on the pair when the reduction removed something
-    and the supports may not split as the lift needs (`OptimalityReport`):
-    one of its Jordan cosines sits near a cutoff, or the reduced pair is
-    not strictly skew.  There the lifted residuals can drift from the
-    core's, by up to about 3e-9 in the equality residuals and 2e-10, twice
-    psd_floor, in the PSD ones, and the lifted answer need not be proper
-    on the pair."""
-    core = record.reduced_pair
-    if core is not record.pair and (record.boundary_warnings
-                                    or not core.strictly_skew):
+    fresh check of `m` on the pair when a Jordan cosine lies within 10x of
+    a cutoff (`boundary_warnings`).  Compression and lift keep the
+    residuals (`OptimalityReport`) up to rounding, but next to a cutoff
+    that rounding reaches a few 1e-10, and the compressed core's own
+    classification can even tip a Jordan pair across the cutoff."""
+    if record.boundary_warnings:
         return check_optimality(m, record.pair)
     return report
 
@@ -142,10 +138,10 @@ def dispatch(pair: WeightedDensityPair,
     the compressed core.  That check is the returned report; it equals the
     check of the lifted measurement on the pair passed in, because the
     residuals change neither under compression nor under the lift
-    (`OptimalityReport`).  That needs the reduced pair to be strictly
-    skew; a lifted answer is checked again on the pair when it is not, or
-    when the record's `boundary_warnings` put a Jordan cosine within 10x
-    of a reduction cutoff.  At most one certificate is built, for the
+    (`OptimalityReport`), and the reduced pair is strictly skew by
+    construction (`reduce_fully`).  An answer is checked again on the pair
+    only when the record's `boundary_warnings` put a Jordan cosine within
+    10x of a reduction cutoff.  At most one certificate is built, for the
     original pair, only with `with_certificate`, and it takes the returned
     report instead of checking again; `solve_4d` itself returns none.
     `BLOCK_STRUCTURE_NOTE` is among the warnings when the core's
@@ -161,7 +157,7 @@ def dispatch(pair: WeightedDensityPair,
         notes = notes + (BLOCK_STRUCTURE_NOTE,)
 
     core_outcome: SolverOutcome | None = None
-    if core_support == 4 and all(s.size == 2 for s in core.supports):
+    if core_support == 4:  # strictly skew, so both ranks are 2
         try:
             core_outcome = solve_4d(core)
         except UsdKitError as exc:

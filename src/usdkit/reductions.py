@@ -14,19 +14,15 @@ import numpy as np
 
 from . import linalg as la
 from .errors import IncompatibleRecord
-from .linalg import dag
-from .model import UsdMeasurement, WeightedDensityPair
+from .linalg import Subspace
+from .model import (ORTHOGONAL_COSINE_CUTOFF, PARALLEL_COSINE_CUTOFF,
+                    UsdMeasurement, WeightedDensityPair)
 
 __all__ = [
     "ReductionRecord", "tau_parallel", "tau_skew", "reduce_fully",
     "lift_measurement",
     "PARALLEL_COSINE_CUTOFF", "ORTHOGONAL_COSINE_CUTOFF",
 ]
-
-# Jordan-angle classification: cosines this close to 1 count as a shared
-# direction, cosines this close to 0 as mutually orthogonal directions.
-PARALLEL_COSINE_CUTOFF = 1e-9
-ORTHOGONAL_COSINE_CUTOFF = 1e-9
 
 
 @dataclass(frozen=True)
@@ -51,17 +47,15 @@ class ReductionRecord:
     @property
     def trivial(self) -> bool:
         """True when the reduction removed nothing."""
-        d = self.pair.dim
-        return bool(np.abs(self.xi - np.eye(d)).max() < 1e-12)
+        return self.reduced_pair is self.pair
 
 
-def _projected_pair(pair: WeightedDensityPair, p: np.ndarray) -> WeightedDensityPair:
+def _projected_pair(pair: WeightedDensityPair, p1: np.ndarray,
+                    p2: np.ndarray) -> WeightedDensityPair:
+    """The pair (p1 gamma1 p1, p2 gamma2 p2)."""
     return WeightedDensityPair(
-        pair.dim,
-        la.hermitian_part(p @ pair.gamma1 @ p),
-        la.hermitian_part(p @ pair.gamma2 @ p),
-        pair.tol,
-    )
+        pair.dim, la.hermitian_part(p1 @ pair.gamma1 @ p1),
+        la.hermitian_part(p2 @ pair.gamma2 @ p2), pair.tol)
 
 
 def tau_parallel(pair: WeightedDensityPair,
@@ -72,33 +66,33 @@ def tau_parallel(pair: WeightedDensityPair,
     i.e. the orthocomplement of supp(g1) ∩ supp(g2).  Proper measurements
     and their success probabilities coincide for both problems.
     """
-    p = np.eye(pair.dim) - pair.support_overlap.projector()
-    return _projected_pair(pair, p), p
+    p = np.eye(pair.dim) - pair._reduction.pi_parallel
+    return _projected_pair(pair, p, p), p
 
 
 def tau_skew(pair: WeightedDensityPair,
              ) -> tuple[WeightedDensityPair, np.ndarray]:
     """Project out the mutually orthogonal parts of the two supports.
 
-    The removed directions are supp(g1) ∩ ker(g2) and ker(g1) ∩ supp(g2);
-    the projector returned is onto their joint orthocomplement.  Failure
-    probability is preserved between the two problems.
+    The removed directions are supp(g1) ∩ ker(g2) and ker(g1) ∩ supp(g2)
+    (the sigma parts of `reduce_fully`); the projector returned is onto
+    their joint orthocomplement.  Failure probability is preserved.
     """
-    tol = pair.tol
-    (sup1, sup2), (k1, k2) = pair.supports, pair.kernels
-    s1 = la.intersect(sup1, k2, tol)
-    s2 = la.intersect(k1, sup2, tol)
-    p = np.eye(pair.dim) - s1.projector() - s2.projector()
-    return _projected_pair(pair, p), p
+    record = pair._reduction
+    p = np.eye(pair.dim) - record.sigma1 - record.sigma2
+    return _projected_pair(pair, p, p), p
 
 
 def reduce_fully(pair: WeightedDensityPair) -> ReductionRecord:
     """Apply both reductions at once via Jordan bases of the supports.
 
     Jordan pairs with cosine 1 span the parallel part, pairs with cosine 0
-    (and unpaired directions) span the sigma parts; the remainder is the
-    strictly skew core.  A second application never changes the result.
-    The record is computed once per pair and kept
+    (and unpaired directions) span the sigma parts, as the pair's one
+    classification (`WeightedDensityPair.jordan`) decides.  The reduced
+    pair is P_mu gamma_mu P_mu over the skew Jordan columns of supp
+    gamma_mu and holds their classification: it is strictly skew by
+    construction.  A second application never changes the result.  The
+    record is computed once per pair and kept
     (`WeightedDensityPair.reduction`).
     """
     return pair.reduction
@@ -108,35 +102,30 @@ def _reduction_record(pair: WeightedDensityPair) -> ReductionRecord:
     """The record of `pair` with None in place of the pair, and of the
     reduced pair when that is the pair itself; `reduce_fully` fills them
     in from `WeightedDensityPair.reduction`."""
-    tol = pair.tol
     d = pair.dim
-    sup1, sup2 = pair.supports
-    b1, b2, cosines = la.jordan_bases(sup1, sup2, tol)
-    npair = len(cosines)
+    split = pair.jordan
     warnings = []
-    for c in cosines:
+    for c in split.cosines:
         in_parallel_zone = PARALLEL_COSINE_CUTOFF / 10 <= 1.0 - c <= PARALLEL_COSINE_CUTOFF * 10
         in_orthogonal_zone = ORTHOGONAL_COSINE_CUTOFF / 10 <= c <= ORTHOGONAL_COSINE_CUTOFF * 10
         if in_parallel_zone or in_orthogonal_zone:
             warnings.append(
                 f"Jordan cosine {c:.12g} lies within 10x of a classification"
                 " cutoff; the reduction is discontinuous here")
-    parallel_idx = [k for k in range(npair) if cosines[k] >= 1 - PARALLEL_COSINE_CUTOFF]
-    y1 = [i for i in range(sup1.size)
-          if i >= npair or cosines[i] <= ORTHOGONAL_COSINE_CUTOFF]
-    y2 = [j for j in range(sup2.size)
-          if j >= npair or cosines[j] <= ORTHOGONAL_COSINE_CUTOFF]
-    pi_par = _projector_from(b1, parallel_idx, d)
-    sigma1 = _projector_from(b1, y1, d)
-    sigma2 = _projector_from(b2, y2, d)
+    (b1, b2), free = (s.basis for s in split.supports), split.skew.stop
+    pi_par, sigma1, sigma2 = (Subspace(d, cols).projector() for cols in (
+        b1[:, :split.n_parallel], b1[:, free:], b2[:, free:]))
     xi = np.eye(d) - pi_par - sigma1 - sigma2
     for projector in (pi_par, sigma1, sigma2, xi):
         projector.setflags(write=False)  # shared by the pair's reweightings
     # with nothing removed xi is exactly the identity and projecting would
     # only copy the pair; keeping the pair (None here, see
     # `WeightedDensityPair._reduction`) keeps its computed geometry
-    reduced = (_projected_pair(pair, xi) if parallel_idx or y1 or y2
-               else None)
+    reduced = None
+    if not pair.strictly_skew:
+        core = split.core()  # given to the reduced pair, which keeps it
+        reduced = _projected_pair(pair, *(s.projector() for s in core.supports))
+        object.__setattr__(reduced, "jordan", core)
     return ReductionRecord(None, pi_par, sigma1, sigma2, xi,
                            _offset(sigma1, sigma2, pair), reduced,
                            tuple(warnings))
@@ -155,13 +144,6 @@ def _reweighted_record(record: ReductionRecord, pair: WeightedDensityPair,
                else record.reduced_pair.reweighted(c1, c2))
     return replace(record, reduced_pair=reduced,
                    lifted_offset=_offset(record.sigma1, record.sigma2, pair))
-
-
-def _projector_from(basis: np.ndarray, idx, d: int) -> np.ndarray:
-    if not idx:
-        return np.zeros((d, d), dtype=complex)
-    cols = basis[:, idx]
-    return cols @ dag(cols)
 
 
 def lift_measurement(m_reduced: UsdMeasurement,

@@ -21,7 +21,7 @@ from . import linalg as la
 from .closed_form import (BRANCH_FIDELITY, BRANCH_SINGLE_STATE,
                           try_fidelity_form, try_single_state_detection)
 from .errors import (DegenerateFamily, InvalidInconclusive, NoSolutionFound,
-                     PreconditionViolated, SkewViolation, UsdNumericsWarning)
+                     PreconditionViolated, UsdNumericsWarning)
 from .linalg import dag, hermitian_part
 from .model import (UsdMeasurement, WeightedDensityPair, complete_measurement,
                     expand_measurement)
@@ -255,7 +255,7 @@ def finalize_candidate_12(cand: Candidate12, pair: WeightedDensityPair,
            + pair.common_kernel().projector())
     try:
         m = complete_measurement(hermitian_part(e_q), pair)
-    except (InvalidInconclusive, SkewViolation):
+    except InvalidInconclusive:
         return Rejection("not_completable")
     return (accepted_outcome(m, pair, BRANCH_CLASS_12)
             or Rejection("optimality_residual"))

@@ -145,6 +145,19 @@ def test_fidelity_matches_bures_expression(rng):
     assert hits >= 3  # the window is hit regularly by random draws
 
 
+def test_fidelity_form_refuses_just_outside_its_window():
+    # 5e-11 above the window's upper edge the closed-form inconclusive
+    # element is not PSD-complementable; the family refuses instead of
+    # raising InvalidInconclusive, so the next family can answer
+    from util import examples2_states
+
+    rho1, rho2 = examples2_states()
+    assert fidelity_window(rho1, rho2).upper < 0.47839405
+    pair = WeightedDensityPair.from_states(rho1, rho2, 0.47839405)
+    assert pair.strictly_skew
+    assert try_fidelity_form(pair) is None
+
+
 def test_fidelity_window_pure_states_abut_detection_windows():
     for overlap in (0.25, 0.5, 0.75):
         rho1, rho2 = pure_pair(np.random.default_rng(3), overlap)

@@ -126,6 +126,19 @@ def test_classify_ssd_and_fidelity(rng):
     assert ssd_seen and fid_seen
 
 
+def test_cross_rank_is_the_rank_of_the_product(rng):
+    # classify reads rank(gamma1 gamma2) off the Jordan classification: the
+    # pairs that are not orthogonal, parallel ones included
+    rho1, rho2 = peres_states(dim=3)
+    pairs = [random_skew_pair(rng), random_skew_pair(rng, d=5, r=2),
+             WeightedDensityPair.from_states(rho1, rho2, 0.5),
+             WeightedDensityPair.from_states(rho1, rho1, 0.5),
+             WeightedDensityPair(3, np.diag([0.2, 0.3, 0]).astype(complex),
+                                 np.diag([0, 0.1, 0.4]).astype(complex))]
+    for pair in pairs:
+        assert pair.jordan.cross_rank == la.rank(pair.gamma1 @ pair.gamma2)
+
+
 def test_count_types_classes_formulas():
     assert count_types_classes(0) == (1, 1)
     assert count_types_classes(1) == (3, 2)

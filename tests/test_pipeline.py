@@ -7,13 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from usdkit import (InvalidInconclusive, NonConvergence, NotProper,
-                    OracleConfig, PreconditionViolated, SkewViolation,
+from usdkit import (InvalidInconclusive, NonConvergence, OracleConfig,
                     UsdMeasurement, WeightedDensityPair, classify, dispatch,
-                    lift_measurement, reduce_fully, success_probability)
+                    lift_measurement, oracle_optimize, reduce_fully,
+                    success_probability)
 from usdkit import pipeline
 from usdkit.cli import main
-from usdkit.model import complete_measurement
+from usdkit.model import complete_measurement, expand_measurement
 from usdkit.pipeline import (BLOCK_STRUCTURE_NOTE, ProblemFile,
                              load_measurement, load_problem, rows_to_csv,
                              save_measurement, save_problem, sweep,
@@ -290,21 +290,25 @@ def _near_cutoff_states(ortho, par):
     return q @ rho1 @ dag(q), q @ rho2 @ dag(q)
 
 
-_RANK_CUTOFF_CLASH = pytest.mark.xfail(
-    strict=True, raises=(NotProper, InvalidInconclusive, SkewViolation,
-                         PreconditionViolated), reason=(
-        "near-cutoff pair: the reduction classifies a Jordan cosine by "
-        "its 1e-9 cutoff while the reduced pair's supports keep a tail "
-        "near the rank cutoff, so the reduced pair is not strictly skew; "
-        "dispatch raises (ROADMAP item 2)"))
+_ON_THE_PARALLEL_CUTOFF = pytest.mark.xfail(
+    strict=True, raises=InvalidInconclusive, reason=(
+        "near-cutoff pair with 1 - c = 1.00000008e-9, just past the parallel "
+        "cutoff: the reduction keeps that Jordan pair as skew, the 6- or "
+        "8-dim core goes to the oracle, and the oblique projectors, which "
+        "scale by 1/sqrt(1 - c^2) ~ 2e4, do not complete the oracle's "
+        "answer to a measurement (ROADMAP item 2)"))
 
-# (ortho, par) -> the priors at which dispatch raises
+_NOTHING_REMOVED = pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason=(
+        "both cosines land just past their cutoffs (1 - c and c are "
+        "1.0000002e-9), so the pair is strictly skew, the reduction removes "
+        "nothing and the premise of the test fails"))
+
+# (ortho, par) -> {prior: why the case fails}
 _CLASHING_PRIORS = {
-    (1e-11, 1e-10): (0.2, 0.4, 0.5), (1e-11, 1e-9): (0.2, 0.5, 0.8),
-    (1e-10, 1e-10): (0.2, 0.4, 0.5), (1e-10, 1e-9): (0.2, 0.4, 0.5, 0.8),
-    (1e-9, 1e-11): (0.5,), (1e-9, 1e-10): (0.2, 0.4, 0.5),
-    (1e-9, 1e-9): (0.2, 0.5, 0.8), (2e-10, 2e-10): (0.2, 0.4, 0.5),
-    (8e-10, 8e-10): (0.5,),
+    (1e-10, 1e-9): {0.8: _ON_THE_PARALLEL_CUTOFF},
+    (1e-9, 1e-9): {0.2: _ON_THE_PARALLEL_CUTOFF, 0.5: _NOTHING_REMOVED,
+                   0.8: _NOTHING_REMOVED},
 }
 _NEAR_CUTOFF_OFFSETS = [(o, p) for o in (1e-11, 1e-10, 1e-9)
                         for p in (1e-11, 1e-10, 1e-9)] + [
@@ -313,9 +317,8 @@ _NEAR_CUTOFF_ORACLE = OracleConfig(restarts=1, max_iters=2000)
 
 
 @pytest.mark.parametrize("ortho, par, p1", [
-    pytest.param(ortho, par, p1, marks=(
-        _RANK_CUTOFF_CLASH if p1 in _CLASHING_PRIORS.get((ortho, par), ())
-        else ()))
+    pytest.param(ortho, par, p1,
+                 marks=_CLASHING_PRIORS.get((ortho, par), {}).get(p1, ()))
     for ortho, par in _NEAR_CUTOFF_OFFSETS for p1 in (0.2, 0.4, 0.5, 0.8)])
 def test_near_cutoff_reductions_report_a_fresh_check(ortho, par, p1):
     # the reduction removes both near-cutoff directions; the returned
@@ -329,67 +332,96 @@ def test_near_cutoff_reductions_report_a_fresh_check(ortho, par, p1):
     _assert_report_is_a_fresh_check(outcome, pair)
 
 
-def test_unwarned_clashing_reduction_is_checked_on_the_pair():
-    # 1 - c rounds to 9.99998973e-11, just below the boundary-warning zone,
-    # yet the reduced pair is not strictly skew and the lifted oracle answer
-    # is not proper on the pair.  dispatch must not return it with the
-    # core's report: it refuses it (NotProper, from the check on the pair),
-    # or returns an answer whose report is a fresh check.
+def test_unwarned_near_cutoff_reduction_keeps_the_core_report():
+    # 1 - c rounds to 9.99998973e-11, just below the boundary-warning zone:
+    # the reduction calls that pair parallel and the other one orthogonal,
+    # and the reduced pair, built from the same classification, is strictly
+    # skew.  The lifted answer keeps the core's report with no second
+    # check, and that report is a fresh check on the pair.
     rho1, rho2 = _near_cutoff_states(1e-11, 1e-10)
     pair = WeightedDensityPair.from_states(rho1, rho2, 0.4)
     record = reduce_fully(pair)
     assert not record.boundary_warnings
-    assert not record.reduced_pair.strictly_skew
-    try:
-        outcome = dispatch(pair, oracle_cfg=_NEAR_CUTOFF_ORACLE)
-    except NotProper:
-        return
+    assert (pair.jordan.n_parallel, pair.jordan.n_skew) == (1, 2)
+    assert record.reduced_pair.strictly_skew
+    outcome = dispatch(pair, oracle_cfg=_NEAR_CUTOFF_ORACLE)
+    assert outcome.branch == "class-12" and outcome.certificate is not None
     _assert_report_is_a_fresh_check(outcome, pair)
 
 
-def _transition_gap(rho1, rho2, lo, hi):
-    """Bisect the change of analytic family between the priors lo and hi
-    until a prior reaches the oracle; returns that prior's pair and
-    outcome, and the outcomes at the ends of the last bracket."""
-    def solve(p1):
-        pair = WeightedDensityPair.from_states(rho1, rho2, p1)
-        return pair, dispatch(pair)
+_GRID_OFFSETS = (1e-12, 1e-11, 1e-10, 5e-10, 1e-9, 2e-9, 1e-8, 1e-7, 1e-6,
+                 1e-5, 1e-4, 1e-3)
 
-    ends = [solve(lo)[1], solve(hi)[1]]
-    assert ends[0].branch != ends[1].branch
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        pair, outcome = solve(mid)
-        if outcome.branch == ends[0].branch:
-            lo, ends[0] = mid, outcome
-        elif outcome.branch == ends[1].branch:
-            hi, ends[1] = mid, outcome
-        else:
-            return pair, outcome, ends
-    raise AssertionError(f"no prior between {lo!r} and {hi!r} reached "
-                         "the oracle")
+
+@pytest.mark.parametrize("p1", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_reduced_pairs_are_strictly_skew_by_construction(p1):
+    # the pair's verdict and the reduction read one Jordan classification:
+    # the reduction removes something exactly when the pair is not
+    # strictly skew, and what it leaves is strictly skew, on a grid that
+    # crosses both cosine cutoffs and the rank cutoff's reach
+    for ortho in _GRID_OFFSETS:
+        for par in _GRID_OFFSETS:
+            pair = WeightedDensityPair.from_states(
+                *_near_cutoff_states(ortho, par), p1)
+            reduced = reduce_fully(pair).reduced_pair
+            assert pair.strictly_skew == (reduced is pair), (ortho, par)
+            assert reduced.strictly_skew, (ortho, par)
+
+
+def _transition_states(family):
+    if family == "examples2":
+        return examples2_states()
+    return generic_pair(np.random.default_rng([0, 5, 2, 3]), 5, 2, 3)
 
 
 @pytest.mark.parametrize("family, lo, hi", [
     ("examples2", 0.47, 0.49),
     ("5;2,3", 0.48, 0.49),
 ])
-def test_class_transition_gap_is_bridged_by_the_oracle(family, lo, hi):
-    # between the fidelity form and class 12 lies a narrow window of priors
-    # where no analytic family passes its check; the oracle answers there,
-    # certified and continuous with both neighbours.  The
-    # (5;2,3) pair reduces to a (2,2) core, so its oracle answer is lifted.
-    if family == "examples2":
-        rho1, rho2 = examples2_states()
-    else:
-        rho1, rho2 = generic_pair(np.random.default_rng([0, 5, 2, 3]),
-                                  5, 2, 3)
-    pair, outcome, ends = _transition_gap(rho1, rho2, lo, hi)
-    assert {end.branch for end in ends} == {"fidelity-form", "class-12"}
-    assert outcome.branch == "oracle-checker" and outcome.optimal
-    for end in ends:
-        assert outcome.success == pytest.approx(end.success, abs=1e-9)
+def test_class_transition_bisection_stays_analytic(family, lo, hi):
+    # bisecting the change from the fidelity form to class 12 down to 1e-13
+    # meets only those two families: just outside its window the fidelity
+    # form refuses (its inconclusive element does not complete) instead of
+    # raising, and class 12 answers.  The (5;2,3) pair reduces to a (2,2)
+    # core, so its answers are lifted.
+    rho1, rho2 = _transition_states(family)
+
+    def solve(p1):
+        return dispatch(WeightedDensityPair.from_states(rho1, rho2, p1))
+
+    ends = [solve(lo).branch, solve(hi).branch]
+    assert set(ends) == {"fidelity-form", "class-12"}
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        outcome = solve(mid)
+        assert outcome.branch in ends and outcome.optimal, mid
+        if outcome.branch == ends[0]:
+            lo = mid
+        else:
+            hi = mid
+
+
+@pytest.mark.parametrize("family, p1", [
+    ("examples2", 0.47839405),
+    ("5;2,3", 0.36212344885),
+    ("5;2,3", 0.48665989786),
+])
+def test_class_transition_priors_solve_as_class_12(family, p1):
+    # priors just past the fidelity window, where its inconclusive element
+    # does not complete: the fidelity form refuses and class 12 answers,
+    # certified, with the success of the oracle's answer
+    pair = WeightedDensityPair.from_states(*_transition_states(family), p1)
+    outcome = dispatch(pair)
+    assert outcome.branch == "class-12"
+    assert outcome.optimal and outcome.certificate is not None
     _assert_report_is_a_fresh_check(outcome, pair)
+    core, isometry = reduce_fully(pair).reduced_pair.compressed
+    m_core = complete_measurement(
+        oracle_optimize(core, OracleConfig(restarts=1)).e_q_opt, core)
+    lifted = lift_measurement(expand_measurement(m_core, isometry),
+                              reduce_fully(pair))
+    assert outcome.success == pytest.approx(
+        success_probability(lifted, pair), abs=1e-9)
 
 
 def test_dispatch_with_parallel_component(rng):
@@ -650,7 +682,7 @@ def test_sweep_matches_fresh_dispatch_near_rank_cutoff(tail, monkeypatch):
 
 @pytest.mark.xfail(strict=True, raises=InvalidInconclusive, reason=(
     "near-cutoff (4;2,2) pair: solve_4d accepts no family and the oracle's "
-    "answer does not complete to a measurement (ROADMAP item 4)"))
+    "answer does not complete to a measurement (ROADMAP item 2)"))
 def test_near_cutoff_pair_falls_back_to_a_measurement():
     base1, base2 = generic_pair(np.random.default_rng([77, 1]), 4, 2, 2)
     u = np.random.default_rng([78, 1]).random(4)
@@ -787,6 +819,22 @@ def test_skew6_problem_is_the_seeded_draw():
     assert np.array_equal(problem.rho2, rho2)
     assert problem.p1 is None
     assert problem.pair(0.5).strictly_skew
+
+
+def test_near_cutoff8_problem_solves_as_class_12(capsys):
+    # tests/data/near_cutoff8.json holds the near-cutoff pair of
+    # test_unwarned_near_cutoff_reduction_keeps_the_core_report, written by
+    # save_problem; the console script solves it analytically, certified
+    rho1, rho2 = _near_cutoff_states(1e-11, 1e-10)
+    problem = load_problem(DATA / "near_cutoff8.json")
+    assert np.array_equal(problem.rho1, rho1)
+    assert np.array_equal(problem.rho2, rho2)
+    assert problem.p1 == 0.4
+    code = main(["solve", str(DATA / "near_cutoff8.json"), "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["branch"] == "class-12" and payload["optimal"] is True
+    assert payload["certificate_valid"] is True
 
 
 def test_cli_solve_reaches_the_oracle(capsys):
