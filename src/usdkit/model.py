@@ -241,16 +241,20 @@ class WeightedDensityPair:
     def _collective(self) -> tuple[Subspace, Subspace]:
         """(collective support, common kernel): supp gamma1, the unit
         vector orthogonal to it in each Jordan pair that is not parallel,
-        the unpaired columns of supp gamma2; the rest, from one QR."""
+        the unpaired columns of supp gamma2; the rest, from one QR unless
+        the support is the whole space."""
         split = self.jordan
         b1, b2 = (s.basis for s in self.supports)
         paired = slice(split.n_parallel, len(split.cosines))
         basis = np.hstack((b1, _normal(b2[:, paired], b1[:, paired],
                                        split.cosines[paired]),
                            b2[:, paired.stop:]))
-        q = np.linalg.qr(basis, mode="complete")[0]
-        return (Subspace(self.dim, _freeze(basis)),
-                Subspace(self.dim, _freeze(q[:, basis.shape[1]:])))
+        if basis.shape[1] == self.dim:
+            kernel = Subspace.zero(self.dim)
+        else:
+            q = np.linalg.qr(basis, mode="complete")[0]
+            kernel = Subspace(self.dim, _freeze(q[:, basis.shape[1]:]))
+        return Subspace(self.dim, _freeze(basis)), kernel
 
     def collective_support(self) -> Subspace:
         return self._collective[0]
@@ -416,7 +420,13 @@ def failure_probability(m: UsdMeasurement, pair: WeightedDensityPair) -> float:
 
 
 def is_proper(m: UsdMeasurement, pair: WeightedDensityPair) -> bool:
-    """True iff supp(e1+e2) lies inside the collective state support."""
+    """True iff supp(e1+e2) lies inside the collective state support.
+
+    Always true, with no decomposition of e1+e2, when the pair has no
+    common kernel: the collective support is then the whole space.
+    """
+    if pair.common_kernel().size == 0:
+        return True
     tol = pair.tol
     conclusive = la.support(m.e1 + m.e2, tol)
     p_supp = pair.collective_support().projector()

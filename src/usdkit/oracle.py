@@ -7,7 +7,8 @@ tr[(1 - E) Gamma], with Gamma = gamma1 + gamma2, is linear in E, so the
 optimum solves a semidefinite program.  Each restart solves it with one
 Douglas-Rachford (ADMM) splitting: the exact affine projection alternates
 with the spectral box [0, 1] while a scaled dual variable accumulates the
-constraint forces.  A Dykstra polish then makes the answer feasible.
+constraint forces.  The same splitting with no objective polishes the
+answer onto the feasible set and draws random feasible points.
 
 The splitting's dual also yields an upper bound on the success.  Any
 Hermitian Y orthogonal to the null space of the affine constraints has
@@ -44,7 +45,8 @@ class OracleConfig:
     Restart k draws its start from `seed` and k alone and runs the
     splitting for at most `max_iters` iterations, stopping early once the
     primal and dual residuals drop below convergence_tol clipped to
-    [5e-14, 1e-13]; the polish stops likewise at [5e-15, 1e-14].  The lower
+    [5e-14, 1e-13]; the polish, the same splitting with no objective, stops
+    likewise at [5e-15, 1e-14] or after 30 000 iterations.  The lower
     ends sit just above the rounding level where the residuals stall, so a
     tighter convergence_tol does not run out the budgets.  The oracle
     raises NonConvergence when the returned operator's feasibility residual
@@ -127,36 +129,21 @@ class FeasibleSet:
         return y.view(complex).reshape(self.dim, self.dim)
 
     @staticmethod
-    def _clip_spectrum(e: np.ndarray, lo, hi) -> np.ndarray:
+    def _clip_spectrum(e: np.ndarray) -> np.ndarray:
         w, u = np.linalg.eigh(hermitian_part(e))
-        return (u * np.clip(w, lo, hi)) @ dag(u)
+        return (u * np.clip(w, 0.0, 1.0)) @ dag(u)
 
     def project(self, e: np.ndarray, cycles: int = 500,
                 tol: float = 1e-13) -> np.ndarray:
-        """Dykstra projection onto the full feasible set.
+        """A feasible point reached from e by the splitting with no objective.
 
-        Runs until the iterate's feasibility residual drops below tol (or
-        the cycle cap); the result is clipped to the spectral box once more
-        so the returned operator satisfies 0 <= E <= 1 exactly, with the
-        remaining residual pushed into the affine constraint.
+        Runs at most `cycles` iterations and stops once the primal and dual
+        residuals drop below tol.  The result lies in the spectral box
+        exactly, with the remaining residual in the affine constraint.  A
+        feasible e comes back unchanged up to rounding; otherwise the point
+        is feasible but in general not the one nearest to e.
         """
-        x = hermitian_part(e)
-        inc_psd = np.zeros_like(x)
-        inc_cap = np.zeros_like(x)
-        inc_aff = np.zeros_like(x)
-        for cycle in range(cycles):
-            y = self._clip_spectrum(x + inc_psd, 0.0, None)
-            inc_psd = x + inc_psd - y
-            z = self._clip_spectrum(y + inc_cap, None, 1.0)
-            inc_cap = y + inc_cap - z
-            nxt = self.project_affine(z + inc_aff)
-            inc_aff = z + inc_aff - nxt
-            moved = float(np.linalg.norm(nxt - x))
-            x = nxt
-            if moved < tol and (cycle % 8 == 0 or moved == 0.0) \
-                    and self.residual(x) < max(tol, 1e-13):
-                break
-        return self._clip_spectrum(x, 0.0, 1.0)
+        return _split(self, e, np.zeros_like(e), cycles, tol)[0]
 
     def residual(self, e: np.ndarray) -> float:
         """Worst violation of any feasibility condition."""
@@ -199,10 +186,10 @@ def _random_start(d: int, seed: int) -> np.ndarray:
 def random_feasible_inconclusive(pair: WeightedDensityPair, seed: int = 0,
                                  cycles: int = 60_000,
                                  tol: float = 1e-13) -> np.ndarray:
-    """A random valid inconclusive operator, via the feasibility projection.
+    """A random valid inconclusive operator, via `FeasibleSet.project`.
 
-    Draws a contraction X, forms 1 - X X^dag and projects it onto the
-    feasible set; deterministic in the seed.
+    Draws a contraction X, forms 1 - X X^dag and runs the splitting with no
+    objective from it to a feasible point; deterministic in the seed.
     """
     start = _random_start(pair.dim, seed)
     return FeasibleSet(pair).project(start, cycles=cycles, tol=tol)
@@ -223,7 +210,7 @@ def _split(feas: FeasibleSet, start, objective, iters, tol):
     for used in range(1, iters + 1):
         affine = feas.project_affine(boxed - dual - objective)
         prev = boxed
-        boxed = feas._clip_spectrum(affine + dual, 0.0, 1.0)
+        boxed = feas._clip_spectrum(affine + dual)
         dual = dual + affine - boxed
         if (np.linalg.norm(affine - boxed) < tol
                 and np.linalg.norm(boxed - prev) < tol):
@@ -236,10 +223,10 @@ def oracle_optimize(pair: WeightedDensityPair,
     """Maximize the success probability over valid inconclusive operators.
 
     Each restart runs the splitting from its own random start, takes the
-    dual bound, and polishes the iterate onto the feasible set with a
-    Dykstra projection.  The reported success is the best over restarts,
-    the bound the smallest; restart-to-restart spreads are returned for
-    uniqueness probing.
+    dual bound, and polishes the iterate onto the feasible set with
+    `FeasibleSet.project`, the splitting again with no objective.  The
+    reported success is the best over restarts, the bound the smallest;
+    restart-to-restart spreads are returned for uniqueness probing.
     """
     feas = FeasibleSet(pair)
     scale = max(float(np.linalg.norm(pair.total, 2)), 1e-300)

@@ -122,6 +122,29 @@ def test_any_measurement_on_full_support_pair_is_proper(rng):
     assert is_proper(m, pair)
 
 
+def test_full_support_pair_is_proper_without_a_decomposition(rng, monkeypatch):
+    pair = random_skew_pair(rng)
+    m = complete_measurement(random_feasible_inconclusive(pair, seed=5), pair)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("la.support called")
+
+    monkeypatch.setattr(la, "support", refuse)
+    assert is_proper(m, pair)
+
+
+def test_full_support_pair_has_an_empty_kernel_without_a_qr(rng, monkeypatch):
+    pair = random_skew_pair(rng)
+    assert pair.jordan.n_skew == 2
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.qr called")
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    assert pair.common_kernel().size == 0
+    assert pair.collective_support().size == 4
+
+
 def test_validate_inconclusive_identity(peres_pair3):
     diag = validate_inconclusive(np.eye(3, dtype=complex), peres_pair3)
     assert diag.ok

@@ -186,8 +186,8 @@ def test_projective_part_law_violated_by_perturbation(rng):
     perturbed = feas.project(outcome.measurement.e_inconclusive
                              + 1e-2 * (h + h.conj().T))
     m2 = complete_measurement(perturbed, pair)
-    if np.linalg.norm(perturbed - outcome.measurement.e_inconclusive) < 1e-4:
-        pytest.skip("projection collapsed the perturbation")
+    moved = np.linalg.norm(perturbed - outcome.measurement.e_inconclusive)
+    assert moved >= 1e-4, "projection collapsed the perturbation"
     assert not projective_part_law(m2, pair)
 
 
@@ -261,7 +261,7 @@ def test_certificate_on_class11(rng):
         cert = build_certificate(outcome.measurement, pair)
         assert la.min_eigenvalue(cert.z) >= -CERT_RESIDUAL
         return
-    pytest.skip("no class-[1,1] instance in 60 draws")
+    pytest.fail("no class-[1,1] instance in 60 draws")
 
 
 def test_certificate_rejects_suboptimal(rng):

@@ -106,6 +106,28 @@ def test_random_feasible_points_are_feasible(rng):
     assert np.linalg.norm(e1 - e2) > 1e-3
 
 
+def test_project_returns_a_feasible_input_unchanged(rng):
+    pair = random_skew_pair(rng)
+    feas = FeasibleSet(pair)
+    optimum = dispatch(pair).measurement.e_inconclusive
+    for e in (optimum, random_feasible_inconclusive(pair, seed=3)):
+        np.testing.assert_allclose(feas.project(e), e, rtol=0, atol=1e-12)
+
+
+def test_project_makes_a_perturbed_peres_operator_feasible():
+    # Peres in C^3 has a one-dimensional common kernel
+    rho1, rho2 = peres_states(dim=3)
+    pair = WeightedDensityPair.from_states(rho1, rho2, 0.5)
+    feas = FeasibleSet(pair)
+    optimum = dispatch(pair).measurement.e_inconclusive
+    r = np.random.default_rng(4)
+    for _ in range(5):
+        h = r.normal(size=(3, 3)) + 1j * r.normal(size=(3, 3))
+        perturbed = optimum + 1e-3 * (h + h.conj().T)
+        assert feas.residual(perturbed) > 1e-4
+        assert feas.residual(feas.project(perturbed)) <= 1e-12
+
+
 def test_uniqueness_probe_positive(rng):
     pair = random_skew_pair(rng)
     probe = uniqueness_probe(pair, OracleConfig(seed=7, restarts=10))

@@ -865,6 +865,17 @@ def test_cli_sweep_csv(tmp_path, capsys):
     assert len(lines) == 10
 
 
+def test_cli_sweep_to_stdout_matches_the_file(tmp_path, capsys):
+    argv = ["sweep", str(DATA / "peres.json"), "--min", "0.1", "--max", "0.9",
+            "--steps", "3", "--out"]
+    out = tmp_path / "sweep.csv"
+    assert main(argv + [str(out)]) == 0
+    assert main(argv + ["-"]) == 0
+    text = capsys.readouterr().out
+    assert text == out.read_text(encoding="utf-8")
+    assert len(text.strip().split("\n")) == 4
+
+
 def test_cli_verify_accepts_optimum(tmp_path, capsys):
     rho1, rho2 = peres_states(dim=3)
     pair = WeightedDensityPair.from_states(rho1, rho2, 0.5)
@@ -899,6 +910,20 @@ def test_cli_verify_rejects_perturbed(tmp_path, capsys):
     assert payload["violated_conditions"]
 
 
+def test_cli_verify_refuses_a_measurement_that_is_not_usd(tmp_path, capsys):
+    # the Peres optimum with its conclusive elements swapped names each state
+    # on the other's support
+    m = load_measurement(DATA / "peres_optimum.json", 3)
+    mpath = tmp_path / "swapped.json"
+    save_measurement(mpath, UsdMeasurement(m.e2, m.e1, m.e_inconclusive))
+    code = main(["verify", str(DATA / "peres.json"), str(mpath),
+                 "--p1", "0.5"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert payload["valid_usd"] is False
+    assert "not USD" in payload["error"]
+
+
 def test_cli_reduce(capsys):
     code = main(["reduce", str(DATA / "peres.json")])
     payload = json.loads(capsys.readouterr().out)
@@ -916,6 +941,19 @@ def test_cli_oracle(capsys):
     assert payload["upper_bound"] == pytest.approx(IDP, abs=1e-8)
     assert payload["upper_bound"] >= payload["success_probability"] - 1e-12
     assert len(payload["per_restart_distances"]) == 1
+
+
+def test_cli_oracle_probes_uniqueness(capsys):
+    # ten or more restarts run the uniqueness probe
+    code = main(["oracle", str(DATA / "peres.json"), "--p1", "0.5",
+                 "--restarts", "10"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["unique"] is True
+    assert payload["max_distance"] <= 1e-7
+    assert len(payload["per_restart_distances"]) == 45
+    assert payload["max_distance"] == max(payload["per_restart_distances"])
+    assert payload["success_probability"] == pytest.approx(IDP, abs=1e-8)
 
 
 def test_cli_malformed_json(tmp_path, capsys):
