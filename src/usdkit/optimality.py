@@ -39,11 +39,11 @@ class OptimalityReport:
     the report holds no operator and no basis, and one report serves a
     measurement on every pair the reductions connect:
 
-    - Compression.  It does not change under the compression isometry V
-      of `WeightedDensityPair.compressed`: every operator it measures
-      vanishes off range V and is V (.) V^dag of its version on the
-      compressed pair, so the report of a core measurement is that of its
-      `expand_measurement` on the pair.
+    - Compression, which only the oracle uses.  It does not change under
+      the isometry V onto the collective support (the pair's `compressed`
+      core): every operator it measures vanishes off range V and is
+      V (.) V^dag of its version on the core, so the report of the
+      oracle's point on the core is that of its `expand_measurement`.
     - Lift.  It does not change under `lift_measurement` either.  The
       reduction splits the supports into orthogonal sums,
       supp gamma1 = pi_par + sigma1 + C1 and supp gamma2 = pi_par + sigma2
@@ -224,9 +224,9 @@ class CertificateZ:
     z is PSD, annihilates the inconclusive element, dominates gamma_mu on
     the detector subspaces and agrees with gamma_mu against the conclusive
     elements.  v1 is the operator the construction inverts; v1_condition
-    tracks how ill-posed that inversion was.  For pairs that are not
-    strictly skew the certificate refers to the strictly skew core
-    recorded in `pair`.
+    tracks how ill-posed that inversion was.  `pair` is the reduced pair
+    (`reduce_fully`) of the pair the certificate was asked for, in that
+    pair's own space, so z has the caller's dimension.
     """
 
     z: np.ndarray
@@ -248,17 +248,48 @@ def _certificate_residuals(z, m: UsdMeasurement, pair: WeightedDensityPair):
     }
 
 
-def _build_certificate_skew(m: UsdMeasurement,
-                            pair: WeightedDensityPair) -> CertificateZ:
-    tol = pair.tol
-    g1, g2 = pair.gamma1, pair.gamma2
-    ker1, ker2 = pair.kernels
-    lam1, lam2 = pair.detectors
-    # oblique projectors between the kernels and, on a strictly skew pair,
-    # along the detector spaces onto the supports
-    r1 = la._oblique_between(ker2, ker1, tol)
-    q1, q2 = pair.obliques
-    e = m.e_inconclusive
+def build_certificate(m: UsdMeasurement, pair: WeightedDensityPair, *,
+                      report: OptimalityReport | None = None) -> CertificateZ:
+    """Construct and verify the dual certificate for an optimal measurement.
+
+    One construction serves every pair: the certificate is built on the
+    reduced pair (`reduce_fully(pair).reduced_pair`, the pair itself when
+    the reduction removes nothing), in the pair's own space, for the
+    measurement sandwiched by the record's projector xi onto the strictly
+    skew core, (xi e1 xi, xi e2 xi, xi e_q xi + 1 - xi).  By the
+    reduction laws that measurement is optimal for the reduced pair iff
+    `m` is optimal for `pair`.  Every residual of the certificate
+    (`CertificateZ.residuals`) must lie within the fixed absolute bound
+    1e-7, or `CertificateFailure` is raised.
+
+    `report` is the `check_optimality(m, pair)` a caller already holds;
+    without it the measurement is checked here.  Either way a report that
+    is not optimal raises `CertificateFailure`.
+    """
+    if report is None:
+        report = check_optimality(m, pair)
+    if not report.is_optimal:
+        raise CertificateFailure(
+            "measurement fails the operational optimality conditions; "
+            "no certificate exists", report.to_dict())
+    record = pair.reduction
+    core, xi = record.reduced_pair, record.xi
+    if core.collective_support().size == 0:
+        raise CertificateFailure(
+            "pair reduces to nothing; optimality is trivial and the "
+            "certificate construction is empty", {})
+    # the measurement of the reduced pair that m lifts
+    e1, e2, e = (hermitian_part(xi @ a @ xi) for a in m.elements())
+    e = e + np.eye(pair.dim) - xi
+    m = UsdMeasurement(e1, e2, e)
+    tol = core.tol
+    g1, g2 = core.gamma1, core.gamma2
+    lam1, lam2 = core.detectors
+    # oblique projectors between the detector spaces (the kernels inside
+    # the collective support) and, on a strictly skew pair, along the
+    # detector spaces onto the supports
+    r1 = la._oblique_between(*core.detector_spaces, tol)
+    q1, q2 = core.obliques
     v1 = hermitian_part(lam1 @ e @ (g2 - g1) @ e @ lam1 + lam1 @ g1 @ lam1)
     w1 = (r1 @ (lam1 - m.e1) + lam2 @ m.e1) @ v1
     # pseudo-inverse (cutoff relative to the largest singular value, as in
@@ -271,51 +302,13 @@ def _build_certificate_skew(m: UsdMeasurement,
     v1_cond = float(sv.max() / sv.min()) if sv.size else float("inf")
     t = q1 + q2 @ w1 @ v1_pinv
     z = hermitian_part(t @ v1 @ dag(t))
-    residuals = _certificate_residuals(z, m, pair)
-    cert = CertificateZ(z, v1, pair, residuals, v1_cond)
+    residuals = _certificate_residuals(z, m, core)
     for name, value in residuals.items():
         # the PSD residuals are at most 0, the norms at least 0
         if abs(value) > _CERTIFICATE_RESIDUAL_TOL:
             raise CertificateFailure(
                 f"certificate violates {name}: {value:.3e}", residuals)
-    return cert
-
-
-def build_certificate(m: UsdMeasurement, pair: WeightedDensityPair, *,
-                      report: OptimalityReport | None = None) -> CertificateZ:
-    """Construct and verify the dual certificate for an optimal measurement.
-
-    Pairs that are not strictly skew are first reduced (the free detector
-    parts folded into the conclusive elements, then compressed onto the
-    skew core); the certificate is built and verified for that core
-    problem, which is equivalent to the original by the reduction laws.
-    The reduction and the core are the ones the pair already holds.
-    Every residual of the certificate (`CertificateZ.residuals`) must lie
-    within the fixed absolute bound 1e-7, or `CertificateFailure` is
-    raised.
-
-    `report` is the `check_optimality(m, pair)` a caller already holds;
-    without it the measurement is checked here.  Either way a report that
-    is not optimal raises `CertificateFailure`.
-    """
-    if report is None:
-        report = check_optimality(m, pair)
-    if not report.is_optimal:
-        raise CertificateFailure(
-            "measurement fails the operational optimality conditions; "
-            "no certificate exists", report.to_dict())
-    if pair.strictly_skew:
-        return _build_certificate_skew(m, pair)
-    core, isometry = pair.reduction.reduced_pair.compressed
-    if core.dim == 0:
-        raise CertificateFailure(
-            "pair reduces to nothing; optimality is trivial and the "
-            "certificate construction is empty", {})
-    mc = UsdMeasurement(
-        hermitian_part(dag(isometry) @ m.e1 @ isometry),
-        hermitian_part(dag(isometry) @ m.e2 @ isometry),
-        hermitian_part(dag(isometry) @ m.e_inconclusive @ isometry))
-    return _build_certificate_skew(mc, core)
+    return CertificateZ(z, v1, core, residuals, v1_cond)
 
 
 @dataclass(frozen=True)

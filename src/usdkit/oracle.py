@@ -190,9 +190,14 @@ def random_feasible_inconclusive(pair: WeightedDensityPair, seed: int = 0,
 
     Draws a contraction X, forms 1 - X X^dag and runs the splitting with no
     objective from it to a feasible point; deterministic in the seed.
+    Raises NonConvergence when the cycle cap leaves a point infeasible by
+    more than pair.tol.equality, the bound `complete_measurement` applies.
     """
-    start = _random_start(pair.dim, seed)
-    return FeasibleSet(pair).project(start, cycles=cycles, tol=tol)
+    feas = FeasibleSet(pair)
+    e = feas.project(_random_start(pair.dim, seed), cycles=cycles, tol=tol)
+    if (residual := feas.residual(e)) > pair.tol.equality:
+        raise NonConvergence(f"random draw infeasible by {residual:.3e}")
+    return e
 
 
 def _split(feas: FeasibleSet, start, objective, iters, tol):

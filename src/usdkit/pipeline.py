@@ -70,10 +70,10 @@ def _lifted_report(report: OptimalityReport, m: UsdMeasurement,
                          record: ReductionRecord) -> OptimalityReport:
     """`report`, the check of the core measurement that `m` lifts, or a
     fresh check of `m` on the pair when a Jordan cosine lies within 10x of
-    a cutoff (`boundary_warnings`).  Compression and lift keep the
-    residuals (`OptimalityReport`) up to rounding, but next to a cutoff
-    that rounding reaches a few 1e-10, and the compressed core's own
-    classification can even tip a Jordan pair across the cutoff."""
+    a cutoff (`boundary_warnings`).  The lift (and the oracle's
+    compression) keep the residuals (`OptimalityReport`) up to rounding,
+    but next to a cutoff that rounding reaches a few 1e-10, and the
+    oracle's compressed core can even tip a Jordan pair across it."""
     if record.boundary_warnings:
         return check_optimality(m, record.pair)
     return report
@@ -134,16 +134,18 @@ def dispatch(pair: WeightedDensityPair,
     and the optimality report refer to the original pair.
 
     Each answer is checked once, where it is accepted: by the family on
-    the core (`optimality.accepted_outcome`), or by the oracle's gate on
-    the compressed core.  That check is the returned report; it equals the
+    the reduced pair, in the caller's space (`optimality.accepted_outcome`),
+    or by the oracle's gate on the compressed core, the only copy
+    `dispatch` makes.  That check is the returned report; it equals the
     check of the lifted measurement on the pair passed in, because the
-    residuals change neither under compression nor under the lift
+    residuals change neither under the lift nor under compression
     (`OptimalityReport`), and the reduced pair is strictly skew by
     construction (`reduce_fully`).  An answer is checked again on the pair
     only when the record's `boundary_warnings` put a Jordan cosine within
-    10x of a reduction cutoff.  At most one certificate is built, for the
-    original pair, only with `with_certificate`, and it takes the returned
-    report instead of checking again; `solve_4d` itself returns none.
+    10x of a reduction cutoff.  At most one certificate is built, on the
+    reduced pair in the caller's space, only with `with_certificate`, and
+    it takes the returned report instead of checking again; `solve_4d`
+    itself returns none.
     `BLOCK_STRUCTURE_NOTE` is among the warnings when the core's
     collective support is larger than four dimensions.
     """

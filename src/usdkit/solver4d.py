@@ -23,8 +23,7 @@ from .closed_form import (BRANCH_FIDELITY, BRANCH_SINGLE_STATE,
 from .errors import (DegenerateFamily, InvalidInconclusive, NoSolutionFound,
                      PreconditionViolated, UsdNumericsWarning)
 from .linalg import dag, hermitian_part
-from .model import (UsdMeasurement, WeightedDensityPair, complete_measurement,
-                    expand_measurement)
+from .model import UsdMeasurement, WeightedDensityPair, complete_measurement
 from .optimality import OptimalityReport, SolverOutcome, accepted_outcome
 from .tolerances import ToleranceContext
 
@@ -262,10 +261,11 @@ def finalize_candidate_12(cand: Candidate12, pair: WeightedDensityPair,
 
 
 def _kernel_jordan_data(pair: WeightedDensityPair):
-    """Jordan bases of the two kernels with the phase conventions the
-    rank-(1,1) candidate equations assume."""
+    """Jordan bases of the detector spaces (the kernels inside the
+    collective support), with the phase conventions the rank-(1,1)
+    candidate equations assume."""
     tol = pair.tol
-    k1, k2 = pair.kernels
+    k2, k1 = pair.detector_spaces
     basis1, basis2, cosines = la.jordan_bases(k1, k2, tol,
                                               degeneracy_operator=pair.gamma1)
     if len(cosines) < 2 or not (0 < cosines[1] <= cosines[0] < 1):
@@ -487,25 +487,25 @@ def _residual_total(report: OptimalityReport) -> float:
             + report.residual_cross + report.residual_b)
 
 
-def _accepted_outcomes(core: WeightedDensityPair):
-    """The outcomes of the families that pass their check on `core`, in
+def _accepted_outcomes(pair: WeightedDensityPair):
+    """The outcomes of the families that pass their check on `pair`, in
     the order they are tried.  The candidate classes run only when neither
     closed form passes."""
     closed = False
     for family in (try_single_state_detection, try_fidelity_form):
-        outcome = family(core)
+        outcome = family(pair)
         if outcome is not None:
             closed = True
             yield outcome
     if closed:
         return
     for host in (1, 2):
-        for cand in enumerate_candidates_12(core, detect_on=host):
-            outcome = finalize_candidate_12(cand, core)
+        for cand in enumerate_candidates_12(pair, detect_on=host):
+            outcome = finalize_candidate_12(cand, pair)
             if isinstance(outcome, SolverOutcome):
                 yield outcome
-    for cand in enumerate_candidates_11(core):
-        outcome = finalize_candidate_11(cand, core)
+    for cand in enumerate_candidates_11(pair):
+        outcome = finalize_candidate_11(cand, pair)
         if isinstance(outcome, SolverOutcome):
             yield outcome
 
@@ -523,14 +523,13 @@ def _on_boundary(outcome: SolverOutcome) -> bool:
 def solve_4d(pair: WeightedDensityPair) -> SolverOutcome:
     """Optimal measurement of a strictly skew rank-(2,2) pair (4-dim support).
 
-    Families are tried cheapest first, each at most once, on the pair
-    compressed to its collective support: single state detection, the
-    fidelity form, the two rank-(1,2) orientations, then rank-(1,1); the
-    last three only when neither closed form passes.  Each family checks
-    its measurement once, on the compressed pair, and that check is the
-    outcome's report: the report does not change under the compression
-    isometry, so the outcome only expands the measurement back onto
-    `pair`.
+    Families are tried cheapest first, each at most once, on the pair as
+    given, in its own space: single state detection, the fidelity form,
+    the two rank-(1,2) orientations, then rank-(1,1); the last three only
+    when neither closed form passes.  A common kernel is no obstacle: each
+    family builds an inconclusive element that is the identity on it.
+    Each family checks its measurement once, on the pair, and that check
+    is the outcome's report.
 
     By uniqueness, the first answer that passes is the optimum, and the
     remaining families are skipped, unless that answer sits on a class
@@ -546,14 +545,14 @@ def solve_4d(pair: WeightedDensityPair) -> SolverOutcome:
     """
     if not pair.strictly_skew:
         raise PreconditionViolated("solver requires a strictly skew pair")
-    core, isometry = pair.compressed
-    if core.dim != 4:
+    support = pair.collective_support().size
+    if support != 4:
         raise PreconditionViolated(
-            f"collective support must be four-dimensional, got {core.dim}")
-    if any(s.size != 2 for s in core.supports):
+            f"collective support must be four-dimensional, got {support}")
+    if any(s.size != 2 for s in pair.supports):
         raise PreconditionViolated("both states must have rank two")
 
-    outcomes = _accepted_outcomes(core)
+    outcomes = _accepted_outcomes(pair)
     first = next(outcomes, None)
     if first is None:
         raise NoSolutionFound(
@@ -563,8 +562,7 @@ def solve_4d(pair: WeightedDensityPair) -> SolverOutcome:
     # on a class boundary, answers of two families can agree up to
     # tolerance: keep the one with the smaller residual and mark the outcome
     found.sort(key=lambda oc: _residual_total(oc.report))
-    best = replace(found[0], measurement=expand_measurement(
-        found[0].measurement, isometry))
+    best = found[0]
     if len(found) == 1:
         return best
     note = (f"{len(found)} families passed verification (class boundary);"

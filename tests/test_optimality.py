@@ -4,8 +4,8 @@ import pytest
 from usdkit import (CertificateFailure, NotProper, OracleConfig,
                     PreconditionViolated, UsdMeasurement, WeightedDensityPair,
                     build_certificate, check_optimality, classify, is_proper,
-                    solve_4d, success_probability, try_fidelity_form,
-                    try_single_state_detection)
+                    reduce_fully, solve_4d, success_probability,
+                    try_fidelity_form, try_single_state_detection)
 from usdkit import linalg as la
 from usdkit.model import complete_measurement
 from usdkit.optimality import (count_types_classes, projective_part_law,
@@ -301,4 +301,6 @@ def test_certificate_for_reduced_pair(rng):
     outcome = dispatch(pair)
     assert outcome.optimal
     cert = build_certificate(outcome.measurement, pair)
-    assert cert.pair.dim <= pair.dim
+    # built on the reduced pair, in the pair's own space
+    assert cert.pair is reduce_fully(pair).reduced_pair
+    assert cert.z.shape == (pair.dim, pair.dim)

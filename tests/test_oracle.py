@@ -106,6 +106,16 @@ def test_random_feasible_points_are_feasible(rng):
     assert np.linalg.norm(e1 - e2) > 1e-3
 
 
+def test_unconverged_random_draw_raises(rng, monkeypatch):
+    # a splitting that never moves leaves the random start, which violates
+    # the separation constraint: the draw must refuse it, not return it
+    pair = random_skew_pair(rng)
+    monkeypatch.setattr(FeasibleSet, "project",
+                        lambda self, e, cycles=500, tol=1e-13: e)
+    with pytest.raises(NonConvergence, match="random draw"):
+        random_feasible_inconclusive(pair, seed=0)
+
+
 def test_project_returns_a_feasible_input_unchanged(rng):
     pair = random_skew_pair(rng)
     feas = FeasibleSet(pair)

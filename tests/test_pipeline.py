@@ -10,7 +10,7 @@ import pytest
 from usdkit import (InvalidInconclusive, NonConvergence, OracleConfig,
                     UsdMeasurement, WeightedDensityPair, classify, dispatch,
                     lift_measurement, oracle_optimize, reduce_fully,
-                    success_probability)
+                    solve_4d, success_probability)
 from usdkit import pipeline
 from usdkit.cli import main
 from usdkit.model import complete_measurement, expand_measurement
@@ -140,8 +140,8 @@ def test_dispatch_runs_each_stage_once(monkeypatch):
                  "solve_4d"):
         assert counts[name] <= 1, name
     assert counts["build_certificate"] == 1
-    # one check on the compressed core, whose report is the pair's (the
-    # reduction removes nothing here); the certificate takes that report
+    # one check, on the pair itself (the reduction removes nothing here);
+    # the certificate takes that report
     assert counts["check_optimality"] == 1
     assert counts["classify"] <= 1
     # a (5;2,3) pair reduces to a (2,2) core: the core's check is the
@@ -643,6 +643,24 @@ def test_sweep_matches_fresh_dispatch(family):
         _assert_same_answer(row, fresh)
 
 
+def test_analytic_answers_need_no_compressed_copy(monkeypatch):
+    # solve_4d and build_certificate work in the pair's own space; only the
+    # oracle compresses
+    def compressed(self):
+        raise AssertionError("compressed a pair outside the oracle")
+
+    monkeypatch.setattr(WeightedDensityPair, "compressed",
+                        property(compressed))
+    pairs = [WeightedDensityPair.from_states(*generic_pair(
+        np.random.default_rng([d, r1, r2]), d, r1, r2), 0.5)
+        for d, r1, r2 in ((4, 2, 2), (5, 2, 3), (3, 1, 2))]
+    pairs.append(WeightedDensityPair.from_states(*peres_states(dim=3), 0.5))
+    for pair in pairs:
+        outcome = dispatch(pair)
+        assert outcome.optimal and outcome.certificate is not None
+    assert solve_4d(reduce_fully(pairs[1]).reduced_pair).optimal
+
+
 class _ReachedOracle(Exception):
     pass
 
@@ -680,16 +698,26 @@ def test_sweep_matches_fresh_dispatch_near_rank_cutoff(tail, monkeypatch):
             _assert_same_answer(shared, fresh)
 
 
-@pytest.mark.xfail(strict=True, raises=InvalidInconclusive, reason=(
-    "near-cutoff (4;2,2) pair: solve_4d accepts no family and the oracle's "
-    "answer does not complete to a measurement (ROADMAP item 2)"))
-def test_near_cutoff_pair_falls_back_to_a_measurement():
+def _near_cutoff4_states():
+    """A (4;2,2) pair whose kernels carry eigenvalue tails of about 3e-11,
+    between the relative rank cutoff and rank_atol."""
     base1, base2 = generic_pair(np.random.default_rng([77, 1]), 4, 2, 2)
     u = np.random.default_rng([78, 1]).random(4)
-    rho1 = with_eigenvalue_tails(base1, 3e-11 * (1 + u[:2]))
-    rho2 = with_eigenvalue_tails(base2, 3e-11 * (1 + u[2:]))
+    return (with_eigenvalue_tails(base1, 3e-11 * (1 + u[:2])),
+            with_eigenvalue_tails(base2, 3e-11 * (1 + u[2:])))
+
+
+def test_near_cutoff_pair_falls_back_to_a_measurement():
+    # solve_4d runs its families on the pair itself, with the rank
+    # decisions the pair took once; no rotated copy re-decides them, and
+    # the instance solves analytically, certified.  0.2763545690059208 is
+    # its answer with the tails dropped
+    rho1, rho2 = _near_cutoff4_states()
     pair = WeightedDensityPair.from_states(rho1, rho2, 0.08)
     outcome = dispatch(pair, oracle_cfg=OracleConfig(restarts=1, max_iters=200))
+    assert outcome.branch == "class-12"
+    assert outcome.optimal and outcome.certificate is not None
+    assert outcome.success == pytest.approx(0.2763545690059208, abs=1e-9)
     low, up = sweep_bounds(rho1, rho2)(0.08)
     assert low - 1e-12 <= outcome.success <= up + 1e-9
 
@@ -831,6 +859,22 @@ def test_near_cutoff8_problem_solves_as_class_12(capsys):
     assert np.array_equal(problem.rho2, rho2)
     assert problem.p1 == 0.4
     code = main(["solve", str(DATA / "near_cutoff8.json"), "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["branch"] == "class-12" and payload["optimal"] is True
+    assert payload["certificate_valid"] is True
+
+
+def test_near_cutoff4_problem_solves_as_class_12(capsys):
+    # tests/data/near_cutoff4.json holds the pair of
+    # test_near_cutoff_pair_falls_back_to_a_measurement, written by
+    # save_problem; the console script solves it analytically, certified
+    rho1, rho2 = _near_cutoff4_states()
+    problem = load_problem(DATA / "near_cutoff4.json")
+    assert np.array_equal(problem.rho1, rho1)
+    assert np.array_equal(problem.rho2, rho2)
+    assert problem.p1 == 0.08
+    code = main(["solve", str(DATA / "near_cutoff4.json"), "--json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert payload["branch"] == "class-12" and payload["optimal"] is True

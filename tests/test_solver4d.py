@@ -352,8 +352,8 @@ def _report_cases():
                                   "class-12", "class-11", "embedded-in-c6",
                                   "reduced-5-2-3"])
 def test_outcome_report_is_a_fresh_check_of_its_measurement(case):
-    # each family checks its measurement on the compressed pair only; that
-    # report must be the check of the expanded measurement on the pair
+    # each family checks its measurement once, on the pair it is given;
+    # that report must be a fresh check of the measurement on the pair
     branch, pair = _report_cases()[case]
     outcome = solve_4d(pair)
     assert outcome.branch == branch
