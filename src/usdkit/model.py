@@ -28,36 +28,6 @@ __all__ = [
 ]
 
 
-def _geometry(derive=None):
-    """A cached property of the pair's prior-independent geometry.
-
-    A pair that shares a base pair's geometry (see
-    `WeightedDensityPair.reweighted`) takes the value from the base,
-    passed through derive(value, pair, c1, c2) when the value also depends
-    on the weights; any other pair computes it on first use.
-    """
-    def wrap(compute):
-        def get(self):
-            if self._base is None:
-                return compute(self)
-            base, c1, c2 = self._base
-            value = getattr(base, compute.__name__)
-            return value if derive is None else derive(value, self, c1, c2)
-        get.__name__, get.__doc__ = compute.__name__, compute.__doc__
-        return cached_property(get)
-    return wrap
-
-
-def _reweighted_compression(value, pair, c1, c2):
-    core, isometry = value
-    return core.reweighted(c1, c2), isometry
-
-
-def _reweighted_reduction(record, pair, c1, c2):
-    from .reductions import _reweighted_record  # reductions imports model
-    return _reweighted_record(record, pair, c1, c2)
-
-
 # Jordan-angle classification: cosines this close to 1 count as a shared
 # direction, cosines this close to 0 as mutually orthogonal directions.
 PARALLEL_COSINE_CUTOFF = 1e-9
@@ -75,6 +45,12 @@ class JordanSplit:
     are free: there the state is detected for sure.  values holds the
     eigenvalues that decided the two supports, None for a split handed
     down by a reduction (`core`).
+
+    The split is the one carrier of a pair's prior-independent geometry:
+    everything below is read off the bases and cosines on first use and
+    kept, and a pair shares it with another by holding the same split
+    (`WeightedDensityPair.reweighted`, `reductions.reduce_fully`).  Its
+    arrays are read-only.
     """
 
     supports: tuple[Subspace, Subspace]
@@ -83,6 +59,10 @@ class JordanSplit:
     n_parallel: int
     n_skew: int
     values: tuple[np.ndarray, np.ndarray] | None
+
+    @property
+    def dim(self) -> int:
+        return self.supports[0].dim
 
     @property
     def skew(self) -> slice:
@@ -94,6 +74,7 @@ class JordanSplit:
         """rank(gamma1 gamma2): the Jordan pairs that are not orthogonal."""
         return self.n_parallel + self.n_skew
 
+    @cached_property
     def core(self) -> "JordanSplit":
         """The split of the reduced pair (`reductions.reduce_fully`): only
         the skew pairs, each kernel taking in the other columns."""
@@ -105,6 +86,92 @@ class JordanSplit:
                          for s in self.supports)
         return JordanSplit(supports, kernels, self.cosines[skew], 0,
                            self.n_skew, None)
+
+    @cached_property
+    def support_projectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The orthogonal projectors onto the two supports."""
+        return tuple(_freeze(s.projector()) for s in self.supports)
+
+    @cached_property
+    def collective(self) -> tuple[Subspace, Subspace]:
+        """(collective support, common kernel): supp gamma1, the unit
+        vector orthogonal to it in each Jordan pair that is not parallel,
+        the unpaired columns of supp gamma2; the rest, from one QR unless
+        the support is the whole space."""
+        b1, b2 = (s.basis for s in self.supports)
+        paired = slice(self.n_parallel, len(self.cosines))
+        basis = np.hstack((b1, _normal(b2[:, paired], b1[:, paired],
+                                       self.cosines[paired]),
+                           b2[:, paired.stop:]))
+        if basis.shape[1] == self.dim:
+            kernel = Subspace.zero(self.dim)
+        else:
+            q = np.linalg.qr(basis, mode="complete")[0]
+            kernel = Subspace(self.dim, _freeze(q[:, basis.shape[1]:]))
+        return Subspace(self.dim, _freeze(basis)), kernel
+
+    @cached_property
+    def support_overlap(self) -> Subspace:
+        """supp(gamma1) ∩ supp(gamma2): the parallel Jordan directions, the
+        part the parallel reduction removes."""
+        return Subspace(self.dim, self.supports[0].basis[:, :self.n_parallel])
+
+    @cached_property
+    def detector_spaces(self) -> tuple[Subspace, Subspace]:
+        """ker(gamma2) resp. ker(gamma1) inside the collective support: the
+        directions on which state 1 resp. state 2 is detected for sure;
+        for state 1, (b1 - c b2) / sqrt(1 - c^2) per skew pair and the
+        free columns of supp gamma1."""
+        skew = self.skew
+        c = self.cosines[skew]
+        b1, b2 = (s.basis for s in self.supports)
+        return tuple(Subspace(self.dim, _freeze(np.hstack((
+            _normal(own[:, skew], other[:, skew], c), own[:, skew.stop:]))))
+            for own, other in ((b1, b2), (b2, b1)))
+
+    @cached_property
+    def detectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Lambda1, Lambda2): orthogonal projectors onto the detector spaces."""
+        return tuple(_freeze(s.projector()) for s in self.detector_spaces)
+
+    @cached_property
+    def obliques(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Q1, Q2): oblique projectors that complete e1, e2 from e_q.
+
+        Q1 has kernel ker(Lambda1) and projects onto the part of
+        supp(gamma1) outside the support overlap; Q2 swaps the roles.
+        With L the detector basis and T the non-parallel Jordan columns of
+        supp(gamma1), L^dag T is diagonal, so Q1 = T (L^dag T)^-1 L^dag
+        needs no decomposition.  A state without a detector space gets the
+        zero operator.
+        """
+        out = []
+        for lam, own in zip(self.detector_spaces, self.supports):
+            t = own.basis[:, self.n_parallel:]
+            diag = np.einsum("ij,ij->j", lam.basis.conj(), t)
+            out.append(_freeze((t / diag) @ dag(lam.basis)))
+        return tuple(out)
+
+    @cached_property
+    def strictly_skew(self) -> bool:
+        """True iff both reductions act trivially: every Jordan direction is
+        skew, none parallel, orthogonal or unpaired.  Directions outside
+        the collective support are ignored (any measurement acts as
+        identity there)."""
+        return (self.n_parallel == 0 and self.n_skew
+                == self.supports[0].size == self.supports[1].size)
+
+    @cached_property
+    def reduction_projectors(self) -> tuple[np.ndarray, ...]:
+        """(pi_parallel, sigma1, sigma2, xi) of `reductions.ReductionRecord`:
+        onto the parallel columns, the free columns of either support, and
+        the rest."""
+        (b1, b2), free = (s.basis for s in self.supports), self.skew.stop
+        pi_par, sigma1, sigma2 = (Subspace(self.dim, cols).projector()
+                                  for cols in (b1[:, :self.n_parallel],
+                                               b1[:, free:], b2[:, free:]))
+        xi = np.eye(self.dim) - pi_par - sigma1 - sigma2
+        return tuple(_freeze(p) for p in (pi_par, sigma1, sigma2, xi))
 
 
 def _normal(b: np.ndarray, a: np.ndarray, cosines: np.ndarray) -> np.ndarray:
@@ -126,9 +193,10 @@ class WeightedDensityPair:
     gamma1: np.ndarray
     gamma2: np.ndarray
     tol: ToleranceContext = field(default=DEFAULT_TOL)
-    # (base pair, c1, c2) when this pair shares the base pair's geometry
-    _base: tuple | None = field(default=None, init=False, repr=False,
-                                compare=False)
+    # (c1, c2) when this pair holds a split handed over by `_lend_jordan`:
+    # its weights relative to the eigenvalues `jordan.values`
+    _weights: tuple | None = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def __post_init__(self):
         g1 = la.assert_hermitian(np.asarray(self.gamma1, dtype=complex),
@@ -162,33 +230,37 @@ class WeightedDensityPair:
         """The pair (c1 gamma1, c2 gamma2), sharing this pair's geometry.
 
         Supports, kernels and everything built from them depend on the
-        states alone, so the new pair takes them from this one; values
-        that carry the weights (the reduced pair, the compressed core, the
-        lifted offset) are reweighted alike.  A rank decision is shared
-        only when it provably matches the one the new pair would take
-        itself (`linalg.rank_survives_scaling`): the spectra of the two
-        operators scale by c1 and c2, and the Jordan cosines do not move.
-        Otherwise the new pair computes its own geometry.  A split handed
-        down by a reduction holds no rank decision and is always shared.
+        states alone, so the new pair is handed this pair's `JordanSplit`;
+        whatever carries the weights (the reduction record with its reduced
+        pair and lifted offset, the compressed core, the inverse of the
+        total) it builds itself.  A split is handed over only when its rank
+        decisions provably match the ones the new pair would take itself
+        (`linalg.rank_survives_scaling`): the spectra of the two operators
+        scale by c1 and c2, and the Jordan cosines do not move.  Otherwise
+        the new pair classifies its own supports.  A split handed down by a
+        reduction holds no rank decision and is always handed over.
         """
         if not (c1 > 0.0 and c2 > 0.0):
             raise ValueError("weights must be positive")
-        return self._lend_geometry(
+        return self._lend_jordan(
             WeightedDensityPair(self.dim, c1 * self.gamma1, c2 * self.gamma2,
                                 self.tol), c1, c2)
 
-    def _lend_geometry(self, pair: "WeightedDensityPair", c1: float,
-                       c2: float) -> "WeightedDensityPair":
-        """Let `pair`, which must be (c1 gamma1, c2 gamma2) up to rounding,
-        share this pair's geometry as `reweighted` describes; returns it."""
-        base, w1, w2 = self._base or (self, 1.0, 1.0)
+    def _lend_jordan(self, pair: "WeightedDensityPair", c1: float,
+                     c2: float) -> "WeightedDensityPair":
+        """Hand `pair`, which must be (c1 gamma1, c2 gamma2) up to rounding,
+        this pair's `jordan` where `reweighted` allows it; returns `pair`.
+        Its weights are recorded relative to the split's eigenvalues, so a
+        reweighting of `pair` tests the same eigenvalues again."""
+        w1, w2 = self._weights or (1.0, 1.0)
         w1, w2 = w1 * c1, w2 * c2
-        values = base.jordan.values
-        if values is None or all(
+        split = self.jordan
+        if split.values is None or all(
                 la.rank_survives_scaling(v, w, w, w * v.max(initial=0.0),
-                                         base.tol)
-                for v, w in zip(values, (w1, w2))):
-            object.__setattr__(pair, "_base", (base, w1, w2))
+                                         self.tol)
+                for v, w in zip(split.values, (w1, w2))):
+            object.__setattr__(pair, "jordan", split)
+            object.__setattr__(pair, "_weights", (w1, w2))
         return pair
 
     @property
@@ -205,18 +277,20 @@ class WeightedDensityPair:
         carries the weights, so a reweighted pair computes its own."""
         return _freeze(la.pseudo_inverse(self.total, self.tol))
 
-    # The geometry below does not depend on the prior: it is built from the
-    # Jordan classification of the two supports, or (the compressed core,
-    # the reduction) carries the weights in a way a reweighting can follow.
-    # Each value is computed on first use and kept for the life of the
-    # pair, and a reweighted pair derives it from its base.  Its arrays are
-    # shared by every caller and are read-only.
+    # The geometry below does not depend on the prior: every value is read
+    # off the Jordan classification of the two supports (`jordan`), which
+    # computes it on first use and keeps it, so a pair holding another
+    # pair's split shares all of it.  The compressed core and the reduction
+    # carry the weights and are built per pair.  Every array is shared by
+    # every caller and is read-only.
 
-    @_geometry()
+    @cached_property
     def jordan(self) -> JordanSplit:
         """The classification every support-geometry value below is read
         from: an eigendecomposition per state decides its support, one SVD
-        gives the Jordan pairs, and the two cosine cutoffs classify them."""
+        gives the Jordan pairs, and the two cosine cutoffs classify them.
+        A reweighted or reduced pair is handed it instead (`reweighted`,
+        `reductions.reduce_fully`)."""
         (w1, sup1, ker1), (w2, sup2, ker2) = (la.spectral_split(
             g, self.tol) for g in (self.gamma1, self.gamma2))
         b1, b2, cosines = la.jordan_bases(sup1, sup2, self.tol)
@@ -227,105 +301,35 @@ class WeightedDensityPair:
         return JordanSplit((Subspace(self.dim, b1), Subspace(self.dim, b2)),
                            (ker1, ker2), cosines, n_parallel, n_skew, (w1, w2))
 
-    @property
-    def supports(self) -> tuple[Subspace, Subspace]:
-        """(supp gamma1, supp gamma2), in Jordan bases."""
-        return self.jordan.supports
-
-    @property
-    def kernels(self) -> tuple[Subspace, Subspace]:
-        """(ker gamma1, ker gamma2)."""
-        return self.jordan.kernels
-
-    @_geometry()
-    def _collective(self) -> tuple[Subspace, Subspace]:
-        """(collective support, common kernel): supp gamma1, the unit
-        vector orthogonal to it in each Jordan pair that is not parallel,
-        the unpaired columns of supp gamma2; the rest, from one QR unless
-        the support is the whole space."""
-        split = self.jordan
-        b1, b2 = (s.basis for s in self.supports)
-        paired = slice(split.n_parallel, len(split.cosines))
-        basis = np.hstack((b1, _normal(b2[:, paired], b1[:, paired],
-                                       split.cosines[paired]),
-                           b2[:, paired.stop:]))
-        if basis.shape[1] == self.dim:
-            kernel = Subspace.zero(self.dim)
-        else:
-            q = np.linalg.qr(basis, mode="complete")[0]
-            kernel = Subspace(self.dim, _freeze(q[:, basis.shape[1]:]))
-        return Subspace(self.dim, _freeze(basis)), kernel
+    # reads of the split, documented there: supports and kernels (in
+    # Jordan bases), the support overlap, the detector spaces and their
+    # projectors, the obliques and the strictly-skew verdict
+    supports = property(lambda self: self.jordan.supports)
+    kernels = property(lambda self: self.jordan.kernels)
+    support_overlap = property(lambda self: self.jordan.support_overlap)
+    detector_spaces = property(lambda self: self.jordan.detector_spaces)
+    detectors = property(lambda self: self.jordan.detectors)
+    obliques = property(lambda self: self.jordan.obliques)
+    strictly_skew = property(lambda self: self.jordan.strictly_skew)
 
     def collective_support(self) -> Subspace:
-        return self._collective[0]
+        return self.jordan.collective[0]
 
     def common_kernel(self) -> Subspace:
-        return self._collective[1]
+        return self.jordan.collective[1]
 
-    @_geometry()
-    def support_overlap(self) -> Subspace:
-        """supp(gamma1) ∩ supp(gamma2): the parallel Jordan directions, the
-        part the parallel reduction removes."""
-        return Subspace(self.dim,
-                        self.supports[0].basis[:, :self.jordan.n_parallel])
-
-    @_geometry()
-    def detector_spaces(self) -> tuple[Subspace, Subspace]:
-        """ker(gamma2) resp. ker(gamma1) inside the collective support: the
-        directions on which state 1 resp. state 2 is detected for sure;
-        for state 1, (b1 - c b2) / sqrt(1 - c^2) per skew pair and the
-        free columns of supp gamma1."""
-        skew = self.jordan.skew
-        c = self.jordan.cosines[skew]
-        b1, b2 = (s.basis for s in self.supports)
-        return tuple(Subspace(self.dim, _freeze(np.hstack((
-            _normal(own[:, skew], other[:, skew], c), own[:, skew.stop:]))))
-            for own, other in ((b1, b2), (b2, b1)))
-
-    @_geometry()
-    def detectors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(Lambda1, Lambda2): orthogonal projectors onto the detector spaces."""
-        return tuple(_freeze(s.projector()) for s in self.detector_spaces)
-
-    @_geometry()
-    def obliques(self) -> tuple[np.ndarray, np.ndarray]:
-        """(Q1, Q2): oblique projectors that complete e1, e2 from e_q.
-
-        Q1 has kernel ker(Lambda1) and projects onto the part of
-        supp(gamma1) outside the support overlap; Q2 swaps the roles.
-        With L the detector basis and T the non-parallel Jordan columns of
-        supp(gamma1), L^dag T is diagonal, so Q1 = T (L^dag T)^-1 L^dag
-        needs no decomposition.  A state without a detector space gets the
-        zero operator.
-        """
-        out = []
-        for lam, own in zip(self.detector_spaces, self.supports):
-            t = own.basis[:, self.jordan.n_parallel:]
-            diag = np.einsum("ij,ij->j", lam.basis.conj(), t)
-            out.append(_freeze((t / diag) @ dag(lam.basis)))
-        return tuple(out)
-
-    @property
-    def strictly_skew(self) -> bool:
-        """True iff both reductions act trivially on the pair: every Jordan
-        direction (`jordan`) is skew, none parallel, orthogonal or
-        unpaired.  Directions outside the collective support are ignored
-        (any measurement acts as identity there)."""
-        split = self.jordan
-        return (split.n_parallel == 0 and split.n_skew
-                == self.supports[0].size == self.supports[1].size)
-
-    @_geometry(_reweighted_compression)
+    @cached_property
     def compressed(self) -> tuple["WeightedDensityPair", np.ndarray]:
         """The pair restricted to its collective support, and the isometry
         (columns = support basis) mapping compressed vectors back into the
-        ambient space."""
+        ambient space.  It carries the weights, so every pair builds its
+        own, and the core classifies its own supports."""
         v = self.collective_support().basis
         g1 = hermitian_part(dag(v) @ self.gamma1 @ v)
         g2 = hermitian_part(dag(v) @ self.gamma2 @ v)
         return WeightedDensityPair(v.shape[1], g1, g2, self.tol), v
 
-    @_geometry(_reweighted_reduction)
+    @cached_property
     def _reduction(self):
         """`reduction` with None in place of every reference to this pair:
         a pair that held itself would live until a cyclic garbage

@@ -223,14 +223,14 @@ class CertificateZ:
 
     z is PSD, annihilates the inconclusive element, dominates gamma_mu on
     the detector subspaces and agrees with gamma_mu against the conclusive
-    elements.  v1 is the operator the construction inverts; v1_condition
-    tracks how ill-posed that inversion was.  `pair` is the reduced pair
-    (`reduce_fully`) of the pair the certificate was asked for, in that
-    pair's own space, so z has the caller's dimension.
+    elements.  v1_condition is the condition number of the operator the
+    construction inverts: it tracks how ill-posed that inversion was.
+    `pair` is the reduced pair (`reduce_fully`) of the pair the
+    certificate was asked for, in that pair's own space, so z has the
+    caller's dimension.
     """
 
     z: np.ndarray
-    v1: np.ndarray
     pair: WeightedDensityPair
     residuals: dict = field(default_factory=dict)
     v1_condition: float = float("nan")
@@ -308,7 +308,7 @@ def build_certificate(m: UsdMeasurement, pair: WeightedDensityPair, *,
         if abs(value) > _CERTIFICATE_RESIDUAL_TOL:
             raise CertificateFailure(
                 f"certificate violates {name}: {value:.3e}", residuals)
-    return CertificateZ(z, v1, core, residuals, v1_cond)
+    return CertificateZ(z, core, residuals, v1_cond)
 
 
 @dataclass(frozen=True)

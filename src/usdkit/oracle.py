@@ -60,6 +60,10 @@ class OracleConfig:
     convergence_tol: float = 1e-8
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.convergence_tol <= 0:

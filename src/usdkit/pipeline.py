@@ -270,13 +270,16 @@ def sweep(rho1: np.ndarray, rho2: np.ndarray, p1_grid,
     """Dispatch every prior on the grid, sharing one pair's geometry.
 
     The prior only weights the two states, so their supports, kernels,
-    detector spaces and reduction to the strictly skew core are computed
-    once, on the pair at p1 = 0.5.  Each prior's pair, built by
-    `WeightedDensityPair.from_states(rho1, rho2, p1)`, borrows them as its
-    reweighting by (2 p1, 2 (1 - p1)) would (`WeightedDensityPair.reweighted`).
-    A rank decision is borrowed only when it provably matches the one that
+    detector spaces and reduction projectors are computed once, on the
+    `JordanSplit` of the pair at p1 = 0.5.  Each prior's pair, built by
+    `WeightedDensityPair.from_states(rho1, rho2, p1)`, is handed that
+    split as its reweighting by (2 p1, 2 (1 - p1)) would be
+    (`WeightedDensityPair.reweighted`), and builds what carries the
+    weights itself: its reduced pair (holding the split's one core split),
+    lifted offset and, when the oracle runs, compressed core.  A split is
+    handed over only when its rank decisions provably match the ones that
     pair would take itself; a prior where an eigenvalue sits close enough
-    to the rank cutoff for the decision to flip computes its own geometry.
+    to the rank cutoff for a decision to flip classifies its own supports.
     So every row is the answer `dispatch` gives on the pair built afresh.
     A row keeps no measurement, so no certificate is built.
     """
@@ -285,7 +288,7 @@ def sweep(rho1: np.ndarray, rho2: np.ndarray, p1_grid,
     rows = []
     for p1 in p1_grid:
         p1 = float(p1)
-        pair = base._lend_geometry(
+        pair = base._lend_jordan(
             WeightedDensityPair.from_states(rho1, rho2, p1, tol),
             2.0 * p1, 2.0 * (1.0 - p1))
         outcome = dispatch(pair, with_certificate=False)

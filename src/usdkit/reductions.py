@@ -8,13 +8,12 @@ with a closed-form success offset.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg as la
 from .errors import IncompatibleRecord
-from .linalg import Subspace
 from .model import (ORTHOGONAL_COSINE_CUTOFF, PARALLEL_COSINE_CUTOFF,
                     UsdMeasurement, WeightedDensityPair)
 
@@ -66,7 +65,7 @@ def tau_parallel(pair: WeightedDensityPair,
     i.e. the orthocomplement of supp(g1) ∩ supp(g2).  Proper measurements
     and their success probabilities coincide for both problems.
     """
-    p = np.eye(pair.dim) - pair._reduction.pi_parallel
+    p = np.eye(pair.dim) - pair.jordan.reduction_projectors[0]
     return _projected_pair(pair, p, p), p
 
 
@@ -78,8 +77,8 @@ def tau_skew(pair: WeightedDensityPair,
     (the sigma parts of `reduce_fully`); the projector returned is onto
     their joint orthocomplement.  Failure probability is preserved.
     """
-    record = pair._reduction
-    p = np.eye(pair.dim) - record.sigma1 - record.sigma2
+    _, sigma1, sigma2, _ = pair.jordan.reduction_projectors
+    p = np.eye(pair.dim) - sigma1 - sigma2
     return _projected_pair(pair, p, p), p
 
 
@@ -90,10 +89,11 @@ def reduce_fully(pair: WeightedDensityPair) -> ReductionRecord:
     (and unpaired directions) span the sigma parts, as the pair's one
     classification (`WeightedDensityPair.jordan`) decides.  The reduced
     pair is P_mu gamma_mu P_mu over the skew Jordan columns of supp
-    gamma_mu and holds their classification: it is strictly skew by
-    construction.  A second application never changes the result.  The
-    record is computed once per pair and kept
-    (`WeightedDensityPair.reduction`).
+    gamma_mu and holds their classification, the split's `core`: it is
+    strictly skew by construction, and the reduced pairs of all pairs
+    that hold one split (the priors of a `sweep`) share one core split.
+    A second application never changes the result.  The record is
+    computed once per pair and kept (`WeightedDensityPair.reduction`).
     """
     return pair.reduction
 
@@ -101,8 +101,10 @@ def reduce_fully(pair: WeightedDensityPair) -> ReductionRecord:
 def _reduction_record(pair: WeightedDensityPair) -> ReductionRecord:
     """The record of `pair` with None in place of the pair, and of the
     reduced pair when that is the pair itself; `reduce_fully` fills them
-    in from `WeightedDensityPair.reduction`."""
-    d = pair.dim
+    in from `WeightedDensityPair.reduction`.  The projectors are the
+    split's (`JordanSplit.reduction_projectors`); the offset and the
+    reduced pair carry the weights and are built on `pair`, and the
+    reduced pair is handed the split's `core`."""
     split = pair.jordan
     warnings = []
     for c in split.cosines:
@@ -112,38 +114,17 @@ def _reduction_record(pair: WeightedDensityPair) -> ReductionRecord:
             warnings.append(
                 f"Jordan cosine {c:.12g} lies within 10x of a classification"
                 " cutoff; the reduction is discontinuous here")
-    (b1, b2), free = (s.basis for s in split.supports), split.skew.stop
-    pi_par, sigma1, sigma2 = (Subspace(d, cols).projector() for cols in (
-        b1[:, :split.n_parallel], b1[:, free:], b2[:, free:]))
-    xi = np.eye(d) - pi_par - sigma1 - sigma2
-    for projector in (pi_par, sigma1, sigma2, xi):
-        projector.setflags(write=False)  # shared by the pair's reweightings
+    pi_par, sigma1, sigma2, xi = split.reduction_projectors
     # with nothing removed xi is exactly the identity and projecting would
     # only copy the pair; keeping the pair (None here, see
     # `WeightedDensityPair._reduction`) keeps its computed geometry
     reduced = None
-    if not pair.strictly_skew:
-        core = split.core()  # given to the reduced pair, which keeps it
-        reduced = _projected_pair(pair, *(s.projector() for s in core.supports))
-        object.__setattr__(reduced, "jordan", core)
-    return ReductionRecord(None, pi_par, sigma1, sigma2, xi,
-                           _offset(sigma1, sigma2, pair), reduced,
+    if not split.strictly_skew:
+        reduced = _projected_pair(pair, *split.core.support_projectors)
+        object.__setattr__(reduced, "jordan", split.core)
+    offset = float(np.real(np.trace((sigma1 + sigma2) @ pair.total)))
+    return ReductionRecord(None, pi_par, sigma1, sigma2, xi, offset, reduced,
                            tuple(warnings))
-
-
-def _offset(sigma1, sigma2, pair: WeightedDensityPair) -> float:
-    return float(np.real(np.trace((sigma1 + sigma2) @ pair.total)))
-
-
-def _reweighted_record(record: ReductionRecord, pair: WeightedDensityPair,
-                       c1: float, c2: float) -> ReductionRecord:
-    """The record of `pair` from that of the pair it is the (c1, c2)
-    reweighting of: the projectors are shared, the offset is taken on
-    `pair` and the reduced pair is reweighted alike."""
-    reduced = (None if record.reduced_pair is None
-               else record.reduced_pair.reweighted(c1, c2))
-    return replace(record, reduced_pair=reduced,
-                   lifted_offset=_offset(record.sigma1, record.sigma2, pair))
 
 
 def lift_measurement(m_reduced: UsdMeasurement,

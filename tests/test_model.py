@@ -51,10 +51,19 @@ def test_reweighted_pair_shares_geometry_where_rank_decisions_hold():
         fresh = WeightedDensityPair(4, c1 * base.gamma1, c2 * base.gamma2)
         assert [s.size for s in pair.supports] == \
             [s.size for s in fresh.supports]
+        # geometry is shared only by holding the base's split, and then
+        # everything read off it is the base's own object
+        assert (pair.jordan is base.jordan) == shares
         assert (pair.supports[0] is base.supports[0]) == shares
+        assert (pair.collective_support() is base.collective_support()) \
+            == shares
+        for name in ("detector_spaces", "detectors", "obliques"):
+            assert (getattr(pair, name) is getattr(base, name)) == shares
         record, fresh_record = reduce_fully(pair), reduce_fully(fresh)
         assert record.pair is pair
         assert (record.xi is reduce_fully(base).xi) == shares
+        assert (record.reduced_pair.jordan
+                is reduce_fully(base).reduced_pair.jordan) == shares
         assert record.lifted_offset == pytest.approx(
             fresh_record.lifted_offset, abs=1e-15)
         outcome = dispatch(pair, with_certificate=False)

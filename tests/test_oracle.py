@@ -182,6 +182,14 @@ def test_subrounding_tolerance_stops_at_rounding_level(rng):
     assert iterations < cfg.max_iters / 100
 
 
+@pytest.mark.parametrize("field,value", [
+    ("seed", -1), ("max_iters", 0), ("restarts", 0), ("convergence_tol", 0.0)])
+def test_config_rejects_invalid_fields(field, value):
+    # each is refused when the config is built, before any solve runs
+    with pytest.raises(ValueError, match=field):
+        OracleConfig(**{field: value})
+
+
 def test_probe_requires_ten_restarts(rng):
     pair = random_skew_pair(rng)
     with pytest.raises(ValueError):

@@ -619,6 +619,9 @@ def _sweep_states(family):
         return peres_states(dim=3)
     if family == "pure":
         return generic_pair(np.random.default_rng(0), 2, 1, 1)
+    if family == "skew6":
+        problem = load_problem(DATA / "skew6.json")
+        return problem.rho1, problem.rho2
     d, r1, r2 = (int(n) for n in family.replace(";", ",").split(","))
     return generic_pair(np.random.default_rng([d, r1, r2]), d, r1, r2)
 
@@ -632,15 +635,23 @@ def _assert_same_answer(row, fresh):
 
 
 @pytest.mark.parametrize("family", ["example1", "examples2", "peres", "pure",
-                                    "3;1,2", "4;2,2", "5;2,3", "5;3,3"])
+                                    "3;1,2", "4;2,2", "5;2,3", "5;3,3",
+                                    "skew6"])
 def test_sweep_matches_fresh_dispatch(family):
     # sweep shares one pair's geometry across its priors; each row must be
     # the answer dispatch gives on the pair built afresh at that prior
     rho1, rho2 = _sweep_states(family)
-    for row in sweep(rho1, rho2, GRID):
+    grid = np.linspace(0.1, 0.9, 9) if family == "skew6" else GRID
+    rows = sweep(rho1, rho2, grid)
+    for row in rows:
         fresh = dispatch(WeightedDensityPair.from_states(rho1, rho2, row.p1),
                          with_certificate=False)
         _assert_same_answer(row, fresh)
+    if family == "skew6":
+        # the (6;3,3) pair reaches the oracle, on a compressed core that
+        # each prior builds itself, at every prior but p1 = 0.9
+        assert [r.branch for r in rows] == ["oracle-checker"] * 8 + [
+            "single-state-detection"]
 
 
 def test_analytic_answers_need_no_compressed_copy(monkeypatch):
@@ -985,6 +996,13 @@ def test_cli_oracle(capsys):
     assert payload["upper_bound"] == pytest.approx(IDP, abs=1e-8)
     assert payload["upper_bound"] >= payload["success_probability"] - 1e-12
     assert len(payload["per_restart_distances"]) == 1
+
+
+def test_cli_oracle_rejects_a_negative_seed(capsys):
+    code = main(["oracle", str(DATA / "peres.json"), "--p1", "0.5",
+                 "--seed", "-1"])
+    assert code == 1
+    assert "seed must be >= 0" in capsys.readouterr().err
 
 
 def test_cli_oracle_probes_uniqueness(capsys):
