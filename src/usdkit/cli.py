@@ -30,8 +30,7 @@ def _tolerances(args) -> ToleranceContext:
     tol = DEFAULT_TOL
     overrides = {}
     if args.tol is not None:
-        overrides.update(equality=args.tol, idempotent=args.tol,
-                         hermitian=args.tol)
+        overrides.update(equality=args.tol, hermitian=args.tol)
     if getattr(args, "rank_cutoff", None) is not None:
         overrides["rank_cutoff"] = args.rank_cutoff
     if getattr(args, "psd_floor", None) is not None:
@@ -178,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="usdkit",
         description="Optimal unambiguous discrimination of two mixed states")
     parser.add_argument("--tol", type=float, default=None,
-                        help="override the equality/idempotency tolerances")
+                        help="override the equality and Hermiticity tolerances")
     parser.add_argument("--rank-cutoff", type=float, default=None,
                         help="override the relative rank cutoff")
     parser.add_argument("--psd-floor", type=float, default=None,

@@ -217,21 +217,11 @@ def oblique_projector(lam: np.ndarray, pi: np.ndarray,
     (neither may contain a direction orthogonal to the other).  Q is the
     Moore-Penrose inverse of lam @ pi and satisfies
     Q lam = Q,  pi Q = Q,  lam Q = lam,  Q pi = pi.
-    The supports of lam and pi are taken first; a caller that already
-    holds both subspaces skips that through `_oblique_between`.
+    With L, P the bases of the two supports, Q = P (L^dag P)^-1 L^dag,
+    inverted through the SVD of the overlap that also gives the principal
+    cosines; each must exceed tol.equality, or `SkewViolation` is raised.
     """
-    return _oblique_between(support(lam, tol), support(pi, tol), tol)
-
-
-def _oblique_between(lam: Subspace, pi: Subspace,
-                     tol: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
-    """`oblique_projector` of the projectors onto lam and pi, from their bases.
-
-    With L, P the bases, Q = P (L^dag P)^-1 L^dag, inverted through the SVD
-    of the k x k overlap that also gives the principal cosines.  Every
-    cosine kept exceeds tol.equality, far above the rank cutoff, so this is
-    exactly the Moore-Penrose inverse of (L L^dag)(P P^dag).
-    """
+    lam, pi = support(lam, tol), support(pi, tol)
     _check_same_dim(lam, pi)
     if lam.size != pi.size:
         raise SkewViolation(
@@ -273,16 +263,12 @@ def sqrt_psd(a: np.ndarray, tol: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
 
 def jordan_bases(a: Subspace, b: Subspace,
                  tol: ToleranceContext = DEFAULT_TOL,
-                 degeneracy_operator: np.ndarray | None = None,
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Jordan bases of two subspaces via the SVD of the basis overlap.
 
     Returns (basis_a, basis_b, cosines) with <a_i|b_j> = 0 for i != j and
-    <a_k|b_k> = cosines[k] >= 0, sorted descending.  When consecutive
-    cosines degenerate within tolerance and degeneracy_operator is given,
-    the paired vectors inside the degenerate group are co-rotated so the
-    operator's quadratic form becomes diagonal on the b-side group; this is
-    the extra convention the four-dimensional solver relies on.
+    <a_k|b_k> = cosines[k] >= 0, sorted descending.  The library calls it
+    once per pair, on the supports (`WeightedDensityPair.jordan`).
     """
     _check_same_dim(a, b)
     overlap = dag(a.basis) @ b.basis
@@ -290,30 +276,4 @@ def jordan_bases(a: Subspace, b: Subspace,
         return (a.basis.copy(), b.basis.copy(),
                 np.zeros(min(a.size, b.size)))
     x, s, yh = np.linalg.svd(overlap)
-    basis_a = a.basis @ x
-    basis_b = b.basis @ dag(yh)
-    npair = min(a.size, b.size)
-    cosines = np.clip(s[:npair], 0.0, 1.0)
-    if degeneracy_operator is not None:
-        for lo, hi in _degenerate_groups(cosines, tol.equality):
-            block = basis_b[:, lo:hi]
-            form = hermitian_part(dag(block) @ degeneracy_operator @ block)
-            _, rot = np.linalg.eigh(form)
-            basis_b[:, lo:hi] = block @ rot
-            basis_a[:, lo:hi] = basis_a[:, lo:hi] @ rot
-            for k in range(lo, hi):
-                z = np.vdot(basis_a[:, k], basis_b[:, k])
-                if abs(z) > tol.rank_atol:
-                    basis_b[:, k] *= z.conjugate() / abs(z)
-    return basis_a, basis_b, cosines
-
-
-def _degenerate_groups(cosines, eq_tol):
-    groups = []
-    start = 0
-    for i in range(1, len(cosines) + 1):
-        if i == len(cosines) or abs(cosines[i] - cosines[start]) > 10 * eq_tol:
-            if i - start > 1:
-                groups.append((start, i))
-            start = i
-    return groups
+    return a.basis @ x, b.basis @ dag(yh), np.clip(s, 0.0, 1.0)

@@ -46,6 +46,9 @@ class JordanSplit:
     eigenvalues that decided the two supports, None for a split handed
     down by a reduction (`core`).
 
+    The detector spaces pair up in the same bases: their skew columns
+    (`detector_spaces`) have <d1_j|d2_k> = -cosines[k] for j = k, else 0.
+
     The split is the one carrier of a pair's prior-independent geometry:
     everything below is read off the bases and cosines on first use and
     kept, and a pair shares it with another by holding the same split
@@ -142,15 +145,12 @@ class JordanSplit:
         supp(gamma1) outside the support overlap; Q2 swaps the roles.
         With L the detector basis and T the non-parallel Jordan columns of
         supp(gamma1), L^dag T is diagonal, so Q1 = T (L^dag T)^-1 L^dag
-        needs no decomposition.  A state without a detector space gets the
-        zero operator.
+        needs no decomposition (`_diagonal_oblique`).  A state without a
+        detector space gets the zero operator.
         """
-        out = []
-        for lam, own in zip(self.detector_spaces, self.supports):
-            t = own.basis[:, self.n_parallel:]
-            diag = np.einsum("ij,ij->j", lam.basis.conj(), t)
-            out.append(_freeze((t / diag) @ dag(lam.basis)))
-        return tuple(out)
+        return tuple(_freeze(_diagonal_oblique(lam.basis,
+                                               own.basis[:, self.n_parallel:]))
+                     for lam, own in zip(self.detector_spaces, self.supports))
 
     @cached_property
     def strictly_skew(self) -> bool:
@@ -172,6 +172,12 @@ class JordanSplit:
                                                b1[:, free:], b2[:, free:]))
         xi = np.eye(self.dim) - pi_par - sigma1 - sigma2
         return tuple(_freeze(p) for p in (pi_par, sigma1, sigma2, xi))
+
+
+def _diagonal_oblique(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """`linalg.oblique_projector` onto span t along (span lam)^perp, for
+    bases with a diagonal, invertible overlap lam^dag t: T (L^dag T)^-1 L^dag."""
+    return (t / np.einsum("ij,ij->j", lam.conj(), t)) @ dag(lam)
 
 
 def _normal(b: np.ndarray, a: np.ndarray, cosines: np.ndarray) -> np.ndarray:

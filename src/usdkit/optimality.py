@@ -17,7 +17,7 @@ from . import linalg as la
 from .errors import CertificateFailure, NotProper, PreconditionViolated
 from .linalg import dag, hermitian_part
 from .model import (MeasurementClassTag, UsdMeasurement, WeightedDensityPair,
-                    is_proper, success_probability)
+                    _diagonal_oblique, is_proper, success_probability)
 
 __all__ = [
     "OptimalityReport", "CertificateZ", "SolverOutcome", "check_optimality",
@@ -179,7 +179,7 @@ def classify(m: UsdMeasurement, pair: WeightedDensityPair) -> MeasurementClassTa
     von_neumann = e1_rank + e2_rank == pair.jordan.cross_rank
     if von_neumann:
         for e in m.elements():
-            if np.abs(e @ e - e).max() > tol.idempotent:
+            if np.abs(e @ e - e).max() > tol.equality:
                 von_neumann = False
                 break
     return MeasurementClassTag(e1_rank, e2_rank, von_neumann, margin)
@@ -258,9 +258,12 @@ def build_certificate(m: UsdMeasurement, pair: WeightedDensityPair, *,
     measurement sandwiched by the record's projector xi onto the strictly
     skew core, (xi e1 xi, xi e2 xi, xi e_q xi + 1 - xi).  By the
     reduction laws that measurement is optimal for the reduced pair iff
-    `m` is optimal for `pair`.  Every residual of the certificate
-    (`CertificateZ.residuals`) must lie within the fixed absolute bound
-    1e-7, or `CertificateFailure` is raised.
+    `m` is optimal for `pair`.  The reduced pair is strictly skew, so the
+    oblique projector between its detector spaces is read off its
+    `JordanSplit`; the one SVD inverts V1.  Every residual of the
+    certificate (`CertificateZ.residuals`) must lie within the fixed
+    absolute bound 1e-7, or `CertificateFailure` is raised; this gate also
+    refuses a construction scaled by 1/c on a near-orthogonal Jordan pair.
 
     `report` is the `check_optimality(m, pair)` a caller already holds;
     without it the measurement is checked here.  Either way a report that
@@ -286,9 +289,8 @@ def build_certificate(m: UsdMeasurement, pair: WeightedDensityPair, *,
     g1, g2 = core.gamma1, core.gamma2
     lam1, lam2 = core.detectors
     # oblique projectors between the detector spaces (the kernels inside
-    # the collective support) and, on a strictly skew pair, along the
-    # detector spaces onto the supports
-    r1 = la._oblique_between(*core.detector_spaces, tol)
+    # the collective support) and along them onto the supports
+    r1 = _diagonal_oblique(*(s.basis for s in core.detector_spaces))
     q1, q2 = core.obliques
     v1 = hermitian_part(lam1 @ e @ (g2 - g1) @ e @ lam1 + lam1 @ g1 @ lam1)
     w1 = (r1 @ (lam1 - m.e1) + lam2 @ m.e1) @ v1

@@ -263,14 +263,26 @@ def finalize_candidate_12(cand: Candidate12, pair: WeightedDensityPair,
 def _kernel_jordan_data(pair: WeightedDensityPair):
     """Jordan bases of the detector spaces (the kernels inside the
     collective support), with the phase conventions the rank-(1,1)
-    candidate equations assume."""
+    candidate equations assume.  They are read off the split
+    (<d1_k|d2_k> = -c_k): D2 in ker gamma1 and -D1 in ker gamma2 overlap in
+    the split's cosines.  Cosines within 10 tol.equality of each other get
+    the basis that diagonalizes gamma1 on the ker gamma2 side, each pair
+    phased to a positive overlap."""
     tol = pair.tol
-    k2, k1 = pair.detector_spaces
-    basis1, basis2, cosines = la.jordan_bases(k1, k2, tol,
-                                              degeneracy_operator=pair.gamma1)
-    if len(cosines) < 2 or not (0 < cosines[1] <= cosines[0] < 1):
+    split = pair.jordan
+    if not (split.strictly_skew and split.n_skew == 2):
         raise PreconditionViolated(
             "kernel geometry is not strictly skew with two Jordan pairs")
+    d1, d2 = (s.basis for s in split.detector_spaces)
+    basis1, basis2, cosines = d2, -d1, split.cosines
+    if cosines[0] - cosines[1] <= 10 * tol.equality:
+        _, rot = np.linalg.eigh(hermitian_part(dag(basis2) @ pair.gamma1
+                                               @ basis2))
+        basis1, basis2 = basis1 @ rot, basis2 @ rot
+        for k in range(2):
+            z = np.vdot(basis1[:, k], basis2[:, k])
+            if abs(z) > tol.rank_atol:
+                basis2[:, k] *= z.conjugate() / abs(z)
     k11, k12 = basis1[:, 0], basis1[:, 1]
     k21, k22 = basis2[:, 0], basis2[:, 1]
     b1 = complex(np.vdot(k21, pair.gamma1 @ k22))

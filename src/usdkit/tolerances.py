@@ -24,12 +24,11 @@ class ToleranceContext:
     rank_atol: float = 1e-12
     psd_floor: float = 1e-10
     hermitian: float = 1e-10
-    idempotent: float = 1e-8
     equality: float = 1e-8
 
     def __post_init__(self):
         for name in ("rank_cutoff", "rank_atol", "psd_floor", "hermitian",
-                     "idempotent", "equality"):
+                     "equality"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
         if self.rank_cutoff >= 1:

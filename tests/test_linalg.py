@@ -139,6 +139,17 @@ def test_oblique_projector_rejects_orthogonal_pair():
         la.oblique_projector(lam, pi)
 
 
+def test_oblique_between_rejects_what_oblique_projector_rejects():
+    # a line against a plane (unequal ranks) and a line against a nearly
+    # orthogonal one (cosine 1e-9, below tol.equality) are both refused
+    line = subspace([1, 0, 0])
+    plane = subspace([1, 0, 0], [0, 1, 0])
+    tilted = subspace([1e-9, 1, 0])
+    for a, b in ((line, plane), (line, tilted)):
+        with pytest.raises(SkewViolation):
+            la.oblique_projector(a.projector(), b.projector())
+
+
 def test_oblique_projector_identities(rng):
     # Q lam = Q, pi Q = Q, lam Q = lam, Q pi = pi over random skew pairs
     for _ in range(25):
@@ -153,34 +164,6 @@ def test_oblique_projector_identities(rng):
         np.testing.assert_allclose(lam @ q, lam, atol=1e-8)
         np.testing.assert_allclose(q @ pi, pi, atol=1e-8)
         np.testing.assert_allclose(q @ q, q, atol=1e-8)
-
-
-def test_oblique_between_matches_oblique_projector():
-    # the basis form agrees with the projector form and obeys its identities
-    rng = np.random.default_rng([5, 3])
-    for d in range(3, 7):
-        for k in range(1, 4):
-            lam_s, pi_s = (Subspace.from_columns(
-                rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k)))
-                for _ in range(2))
-            lam, pi = lam_s.projector(), pi_s.projector()
-            q = la._oblique_between(lam_s, pi_s)
-            np.testing.assert_allclose(q, la.oblique_projector(lam, pi),
-                                       atol=1e-12)
-            for lhs, rhs in ((q @ lam, q), (pi @ q, q), (lam @ q, lam),
-                             (q @ pi, pi)):
-                np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-
-def test_oblique_between_rejects_what_oblique_projector_rejects():
-    line = subspace([1, 0, 0])
-    plane = subspace([1, 0, 0], [0, 1, 0])
-    tilted = subspace([1e-9, 1, 0])
-    for a, b in ((line, plane), (line, tilted)):
-        with pytest.raises(SkewViolation):
-            la._oblique_between(a, b)
-        with pytest.raises(SkewViolation):
-            la.oblique_projector(a.projector(), b.projector())
 
 
 def test_rank_margin_is_the_smallest_kept_value_over_the_cutoff():
@@ -256,23 +239,6 @@ def test_jordan_bases_mutual_orthogonality(rng):
             expected[k, k] = c
         np.testing.assert_allclose(overlap, expected, atol=1e-10)
         assert all(cos[i] >= cos[i + 1] - 1e-12 for i in range(len(cos) - 1))
-
-
-def test_jordan_bases_degeneracy_operator(rng):
-    # equal-angle pair: rotate a plane by a fixed angle around two axes
-    theta = 0.4
-    c, s = np.cos(theta), np.sin(theta)
-    a = subspace([1, 0, 0, 0], [0, 1, 0, 0])
-    b = subspace([c, 0, s, 0], [0, c, 0, s])
-    op = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    op = op @ dag(op)
-    ba, bb, cos = la.jordan_bases(a, b, degeneracy_operator=op)
-    np.testing.assert_allclose(cos, [c, c], atol=1e-12)
-    cross = np.vdot(bb[:, 0], op @ bb[:, 1])
-    assert abs(cross) < 1e-9
-    overlap = dag(ba) @ bb
-    np.testing.assert_allclose(overlap, np.diag(np.diag(overlap)), atol=1e-9)
-    assert np.all(np.real(np.diag(overlap)) > 0)
 
 
 def test_kernel_sum_decomposition_lemma(rng):

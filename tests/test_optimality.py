@@ -12,7 +12,8 @@ from usdkit.optimality import (count_types_classes, projective_part_law,
                                rank_law_check)
 from usdkit.oracle import FeasibleSet, oracle_optimize
 
-from util import peres_nonproper_measurement, peres_states, random_skew_pair
+from util import (peres_nonproper_measurement, peres_states,
+                  random_skew_pair, record_svd_shapes)
 
 CERT_RESIDUAL = 1e-7
 
@@ -262,6 +263,17 @@ def test_certificate_on_class11(rng):
         assert la.min_eigenvalue(cert.z) >= -CERT_RESIDUAL
         return
     pytest.fail("no class-[1,1] instance in 60 draws")
+
+
+def test_certificate_takes_one_svd(rng, monkeypatch):
+    # the oblique projector between the detector spaces is read off the
+    # pair's Jordan split; the one SVD is the pseudo-inverse of V1
+    pair = random_skew_pair(rng)
+    m = solve_4d(pair).measurement
+    report = check_optimality(m, pair)
+    calls = record_svd_shapes(monkeypatch)
+    build_certificate(m, pair, report=report)
+    assert calls == [(4, 4)]
 
 
 def test_certificate_rejects_suboptimal(rng):

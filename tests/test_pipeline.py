@@ -20,7 +20,7 @@ from usdkit.pipeline import (BLOCK_STRUCTURE_NOTE, ProblemFile,
                              sweep_bounds)
 
 from util import (example1_states, examples2_states, generic_pair,
-                  peres_states, with_eigenvalue_tails)
+                  peres_states, random_density, with_eigenvalue_tails)
 
 DATA = Path(__file__).parent / "data"
 IDP = 1 - 1 / np.sqrt(2)
@@ -266,6 +266,27 @@ def test_dispatch_report_is_the_check_of_its_measurement():
         outcome = dispatch(pair)
         assert outcome.optimal and outcome.certificate is not None
         _assert_report_is_a_fresh_check(outcome, pair)
+
+
+def test_detector_oblique_is_read_off_the_split():
+    # on a strictly skew pair the detector columns pair up in the Jordan
+    # bases (<d1_k|d2_k> = -c_k), so the oblique projector between the
+    # detector spaces needs no decomposition; it is the one that
+    # oblique_projector finds by an SVD
+    from usdkit.linalg import oblique_projector
+    from usdkit.model import _diagonal_oblique
+
+    rho1, rho2 = generic_pair(np.random.default_rng([31, 4]), 4, 2, 2)
+    pairs = [WeightedDensityPair.from_states(rho1, rho2, 0.4)] + [
+        reduce_fully(WeightedDensityPair.from_states(
+            *generic_pair(np.random.default_rng(shape), *shape), 0.4)
+        ).reduced_pair for shape in REDUCED_SHAPES]
+    for pair in pairs:
+        assert pair.strictly_skew
+        d1, d2 = pair.detector_spaces
+        np.testing.assert_allclose(_diagonal_oblique(d1.basis, d2.basis),
+                                   oblique_projector(*pair.detectors),
+                                   rtol=0, atol=1e-10)
 
 
 def _near_cutoff_states(ortho, par):
@@ -890,6 +911,60 @@ def test_near_cutoff4_problem_solves_as_class_12(capsys):
     assert code == 0
     assert payload["branch"] == "class-12" and payload["optimal"] is True
     assert payload["certificate_valid"] is True
+
+
+def _near_orthogonal4_states():
+    """A strictly skew (4;2,2) pair with Jordan cosines 0.5 and c = 5e-9,
+    in a random basis: supp rho1 = span{e0, e1} and supp rho2 =
+    span{0.5 e0 + sqrt(0.75) e2, c e1 + sqrt(1 - c^2) e3}."""
+    from usdkit.linalg import dag
+
+    c = 5e-9
+    rng = np.random.default_rng([15, 1])
+    b1 = np.eye(4, dtype=complex)[:, :2]
+    b2 = np.zeros((4, 2), dtype=complex)
+    b2[0, 0], b2[2, 0] = 0.5, np.sqrt(0.75)
+    b2[1, 1], b2[3, 1] = c, np.sqrt(1 - c * c)
+    rho1 = b1 @ random_density(rng, 2, 2) @ dag(b1)
+    rho2 = b2 @ random_density(rng, 2, 2) @ dag(b2)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    return q @ rho1 @ dag(q), q @ rho2 @ dag(q)
+
+
+# the oracle on tests/data/near_orthogonal4.json (one restart, 200 000
+# iterations; 10^6 give the same digits): its converged point and its
+# dual upper bound.  The analytic answer, a measurement feasible to 1e-15,
+# lies 2.1e-9 above that point and below the bound
+NEAR_ORTHOGONAL4_ORACLE = (0.8750261700916128, 0.8750261737550045)
+
+
+def test_near_orthogonal4_problem_solves_as_class_12(capsys):
+    # tests/data/near_orthogonal4.json, written by save_problem, holds a
+    # Jordan cosine of 5e-9: skew (above the 1e-9 cutoff) but below
+    # tol.equality.  The certificate's oblique projector scales by 1/c
+    # there, and the certificate's residual gate refuses it; the answer
+    # stays checker-certified
+    rho1, rho2 = _near_orthogonal4_states()
+    problem = load_problem(DATA / "near_orthogonal4.json")
+    assert np.array_equal(problem.rho1, rho1)
+    assert np.array_equal(problem.rho2, rho2)
+    assert problem.p1 == 0.1
+    pair = problem.pair()
+    assert pair.strictly_skew
+    assert pair.jordan.cosines[1] == pytest.approx(5e-9, rel=1e-6)
+    outcome = dispatch(pair)
+    assert outcome.branch == "class-12" and outcome.optimal
+    _assert_report_is_a_fresh_check(outcome, pair)
+    assert outcome.certificate is None
+    assert any(note.startswith("certificate construction failed")
+               for note in outcome.warnings)
+    low, up = NEAR_ORTHOGONAL4_ORACLE
+    assert low <= outcome.success <= up
+    code = main(["solve", str(DATA / "near_orthogonal4.json"), "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["branch"] == "class-12" and payload["optimal"] is True
+    assert payload["certificate_valid"] is False
 
 
 def test_cli_solve_reaches_the_oracle(capsys):

@@ -13,7 +13,7 @@ from usdkit.solver4d import (Rejection, balance_residual_11,
                              finalize_candidate_12)
 
 from util import (example1_states, examples2_states, generic_pair,
-                  random_skew_pair)
+                  random_density, random_skew_pair, record_svd_shapes)
 
 
 def oracle_value(pair, seed=0):
@@ -104,6 +104,8 @@ def test_preconditions():
     pair = WeightedDensityPair.from_states(rho, rho, 0.5)
     with pytest.raises(PreconditionViolated):
         solve_4d(pair)
+    with pytest.raises(PreconditionViolated, match="two Jordan pairs"):
+        enumerate_candidates_11(pair)
     # rank-1 states: support is 2-dim, not 4
     v = np.zeros(4, dtype=complex); v[0] = 1
     w = np.ones(4, dtype=complex) / 2
@@ -281,12 +283,8 @@ def test_exclusivity_all_accepted_measurements_coincide(rng):
                                   - accepted[0].e_inconclusive) < 1e-6
 
 
-def test_degenerate_probe_roots_solve_b1(monkeypatch):
-    # two 2x2 blocks: both cross elements vanish, so the rank-(1,1)
-    # enumeration probes every nonzero root x of B1 for a continuous
-    # family; each probed x must make B1 vanish
-    import usdkit.solver4d as s4
-
+def _two_block_pair():
+    """A (4;2,2) pair of two 2x2 blocks: both cross elements vanish."""
     def block_state(weight_a, angle_a, weight_b, angle_b):
         g = np.zeros((4, 4), dtype=complex)
         for lo, weight, angle in ((0, weight_a, angle_a), (2, weight_b, angle_b)):
@@ -294,8 +292,17 @@ def test_degenerate_probe_roots_solve_b1(monkeypatch):
             g[lo:lo + 2, lo:lo + 2] = weight * np.outer(v, v)
         return g
 
-    pair = WeightedDensityPair(4, block_state(0.1, 0.0, 0.3, 1.1),
+    return WeightedDensityPair(4, block_state(0.1, 0.0, 0.3, 1.1),
                                block_state(0.2, 0.5, 0.4, 0.0))
+
+
+def test_degenerate_probe_roots_solve_b1(monkeypatch):
+    # two 2x2 blocks: both cross elements vanish, so the rank-(1,1)
+    # enumeration probes every nonzero root x of B1 for a continuous
+    # family; each probed x must make B1 vanish
+    import usdkit.solver4d as s4
+
+    pair = _two_block_pair()
     *_, c, g13, g23, d1, d2 = s4._kernel_jordan_data(pair)
     assert g13 == 0.0 and g23 == 0.0
     probed = []
@@ -313,6 +320,39 @@ def test_degenerate_probe_roots_solve_b1(monkeypatch):
         # B1(x) / x = (c^2 x^2 + 1)^2 d1 - c^2 (x^2 + 1)^2 d2
         terms = ((c * c * x * x + 1) ** 2 * d1, c * c * (x * x + 1) ** 2 * d2)
         assert abs(terms[0] - terms[1]) <= 1e-12 * max(map(abs, terms))
+
+
+def test_class11_kernel_bases_take_no_svd(monkeypatch):
+    # the kernel Jordan pairs are read off the pair's split, which the
+    # pair classified once
+    pair = _two_block_pair()
+    assert pair.strictly_skew
+    calls = record_svd_shapes(monkeypatch)
+    enumerate_candidates_11(pair)
+    assert calls == []
+
+
+def test_kernel_jordan_data_reads_the_split(rng):
+    # equal-angle pair: supp gamma2 tilts both axes of supp gamma1 by the
+    # same angle, so the two cosines coincide and the kernel bases are
+    # rotated to make gamma1's form on the ker(gamma2) basis diagonal
+    import usdkit.solver4d as s4
+
+    c, s = np.cos(0.4), np.sin(0.4)
+    b1 = np.eye(4, dtype=complex)[:, :2]
+    b2 = np.array([[c, 0, s, 0], [0, c, 0, s]], dtype=complex).T
+    rho1 = b1 @ random_density(rng, 2, 2) @ dag(b1)
+    rho2 = b2 @ random_density(rng, 2, 2) @ dag(b2)
+    pair = WeightedDensityPair.from_states(rho1, rho2, 0.4)
+    cosines = pair.jordan.cosines
+    np.testing.assert_allclose(cosines, [c, c], atol=1e-12)
+    (k11, k12, k21, k22), _, ratio, g13, *_ = s4._kernel_jordan_data(pair)
+    assert g13 == 0.0
+    overlap = dag(np.column_stack((k11, k12))) @ np.column_stack((k21, k22))
+    np.testing.assert_allclose(overlap, np.diag(np.diag(overlap)), atol=1e-9)
+    assert np.all(np.abs(np.diag(overlap).imag) < 1e-12)
+    assert np.all(np.diag(overlap).real > 0)
+    assert ratio == cosines[1] / cosines[0]
 
 
 # ---------------------------------------------------------------- reports

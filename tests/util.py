@@ -132,3 +132,17 @@ def with_eigenvalue_tails(rho: np.ndarray, tails) -> np.ndarray:
     w[w < 1e-6] = tails
     out = (u * w) @ dag(u)
     return out / np.real(np.trace(out))
+
+
+def record_svd_shapes(monkeypatch) -> list:
+    """Patch np.linalg.svd to record the shape of every matrix it is
+    given; returns the (growing) list of shapes."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return shapes
