@@ -7,8 +7,12 @@ tr[(1 - E) Gamma], with Gamma = gamma1 + gamma2, is linear in E, so the
 optimum solves a semidefinite program.  Each restart solves it with one
 Douglas-Rachford (ADMM) splitting: the exact affine projection alternates
 with the spectral box [0, 1] while a scaled dual variable accumulates the
-constraint forces.  The same splitting with no objective polishes the
-answer onto the feasible set and draws random feasible points.
+constraint forces.  The splitting runs as a fixed-point iteration with
+safeguarded Anderson acceleration: from a short history of its points it
+extrapolates, and it falls back to the plain step whenever the
+extrapolated point does not reduce the fixed-point residual (`_split`).
+The same splitting with no objective polishes the answer onto the
+feasible set and draws random feasible points.
 
 The splitting's dual also yields an upper bound on the success.  Any
 Hermitian Y orthogonal to the null space of the affine constraints has
@@ -43,15 +47,16 @@ class OracleConfig:
     """Knobs for the optimizer.
 
     Restart k draws its start from `seed` and k alone and runs the
-    splitting for at most `max_iters` iterations, stopping early once the
-    primal and dual residuals drop below convergence_tol clipped to
-    [5e-14, 1e-13]; the polish, the same splitting with no objective, stops
-    likewise at [5e-15, 1e-14] or after 30 000 iterations.  The lower
-    ends sit just above the rounding level where the residuals stall, so a
-    tighter convergence_tol does not run out the budgets.  The oracle
-    raises NonConvergence when the returned operator's feasibility residual
+    splitting for at most `max_iters` map evaluations, rejected Anderson
+    extrapolations included, stopping early once the primal and dual
+    residuals drop below convergence_tol clipped to [5e-14, 1e-13]; the
+    polish, the same splitting with no objective, stops likewise at
+    [5e-15, 1e-14] or after 30 000 evaluations.  The lower ends sit just
+    above the rounding level where the residuals stall, so a tighter
+    convergence_tol does not run out the budgets.  The oracle raises
+    NonConvergence when the returned operator's feasibility residual
     exceeds convergence_tol.  `dispatch` runs restart 0 alone first, and
-    all `restarts` only when the checker refuses that point.
+    the other `restarts` only when the checker refuses that point.
     """
 
     seed: int = 0
@@ -76,7 +81,9 @@ class OracleResult:
 
     upper_bound is the smallest of the restarts' dual bounds; it holds for
     every feasible operator, so upper_bound - success bounds the distance
-    to the optimal success.
+    to the optimal success.  iterations is the number of map evaluations
+    of the restarts' splittings, one spectral-box projection (an `eigh`)
+    each, rejected extrapolations included; the polish's are not counted.
     """
 
     e_q_opt: np.ndarray
@@ -134,15 +141,16 @@ class FeasibleSet:
 
     @staticmethod
     def _clip_spectrum(e: np.ndarray) -> np.ndarray:
-        w, u = np.linalg.eigh(hermitian_part(e))
-        return (u * np.clip(w, 0.0, 1.0)) @ dag(u)
+        # eigh reads one triangle, so e need be Hermitian only to rounding
+        w, u = np.linalg.eigh(e)
+        return (u * w.clip(0.0, 1.0)) @ dag(u)
 
     def project(self, e: np.ndarray, cycles: int = 500,
                 tol: float = 1e-13) -> np.ndarray:
         """A feasible point reached from e by the splitting with no objective.
 
-        Runs at most `cycles` iterations and stops once the primal and dual
-        residuals drop below tol.  The result lies in the spectral box
+        Runs at most `cycles` map evaluations and stops once the primal and
+        dual residuals drop below tol.  The result lies in the spectral box
         exactly, with the remaining residual in the affine constraint.  A
         feasible e comes back unchanged up to rounding; otherwise the point
         is feasible but in general not the one nearest to e.
@@ -204,27 +212,79 @@ def random_feasible_inconclusive(pair: WeightedDensityPair, seed: int = 0,
     return e
 
 
+# Anderson memory of `_split`: the last _MEMORY points of the iteration.
+_MEMORY = 10
+
+
 def _split(feas: FeasibleSet, start, objective, iters, tol):
     """Douglas-Rachford splitting for min tr(E objective) on the feasible set.
 
-    Alternates the exact affine projection with the spectral box while the
-    scaled dual accumulates the constraint forces; stops when the primal
-    residual |affine - boxed| and the dual residual |boxed - prev| are
-    both below tol.  Returns the boxed iterate, the dual and the iteration
-    count.
+    The splitting is the fixed-point iteration t <- T(t) on the input t of
+    the spectral box, T(t) = t + P_A(2 P_B(t) - t - objective) - P_B(t),
+    with P_B the box (`_clip_spectrum`) and P_A `project_affine`.  The
+    boxed iterate is P_B(t), the scaled dual t - P_B(t), and a plain step
+    t + g, with g = T(t) - t the affine minus the boxed iterate, is one
+    iteration of the alternating scheme.  Once the history holds the
+    _MEMORY points before the current one, each step is Anderson's
+    extrapolation (type II, Walker & Ni 2011): the affine combination of
+    the images T(t) of those points and the current one whose residuals g
+    combine to the least norm, found from a small Gram system.  The
+    safeguard (after SCS, Zhang, O'Donoghue & Boyd 2020) keeps the
+    extrapolated point only when its |g| is below the current one, and
+    that evaluation then serves as the next step's; otherwise the plain
+    step is taken and the history starts again, so where extrapolation
+    stalls it wastes one evaluation in every _MEMORY + 1.
+
+    Starts from t = start and stops when the primal residual |g| and the
+    dual residual |boxed - prev| are both below tol, prev being the last
+    point's boxed iterate.  Returns the boxed iterate, the dual and the
+    number of map evaluations, rejected extrapolations included; that
+    number never exceeds iters.
     """
-    boxed = hermitian_part(start)
-    dual = np.zeros_like(boxed)
-    used = 0
-    for used in range(1, iters + 1):
-        affine = feas.project_affine(boxed - dual - objective)
-        prev = boxed
-        boxed = feas._clip_spectrum(affine + dual)
-        dual = dual + affine - boxed
-        if (np.linalg.norm(affine - boxed) < tol
-                and np.linalg.norm(boxed - prev) < tol):
-            break
-    return boxed, dual, used
+    shape = start.shape
+
+    def image(x):
+        """P_B(t) and g at the real view x of t."""
+        t = x.view(complex).reshape(shape)
+        boxed = feas._clip_spectrum(t)
+        g = feas.project_affine(2 * boxed - t - objective) - boxed
+        return boxed, g.reshape(-1).view(float)
+
+    prev = hermitian_part(np.asarray(start, dtype=complex))
+    x = prev.reshape(-1).view(float)
+    boxed, g = image(x)
+    res = g @ g
+    used = 1
+    # ring buffers of the last points' images x + g and residuals g
+    images = np.empty((_MEMORY, x.size))
+    residuals = np.empty_like(images)
+    stored = 0
+    while used < iters and (res >= tol * tol
+                            or np.linalg.norm(boxed - prev) >= tol):
+        plain = x + g
+        y = plain
+        if stored >= _MEMORY:
+            dg = residuals - g
+            gram = dg @ dg.T
+            # a relative ridge; the 1e-300 keeps an all-zero Gram solvable
+            gram.flat[::_MEMORY + 1] += 1e-10 * gram.trace() + 1e-300
+            y = plain - np.linalg.solve(gram, dg @ g) @ (images - plain)
+        y_boxed, y_g = image(y)
+        used += 1
+        y_res = y_g @ y_g
+        if y is not plain and not y_res < res:
+            stored = 0
+            if used == iters:
+                break
+            y = plain
+            y_boxed, y_g = image(y)
+            used += 1
+            y_res = y_g @ y_g
+        images[stored % _MEMORY] = plain
+        residuals[stored % _MEMORY] = g
+        stored += 1
+        prev, x, boxed, g, res = boxed, y, y_boxed, y_g, y_res
+    return boxed, x.view(complex).reshape(shape) - boxed, used
 
 
 def oracle_optimize(pair: WeightedDensityPair,
@@ -237,42 +297,47 @@ def oracle_optimize(pair: WeightedDensityPair,
     reported success is the best over restarts, the bound the smallest;
     restart-to-restart spreads are returned for uniqueness probing.
     """
+    return _extend(pair, cfg, None)
+
+
+def _extend(pair: WeightedDensityPair, cfg: OracleConfig,
+            first: OracleResult | None) -> OracleResult:
+    """`oracle_optimize(pair, cfg)`.  `first`, when given, is the result of
+    its restart 0 alone (cfg with one restart): only restarts 1 onwards run,
+    and it is merged with them."""
+    runs = ([] if first is None
+            else [(first.e_q_opt, first.success, first.upper_bound)])
+    iterations = 0 if first is None else first.iterations
     feas = FeasibleSet(pair)
     scale = max(float(np.linalg.norm(pair.total, 2)), 1e-300)
     objective = pair.total / scale
-    finals = []
-    bounds = []
-    best = None
-    best_success = -np.inf
-    total_iters = 0
-    for restart in range(cfg.restarts):
+    for restart in range(len(runs), cfg.restarts):
         start = _random_start(pair.dim, cfg.seed * 1_000_003 + restart)
         boxed, dual, used = _split(
             feas, start, objective, cfg.max_iters,
             tol=float(np.clip(cfg.convergence_tol, 5e-14, 1e-13)))
-        total_iters += used
-        bounds.append(feas.success_bound(scale * (dual + objective)))
+        iterations += used
+        bound = feas.success_bound(scale * (dual + objective))
         e = feas.project(boxed, cycles=30_000,
                          tol=float(np.clip(cfg.convergence_tol, 5e-15, 1e-14)))
-        success = feas.success(e)
-        finals.append(e)
-        if success > best_success:
-            best, best_success = e, success
+        runs.append((e, feas.success(e), bound))
+    # the first of the best, as restarts are numbered
+    best, success, _ = max(runs, key=lambda run: run[1])
     residual = feas.residual(best)
     if residual > cfg.convergence_tol:
         raise NonConvergence(
             f"feasibility residual {residual:.3e} above tolerance "
-            f"{cfg.convergence_tol:.1e} after {total_iters} iterations")
+            f"{cfg.convergence_tol:.1e} after {iterations} iterations")
     distances = tuple(
-        float(np.linalg.norm(a - b))
-        for a, b in combinations(finals, 2))
+        float(np.linalg.norm(a[0] - b[0]))
+        for a, b in combinations(runs, 2))
     return OracleResult(
         e_q_opt=best,
-        success=best_success,
-        upper_bound=min(bounds),
+        success=success,
+        upper_bound=min(run[2] for run in runs),
         per_restart_distances=distances,
         feasibility_residual=residual,
-        iterations=total_iters,
+        iterations=iterations,
     )
 
 

@@ -25,7 +25,7 @@ from .model import (MeasurementClassTag, UsdMeasurement, WeightedDensityPair,
                     success_probability)
 from .optimality import (OptimalityReport, SolverOutcome, build_certificate,
                          check_optimality, classify)
-from .oracle import OracleConfig, oracle_optimize
+from .oracle import OracleConfig, _extend, oracle_optimize
 from .reductions import ReductionRecord, lift_measurement, reduce_fully
 from .solver4d import solve_4d
 from .tolerances import DEFAULT_TOL, ToleranceContext
@@ -87,23 +87,26 @@ def _oracle_fallback(record: ReductionRecord, pair: WeightedDensityPair,
     # The optimum is unique and the checker's conditions are necessary and
     # sufficient, so a certified first restart is the answer.  Only when
     # the checker refuses it, or it does not complete to a measurement, do
-    # the configured restarts run; restart k's start depends on cfg.seed
-    # and k alone, so that run is the one a single call with cfg makes.
+    # the other configured restarts run; restart k's start depends on
+    # cfg.seed and k alone, so restart 0 is kept and merged with them into
+    # the result of one call with cfg.  A first run that raises leaves
+    # nothing to keep, and all restarts run.
     # Each point is checked on the core it was found on: that report is the
     # one of its expansion and lift on the pair (`OptimalityReport`), so
     # only the point kept is expanded and lifted.
-    runs = (replace(cfg, restarts=1), cfg) if cfg.restarts > 1 else (cfg,)
-    for run in runs:
-        try:
-            result = oracle_optimize(core, run)
-            m_core = complete_measurement(result.e_q_opt, core)
-        except UsdKitError:
-            if run is runs[-1]:
-                raise
-            continue
+    result = report = None
+    try:
+        result = oracle_optimize(core, replace(cfg, restarts=1))
+        m_core = complete_measurement(result.e_q_opt, core)
+    except UsdKitError:
+        if cfg.restarts == 1:
+            raise
+    else:
         report = check_optimality(m_core, core)
-        if report.is_optimal:
-            break
+    if cfg.restarts > 1 and (report is None or not report.is_optimal):
+        result = _extend(core, cfg, result)
+        m_core = complete_measurement(result.e_q_opt, core)
+        report = check_optimality(m_core, core)
     m = lift_measurement(expand_measurement(m_core, isometry), record)
     report = _lifted_report(report, m, record)
     certified = report.is_optimal

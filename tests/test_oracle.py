@@ -7,6 +7,7 @@ from usdkit import (NonConvergence, OracleConfig, WeightedDensityPair,
                     dispatch, is_proper, success_probability,
                     try_single_state_detection, uniqueness_probe)
 from usdkit import linalg as la
+from usdkit import oracle
 from usdkit.model import complete_measurement
 from usdkit.oracle import (FeasibleSet, oracle_optimize,
                            random_feasible_inconclusive)
@@ -20,6 +21,30 @@ def fidelity_bound(pair):
     r1, r2 = la.sqrt_psd(pair.gamma1), la.sqrt_psd(pair.gamma2)
     return pair.total_trace - 2 * float(
         np.sum(np.linalg.svd(r1 @ r2, compute_uv=False)))
+
+
+def _count_evaluations(monkeypatch):
+    """(has objective, box calls, evaluations reported) of each splitting
+    the oracle runs; each map evaluation calls the spectral box once."""
+    boxes = [0]
+    clip = FeasibleSet._clip_spectrum
+
+    def counted(e):
+        boxes[0] += 1
+        return clip(e)
+
+    real = oracle._split
+    runs = []
+
+    def split(feas, start, objective, iters, tol):
+        before = boxes[0]
+        out = real(feas, start, objective, iters, tol)
+        runs.append((bool(objective.any()), boxes[0] - before, out[2]))
+        return out
+
+    monkeypatch.setattr(FeasibleSet, "_clip_spectrum", staticmethod(counted))
+    monkeypatch.setattr(oracle, "_split", split)
+    return runs
 
 
 def test_orthogonal_states_full_recovery():
@@ -36,6 +61,60 @@ def test_peres_value():
     pair = WeightedDensityPair.from_states(rho1, rho2, 0.5)
     res = oracle_optimize(pair, OracleConfig(seed=2))
     assert res.success == pytest.approx(IDP, abs=1e-9)
+
+
+def test_peres_converges_in_few_evaluations():
+    # the accelerated splitting takes 21 to 36 evaluations at seeds 0 to
+    # 9, the plain one 68 to 84
+    rho1, rho2 = peres_states(dim=2)
+    pair = WeightedDensityPair.from_states(rho1, rho2, 0.5)
+    res = oracle_optimize(pair)
+    assert res.success == pytest.approx(IDP, abs=1e-12)
+    assert res.iterations <= 40
+
+
+def test_iterations_count_the_objective_splittings_evaluations(
+        rng, monkeypatch):
+    runs = _count_evaluations(monkeypatch)
+    res = oracle_optimize(random_skew_pair(rng), OracleConfig(seed=3))
+    objective = [boxes for has_objective, boxes, _ in runs if has_objective]
+    assert objective == [res.iterations]
+    assert all(boxes == used for _, boxes, used in runs)
+
+
+def test_evaluations_never_exceed_the_cap(rng, monkeypatch):
+    # rejected extrapolations count too: one rejected at the cap ends the
+    # splitting without the plain step it would otherwise take.  The first
+    # extrapolation comes at evaluation 12, so the caps cover it
+    pair = random_skew_pair(rng)
+    runs = _count_evaluations(monkeypatch)
+    for max_iters in range(10, 51):
+        runs.clear()
+        cfg = OracleConfig(seed=1, restarts=3, max_iters=max_iters)
+        res = oracle_optimize(pair, cfg)
+        objective = [boxes for has_objective, boxes, _ in runs
+                     if has_objective]
+        assert len(objective) == cfg.restarts
+        assert max(objective) <= max_iters
+        assert sum(objective) == res.iterations
+
+
+def test_extend_merges_into_the_configured_run(rng):
+    # dispatch keeps a refused restart 0 and runs only the others: merged,
+    # they give what one call with the configuration gives
+    from dataclasses import replace
+
+    from usdkit.oracle import _extend
+
+    pair = random_skew_pair(rng)
+    cfg = OracleConfig(seed=4, restarts=3)
+    first = oracle_optimize(pair, replace(cfg, restarts=1))
+    merged = _extend(pair, cfg, first)
+    full = oracle_optimize(pair, cfg)
+    np.testing.assert_array_equal(merged.e_q_opt, full.e_q_opt)
+    for name in ("success", "upper_bound", "per_restart_distances",
+                 "feasibility_residual", "iterations"):
+        assert getattr(merged, name) == getattr(full, name)
 
 
 def test_deterministic_given_seed(rng):
@@ -84,6 +163,8 @@ def test_example1_reference_value():
     pair = WeightedDensityPair.from_states(rho1, rho2, 0.5)
     res = oracle_optimize(pair, OracleConfig(seed=5))
     assert res.success == pytest.approx(0.4492730800184392, abs=1e-8)
+    # the plain splitting took about 500 evaluations
+    assert res.iterations <= 150
 
 
 def test_completed_oracle_measurement_is_proper(rng):

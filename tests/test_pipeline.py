@@ -11,7 +11,7 @@ from usdkit import (InvalidInconclusive, NonConvergence, OracleConfig,
                     UsdMeasurement, WeightedDensityPair, classify, dispatch,
                     lift_measurement, oracle_optimize, reduce_fully,
                     solve_4d, success_probability)
-from usdkit import pipeline
+from usdkit import oracle, pipeline
 from usdkit.cli import main
 from usdkit.model import complete_measurement, expand_measurement
 from usdkit.pipeline import (BLOCK_STRUCTURE_NOTE, ProblemFile,
@@ -512,30 +512,67 @@ def _c7_pair(rng):
     return WeightedDensityPair.from_states(rho1, rho2, 0.45)
 
 
-def _spy_oracle(monkeypatch, first_run=None):
-    """Record the cfg of each oracle call dispatch makes; `first_run`
-    replaces what a one-restart call returns."""
+def _spy_oracle(monkeypatch):
+    """Record the cfg of each oracle call dispatch makes."""
     real = pipeline.oracle_optimize
     calls = []
 
     def spy(pair, cfg):
         calls.append(cfg)
-        if first_run is not None and cfg.restarts == 1:
-            return first_run(real(pair, cfg))
         return real(pair, cfg)
 
     monkeypatch.setattr(pipeline, "oracle_optimize", spy)
     return calls
 
 
-def _refuse(result):
-    # the identity is feasible, so it completes, but it detects nothing
-    # and the checker refuses it
-    return replace(result, e_q_opt=np.eye(result.e_q_opt.shape[0]))
+def _spy_objective_splittings(monkeypatch):
+    """Count the oracle's splittings with an objective, one per restart
+    (the polish runs with none)."""
+    real = oracle._split
+    runs = []
+
+    def split(feas, start, objective, iters, tol):
+        if objective.any():
+            runs.append(iters)
+        return real(feas, start, objective, iters, tol)
+
+    monkeypatch.setattr(oracle, "_split", split)
+    return runs
 
 
-def _not_converged(result):
-    raise NonConvergence("forced")
+def _refuse(monkeypatch):
+    # the checker refuses the first point it is shown
+    real = pipeline.check_optimality
+
+    def refuse_once(m, pair):
+        monkeypatch.setattr(pipeline, "check_optimality", real)
+        return replace(real(m, pair), cond_b=False)
+
+    monkeypatch.setattr(pipeline, "check_optimality", refuse_once)
+
+
+def _not_completable(monkeypatch):
+    # restart 0's point does not complete to a measurement
+    real = pipeline.complete_measurement
+
+    def refuse_once(e_q, pair):
+        monkeypatch.setattr(pipeline, "complete_measurement", real)
+        raise InvalidInconclusive("forced")
+
+    monkeypatch.setattr(pipeline, "complete_measurement", refuse_once)
+
+
+def _not_converged(monkeypatch):
+    # restart 0 alone runs, then raises
+    run = pipeline.oracle_optimize
+
+    def raise_after_one(pair, cfg):
+        result = run(pair, cfg)
+        if cfg.restarts == 1:
+            raise NonConvergence("forced")
+        return result
+
+    monkeypatch.setattr(pipeline, "oracle_optimize", raise_after_one)
 
 
 def test_oracle_fallback_runs_on_the_compressed_core(rng, monkeypatch):
@@ -559,18 +596,25 @@ def test_oracle_fallback_runs_on_the_compressed_core(rng, monkeypatch):
         assert outcome.class_tag == classify(m_full, problem)
 
 
-@pytest.mark.parametrize("first_run", [_refuse, _not_converged])
+@pytest.mark.parametrize("first_run",
+                         [_refuse, _not_completable, _not_converged])
 def test_oracle_fallback_runs_the_configured_restarts_on_refusal(
         first_run, rng, monkeypatch):
-    # a first point the checker refuses, or a first run that raises, sends
-    # dispatch to the default three restarts, whose answer it returns
+    # a first point the checker refuses or that does not complete, or a
+    # first run that raises, sends dispatch to the default three restarts,
+    # whose answer it returns.  A refused restart 0 is kept, so only
+    # restarts 1 and 2 run again; a first run that raises leaves nothing
+    # to keep
     from usdkit.model import expand_measurement
     from usdkit.oracle import oracle_optimize
 
     pair = _c7_pair(rng)
-    calls = _spy_oracle(monkeypatch, first_run)
+    calls = _spy_oracle(monkeypatch)
+    first_run(monkeypatch)
+    splittings = _spy_objective_splittings(monkeypatch)
     outcome = dispatch(pair)
-    assert [cfg.restarts for cfg in calls] == [1, 3]
+    assert [cfg.restarts for cfg in calls] == [1]
+    assert len(splittings) == (4 if first_run is _not_converged else 3)
     assert outcome.branch == "oracle-checker" and outcome.optimal
     record = reduce_fully(pair)
     core, isometry = record.reduced_pair.compressed
@@ -584,9 +628,12 @@ def test_oracle_fallback_runs_the_configured_restarts_on_refusal(
 
 def test_oracle_fallback_with_one_restart_runs_once(rng, monkeypatch):
     pair = _c7_pair(rng)
-    calls = _spy_oracle(monkeypatch, _refuse)
+    calls = _spy_oracle(monkeypatch)
+    _refuse(monkeypatch)
+    splittings = _spy_objective_splittings(monkeypatch)
     outcome = dispatch(pair, oracle_cfg=OracleConfig(restarts=1))
     assert [cfg.restarts for cfg in calls] == [1]
+    assert len(splittings) == 1
     assert outcome.branch == "oracle-best-known" and not outcome.optimal
 
 
