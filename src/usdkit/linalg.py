@@ -155,13 +155,6 @@ class Subspace:
         return Subspace(columns.shape[0], u[:, :k].astype(complex))
 
 
-def _eig_split(a, tol):
-    a = assert_hermitian(a, tol)
-    w, u = np.linalg.eigh(a)
-    cut = max(tol.rank_cutoff * max(float(w.max(initial=0.0)), 0.0), tol.rank_atol)
-    return w, u, cut
-
-
 def spectral_split(a: np.ndarray, tol: ToleranceContext = DEFAULT_TOL,
                    ) -> tuple[np.ndarray, Subspace, Subspace]:
     """Eigenvalues, support and kernel from one eigendecomposition.
@@ -169,8 +162,8 @@ def spectral_split(a: np.ndarray, tol: ToleranceContext = DEFAULT_TOL,
     The support is spanned by the eigenvectors with eigenvalue above the
     rank cutoff; the kernel is its orthocomplement.
     """
-    w, u, cut = _eig_split(a, tol)
-    keep = w > cut
+    w, u = np.linalg.eigh(assert_hermitian(a, tol))
+    keep = w > _rank_threshold(w, tol)
     return (w, Subspace(a.shape[0], u[:, keep].astype(complex)),
             Subspace(a.shape[0], u[:, ~keep].astype(complex)))
 
@@ -248,16 +241,11 @@ def sqrt_psd(a: np.ndarray, tol: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
     them would amplify O(eps) noise to O(sqrt(eps)) in nearly rank-deficient
     arguments.  Eigenvalues below -psd_floor (norm-scaled) raise NotPSD.
     """
-    a = assert_hermitian(a, tol)
-    if a.shape[0] == 0:
-        return a.copy()
-    w, u = np.linalg.eigh(a)
-    top = max(float(w.max(initial=0.0)), 0.0)
+    w, u = np.linalg.eigh(assert_hermitian(a, tol))
     floor = tol.psd_floor * max(1.0, float(np.abs(w).max(initial=0.0)))
     if w.min(initial=0.0) < -floor:
         raise NotPSD(f"eigenvalue {w.min():.3e} below admissible floor {-floor:.3e}")
-    cut = max(tol.rank_cutoff * top, tol.rank_atol)
-    w = np.where(w > cut, w, 0.0)
+    w = np.where(w > _rank_threshold(w, tol), w, 0.0)
     return (u * np.sqrt(w)) @ dag(u)
 
 

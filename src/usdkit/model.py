@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -239,12 +240,13 @@ class WeightedDensityPair:
         states alone, so the new pair is handed this pair's `JordanSplit`;
         whatever carries the weights (the reduction record with its reduced
         pair and lifted offset, the compressed core, the inverse of the
-        total) it builds itself.  A split is handed over only when its rank
-        decisions provably match the ones the new pair would take itself
-        (`linalg.rank_survives_scaling`): the spectra of the two operators
-        scale by c1 and c2, and the Jordan cosines do not move.  Otherwise
-        the new pair classifies its own supports.  A split handed down by a
-        reduction holds no rank decision and is always handed over.
+        total, the root blocks) it builds itself.  A split is handed over
+        only when its rank decisions provably match the ones the new pair
+        would take itself (`linalg.rank_survives_scaling`): the spectra of
+        the two operators scale by c1 and c2, and the Jordan cosines do not
+        move.  Otherwise the new pair classifies its own supports.  A split
+        handed down by a reduction holds no rank decision and is always
+        handed over.
         """
         if not (c1 > 0.0 and c2 > 0.0):
             raise ValueError("weights must be positive")
@@ -282,6 +284,27 @@ class WeightedDensityPair:
         """Moore-Penrose inverse of gamma1 + gamma2, computed once.  It
         carries the weights, so a reweighted pair computes its own."""
         return _freeze(la.pseudo_inverse(self.total, self.tol))
+
+    @cached_property
+    def root_blocks(self) -> tuple["_RootBlock", "_RootBlock"]:
+        """Both states' roots and polar factors on the split's support bases
+        (`_RootBlock`), from an `eigh` per state and one SVD of k x k blocks,
+        at the split's ranks; computed once, as `total_inverse` is."""
+        split, r = self.jordan, self.jordan.cross_rank
+        bases = [s.basis for s in split.supports]
+        blocks = [hermitian_part(dag(b) @ g @ b)
+                  for b, g in zip(bases, (self.gamma1, self.gamma2))]
+        # positive definite: the split kept only eigenvalues above its cut
+        eigs = [np.linalg.eigh(a) for a in blocks]
+        roots = [(q * np.sqrt(w)) @ dag(q) for w, q in eigs]
+        overlap = np.zeros((len(blocks[0]), len(blocks[1])))
+        overlap[range(r), range(r)] = split.cosines[:r]
+        u, s, vh = np.linalg.svd(roots[0] @ overlap @ roots[1])
+        return tuple(
+            _RootBlock(a, b @ root, (q / np.sqrt(w)) @ dag(q),
+                       (x * s[:r]) @ dag(x))
+            for a, b, root, (w, q), x in zip(blocks, bases, roots, eigs,
+                                             (u[:, :r], dag(vh[:r]))))
 
     # The geometry below does not depend on the prior: every value is read
     # off the Jordan classification of the two supports (`jordan`), which
@@ -354,6 +377,34 @@ class WeightedDensityPair:
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+class _RootBlock(NamedTuple):
+    """One state's entry of `WeightedDensityPair.root_blocks`, on its
+    support basis B: block A = B^dag gamma B, positive definite by the
+    split's rank decision; factor W = B sqrt(A), so sqrt(gamma) = W B^dag;
+    inverse_root A^-1/2.  With U S V^dag the SVD of K = sqrt(A1) C sqrt(A2)
+    at rank `cross_rank`, C = B1^dag B2 holding the Jordan cosines, polar is
+    U S U^dag (V S V^dag for state 2): F1 = sqrt(sqrt(g1) g2 sqrt(g1)) =
+    B1 U S U^dag B1^dag, and polar^2 = K K^dag (K^dag K).
+    """
+
+    block: np.ndarray
+    factor: np.ndarray
+    inverse_root: np.ndarray
+    polar: np.ndarray
+
+    def detection_eigenvalue(self) -> float:
+        """min eig of sqrt(g)^- g' sqrt(g)^- on supp g, g' the other state:
+        A^-1/2 C A' C^dag A^-1/2 = A^-1 polar^2 A^-1; 0 on an empty support."""
+        m = self.inverse_root @ self.inverse_root @ self.polar
+        return float(np.linalg.eigvalsh(m @ dag(m))[0]) if len(m) else 0.0
+
+    def fidelity_eigenvalue(self) -> float:
+        """max(0, max eig of sqrt(g)^- F sqrt(g)^- = A^-1/2 polar A^-1/2)."""
+        r = self.inverse_root
+        return float(np.linalg.eigvalsh(
+            hermitian_part(r @ self.polar @ r)).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -534,21 +585,20 @@ def reconstruct_from_core(core: np.ndarray,
     gamma1 gamma2 + gamma2 gamma1
     + sqrt(g1) sqrt( sqrt(g1) [gamma2 - core] sqrt(g1) ) sqrt(g1)
     + sqrt(g2) sqrt( sqrt(g2) [gamma1 + core] sqrt(g2) ) sqrt(g2),
-    plus the projector onto the common kernel.
+    plus the projector onto the common kernel.  The roots of the states
+    are the pair's `root_blocks`: with W a factor, each sandwich is
+    W sqrt(W^dag X W) W^dag, so the inner root is of a k x k block.
     """
-    tol = pair.tol
     g1, g2 = pair.gamma1, pair.gamma2
+    curly = g1 @ g2 + g2 @ g1
+    for (_, w, _, _), x in zip(pair.root_blocks, (g2 - core, g1 + core)):
+        try:
+            curly = curly + w @ la.sqrt_psd(dag(w) @ x @ w, pair.tol) @ dag(w)
+        except NotPSD as exc:
+            raise NotReconstructible(
+                f"inner square-root argument not PSD: {exc}") from exc
     total_inv = pair.total_inverse
     p_kernel = pair.common_kernel().projector()
-    r1 = la.sqrt_psd(g1, tol)
-    r2 = la.sqrt_psd(g2, tol)
-    try:
-        inner1 = la.sqrt_psd(r1 @ (g2 - core) @ r1, tol)
-        inner2 = la.sqrt_psd(r2 @ (g1 + core) @ r2, tol)
-    except NotPSD as exc:
-        raise NotReconstructible(
-            f"inner square-root argument not PSD: {exc}") from exc
-    curly = g1 @ g2 + g2 @ g1 + r1 @ inner1 @ r1 + r2 @ inner2 @ r2
     return hermitian_part(p_kernel + total_inv @ curly @ total_inv)
 
 

@@ -150,23 +150,27 @@ class FeasibleSet:
         """A feasible point reached from e by the splitting with no objective.
 
         Runs at most `cycles` map evaluations and stops once the primal and
-        dual residuals drop below tol.  The result lies in the spectral box
-        exactly, with the remaining residual in the affine constraint.  A
-        feasible e comes back unchanged up to rounding; otherwise the point
-        is feasible but in general not the one nearest to e.
+        dual residuals drop below tol.  That point lies in the spectral box
+        up to rounding, with the remaining residual in the affine
+        constraint; e is returned instead when it is less infeasible
+        (`residual`), so a feasible e comes back unchanged up to rounding.
+        Otherwise the point is feasible but in general not nearest to e.
         """
-        return _split(self, e, np.zeros_like(e), cycles, tol)[0]
+        out = _split(self, e, np.zeros_like(e), cycles, tol)[0]
+        return out if self._affine_residual(out) <= self.residual(e) else e
 
     def residual(self, e: np.ndarray) -> float:
         """Worst violation of any feasibility condition."""
         w = np.linalg.eigvalsh(hermitian_part(e))
-        res = max(0.0, -float(w.min()), float(w.max()) - 1.0)
+        return max(-float(w.min()), float(w.max()) - 1.0,
+                   self._affine_residual(e))
+
+    def _affine_residual(self, e: np.ndarray) -> float:
+        """`residual` of the affine constraints alone (no spectral box)."""
         cross = self.pair.gamma1 @ (np.eye(self.dim) - e) @ self.pair.gamma2
-        res = max(res, float(np.linalg.norm(cross)))
         kb = self.kernel_basis
-        if kb.shape[1]:
-            res = max(res, float(np.abs(e @ kb - kb).max()))
-        return res
+        return max(float(np.linalg.norm(cross)),
+                   float(np.abs(e @ kb - kb).max(initial=0.0)))
 
     def success(self, e: np.ndarray) -> float:
         return float(np.real(np.trace((np.eye(self.dim) - e) @ self.pair.total)))

@@ -17,8 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linalg as la
-from .closed_form import (_min_supported_eigenvalue, try_fidelity_form,
-                          try_single_state_detection)
+from .closed_form import try_fidelity_form, try_single_state_detection
 from .errors import CertificateFailure, UsdKitError
 from .model import (MeasurementClassTag, UsdMeasurement, WeightedDensityPair,
                     complete_measurement, expand_measurement,
@@ -223,32 +222,24 @@ def sweep_bounds(rho1: np.ndarray, rho2: np.ndarray,
     dominates the success probability by convexity; outside that prior
     range it coincides with the lower bound.
     """
-    probe = WeightedDensityPair.from_states(rho1, rho2, 0.5, tol)
-    return _bounds(probe, rho1, rho2)
+    return _bounds(WeightedDensityPair.from_states(rho1, rho2, 0.5, tol))
 
 
-def _bounds(probe: WeightedDensityPair, rho1: np.ndarray, rho2: np.ndarray):
-    """`sweep_bounds` from the states and their pair at p1 = 0.5."""
-    tol = probe.tol
+def _bounds(probe: WeightedDensityPair):
+    """`sweep_bounds` from the states' pair at p1 = 0.5, which halves them."""
     record = reduce_fully(probe)
-    sig1, sig2, xi = record.sigma1, record.sigma2, record.xi
-    core1 = xi @ np.asarray(rho1, dtype=complex) @ xi
-    core2 = xi @ np.asarray(rho2, dtype=complex) @ xi
-    off1 = float(np.real(np.trace(sig1 @ rho1)))
-    off2 = float(np.real(np.trace(sig2 @ rho2)))
+    xi, states = record.xi, (2 * probe.gamma1, 2 * probe.gamma2)
+    core1, core2 = (xi @ rho @ xi for rho in states)
+    off1, off2 = (float(np.real(np.trace(s @ rho)))
+                  for s, rho in zip((record.sigma1, record.sigma2), states))
     # the reduced pair is (core1, core2) weighted by 0.5 each: it holds
-    # their collective support and detector projectors
+    # their detector projectors and root blocks.  An empty core has no
+    # detector and lambda1 = lambda2 = 0, so both bounds are the offset
     reduced = record.reduced_pair
-    if reduced.collective_support().size == 0:
-        def bounds(p1: float):
-            value = p1 * off1 + (1 - p1) * off2
-            return value, value
-        return bounds
-    det1, det2 = reduced.detectors
-    gain2 = float(np.real(np.trace(det2 @ core2)))
-    gain1 = float(np.real(np.trace(det1 @ core1)))
-    lam1 = max(_min_supported_eigenvalue(core1, core2, tol), 0.0)
-    lam2 = max(_min_supported_eigenvalue(core2, core1, tol), 0.0)
+    gain1, gain2 = (float(np.real(np.trace(det @ core))) for det, core
+                    in zip(reduced.detectors, (core1, core2)))
+    lam1, lam2 = (max(root.detection_eigenvalue(), 0.0)
+                  for root in reduced.root_blocks)
     p_lo = lam1 / (1 + lam1)
     p_hi = 1.0 / (1 + lam2)
 
@@ -287,7 +278,7 @@ def sweep(rho1: np.ndarray, rho2: np.ndarray, p1_grid,
     A row keeps no measurement, so no certificate is built.
     """
     base = WeightedDensityPair.from_states(rho1, rho2, 0.5, tol)
-    bounds = _bounds(base, rho1, rho2)
+    bounds = _bounds(base)
     rows = []
     for p1 in p1_grid:
         p1 = float(p1)

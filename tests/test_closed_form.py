@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from usdkit import (PreconditionViolated, WeightedDensityPair,
+from usdkit import (DEFAULT_TOL, PreconditionViolated, WeightedDensityPair,
                     check_optimality, classify, fidelity_window,
-                    single_detection_window, success_probability,
-                    try_fidelity_form, try_single_state_detection)
+                    reduce_fully, single_detection_window,
+                    success_probability, try_fidelity_form,
+                    try_single_state_detection)
 from usdkit import linalg as la
 from usdkit.linalg import dag
 
-from util import (example1_states, peres_states, random_density,
+from util import (REDUCED_SHAPES, example1_states, examples2_states,
+                  generic_pair, peres_states, random_density,
                   random_skew_pair, random_unit)
 
 
@@ -24,6 +26,48 @@ def bures_success(pair):
     r2 = la.sqrt_psd(pair.gamma2)
     return pair.total_trace - 2 * float(
         np.sum(np.linalg.svd(r1 @ r2, compute_uv=False)))
+
+
+def assert_windows_match_dense(rho1, rho2):
+    """Both detection windows and the fidelity window agree within 1e-12
+    relative with their formulas on the full operators, evaluated with
+    `la.sqrt_psd` and `la.pseudo_inverse`: the reference for the windows'
+    blocks (`WeightedDensityPair.root_blocks`)."""
+    def detection(a, b):  # smallest eigenvalue on supp a
+        sup = la.support(a)
+        inv = la.pseudo_inverse(la.sqrt_psd(a))
+        op = la.hermitian_part(dag(sup.basis) @ inv @ b @ inv @ sup.basis)
+        lam = float(np.linalg.eigvalsh(op).min())
+        return lam if lam > DEFAULT_TOL.rank_cutoff else 0.0
+
+    def fidelity(a, b):
+        root = la.sqrt_psd(a)
+        inv = la.pseudo_inverse(root)
+        op = inv @ la.sqrt_psd(root @ b @ root) @ inv
+        mu = float(np.linalg.eigvalsh(la.hermitian_part(op)).max())
+        return mu, mu ** 2 / (1 + mu ** 2)
+
+    for a, b in ((rho1, rho2), (rho2, rho1)):
+        assert single_detection_window(a, b).spectral_quantity == \
+            pytest.approx(detection(a, b), rel=1e-12, abs=1e-300)
+    (mu1, m1), (_, m2) = fidelity(rho1, rho2), fidelity(rho2, rho1)
+    window = fidelity_window(rho1, rho2)
+    assert window.spectral_quantity == pytest.approx(mu1, rel=1e-12)
+    assert window.lower == pytest.approx(m1, rel=1e-12)
+    assert window.upper == pytest.approx(1 - m2, rel=1e-12)
+
+
+def assert_polar_factors_match_dense(pair):
+    """The fidelity form's F_mu = sqrt(sqrt(g_mu) g_nu sqrt(g_mu)), read off
+    the pair's root blocks, agree within 1e-12 relative with square roots
+    of the full operators."""
+    r1, r2 = la.sqrt_psd(pair.gamma1), la.sqrt_psd(pair.gamma2)
+    dense = (la.sqrt_psd(r1 @ pair.gamma2 @ r1),
+             la.sqrt_psd(r2 @ pair.gamma1 @ r2))
+    for root, support, f in zip(pair.root_blocks, pair.supports, dense):
+        b = support.basis
+        np.testing.assert_allclose(b @ root.polar @ dag(b), f, rtol=0,
+                                   atol=1e-12 * np.abs(f).max())
 
 
 # ---------------------------------------------------------------- SSD
@@ -77,6 +121,7 @@ def test_single_detection_window_pure_states():
         lam = overlap ** 2
         assert window.spectral_quantity == pytest.approx(lam, abs=1e-12)
         assert window.upper == pytest.approx(lam / (1 + lam), abs=1e-12)
+        assert_windows_match_dense(rho1, rho2)
 
 
 def test_single_detection_window_empty_when_kernel_meets_support():
@@ -136,6 +181,7 @@ def test_fidelity_matches_bures_expression(rng):
     hits = 0
     for _ in range(40):
         pair = random_skew_pair(rng)
+        assert_polar_factors_match_dense(pair)
         outcome = try_fidelity_form(pair)
         if outcome is None:
             continue
@@ -170,6 +216,9 @@ def test_fidelity_window_pure_states_abut_detection_windows():
 
 def test_fidelity_window_example1_consistent():
     rho1, rho2 = example1_states()
+    assert_windows_match_dense(rho1, rho2)
+    assert_polar_factors_match_dense(
+        WeightedDensityPair.from_states(rho1, rho2, 0.4))
     window = fidelity_window(rho1, rho2)
     if window.is_empty:
         # no prior admits the fidelity form: verify at a midpoint
@@ -212,6 +261,21 @@ def test_window_partition_for_pure_states(rng):
         wf = fidelity_window(rho1, rho2)
         assert wf.lower == pytest.approx(w1.upper, abs=1e-10)
         assert wf.upper == pytest.approx(1 - w2.upper, abs=1e-10)
+        assert_windows_match_dense(rho1, rho2)
+
+
+def test_windows_and_polar_factors_match_dense_formulas():
+    # the cases the tests above do not take: a seeded pair of each shape
+    # that the reductions shrink, examples2 and Peres in C^2 and C^3, each
+    # on the pair at p1 = 0.4 and on its reduced pair
+    cases = [generic_pair(np.random.default_rng(shape), *shape)
+             for shape in REDUCED_SHAPES]
+    cases += [examples2_states(), peres_states(), peres_states(dim=3)]
+    for rho1, rho2 in cases:
+        assert_windows_match_dense(rho1, rho2)
+        pair = WeightedDensityPair.from_states(rho1, rho2, 0.4)
+        assert_polar_factors_match_dense(pair)
+        assert_polar_factors_match_dense(reduce_fully(pair).reduced_pair)
 
 
 def test_balanced_inconclusive_iff_fidelity_form(rng):

@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from usdkit import oracle
 from usdkit.model import complete_measurement
 from usdkit.oracle import (FeasibleSet, oracle_optimize,
                            random_feasible_inconclusive)
+from usdkit.pipeline import load_problem
 
 from util import example1_states, peres_states, random_skew_pair
 
+DATA = Path(__file__).parent / "data"
 IDP = 1 - 1 / np.sqrt(2)
 
 
@@ -217,6 +220,21 @@ def test_project_makes_a_perturbed_peres_operator_feasible():
         perturbed = optimum + 1e-3 * (h + h.conj().T)
         assert feas.residual(perturbed) > 1e-4
         assert feas.residual(feas.project(perturbed)) <= 1e-12
+
+
+def test_project_never_returns_a_less_feasible_point():
+    # on the compressed core of tests/data/near_cutoff4.json, whose states
+    # keep eigenvalues just above the rank cutoff, a capped objective
+    # splitting ends at a boxed point feasible to rounding; the splitting
+    # with no objective, run from there, drifts to a residual near 1e-9
+    pair = load_problem(DATA / "near_cutoff4.json").pair()
+    core = pair.reduction.reduced_pair.compressed[0]
+    feas = FeasibleSet(core)
+    objective = core.total / np.linalg.norm(core.total, 2)
+    start = oracle._random_start(core.dim, 0)
+    boxed = oracle._split(feas, start, objective, 500, 1e-13)[0]
+    assert feas.residual(boxed) <= 1e-15
+    assert feas.residual(feas.project(boxed)) <= feas.residual(boxed)
 
 
 def test_uniqueness_probe_positive(rng):

@@ -19,8 +19,9 @@ from usdkit.pipeline import (BLOCK_STRUCTURE_NOTE, ProblemFile,
                              save_measurement, save_problem, sweep,
                              sweep_bounds)
 
-from util import (example1_states, examples2_states, generic_pair,
-                  peres_states, random_density, with_eigenvalue_tails)
+from util import (REDUCED_SHAPES, example1_states, examples2_states,
+                  generic_pair, jordan_cosine_states, peres_states,
+                  with_eigenvalue_tails)
 
 DATA = Path(__file__).parent / "data"
 IDP = 1 - 1 / np.sqrt(2)
@@ -240,10 +241,6 @@ def _assert_report_is_a_fresh_check(outcome, pair):
             getattr(fresh, name), abs=1e-12), name
     for name in VERDICTS:
         assert getattr(outcome.report, name) == getattr(fresh, name), name
-
-
-REDUCED_SHAPES = ((3, 1, 2), (4, 1, 2), (3, 2, 2), (4, 2, 3), (5, 2, 3),
-                  (5, 3, 3))
 
 
 def test_dispatch_report_is_the_check_of_its_measurement():
@@ -961,21 +958,8 @@ def test_near_cutoff4_problem_solves_as_class_12(capsys):
 
 
 def _near_orthogonal4_states():
-    """A strictly skew (4;2,2) pair with Jordan cosines 0.5 and c = 5e-9,
-    in a random basis: supp rho1 = span{e0, e1} and supp rho2 =
-    span{0.5 e0 + sqrt(0.75) e2, c e1 + sqrt(1 - c^2) e3}."""
-    from usdkit.linalg import dag
-
-    c = 5e-9
-    rng = np.random.default_rng([15, 1])
-    b1 = np.eye(4, dtype=complex)[:, :2]
-    b2 = np.zeros((4, 2), dtype=complex)
-    b2[0, 0], b2[2, 0] = 0.5, np.sqrt(0.75)
-    b2[1, 1], b2[3, 1] = c, np.sqrt(1 - c * c)
-    rho1 = b1 @ random_density(rng, 2, 2) @ dag(b1)
-    rho2 = b2 @ random_density(rng, 2, 2) @ dag(b2)
-    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    return q @ rho1 @ dag(q), q @ rho2 @ dag(q)
+    """A strictly skew (4;2,2) pair with Jordan cosines 0.5 and 5e-9."""
+    return jordan_cosine_states(np.random.default_rng([15, 1]), 0.5, 5e-9)
 
 
 # the oracle on tests/data/near_orthogonal4.json (one restart, 200 000
@@ -1012,6 +996,48 @@ def test_near_orthogonal4_problem_solves_as_class_12(capsys):
     assert code == 0
     assert payload["branch"] == "class-12" and payload["optimal"] is True
     assert payload["certificate_valid"] is False
+
+
+def _near_orthogonal_fidelity4_states():
+    """A strictly skew (4;2,2) pair with Jordan cosines 0.01 and 1e-6."""
+    return jordan_cosine_states(np.random.default_rng([31, 1]), 0.01, 1e-6)
+
+
+def test_near_orthogonal_fidelity4_file_holds_its_draw():
+    # tests/data/near_orthogonal_fidelity4.json, written by save_problem
+    rho1, rho2 = _near_orthogonal_fidelity4_states()
+    problem = load_problem(DATA / "near_orthogonal_fidelity4.json")
+    assert np.array_equal(problem.rho1, rho1)
+    assert np.array_equal(problem.rho2, rho2)
+    assert problem.p1 == 0.5
+    pair = problem.pair()
+    assert pair.strictly_skew
+    np.testing.assert_allclose(pair.jordan.cosines, [0.01, 1e-6], rtol=1e-6)
+
+
+def test_near_orthogonal_fidelity_form_is_certified():
+    # the polar factors of sqrt(g1) sqrt(g2) carry eigenvalues of order c,
+    # whose squares (order c^2 = 1e-12) lie below the rank cutoff: the
+    # fidelity form takes them at the rank the Jordan split decided
+    from usdkit import check_optimality, try_fidelity_form
+    from usdkit.linalg import sqrt_psd
+
+    pair = load_problem(DATA / "near_orthogonal_fidelity4.json").pair()
+    outcome = try_fidelity_form(pair)
+    assert outcome is not None and outcome.branch == "fidelity-form"
+    assert outcome.optimal
+    assert check_optimality(outcome.measurement, pair).is_optimal
+    product = sqrt_psd(pair.gamma1) @ sqrt_psd(pair.gamma2)
+    bures = pair.total_trace - 2 * np.linalg.svd(product, compute_uv=False).sum()
+    assert outcome.success == pytest.approx(bures, abs=1e-12)
+
+
+def test_near_orthogonal_fidelity4_problem_solves_as_fidelity_form(capsys):
+    code = main(["solve", str(DATA / "near_orthogonal_fidelity4.json"),
+                 "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["branch"] == "fidelity-form" and payload["optimal"] is True
 
 
 def test_cli_solve_reaches_the_oracle(capsys):

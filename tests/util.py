@@ -102,6 +102,12 @@ def examples2_states():
     return rho1, rho2
 
 
+# (dim, rank1, rank2) of seeded generic pairs whose reduction removes a
+# part, leaving a strictly skew core of another shape
+REDUCED_SHAPES = ((3, 1, 2), (4, 1, 2), (3, 2, 2), (4, 2, 3), (5, 2, 3),
+                  (5, 3, 3))
+
+
 def generic_pair(rng: np.random.Generator, d: int, r1: int, r2: int,
                  margin: float = 0.05):
     """Random states of ranks (r1, r2) on C^d with generic support geometry.
@@ -122,6 +128,21 @@ def generic_pair(rng: np.random.Generator, d: int, r1: int, r2: int,
                              or cosines.min() < margin):
             continue
         return rho1, rho2
+
+
+def jordan_cosine_states(rng: np.random.Generator, c0: float, c1: float):
+    """A strictly skew (4;2,2) pair with Jordan cosines c0 and c1, in a
+    random basis: supp rho1 = span{e0, e1} and supp rho2 =
+    span{c0 e0 + s0 e2, c1 e1 + s1 e3}, s_k = sqrt(1 - c_k^2), each state
+    a random full-rank density on its support."""
+    b1 = np.eye(4, dtype=complex)[:, :2]
+    b2 = np.zeros((4, 2), dtype=complex)
+    b2[0, 0], b2[2, 0] = c0, np.sqrt(1 - c0 * c0)
+    b2[1, 1], b2[3, 1] = c1, np.sqrt(1 - c1 * c1)
+    rho1 = b1 @ random_density(rng, 2, 2) @ dag(b1)
+    rho2 = b2 @ random_density(rng, 2, 2) @ dag(b2)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    return q @ rho1 @ dag(q), q @ rho2 @ dag(q)
 
 
 def with_eigenvalue_tails(rho: np.ndarray, tails) -> np.ndarray:
