@@ -151,11 +151,13 @@ def try_fidelity_form(pair: WeightedDensityPair) -> SolverOutcome | None:
     _require_disjoint_supports(pair)
     roots = pair.root_blocks
     (ok1, marginal1), (ok2, marginal2) = (
-        _psd_with_boundary(a - p, pair.tol) for a, _, _, p in roots)
+        _psd_with_boundary(root.block - root.polar, pair.tol)
+        for root in roots)
     if not (ok1 and ok2):
         return None
     # sqrt(g_mu) (g_mu - F_mu) sqrt(g_mu) = W_mu (A_mu - polar_mu) W_mu^dag
-    deficit = sum(w @ (a - p) @ dag(w) for a, w, _, p in roots)
+    deficit = sum(root.factor @ (root.block - root.polar) @ dag(root.factor)
+                  for root in roots)
     total_inv = pair.total_inverse
     e_q = hermitian_part(np.eye(pair.dim) - total_inv @ deficit @ total_inv)
     try:

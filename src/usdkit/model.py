@@ -25,7 +25,7 @@ __all__ = [
     "MeasurementClassTag", "InconclusiveDiagnostics",
     "success_probability", "failure_probability", "is_proper", "is_usd",
     "validate_inconclusive", "complete_measurement", "reconstruct_from_core",
-    "projective_kernel_decomposition", "expand_measurement",
+    "projective_kernel_decomposition",
 ]
 
 
@@ -239,12 +239,11 @@ class WeightedDensityPair:
         Supports, kernels and everything built from them depend on the
         states alone, so the new pair is handed this pair's `JordanSplit`;
         whatever carries the weights (the reduction record with its reduced
-        pair and lifted offset, the compressed core, the inverse of the
-        total, the root blocks) it builds itself.  A split is handed over
-        only when its rank decisions provably match the ones the new pair
-        would take itself (`linalg.rank_survives_scaling`): the spectra of
-        the two operators scale by c1 and c2, and the Jordan cosines do not
-        move.  Otherwise the new pair classifies its own supports.  A split
+        pair and lifted offset, the inverse of the total, the root blocks)
+        it builds itself.  A split is handed over only when its rank
+        decisions provably match the ones the new pair would take itself
+        (`linalg.rank_survives_scaling`): the spectra of the two operators
+        scale by c1 and c2, and the Jordan cosines do not move.  Otherwise the new pair classifies its own supports.  A split
         handed down by a reduction holds no rank decision and is always
         handed over.
         """
@@ -302,16 +301,16 @@ class WeightedDensityPair:
         u, s, vh = np.linalg.svd(roots[0] @ overlap @ roots[1])
         return tuple(
             _RootBlock(a, b @ root, (q / np.sqrt(w)) @ dag(q),
-                       (x * s[:r]) @ dag(x))
+                       (x * s[:r]) @ dag(x), (w, q))
             for a, b, root, (w, q), x in zip(blocks, bases, roots, eigs,
                                              (u[:, :r], dag(vh[:r]))))
 
     # The geometry below does not depend on the prior: every value is read
     # off the Jordan classification of the two supports (`jordan`), which
     # computes it on first use and keeps it, so a pair holding another
-    # pair's split shares all of it.  The compressed core and the reduction
-    # carry the weights and are built per pair.  Every array is shared by
-    # every caller and is read-only.
+    # pair's split shares all of it.  The reduction carries the weights and
+    # is built per pair.  Every array is shared by every caller and is
+    # read-only.
 
     @cached_property
     def jordan(self) -> JordanSplit:
@@ -348,17 +347,6 @@ class WeightedDensityPair:
         return self.jordan.collective[1]
 
     @cached_property
-    def compressed(self) -> tuple["WeightedDensityPair", np.ndarray]:
-        """The pair restricted to its collective support, and the isometry
-        (columns = support basis) mapping compressed vectors back into the
-        ambient space.  It carries the weights, so every pair builds its
-        own, and the core classifies its own supports."""
-        v = self.collective_support().basis
-        g1 = hermitian_part(dag(v) @ self.gamma1 @ v)
-        g2 = hermitian_part(dag(v) @ self.gamma2 @ v)
-        return WeightedDensityPair(v.shape[1], g1, g2, self.tol), v
-
-    @cached_property
     def _reduction(self):
         """`reduction` with None in place of every reference to this pair:
         a pair that held itself would live until a cyclic garbage
@@ -386,13 +374,16 @@ class _RootBlock(NamedTuple):
     inverse_root A^-1/2.  With U S V^dag the SVD of K = sqrt(A1) C sqrt(A2)
     at rank `cross_rank`, C = B1^dag B2 holding the Jordan cosines, polar is
     U S U^dag (V S V^dag for state 2): F1 = sqrt(sqrt(g1) g2 sqrt(g1)) =
-    B1 U S U^dag B1^dag, and polar^2 = K K^dag (K^dag K).
+    B1 U S U^dag B1^dag, and polar^2 = K K^dag (K^dag K).  spectrum is
+    the `eigh` of A (ascending eigenvalues, eigenvectors) the roots come
+    from.
     """
 
     block: np.ndarray
     factor: np.ndarray
     inverse_root: np.ndarray
     polar: np.ndarray
+    spectrum: tuple[np.ndarray, np.ndarray]
 
     def detection_eigenvalue(self) -> float:
         """min eig of sqrt(g)^- g' sqrt(g)^- on supp g, g' the other state:
@@ -591,7 +582,8 @@ def reconstruct_from_core(core: np.ndarray,
     """
     g1, g2 = pair.gamma1, pair.gamma2
     curly = g1 @ g2 + g2 @ g1
-    for (_, w, _, _), x in zip(pair.root_blocks, (g2 - core, g1 + core)):
+    for w, x in zip((root.factor for root in pair.root_blocks),
+                    (g2 - core, g1 + core)):
         try:
             curly = curly + w @ la.sqrt_psd(dag(w) @ x @ w, pair.tol) @ dag(w)
         except NotPSD as exc:
@@ -618,17 +610,3 @@ def projective_kernel_decomposition(
     part1 = la.intersect(fixed, sup1, tol)
     part2 = la.intersect(fixed, sup2, tol)
     return part1, part2, pair.common_kernel()
-
-
-def expand_measurement(m: UsdMeasurement, isometry: np.ndarray) -> UsdMeasurement:
-    """Push a measurement on the compressed space back to the ambient one.
-
-    Conclusive elements are conjugated by the isometry; the inconclusive
-    element absorbs the rest so the triple still sums to the identity (it
-    acts as identity on the removed directions).
-    """
-    v = isometry
-    d = v.shape[0]
-    e1 = v @ m.e1 @ dag(v)
-    e2 = v @ m.e2 @ dag(v)
-    return UsdMeasurement(e1, e2, np.eye(d) - e1 - e2)

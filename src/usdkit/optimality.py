@@ -37,25 +37,18 @@ class OptimalityReport:
     parts (>= -psd_floor passes); the equality residuals are Frobenius
     norms.  The detector projectors are the pair's (`pair.detectors`), so
     the report holds no operator and no basis, and one report serves a
-    measurement on every pair the reductions connect:
-
-    - Compression, which only the oracle uses.  It does not change under
-      the isometry V onto the collective support (the pair's `compressed`
-      core): every operator it measures vanishes off range V and is
-      V (.) V^dag of its version on the core, so the report of the
-      oracle's point on the core is that of its `expand_measurement`.
-    - Lift.  It does not change under `lift_measurement` either.  The
-      reduction splits the supports into orthogonal sums,
-      supp gamma1 = pi_par + sigma1 + C1 and supp gamma2 = pi_par + sigma2
-      + C2 with C_mu inside xi, so the detectors of the pair are
-      Lambda_mu = sigma_mu + Lambda_mu(reduced), and Lambda_mu pi_par = 0.
-      The lifted inconclusive element is e = pi_par + xi e_r xi, with e_r
-      the reduced one, so Lambda_mu e = Lambda_mu(reduced) e_r and
-      e (1 - e) = e_r (1 - e_r) live inside xi.  Each residual then sees
-      gamma2 - gamma1 only through xi (gamma2 - gamma1) xi, the reduced
-      pair's difference up to the tails its classification drops, and
-      equals the one on the reduced pair up to rounding.  The split needs
-      the reduced pair to be strictly skew, as it is by construction.
+    measurement on the pair and on its reduced pair: it does not change
+    under `lift_measurement`.  The reduction splits the supports into
+    orthogonal sums, supp gamma1 = pi_par + sigma1 + C1 and supp gamma2 =
+    pi_par + sigma2 + C2 with C_mu inside xi, so the detectors of the pair
+    are Lambda_mu = sigma_mu + Lambda_mu(reduced), and Lambda_mu pi_par =
+    0.  The lifted inconclusive element is e = pi_par + xi e_r xi, with e_r
+    the reduced one, so Lambda_mu e = Lambda_mu(reduced) e_r and
+    e (1 - e) = e_r (1 - e_r) live inside xi.  Each residual then sees
+    gamma2 - gamma1 only through xi (gamma2 - gamma1) xi, the reduced
+    pair's difference up to the tails its classification drops, and equals
+    the one on the reduced pair up to rounding.  The split needs the
+    reduced pair to be strictly skew, as it is by construction.
     """
 
     cond_a1: bool

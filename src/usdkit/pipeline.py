@@ -20,7 +20,6 @@ from . import linalg as la
 from .closed_form import try_fidelity_form, try_single_state_detection
 from .errors import CertificateFailure, UsdKitError
 from .model import (MeasurementClassTag, UsdMeasurement, WeightedDensityPair,
-                    complete_measurement, expand_measurement,
                     success_probability)
 from .optimality import (OptimalityReport, SolverOutcome, build_certificate,
                          check_optimality, classify)
@@ -66,13 +65,12 @@ def _trivial_outcome(record: ReductionRecord,
 
 
 def _lifted_report(report: OptimalityReport, m: UsdMeasurement,
-                         record: ReductionRecord) -> OptimalityReport:
+                   record: ReductionRecord) -> OptimalityReport:
     """`report`, the check of the core measurement that `m` lifts, or a
     fresh check of `m` on the pair when a Jordan cosine lies within 10x of
-    a cutoff (`boundary_warnings`).  The lift (and the oracle's
-    compression) keep the residuals (`OptimalityReport`) up to rounding,
-    but next to a cutoff that rounding reaches a few 1e-10, and the
-    oracle's compressed core can even tip a Jordan pair across it."""
+    a cutoff (`boundary_warnings`).  The lift keeps the residuals
+    (`OptimalityReport`) up to rounding, but next to a cutoff that rounding
+    reaches a few 1e-10."""
     if record.boundary_warnings:
         return check_optimality(m, record.pair)
     return report
@@ -82,36 +80,30 @@ def _oracle_fallback(record: ReductionRecord, pair: WeightedDensityPair,
                      oracle_cfg: OracleConfig | None,
                      notes: tuple[str, ...]) -> SolverOutcome:
     cfg = oracle_cfg if oracle_cfg is not None else OracleConfig(restarts=3)
-    core, isometry = record.reduced_pair.compressed
+    core = record.reduced_pair
     # The optimum is unique and the checker's conditions are necessary and
     # sufficient, so a certified first restart is the answer.  Only when
-    # the checker refuses it, or it does not complete to a measurement, do
-    # the other configured restarts run; restart k's start depends on
-    # cfg.seed and k alone, so restart 0 is kept and merged with them into
-    # the result of one call with cfg.  A first run that raises leaves
-    # nothing to keep, and all restarts run.
-    # Each point is checked on the core it was found on: that report is the
-    # one of its expansion and lift on the pair (`OptimalityReport`), so
-    # only the point kept is expanded and lifted.
+    # the checker refuses it do the other configured restarts run; restart
+    # k's start depends on cfg.seed and k alone, so restart 0 is kept and
+    # merged with them into the result of one call with cfg.  A first run
+    # that raises leaves nothing to keep, and all restarts run.
     result = report = None
     try:
         result = oracle_optimize(core, replace(cfg, restarts=1))
-        m_core = complete_measurement(result.e_q_opt, core)
     except UsdKitError:
         if cfg.restarts == 1:
             raise
     else:
-        report = check_optimality(m_core, core)
+        report = check_optimality(result.measurement, core)
     if cfg.restarts > 1 and (report is None or not report.is_optimal):
         result = _extend(core, cfg, result)
-        m_core = complete_measurement(result.e_q_opt, core)
-        report = check_optimality(m_core, core)
-    m = lift_measurement(expand_measurement(m_core, isometry), record)
+        report = check_optimality(result.measurement, core)
+    m = lift_measurement(result.measurement, record)
     report = _lifted_report(report, m, record)
     certified = report.is_optimal
     return SolverOutcome(
         measurement=m,
-        class_tag=classify(m_core, core),
+        class_tag=classify(result.measurement, core),
         success=success_probability(m, pair),
         report=report,
         branch=BRANCH_ORACLE_CERTIFIED if certified else BRANCH_ORACLE,
@@ -129,20 +121,19 @@ def dispatch(pair: WeightedDensityPair,
     Reduces first.  A core that is 4-dim with two rank-2 states goes to the
     four-dimensional solver, which tries the closed forms itself; any
     other core gets the closed forms.  The oracle is the last resort: it
-    runs one restart on the compressed core, and the `oracle_cfg` restarts
-    (3 when none is given) only when the checker refuses that point or it
-    does not complete to a measurement.  The outcome's class tag always
-    refers to the strictly skew core measurement; the measurement itself
-    and the optimality report refer to the original pair.
+    runs one restart on the reduced pair, and the `oracle_cfg` restarts
+    (3 when none is given) only when the checker refuses that point or the
+    first run raises.  The outcome's class tag always refers to the
+    strictly skew core measurement; the measurement itself and the
+    optimality report refer to the original pair.
 
-    Each answer is checked once, where it is accepted: by the family on
-    the reduced pair, in the caller's space (`optimality.accepted_outcome`),
-    or by the oracle's gate on the compressed core, the only copy
-    `dispatch` makes.  That check is the returned report; it equals the
-    check of the lifted measurement on the pair passed in, because the
-    residuals change neither under the lift nor under compression
-    (`OptimalityReport`), and the reduced pair is strictly skew by
-    construction (`reduce_fully`).  An answer is checked again on the pair
+    Each answer is checked once, where it is accepted: on the reduced pair,
+    in the caller's space, by the family (`optimality.accepted_outcome`) or
+    by the oracle's gate; `dispatch` makes no other copy of the pair.  That
+    check is the returned report; it equals the check of the lifted
+    measurement on the pair passed in, because the residuals do not change
+    under the lift (`OptimalityReport`), and the reduced pair is strictly
+    skew by construction (`reduce_fully`).  An answer is checked again on the pair
     only when the record's `boundary_warnings` put a Jordan cosine within
     10x of a reduction cutoff.  At most one certificate is built, on the
     reduced pair in the caller's space, only with `with_certificate`, and
@@ -269,8 +260,8 @@ def sweep(rho1: np.ndarray, rho2: np.ndarray, p1_grid,
     `WeightedDensityPair.from_states(rho1, rho2, p1)`, is handed that
     split as its reweighting by (2 p1, 2 (1 - p1)) would be
     (`WeightedDensityPair.reweighted`), and builds what carries the
-    weights itself: its reduced pair (holding the split's one core split),
-    lifted offset and, when the oracle runs, compressed core.  A split is
+    weights itself: its reduced pair (holding the split's one core split)
+    and lifted offset.  A split is
     handed over only when its rank decisions provably match the ones that
     pair would take itself; a prior where an eigenvalue sits close enough
     to the rank cutoff for a decision to flip classifies its own supports.

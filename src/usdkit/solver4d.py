@@ -101,16 +101,17 @@ class Candidate11:
     jordan_data: JordanData11
 
 
-def _host_eigenbasis(sup: la.Subspace, host_gamma: np.ndarray,
+def _host_eigenbasis(sup: la.Subspace, spectrum, host_gamma: np.ndarray,
                      other_gamma: np.ndarray, tol: ToleranceContext):
     """Eigenbasis (s1, s2) of the host on its support `sup`, with g23 >= 0.
 
-    s1 carries the larger host eigenvalue.  If the host is degenerate on
-    its support, the basis is rotated to diagonalize the other state's
-    quadratic form instead (g23 = 0 convention).
+    spectrum is the `eigh` of the host's block on `sup`, kept by the
+    pair's `root_blocks` (`_RootBlock.spectrum`).  s1 carries the larger
+    host eigenvalue.  If the host is degenerate on its support, the basis
+    is rotated to diagonalize the other state's quadratic form instead
+    (g23 = 0 convention).
     """
-    compressed = hermitian_part(dag(sup.basis) @ host_gamma @ sup.basis)
-    w, v = np.linalg.eigh(compressed)
+    w, v = spectrum
     s1, s2 = sup.basis @ v[:, 1], sup.basis @ v[:, 0]
     g11, g12 = float(w[1]), float(w[0])
     trace_scale = max(float(np.real(np.trace(host_gamma))), 1e-300)
@@ -161,8 +162,9 @@ def enumerate_candidates_12(pair: WeightedDensityPair,
     tol = pair.tol
     host_gamma = pair.gamma1 if detect_on == 1 else pair.gamma2
     other_gamma = pair.gamma2 if detect_on == 1 else pair.gamma1
-    s1, s2, g = _host_eigenbasis(pair.supports[detect_on - 1], host_gamma,
-                                 other_gamma, tol)
+    s1, s2, g = _host_eigenbasis(
+        pair.supports[detect_on - 1],
+        pair.root_blocks[detect_on - 1].spectrum, host_gamma, other_gamma, tol)
     g11, g12, g21, g22, g23 = g
     diff1, diff2 = g11 - g12, g21 - g22
     scale = max(g11, g21, g22, g23)

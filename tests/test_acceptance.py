@@ -23,7 +23,8 @@ from usdkit.pipeline import load_problem, sweep
 from usdkit.reductions import lift_measurement, reduce_fully, tau_parallel, tau_skew
 
 from util import (example1_states, examples2_states, peres_nonproper_measurement,
-                  peres_states, random_density, random_skew_pair, random_unit)
+                  peres_states, random_density, random_direction,
+                  random_skew_pair, random_unit)
 
 DATA = Path(__file__).parent / "data"
 IDP = 1 - 1 / np.sqrt(2)
@@ -131,7 +132,7 @@ def test_criterion_05_oracle_agreement_on_example_sweeps():
             reference = oracle_optimize(pair, OracleConfig(seed=17))
             assert abs(row.success_probability - reference.success) < 1e-6, \
                 (name, row.p1)
-            m = complete_measurement(reference.e_q_opt, pair)
+            m = reference.measurement
             _optimal_instances.append((m, pair))
         branches = [row.branch for row in rows]
         assert branches[0] == "single-state-detection"
@@ -152,7 +153,7 @@ def test_criterion_06_uniqueness_probe():
         probe = uniqueness_probe(pair, OracleConfig(seed=trial, restarts=10))
         assert probe.unique
         assert probe.max_distance <= 1e-5
-        m = complete_measurement(probe.result.e_q_opt, pair)
+        m = probe.result.measurement
         _optimal_instances.append((m, pair))
     _report(6, "ten independent restarts agree on one optimum (10 pairs)",
             time.perf_counter() - t0, 600.0)
@@ -228,22 +229,21 @@ def test_criterion_10_checker_soundness_and_certificates():
         else:
             pair = random_skew_pair(rng)
         reference = oracle_optimize(pair, OracleConfig(seed=trial))
-        m_opt = complete_measurement(reference.e_q_opt, pair)
+        m_opt = reference.measurement
         report = check_optimality(m_opt, pair)
         assert report.is_optimal, (trial, report.to_dict())
         # feasibility-preserving perturbation of size ~1e-3 must be rejected
         feas = FeasibleSet(pair)
-        d = pair.dim
-        perturbed = None
+        x = feas.variables(m_opt)
+        m_bad = None
         for attempt in range(8):
-            h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            h = (h + h.conj().T) / np.linalg.norm(h)
-            cand = feas.project(reference.e_q_opt + 3e-3 * h, cycles=40_000)
-            if 2e-4 < np.linalg.norm(cand - reference.e_q_opt) < 5e-3:
-                perturbed = cand
+            cand = feas.measurement(feas.project(
+                x + 3e-3 * random_direction(feas, rng), cycles=40_000))
+            moved = np.linalg.norm(cand.e_inconclusive - m_opt.e_inconclusive)
+            if 2e-4 < moved < 5e-3:
+                m_bad = cand
                 break
-        assert perturbed is not None, f"no usable perturbation (trial {trial})"
-        m_bad = complete_measurement(perturbed, pair)
+        assert m_bad is not None, f"no usable perturbation (trial {trial})"
         assert not check_optimality(m_bad, pair).is_optimal, trial
         # certificate residuals within 1e-7 on every accepted instance
         cert = build_certificate(m_opt, pair)

@@ -10,8 +10,8 @@ from usdkit.model import (complete_measurement, failure_probability,
                           reconstruct_from_core, validate_inconclusive)
 from usdkit.oracle import random_feasible_inconclusive
 
-from util import (example1_states, peres_nonproper_measurement, peres_states,
-                  random_skew_pair)
+from util import (example1_states, jordan_cosine_states,
+                  peres_nonproper_measurement, peres_states, random_skew_pair)
 
 IDP = 1 - 1 / np.sqrt(2)  # optimal success for the symmetric |1>,|+> pair
 
@@ -250,3 +250,18 @@ def test_projective_kernel_decomposition_sums_to_fixed_space(rng):
         if fixed.size:
             np.testing.assert_allclose(rebuilt.projector(), fixed.projector(),
                                        atol=1e-8)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the detector bases (b_mu - c b_nu) / sqrt(1 - c^2) take their sines "
+    "from the cosines: at c0 = 1 - 1e-6 they are orthonormal only to "
+    "2.2e-10, and to 2.2e-8 with c1 = 1 - 1e-8 (ROADMAP item 12)"))
+@pytest.mark.parametrize("c1", [0.5, 1 - 1e-8])
+def test_detector_bases_are_orthonormal_near_parallel(c1):
+    # Subspace promises column-orthonormal bases, and the collective
+    # support, read off the same normals, inherits the defect
+    pair = WeightedDensityPair.from_states(
+        *jordan_cosine_states(np.random.default_rng(0), 1 - 1e-6, c1), 0.5)
+    for space in (*pair.detector_spaces, pair.collective_support()):
+        gram = la.dag(space.basis) @ space.basis
+        assert np.abs(gram - np.eye(space.size)).max() <= 1e-12

@@ -7,13 +7,12 @@ from usdkit import (CertificateFailure, NotProper, OracleConfig,
                     reduce_fully, solve_4d, success_probability,
                     try_fidelity_form, try_single_state_detection)
 from usdkit import linalg as la
-from usdkit.model import complete_measurement
 from usdkit.optimality import (count_types_classes, projective_part_law,
                                rank_law_check)
 from usdkit.oracle import FeasibleSet, oracle_optimize
 
 from util import (peres_nonproper_measurement, peres_states,
-                  random_skew_pair, record_svd_shapes)
+                  random_direction, random_skew_pair, record_svd_shapes)
 
 CERT_RESIDUAL = 1e-7
 
@@ -75,7 +74,7 @@ def test_checker_oracle_agreement(rng):
     for trial in range(12):
         pair = random_skew_pair(rng)
         res = oracle_optimize(pair, OracleConfig(seed=trial))
-        m = complete_measurement(res.e_q_opt, pair)
+        m = res.measurement
         report = check_optimality(m, pair)
         assert report.is_optimal, (trial, report.to_dict())
         assert abs(success_probability(m, pair) - res.success) < 1e-9
@@ -183,11 +182,10 @@ def test_projective_part_law_violated_by_perturbation(rng):
     outcome = solve_4d(pair)
     feas = FeasibleSet(pair)
     r = np.random.default_rng(9)
-    h = r.normal(size=(4, 4)) + 1j * r.normal(size=(4, 4))
-    perturbed = feas.project(outcome.measurement.e_inconclusive
-                             + 1e-2 * (h + h.conj().T))
-    m2 = complete_measurement(perturbed, pair)
-    moved = np.linalg.norm(perturbed - outcome.measurement.e_inconclusive)
+    x = feas.variables(outcome.measurement)
+    m2 = feas.measurement(feas.project(x + 2e-2 * random_direction(feas, r)))
+    moved = np.linalg.norm(m2.e_inconclusive
+                           - outcome.measurement.e_inconclusive)
     assert moved >= 1e-4, "projection collapsed the perturbation"
     assert not projective_part_law(m2, pair)
 
@@ -207,7 +205,7 @@ def test_uniqueness_two_optimal_measurements_agree(rng):
         pair = random_skew_pair(rng)
         outcome = solve_4d(pair)
         res = oracle_optimize(pair, OracleConfig(seed=40 + trial))
-        m_oracle = complete_measurement(res.e_q_opt, pair)
+        m_oracle = res.measurement
         assert check_optimality(m_oracle, pair).is_optimal
         dist = np.linalg.norm(m_oracle.e_inconclusive
                               - outcome.measurement.e_inconclusive)

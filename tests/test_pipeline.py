@@ -7,13 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from usdkit import (InvalidInconclusive, NonConvergence, OracleConfig,
+from usdkit import (NonConvergence, OracleConfig,
                     UsdMeasurement, WeightedDensityPair, classify, dispatch,
                     lift_measurement, oracle_optimize, reduce_fully,
                     solve_4d, success_probability)
 from usdkit import oracle, pipeline
 from usdkit.cli import main
-from usdkit.model import complete_measurement, expand_measurement
 from usdkit.pipeline import (BLOCK_STRUCTURE_NOTE, ProblemFile,
                              load_measurement, load_problem, rows_to_csv,
                              save_measurement, save_problem, sweep,
@@ -21,7 +20,7 @@ from usdkit.pipeline import (BLOCK_STRUCTURE_NOTE, ProblemFile,
 
 from util import (REDUCED_SHAPES, example1_states, examples2_states,
                   generic_pair, jordan_cosine_states, peres_states,
-                  with_eigenvalue_tails)
+                  random_direction, with_eigenvalue_tails)
 
 DATA = Path(__file__).parent / "data"
 IDP = 1 - 1 / np.sqrt(2)
@@ -308,25 +307,15 @@ def _near_cutoff_states(ortho, par):
     return q @ rho1 @ dag(q), q @ rho2 @ dag(q)
 
 
-_ON_THE_PARALLEL_CUTOFF = pytest.mark.xfail(
-    strict=True, raises=InvalidInconclusive, reason=(
-        "near-cutoff pair with 1 - c = 1.00000008e-9, just past the parallel "
-        "cutoff: the reduction keeps that Jordan pair as skew, the 6- or "
-        "8-dim core goes to the oracle, and the oblique projectors, which "
-        "scale by 1/sqrt(1 - c^2) ~ 2e4, do not complete the oracle's "
-        "answer to a measurement (ROADMAP item 2)"))
-
 _NOTHING_REMOVED = pytest.mark.xfail(
     strict=True, raises=AssertionError, reason=(
-        "both cosines land just past their cutoffs (1 - c and c are "
-        "1.0000002e-9), so the pair is strictly skew, the reduction removes "
-        "nothing and the premise of the test fails"))
+        "both cosines land just past their cutoffs (1 - c and c are about "
+        "1.0000001e-9 to 1.0000004e-9), so the pair is strictly skew, the "
+        "reduction removes nothing and the premise of the test fails"))
 
 # (ortho, par) -> {prior: why the case fails}
 _CLASHING_PRIORS = {
-    (1e-10, 1e-9): {0.8: _ON_THE_PARALLEL_CUTOFF},
-    (1e-9, 1e-9): {0.2: _ON_THE_PARALLEL_CUTOFF, 0.5: _NOTHING_REMOVED,
-                   0.8: _NOTHING_REMOVED},
+    (1e-9, 1e-9): {p1: _NOTHING_REMOVED for p1 in (0.2, 0.5, 0.8)},
 }
 _NEAR_CUTOFF_OFFSETS = [(o, p) for o in (1e-11, 1e-10, 1e-9)
                         for p in (1e-11, 1e-10, 1e-9)] + [
@@ -347,6 +336,29 @@ def test_near_cutoff_reductions_report_a_fresh_check(ortho, par, p1):
     pair = WeightedDensityPair.from_states(rho1, rho2, p1)
     outcome = dispatch(pair, oracle_cfg=_NEAR_CUTOFF_ORACLE)
     assert reduce_fully(pair).reduced_pair is not pair
+    _assert_report_is_a_fresh_check(outcome, pair)
+
+
+@pytest.mark.parametrize("p1", [
+    pytest.param(0.2, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason=(
+            "the splitting stalls on the near-parallel Jordan pair "
+            "(1 - c = 1.0000000827e-9): the gap stays at 5e-10 up to "
+            "20 000 evaluations, and at the 2000-evaluation cap the check "
+            "on the pair refuses the point (residual_a2 -1.26e-10 against "
+            "the floor of -1e-10)"))),
+    0.5, 0.8])
+def test_strictly_skew_near_cutoff_pairs_are_certified_by_the_oracle(p1):
+    # the three _NOTHING_REMOVED cases: both cosines lie just past their
+    # cutoffs, so the whole 8-dim pair is the core and reaches the oracle.
+    # Its measurement is built on the detector spaces, whose near-parallel
+    # pair is 1e-9 from the cutoff, with no completion, and it is certified
+    # on the pair itself
+    rho1, rho2 = _near_cutoff_states(1e-9, 1e-9)
+    pair = WeightedDensityPair.from_states(rho1, rho2, p1)
+    assert pair.strictly_skew and reduce_fully(pair).reduced_pair is pair
+    outcome = dispatch(pair, oracle_cfg=_NEAR_CUTOFF_ORACLE)
+    assert outcome.branch == "oracle-checker" and outcome.optimal
     _assert_report_is_a_fresh_check(outcome, pair)
 
 
@@ -433,11 +445,9 @@ def test_class_transition_priors_solve_as_class_12(family, p1):
     assert outcome.branch == "class-12"
     assert outcome.optimal and outcome.certificate is not None
     _assert_report_is_a_fresh_check(outcome, pair)
-    core, isometry = reduce_fully(pair).reduced_pair.compressed
-    m_core = complete_measurement(
-        oracle_optimize(core, OracleConfig(restarts=1)).e_q_opt, core)
-    lifted = lift_measurement(expand_measurement(m_core, isometry),
-                              reduce_fully(pair))
+    record = reduce_fully(pair)
+    lifted = lift_measurement(oracle_optimize(
+        record.reduced_pair, OracleConfig(restarts=1)).measurement, record)
     assert outcome.success == pytest.approx(
         success_probability(lifted, pair), abs=1e-9)
 
@@ -548,17 +558,6 @@ def _refuse(monkeypatch):
     monkeypatch.setattr(pipeline, "check_optimality", refuse_once)
 
 
-def _not_completable(monkeypatch):
-    # restart 0's point does not complete to a measurement
-    real = pipeline.complete_measurement
-
-    def refuse_once(e_q, pair):
-        monkeypatch.setattr(pipeline, "complete_measurement", real)
-        raise InvalidInconclusive("forced")
-
-    monkeypatch.setattr(pipeline, "complete_measurement", refuse_once)
-
-
 def _not_converged(monkeypatch):
     # restart 0 alone runs, then raises
     run = pipeline.oracle_optimize
@@ -572,37 +571,40 @@ def _not_converged(monkeypatch):
     monkeypatch.setattr(pipeline, "oracle_optimize", raise_after_one)
 
 
-def test_oracle_fallback_runs_on_the_compressed_core(rng, monkeypatch):
-    # a rank-(3,3) pair in C^7 has a common kernel; the oracle runs once,
-    # one restart on the 6-dim core, and the lifted answer matches the
-    # three-restart runs on the core and on the uncompressed reduced pair
-    from usdkit.oracle import oracle_optimize
-
+def test_oracle_fallback_runs_on_the_reduced_pair(rng, monkeypatch):
+    # a rank-(3,3) pair in C^7 is strictly skew with a common kernel: the
+    # oracle runs once, one restart, on the pair itself, and dispatch builds
+    # no other pair.  The answer matches a three-restart run
     pair = _c7_pair(rng)
-    calls = _spy_oracle(monkeypatch)
+    assert pair.strictly_skew and pair.common_kernel().size == 1
+    real = pipeline.oracle_optimize
+    problems = []
+
+    def spy(problem, cfg):
+        problems.append((problem, cfg.restarts))
+        return real(problem, cfg)
+
+    monkeypatch.setattr(pipeline, "oracle_optimize", spy)
+    built = []
+    post_init = WeightedDensityPair.__post_init__
+    monkeypatch.setattr(WeightedDensityPair, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
     outcome = dispatch(pair)
-    assert [cfg.restarts for cfg in calls] == [1]
+    assert [(p is pair, r) for p, r in problems] == [(True, 1)]
+    assert built == []
     assert outcome.branch == "oracle-checker"
-    reduced = reduce_fully(pair).reduced_pair
-    assert reduced.dim == 7 and reduced.collective_support().size == 6
-    core, _ = reduced.compressed
-    for problem in (core, reduced):
-        full = oracle_optimize(problem, OracleConfig(restarts=3))
-        m_full = complete_measurement(full.e_q_opt, problem)
-        assert outcome.success == pytest.approx(full.success, abs=1e-9)
-        assert outcome.class_tag == classify(m_full, problem)
+    full = real(pair, OracleConfig(restarts=3))
+    assert outcome.success == pytest.approx(full.success, abs=1e-9)
+    assert outcome.class_tag == classify(full.measurement, pair)
 
 
-@pytest.mark.parametrize("first_run",
-                         [_refuse, _not_completable, _not_converged])
+@pytest.mark.parametrize("first_run", [_refuse, _not_converged])
 def test_oracle_fallback_runs_the_configured_restarts_on_refusal(
         first_run, rng, monkeypatch):
-    # a first point the checker refuses or that does not complete, or a
-    # first run that raises, sends dispatch to the default three restarts,
-    # whose answer it returns.  A refused restart 0 is kept, so only
-    # restarts 1 and 2 run again; a first run that raises leaves nothing
-    # to keep
-    from usdkit.model import expand_measurement
+    # a first point the checker refuses, or a first run that raises, sends
+    # dispatch to the default three restarts, whose answer it returns.  A
+    # refused restart 0 is kept, so only restarts 1 and 2 run again; a
+    # first run that raises leaves nothing to keep
     from usdkit.oracle import oracle_optimize
 
     pair = _c7_pair(rng)
@@ -613,11 +615,7 @@ def test_oracle_fallback_runs_the_configured_restarts_on_refusal(
     assert [cfg.restarts for cfg in calls] == [1]
     assert len(splittings) == (4 if first_run is _not_converged else 3)
     assert outcome.branch == "oracle-checker" and outcome.optimal
-    record = reduce_fully(pair)
-    core, isometry = record.reduced_pair.compressed
-    full = oracle_optimize(core, OracleConfig(restarts=3))
-    m_core = complete_measurement(full.e_q_opt, core)
-    expected = lift_measurement(expand_measurement(m_core, isometry), record)
+    expected = oracle_optimize(pair, OracleConfig(restarts=3)).measurement
     for name in ("e1", "e2", "e_inconclusive"):
         np.testing.assert_allclose(getattr(outcome.measurement, name),
                                    getattr(expected, name), rtol=0, atol=1e-12)
@@ -713,27 +711,30 @@ def test_sweep_matches_fresh_dispatch(family):
                          with_certificate=False)
         _assert_same_answer(row, fresh)
     if family == "skew6":
-        # the (6;3,3) pair reaches the oracle, on a compressed core that
-        # each prior builds itself, at every prior but p1 = 0.9
+        # the (6;3,3) pair reaches the oracle at every prior but p1 = 0.9
         assert [r.branch for r in rows] == ["oracle-checker"] * 8 + [
             "single-state-detection"]
 
 
 def test_analytic_answers_need_no_compressed_copy(monkeypatch):
-    # solve_4d and build_certificate work in the pair's own space; only the
-    # oracle compresses
-    def compressed(self):
-        raise AssertionError("compressed a pair outside the oracle")
-
-    monkeypatch.setattr(WeightedDensityPair, "compressed",
-                        property(compressed))
+    # solve_4d and build_certificate work in the pair's own space: the one
+    # pair dispatch builds is the reduced pair, and none when the pair is
+    # strictly skew
+    built = []
+    post_init = WeightedDensityPair.__post_init__
     pairs = [WeightedDensityPair.from_states(*generic_pair(
         np.random.default_rng([d, r1, r2]), d, r1, r2), 0.5)
         for d, r1, r2 in ((4, 2, 2), (5, 2, 3), (3, 1, 2))]
     pairs.append(WeightedDensityPair.from_states(*peres_states(dim=3), 0.5))
+    monkeypatch.setattr(WeightedDensityPair, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
     for pair in pairs:
+        built.clear()
         outcome = dispatch(pair)
         assert outcome.optimal and outcome.certificate is not None
+        reduced = reduce_fully(pair).reduced_pair
+        assert [b is reduced for b in built] == (
+            [] if reduced is pair else [True])
     assert solve_4d(reduce_fully(pairs[1]).reduced_pair).optimal
 
 
@@ -1094,17 +1095,14 @@ def test_cli_verify_accepts_optimum(tmp_path, capsys):
 
 def test_cli_verify_rejects_perturbed(tmp_path, capsys):
     from usdkit.oracle import FeasibleSet
-    from usdkit.model import complete_measurement
 
     rho1, rho2 = peres_states(dim=3)
     pair = WeightedDensityPair.from_states(rho1, rho2, 0.5)
     outcome = dispatch(pair)
     feas = FeasibleSet(pair)
     r = np.random.default_rng(4)
-    h = r.normal(size=(3, 3)) + 1j * r.normal(size=(3, 3))
-    e_q = feas.project(outcome.measurement.e_inconclusive
-                       + 1e-3 * (h + h.conj().T))
-    m = complete_measurement(e_q, pair)
+    x = feas.variables(outcome.measurement)
+    m = feas.measurement(feas.project(x + 2e-3 * random_direction(feas, r)))
     mpath = tmp_path / "perturbed.json"
     save_measurement(mpath, m)
     code = main(["verify", str(DATA / "peres.json"), str(mpath)])

@@ -17,6 +17,15 @@ def random_unit(rng: np.random.Generator, d: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def random_direction(feas, rng: np.random.Generator) -> np.ndarray:
+    """A random unit-norm direction among the points of an
+    `oracle.FeasibleSet`: Hermitian blocks Z1, Z2 and S."""
+    from usdkit.oracle import _random_start
+
+    h = _random_start(feas, int(rng.integers(2 ** 62)))
+    return h / np.linalg.norm(h)
+
+
 def random_density(rng: np.random.Generator, d: int, r: int) -> np.ndarray:
     """Random rank-r density matrix on C^d."""
     a = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
