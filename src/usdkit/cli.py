@@ -16,8 +16,8 @@ from .errors import CertificateFailure, UsdKitError
 from .model import is_proper, is_usd, success_probability
 from .optimality import build_certificate, check_optimality, classify
 from .oracle import OracleConfig, oracle_optimize, uniqueness_probe
-from .pipeline import (dispatch, load_measurement, load_problem, rows_to_csv,
-                       sweep)
+from .pipeline import (BRANCH_ORACLE, dispatch, load_measurement,
+                       load_problem, rows_to_csv, sweep)
 from .reductions import reduce_fully
 from .tolerances import DEFAULT_TOL, ToleranceContext
 
@@ -79,6 +79,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.steps < 1:
+        raise ValueError("--steps must be at least 1")
     tol = _tolerances(args)
     problem = load_problem(args.problem, tol)
     grid = np.linspace(args.min, args.max, args.steps)
@@ -89,6 +91,9 @@ def _cmd_sweep(args) -> int:
     else:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    # the CSV holds every row; the exit code says whether each is certified
+    if any(row.branch == BRANCH_ORACLE for row in rows):
+        return EXIT_UNCERTIFIED
     return EXIT_OK
 
 

@@ -17,7 +17,8 @@ from .tolerances import DEFAULT_TOL, ToleranceContext
 __all__ = [
     "Subspace", "dag", "hermitian_part", "is_hermitian", "assert_hermitian",
     "min_eigenvalue", "is_psd", "rank", "rank_from_values", "rank_margin",
-    "rank_survives_scaling", "support", "kernel", "spectral_split",
+    "rank_survives_scaling", "passing_weight_limit", "support", "kernel",
+    "spectral_split",
     "intersect",
     "subspace_sum", "oblique_projector",
     "pseudo_inverse", "sqrt_psd", "jordan_bases",
@@ -114,6 +115,26 @@ def rank_survives_scaling(values: np.ndarray, lo: float, hi: float,
     slack = 16 * len(vals) * _EPS * norm
     return all(lo * v - slack > 2 * cut_hi if v > cut
                else hi * v + slack < 0.5 * cut_lo for v in vals)
+
+
+def passing_weight_limit(deviation: float, scale: float, bound: float,
+                         n: int) -> float:
+    """The largest weight c at which a test provably passes on c A.
+
+    The test accepts an n x n operator A when its `deviation` is at most
+    `bound * max(1, scale)`: for `is_hermitian` the largest entry of
+    A - A^dag against the largest entry, for `is_psd` the most negative
+    eigenvalue against the largest eigenvalue modulus.  Both numbers scale
+    with the operator, so the test passes on c A for every c up to the
+    limit returned, after an allowance of 16 n eps per unit of scale for
+    the rounding of the scaling and of the decomposition, as in
+    `rank_survives_scaling`.  The limit is infinite when the deviation
+    clears the bound at any scale.
+    """
+    slack = 16 * n * _EPS * scale
+    if deviation + slack <= bound * (scale - slack):
+        return float("inf")
+    return bound / (deviation + slack)
 
 
 @dataclass(frozen=True)

@@ -200,20 +200,26 @@ class WeightedDensityPair:
     gamma1: np.ndarray
     gamma2: np.ndarray
     tol: ToleranceContext = field(default=DEFAULT_TOL)
-    # (c1, c2) when this pair holds a split handed over by `_lend_jordan`:
-    # its weights relative to the eigenvalues `jordan.values`
-    _weights: tuple | None = field(default=None, init=False, repr=False,
-                                   compare=False)
+    # (lender, c1, c2) when this pair holds a split handed over by
+    # `_lend_jordan`: it is (c1 gamma1, c2 gamma2) of the lender, whose split
+    # it holds and whose eigenvalues `jordan.values` are, if any
+    _lender: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
+    # True on a pair built by `_known_valid`, set before __init__ runs
+    _states_known_valid = False
 
     def __post_init__(self):
-        g1 = la.assert_hermitian(np.asarray(self.gamma1, dtype=complex),
-                                 self.tol, "gamma1")
-        g2 = la.assert_hermitian(np.asarray(self.gamma2, dtype=complex),
-                                 self.tol, "gamma2")
+        tested = not self._states_known_valid
+        g1, g2 = (la.assert_hermitian(g, self.tol, name) if tested
+                  else hermitian_part(g)
+                  for g, name in ((np.asarray(self.gamma1, dtype=complex),
+                                   "gamma1"),
+                                  (np.asarray(self.gamma2, dtype=complex),
+                                   "gamma2")))
         if g1.shape != (self.dim, self.dim) or g2.shape != (self.dim, self.dim):
             raise DimensionMismatch("state operators do not match dim")
         for name, g in (("gamma1", g1), ("gamma2", g2)):
-            if not la.is_psd(g, self.tol):
+            if tested and not la.is_psd(g, self.tol):
                 raise NotPSD(f"{name} is not positive semi-definite")
         total = float(np.real(np.trace(g1) + np.trace(g2)))
         if total > 1.0 + self.tol.equality:
@@ -221,6 +227,18 @@ class WeightedDensityPair:
         # read-only: the geometry cached below must not go stale
         object.__setattr__(self, "gamma1", _freeze(g1))
         object.__setattr__(self, "gamma2", _freeze(g2))
+
+    @classmethod
+    def _known_valid(cls, dim: int, gamma1: np.ndarray, gamma2: np.ndarray,
+                     tol: ToleranceContext) -> "WeightedDensityPair":
+        """`cls(dim, gamma1, gamma2, tol)` without the hermiticity and PSD
+        tests of the two operators, which the caller has proven to pass:
+        the pair stores the same Hermitian parts, and the shape and
+        total-trace tests still run."""
+        pair = object.__new__(cls)
+        object.__setattr__(pair, "_states_known_valid", True)
+        pair.__init__(dim, gamma1, gamma2, tol)
+        return pair
 
     @staticmethod
     def from_states(rho1: np.ndarray, rho2: np.ndarray, p1: float,
@@ -239,13 +257,15 @@ class WeightedDensityPair:
         Supports, kernels and everything built from them depend on the
         states alone, so the new pair is handed this pair's `JordanSplit`;
         whatever carries the weights (the reduction record with its reduced
-        pair and lifted offset, the inverse of the total, the root blocks)
-        it builds itself.  A split is handed over only when its rank
-        decisions provably match the ones the new pair would take itself
+        pair and lifted offset, the inverse of the total) it builds itself,
+        and its root blocks are this pair's, reweighted (`root_blocks`).
+        A split is handed over only when its rank decisions provably match
+        the ones the new pair would take itself
         (`linalg.rank_survives_scaling`): the spectra of the two operators
-        scale by c1 and c2, and the Jordan cosines do not move.  Otherwise the new pair classifies its own supports.  A split
-        handed down by a reduction holds no rank decision and is always
-        handed over.
+        scale by c1 and c2, and the Jordan cosines do not move.  Otherwise
+        the new pair classifies its own supports and computes its own root
+        blocks.  A split handed down by a reduction holds no rank decision
+        and is always handed over.
         """
         if not (c1 > 0.0 and c2 > 0.0):
             raise ValueError("weights must be positive")
@@ -257,9 +277,11 @@ class WeightedDensityPair:
                      c2: float) -> "WeightedDensityPair":
         """Hand `pair`, which must be (c1 gamma1, c2 gamma2) up to rounding,
         this pair's `jordan` where `reweighted` allows it; returns `pair`.
-        Its weights are recorded relative to the split's eigenvalues, so a
-        reweighting of `pair` tests the same eigenvalues again."""
-        w1, w2 = self._weights or (1.0, 1.0)
+        A pair handed the split records its lender and its weights relative
+        to it: this pair, or the pair this one was lent by, with the
+        weights multiplied.  So a reweighting of `pair` tests the lender's
+        eigenvalues again, and `pair.root_blocks` scales the lender's."""
+        lender, w1, w2 = self._lender or (self, 1.0, 1.0)
         w1, w2 = w1 * c1, w2 * c2
         split = self.jordan
         if split.values is None or all(
@@ -267,7 +289,7 @@ class WeightedDensityPair:
                                          self.tol)
                 for v, w in zip(split.values, (w1, w2))):
             object.__setattr__(pair, "jordan", split)
-            object.__setattr__(pair, "_weights", (w1, w2))
+            object.__setattr__(pair, "_lender", (lender, w1, w2))
         return pair
 
     @property
@@ -288,7 +310,15 @@ class WeightedDensityPair:
     def root_blocks(self) -> tuple["_RootBlock", "_RootBlock"]:
         """Both states' roots and polar factors on the split's support bases
         (`_RootBlock`), from an `eigh` per state and one SVD of k x k blocks,
-        at the split's ranks; computed once, as `total_inverse` is."""
+        at the split's ranks; computed once, as `total_inverse` is.  A pair
+        that holds a lent split (`_lend_jordan`), and the reduced pair of
+        one, is (c1 gamma1, c2 gamma2) of its lender on the same bases, so
+        it reweights the lender's blocks instead (`_RootBlock.scaled`) and
+        decomposes nothing."""
+        if self._lender is not None:
+            lender, c1, c2 = self._lender
+            root1, root2 = lender.root_blocks
+            return root1.scaled(c1, c2), root2.scaled(c2, c1)
         split, r = self.jordan, self.jordan.cross_rank
         bases = [s.basis for s in split.supports]
         blocks = [hermitian_part(dag(b) @ g @ b)
@@ -362,6 +392,49 @@ class WeightedDensityPair:
                        reduced_pair=record.reduced_pair or self)
 
 
+def _weight_limit(rho: np.ndarray, tol: ToleranceContext) -> float:
+    """The largest weight c at which c rho provably passes both per-state
+    tests of a `WeightedDensityPair`, hermiticity and positivity
+    (`linalg.passing_weight_limit`)."""
+    n = len(rho)
+    w = np.linalg.eigvalsh(hermitian_part(rho))
+    return min(
+        la.passing_weight_limit(float(np.abs(rho - dag(rho)).max(initial=0.0)),
+                                float(np.abs(rho).max(initial=0.0)),
+                                tol.hermitian, n),
+        la.passing_weight_limit(max(0.0, -float(w.min(initial=0.0))),
+                                float(np.abs(w).max(initial=0.0)),
+                                tol.psd_floor, n))
+
+
+def _sweep_pairs(rho1: np.ndarray, rho2: np.ndarray, tol: ToleranceContext):
+    """(base, pair_at) for a sweep of the priors of two unit-trace states.
+
+    base is `WeightedDensityPair.from_states(rho1, rho2, 0.5, tol)`, and
+    pair_at(p1) the pair `from_states` builds at p1, handed the split of
+    base as its reweighting by (2 p1, 2 (1 - p1)) would be (`_lend_jordan`).
+    The states are tested once: hermiticity and positivity scale with the
+    weights, so a prior whose weights lie within both states'
+    `_weight_limit` builds its pair without the per-state tests
+    (`_known_valid`), and any other prior tests them as `from_states` does.
+    """
+    base = WeightedDensityPair.from_states(rho1, rho2, 0.5, tol)
+    rho1, rho2 = (np.asarray(rho, dtype=complex) for rho in (rho1, rho2))
+    limit1, limit2 = (_weight_limit(rho, tol) for rho in (rho1, rho2))
+
+    def pair_at(p1: float) -> WeightedDensityPair:
+        if not 0.0 < p1 < 1.0:
+            raise ValueError("p1 must lie strictly between 0 and 1")
+        if p1 <= limit1 and 1.0 - p1 <= limit2:
+            pair = WeightedDensityPair._known_valid(
+                base.dim, p1 * rho1, (1.0 - p1) * rho2, tol)
+        else:
+            pair = WeightedDensityPair.from_states(rho1, rho2, p1, tol)
+        return base._lend_jordan(pair, 2.0 * p1, 2.0 * (1.0 - p1))
+
+    return base, pair_at
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -376,7 +449,7 @@ class _RootBlock(NamedTuple):
     U S U^dag (V S V^dag for state 2): F1 = sqrt(sqrt(g1) g2 sqrt(g1)) =
     B1 U S U^dag B1^dag, and polar^2 = K K^dag (K^dag K).  spectrum is
     the `eigh` of A (ascending eigenvalues, eigenvectors) the roots come
-    from.
+    from.  A reweighted pair gets its lender's blocks, scaled (`scaled`).
     """
 
     block: np.ndarray
@@ -384,6 +457,16 @@ class _RootBlock(NamedTuple):
     inverse_root: np.ndarray
     polar: np.ndarray
     spectrum: tuple[np.ndarray, np.ndarray]
+
+    def scaled(self, c: float, c_other: float) -> "_RootBlock":
+        """This block for the state scaled by c and the other by c_other:
+        A and its eigenvalues scale by c, W by sqrt(c), A^-1/2 by
+        1/sqrt(c) and polar by sqrt(c c_other); the eigenvectors, and the
+        singular vectors behind polar, stay."""
+        root, (w, q) = np.sqrt(c), self.spectrum
+        return _RootBlock(c * self.block, root * self.factor,
+                          self.inverse_root / root,
+                          np.sqrt(c * c_other) * self.polar, (c * w, q))
 
     def detection_eigenvalue(self) -> float:
         """min eig of sqrt(g)^- g' sqrt(g)^- on supp g, g' the other state:

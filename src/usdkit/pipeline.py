@@ -17,15 +17,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linalg as la
-from .closed_form import try_fidelity_form, try_single_state_detection
 from .errors import CertificateFailure, UsdKitError
 from .model import (MeasurementClassTag, UsdMeasurement, WeightedDensityPair,
-                    success_probability)
+                    _sweep_pairs, success_probability)
 from .optimality import (OptimalityReport, SolverOutcome, build_certificate,
                          check_optimality, classify)
 from .oracle import OracleConfig, _extend, oracle_optimize
 from .reductions import ReductionRecord, lift_measurement, reduce_fully
-from .solver4d import solve_4d
+from .solver4d import _family_of, _first_closed_form, solve_4d
 from .tolerances import DEFAULT_TOL, ToleranceContext
 
 __all__ = [
@@ -115,7 +114,8 @@ def _oracle_fallback(record: ReductionRecord, pair: WeightedDensityPair,
 
 def dispatch(pair: WeightedDensityPair,
              oracle_cfg: OracleConfig | None = None,
-             with_certificate: bool = True) -> SolverOutcome:
+             with_certificate: bool = True, *,
+             _family=None) -> SolverOutcome:
     """Solve an arbitrary two-state instance end to end.
 
     Reduces first.  A core that is 4-dim with two rank-2 states goes to the
@@ -141,6 +141,11 @@ def dispatch(pair: WeightedDensityPair,
     itself returns none.
     `BLOCK_STRUCTURE_NOTE` is among the warnings when the core's
     collective support is larger than four dimensions.
+
+    `sweep` passes the family that answered the previous prior as
+    `_family` (`solver4d._FAMILIES`).  It runs first, in `solve_4d` and
+    in the closed-form loop alike, and is the answer when it passes off a
+    class boundary; otherwise the families run in their usual order.
     """
     record = reduce_fully(pair)
     notes = tuple(record.boundary_warnings)
@@ -154,14 +159,11 @@ def dispatch(pair: WeightedDensityPair,
     core_outcome: SolverOutcome | None = None
     if core_support == 4:  # strictly skew, so both ranks are 2
         try:
-            core_outcome = solve_4d(core)
+            core_outcome = solve_4d(core, _family=_family)
         except UsdKitError as exc:
             notes = notes + (f"four-dimensional solver failed: {exc}",)
     else:
-        for family in (try_single_state_detection, try_fidelity_form):
-            core_outcome = family(core)
-            if core_outcome is not None:
-                break
+        core_outcome = _first_closed_form(core, _family)
     if core_outcome is None:
         return _oracle_fallback(record, pair, oracle_cfg, notes)
 
@@ -252,31 +254,43 @@ def _bounds(probe: WeightedDensityPair):
 
 def sweep(rho1: np.ndarray, rho2: np.ndarray, p1_grid,
           tol: ToleranceContext = DEFAULT_TOL) -> list[SweepRow]:
-    """Dispatch every prior on the grid, sharing one pair's geometry.
+    """Dispatch every prior on the grid, carrying each prior's answer on.
 
     The prior only weights the two states, so their supports, kernels,
     detector spaces and reduction projectors are computed once, on the
-    `JordanSplit` of the pair at p1 = 0.5.  Each prior's pair, built by
-    `WeightedDensityPair.from_states(rho1, rho2, p1)`, is handed that
-    split as its reweighting by (2 p1, 2 (1 - p1)) would be
-    (`WeightedDensityPair.reweighted`), and builds what carries the
-    weights itself: its reduced pair (holding the split's one core split)
-    and lifted offset.  A split is
+    `JordanSplit` of the pair at p1 = 0.5.  Each prior's pair, the one
+    `WeightedDensityPair.from_states(rho1, rho2, p1)` builds, is handed
+    that split as its reweighting by (2 p1, 2 (1 - p1)) would be
+    (`WeightedDensityPair.reweighted`).  It builds what carries the
+    weights itself, its reduced pair (holding the split's one core split)
+    and lifted offset, except the root blocks: it and its reduced pair
+    scale those of the pair at 0.5 and its reduced pair.  A split is
     handed over only when its rank decisions provably match the ones that
     pair would take itself; a prior where an eigenvalue sits close enough
     to the rank cutoff for a decision to flip classifies its own supports.
-    So every row is the answer `dispatch` gives on the pair built afresh.
-    A row keeps no measurement, so no certificate is built.
+
+    The states are tested once, not at every prior: a prior skips the
+    hermiticity and PSD tests of its pair where scaling provably keeps them
+    passing, and tests as `from_states` does anywhere else.  Each prior
+    first tries the family that answered the one before it
+    (`dispatch`'s `_family`); by uniqueness of the optimum, a pass off a
+    class boundary is the answer.  So every row is the answer `dispatch`
+    gives on the pair built afresh, up to rounding.  The one exception is
+    a prior on a class transition, where the carried family passes off
+    the boundary and a family tried before it in a fresh `dispatch`
+    passes on it: both measurements pass the check, and the row names the
+    carried family.  A row keeps no measurement, so no certificate is
+    built.
     """
-    base = WeightedDensityPair.from_states(rho1, rho2, 0.5, tol)
+    base, pair_at = _sweep_pairs(rho1, rho2, tol)
     bounds = _bounds(base)
     rows = []
+    family = None
     for p1 in p1_grid:
         p1 = float(p1)
-        pair = base._lend_jordan(
-            WeightedDensityPair.from_states(rho1, rho2, p1, tol),
-            2.0 * p1, 2.0 * (1.0 - p1))
-        outcome = dispatch(pair, with_certificate=False)
+        outcome = dispatch(pair_at(p1), with_certificate=False,
+                           _family=family)
+        family = _family_of(outcome)
         low, up = bounds(p1)
         rows.append(SweepRow(
             p1=p1,

@@ -51,8 +51,13 @@ class ReductionRecord:
 
 def _projected_pair(pair: WeightedDensityPair, p1: np.ndarray,
                     p2: np.ndarray) -> WeightedDensityPair:
-    """The pair (p1 gamma1 p1, p2 gamma2 p2)."""
-    return WeightedDensityPair(
+    """The pair (p1 gamma1 p1, p2 gamma2 p2) of orthogonal projectors p1, p2.
+
+    Its states are not tested again: each is a compression of one of
+    `pair`, which passed the tests, so by Cauchy interlacing its smallest
+    eigenvalue is at least min(0, that of the state it compresses).
+    """
+    return WeightedDensityPair._known_valid(
         pair.dim, la.hermitian_part(p1 @ pair.gamma1 @ p1),
         la.hermitian_part(p2 @ pair.gamma2 @ p2), pair.tol)
 
@@ -104,7 +109,10 @@ def _reduction_record(pair: WeightedDensityPair) -> ReductionRecord:
     in from `WeightedDensityPair.reduction`.  The projectors are the
     split's (`JordanSplit.reduction_projectors`); the offset and the
     reduced pair carry the weights and are built on `pair`, and the
-    reduced pair is handed the split's `core`."""
+    reduced pair is handed the split's `core`.  When `pair` holds a lent
+    split, (c1 gamma1, c2 gamma2) of its lender, the reduced pair is that
+    reweighting of the lender's reduced pair and records it as its lender
+    (`WeightedDensityPair.root_blocks`)."""
     split = pair.jordan
     warnings = []
     for c in split.cosines:
@@ -122,6 +130,10 @@ def _reduction_record(pair: WeightedDensityPair) -> ReductionRecord:
     if not split.strictly_skew:
         reduced = _projected_pair(pair, *split.core.support_projectors)
         object.__setattr__(reduced, "jordan", split.core)
+        if pair._lender is not None:
+            lender, c1, c2 = pair._lender
+            object.__setattr__(reduced, "_lender", (
+                lender._reduction.reduced_pair, c1, c2))
     offset = float(np.real(np.trace((sigma1 + sigma2) @ pair.total)))
     return ReductionRecord(None, pi_par, sigma1, sigma2, xi, offset, reduced,
                            tuple(warnings))

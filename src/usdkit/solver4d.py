@@ -12,6 +12,7 @@ other families tried as well.
 """
 from __future__ import annotations
 
+import itertools
 import warnings as _warnings
 from dataclasses import dataclass, replace
 
@@ -40,10 +41,12 @@ BRANCH_CLASS_11 = "class-11"
 # roots of the candidate polynomials count as real below this imag/real ratio
 _REAL_ROOT_TOL = 1e-8
 
-# the unordered class (rank pair) of each family's measurement on a
-# rank-(2,2) core
-_FAMILY_CLASS = {BRANCH_SINGLE_STATE: (0, 2), BRANCH_FIDELITY: (2, 2),
-                 BRANCH_CLASS_12: (1, 2), BRANCH_CLASS_11: (1, 1)}
+# the families in the order they are tried, as (branch, host): host names
+# the state whose support hosts ker(1 - e_q) of a class-12 measurement, and
+# is 0 for the other families
+_FAMILIES = ((BRANCH_SINGLE_STATE, 0), (BRANCH_FIDELITY, 0),
+             (BRANCH_CLASS_12, 1), (BRANCH_CLASS_12, 2), (BRANCH_CLASS_11, 0))
+_CLOSED_FORMS = _FAMILIES[:2]
 # an answer whose conclusive ranks clear the rank cutoff by less than this
 # factor sits on a class boundary
 _BOUNDARY_RANK_MARGIN = 100.0
@@ -501,40 +504,106 @@ def _residual_total(report: OptimalityReport) -> float:
             + report.residual_cross + report.residual_b)
 
 
-def _accepted_outcomes(pair: WeightedDensityPair):
-    """The outcomes of the families that pass their check on `pair`, in
-    the order they are tried.  The candidate classes run only when neither
-    closed form passes."""
-    closed = False
-    for family in (try_single_state_detection, try_fidelity_form):
-        outcome = family(pair)
-        if outcome is not None:
-            closed = True
-            yield outcome
-    if closed:
-        return
-    for host in (1, 2):
-        for cand in enumerate_candidates_12(pair, detect_on=host):
-            outcome = finalize_candidate_12(cand, pair)
-            if isinstance(outcome, SolverOutcome):
-                yield outcome
-    for cand in enumerate_candidates_11(pair):
-        outcome = finalize_candidate_11(cand, pair)
+def _family_outcomes(pair: WeightedDensityPair, family):
+    """The outcomes of one family (`_FAMILIES`) that pass their check on
+    `pair`, in the order its candidates are tried; lazily, so a caller that
+    stops at the first one runs nothing past it."""
+    branch, host = family
+    if branch == BRANCH_SINGLE_STATE:
+        results = [try_single_state_detection(pair)]
+    elif branch == BRANCH_FIDELITY:
+        results = [try_fidelity_form(pair)]
+    elif branch == BRANCH_CLASS_12:
+        results = (finalize_candidate_12(cand, pair)
+                   for cand in enumerate_candidates_12(pair, detect_on=host))
+    else:
+        results = (finalize_candidate_11(cand, pair)
+                   for cand in enumerate_candidates_11(pair))
+    for outcome in results:
         if isinstance(outcome, SolverOutcome):
             yield outcome
 
 
-def _on_boundary(outcome: SolverOutcome) -> bool:
+def _accepted_outcomes(pair: WeightedDensityPair, families=_FAMILIES,
+                       started=None):
+    """The outcomes of `families` that pass their check on `pair`, in the
+    order they are tried.  The candidate classes run only when neither
+    closed form passes.  `started` maps a family that has already run to
+    what it yielded (`_carried`), which is replayed, not run again."""
+    started = started or {}
+    closed = False
+    for family in families:
+        if closed and family not in _CLOSED_FORMS:
+            return
+        outcomes = (started[family] if family in started
+                    else _family_outcomes(pair, family))
+        for outcome in outcomes:
+            closed = closed or family in _CLOSED_FORMS
+            yield outcome
+
+
+def _family_class(branch: str, rank: int) -> tuple[int, int]:
+    """The unordered class of a family's measurement on a strictly skew
+    core whose states have rank `rank`; the candidate classes are solved
+    only at rank 2."""
+    return {BRANCH_SINGLE_STATE: (0, rank), BRANCH_FIDELITY: (rank, rank),
+            BRANCH_CLASS_12: (1, 2), BRANCH_CLASS_11: (1, 1)}[branch]
+
+
+def _on_boundary(outcome: SolverOutcome, rank: int = 2) -> bool:
     """Whether an accepted answer sits on a class boundary: its closed form
     called it marginal, its class is not its family's, or a kept singular
     value of e1 or e2 sits within `_BOUNDARY_RANK_MARGIN` of the cutoff."""
     tag = outcome.class_tag
     return (outcome.boundary
-            or tag.as_class != _FAMILY_CLASS[outcome.branch]
+            or tag.as_class != _family_class(outcome.branch, rank)
             or tag.rank_margin <= _BOUNDARY_RANK_MARGIN)
 
 
-def solve_4d(pair: WeightedDensityPair) -> SolverOutcome:
+def _family_of(outcome: SolverOutcome):
+    """The family (`_FAMILIES`) of an analytic outcome, None for any other
+    branch.  A class-12 measurement has e1 of rank 1 when state 1 hosts
+    ker(1 - e_q)."""
+    if outcome.branch == BRANCH_CLASS_12:
+        return BRANCH_CLASS_12, 1 if outcome.class_tag.e1_rank == 1 else 2
+    family = (outcome.branch, 0)
+    return family if family in _FAMILIES else None
+
+
+def _carried(pair: WeightedDensityPair, family, rank: int = 2):
+    """Run `family`, the one the previous prior of a sweep accepted, first.
+
+    Returns (answer, started).  answer is the family's first outcome that
+    passes its check, when that outcome is off a class boundary
+    (`_on_boundary`): by uniqueness of the optimum it is the answer, and
+    nothing else runs.  Otherwise answer is None, and started maps the
+    family to a replay of what it yielded, so that the full order
+    (`_accepted_outcomes`) runs unchanged without running it twice.
+    """
+    if family is None:
+        return None, {}
+    probe, replay = itertools.tee(_family_outcomes(pair, family))
+    first = next(probe, None)
+    if first is not None and not _on_boundary(first, rank):
+        return first, {}
+    return None, {family: replay}
+
+
+def _first_closed_form(pair: WeightedDensityPair,
+                       family=None) -> SolverOutcome | None:
+    """The answer of `dispatch` on a strictly skew core that is not 4-dim:
+    the first closed form that passes, single state detection before the
+    fidelity form, or None.  A carried closed form runs first, under the
+    rule of `solve_4d`."""
+    if family not in _CLOSED_FORMS:
+        family = None
+    answer, started = _carried(pair, family, pair.jordan.n_skew)
+    if answer is not None:
+        return answer
+    return next(_accepted_outcomes(pair, _CLOSED_FORMS, started), None)
+
+
+def solve_4d(pair: WeightedDensityPair, *, _family=None) -> SolverOutcome:
     """Optimal measurement of a strictly skew rank-(2,2) pair (4-dim support).
 
     Families are tried cheapest first, each at most once, on the pair as
@@ -554,6 +623,16 @@ def solve_4d(pair: WeightedDensityPair) -> SolverOutcome:
     the smallest total residual is kept, with `boundary` set and a note
     naming how many families passed.
 
+    `sweep` passes the family that answered the previous prior as
+    `_family`, a `(branch, host)` pair of `_FAMILIES`, and that family
+    runs first.  If its measurement passes its check off a class boundary,
+    it is the answer, by the same uniqueness argument.  Otherwise the full
+    order above runs, with what the family already yielded replayed, so
+    boundary handling and the smallest-residual choice are unchanged.  On
+    a class transition the carried family can pass off the boundary where
+    a family tried before it passes on the boundary; both measurements
+    pass the check, and the outcome names the carried family.
+
     The outcome carries no certificate (its `certificate` is None); call
     `build_certificate` on the measurement when one is needed.
     """
@@ -566,7 +645,10 @@ def solve_4d(pair: WeightedDensityPair) -> SolverOutcome:
     if any(s.size != 2 for s in pair.supports):
         raise PreconditionViolated("both states must have rank two")
 
-    outcomes = _accepted_outcomes(pair)
+    answer, started = _carried(pair, _family)
+    if answer is not None:
+        return answer
+    outcomes = _accepted_outcomes(pair, started=started)
     first = next(outcomes, None)
     if first is None:
         raise NoSolutionFound(

@@ -5,6 +5,7 @@ from usdkit import (InvalidInconclusive, NotPSD, UsdMeasurement,
                     WeightedDensityPair, dispatch, is_proper, is_usd,
                     reduce_fully, success_probability)
 from usdkit import linalg as la
+from usdkit.linalg import dag
 from usdkit.model import (complete_measurement, failure_probability,
                           projective_kernel_decomposition,
                           reconstruct_from_core, validate_inconclusive)
@@ -74,6 +75,56 @@ def test_reweighted_pair_shares_geometry_where_rank_decisions_hold():
     assert base.reweighted(1e-5, 1.0).supports[0].size == 2
     with pytest.raises(ValueError):
         base.reweighted(0.0, 1.0)
+
+
+def test_reweighted_pair_scales_its_lenders_root_blocks(monkeypatch):
+    # a reweighted pair, and its reduced pair, reweight the root blocks of
+    # the pair they were lent by: no decomposition, and the same roots and
+    # polar factors as a pair that computes its own, up to rounding
+    rho1, rho2 = example1_states()
+    shared = np.zeros((5, 5), dtype=complex)
+    shared[4, 4] = 1.0
+    # a support direction that both states share: the reduction removes it
+    overlapping = WeightedDensityPair(
+        5, *(0.5 * (0.9 * np.pad(rho, ((0, 1), (0, 1))) + 0.1 * shared)
+             for rho in (rho1, rho2)))
+    lenders = (WeightedDensityPair.from_states(rho1, rho2, 0.5),
+               reduce_fully(overlapping).reduced_pair)
+    assert lenders[1] is not overlapping
+    for lender in lenders:
+        lender.root_blocks
+    pairs = [(lender.reweighted(0.3, 1.7), lender) for lender in lenders]
+    pairs.append((reduce_fully(overlapping.reweighted(0.3, 1.7)).reduced_pair,
+                  lenders[1]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a reweighted pair decomposed its blocks")
+
+    for name in ("eigh", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    blocks = [pair.root_blocks for pair, _ in pairs]
+    monkeypatch.undo()
+    for roots, (pair, lender) in zip(blocks, pairs):
+        assert pair._lender[0] is lender
+        own = WeightedDensityPair(pair.dim, pair.gamma1, pair.gamma2)
+        for root, ref, b, b_ref in zip(roots, own.root_blocks,
+                                       pair.supports, own.supports):
+            def dense(x, basis):
+                return basis.basis @ x @ dag(basis.basis)
+
+            for got, want in (
+                    (dense(root.block, b), dense(ref.block, b_ref)),
+                    (dense(root.polar, b), dense(ref.polar, b_ref)),
+                    (dense(root.inverse_root @ root.inverse_root, b),
+                     dense(ref.inverse_root @ ref.inverse_root, b_ref)),
+                    (root.factor @ dag(root.factor),
+                     ref.factor @ dag(ref.factor)),
+                    (root.spectrum[0], ref.spectrum[0])):
+                np.testing.assert_allclose(got, want, atol=1e-12)
+            assert root.detection_eigenvalue() == pytest.approx(
+                ref.detection_eigenvalue(), rel=1e-12)
+            assert root.fidelity_eigenvalue() == pytest.approx(
+                ref.fidelity_eigenvalue(), rel=1e-12)
 
 
 def test_total_inverse_is_computed_once_per_pair():

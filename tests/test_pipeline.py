@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from usdkit import (NonConvergence, OracleConfig,
+from usdkit import (NonConvergence, NotPSD, OracleConfig,
                     UsdMeasurement, WeightedDensityPair, classify, dispatch,
                     lift_measurement, oracle_optimize, reduce_fully,
                     solve_4d, success_probability)
+from usdkit import linalg as la
 from usdkit import oracle, pipeline
 from usdkit.cli import main
 from usdkit.pipeline import (BLOCK_STRUCTURE_NOTE, ProblemFile,
@@ -775,6 +776,88 @@ def test_sweep_matches_fresh_dispatch_near_rank_cutoff(tail, monkeypatch):
             _assert_same_answer(shared, fresh)
 
 
+def test_sweep_carries_the_family_across_the_near_cutoff4_grid():
+    # a whole-grid sweep hands each row's family to the next prior, which
+    # tries it first; on this grid the rows cross single state detection,
+    # class-12, class-11 and the oracle, and every analytic row is still
+    # the answer of a fresh dispatch
+    problem = load_problem(DATA / "near_cutoff4.json")
+    rows = sweep(problem.rho1, problem.rho2, GRID)
+    assert {r.branch for r in rows} == {"single-state-detection", "class-12",
+                                        "class-11", "oracle-checker"}
+    for row in rows:
+        fresh = dispatch(problem.pair(row.p1), with_certificate=False)
+        if fresh.branch.startswith("oracle"):
+            assert row.branch.startswith("oracle"), row.p1
+        else:
+            _assert_same_answer(row, fresh)
+
+
+def test_sweep_carries_the_family_with_fewer_solver_calls(monkeypatch):
+    # example1's grid runs single state detection, class-12, class-11,
+    # class-12 and single state detection again: each prior tries the
+    # previous row's family first, so the closed forms and the class-12
+    # enumeration run less often than in fresh dispatches, and a prior
+    # checks a second measurement only where the family changes
+    from usdkit.closed_form import (try_fidelity_form,
+                                    try_single_state_detection)
+    from usdkit.optimality import check_optimality
+    from usdkit.solver4d import enumerate_candidates_12
+
+    rho1, rho2 = example1_states()
+    counts = _count_calls(monkeypatch, try_single_state_detection,
+                          try_fidelity_form, enumerate_candidates_12,
+                          check_optimality)
+    rows = sweep(rho1, rho2, GRID)
+    swept = dict(counts)
+    counts.clear()
+    for p1 in GRID:
+        dispatch(WeightedDensityPair.from_states(rho1, rho2, p1),
+                 with_certificate=False)
+    for name in ("try_single_state_detection", "try_fidelity_form",
+                 "enumerate_candidates_12"):
+        assert swept[name] < counts[name], name
+    changes = sum(a.branch != b.branch for a, b in zip(rows, rows[1:]))
+    assert changes == 4
+    assert swept["check_optimality"] <= len(rows) + changes
+
+
+def test_sweep_tests_the_states_once(monkeypatch):
+    # a state at -0.4e-10 passes the PSD test at every weight up to 1, so
+    # no prior tests it again: the only tests are the pair's at p1 = 0.5
+    rho1, rho2 = example1_states()
+    rho1 = with_eigenvalue_tails(rho1, [-0.4e-10, 0.0])
+    base = WeightedDensityPair.from_states(rho1, rho2, 0.5)
+    tested = []
+    is_psd = la.is_psd
+    monkeypatch.setattr(la, "is_psd",
+                        lambda a, tol: tested.append(a) or is_psd(a, tol))
+    assert len(sweep(rho1, rho2, GRID)) == len(GRID)
+    assert len(tested) == 2
+    for a, b in zip(tested, (base.gamma1, base.gamma2)):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_sweep_tests_a_state_where_scaling_proves_nothing():
+    # at -1.5e-10 the state fails the PSD test from p1 = 0.67 on, where
+    # p1 * 1.5e-10 exceeds the 1e-10 floor, as a pair built afresh does
+    rho1, rho2 = example1_states()
+    rho1 = with_eigenvalue_tails(rho1, [-1.5e-10, 0.0])
+    WeightedDensityPair.from_states(rho1, rho2, 0.66)
+    with pytest.raises(NotPSD):
+        WeightedDensityPair.from_states(rho1, rho2, 0.67)
+    assert len(sweep(rho1, rho2, GRID[:66])) == 66
+    with pytest.raises(NotPSD):
+        sweep(rho1, rho2, GRID)
+
+
+@pytest.mark.parametrize("grid", [[0.5, 1.0], [0.0], [0.3, -0.2]])
+def test_sweep_rejects_a_prior_outside_the_open_interval(grid):
+    rho1, rho2 = example1_states()
+    with pytest.raises(ValueError, match="strictly between 0 and 1"):
+        sweep(rho1, rho2, grid)
+
+
 def _near_cutoff4_states():
     """A (4;2,2) pair whose kernels carry eigenvalue tails of about 3e-11,
     between the relative rank cutoff and rank_atol."""
@@ -1078,6 +1161,34 @@ def test_cli_sweep_to_stdout_matches_the_file(tmp_path, capsys):
     text = capsys.readouterr().out
     assert text == out.read_text(encoding="utf-8")
     assert len(text.strip().split("\n")) == 4
+
+
+def test_cli_sweep_exits_uncertified_on_a_best_known_row(tmp_path,
+                                                         monkeypatch):
+    # the CSV is still written, and the exit code says that a row is the
+    # oracle's best known value, not a certified optimum
+    real = pipeline.sweep
+
+    def with_best_known(*args):
+        rows = real(*args)
+        return rows[:1] + [replace(rows[1], branch="oracle-best-known")]
+
+    monkeypatch.setattr("usdkit.cli.sweep", with_best_known)
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", str(DATA / "peres.json"), "--min", "0.1", "--max",
+                 "0.9", "--steps", "3", "--out", str(out)])
+    assert code == 2
+    lines = out.read_text(encoding="utf-8").strip().split("\n")
+    assert len(lines) == 3 and lines[2].split(",")[4] == "oracle-best-known"
+
+
+def test_cli_sweep_rejects_an_empty_grid(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", str(DATA / "peres.json"), "--min", "0.1", "--max",
+                 "0.9", "--steps", "0", "--out", str(out)])
+    assert code == 1
+    assert "steps" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_verify_accepts_optimum(tmp_path, capsys):

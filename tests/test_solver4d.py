@@ -434,3 +434,53 @@ def test_uncompletable_candidate_is_rejected_as_such(monkeypatch):
     monkeypatch.setattr(optimality, "check_optimality", unreachable)
     for cand in cands:
         assert finalize_candidate_12(cand, pair) == Rejection("not_completable")
+
+
+def _pair_at(states, p1):
+    from usdkit import reduce_fully
+
+    return reduce_fully(WeightedDensityPair.from_states(*states, p1)
+                        ).reduced_pair
+
+
+def _outcome_facts(outcome):
+    return (outcome.branch, outcome.class_tag, outcome.success,
+            outcome.boundary, outcome.warnings, outcome.report)
+
+
+def test_a_carried_family_changes_nothing_it_does_not_answer():
+    # a sweep passes solve_4d the previous prior's family, which runs
+    # first.  A family that fails here, and one whose answer sits on a
+    # class boundary, leave the full order to decide: the outcome is the
+    # one solve_4d gives with no family at all
+    from usdkit.closed_form import single_detection_window
+    from usdkit.solver4d import _FAMILIES
+
+    states = example1_states()
+    inside = _pair_at(states, 0.5)  # class-11
+    edge = _pair_at(states, single_detection_window(*states).upper)
+    for pair, on_boundary in ((inside, False), (edge, True)):
+        fresh = solve_4d(pair)
+        assert fresh.boundary == on_boundary
+        for family in _FAMILIES:
+            assert _outcome_facts(solve_4d(pair, _family=family)) == \
+                _outcome_facts(fresh), family
+
+
+def test_a_carried_family_may_name_a_class_transition():
+    # at the upper end of examples2's fidelity window the fresh order's
+    # first answer, the fidelity form, sits on the boundary to class-12,
+    # and the candidate classes never run.  Carried class-12 passes off
+    # the boundary there and is the answer: the same measurement up to
+    # the check's tolerance, under its own family's name
+    from usdkit.closed_form import fidelity_window
+    from usdkit.solver4d import BRANCH_CLASS_12
+
+    states = examples2_states()
+    pair = _pair_at(states, fidelity_window(*states).upper)
+    fresh = solve_4d(pair)
+    assert fresh.branch == "fidelity-form" and fresh.boundary
+    carried = solve_4d(pair, _family=(BRANCH_CLASS_12, 2))
+    assert carried.branch == BRANCH_CLASS_12 and not carried.boundary
+    assert carried.class_tag.as_class == fresh.class_tag.as_class == (1, 2)
+    assert carried.success == pytest.approx(fresh.success, abs=1e-12)
