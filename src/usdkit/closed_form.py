@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInconclusive, PreconditionViolated
+from .errors import PreconditionViolated
 from .linalg import dag, hermitian_part
-from .model import UsdMeasurement, WeightedDensityPair, complete_measurement
+from .model import UsdMeasurement, WeightedDensityPair, validate_inconclusive
 from .optimality import SolverOutcome, accepted_outcome
 from .tolerances import DEFAULT_TOL, ToleranceContext
 
@@ -142,11 +142,12 @@ def try_fidelity_form(pair: WeightedDensityPair) -> SolverOutcome | None:
 
     Feasible iff gamma_mu - F_mu >= 0 for both states, F_mu the polar
     factors of sqrt(g1) sqrt(g2): A_mu - polar_mu >= 0 on the pair's
-    `root_blocks`, at the rank its Jordan split decided.  The inconclusive
-    element is then built in closed form and the measurement completed.
-    When the optimality check accepts it (`accepted_outcome`), its success
+    `root_blocks`, at the rank its Jordan split decided.  The measurement
+    is then Y_mu = 1 - A_mu^-1/2 polar_mu A_mu^-1/2, mapped out by the
+    split (`JordanSplit.measurement`).  When its e_q is valid and the
+    optimality check accepts it (`accepted_outcome`), its success
     probability equals tr(g1+g2) - 2 tr|sqrt(g1) sqrt(g2)|.  Returns None
-    when infeasible, not completable (just outside the window) or refused.
+    when infeasible, invalid (just outside the window) or refused.
     """
     _require_disjoint_supports(pair)
     roots = pair.root_blocks
@@ -155,13 +156,9 @@ def try_fidelity_form(pair: WeightedDensityPair) -> SolverOutcome | None:
         for root in roots)
     if not (ok1 and ok2):
         return None
-    # sqrt(g_mu) (g_mu - F_mu) sqrt(g_mu) = W_mu (A_mu - polar_mu) W_mu^dag
-    deficit = sum(root.factor @ (root.block - root.polar) @ dag(root.factor)
-                  for root in roots)
-    total_inv = pair.total_inverse
-    e_q = hermitian_part(np.eye(pair.dim) - total_inv @ deficit @ total_inv)
-    try:
-        m = complete_measurement(e_q, pair)
-    except InvalidInconclusive:
+    m = pair.jordan.measurement(*(
+        np.eye(len(r.block)) - r.inverse_root @ r.polar @ r.inverse_root
+        for r in roots))
+    if not validate_inconclusive(m.e_inconclusive, pair).ok:
         return None
     return accepted_outcome(m, pair, BRANCH_FIDELITY, marginal1 or marginal2)

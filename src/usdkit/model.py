@@ -49,6 +49,8 @@ class JordanSplit:
 
     The detector spaces pair up in the same bases: their skew columns
     (`detector_spaces`) have <d1_j|d2_k> = -cosines[k] for j = k, else 0.
+    Rescaled, they are the dual basis of the supports (`lifts`), and every
+    completion maps k x k blocks out by them (`measurement`).
 
     The split is the one carrier of a pair's prior-independent geometry:
     everything below is read off the bases and cosines on first use and
@@ -138,20 +140,29 @@ class JordanSplit:
         """(Lambda1, Lambda2): orthogonal projectors onto the detector spaces."""
         return tuple(_freeze(s.projector()) for s in self.detector_spaces)
 
-    @cached_property
-    def obliques(self) -> tuple[np.ndarray, np.ndarray]:
-        """(Q1, Q2): oblique projectors that complete e1, e2 from e_q.
+    @property
+    def lifted_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """(T1, T2): the non-parallel Jordan columns of each support, skew
+        and free, to which `lifts` is the dual basis."""
+        return tuple(s.basis[:, self.n_parallel:] for s in self.supports)
 
-        Q1 has kernel ker(Lambda1) and projects onto the part of
-        supp(gamma1) outside the support overlap; Q2 swaps the roles.
-        With L the detector basis and T the non-parallel Jordan columns of
-        supp(gamma1), L^dag T is diagonal, so Q1 = T (L^dag T)^-1 L^dag
-        needs no decomposition (`_diagonal_oblique`).  A state without a
-        detector space gets the zero operator.
-        """
-        return tuple(_freeze(_diagonal_oblique(lam.basis,
-                                               own.basis[:, self.n_parallel:]))
-                     for lam, own in zip(self.detector_spaces, self.supports))
+    @cached_property
+    def lifts(self) -> tuple[np.ndarray, np.ndarray]:
+        """(L1, L2): L_mu = D_mu diag(t_mu^dag d_mu)^-1, D_mu the detector
+        basis and T_mu the `lifted_columns`, so T_mu^dag L_mu = 1 and
+        T_nu^dag L_mu = 0; the overlap is diagonal, so no decomposition.
+        Q_mu = T_mu L_mu^dag is the oblique projector onto the non-parallel
+        part of supp(gamma_mu) along ker(Lambda_mu)."""
+        return tuple(
+            _freeze(d.basis / np.einsum("ij,ij->j", t.conj(), d.basis))
+            for d, t in zip(self.detector_spaces, self.lifted_columns))
+
+    def measurement(self, y1: np.ndarray, y2: np.ndarray) -> "UsdMeasurement":
+        """E_mu = L_mu Y_mu L_mu^dag (`lifts`) and E_q = 1 - E1 - E2, for
+        blocks Y_mu on the `lifted_columns`, with no d x d inverse."""
+        e1, e2 = (hermitian_part(l @ y @ dag(l))
+                  for l, y in zip(self.lifts, (y1, y2)))
+        return UsdMeasurement(e1, e2, np.eye(self.dim) - e1 - e2)
 
     @cached_property
     def strictly_skew(self) -> bool:
@@ -173,12 +184,6 @@ class JordanSplit:
                                                b1[:, free:], b2[:, free:]))
         xi = np.eye(self.dim) - pi_par - sigma1 - sigma2
         return tuple(_freeze(p) for p in (pi_par, sigma1, sigma2, xi))
-
-
-def _diagonal_oblique(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """`linalg.oblique_projector` onto span t along (span lam)^perp, for
-    bases with a diagonal, invertible overlap lam^dag t: T (L^dag T)^-1 L^dag."""
-    return (t / np.einsum("ij,ij->j", lam.conj(), t)) @ dag(lam)
 
 
 def _normal(b: np.ndarray, a: np.ndarray, cosines: np.ndarray) -> np.ndarray:
@@ -257,8 +262,8 @@ class WeightedDensityPair:
         Supports, kernels and everything built from them depend on the
         states alone, so the new pair is handed this pair's `JordanSplit`;
         whatever carries the weights (the reduction record with its reduced
-        pair and lifted offset, the inverse of the total) it builds itself,
-        and its root blocks are this pair's, reweighted (`root_blocks`).
+        pair and lifted offset) it builds itself, and its root blocks are
+        this pair's, reweighted (`root_blocks`).
         A split is handed over only when its rank decisions provably match
         the ones the new pair would take itself
         (`linalg.rank_survives_scaling`): the spectra of the two operators
@@ -301,39 +306,33 @@ class WeightedDensityPair:
         return float(np.real(np.trace(self.total)))
 
     @cached_property
-    def total_inverse(self) -> np.ndarray:
-        """Moore-Penrose inverse of gamma1 + gamma2, computed once.  It
-        carries the weights, so a reweighted pair computes its own."""
-        return _freeze(la.pseudo_inverse(self.total, self.tol))
-
-    @cached_property
     def root_blocks(self) -> tuple["_RootBlock", "_RootBlock"]:
-        """Both states' roots and polar factors on the split's support bases
-        (`_RootBlock`), from an `eigh` per state and one SVD of k x k blocks,
-        at the split's ranks; computed once, as `total_inverse` is.  A pair
-        that holds a lent split (`_lend_jordan`), and the reduced pair of
-        one, is (c1 gamma1, c2 gamma2) of its lender on the same bases, so
-        it reweights the lender's blocks instead (`_RootBlock.scaled`) and
-        decomposes nothing."""
+        """Both states' blocks A_mu = B_mu^dag gamma_mu B_mu, inverse roots
+        and polar factors on the split's support bases (`_RootBlock`), from
+        an `eigh` per state and one SVD of k x k blocks, at the split's
+        ranks; computed once, and read by both windows and the fidelity
+        form.  A pair that holds a lent split (`_lend_jordan`), and the
+        reduced pair of one, is (c1 gamma1, c2 gamma2) of its lender on the
+        same bases, so it reweights the lender's blocks instead
+        (`_RootBlock.scaled`) and decomposes nothing."""
         if self._lender is not None:
             lender, c1, c2 = self._lender
             root1, root2 = lender.root_blocks
             return root1.scaled(c1, c2), root2.scaled(c2, c1)
         split, r = self.jordan, self.jordan.cross_rank
-        bases = [s.basis for s in split.supports]
-        blocks = [hermitian_part(dag(b) @ g @ b)
-                  for b, g in zip(bases, (self.gamma1, self.gamma2))]
+        blocks = [hermitian_part(dag(s.basis) @ g @ s.basis)
+                  for s, g in zip(split.supports, (self.gamma1, self.gamma2))]
         # positive definite: the split kept only eigenvalues above its cut
         eigs = [np.linalg.eigh(a) for a in blocks]
-        roots = [(q * np.sqrt(w)) @ dag(q) for w, q in eigs]
-        overlap = np.zeros((len(blocks[0]), len(blocks[1])))
+        (w1, q1), (w2, q2) = eigs
+        overlap = np.zeros((len(w1), len(w2)))
         overlap[range(r), range(r)] = split.cosines[:r]
-        u, s, vh = np.linalg.svd(roots[0] @ overlap @ roots[1])
+        u, s, vh = np.linalg.svd(((q1 * np.sqrt(w1)) @ dag(q1)) @ overlap
+                                 @ ((q2 * np.sqrt(w2)) @ dag(q2)))
         return tuple(
-            _RootBlock(a, b @ root, (q / np.sqrt(w)) @ dag(q),
-                       (x * s[:r]) @ dag(x), (w, q))
-            for a, b, root, (w, q), x in zip(blocks, bases, roots, eigs,
-                                             (u[:, :r], dag(vh[:r]))))
+            _RootBlock(a, (q / np.sqrt(w)) @ dag(q), (x * s[:r]) @ dag(x),
+                       (w, q))
+            for a, (w, q), x in zip(blocks, eigs, (u[:, :r], dag(vh[:r]))))
 
     # The geometry below does not depend on the prior: every value is read
     # off the Jordan classification of the two supports (`jordan`), which
@@ -361,13 +360,13 @@ class WeightedDensityPair:
 
     # reads of the split, documented there: supports and kernels (in
     # Jordan bases), the support overlap, the detector spaces and their
-    # projectors, the obliques and the strictly-skew verdict
+    # projectors, the lifts and the strictly-skew verdict
     supports = property(lambda self: self.jordan.supports)
     kernels = property(lambda self: self.jordan.kernels)
     support_overlap = property(lambda self: self.jordan.support_overlap)
     detector_spaces = property(lambda self: self.jordan.detector_spaces)
     detectors = property(lambda self: self.jordan.detectors)
-    obliques = property(lambda self: self.jordan.obliques)
+    lifts = property(lambda self: self.jordan.lifts)
     strictly_skew = property(lambda self: self.jordan.strictly_skew)
 
     def collective_support(self) -> Subspace:
@@ -443,8 +442,8 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 class _RootBlock(NamedTuple):
     """One state's entry of `WeightedDensityPair.root_blocks`, on its
     support basis B: block A = B^dag gamma B, positive definite by the
-    split's rank decision; factor W = B sqrt(A), so sqrt(gamma) = W B^dag;
-    inverse_root A^-1/2.  With U S V^dag the SVD of K = sqrt(A1) C sqrt(A2)
+    split's rank decision; inverse_root A^-1/2, so sqrt(gamma) =
+    B A A^-1/2 B^dag.  With U S V^dag the SVD of K = sqrt(A1) C sqrt(A2)
     at rank `cross_rank`, C = B1^dag B2 holding the Jordan cosines, polar is
     U S U^dag (V S V^dag for state 2): F1 = sqrt(sqrt(g1) g2 sqrt(g1)) =
     B1 U S U^dag B1^dag, and polar^2 = K K^dag (K^dag K).  spectrum is
@@ -453,19 +452,17 @@ class _RootBlock(NamedTuple):
     """
 
     block: np.ndarray
-    factor: np.ndarray
     inverse_root: np.ndarray
     polar: np.ndarray
     spectrum: tuple[np.ndarray, np.ndarray]
 
     def scaled(self, c: float, c_other: float) -> "_RootBlock":
         """This block for the state scaled by c and the other by c_other:
-        A and its eigenvalues scale by c, W by sqrt(c), A^-1/2 by
-        1/sqrt(c) and polar by sqrt(c c_other); the eigenvectors, and the
-        singular vectors behind polar, stay."""
-        root, (w, q) = np.sqrt(c), self.spectrum
-        return _RootBlock(c * self.block, root * self.factor,
-                          self.inverse_root / root,
+        A and its eigenvalues scale by c, A^-1/2 by 1/sqrt(c) and polar by
+        sqrt(c c_other); the eigenvectors, and the singular vectors behind
+        polar, stay."""
+        w, q = self.spectrum
+        return _RootBlock(c * self.block, self.inverse_root / np.sqrt(c),
                           np.sqrt(c * c_other) * self.polar, (c * w, q))
 
     def detection_eigenvalue(self) -> float:
@@ -630,24 +627,21 @@ def complete_measurement(e_q: np.ndarray,
                          pair: WeightedDensityPair) -> UsdMeasurement:
     """The unique proper USD measurement with the given inconclusive element.
 
-    e1 = Q1^dag (1 - e_q) Q1 with Q1 the pair's first oblique projector
-    (`WeightedDensityPair.obliques`); e2 analogously.
+    e_mu = L_mu Y_mu L_mu^dag with Y_mu = T_mu^dag (1 - e_q) T_mu
+    (`JordanSplit.measurement`), which must close to the identity.
     """
     diag = validate_inconclusive(e_q, pair)
     if not diag.ok:
         raise InvalidInconclusive(
             f"inconclusive operator rejected: {diag.first_failure()}", diag)
-    one = np.eye(pair.dim)
-    q1, q2 = pair.obliques
-    e1 = hermitian_part(dag(q1) @ (one - e_q) @ q1)
-    e2 = hermitian_part(dag(q2) @ (one - e_q) @ q2)
-    m = UsdMeasurement(e1, e2, hermitian_part(e_q))
-    closure = float(np.abs(e1 + e2 + e_q - one).max())
+    split, rest = pair.jordan, np.eye(pair.dim) - e_q
+    m = split.measurement(*(dag(t) @ rest @ t for t in split.lifted_columns))
+    closure = float(np.abs(m.e_inconclusive - e_q).max())
     if closure > pair.tol.equality:
         raise InvalidInconclusive(
             f"completion does not close to identity (residual {closure:.2e})",
             diag)
-    return m
+    return UsdMeasurement(m.e1, m.e2, hermitian_part(e_q))
 
 
 def reconstruct_from_core(core: np.ndarray,
@@ -660,19 +654,21 @@ def reconstruct_from_core(core: np.ndarray,
     + sqrt(g1) sqrt( sqrt(g1) [gamma2 - core] sqrt(g1) ) sqrt(g1)
     + sqrt(g2) sqrt( sqrt(g2) [gamma1 + core] sqrt(g2) ) sqrt(g2),
     plus the projector onto the common kernel.  The roots of the states
-    are the pair's `root_blocks`: with W a factor, each sandwich is
-    W sqrt(W^dag X W) W^dag, so the inner root is of a k x k block.
+    are the pair's `root_blocks`: with W = B A A^-1/2 on a support basis B,
+    sqrt(gamma) = W B^dag, and each sandwich is W sqrt(W^dag X W) W^dag, so
+    the inner root is of a k x k block.
     """
     g1, g2 = pair.gamma1, pair.gamma2
     curly = g1 @ g2 + g2 @ g1
-    for w, x in zip((root.factor for root in pair.root_blocks),
-                    (g2 - core, g1 + core)):
+    for b, root, x in zip(pair.supports, pair.root_blocks,
+                          (g2 - core, g1 + core)):
+        w = b.basis @ root.block @ root.inverse_root
         try:
             curly = curly + w @ la.sqrt_psd(dag(w) @ x @ w, pair.tol) @ dag(w)
         except NotPSD as exc:
             raise NotReconstructible(
                 f"inner square-root argument not PSD: {exc}") from exc
-    total_inv = pair.total_inverse
+    total_inv = la.pseudo_inverse(pair.total, pair.tol)
     p_kernel = pair.common_kernel().projector()
     return hermitian_part(p_kernel + total_inv @ curly @ total_inv)
 

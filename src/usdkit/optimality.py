@@ -17,7 +17,7 @@ from . import linalg as la
 from .errors import CertificateFailure, NotProper, PreconditionViolated
 from .linalg import dag, hermitian_part
 from .model import (MeasurementClassTag, UsdMeasurement, WeightedDensityPair,
-                    _diagonal_oblique, is_proper, success_probability)
+                    is_proper, success_probability)
 
 __all__ = [
     "OptimalityReport", "CertificateZ", "SolverOutcome", "check_optimality",
@@ -282,9 +282,12 @@ def build_certificate(m: UsdMeasurement, pair: WeightedDensityPair, *,
     g1, g2 = core.gamma1, core.gamma2
     lam1, lam2 = core.detectors
     # oblique projectors between the detector spaces (the kernels inside
-    # the collective support) and along them onto the supports
-    r1 = _diagonal_oblique(*(s.basis for s in core.detector_spaces))
-    q1, q2 = core.obliques
+    # the collective support), of diagonal overlap, and along them onto the
+    # supports, Q_mu = T_mu L_mu^dag
+    d1, d2 = (s.basis for s in core.detector_spaces)
+    r1 = (d2 / np.einsum("ij,ij->j", d1.conj(), d2)) @ dag(d1)
+    q1, q2 = (t @ dag(lift) for t, lift in zip(core.jordan.lifted_columns,
+                                               core.jordan.lifts))
     v1 = hermitian_part(lam1 @ e @ (g2 - g1) @ e @ lam1 + lam1 @ g1 @ lam1)
     w1 = (r1 @ (lam1 - m.e1) + lam2 @ m.e1) @ v1
     # pseudo-inverse (cutoff relative to the largest singular value, as in

@@ -135,16 +135,19 @@ def _host_eigenbasis(sup: la.Subspace, spectrum, host_gamma: np.ndarray,
 
 def _finish_candidate_12(phi, phi_perp, x, host,
                          pair) -> Candidate12 | None:
+    """n = sqrt(r) L_h T_h^dag pp + L_o T_o^dag pp / sqrt(r) with the
+    split's `lifts`, r = sqrt(<pp|g_o|pp> / <pp|g_h|pp>), pp = phi_perp."""
     host_gamma = pair.gamma1 if host == 1 else pair.gamma2
     other_gamma = pair.gamma2 if host == 1 else pair.gamma1
     q_host = float(np.real(np.vdot(phi_perp, host_gamma @ phi_perp)))
     q_other = float(np.real(np.vdot(phi_perp, other_gamma @ phi_perp)))
     if q_host <= 0.0 or q_other <= 0.0:
         return None
-    a_over_b = float(np.sqrt(q_other / q_host))
-    scaling = (np.sqrt(a_over_b) * host_gamma
-               + (1.0 / np.sqrt(a_over_b)) * other_gamma)
-    n_vec = pair.total_inverse @ (scaling @ phi_perp)
+    root = float(np.sqrt(np.sqrt(q_other / q_host)))
+    h, o = host - 1, 2 - host
+    t, lift = pair.jordan.lifted_columns, pair.jordan.lifts
+    n_vec = (root * lift[h] @ (dag(t[h]) @ phi_perp)
+             + lift[o] @ (dag(t[o]) @ phi_perp) / root)
     nu = float(np.real(np.vdot(n_vec, n_vec)))
     return Candidate12(phi, phi_perp, x, n_vec, nu, host)
 
@@ -214,14 +217,10 @@ def enumerate_candidates_12(pair: WeightedDensityPair,
 
 
 def _real_nonzero_roots(coeffs: np.ndarray) -> list[float]:
-    top = float(np.abs(coeffs).max(initial=0.0))
-    if top == 0.0:
-        return []
-    trimmed = np.trim_zeros(np.where(np.abs(coeffs) < 1e-13 * top, 0.0, coeffs),
-                            "f")
+    trimmed = np.trim_zeros(coeffs, "f")
     if len(trimmed) <= 1:
         return []
-    roots = np.roots(trimmed / top)
+    roots = np.roots(trimmed / np.abs(trimmed).max())
     out = []
     for z in roots:
         if abs(z.imag) <= _REAL_ROOT_TOL * (1.0 + abs(z.real)) and \

@@ -58,7 +58,7 @@ def test_reweighted_pair_shares_geometry_where_rank_decisions_hold():
         assert (pair.supports[0] is base.supports[0]) == shares
         assert (pair.collective_support() is base.collective_support()) \
             == shares
-        for name in ("detector_spaces", "detectors", "obliques"):
+        for name in ("detector_spaces", "detectors", "lifts"):
             assert (getattr(pair, name) is getattr(base, name)) == shares
         record, fresh_record = reduce_fully(pair), reduce_fully(fresh)
         assert record.pair is pair
@@ -117,25 +117,12 @@ def test_reweighted_pair_scales_its_lenders_root_blocks(monkeypatch):
                     (dense(root.polar, b), dense(ref.polar, b_ref)),
                     (dense(root.inverse_root @ root.inverse_root, b),
                      dense(ref.inverse_root @ ref.inverse_root, b_ref)),
-                    (root.factor @ dag(root.factor),
-                     ref.factor @ dag(ref.factor)),
                     (root.spectrum[0], ref.spectrum[0])):
                 np.testing.assert_allclose(got, want, atol=1e-12)
             assert root.detection_eigenvalue() == pytest.approx(
                 ref.detection_eigenvalue(), rel=1e-12)
             assert root.fidelity_eigenvalue() == pytest.approx(
                 ref.fidelity_eigenvalue(), rel=1e-12)
-
-
-def test_total_inverse_is_computed_once_per_pair():
-    # it carries the weights, so a reweighted pair computes its own
-    rho1, rho2 = example1_states()
-    base = WeightedDensityPair.from_states(rho1, rho2, 0.5)
-    assert base.total_inverse is base.total_inverse
-    assert not base.total_inverse.flags.writeable
-    for pair in (base, base.reweighted(0.4, 1.6)):
-        np.testing.assert_array_equal(pair.total_inverse,
-                                      la.pseudo_inverse(pair.total))
 
 
 def test_success_zero_measurement(peres_pair3):

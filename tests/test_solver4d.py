@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from usdkit import (OracleConfig, PreconditionViolated, UsdMeasurement,
-                    WeightedDensityPair, check_optimality, solve_4d,
-                    success_probability)
+                    WeightedDensityPair, check_optimality, reduce_fully,
+                    solve_4d, success_probability)
 from usdkit import linalg as la
 from usdkit.linalg import dag
 from usdkit.oracle import oracle_optimize
@@ -13,7 +13,8 @@ from usdkit.solver4d import (Rejection, balance_residual_11,
                              finalize_candidate_12)
 
 from util import (example1_states, examples2_states, generic_pair,
-                  random_density, random_skew_pair, record_svd_shapes)
+                  jordan_cosine_states, random_density, random_skew_pair,
+                  record_svd_shapes)
 
 
 def oracle_value(pair, seed=0):
@@ -484,3 +485,36 @@ def test_a_carried_family_may_name_a_class_transition():
     assert carried.branch == BRANCH_CLASS_12 and not carried.boundary
     assert carried.class_tag.as_class == fresh.class_tag.as_class == (1, 2)
     assert carried.success == pytest.approx(fresh.success, abs=1e-12)
+
+
+def _solved_on_reduced_pair(cosines, seed, p1):
+    """solve_4d's outcome on the reduced pair of `jordan_cosine_states`,
+    asserted to pass the four-condition check there."""
+    rho1, rho2 = jordan_cosine_states(np.random.default_rng(seed), *cosines)
+    pair = reduce_fully(
+        WeightedDensityPair.from_states(rho1, rho2, p1)).reduced_pair
+    outcome = solve_4d(pair)
+    assert outcome.optimal
+    assert check_optimality(outcome.measurement, pair).is_optimal
+    return outcome
+
+
+@pytest.mark.parametrize("p1", [0.05, 0.25, 0.5, 0.75, 0.95])
+def test_completion_through_the_lifts_answers_a_near_degenerate_core(p1):
+    # one cosine 1e-6 from parallel, the other 1e-6 from orthogonal: a
+    # class-12 inconclusive element built and completed through the
+    # split's lifts, with no inverse of gamma1 + gamma2 and its own rank
+    # decision, passes the check
+    _solved_on_reduced_pair((1 - 1e-6, 1e-6), 1, p1)
+
+
+@pytest.mark.parametrize("cosines, p1", [
+    ((0.99, 0.1), 0.9), ((0.99, 0.1), 0.95), ((0.99, 0.01), 0.85),
+    ((1 - 1e-6, 1e-3), 0.1), ((1 - 1e-6, 1e-3), 0.5),
+    ((1 - 1e-6, 1e-3), 0.9)])
+def test_class_11_keeps_the_roots_of_small_leading_coefficients(cosines, p1):
+    # at a small ratio c = c1 / c0 the leading coefficients of the
+    # class-[1,1] polynomial are tiny, and the roots near 1/c they carry
+    # are the answer; zeroing them relative to the largest coefficient
+    # left no family
+    _solved_on_reduced_pair(cosines, 0, p1)
