@@ -64,11 +64,31 @@ def _psd_with_boundary(block: np.ndarray, tol: ToleranceContext):
     """(is_psd, is_marginal) of an operator compressed onto a state's
     support (outside it the tested operators vanish, and those hard zeros
     would always look marginal): marginal when the minimum eigenvalue sits
-    within 10x psd_floor of zero (a class-transition prior)."""
+    within 10x psd_floor of zero (a class-transition prior).  For a stack
+    of blocks (..., k, k), one value of each per block."""
     w = np.linalg.eigvalsh(hermitian_part(block))
-    floor = tol.psd_floor * max(1.0, float(np.abs(w).max(initial=0.0)))
-    lo = float(w.min(initial=np.inf))  # an empty block is PSD, not marginal
-    return lo >= -floor, abs(lo) <= 10 * floor
+    floor = tol.psd_floor * np.maximum(1.0, np.abs(w).max(axis=-1,
+                                                          initial=0.0))
+    lo = w.min(axis=-1, initial=np.inf)  # an empty block is PSD, not marginal
+    return lo >= -floor, np.abs(lo) <= 10 * floor
+
+
+def _single_state_branches(gamma1: np.ndarray, gamma2: np.ndarray,
+                           split, tol: ToleranceContext):
+    """The two branches of `try_single_state_detection` in the order they
+    are tried, lazily, as (ok, marginal, m): whether the branch's condition
+    holds and sits on its boundary (`_psd_with_boundary`), and its fixed
+    measurement.  The states may be stacks (..., d, d), each row a pair
+    holding `split`; ok and marginal then hold one value per row."""
+    (b1, b2), (lam1, lam2) = (s.basis for s in split.supports), split.detectors
+    zero, eye = np.zeros_like(lam1), np.eye(split.dim)
+    # (state given up, the other, its support basis, the measurement)
+    for g, other, b, elements in (
+            (gamma1, gamma2, b1, (zero, lam2, eye - lam2)),
+            (gamma2, gamma1, b2, (lam1, zero, eye - lam1))):
+        ok, marginal = _psd_with_boundary(
+            dag(b) @ (g @ (other - g) @ g) @ b, tol)
+        yield ok, marginal, UsdMeasurement(*elements)
 
 
 def try_single_state_detection(pair: WeightedDensityPair) -> SolverOutcome | None:
@@ -82,24 +102,12 @@ def try_single_state_detection(pair: WeightedDensityPair) -> SolverOutcome | Non
     check accepts (`accepted_outcome`) is the outcome; None otherwise.
     """
     _require_disjoint_supports(pair)
-    tol = pair.tol
-    g1, g2 = pair.gamma1, pair.gamma2
-    (b1, b2), (lam1, lam2) = (s.basis for s in pair.supports), pair.detectors
-    # (condition, support basis of the state given up, detector of the other)
-    branches = (
-        (g1 @ (g2 - g1) @ g1, b1, lam2, False),
-        (g2 @ (g1 - g2) @ g2, b2, lam1, True),
-    )
-    for condition, b, detector, detects_first in branches:
-        ok, marginal = _psd_with_boundary(dag(b) @ condition @ b, tol)
+    for ok, marginal, m in _single_state_branches(
+            pair.gamma1, pair.gamma2, pair.jordan, pair.tol):
         if not ok:
             continue
-        e_q = np.eye(pair.dim) - detector
-        if detects_first:
-            m = UsdMeasurement(detector, np.zeros_like(detector), e_q)
-        else:
-            m = UsdMeasurement(np.zeros_like(detector), detector, e_q)
-        outcome = accepted_outcome(m, pair, BRANCH_SINGLE_STATE, marginal)
+        outcome = accepted_outcome(m, pair, BRANCH_SINGLE_STATE,
+                                   bool(marginal))
         if outcome is not None:
             return outcome
     return None
@@ -151,14 +159,29 @@ def try_fidelity_form(pair: WeightedDensityPair) -> SolverOutcome | None:
     """
     _require_disjoint_supports(pair)
     roots = pair.root_blocks
-    (ok1, marginal1), (ok2, marginal2) = (
-        _psd_with_boundary(root.block - root.polar, pair.tol)
-        for root in roots)
-    if not (ok1 and ok2):
+    ok, marginal = _fidelity_feasible(roots, pair.tol)
+    if not ok:
         return None
-    m = pair.jordan.measurement(*(
-        np.eye(len(r.block)) - r.inverse_root @ r.polar @ r.inverse_root
-        for r in roots))
+    m = pair.jordan.measurement(*_fidelity_blocks(roots))
     if not validate_inconclusive(m.e_inconclusive, pair).ok:
         return None
-    return accepted_outcome(m, pair, BRANCH_FIDELITY, marginal1 or marginal2)
+    return accepted_outcome(m, pair, BRANCH_FIDELITY, bool(marginal))
+
+
+def _fidelity_feasible(roots, tol: ToleranceContext):
+    """(ok, marginal) of `try_fidelity_form` on the pair whose `root_blocks`
+    are `roots`: whether both conditions A_mu - polar_mu >= 0 hold, and
+    whether one sits on its boundary (`_psd_with_boundary`).  For root
+    blocks scaled by arrays of weights (`_RootBlock.scaled`), one verdict
+    per row."""
+    (ok1, marginal1), (ok2, marginal2) = (
+        _psd_with_boundary(root.block - root.polar, tol) for root in roots)
+    return ok1 & ok2, marginal1 | marginal2
+
+
+def _fidelity_blocks(roots):
+    """The blocks Y_mu = 1 - A_mu^-1/2 polar_mu A_mu^-1/2 of the
+    fidelity-form measurement on the pair whose `root_blocks` are `roots`;
+    (n, k, k) for root blocks scaled by arrays of weights."""
+    return tuple(np.eye(r.block.shape[-1])
+                 - r.inverse_root @ r.polar @ r.inverse_root for r in roots)

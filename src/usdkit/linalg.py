@@ -16,7 +16,8 @@ from .tolerances import DEFAULT_TOL, ToleranceContext
 
 __all__ = [
     "Subspace", "dag", "hermitian_part", "is_hermitian", "assert_hermitian",
-    "min_eigenvalue", "is_psd", "rank", "rank_from_values", "rank_margin",
+    "min_eigenvalue", "frobenius", "is_psd", "rank", "rank_from_values",
+    "rank_margin",
     "rank_survives_scaling", "passing_weight_limit", "support", "kernel",
     "spectral_split",
     "intersect",
@@ -31,7 +32,8 @@ def dag(a: np.ndarray) -> np.ndarray:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + dag(a))
+    """(a + a^dag) / 2, of each matrix of a stack (..., n, n) too."""
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def is_hermitian(a: np.ndarray, tol: ToleranceContext = DEFAULT_TOL) -> bool:
@@ -48,11 +50,19 @@ def assert_hermitian(a: np.ndarray, tol: ToleranceContext = DEFAULT_TOL,
     return hermitian_part(a)
 
 
-def min_eigenvalue(a: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian part."""
-    if a.shape[0] == 0:
-        return 0.0
-    return float(np.linalg.eigvalsh(hermitian_part(a)).min())
+def min_eigenvalue(a: np.ndarray):
+    """Smallest eigenvalue of the Hermitian part, per matrix of a stack
+    (..., n, n); 0 for n = 0."""
+    if a.shape[-1] == 0:
+        return np.zeros(a.shape[:-2])[()]
+    return np.linalg.eigvalsh(hermitian_part(a)).min(axis=-1)
+
+
+def frobenius(a: np.ndarray):
+    """Frobenius norm, per matrix of a stack (..., m, n)."""
+    if a.ndim == 2:
+        return np.linalg.norm(a)
+    return np.linalg.norm(a, axis=(-2, -1))
 
 
 def is_psd(a: np.ndarray, tol: ToleranceContext = DEFAULT_TOL) -> bool:
@@ -94,8 +104,8 @@ def rank_margin(values: np.ndarray,
     return float(kept.min() / cut) if kept.size else float("inf")
 
 
-def rank_survives_scaling(values: np.ndarray, lo: float, hi: float,
-                          norm: float, tol: ToleranceContext) -> bool:
+def rank_survives_scaling(values: np.ndarray, lo, hi, norm,
+                          tol: ToleranceContext):
     """Whether scaling provably keeps every rank decision taken on `values`.
 
     `values` are the eigen- or singular values of an operator, each kept
@@ -103,18 +113,19 @@ def rank_survives_scaling(values: np.ndarray, lo: float, hi: float,
     operator whose k-th value lies in [lo * values[k], hi * values[k]] gets
     the same decisions.  Each value must clear the cutoffs of that range by
     a factor of two, after an allowance for the rounding of a
-    decomposition of an operator of norm `norm`.
+    decomposition of an operator of norm `norm`.  lo, hi and norm may be
+    arrays of one shape, for one verdict per scaling.
     """
-    # a few values per call, checked many times per sweep: plain floats
-    # are several times faster here than numpy calls on tiny arrays
-    vals = values.tolist()
-    top = max(max(vals, default=0.0), 0.0)
+    vals = np.asarray(values)
+    lo, hi, norm = (np.asarray(x, dtype=float)[..., None]
+                    for x in (lo, hi, norm))
+    top = max(float(vals.max(initial=0.0)), 0.0)
     cut = max(tol.rank_cutoff * top, tol.rank_atol)
-    cut_lo = max(tol.rank_cutoff * lo * top, tol.rank_atol)
-    cut_hi = max(tol.rank_cutoff * hi * top, tol.rank_atol)
+    cut_lo = np.maximum(tol.rank_cutoff * lo * top, tol.rank_atol)
+    cut_hi = np.maximum(tol.rank_cutoff * hi * top, tol.rank_atol)
     slack = 16 * len(vals) * _EPS * norm
-    return all(lo * v - slack > 2 * cut_hi if v > cut
-               else hi * v + slack < 0.5 * cut_lo for v in vals)
+    return np.where(vals > cut, lo * vals - slack > 2 * cut_hi,
+                    hi * vals + slack < 0.5 * cut_lo).all(axis=-1)
 
 
 def passing_weight_limit(deviation: float, scale: float, bound: float,

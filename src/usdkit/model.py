@@ -159,7 +159,8 @@ class JordanSplit:
 
     def measurement(self, y1: np.ndarray, y2: np.ndarray) -> "UsdMeasurement":
         """E_mu = L_mu Y_mu L_mu^dag (`lifts`) and E_q = 1 - E1 - E2, for
-        blocks Y_mu on the `lifted_columns`, with no d x d inverse."""
+        blocks Y_mu on the `lifted_columns`, with no d x d inverse.  Blocks
+        stacked as (n, k, k) give elements stacked as (n, d, d)."""
         e1, e2 = (hermitian_part(l @ y @ dag(l))
                   for l, y in zip(self.lifts, (y1, y2)))
         return UsdMeasurement(e1, e2, np.eye(self.dim) - e1 - e2)
@@ -278,23 +279,32 @@ class WeightedDensityPair:
             WeightedDensityPair(self.dim, c1 * self.gamma1, c2 * self.gamma2,
                                 self.tol), c1, c2)
 
+    def _lends(self, c1, c2):
+        """Whether `reweighted` hands this pair's split to the pair (c1
+        gamma1, c2 gamma2); weights given as arrays of one shape give one
+        verdict per pair of weights.  A pair that holds a lent split tests
+        its lender's eigenvalues, at the weights multiplied."""
+        _, w1, w2 = self._lender or (self, 1.0, 1.0)
+        values = self.jordan.values
+        if values is None:
+            return np.ones(np.shape(c1), dtype=bool)
+        first, second = (
+            la.rank_survives_scaling(v, w, w, w * v.max(initial=0.0), self.tol)
+            for v, w in zip(values, (w1 * np.asarray(c1),
+                                     w2 * np.asarray(c2))))
+        return first & second
+
     def _lend_jordan(self, pair: "WeightedDensityPair", c1: float,
                      c2: float) -> "WeightedDensityPair":
         """Hand `pair`, which must be (c1 gamma1, c2 gamma2) up to rounding,
-        this pair's `jordan` where `reweighted` allows it; returns `pair`.
-        A pair handed the split records its lender and its weights relative
-        to it: this pair, or the pair this one was lent by, with the
-        weights multiplied.  So a reweighting of `pair` tests the lender's
-        eigenvalues again, and `pair.root_blocks` scales the lender's."""
-        lender, w1, w2 = self._lender or (self, 1.0, 1.0)
-        w1, w2 = w1 * c1, w2 * c2
-        split = self.jordan
-        if split.values is None or all(
-                la.rank_survives_scaling(v, w, w, w * v.max(initial=0.0),
-                                         self.tol)
-                for v, w in zip(split.values, (w1, w2))):
-            object.__setattr__(pair, "jordan", split)
-            object.__setattr__(pair, "_lender", (lender, w1, w2))
+        this pair's `jordan` where `reweighted` allows it (`_lends`);
+        returns `pair`.  A pair handed the split records its lender, this
+        pair or the pair this one was lent by, and its weights relative to
+        it, and `pair.root_blocks` scales the lender's."""
+        if self._lends(c1, c2):
+            lender, w1, w2 = self._lender or (self, 1.0, 1.0)
+            object.__setattr__(pair, "jordan", self.jordan)
+            object.__setattr__(pair, "_lender", (lender, w1 * c1, w2 * c2))
         return pair
 
     @property
@@ -407,7 +417,8 @@ def _weight_limit(rho: np.ndarray, tol: ToleranceContext) -> float:
 
 
 def _sweep_pairs(rho1: np.ndarray, rho2: np.ndarray, tol: ToleranceContext):
-    """(base, pair_at) for a sweep of the priors of two unit-trace states.
+    """(base, pair_at, stacked) for a sweep of the priors of two unit-trace
+    states.
 
     base is `WeightedDensityPair.from_states(rho1, rho2, 0.5, tol)`, and
     pair_at(p1) the pair `from_states` builds at p1, handed the split of
@@ -416,6 +427,11 @@ def _sweep_pairs(rho1: np.ndarray, rho2: np.ndarray, tol: ToleranceContext):
     weights, so a prior whose weights lie within both states'
     `_weight_limit` builds its pair without the per-state tests
     (`_known_valid`), and any other prior tests them as `from_states` does.
+
+    stacked(p1s), for an array of priors, returns (shared, gamma1,
+    gamma2): whether pair_at(p1) builds its pair without the state tests,
+    passes its total-trace test and holds base's split, and the states
+    that pair holds, stacked as (n, d, d) for every p1 of p1s.
     """
     base = WeightedDensityPair.from_states(rho1, rho2, 0.5, tol)
     rho1, rho2 = (np.asarray(rho, dtype=complex) for rho in (rho1, rho2))
@@ -431,7 +447,17 @@ def _sweep_pairs(rho1: np.ndarray, rho2: np.ndarray, tol: ToleranceContext):
             pair = WeightedDensityPair.from_states(rho1, rho2, p1, tol)
         return base._lend_jordan(pair, 2.0 * p1, 2.0 * (1.0 - p1))
 
-    return base, pair_at
+    def stacked(p1s: np.ndarray):
+        w = p1s[:, None, None]
+        gamma1 = hermitian_part(w * rho1)
+        gamma2 = hermitian_part((1.0 - w) * rho2)
+        total = np.real(np.trace(gamma1 + gamma2, axis1=1, axis2=2))
+        shared = ((p1s <= limit1) & (1.0 - p1s <= limit2)
+                  & (total <= 1.0 + tol.equality)
+                  & base._lends(2.0 * p1s, 2.0 * (1.0 - p1s)))
+        return shared, gamma1, gamma2
+
+    return base, pair_at, stacked
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -456,11 +482,12 @@ class _RootBlock(NamedTuple):
     polar: np.ndarray
     spectrum: tuple[np.ndarray, np.ndarray]
 
-    def scaled(self, c: float, c_other: float) -> "_RootBlock":
+    def scaled(self, c, c_other) -> "_RootBlock":
         """This block for the state scaled by c and the other by c_other:
         A and its eigenvalues scale by c, A^-1/2 by 1/sqrt(c) and polar by
         sqrt(c c_other); the eigenvectors, and the singular vectors behind
-        polar, stay."""
+        polar, stay.  Weights given as arrays (n, 1, 1) give one block per
+        row, (n, k, k), and eigenvalues (n, 1, k)."""
         w, q = self.spectrum
         return _RootBlock(c * self.block, self.inverse_root / np.sqrt(c),
                           np.sqrt(c * c_other) * self.polar, (c * w, q))
@@ -488,7 +515,7 @@ class UsdMeasurement:
 
     @property
     def dim(self) -> int:
-        return self.e1.shape[0]
+        return self.e1.shape[-1]
 
     def elements(self):
         return self.e1, self.e2, self.e_inconclusive
@@ -542,8 +569,21 @@ def is_usd(m: UsdMeasurement, pair: WeightedDensityPair) -> bool:
 
 def success_probability(m: UsdMeasurement, pair: WeightedDensityPair) -> float:
     """tr(e1 gamma1) + tr(e2 gamma2)."""
-    return float(np.real(np.trace(m.e1 @ pair.gamma1) +
-                         np.trace(m.e2 @ pair.gamma2)))
+    return float(_success(m, pair.gamma1, pair.gamma2))
+
+
+def _success(m: UsdMeasurement, gamma1: np.ndarray, gamma2: np.ndarray):
+    """`success_probability` of each measurement of a stack on the pair
+    (gamma1, gamma2) of its row: every array may carry leading axes."""
+    return np.real(np.trace(m.e1 @ gamma1, axis1=-2, axis2=-1)
+                   + np.trace(m.e2 @ gamma2, axis1=-2, axis2=-1))
+
+
+def _at(record, *row):
+    """`record`, a dataclass whose fields hold one numpy value per row of a
+    stack, at the given row (no row for a record of single values), as
+    Python scalars."""
+    return type(record)(*[v.item(*row) for v in vars(record).values()])
 
 
 def failure_probability(m: UsdMeasurement, pair: WeightedDensityPair) -> float:
@@ -583,8 +623,9 @@ class InconclusiveDiagnostics:
 
     @property
     def ok(self) -> bool:
-        return (self.identity_on_kernel and self.psd and self.complement_psd
-                and self.separates_states)
+        """All four conditions hold (per row, for diagnostics of a stack)."""
+        return (self.identity_on_kernel & self.psd & self.complement_psd
+                & self.separates_states)
 
     def first_failure(self) -> str | None:
         for name in ("identity_on_kernel", "psd", "complement_psd",
@@ -599,18 +640,28 @@ def validate_inconclusive(e_q: np.ndarray,
     """Check the four conditions an inconclusive element must satisfy.
 
     It must act as identity on the common kernel, satisfy 0 <= e_q <= 1,
-    and annihilate the cross term: gamma1 (1 - e_q) gamma2 = 0.
+    and annihilate the cross term: gamma1 (1 - e_q) gamma2 = 0.  This is
+    the one-row case of `_diagnostics`.
     """
-    tol = pair.tol
-    d = pair.dim
-    kb = pair.common_kernel().basis
-    res_k = float(np.abs(e_q @ kb - kb).max()) if kb.shape[1] else 0.0
+    return _at(_diagnostics(e_q, pair.gamma1, pair.gamma2,
+                            pair.common_kernel().basis, pair.tol))
+
+
+def _diagnostics(e_q: np.ndarray, gamma1: np.ndarray, gamma2: np.ndarray,
+                 kernel: np.ndarray, tol: ToleranceContext,
+                 ) -> InconclusiveDiagnostics:
+    """`validate_inconclusive` of each e_q of a stack (..., d, d) on the
+    pair (gamma1, gamma2) of its row, whose common kernel has the basis
+    `kernel`: every field holds one value per row."""
+    res_k = (np.abs(e_q @ kernel - kernel).max(axis=(-2, -1))
+             if kernel.shape[1] else np.zeros(e_q.shape[:-2]))
     w = np.linalg.eigvalsh(hermitian_part(e_q))
-    res_psd = max(0.0, -float(w.min()))
-    res_comp = max(0.0, float(w.max()) - 1.0)
-    cross = pair.gamma1 @ (np.eye(d) - e_q) @ pair.gamma2
-    res_sep = float(np.linalg.norm(cross))
-    floor = tol.psd_floor * max(1.0, float(np.abs(w).max(initial=0.0)))
+    res_psd = np.maximum(0.0, -w.min(axis=-1))
+    res_comp = np.maximum(0.0, w.max(axis=-1) - 1.0)
+    cross = gamma1 @ (np.eye(e_q.shape[-1]) - e_q) @ gamma2
+    res_sep = la.frobenius(cross)
+    floor = tol.psd_floor * np.maximum(1.0, np.abs(w).max(axis=-1,
+                                                          initial=0.0))
     return InconclusiveDiagnostics(
         identity_on_kernel=res_k <= tol.equality,
         psd=res_psd <= floor,
@@ -628,20 +679,30 @@ def complete_measurement(e_q: np.ndarray,
     """The unique proper USD measurement with the given inconclusive element.
 
     e_mu = L_mu Y_mu L_mu^dag with Y_mu = T_mu^dag (1 - e_q) T_mu
-    (`JordanSplit.measurement`), which must close to the identity.
+    (`JordanSplit.measurement`), which must close to the identity.  This is
+    the one-row case of `validate_inconclusive` and `_completion`.
     """
     diag = validate_inconclusive(e_q, pair)
     if not diag.ok:
         raise InvalidInconclusive(
             f"inconclusive operator rejected: {diag.first_failure()}", diag)
-    split, rest = pair.jordan, np.eye(pair.dim) - e_q
-    m = split.measurement(*(dag(t) @ rest @ t for t in split.lifted_columns))
-    closure = float(np.abs(m.e_inconclusive - e_q).max())
+    m, closure = _completion(e_q, pair.jordan)
     if closure > pair.tol.equality:
         raise InvalidInconclusive(
             f"completion does not close to identity (residual {closure:.2e})",
             diag)
-    return UsdMeasurement(m.e1, m.e2, hermitian_part(e_q))
+    return m
+
+
+def _completion(e_q: np.ndarray, split: JordanSplit):
+    """(m, closure) for each e_q of a stack (..., d, d) on pairs that hold
+    `split`: the measurement `complete_measurement` returns, whose elements
+    carry the same leading axes, and how far its completion misses e_q
+    (largest entry), to be held against tol.equality."""
+    rest = np.eye(split.dim) - e_q
+    m = split.measurement(*(dag(t) @ rest @ t for t in split.lifted_columns))
+    closure = np.abs(m.e_inconclusive - e_q).max(axis=(-2, -1))
+    return UsdMeasurement(m.e1, m.e2, hermitian_part(e_q)), closure
 
 
 def reconstruct_from_core(core: np.ndarray,

@@ -17,7 +17,8 @@ from . import linalg as la
 from .errors import CertificateFailure, NotProper, PreconditionViolated
 from .linalg import dag, hermitian_part
 from .model import (MeasurementClassTag, UsdMeasurement, WeightedDensityPair,
-                    is_proper, success_probability)
+                    _at, is_proper, success_probability)
+from .tolerances import ToleranceContext
 
 __all__ = [
     "OptimalityReport", "CertificateZ", "SolverOutcome", "check_optimality",
@@ -49,6 +50,9 @@ class OptimalityReport:
     pair's difference up to the tails its classification drops, and equals
     the one on the reduced pair up to rounding.  The split needs the
     reduced pair to be strictly skew, as it is by construction.
+
+    The check of a stack of measurements (`_check`) holds one value per
+    row in each field.
     """
 
     cond_a1: bool
@@ -63,7 +67,7 @@ class OptimalityReport:
 
     @property
     def is_optimal(self) -> bool:
-        return self.cond_a1 and self.cond_a2 and self.cond_cross and self.cond_b
+        return self.cond_a1 & self.cond_a2 & self.cond_cross & self.cond_b
 
     def to_dict(self) -> dict:
         return {
@@ -86,27 +90,35 @@ def check_optimality(m: UsdMeasurement, pair: WeightedDensityPair,
       (a2) -Lambda2 M Lambda2 >= 0,
       (cross) Lambda1 M Lambda2 = 0,
       (b)   (Lambda1 - Lambda2) M (1 - e) = 0.
-    A proper measurement is optimal iff all four hold.
+    A proper measurement is optimal iff all four hold.  This is the
+    one-row case of `_check`.
     """
     if require_proper and not is_proper(m, pair):
         raise NotProper("optimality conditions apply to proper measurements")
-    tol = pair.tol
-    lam1, lam2 = pair.detectors
-    e = m.e_inconclusive
-    core = e @ (pair.gamma2 - pair.gamma1) @ e
-    scale = max(1.0, pair.total_trace)
+    return _at(_check(m.e_inconclusive, pair.gamma1, pair.gamma2,
+                      pair.detectors, pair.tol))
+
+
+def _check(e: np.ndarray, gamma1: np.ndarray, gamma2: np.ndarray,
+           detectors, tol: ToleranceContext) -> OptimalityReport:
+    """`check_optimality` of each inconclusive element e of a stack
+    (..., d, d) on the pair (gamma1, gamma2) of its row, whose detector
+    projectors are `detectors`: every field holds one value per row."""
+    lam1, lam2 = detectors
+    core = e @ (gamma2 - gamma1) @ e
+    scale = np.maximum(1.0, np.real(np.trace(gamma1 + gamma2, axis1=-2,
+                                             axis2=-1)))
     s11 = lam1 @ core @ lam1
     s22 = lam2 @ core @ lam2
-    anti = max(float(np.linalg.norm(s11 - hermitian_part(s11))),
-               float(np.linalg.norm(s22 - hermitian_part(s22))))
-    res_a1 = min(0.0, la.min_eigenvalue(s11))
-    res_a2 = min(0.0, la.min_eigenvalue(-s22))
-    res_cross = float(np.linalg.norm(lam1 @ core @ lam2))
-    res_b = float(np.linalg.norm(
-        (lam1 - lam2) @ core @ (np.eye(pair.dim) - e)))
+    anti = np.maximum(la.frobenius(s11 - hermitian_part(s11)),
+                      la.frobenius(s22 - hermitian_part(s22)))
+    res_a1 = np.minimum(0.0, la.min_eigenvalue(s11))
+    res_a2 = np.minimum(0.0, la.min_eigenvalue(-s22))
+    res_cross = la.frobenius(lam1 @ core @ lam2)
+    res_b = la.frobenius((lam1 - lam2) @ core @ (np.eye(e.shape[-1]) - e))
     floor = tol.psd_floor * scale
     return OptimalityReport(
-        cond_a1=res_a1 >= -floor and anti <= tol.hermitian * scale,
+        cond_a1=(res_a1 >= -floor) & (anti <= tol.hermitian * scale),
         cond_a2=res_a2 >= -floor,
         cond_cross=res_cross <= tol.equality * scale,
         cond_b=res_b <= tol.equality * scale,
@@ -163,18 +175,32 @@ def classify(m: UsdMeasurement, pair: WeightedDensityPair) -> MeasurementClassTa
     A measurement is von Neumann exactly when the conclusive ranks sum to
     rank(gamma1 gamma2) (`JordanSplit.cross_rank`); all three elements are
     then verified to be projectors.  The tag's rank_margin comes from the
-    singular values of e1 and e2 that decide their ranks.
+    singular values of e1 and e2 that decide their ranks.  This is the
+    one-row case of `_classify`.
     """
-    tol = pair.tol
-    values = [np.linalg.svd(e, compute_uv=False) for e in (m.e1, m.e2)]
-    e1_rank, e2_rank = (la.rank_from_values(v, tol) for v in values)
-    margin = min(la.rank_margin(v, tol) for v in values)
-    von_neumann = e1_rank + e2_rank == pair.jordan.cross_rank
-    if von_neumann:
+    return _at(_classify(m, pair.jordan.cross_rank, pair.tol))
+
+
+def _classify(m: UsdMeasurement, cross_rank: int,
+              tol: ToleranceContext) -> MeasurementClassTag:
+    """`classify` of each measurement of a stack, whose elements are
+    (..., d, d), on pairs of the given `cross_rank`: every field holds one
+    value per row."""
+    # the singular values of e1 and e2, stacked as (2, ..., d)
+    values = np.stack([np.linalg.svd(e, compute_uv=False)
+                       for e in (m.e1, m.e2)])
+    # `linalg.rank_from_values` and `linalg.rank_margin` of each
+    cut = np.maximum(tol.rank_cutoff * values.max(axis=-1, initial=0.0),
+                     tol.rank_atol)[..., None]
+    kept = values > cut
+    e1_rank, e2_rank = kept.sum(axis=-1)
+    margin = np.where(kept, values / cut, np.inf).min(axis=(0, -1),
+                                                     initial=np.inf)
+    von_neumann = e1_rank + e2_rank == cross_rank
+    if von_neumann.any():
         for e in m.elements():
-            if np.abs(e @ e - e).max() > tol.equality:
-                von_neumann = False
-                break
+            von_neumann = von_neumann & (
+                np.abs(e @ e - e).max(axis=(-2, -1)) <= tol.equality)
     return MeasurementClassTag(e1_rank, e2_rank, von_neumann, margin)
 
 

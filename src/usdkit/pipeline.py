@@ -18,13 +18,15 @@ import numpy as np
 
 from . import linalg as la
 from .errors import CertificateFailure, UsdKitError
+from .linalg import hermitian_part
 from .model import (MeasurementClassTag, UsdMeasurement, WeightedDensityPair,
-                    _sweep_pairs, success_probability)
+                    _success, _sweep_pairs, success_probability)
 from .optimality import (OptimalityReport, SolverOutcome, build_certificate,
                          check_optimality, classify)
 from .oracle import OracleConfig, _extend, oracle_optimize
 from .reductions import ReductionRecord, lift_measurement, reduce_fully
-from .solver4d import _family_of, _first_closed_form, solve_4d
+from .solver4d import (_FAMILIES, _family_of, _first_closed_form,
+                       _solve_4d_rows, solve_4d)
 from .tolerances import DEFAULT_TOL, ToleranceContext
 
 __all__ = [
@@ -254,53 +256,92 @@ def _bounds(probe: WeightedDensityPair):
 
 def sweep(rho1: np.ndarray, rho2: np.ndarray, p1_grid,
           tol: ToleranceContext = DEFAULT_TOL) -> list[SweepRow]:
-    """Dispatch every prior on the grid, carrying each prior's answer on.
+    """Solve every prior on the grid: most of them as one stack, the rest
+    with `dispatch`.
 
+    A prior outside (0, 1) raises ValueError before anything is solved.
     The prior only weights the two states, so their supports, kernels,
     detector spaces and reduction projectors are computed once, on the
-    `JordanSplit` of the pair at p1 = 0.5.  Each prior's pair, the one
-    `WeightedDensityPair.from_states(rho1, rho2, p1)` builds, is handed
-    that split as its reweighting by (2 p1, 2 (1 - p1)) would be
-    (`WeightedDensityPair.reweighted`).  It builds what carries the
-    weights itself, its reduced pair (holding the split's one core split)
-    and lifted offset, except the root blocks: it and its reduced pair
-    scale those of the pair at 0.5 and its reduced pair.  A split is
-    handed over only when its rank decisions provably match the ones that
-    pair would take itself; a prior where an eigenvalue sits close enough
-    to the rank cutoff for a decision to flip classifies its own supports.
+    `JordanSplit` of the pair at p1 = 0.5, and so is its reduction.  Each
+    prior's pair, the one `WeightedDensityPair.from_states(rho1, rho2, p1)`
+    builds, is that pair reweighted by (2 p1, 2 (1 - p1)), on the same
+    bases (`WeightedDensityPair.reweighted`).  A split is handed over only
+    when its rank decisions provably match the ones the prior's pair would
+    take itself, and the states are tested once: a prior skips the
+    hermiticity and PSD tests of its pair where scaling provably keeps
+    them passing (`model._sweep_pairs`).
 
-    The states are tested once, not at every prior: a prior skips the
-    hermiticity and PSD tests of its pair where scaling provably keeps them
-    passing, and tests as `from_states` does anywhere else.  Each prior
-    first tries the family that answered the one before it
-    (`dispatch`'s `_family`); by uniqueness of the optimum, a pass off a
-    class boundary is the answer.  So every row is the answer `dispatch`
-    gives on the pair built afresh, up to rounding.  The one exception is
-    a prior on a class transition, where the carried family passes off
-    the boundary and a family tried before it in a fresh `dispatch`
-    passes on it: both measurements pass the check, and the row names the
-    carried family.  A row keeps no measurement, so no certificate is
-    built.
+    Where the reduced pair at 0.5 is a (4;2,2) core, every prior whose
+    pair holds the split and skips the tests is solved in one stack
+    (`solver4d._solve_4d_rows`): single state detection, the fidelity form
+    and class-12 each run once over all such priors, with one stacked
+    check, and a prior whose first passing family is off a class boundary
+    takes that family's answer.  Every other prior runs `dispatch` on its
+    own pair: class-11 priors, priors on a class boundary, priors where
+    the check refuses every stacked family, a degenerate class-12 host,
+    priors outside the lent range or the weight limits, and every prior
+    of a core that is not (4;2,2).  Each of those first tries the family
+    that answered the prior before it (`dispatch`'s `_family`); by
+    uniqueness of the optimum, a pass off a class boundary is the answer.
+
+    So every row is the answer `dispatch` gives on the pair built afresh,
+    up to rounding.  The one exception is a prior on a class transition,
+    where the family carried into a dispatched prior passes off the
+    boundary and a family tried before it in a fresh `dispatch` passes on
+    it: both measurements pass the check, and the row names the carried
+    family.  A row keeps no measurement, so no certificate is built.
     """
-    base, pair_at = _sweep_pairs(rho1, rho2, tol)
+    grid = [float(p1) for p1 in p1_grid]
+    if not all(0.0 < p1 < 1.0 for p1 in grid):
+        raise ValueError("p1 must lie strictly between 0 and 1")
+    base, pair_at, stacked = _sweep_pairs(rho1, rho2, tol)
     bounds = _bounds(base)
+    answers = _stacked_answers(base, stacked, np.array(grid))
     rows = []
     family = None
-    for p1 in p1_grid:
-        p1 = float(p1)
-        outcome = dispatch(pair_at(p1), with_certificate=False,
-                           _family=family)
-        family = _family_of(outcome)
+    for p1, answer in zip(grid, answers):
+        if answer is None:
+            outcome = dispatch(pair_at(p1), with_certificate=False,
+                               _family=family)
+            answer = (outcome.success, (outcome.class_tag.e1_rank,
+                                        outcome.class_tag.e2_rank),
+                      outcome.branch, _family_of(outcome))
+        success, class_tag, branch, family = answer
         low, up = bounds(p1)
-        rows.append(SweepRow(
-            p1=p1,
-            success_probability=outcome.success,
-            class_tag=(outcome.class_tag.e1_rank, outcome.class_tag.e2_rank),
-            branch=outcome.branch,
-            lower_bound=low,
-            upper_bound=up,
-        ))
+        rows.append(SweepRow(p1, success, class_tag, branch, low, up))
     return rows
+
+
+def _stacked_answers(base: WeightedDensityPair, stacked, grid: np.ndarray):
+    """(success, class tag, branch, family) of each prior of the grid that
+    `sweep` solves as one stack, the family as in `solver4d._FAMILIES`;
+    None for every other prior.  base is the pair at p1 = 0.5 and stacked
+    the states of the grid's pairs (`model._sweep_pairs`)."""
+    answers = [None] * len(grid)
+    record = base.reduction
+    core = record.reduced_pair
+    if not (core.collective_support().size == 4
+            and all(s.size == 2 for s in core.supports)):
+        return answers
+    shared, gamma1, gamma2 = stacked(grid)
+    priors = np.flatnonzero(shared)
+    gamma1, gamma2 = gamma1[priors], gamma2[priors]
+    core1, core2 = gamma1, gamma2
+    if core is not base:  # the reduced pairs, as `reduce_fully` builds them
+        proj1, proj2 = core.jordan.support_projectors
+        core1, core2 = (hermitian_part(p @ g @ p)
+                        for p, g in ((proj1, gamma1), (proj2, gamma2)))
+    p1 = grid[priors]
+    for family, rows, m, tag, _ in _solve_4d_rows(
+            core, 2.0 * p1, 2.0 * (1.0 - p1), core1, core2):
+        success = _success(lift_measurement(m, record), gamma1[rows],
+                           gamma2[rows])
+        for i, value, e1_rank, e2_rank in zip(
+                priors[rows].tolist(), success.tolist(),
+                tag.e1_rank.tolist(), tag.e2_rank.tolist()):
+            answers[i] = (value, (e1_rank, e2_rank), _FAMILIES[family][0],
+                          _FAMILIES[family])
+    return answers
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:

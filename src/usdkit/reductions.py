@@ -145,7 +145,7 @@ def lift_measurement(m_reduced: UsdMeasurement,
 
     e1 gains sigma1, e2 gains sigma2, and the inconclusive element shrinks
     accordingly; the success probability grows by exactly the record's
-    lifted_offset.
+    lifted_offset.  Elements stacked as (n, d, d) lift row by row.
     """
     if m_reduced.dim != record.pair.dim:
         raise IncompatibleRecord(

@@ -14,18 +14,22 @@ from __future__ import annotations
 
 import itertools
 import warnings as _warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import linalg as la
 from .closed_form import (BRANCH_FIDELITY, BRANCH_SINGLE_STATE,
+                          _fidelity_blocks, _fidelity_feasible,
+                          _single_state_branches,
                           try_fidelity_form, try_single_state_detection)
 from .errors import (DegenerateFamily, InvalidInconclusive, NoSolutionFound,
                      PreconditionViolated, UsdNumericsWarning)
 from .linalg import dag, hermitian_part
-from .model import UsdMeasurement, WeightedDensityPair, complete_measurement
-from .optimality import OptimalityReport, SolverOutcome, accepted_outcome
+from .model import (UsdMeasurement, WeightedDensityPair, _completion,
+                    _diagnostics, complete_measurement)
+from .optimality import (OptimalityReport, SolverOutcome, _check, _classify,
+                         accepted_outcome)
 from .tolerances import ToleranceContext
 
 __all__ = [
@@ -133,23 +137,18 @@ def _host_eigenbasis(sup: la.Subspace, spectrum, host_gamma: np.ndarray,
     return s1, s2, (g11, g12, g21, g22, g23)
 
 
-def _finish_candidate_12(phi, phi_perp, x, host,
-                         pair) -> Candidate12 | None:
-    """n = sqrt(r) L_h T_h^dag pp + L_o T_o^dag pp / sqrt(r) with the
-    split's `lifts`, r = sqrt(<pp|g_o|pp> / <pp|g_h|pp>), pp = phi_perp."""
-    host_gamma = pair.gamma1 if host == 1 else pair.gamma2
-    other_gamma = pair.gamma2 if host == 1 else pair.gamma1
-    q_host = float(np.real(np.vdot(phi_perp, host_gamma @ phi_perp)))
-    q_other = float(np.real(np.vdot(phi_perp, other_gamma @ phi_perp)))
-    if q_host <= 0.0 or q_other <= 0.0:
-        return None
-    root = float(np.sqrt(np.sqrt(q_other / q_host)))
+def _finish_candidate_12(phi_perp, q_host, q_other, host, split):
+    """(n_vec, nu): n = sqrt(r) L_h T_h^dag pp + L_o T_o^dag pp / sqrt(r)
+    with the split's `lifts`, pp = phi_perp, r = sqrt(q_other / q_host) for
+    the positive quadratic forms q = <pp|g|pp> of the host and the other
+    state, up to one common factor, and nu = |n|^2.  phi_perp may be a
+    stack (..., d) of vectors, with forms (...)."""
+    root = np.sqrt(np.sqrt(q_other / q_host))[..., None]
+    t, lift = split.lifted_columns, split.lifts
     h, o = host - 1, 2 - host
-    t, lift = pair.jordan.lifted_columns, pair.jordan.lifts
-    n_vec = (root * lift[h] @ (dag(t[h]) @ phi_perp)
-             + lift[o] @ (dag(t[o]) @ phi_perp) / root)
-    nu = float(np.real(np.vdot(n_vec, n_vec)))
-    return Candidate12(phi, phi_perp, x, n_vec, nu, host)
+    n_vec = (root * ((phi_perp @ t[h].conj()) @ lift[h].T)
+             + ((phi_perp @ t[o].conj()) @ lift[o].T) / root)
+    return n_vec, np.sum(np.abs(n_vec) ** 2, axis=-1)
 
 
 def enumerate_candidates_12(pair: WeightedDensityPair,
@@ -161,7 +160,9 @@ def enumerate_candidates_12(pair: WeightedDensityPair,
     host eigenvectors qualify, gated by g21 >= g11 resp. g22 >= g12.
     Otherwise the mixing angle vanishes and each real nonzero root of the
     degree-six polynomial yields one candidate, filtered by the sign
-    condition x g1 (x g2 + g23 (x^2-1)) >= 0 and by <phi|g_other - g_host|phi> >= 0.
+    condition x g1 (x g2 + g23 (x^2-1)) >= 0 and by
+    <phi|g_other - g_host|phi> >= 0: the one-row case of
+    `_mixing_candidates_12`.
     """
     if detect_on not in (1, 2):
         raise ValueError("detect_on must be 1 or 2")
@@ -171,62 +172,129 @@ def enumerate_candidates_12(pair: WeightedDensityPair,
     s1, s2, g = _host_eigenbasis(
         pair.supports[detect_on - 1],
         pair.root_blocks[detect_on - 1].spectrum, host_gamma, other_gamma, tol)
+    if not _degenerate_12(g, tol):
+        _, cands = _mixing_candidates_12(s1, s2, g, detect_on, pair.jordan,
+                                         tol)
+        return [Candidate12(phi, pp, x, n, nu, detect_on) for phi, pp, x, n, nu
+                in zip(cands.phi, cands.phi_perp, cands.x.tolist(),
+                       cands.n_vector, cands.nu.tolist())]
     g11, g12, g21, g22, g23 = g
     diff1, diff2 = g11 - g12, g21 - g22
     scale = max(g11, g21, g22, g23)
     out: list[Candidate12] = []
-    if g23 <= tol.equality * scale:
-        if g21 >= g11 - tol.equality * scale:
-            cand = _finish_candidate_12(s1, s2, 0.0, detect_on, pair)
-            if cand is not None:
-                out.append(cand)
-        if g22 >= g12 - tol.equality * scale:
-            cand = _finish_candidate_12(s2, s1, 0.0, detect_on, pair)
-            if cand is not None:
-                out.append(cand)
-        # uniqueness forbids mixed-basis solutions here; flag any that the
-        # quadratic sign pattern would admit, for inspection
-        denom = diff1 ** 2 * g21 - diff2 ** 2 * g11
-        numer = diff2 ** 2 * g12 - diff1 ** 2 * g22
-        if abs(denom) > tol.rank_atol and numer / denom > 0:
-            _warnings.warn(
-                "discarded a nonzero-angle solution family in the "
-                "degenerate (g23 = 0) branch; uniqueness excludes it",
-                UsdNumericsWarning, stacklevel=2)
-        return out
+    for phi, phi_perp, gate in ((s1, s2, g21 >= g11 - tol.equality * scale),
+                                (s2, s1, g22 >= g12 - tol.equality * scale)):
+        # a degenerate host keeps g11 = g12 only up to tol, so the forms
+        # are taken of the states themselves
+        q_host, q_other = (float(np.real(np.vdot(phi_perp, g @ phi_perp)))
+                           for g in (host_gamma, other_gamma))
+        if gate and q_host > 0.0 and q_other > 0.0:
+            n_vec, nu = _finish_candidate_12(phi_perp, q_host, q_other,
+                                             detect_on, pair.jordan)
+            out.append(Candidate12(phi, phi_perp, 0.0, n_vec, float(nu),
+                                   detect_on))
+    # uniqueness forbids mixed-basis solutions here; flag any that the
+    # quadratic sign pattern would admit, for inspection
+    denom = diff1 ** 2 * g21 - diff2 ** 2 * g11
+    numer = diff2 ** 2 * g12 - diff1 ** 2 * g22
+    if abs(denom) > tol.rank_atol and numer / denom > 0:
+        _warnings.warn(
+            "discarded a nonzero-angle solution family in the "
+            "degenerate (g23 = 0) branch; uniqueness excludes it",
+            UsdNumericsWarning, stacklevel=2)
+    return out
+
+
+def _degenerate_12(g, tol: ToleranceContext, c_host=1.0, c_other=1.0):
+    """Whether the host eigenbasis `g` of `_host_eigenbasis` takes the
+    degenerate (g23 = 0) branch of `enumerate_candidates_12`, on the pair
+    that weights the host by c_host and the other state by c_other; with
+    arrays of weights, one verdict per row."""
+    g11, _, g21, g22, g23 = g
+    return c_other * g23 <= tol.equality * np.maximum(
+        c_host * g11, c_other * max(g21, g22, g23))
+
+
+def _mixing_candidates_12(s1, s2, g, host, split, tol: ToleranceContext,
+                          c_host=1.0, c_other=1.0):
+    """(rows, candidates) of the mixing polynomial (`enumerate_candidates_12`
+    off its degenerate branch) for each pair of a stack that weights the
+    pair of the host eigenbasis (s1, s2, g) by (c_host, c_other) on its
+    `split`: arrays (n,) of weights, or 1 for that pair itself.
+
+    On the basis (s1, s2) the host's form is diag(g11, g12) and the other
+    state's [[g21, g23], [g23, g22]], so every quadratic form of a row is
+    read off g and its weights.  The polynomial of a row is c_h c_o (c_h L
+    - c_o Q), L and Q the two parts below, so each row's roots are those
+    of c_h L - c_o Q, all from one stacked companion matrix
+    (`_real_nonzero_roots`).  candidates is a `Candidate12` whose fields
+    hold one value per candidate, rows[j] the row of candidate j, each
+    row's in root order.
+    """
+    g11, g12, g21, g22, g23 = g
+    diff1, diff2 = g11 - g12, g21 - g22
     # mixing polynomial: x^2 g1^2 (g21 x^2 - 2 g23 x + g22)
     #                    - (g23 x^2 + g2 x - g23)^2 (g11 x^2 + g12)
     # (coefficient arrays, highest power first)
-    lead = np.convolve([diff1 ** 2, 0.0, 0.0], [g21, -2 * g23, g22])
+    lead = np.zeros(7)
+    lead[2:] = np.convolve([diff1 ** 2, 0.0, 0.0], [g21, -2 * g23, g22])
     cross = [g23, diff2, -g23]
-    poly = -np.convolve(np.convolve(cross, cross), [g11, 0.0, g12])
-    poly[2:] += lead
-    for x in _real_nonzero_roots(poly):
-        if x * diff1 * (x * diff2 + g23 * (x * x - 1)) < -tol.equality * scale ** 2:
-            continue
-        norm = 1.0 / np.sqrt(1.0 + x * x)
-        phi = norm * (s1 + x * s2)
-        phi_perp = norm * (x * s1 - s2)
-        if np.real(np.vdot(phi, (other_gamma - host_gamma) @ phi)) < \
-                -tol.equality * scale:
-            continue
-        cand = _finish_candidate_12(phi, phi_perp, x, detect_on, pair)
-        if cand is not None:
-            out.append(cand)
-    return out
+    quad = np.convolve(np.convolve(cross, cross), [g11, 0.0, g12])
+    c_host, c_other = np.atleast_1d(c_host, c_other)
+    rows, x = _real_nonzero_roots(np.outer(c_host, lead)
+                                  - np.outer(c_other, quad))
+    # each candidate's forms on (s1, s2), of its row's weights
+    c_o = c_other[rows]
+    h11, h12 = np.multiply.outer((g11, g12), c_host[rows])
+    o11, o22, o12 = np.multiply.outer((g21, g22, g23), c_o)
+    scale = np.maximum(h11, c_o * max(g21, g22, g23))
+    xx = x * x
+    # the forms of phi_perp, along x s1 - s2, without the common 1 + x^2
+    q_host, q_other = xx * h11 + h12, xx * o11 - 2 * x * o12 + o22
+    # the sign condition, <phi|g_o - g_h|phi> >= 0 for phi the unit vector
+    # along s1 + x s2, and positive forms
+    keep = ((x * (h11 - h12) * (x * (o11 - o22) + o12 * (xx - 1))
+             >= -tol.equality * scale ** 2)
+            & ((o11 - h11) + 2 * x * o12 + xx * (o22 - h12)
+               >= -tol.equality * scale * (1.0 + xx))
+            & (q_host > 0.0) & (q_other > 0.0))
+    rows, x, xx = rows[keep], x[keep], xx[keep]
+    norm = (1.0 / np.sqrt(1.0 + xx))[:, None]
+    phi_perp = norm * (x[:, None] * s1 - s2)
+    n_vec, nu = _finish_candidate_12(phi_perp, q_host[keep], q_other[keep],
+                                     host, split)
+    return rows, Candidate12(norm * (s1 + x[:, None] * s2), phi_perp, x,
+                             n_vec, nu, host)
 
 
-def _real_nonzero_roots(coeffs: np.ndarray) -> list[float]:
-    trimmed = np.trim_zeros(coeffs, "f")
-    if len(trimmed) <= 1:
-        return []
-    roots = np.roots(trimmed / np.abs(trimmed).max())
-    out = []
-    for z in roots:
-        if abs(z.imag) <= _REAL_ROOT_TOL * (1.0 + abs(z.real)) and \
-                abs(z.real) > 1e-12:
-            out.append(float(z.real))
-    return out
+def _real_nonzero_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The real nonzero roots of each polynomial of a stack (n, k),
+    coefficients highest power first, as (rows, roots): roots[j] is a root
+    of polynomial rows[j], each polynomial's in the order `np.roots` gives
+    them.  Like `np.roots`, each polynomial is trimmed of its leading and
+    trailing zeros and solved by the eigenvalues of its companion matrix.
+    The polynomials with nothing to trim share one stacked `eigvals`."""
+    untrimmed = coeffs[:, [0, -1]].all(axis=1)
+    stacks = [(untrimmed.nonzero()[0], coeffs[untrimmed])]
+    for row in (~untrimmed).nonzero()[0].tolist():
+        trimmed = np.trim_zeros(coeffs[row])
+        if len(trimmed) > 1:
+            stacks.append((np.array([row]), trimmed[None]))
+    found = []
+    for rows, p in stacks:
+        degree = p.shape[1] - 1
+        companion = np.eye(degree, k=-1) * np.ones((len(p), 1, 1))
+        companion[:, 0] = -p[:, 1:] / p[:, :1]
+        z = np.linalg.eigvals(companion)
+        size = np.abs(z.real)
+        real = ((np.abs(z.imag) <= _REAL_ROOT_TOL * (1.0 + size))
+                & (size > 1e-12))
+        found.append((rows[real.nonzero()[0]], z.real[real]))
+    if len(found) == 1:
+        return found[0]
+    rows, roots = (np.concatenate(parts) for parts in zip(*found))
+    order = np.argsort(rows, kind="stable")
+    return rows[order], roots[order]
 
 
 def balance_residual_12(cand: Candidate12, pair: WeightedDensityPair) -> float:
@@ -251,17 +319,31 @@ def finalize_candidate_12(cand: Candidate12, pair: WeightedDensityPair,
     ("optimality_residual" otherwise).  An accepted candidate gives the
     outcome of `optimality.accepted_outcome` on `pair`, branch class-12.
     """
-    if not 0.0 < cand.nu < 1.0 - pair.tol.rank_atol:
+    if not _nu_inside(cand.nu, pair.tol):
         return Rejection("nu_ge_one")
-    e_q = (np.outer(cand.phi, cand.phi.conj())
-           + np.outer(cand.n_vector, cand.n_vector.conj())
-           + pair.common_kernel().projector())
     try:
-        m = complete_measurement(hermitian_part(e_q), pair)
+        m = complete_measurement(
+            _inconclusive_12(cand, pair.common_kernel().projector()), pair)
     except InvalidInconclusive:
         return Rejection("not_completable")
     return (accepted_outcome(m, pair, BRANCH_CLASS_12)
             or Rejection("optimality_residual"))
+
+
+def _nu_inside(nu, tol: ToleranceContext):
+    """The weight gate of `finalize_candidate_12`: 0 < nu < 1, with the
+    rank margin; per candidate for an array of weights."""
+    return (0.0 < nu) & (nu < 1.0 - tol.rank_atol)
+
+
+def _inconclusive_12(cand: Candidate12, kernel_projector: np.ndarray):
+    """|phi><phi| + n n^dag + the common kernel's projector, the e_q of a
+    rank-(1,2) candidate; (m, d, d) for candidates whose fields hold one
+    value per candidate."""
+    def outer(v):
+        return v[..., :, None] * v.conj()[..., None, :]
+    return hermitian_part(outer(cand.phi) + outer(cand.n_vector)
+                          + kernel_projector)
 
 
 def _kernel_jordan_data(pair: WeightedDensityPair):
@@ -380,7 +462,7 @@ def enumerate_candidates_11(pair: WeightedDensityPair) -> list[Candidate11]:
                             np.convolve(a1_poly, a1_poly)
                             + np.convolve(a2_poly, a2_poly))
     coeff_scale = max(abs(d1), abs(d2), g13, g23)
-    for x in _real_nonzero_roots(poly):
+    for x in _real_nonzero_roots(poly[None])[1].tolist():
         a1, a2 = np.polyval(a1_poly, x), np.polyval(a2_poly, x)
         b1, b2, b3 = (np.polyval(b1_poly, x), np.polyval(b2_poly, x),
                       np.polyval(b3_poly, x))
@@ -552,11 +634,19 @@ def _family_class(branch: str, rank: int) -> tuple[int, int]:
 def _on_boundary(outcome: SolverOutcome, rank: int = 2) -> bool:
     """Whether an accepted answer sits on a class boundary: its closed form
     called it marginal, its class is not its family's, or a kept singular
-    value of e1 or e2 sits within `_BOUNDARY_RANK_MARGIN` of the cutoff."""
-    tag = outcome.class_tag
-    return (outcome.boundary
-            or tag.as_class != _family_class(outcome.branch, rank)
-            or tag.rank_margin <= _BOUNDARY_RANK_MARGIN)
+    value of e1 or e2 sits within `_BOUNDARY_RANK_MARGIN` of the cutoff.
+    This is the one-row case of `_off_class`."""
+    return bool(_off_class(outcome.boundary, outcome.class_tag,
+                           outcome.branch, rank))
+
+
+def _off_class(boundary, tag, branch: str, rank: int = 2):
+    """`_on_boundary` of answers of family `branch` with the given boundary
+    flags and class tags, whose fields may hold one value per row."""
+    low, high = _family_class(branch, rank)
+    return (boundary | (np.minimum(tag.e1_rank, tag.e2_rank) != low)
+            | (np.maximum(tag.e1_rank, tag.e2_rank) != high)
+            | (tag.rank_margin <= _BOUNDARY_RANK_MARGIN))
 
 
 def _family_of(outcome: SolverOutcome):
@@ -663,3 +753,125 @@ def solve_4d(pair: WeightedDensityPair, *, _family=None) -> SolverOutcome:
     note = (f"{len(found)} families passed verification (class boundary);"
             f" kept {best.branch} by smaller residual")
     return replace(best, boundary=True, warnings=best.warnings + (note,))
+
+
+# --------------------------------------------------------------------------
+# a stack of reweighted pairs
+# --------------------------------------------------------------------------
+
+def _take(record, keep):
+    """`record`, a dataclass whose fields hold one value per row, at the
+    rows `keep` (a mask or indices); a field of one value for all rows
+    (a candidate's host) stays."""
+    return type(record)(*(v[keep] if np.ndim(v) else v for v in (
+        getattr(record, f.name) for f in fields(record))))
+
+
+def _repeat(record, n: int):
+    """`record`, a dataclass of one value per field, as the same value in
+    each of n rows (read-only views)."""
+    return type(record)(*(np.broadcast_to(v, (n,) + np.shape(v)) for v in (
+        getattr(record, f.name) for f in fields(record))))
+
+
+def _solve_4d_rows(core: WeightedDensityPair, c1: np.ndarray, c2: np.ndarray,
+                   gamma1: np.ndarray, gamma2: np.ndarray):
+    """The answers of `solve_4d` on a stack of pairs that one stack of
+    arrays settles.
+
+    Row i is the pair (gamma1[i], gamma2[i]), states (n, d, d), that
+    reweights the strictly skew (4;2,2) pair `core` by (c1[i], c2[i]) and
+    holds its split, as `WeightedDensityPair.reweighted` hands it over.
+    The families run in `solve_4d`'s order, single state detection, the
+    fidelity form and class-12 with either host, each once, over the rows
+    no family before it settled, with the arithmetic of the per-pair path
+    given a leading row axis: `_single_state_branches`, `_fidelity_blocks`
+    and `_mixing_candidates_12`, then `_diagnostics`, `_completion`,
+    `_check` and `_classify`.  A row is settled by the first family that
+    passes its check there.  Off a class boundary (`_off_class`) that
+    measurement is the row's answer, by uniqueness of the optimum, as in
+    `solve_4d`.  On one, the row is left to `solve_4d`, as is a row no
+    family passes (class-11, or none) and a row whose class-12 host takes
+    the degenerate branch of `enumerate_candidates_12`.
+
+    Returns the answers in parts (family, rows, m, tag, report), one per
+    family that answered rows: `_FAMILIES[family]` answers the rows with
+    the measurements m, class tags and checks (`_check`), whose fields
+    hold one value per row.  Rows in no part are left to `solve_4d`.
+    """
+    split, tol = core.jordan, core.tol
+    kernel = core.common_kernel()
+    parts = []
+    pending = np.arange(len(c1))  # the rows no family has settled
+
+    def states(rows):
+        """The states of the pending rows `rows` (indices into pending)."""
+        return gamma1[pending[rows]], gamma2[pending[rows]]
+
+    def check(m, rows):
+        return _check(m.e_inconclusive, *states(rows), split.detectors, tol)
+
+    def settle(family, rows, m, report, boundary, tag=None, left=()):
+        """Settle the pending rows `rows`, each passed first by family with
+        the measurement and check of its row, and leave the rows `left`
+        to solve_4d."""
+        nonlocal pending
+        tag = _classify(m, 2, tol) if tag is None else tag
+        answer = ~_off_class(boundary, tag, _FAMILIES[family][0])
+        if answer.any():
+            parts.append((family, pending[rows[answer]], _take(m, answer),
+                          _take(tag, answer), _take(report, answer)))
+        pending = np.delete(pending, np.concatenate((rows, left)).astype(int))
+
+    # single state detection: two fixed measurements, in order
+    for ok, marginal, m in _single_state_branches(gamma1, gamma2, split, tol):
+        rows = np.flatnonzero(ok[pending])
+        report = check(m, rows)
+        passed = report.is_optimal
+        rows, report = rows[passed], _take(report, passed)
+        settle(0, rows, _repeat(m, len(rows)), report, marginal[pending[rows]],
+               _repeat(_classify(m, 2, tol), len(rows)))
+    # the fidelity form
+    w1, w2 = c1[pending, None, None], c2[pending, None, None]
+    roots = tuple(root.scaled(c, other) for root, c, other in
+                  zip(core.root_blocks, (w1, w2), (w2, w1)))
+    ok, marginal = _fidelity_feasible(roots, tol)
+    rows = np.flatnonzero(ok)
+    m = split.measurement(*(y[rows] for y in _fidelity_blocks(roots)))
+    valid = _diagnostics(m.e_inconclusive, *states(rows), kernel.basis, tol).ok
+    rows, m, marginal = rows[valid], _take(m, valid), marginal[rows[valid]]
+    report = check(m, rows)
+    passed = report.is_optimal
+    settle(1, rows[passed], _take(m, passed), _take(report, passed),
+           marginal[passed])
+    # class-12, host 1 then host 2
+    for family in (2, 3):
+        host = _FAMILIES[family][1]
+        h, o = host - 1, 2 - host
+        s1, s2, g = _host_eigenbasis(
+            core.supports[h], core.root_blocks[h].spectrum,
+            (core.gamma1, core.gamma2)[h], (core.gamma1, core.gamma2)[o], tol)
+        c_h, c_o = (c1, c2)[h][pending], (c1, c2)[o][pending]
+        # a row that takes the degenerate branch, or whose host basis would
+        # not be phased as the core's, is left to solve_4d
+        degenerate = (_degenerate_12(g, tol, c_h, c_o)
+                      | (c_o * g[4] <= tol.rank_atol))
+        rows = np.flatnonzero(~degenerate)
+        cand_rows, cands = _mixing_candidates_12(s1, s2, g, host, split, tol,
+                                                 c_h[rows], c_o[rows])
+        inside = _nu_inside(cands.nu, tol)
+        cand_rows, e_q = rows[cand_rows[inside]], _inconclusive_12(
+            _take(cands, inside), kernel.projector())
+        valid = _diagnostics(e_q, *states(cand_rows), kernel.basis, tol).ok
+        m, closure = _completion(e_q[valid], split)
+        closed = closure <= tol.equality
+        cand_rows, m = cand_rows[valid][closed], _take(m, closed)
+        report = check(m, cand_rows)
+        # each row's first candidate that passes: candidates come in row
+        # order, each row's in the order enumerate_candidates_12 gives them
+        passed = np.flatnonzero(report.is_optimal)
+        picked = passed[np.unique(cand_rows[passed], return_index=True)[1]]
+        settle(family, cand_rows[picked], _take(m, picked),
+               _take(report, picked), np.zeros(len(picked), dtype=bool),
+               left=np.flatnonzero(degenerate))
+    return parts

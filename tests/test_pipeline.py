@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from usdkit import (NonConvergence, NotPSD, OracleConfig,
+from usdkit import (NonConvergence, NotPSD, OracleConfig, check_optimality,
                     UsdMeasurement, WeightedDensityPair, classify, dispatch,
                     lift_measurement, oracle_optimize, reduce_fully,
                     solve_4d, success_probability)
@@ -20,8 +20,8 @@ from usdkit.pipeline import (BLOCK_STRUCTURE_NOTE, ProblemFile,
                              sweep_bounds)
 
 from util import (REDUCED_SHAPES, example1_states, examples2_states,
-                  generic_pair, jordan_cosine_states, peres_states,
-                  random_direction, with_eigenvalue_tails)
+                  generic_pair, haar_unitary, jordan_cosine_states,
+                  peres_states, random_direction, with_eigenvalue_tails)
 
 DATA = Path(__file__).parent / "data"
 IDP = 1 - 1 / np.sqrt(2)
@@ -676,6 +676,13 @@ GRID = np.linspace(0.01, 0.99, 99)
 
 
 def _sweep_states(family):
+    """The states of a sweep family; "<family>@<seed>" conjugates them by
+    a Haar-random unitary drawn from the seed."""
+    if "@" in family:
+        family, seed = family.split("@")
+        rho1, rho2 = _sweep_states(family)
+        u = haar_unitary(np.random.default_rng([int(seed), 99]), len(rho1))
+        return u @ rho1 @ u.conj().T, u @ rho2 @ u.conj().T
     if family == "example1":
         return example1_states()
     if family == "examples2":
@@ -701,7 +708,8 @@ def _assert_same_answer(row, fresh):
 
 @pytest.mark.parametrize("family", ["example1", "examples2", "peres", "pure",
                                     "3;1,2", "4;2,2", "5;2,3", "5;3,3",
-                                    "skew6"])
+                                    "skew6", "4;2,2@1", "4;2,2@2", "5;2,3@1",
+                                    "5;2,3@2"])
 def test_sweep_matches_fresh_dispatch(family):
     # sweep shares one pair's geometry across its priors; each row must be
     # the answer dispatch gives on the pair built afresh at that prior
@@ -820,6 +828,56 @@ def test_sweep_carries_the_family_with_fewer_solver_calls(monkeypatch):
     assert swept["check_optimality"] <= len(rows) + changes
 
 
+def test_sweep_dispatches_only_the_priors_the_stack_leaves(monkeypatch):
+    # example1's grid has 19 class-11 rows and 4 branch changes: the stack
+    # answers every other row, and only class-11 rows and rows next to a
+    # change of family may need a dispatch of their own
+    calls = []
+    real = pipeline.dispatch
+    monkeypatch.setattr(pipeline, "dispatch",
+                        lambda *args, **kwargs: calls.append(args[0].gamma1)
+                        or real(*args, **kwargs))
+    rows = sweep(*example1_states(), GRID)
+    class_11 = sum(r.branch == "class-11" for r in rows)
+    changes = sum(a.branch != b.branch for a, b in zip(rows, rows[1:]))
+    assert (class_11, changes) == (19, 4)
+    assert len(calls) <= class_11 + 2 * changes
+
+
+@pytest.mark.parametrize("family", ["example1", "examples2", "4;2,2",
+                                    "5;2,3"])
+def test_stacked_rows_hold_the_check_of_their_pair(family, monkeypatch):
+    # every stacked row carries the residuals and class tag of its
+    # measurement on the pair `from_states` builds at its prior: the check
+    # and the classification of the reduced pair, where dispatch takes them
+    from usdkit.model import _at
+
+    parts = []
+    real = pipeline._solve_4d_rows
+
+    def spy(core, c1, c2, gamma1, gamma2):
+        found = real(core, c1, c2, gamma1, gamma2)
+        parts.extend((c1 / 2, part) for part in found)
+        return found
+
+    monkeypatch.setattr(pipeline, "_solve_4d_rows", spy)
+    rho1, rho2 = _sweep_states(family)
+    sweep(rho1, rho2, GRID)
+    assert sum(len(part[1]) for _, part in parts) >= 45
+    for p1s, (_, rows, m, tag, report) in parts:
+        for j, row in enumerate(rows):
+            core = WeightedDensityPair.from_states(
+                rho1, rho2, p1s[row]).reduction.reduced_pair
+            m_row = UsdMeasurement(*(e[j] for e in m.elements()))
+            fresh, stacked = check_optimality(m_row, core), _at(report, j)
+            assert stacked.is_optimal and fresh.is_optimal
+            for name in ("residual_a1", "residual_a2", "residual_cross",
+                         "residual_b", "residual_antihermitian"):
+                assert getattr(stacked, name) == pytest.approx(
+                    getattr(fresh, name), abs=1e-15), (p1s[row], name)
+            assert _at(tag, j) == classify(m_row, core), p1s[row]
+
+
 def test_sweep_tests_the_states_once(monkeypatch):
     # a state at -0.4e-10 passes the PSD test at every weight up to 1, so
     # no prior tests it again: the only tests are the pair's at p1 = 0.5
@@ -854,6 +912,17 @@ def test_sweep_rejects_a_prior_outside_the_open_interval(grid):
     rho1, rho2 = example1_states()
     with pytest.raises(ValueError, match="strictly between 0 and 1"):
         sweep(rho1, rho2, grid)
+
+
+def test_sweep_rejects_a_bad_grid_before_solving(monkeypatch):
+    solved = []
+    for name in ("dispatch", "_solve_4d_rows"):
+        monkeypatch.setattr(pipeline, name, lambda *args, **kwargs:
+                            solved.append(args))
+    rho1, rho2 = example1_states()
+    with pytest.raises(ValueError, match="strictly between 0 and 1"):
+        sweep(rho1, rho2, [0.3, 0.4, 1.0])
+    assert solved == []
 
 
 def _near_cutoff4_states():

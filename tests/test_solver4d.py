@@ -518,3 +518,28 @@ def test_class_11_keeps_the_roots_of_small_leading_coefficients(cosines, p1):
     # are the answer; zeroing them relative to the largest coefficient
     # left no family
     _solved_on_reduced_pair(cosines, 0, p1)
+
+
+def test_stacked_roots_are_those_of_np_roots_per_polynomial():
+    # one stacked companion matrix per trimmed degree gives each row the
+    # real nonzero roots np.roots finds, in its order; rows with leading
+    # or trailing zeros are trimmed as np.roots trims them
+    from usdkit.solver4d import _REAL_ROOT_TOL, _real_nonzero_roots
+
+    rng = np.random.default_rng(22)
+    coeffs = rng.normal(size=(40, 7))
+    coeffs[3, :2] = 0.0
+    coeffs[5, -1] = 0.0
+    coeffs[7, :6] = 0.0
+    coeffs[9] = 0.0
+    coeffs[11, [0, 1, 6]] = 0.0
+    rows, roots = _real_nonzero_roots(coeffs)
+    assert np.all(np.diff(rows) >= 0)
+    for i, row in enumerate(coeffs):
+        trimmed = np.trim_zeros(row, "f")
+        z = np.roots(trimmed) if len(trimmed) > 1 else np.zeros(0)
+        expected = [r.real for r in z
+                    if abs(r.imag) <= _REAL_ROOT_TOL * (1.0 + abs(r.real))
+                    and abs(r.real) > 1e-12]
+        np.testing.assert_allclose(roots[rows == i], expected, rtol=1e-12,
+                                   atol=1e-14)

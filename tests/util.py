@@ -33,6 +33,13 @@ def random_density(rng: np.random.Generator, d: int, r: int) -> np.ndarray:
     return rho / np.real(np.trace(rho))
 
 
+def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
+    """Haar-random unitary on C^d: the Q of a complex Gaussian matrix, with
+    the phases of R's diagonal moved into it."""
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
 def random_skew_pair(rng: np.random.Generator, p1: float | None = None,
                      d: int = 4, r: int = 2,
                      margin: float = 0.05) -> WeightedDensityPair:
