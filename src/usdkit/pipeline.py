@@ -25,8 +25,8 @@ from .optimality import (OptimalityReport, SolverOutcome, build_certificate,
                          check_optimality, classify)
 from .oracle import OracleConfig, _extend, oracle_optimize
 from .reductions import ReductionRecord, lift_measurement, reduce_fully
-from .solver4d import (_FAMILIES, _family_of, _first_closed_form,
-                       _solve_4d_rows, solve_4d)
+from .solver4d import (_FAMILIES, _first_closed_form, _solve_4d_rows,
+                       solve_4d)
 from .tolerances import DEFAULT_TOL, ToleranceContext
 
 __all__ = [
@@ -116,8 +116,7 @@ def _oracle_fallback(record: ReductionRecord, pair: WeightedDensityPair,
 
 def dispatch(pair: WeightedDensityPair,
              oracle_cfg: OracleConfig | None = None,
-             with_certificate: bool = True, *,
-             _family=None) -> SolverOutcome:
+             with_certificate: bool = True) -> SolverOutcome:
     """Solve an arbitrary two-state instance end to end.
 
     Reduces first.  A core that is 4-dim with two rank-2 states goes to the
@@ -143,11 +142,6 @@ def dispatch(pair: WeightedDensityPair,
     itself returns none.
     `BLOCK_STRUCTURE_NOTE` is among the warnings when the core's
     collective support is larger than four dimensions.
-
-    `sweep` passes the family that answered the previous prior as
-    `_family` (`solver4d._FAMILIES`).  It runs first, in `solve_4d` and
-    in the closed-form loop alike, and is the answer when it passes off a
-    class boundary; otherwise the families run in their usual order.
     """
     record = reduce_fully(pair)
     notes = tuple(record.boundary_warnings)
@@ -161,11 +155,11 @@ def dispatch(pair: WeightedDensityPair,
     core_outcome: SolverOutcome | None = None
     if core_support == 4:  # strictly skew, so both ranks are 2
         try:
-            core_outcome = solve_4d(core, _family=_family)
+            core_outcome = solve_4d(core)
         except UsdKitError as exc:
             notes = notes + (f"four-dimensional solver failed: {exc}",)
     else:
-        core_outcome = _first_closed_form(core, _family)
+        core_outcome = _first_closed_form(core)
     if core_outcome is None:
         return _oracle_fallback(record, pair, oracle_cfg, notes)
 
@@ -273,23 +267,16 @@ def sweep(rho1: np.ndarray, rho2: np.ndarray, p1_grid,
 
     Where the reduced pair at 0.5 is a (4;2,2) core, every prior whose
     pair holds the split and skips the tests is solved in one stack
-    (`solver4d._solve_4d_rows`): single state detection, the fidelity form
-    and class-12 each run once over all such priors, with one stacked
-    check, and a prior whose first passing family is off a class boundary
-    takes that family's answer.  Every other prior runs `dispatch` on its
-    own pair: class-11 priors, priors on a class boundary, priors where
-    the check refuses every stacked family, a degenerate class-12 host,
-    priors outside the lent range or the weight limits, and every prior
-    of a core that is not (4;2,2).  Each of those first tries the family
-    that answered the prior before it (`dispatch`'s `_family`); by
-    uniqueness of the optimum, a pass off a class boundary is the answer.
-
-    So every row is the answer `dispatch` gives on the pair built afresh,
-    up to rounding.  The one exception is a prior on a class transition,
-    where the family carried into a dispatched prior passes off the
-    boundary and a family tried before it in a fresh `dispatch` passes on
-    it: both measurements pass the check, and the row names the carried
-    family.  A row keeps no measurement, so no certificate is built.
+    (`solver4d._solve_4d_rows`): every family of `solve_4d` runs once over
+    all such priors, in its order, with one stacked check, and a prior
+    whose first passing family is off a class boundary takes that family's
+    answer.  Every other prior runs a fresh `dispatch` on its own pair:
+    priors on a class boundary, priors where the check refuses every
+    family, priors with both rank-(1,1) cross elements zero, priors
+    outside the lent range or the weight limits, and every prior of a core
+    that is not (4;2,2).  So every row is the answer `dispatch` gives on
+    the pair built afresh, up to rounding.  A row keeps no measurement, so
+    no certificate is built.
     """
     grid = [float(p1) for p1 in p1_grid]
     if not all(0.0 < p1 < 1.0 for p1 in grid):
@@ -298,25 +285,21 @@ def sweep(rho1: np.ndarray, rho2: np.ndarray, p1_grid,
     bounds = _bounds(base)
     answers = _stacked_answers(base, stacked, np.array(grid))
     rows = []
-    family = None
     for p1, answer in zip(grid, answers):
         if answer is None:
-            outcome = dispatch(pair_at(p1), with_certificate=False,
-                               _family=family)
+            outcome = dispatch(pair_at(p1), with_certificate=False)
             answer = (outcome.success, (outcome.class_tag.e1_rank,
                                         outcome.class_tag.e2_rank),
-                      outcome.branch, _family_of(outcome))
-        success, class_tag, branch, family = answer
-        low, up = bounds(p1)
-        rows.append(SweepRow(p1, success, class_tag, branch, low, up))
+                      outcome.branch)
+        rows.append(SweepRow(p1, *answer, *bounds(p1)))
     return rows
 
 
 def _stacked_answers(base: WeightedDensityPair, stacked, grid: np.ndarray):
-    """(success, class tag, branch, family) of each prior of the grid that
-    `sweep` solves as one stack, the family as in `solver4d._FAMILIES`;
-    None for every other prior.  base is the pair at p1 = 0.5 and stacked
-    the states of the grid's pairs (`model._sweep_pairs`)."""
+    """(success, class tag, branch) of each prior of the grid that `sweep`
+    solves as one stack; None for every other prior.  base is the pair at
+    p1 = 0.5 and stacked the states of the grid's pairs
+    (`model._sweep_pairs`)."""
     answers = [None] * len(grid)
     record = base.reduction
     core = record.reduced_pair
@@ -339,8 +322,7 @@ def _stacked_answers(base: WeightedDensityPair, stacked, grid: np.ndarray):
         for i, value, e1_rank, e2_rank in zip(
                 priors[rows].tolist(), success.tolist(),
                 tag.e1_rank.tolist(), tag.e2_rank.tolist()):
-            answers[i] = (value, (e1_rank, e2_rank), _FAMILIES[family][0],
-                          _FAMILIES[family])
+            answers[i] = (value, (e1_rank, e2_rank), _FAMILIES[family][0])
     return answers
 
 

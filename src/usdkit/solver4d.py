@@ -12,7 +12,6 @@ other families tried as well.
 """
 from __future__ import annotations
 
-import itertools
 import warnings as _warnings
 from dataclasses import dataclass, fields, replace
 
@@ -26,7 +25,7 @@ from .closed_form import (BRANCH_FIDELITY, BRANCH_SINGLE_STATE,
 from .errors import (DegenerateFamily, InvalidInconclusive, NoSolutionFound,
                      PreconditionViolated, UsdNumericsWarning)
 from .linalg import dag, hermitian_part
-from .model import (UsdMeasurement, WeightedDensityPair, _completion,
+from .model import (UsdMeasurement, WeightedDensityPair, _at, _completion,
                     _diagnostics, complete_measurement)
 from .optimality import (OptimalityReport, SolverOutcome, _check, _classify,
                          accepted_outcome)
@@ -51,6 +50,9 @@ _REAL_ROOT_TOL = 1e-8
 _FAMILIES = ((BRANCH_SINGLE_STATE, 0), (BRANCH_FIDELITY, 0),
              (BRANCH_CLASS_12, 1), (BRANCH_CLASS_12, 2), (BRANCH_CLASS_11, 0))
 _CLOSED_FORMS = _FAMILIES[:2]
+# the unordered class of each family's measurement on a (4;2,2) core
+_FAMILY_CLASSES = {BRANCH_SINGLE_STATE: (0, 2), BRANCH_FIDELITY: (2, 2),
+                   BRANCH_CLASS_12: (1, 2), BRANCH_CLASS_11: (1, 1)}
 # an answer whose conclusive ranks clear the rank cutoff by less than this
 # factor sits on a class boundary
 _BOUNDARY_RANK_MARGIN = 100.0
@@ -108,17 +110,20 @@ class Candidate11:
     jordan_data: JordanData11
 
 
-def _host_eigenbasis(sup: la.Subspace, spectrum, host_gamma: np.ndarray,
-                     other_gamma: np.ndarray, tol: ToleranceContext):
-    """Eigenbasis (s1, s2) of the host on its support `sup`, with g23 >= 0.
+def _host_eigenbasis(pair: WeightedDensityPair, host: int):
+    """Eigenbasis (s1, s2) of state `host` of the pair on its support, with
+    g23 >= 0.
 
-    spectrum is the `eigh` of the host's block on `sup`, kept by the
-    pair's `root_blocks` (`_RootBlock.spectrum`).  s1 carries the larger
-    host eigenvalue.  If the host is degenerate on its support, the basis
-    is rotated to diagonalize the other state's quadratic form instead
-    (g23 = 0 convention).
+    The host's eigenvalues and eigenvectors on its support are the `eigh`
+    kept by the pair's `root_blocks` (`_RootBlock.spectrum`).  s1 carries
+    the larger host eigenvalue.  If the host is degenerate on its support,
+    the basis is rotated to diagonalize the other state's quadratic form
+    instead (g23 = 0 convention).
     """
-    w, v = spectrum
+    h = host - 1
+    sup, (w, v), tol = pair.supports[h], pair.root_blocks[h].spectrum, pair.tol
+    states = (pair.gamma1, pair.gamma2)
+    host_gamma, other_gamma = states[h], states[1 - h]
     s1, s2 = sup.basis @ v[:, 1], sup.basis @ v[:, 0]
     g11, g12 = float(w[1]), float(w[0])
     trace_scale = max(float(np.real(np.trace(host_gamma))), 1e-300)
@@ -161,66 +166,104 @@ def enumerate_candidates_12(pair: WeightedDensityPair,
     Otherwise the mixing angle vanishes and each real nonzero root of the
     degree-six polynomial yields one candidate, filtered by the sign
     condition x g1 (x g2 + g23 (x^2-1)) >= 0 and by
-    <phi|g_other - g_host|phi> >= 0: the one-row case of
-    `_mixing_candidates_12`.
+    <phi|g_other - g_host|phi> >= 0.  This is the one-row case of
+    `_candidates_12`.
     """
     if detect_on not in (1, 2):
         raise ValueError("detect_on must be 1 or 2")
-    tol = pair.tol
-    host_gamma = pair.gamma1 if detect_on == 1 else pair.gamma2
-    other_gamma = pair.gamma2 if detect_on == 1 else pair.gamma1
-    s1, s2, g = _host_eigenbasis(
-        pair.supports[detect_on - 1],
-        pair.root_blocks[detect_on - 1].spectrum, host_gamma, other_gamma, tol)
-    if not _degenerate_12(g, tol):
-        _, cands = _mixing_candidates_12(s1, s2, g, detect_on, pair.jordan,
-                                         tol)
-        return [Candidate12(phi, pp, x, n, nu, detect_on) for phi, pp, x, n, nu
-                in zip(cands.phi, cands.phi_perp, cands.x.tolist(),
-                       cands.n_vector, cands.nu.tolist())]
+    s1, s2, g = _host_eigenbasis(pair, detect_on)
+    host, other = (pair.gamma1, pair.gamma2)[::1 if detect_on == 1 else -1]
+    _, cands = _candidates_12(s1, s2, g, detect_on, pair.jordan, pair.tol,
+                              host[None], other[None])
+    return [Candidate12(phi, pp, x, n, nu, detect_on) for phi, pp, x, n, nu
+            in zip(cands.phi, cands.phi_perp, cands.x.tolist(),
+                   cands.n_vector, cands.nu.tolist())]
+
+
+def _candidates_12(s1, s2, g, host, split, tol: ToleranceContext, gamma_h,
+                   gamma_o, c_host=1.0, c_other=1.0):
+    """(rows, candidates) of `enumerate_candidates_12` for each pair of a
+    stack, with states gamma_h, gamma_o (n, d, d), as
+    `_mixing_candidates_12` gives them: `_eigenvector_candidates_12` on the
+    rows that take the degenerate branch (`_degenerate_12`)."""
+    c_host, c_other = np.atleast_1d(c_host, c_other)
+    degenerate = _degenerate_12(g, tol, c_host, c_other)
+    if not degenerate.any():
+        return _mixing_candidates_12(s1, s2, g, host, split, tol, c_host,
+                                     c_other)
+    mixing, eigen = np.flatnonzero(~degenerate), np.flatnonzero(degenerate)
+    rows_m, mixed = _mixing_candidates_12(s1, s2, g, host, split, tol,
+                                          c_host[mixing], c_other[mixing])
+    rows_e, eigenvectors = _eigenvector_candidates_12(
+        s1, s2, g, host, split, tol, c_host[eigen], c_other[eigen],
+        gamma_h[eigen], gamma_o[eigen])
+    return _in_row_order([(mixing[rows_m], mixed),
+                          (eigen[rows_e], eigenvectors)])
+
+
+def _eigenvector_candidates_12(s1, s2, g, host, split, tol: ToleranceContext,
+                               c_host, c_other, gamma_h, gamma_o):
+    """(rows, candidates) of the degenerate branch of
+    `enumerate_candidates_12`, as `_candidates_12` takes them: phi = s1
+    where g21 >= g11, then phi = s2 where g22 >= g12."""
     g11, g12, g21, g22, g23 = g
-    diff1, diff2 = g11 - g12, g21 - g22
-    scale = max(g11, g21, g22, g23)
-    out: list[Candidate12] = []
-    for phi, phi_perp, gate in ((s1, s2, g21 >= g11 - tol.equality * scale),
-                                (s2, s1, g22 >= g12 - tol.equality * scale)):
-        # a degenerate host keeps g11 = g12 only up to tol, so the forms
-        # are taken of the states themselves
-        q_host, q_other = (float(np.real(np.vdot(phi_perp, g @ phi_perp)))
-                           for g in (host_gamma, other_gamma))
-        if gate and q_host > 0.0 and q_other > 0.0:
-            n_vec, nu = _finish_candidate_12(phi_perp, q_host, q_other,
-                                             detect_on, pair.jordan)
-            out.append(Candidate12(phi, phi_perp, 0.0, n_vec, float(nu),
-                                   detect_on))
+    h11, h12 = c_host * g11, c_host * g12
+    o11, o22 = c_other * g21, c_other * g22
+    scale = np.maximum(h11, c_other * max(g21, g22, g23))
+    phi, phi_perp = np.array([s1, s2]), np.array([s2, s1])
+    # a degenerate host keeps g11 = g12 only up to tol, so the forms are
+    # taken of the states themselves, (n, 2) for the two phi_perp
+    q_host, q_other = (np.real(np.sum(phi_perp.conj() * (
+        phi_perp @ np.swapaxes(gamma, -1, -2)), -1)) for gamma in
+        (gamma_h, gamma_o))
+    rows, k = np.nonzero(
+        np.stack([o11 >= h11 - tol.equality * scale,
+                  o22 >= h12 - tol.equality * scale], axis=1)
+        & (q_host > 0.0) & (q_other > 0.0))
+    n_vec, nu = _finish_candidate_12(phi_perp[k], q_host[rows, k],
+                                     q_other[rows, k], host, split)
     # uniqueness forbids mixed-basis solutions here; flag any that the
     # quadratic sign pattern would admit, for inspection
-    denom = diff1 ** 2 * g21 - diff2 ** 2 * g11
-    numer = diff2 ** 2 * g12 - diff1 ** 2 * g22
-    if abs(denom) > tol.rank_atol and numer / denom > 0:
+    diff1, diff2 = h11 - h12, o11 - o22
+    denom = diff1 ** 2 * o11 - diff2 ** 2 * h11
+    numer = diff2 ** 2 * h12 - diff1 ** 2 * o22
+    if np.any((np.abs(denom) > tol.rank_atol) & (numer * denom > 0)):
         _warnings.warn(
             "discarded a nonzero-angle solution family in the "
             "degenerate (g23 = 0) branch; uniqueness excludes it",
-            UsdNumericsWarning, stacklevel=2)
-    return out
+            UsdNumericsWarning, stacklevel=4)
+    return rows, Candidate12(phi[k], phi_perp[k], np.zeros(len(rows)), n_vec,
+                             nu, host)
 
 
-def _degenerate_12(g, tol: ToleranceContext, c_host=1.0, c_other=1.0):
+def _in_row_order(parts):
+    """The candidates of parts (rows, candidates) as one (rows,
+    candidates), in row order, each row's in the order of the parts; a
+    field of one value for all candidates is the first part's."""
+    rows = np.concatenate([r for r, _ in parts])
+    order = np.argsort(rows, kind="stable")
+    first = parts[0][1]
+    return rows[order], type(first)(*(
+        np.concatenate([getattr(c, f.name) for _, c in parts])[order]
+        if np.ndim(getattr(first, f.name)) else getattr(first, f.name)
+        for f in fields(first)))
+
+
+def _degenerate_12(g, tol: ToleranceContext, c_host, c_other):
     """Whether the host eigenbasis `g` of `_host_eigenbasis` takes the
-    degenerate (g23 = 0) branch of `enumerate_candidates_12`, on the pair
-    that weights the host by c_host and the other state by c_other; with
-    arrays of weights, one verdict per row."""
+    degenerate (g23 = 0) branch of `enumerate_candidates_12`, on each pair
+    that weights the host by c_host and the other state by c_other."""
     g11, _, g21, g22, g23 = g
     return c_other * g23 <= tol.equality * np.maximum(
         c_host * g11, c_other * max(g21, g22, g23))
 
 
 def _mixing_candidates_12(s1, s2, g, host, split, tol: ToleranceContext,
-                          c_host=1.0, c_other=1.0):
+                          c_host, c_other):
     """(rows, candidates) of the mixing polynomial (`enumerate_candidates_12`
     off its degenerate branch) for each pair of a stack that weights the
-    pair of the host eigenbasis (s1, s2, g) by (c_host, c_other) on its
-    `split`: arrays (n,) of weights, or 1 for that pair itself.
+    pair of the host eigenbasis (s1, s2, g) by arrays (n,) of weights
+    (c_host, c_other) on its `split`.
 
     On the basis (s1, s2) the host's form is diag(g11, g12) and the other
     state's [[g21, g23], [g23, g22]], so every quadratic form of a row is
@@ -240,7 +283,6 @@ def _mixing_candidates_12(s1, s2, g, host, split, tol: ToleranceContext,
     lead[2:] = np.convolve([diff1 ** 2, 0.0, 0.0], [g21, -2 * g23, g22])
     cross = [g23, diff2, -g23]
     quad = np.convolve(np.convolve(cross, cross), [g11, 0.0, g12])
-    c_host, c_other = np.atleast_1d(c_host, c_other)
     rows, x = _real_nonzero_roots(np.outer(c_host, lead)
                                   - np.outer(c_other, quad))
     # each candidate's forms on (s1, s2), of its row's weights
@@ -346,14 +388,18 @@ def _inconclusive_12(cand: Candidate12, kernel_projector: np.ndarray):
                           + kernel_projector)
 
 
-def _kernel_jordan_data(pair: WeightedDensityPair):
+def _kernel_jordan_data(pair: WeightedDensityPair, c1=1.0, c2=1.0):
     """Jordan bases of the detector spaces (the kernels inside the
     collective support), with the phase conventions the rank-(1,1)
-    candidate equations assume.  They are read off the split
+    candidate equations assume, and the data of those equations, of the
+    pair (c1 gamma1, c2 gamma2).  They are read off the split
     (<d1_k|d2_k> = -c_k): D2 in ker gamma1 and -D1 in ker gamma2 overlap in
     the split's cosines.  Cosines within 10 tol.equality of each other get
     the basis that diagonalizes gamma1 on the ker gamma2 side, each pair
-    phased to a positive overlap."""
+    phased to a positive overlap.  The weights scale (g13, d1) by c1 and
+    (g23, d2) by c2; the bases, the phase and c stay, unless a cross
+    element falls to zero.  Arrays (n,) of weights give one value per row,
+    and (k12, k22) as (n, d)."""
     tol = pair.tol
     split = pair.jordan
     if not (split.strictly_skew and split.n_skew == 2):
@@ -371,34 +417,31 @@ def _kernel_jordan_data(pair: WeightedDensityPair):
                 basis2[:, k] *= z.conjugate() / abs(z)
     k11, k12 = basis1[:, 0], basis1[:, 1]
     k21, k22 = basis2[:, 0], basis2[:, 1]
-    b1 = complex(np.vdot(k21, pair.gamma1 @ k22))
-    b2 = complex(np.vdot(k11, pair.gamma2 @ k12))
-    scale = max(pair.total_trace, 1e-300)
-    g13 = abs(b1) if abs(b1) > tol.equality * scale else 0.0
-    g23 = abs(b2) if abs(b2) > tol.equality * scale else 0.0
+    b1 = c1 * complex(np.vdot(k21, pair.gamma1 @ k22))
+    b2 = c2 * complex(np.vdot(k11, pair.gamma2 @ k12))
+    scale = _weighted_trace(pair, c1, c2)
+    g13, g23 = (np.where(abs(b) > tol.equality * scale, abs(b), 0.0)
+                for b in (b1, b2))
     # one joint phase on (k12, k22) makes the two cross elements carry
     # opposite phases +phase / -phase with phase in [0, pi)
-    if g13 == 0.0 and g23 == 0.0:
-        phase, shift = 0.0, 0.0
-    elif g13 == 0.0:
-        phase, shift = 0.0, -np.angle(b2)
-    elif g23 == 0.0:
-        phase, shift = 0.0, -np.angle(b1)
-    else:
-        beta1, beta2 = np.angle(b1), np.angle(b2)
-        phase = 0.5 * (beta1 - beta2)
-        shift = phase - beta1
-        wrapped = np.mod(phase, np.pi)
-        shift += wrapped - phase
-        phase = float(wrapped)
-    k12 = k12 * np.exp(1j * shift)
-    k22 = k22 * np.exp(1j * shift)
-    g11 = float(np.real(np.vdot(k21, pair.gamma1 @ k21)))
-    g12 = float(np.real(np.vdot(k22, pair.gamma1 @ k22)))
-    g21 = float(np.real(np.vdot(k11, pair.gamma2 @ k11)))
-    g22 = float(np.real(np.vdot(k12, pair.gamma2 @ k12)))
-    c = float(cosines[1] / cosines[0])
-    return (k11, k12, k21, k22), phase, c, g13, g23, g11 - g12, g21 - g22
+    beta1, beta2 = np.angle(b1), np.angle(b2)
+    phase = np.where((g13 == 0.0) | (g23 == 0.0), 0.0,
+                     np.mod(0.5 * (beta1 - beta2), np.pi))
+    shift = np.where(g13 == 0.0, np.where(g23 == 0.0, 0.0, -beta2),
+                     np.where(g23 == 0.0, -beta1, phase - beta1))
+    g11, g12, g21, g22 = (np.real(np.vdot(k, g @ k)) for k, g in (
+        (k21, pair.gamma1), (k22, pair.gamma1), (k11, pair.gamma2),
+        (k12, pair.gamma2)))
+    turn = np.exp(1j * shift)[..., None]
+    return ((k11, k12 * turn, k21, k22 * turn), phase,
+            cosines[1] / cosines[0], g13, g23, c1 * (g11 - g12),
+            c2 * (g21 - g22))
+
+
+def _weighted_trace(pair: WeightedDensityPair, c1, c2):
+    """The total trace of the pair (c1 gamma1, c2 gamma2), at least 1e-300."""
+    return np.maximum(c1 * np.real(np.trace(pair.gamma1))
+                      + c2 * np.real(np.trace(pair.gamma2)), 1e-300)
 
 
 def _vectors_11(k11, k12, k21, k22, c, x, theta):
@@ -422,89 +465,126 @@ def enumerate_candidates_11(pair: WeightedDensityPair) -> list[Candidate11]:
     theta follows from A1 sin(theta) = A2 cos(theta) (or from the
     closed-form fallback when both vanish), and candidates with a
     determinate angle must also satisfy B1 = B3 sin(theta) - B2 cos(theta).
+    With both cross elements zero, `_degenerate_family_probe` runs instead
+    of the polynomial.  This is the one-row case of `_candidates_11`.
     """
-    tol = pair.tol
-    vecs, phase, c, g13, g23, d1, d2 = _kernel_jordan_data(pair)
-    k11, k12, k21, k22 = vecs
-    out: list[Candidate11] = []
-    scale = max(pair.total_trace, 1e-300)
-    sin_phase, cos_phase = float(np.sin(phase)), float(np.cos(phase))
-    data = JordanData11(phase, c, g13, g23, d1, d2)
-
-    def make(x, theta):
-        return Candidate11(*_vectors_11(k11, k12, k21, k22, c, x, theta),
-                           x, theta, data)
-
-    if abs(sin_phase) <= tol.equality:
-        if abs(c * g23 - g13) <= tol.equality * scale:
-            out.append(make(0.0, 0.0))
-        if abs(c * g13 - g23) <= tol.equality * scale:
-            # swapped basis-vector candidate psi1 = k22
-            out.append(Candidate11(k22, k21, k11, k12, 0.0, 0.0, data))
-    if g13 == 0.0 and g23 == 0.0:
-        _degenerate_family_probe(pair, out, c, d1, d2, vecs)
-        return out
-    # coefficient arrays, highest power first
-    u = np.array([c * c, 0.0, 1.0])        # c^2 x^2 + 1
-    v = np.array([1.0, 0.0, 1.0])          # x^2 + 1
-    a1_poly = (v * (c * g23) - u * g13) * cos_phase
-    a2_poly = (v * (c * g23) + u * g13) * sin_phase
-    b1_poly = _b1_poly(c, d1, d2)
-    g13_part = np.convolve(np.convolve(u, u) * g13, [1.0, 0.0, -1.0])
-    g23_part = np.convolve(np.convolve(v, v) * (c * g23), [c * c, 0.0, -1.0])
-    b2_poly = (g13_part - g23_part) * cos_phase
-    b3_poly = (g13_part + g23_part) * sin_phase
-    # B1^2 (A1^2 + A2^2) - (A1 B2 - A2 B3)^2; the first term has degree 14,
-    # the second degree 16
-    mixed = np.convolve(a1_poly, b2_poly) - np.convolve(a2_poly, b3_poly)
-    poly = -np.convolve(mixed, mixed)
-    poly[2:] += np.convolve(np.convolve(b1_poly, b1_poly),
-                            np.convolve(a1_poly, a1_poly)
-                            + np.convolve(a2_poly, a2_poly))
-    coeff_scale = max(abs(d1), abs(d2), g13, g23)
-    for x in _real_nonzero_roots(poly[None])[1].tolist():
-        a1, a2 = np.polyval(a1_poly, x), np.polyval(a2_poly, x)
-        b1, b2, b3 = (np.polyval(b1_poly, x), np.polyval(b2_poly, x),
-                      np.polyval(b3_poly, x))
-        bscale = max(1.0, abs(b1), abs(b2), abs(b3))
-        if abs(a1) > 1e-11 * coeff_scale:
-            theta = float(np.arctan(a2 / a1))
-            if abs(b1 - b3 * np.sin(theta) + b2 * np.cos(theta)) <= 1e-7 * bscale:
-                out.append(make(x, theta))
-        elif abs(a2) > 1e-11 * coeff_scale:
-            theta = -np.pi / 2
-            if abs(b1 - b3 * np.sin(theta) + b2 * np.cos(theta)) <= 1e-7 * bscale:
-                out.append(make(x, theta))
-        else:
-            # both angle coefficients vanish: theta only fixed up to sign
-            denom = 2.0 * g13 * g23 * (c * g23 - g13)
-            if abs(denom) <= 1e-14 * max(coeff_scale ** 3, 1e-300):
-                continue
-            cos_theta = x * c * (g23 ** 2 * d1 - g13 ** 2 * d2) / denom
-            if abs(cos_theta) > 1.0 + 1e-10:
-                continue
-            theta = float(np.arccos(np.clip(cos_theta, -1.0, 1.0)))
-            out.append(make(x, theta))
-            if theta != 0.0:
-                out.append(make(x, -theta))
+    _, cands = _candidates_11(pair)
+    jordan = _at(cands.jordan_data, 0)
+    out = [Candidate11(*v, x, theta, jordan) for *v, x, theta in zip(
+        cands.psi1, cands.psi1_perp, cands.psi2, cands.psi2_perp,
+        cands.x.tolist(), cands.theta.tolist())]
+    if jordan.g13 == 0.0 and jordan.g23 == 0.0:
+        _degenerate_family_probe(pair)
     return out
 
 
-def _b1_poly(c: float, d1: float, d2: float) -> np.ndarray:
-    """Coefficients of B1(x) = x [(c^2 x^2 + 1)^2 d1 - c^2 (x^2 + 1)^2 d2]."""
+def _candidates_11(pair: WeightedDensityPair, c1=1.0, c2=1.0):
+    """(rows, candidates) of `enumerate_candidates_11` for each pair of a
+    stack that weights `pair` by arrays (n,) of weights (c1, c2), with
+    jordan_data (`_kernel_jordan_data`) one value per row; a row with both
+    cross elements zero gets its basis-vector candidates only."""
+    tol = pair.tol
+    vecs, phase, c, g13, g23, d1, d2 = _kernel_jordan_data(pair, c1, c2)
+    phase, g13, g23, d1, d2, scale = np.atleast_1d(
+        phase, g13, g23, d1, d2, _weighted_trace(pair, c1, c2))
+    k11, k12, k21, k22 = (np.broadcast_to(k, (len(g13), k.shape[-1]))
+                          for k in vecs)
+    jordan = JordanData11(phase, c, g13, g23, d1, d2)
+    cos_p, sin_p = np.cos(phase), np.sin(phase)
+    parts = []
+    # the basis-vector candidates psi1 = k21, then the swapped psi1 = k22
+    for balance, vectors in ((c * g23 - g13, (k21, -k22, k12, -k11)),
+                             (c * g13 - g23, (k22, k21, k11, k12))):
+        rows = np.flatnonzero((np.abs(sin_p) <= tol.equality)
+                              & (np.abs(balance) <= tol.equality * scale))
+        zero = np.zeros(len(rows))
+        parts.append((rows, Candidate11(*(v[rows] for v in vectors), zero,
+                                        zero, jordan)))
+    # coefficient arrays, highest power first, one row per pair (all zero
+    # where both cross elements are)
+    u = np.array([c * c, 0.0, 1.0])        # c^2 x^2 + 1
+    v = np.array([1.0, 0.0, 1.0])          # x^2 + 1
+    h, o = g13[:, None], c * g23[:, None]
+    a1_poly = (o * v - h * u) * cos_p[:, None]
+    a2_poly = (o * v + h * u) * sin_p[:, None]
+    b1_poly = _b1_poly(c, d1, d2)
+    g13_part = h * np.convolve(np.convolve(u, u), [1.0, 0.0, -1.0])
+    g23_part = o * np.convolve(np.convolve(v, v), [c * c, 0.0, -1.0])
+    b2_poly = (g13_part - g23_part) * cos_p[:, None]
+    b3_poly = (g13_part + g23_part) * sin_p[:, None]
+    # B1^2 (A1^2 + A2^2) - (A1 B2 - A2 B3)^2; the first term has degree 14,
+    # the second degree 16
+    mixed = _polymul(a1_poly, b2_poly) - _polymul(a2_poly, b3_poly)
+    poly = -_polymul(mixed, mixed)
+    poly[:, 2:] += _polymul(_polymul(b1_poly, b1_poly),
+                            _polymul(a1_poly, a1_poly)
+                            + _polymul(a2_poly, a2_poly))
+    rows, x = _real_nonzero_roots(poly)
+    # A1, A2, B1, B2 and B3 at each root, from their factors above
+    coeff_scale = np.maximum.reduce([abs(d1), abs(d2), g13, g23])[rows]
+    g13, g23, d1, d2, cos_p, sin_p = (a[rows] for a in (
+        g13, g23, d1, d2, cos_p, sin_p))
+    xx = x * x
+    u_x, v_x = c * c * xx + 1.0, xx + 1.0
+    a1 = (c * g23 * v_x - g13 * u_x) * cos_p
+    a2 = (c * g23 * v_x + g13 * u_x) * sin_p
+    b1 = x * (u_x * u_x * d1 - c * c * v_x * v_x * d2)
+    g13_part = g13 * u_x * u_x * (xx - 1.0)
+    g23_part = c * g23 * v_x * v_x * (c * c * xx - 1.0)
+    b2, b3 = (g13_part - g23_part) * cos_p, (g13_part + g23_part) * sin_p
+    bscale = np.maximum.reduce([np.ones_like(x), abs(b1), abs(b2), abs(b3)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        angled = np.abs(a1) > 1e-11 * coeff_scale
+        upright = ~angled & (np.abs(a2) > 1e-11 * coeff_scale)
+        theta = np.where(angled, np.arctan(a2 / a1), -np.pi / 2)
+        solved = (np.abs(b1 - b3 * np.sin(theta) + b2 * np.cos(theta))
+                  <= 1e-7 * bscale)
+        # both angle coefficients vanish: theta only fixed up to sign
+        denom = 2.0 * g13 * g23 * (c * g23 - g13)
+        cos_theta = x * c * (g23 ** 2 * d1 - g13 ** 2 * d2) / denom
+    free = (~angled & ~upright
+            & (np.abs(denom) > 1e-14 * np.maximum(coeff_scale ** 3, 1e-300))
+            & (np.abs(cos_theta) <= 1.0 + 1e-10))
+    theta = np.where(free, np.arccos(np.clip(cos_theta, -1.0, 1.0)), theta)
+    # each root's candidate, then its mirror at -theta
+    keep = np.stack([((angled | upright) & solved) | free,
+                     free & (theta != 0.0)], axis=1).ravel()
+    j = np.repeat(np.arange(len(x)), 2)[keep]
+    theta = np.stack([theta, -theta], axis=1).ravel()[keep]
+    if len(j):
+        r = rows[j]
+        parts.append((r, Candidate11(*_vectors_11(
+            k11[r], k12[r], k21[r], k22[r], c, x[j, None], theta[:, None]),
+            x[j], theta, jordan)))
+    return _in_row_order(parts)
+
+
+def _polymul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The products of the polynomials in the rows of two stacks (n, k)
+    and (n, l), coefficients highest power first, as `np.convolve`."""
+    k, l = p.shape[1], q.shape[1]
+    # the product of coefficients i and j adds to coefficient i + j
+    spread = np.equal.outer(np.add.outer(np.arange(k), np.arange(l)).ravel(),
+                            np.arange(k + l - 1))
+    return (p[:, :, None] * q[:, None, :]).reshape(len(p), k * l) @ spread
+
+
+def _b1_poly(c: float, d1, d2) -> np.ndarray:
+    """Coefficients of B1(x) = x [(c^2 x^2 + 1)^2 d1 - c^2 (x^2 + 1)^2 d2],
+    one row per value of arrays d1, d2."""
     u = [c * c, 0.0, 1.0]
     v = [1.0, 0.0, 1.0]
-    return (np.convolve(np.convolve(u, u), [d1, 0.0])
-            - np.convolve(np.convolve(v, v), [c * c * d2, 0.0]))
+    return (np.multiply.outer(d1, np.convolve(np.convolve(u, u), [1.0, 0.0]))
+            - np.multiply.outer(c * c * d2,
+                                np.convolve(np.convolve(v, v), [1.0, 0.0])))
 
 
-def _degenerate_family_probe(pair, basis_candidates, c, d1, d2, vecs):
+def _degenerate_family_probe(pair: WeightedDensityPair):
     """With both cross elements zero, any nonzero-x solution of the
     remaining conditions would form a continuous optimal family, which
     uniqueness forbids; finding one numerically means the instance is
     degenerate for this method."""
-    tol = pair.tol
-    k11, k12, k21, k22 = vecs
+    vecs, _, c, _, _, d1, d2 = _kernel_jordan_data(pair)
     # B1(x) = 0 with x != 0: B1(x) / x is a quadratic in y = x^2, with the
     # coefficients of x^4, x^2 and x^0
     coeffs = _b1_poly(c, d1, d2)[0:5:2]
@@ -515,17 +595,9 @@ def _degenerate_family_probe(pair, basis_candidates, c, d1, d2, vecs):
         if abs(np.imag(y)) > 1e-10 or np.real(y) <= 1e-12:
             continue
         x = float(np.sqrt(np.real(y)))
-        psi1, psi1p, psi2, psi2p = _vectors_11(k11, k12, k21, k22, c, x, 0.0)
-        e1 = np.outer(psi1, psi1.conj())
-        e2 = np.outer(psi2, psi2.conj())
-        e_q = np.eye(pair.dim) - e1 - e2
-        if la.min_eigenvalue(e_q) < -tol.psd_floor:
-            continue
-        lhs_a = abs(np.vdot(psi1p, psi2)) ** 2 * np.real(np.vdot(psi2, pair.gamma2 @ psi2))
-        rhs_a = np.real(np.vdot(psi1p, pair.gamma1 @ psi1p))
-        lhs_b = abs(np.vdot(psi2p, psi1)) ** 2 * np.real(np.vdot(psi1, pair.gamma1 @ psi1))
-        rhs_b = np.real(np.vdot(psi2p, pair.gamma2 @ psi2p))
-        if lhs_a >= rhs_a - tol.equality and lhs_b >= rhs_b - tol.equality:
+        cand = Candidate11(*_vectors_11(*vecs, c, x, 0.0), x, 0.0, None)
+        if _measurements_11(cand, pair.gamma1, pair.gamma2,
+                            pair.tol)[1] == len(_GATES_11):
             raise DegenerateFamily(
                 "a continuous family of rank-(1,1) solutions appeared with "
                 "vanishing cross elements; the instance is numerically "
@@ -555,29 +627,48 @@ def finalize_candidate_11(cand: Candidate11, pair: WeightedDensityPair,
     inconclusive element PSD and satisfy both acceptance inequalities
     before the full optimality check is consulted.  An accepted candidate
     gives the outcome of `optimality.accepted_outcome` on `pair`, branch
-    class-11.
+    class-11.  The gates are the one-row case of `_measurements_11`.
     """
-    tol = pair.tol
-    if abs(np.vdot(cand.psi1, cand.psi2)) > np.sqrt(tol.equality):
-        return Rejection("not_psd")
-    e1 = np.outer(cand.psi1, cand.psi1.conj())
-    e2 = np.outer(cand.psi2, cand.psi2.conj())
-    e_q = np.eye(pair.dim) - e1 - e2
-    if la.min_eigenvalue(e_q) < -tol.psd_floor:
-        return Rejection("not_psd")
-    lhs = (abs(np.vdot(cand.psi1_perp, cand.psi2)) ** 2
-           * float(np.real(np.vdot(cand.psi2, pair.gamma2 @ cand.psi2))))
-    rhs = float(np.real(np.vdot(cand.psi1_perp, pair.gamma1 @ cand.psi1_perp)))
-    if lhs < rhs - tol.equality:
-        return Rejection("first_acceptance_inequality")
-    lhs = (abs(np.vdot(cand.psi2_perp, cand.psi1)) ** 2
-           * float(np.real(np.vdot(cand.psi1, pair.gamma1 @ cand.psi1))))
-    rhs = float(np.real(np.vdot(cand.psi2_perp, pair.gamma2 @ cand.psi2_perp)))
-    if lhs < rhs - tol.equality:
-        return Rejection("second_acceptance_inequality")
-    return (accepted_outcome(UsdMeasurement(e1, e2, hermitian_part(e_q)),
-                             pair, BRANCH_CLASS_11)
+    m, failed = _measurements_11(cand, pair.gamma1, pair.gamma2, pair.tol)
+    if failed < len(_GATES_11):
+        return Rejection(_GATES_11[failed])
+    return (accepted_outcome(m, pair, BRANCH_CLASS_11)
             or Rejection("optimality_residual"))
+
+
+# the rejections of the gates of `finalize_candidate_11`, in order
+_GATES_11 = ("not_psd", "first_acceptance_inequality",
+             "second_acceptance_inequality")
+
+
+def _measurements_11(cand: Candidate11, gamma1, gamma2,
+                     tol: ToleranceContext):
+    """(m, failed) for each rank-(1,1) candidate of a stack on the pair
+    (gamma1, gamma2) of its row: its measurement, and the index in
+    `_GATES_11` of the first gate it fails, len(_GATES_11) if none.  The
+    acceptance inequalities are |<psi1_perp|psi2>|^2 <psi2|g2|psi2> >=
+    <psi1_perp|g1|psi1_perp> - tol.equality and its mirror."""
+    def outer(v):
+        return v[..., :, None] * v.conj()[..., None, :]
+
+    def form(v, gamma):
+        return np.real(np.sum(v.conj() * (gamma @ v[..., None])[..., 0], -1))
+
+    def overlap(a, b):
+        return np.abs(np.sum(a.conj() * b, axis=-1))
+
+    e1, e2 = outer(cand.psi1), outer(cand.psi2)
+    e_q = np.eye(e1.shape[-1]) - e1 - e2
+    psd = ((overlap(cand.psi1, cand.psi2) <= np.sqrt(tol.equality))
+           & (la.min_eigenvalue(e_q) >= -tol.psd_floor))
+    first, second = (
+        overlap(perp, psi) ** 2 * form(psi, g) >= form(perp, g_perp)
+        - tol.equality for perp, psi, g, g_perp in (
+            (cand.psi1_perp, cand.psi2, gamma2, gamma1),
+            (cand.psi2_perp, cand.psi1, gamma1, gamma2)))
+    # how many gates pass before the first that fails
+    return (UsdMeasurement(e1, e2, hermitian_part(e_q)),
+            psd * (1 + first * (1 + second)))
 
 
 def _residual_total(report: OptimalityReport) -> float:
@@ -585,114 +676,52 @@ def _residual_total(report: OptimalityReport) -> float:
             + report.residual_cross + report.residual_b)
 
 
-def _family_outcomes(pair: WeightedDensityPair, family):
-    """The outcomes of one family (`_FAMILIES`) that pass their check on
-    `pair`, in the order its candidates are tried; lazily, so a caller that
-    stops at the first one runs nothing past it."""
-    branch, host = family
-    if branch == BRANCH_SINGLE_STATE:
-        results = [try_single_state_detection(pair)]
-    elif branch == BRANCH_FIDELITY:
-        results = [try_fidelity_form(pair)]
-    elif branch == BRANCH_CLASS_12:
-        results = (finalize_candidate_12(cand, pair)
-                   for cand in enumerate_candidates_12(pair, detect_on=host))
-    else:
-        results = (finalize_candidate_11(cand, pair)
-                   for cand in enumerate_candidates_11(pair))
-    for outcome in results:
-        if isinstance(outcome, SolverOutcome):
-            yield outcome
-
-
-def _accepted_outcomes(pair: WeightedDensityPair, families=_FAMILIES,
-                       started=None):
+def _accepted_outcomes(pair: WeightedDensityPair, families=_FAMILIES):
     """The outcomes of `families` that pass their check on `pair`, in the
-    order they are tried.  The candidate classes run only when neither
-    closed form passes.  `started` maps a family that has already run to
-    what it yielded (`_carried`), which is replayed, not run again."""
-    started = started or {}
+    order they are tried, each family's in the order of its candidates;
+    lazily, so a caller that stops at the first one runs nothing past it.
+    The candidate classes run only when neither closed form passes."""
     closed = False
     for family in families:
+        branch, host = family
         if closed and family not in _CLOSED_FORMS:
             return
-        outcomes = (started[family] if family in started
-                    else _family_outcomes(pair, family))
-        for outcome in outcomes:
-            closed = closed or family in _CLOSED_FORMS
-            yield outcome
+        if branch == BRANCH_SINGLE_STATE:
+            results = [try_single_state_detection(pair)]
+        elif branch == BRANCH_FIDELITY:
+            results = [try_fidelity_form(pair)]
+        elif branch == BRANCH_CLASS_12:
+            results = (finalize_candidate_12(cand, pair) for cand
+                       in enumerate_candidates_12(pair, detect_on=host))
+        else:
+            results = (finalize_candidate_11(cand, pair)
+                       for cand in enumerate_candidates_11(pair))
+        for outcome in results:
+            if isinstance(outcome, SolverOutcome):
+                closed = closed or family in _CLOSED_FORMS
+                yield outcome
 
 
-def _family_class(branch: str, rank: int) -> tuple[int, int]:
-    """The unordered class of a family's measurement on a strictly skew
-    core whose states have rank `rank`; the candidate classes are solved
-    only at rank 2."""
-    return {BRANCH_SINGLE_STATE: (0, rank), BRANCH_FIDELITY: (rank, rank),
-            BRANCH_CLASS_12: (1, 2), BRANCH_CLASS_11: (1, 1)}[branch]
-
-
-def _on_boundary(outcome: SolverOutcome, rank: int = 2) -> bool:
-    """Whether an accepted answer sits on a class boundary: its closed form
-    called it marginal, its class is not its family's, or a kept singular
-    value of e1 or e2 sits within `_BOUNDARY_RANK_MARGIN` of the cutoff.
-    This is the one-row case of `_off_class`."""
-    return bool(_off_class(outcome.boundary, outcome.class_tag,
-                           outcome.branch, rank))
-
-
-def _off_class(boundary, tag, branch: str, rank: int = 2):
-    """`_on_boundary` of answers of family `branch` with the given boundary
-    flags and class tags, whose fields may hold one value per row."""
-    low, high = _family_class(branch, rank)
+def _off_class(boundary, tag, branch: str):
+    """Whether answers of family `branch`, with the given boundary flags
+    and class tags (one value per row, or single values), sit on a class
+    boundary: their closed form called them marginal, their class is not
+    their family's, or a kept singular value of e1 or e2 sits within
+    `_BOUNDARY_RANK_MARGIN` of the rank cutoff."""
+    low, high = _FAMILY_CLASSES[branch]
     return (boundary | (np.minimum(tag.e1_rank, tag.e2_rank) != low)
             | (np.maximum(tag.e1_rank, tag.e2_rank) != high)
             | (tag.rank_margin <= _BOUNDARY_RANK_MARGIN))
 
 
-def _family_of(outcome: SolverOutcome):
-    """The family (`_FAMILIES`) of an analytic outcome, None for any other
-    branch.  A class-12 measurement has e1 of rank 1 when state 1 hosts
-    ker(1 - e_q)."""
-    if outcome.branch == BRANCH_CLASS_12:
-        return BRANCH_CLASS_12, 1 if outcome.class_tag.e1_rank == 1 else 2
-    family = (outcome.branch, 0)
-    return family if family in _FAMILIES else None
-
-
-def _carried(pair: WeightedDensityPair, family, rank: int = 2):
-    """Run `family`, the one the previous prior of a sweep accepted, first.
-
-    Returns (answer, started).  answer is the family's first outcome that
-    passes its check, when that outcome is off a class boundary
-    (`_on_boundary`): by uniqueness of the optimum it is the answer, and
-    nothing else runs.  Otherwise answer is None, and started maps the
-    family to a replay of what it yielded, so that the full order
-    (`_accepted_outcomes`) runs unchanged without running it twice.
-    """
-    if family is None:
-        return None, {}
-    probe, replay = itertools.tee(_family_outcomes(pair, family))
-    first = next(probe, None)
-    if first is not None and not _on_boundary(first, rank):
-        return first, {}
-    return None, {family: replay}
-
-
-def _first_closed_form(pair: WeightedDensityPair,
-                       family=None) -> SolverOutcome | None:
+def _first_closed_form(pair: WeightedDensityPair) -> SolverOutcome | None:
     """The answer of `dispatch` on a strictly skew core that is not 4-dim:
     the first closed form that passes, single state detection before the
-    fidelity form, or None.  A carried closed form runs first, under the
-    rule of `solve_4d`."""
-    if family not in _CLOSED_FORMS:
-        family = None
-    answer, started = _carried(pair, family, pair.jordan.n_skew)
-    if answer is not None:
-        return answer
-    return next(_accepted_outcomes(pair, _CLOSED_FORMS, started), None)
+    fidelity form, or None."""
+    return next(_accepted_outcomes(pair, _CLOSED_FORMS), None)
 
 
-def solve_4d(pair: WeightedDensityPair, *, _family=None) -> SolverOutcome:
+def solve_4d(pair: WeightedDensityPair) -> SolverOutcome:
     """Optimal measurement of a strictly skew rank-(2,2) pair (4-dim support).
 
     Families are tried cheapest first, each at most once, on the pair as
@@ -712,18 +741,9 @@ def solve_4d(pair: WeightedDensityPair, *, _family=None) -> SolverOutcome:
     the smallest total residual is kept, with `boundary` set and a note
     naming how many families passed.
 
-    `sweep` passes the family that answered the previous prior as
-    `_family`, a `(branch, host)` pair of `_FAMILIES`, and that family
-    runs first.  If its measurement passes its check off a class boundary,
-    it is the answer, by the same uniqueness argument.  Otherwise the full
-    order above runs, with what the family already yielded replayed, so
-    boundary handling and the smallest-residual choice are unchanged.  On
-    a class transition the carried family can pass off the boundary where
-    a family tried before it passes on the boundary; both measurements
-    pass the check, and the outcome names the carried family.
-
     The outcome carries no certificate (its `certificate` is None); call
     `build_certificate` on the measurement when one is needed.
+    `_solve_4d_rows` is the same arithmetic over a stack of pairs.
     """
     if not pair.strictly_skew:
         raise PreconditionViolated("solver requires a strictly skew pair")
@@ -734,16 +754,15 @@ def solve_4d(pair: WeightedDensityPair, *, _family=None) -> SolverOutcome:
     if any(s.size != 2 for s in pair.supports):
         raise PreconditionViolated("both states must have rank two")
 
-    answer, started = _carried(pair, _family)
-    if answer is not None:
-        return answer
-    outcomes = _accepted_outcomes(pair, started=started)
+    outcomes = _accepted_outcomes(pair)
     first = next(outcomes, None)
     if first is None:
         raise NoSolutionFound(
             "no measurement family passed verification; the instance sits "
             "too close to a numerical degeneracy")
-    found = [first, *outcomes] if _on_boundary(first) else [first]
+    found = ([first, *outcomes]
+             if _off_class(first.boundary, first.class_tag, first.branch)
+             else [first])
     # on a class boundary, answers of two families can agree up to
     # tolerance: keep the one with the smaller residual and mark the outcome
     found.sort(key=lambda oc: _residual_total(oc.report))
@@ -767,13 +786,6 @@ def _take(record, keep):
         getattr(record, f.name) for f in fields(record))))
 
 
-def _repeat(record, n: int):
-    """`record`, a dataclass of one value per field, as the same value in
-    each of n rows (read-only views)."""
-    return type(record)(*(np.broadcast_to(v, (n,) + np.shape(v)) for v in (
-        getattr(record, f.name) for f in fields(record))))
-
-
 def _solve_4d_rows(core: WeightedDensityPair, c1: np.ndarray, c2: np.ndarray,
                    gamma1: np.ndarray, gamma2: np.ndarray):
     """The answers of `solve_4d` on a stack of pairs that one stack of
@@ -782,17 +794,18 @@ def _solve_4d_rows(core: WeightedDensityPair, c1: np.ndarray, c2: np.ndarray,
     Row i is the pair (gamma1[i], gamma2[i]), states (n, d, d), that
     reweights the strictly skew (4;2,2) pair `core` by (c1[i], c2[i]) and
     holds its split, as `WeightedDensityPair.reweighted` hands it over.
-    The families run in `solve_4d`'s order, single state detection, the
-    fidelity form and class-12 with either host, each once, over the rows
-    no family before it settled, with the arithmetic of the per-pair path
-    given a leading row axis: `_single_state_branches`, `_fidelity_blocks`
-    and `_mixing_candidates_12`, then `_diagnostics`, `_completion`,
-    `_check` and `_classify`.  A row is settled by the first family that
-    passes its check there.  Off a class boundary (`_off_class`) that
-    measurement is the row's answer, by uniqueness of the optimum, as in
-    `solve_4d`.  On one, the row is left to `solve_4d`, as is a row no
-    family passes (class-11, or none) and a row whose class-12 host takes
-    the degenerate branch of `enumerate_candidates_12`.
+    The families run in `solve_4d`'s order, each once, over the rows no
+    family before it settled, with the arithmetic of the per-pair path
+    given a leading row axis: `_single_state_branches`, `_fidelity_blocks`,
+    `_candidates_12` with either host and `_candidates_11` (the core's
+    data, reweighted), then `_diagnostics`, `_completion` or
+    `_measurements_11`, `_check` and `_classify`.  A row is settled by the
+    first family that passes its check there.  Off a class boundary
+    (`_off_class`) that measurement is the row's answer, by uniqueness of
+    the optimum, as in `solve_4d`.  On one, the row is left to `solve_4d`,
+    as is a row no family passes, a row with both rank-(1,1) cross
+    elements zero (`_degenerate_family_probe`) and a row whose class-12
+    host basis would not be phased as the core's.
 
     Returns the answers in parts (family, rows, m, tag, report), one per
     family that answered rows: `_FAMILIES[family]` answers the rows with
@@ -811,13 +824,21 @@ def _solve_4d_rows(core: WeightedDensityPair, c1: np.ndarray, c2: np.ndarray,
     def check(m, rows):
         return _check(m.e_inconclusive, *states(rows), split.detectors, tol)
 
-    def settle(family, rows, m, report, boundary, tag=None, left=()):
-        """Settle the pending rows `rows`, each passed first by family with
-        the measurement and check of its row, and leave the rows `left`
-        to solve_4d."""
+    def settle(family, rows, m, boundary=None, left=()):
+        """Settle each pending row of `rows` (indices into pending, a row's
+        candidates in its family's order) by its first candidate whose
+        measurement in m passes its check, `boundary` flagging candidates
+        their closed form called marginal, and leave the rows `left` to
+        solve_4d.  Only an answer off a class boundary is kept."""
         nonlocal pending
-        tag = _classify(m, 2, tol) if tag is None else tag
-        answer = ~_off_class(boundary, tag, _FAMILIES[family][0])
+        report = check(m, rows)
+        passed = np.flatnonzero(report.is_optimal)
+        first = passed[np.unique(rows[passed], return_index=True)[1]]
+        m, report, rows = _take(m, first), _take(report, first), rows[first]
+        tag = _classify(m, 2, tol)
+        marginal = (np.zeros(len(first), bool) if boundary is None
+                    else boundary[first])
+        answer = ~_off_class(marginal, tag, _FAMILIES[family][0])
         if answer.any():
             parts.append((family, pending[rows[answer]], _take(m, answer),
                           _take(tag, answer), _take(report, answer)))
@@ -826,11 +847,9 @@ def _solve_4d_rows(core: WeightedDensityPair, c1: np.ndarray, c2: np.ndarray,
     # single state detection: two fixed measurements, in order
     for ok, marginal, m in _single_state_branches(gamma1, gamma2, split, tol):
         rows = np.flatnonzero(ok[pending])
-        report = check(m, rows)
-        passed = report.is_optimal
-        rows, report = rows[passed], _take(report, passed)
-        settle(0, rows, _repeat(m, len(rows)), report, marginal[pending[rows]],
-               _repeat(_classify(m, 2, tol), len(rows)))
+        m = UsdMeasurement(*(np.broadcast_to(e, (len(rows),) + e.shape)
+                             for e in m.elements()))
+        settle(0, rows, m, marginal[pending[rows]])
     # the fidelity form
     w1, w2 = c1[pending, None, None], c2[pending, None, None]
     roots = tuple(root.scaled(c, other) for root, c, other in
@@ -839,39 +858,32 @@ def _solve_4d_rows(core: WeightedDensityPair, c1: np.ndarray, c2: np.ndarray,
     rows = np.flatnonzero(ok)
     m = split.measurement(*(y[rows] for y in _fidelity_blocks(roots)))
     valid = _diagnostics(m.e_inconclusive, *states(rows), kernel.basis, tol).ok
-    rows, m, marginal = rows[valid], _take(m, valid), marginal[rows[valid]]
-    report = check(m, rows)
-    passed = report.is_optimal
-    settle(1, rows[passed], _take(m, passed), _take(report, passed),
-           marginal[passed])
+    settle(1, rows[valid], _take(m, valid), marginal[rows[valid]])
     # class-12, host 1 then host 2
     for family in (2, 3):
         host = _FAMILIES[family][1]
         h, o = host - 1, 2 - host
-        s1, s2, g = _host_eigenbasis(
-            core.supports[h], core.root_blocks[h].spectrum,
-            (core.gamma1, core.gamma2)[h], (core.gamma1, core.gamma2)[o], tol)
+        s1, s2, g = _host_eigenbasis(core, host)
         c_h, c_o = (c1, c2)[h][pending], (c1, c2)[o][pending]
-        # a row that takes the degenerate branch, or whose host basis would
-        # not be phased as the core's, is left to solve_4d
-        degenerate = (_degenerate_12(g, tol, c_h, c_o)
-                      | (c_o * g[4] <= tol.rank_atol))
-        rows = np.flatnonzero(~degenerate)
-        cand_rows, cands = _mixing_candidates_12(s1, s2, g, host, split, tol,
-                                                 c_h[rows], c_o[rows])
+        unphased = ((c_o * g[4] <= tol.rank_atol)
+                    & ~_degenerate_12(g, tol, c_h, c_o))
+        rows = np.flatnonzero(~unphased)
+        row_states = states(rows)
+        cand_rows, cands = _candidates_12(s1, s2, g, host, split, tol,
+                                          row_states[h], row_states[o],
+                                          c_h[rows], c_o[rows])
         inside = _nu_inside(cands.nu, tol)
         cand_rows, e_q = rows[cand_rows[inside]], _inconclusive_12(
             _take(cands, inside), kernel.projector())
         valid = _diagnostics(e_q, *states(cand_rows), kernel.basis, tol).ok
         m, closure = _completion(e_q[valid], split)
         closed = closure <= tol.equality
-        cand_rows, m = cand_rows[valid][closed], _take(m, closed)
-        report = check(m, cand_rows)
-        # each row's first candidate that passes: candidates come in row
-        # order, each row's in the order enumerate_candidates_12 gives them
-        passed = np.flatnonzero(report.is_optimal)
-        picked = passed[np.unique(cand_rows[passed], return_index=True)[1]]
-        settle(family, cand_rows[picked], _take(m, picked),
-               _take(report, picked), np.zeros(len(picked), dtype=bool),
-               left=np.flatnonzero(degenerate))
+        settle(family, cand_rows[valid][closed], _take(m, closed),
+               left=np.flatnonzero(unphased))
+    # class-11, on the core's kernel Jordan data reweighted per row
+    cand_rows, cands = _candidates_11(core, c1[pending], c2[pending])
+    probed = (cands.jordan_data.g13 == 0.0) & (cands.jordan_data.g23 == 0.0)
+    m, failed = _measurements_11(cands, *states(cand_rows), tol)
+    gated = (failed == len(_GATES_11)) & ~probed[cand_rows]
+    settle(4, cand_rows[gated], _take(m, gated), left=np.flatnonzero(probed))
     return parts

@@ -1,6 +1,7 @@
 import json
 import sys
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,9 +9,9 @@ import numpy as np
 import pytest
 
 from usdkit import (NonConvergence, NotPSD, OracleConfig, check_optimality,
-                    UsdMeasurement, WeightedDensityPair, classify, dispatch,
-                    lift_measurement, oracle_optimize, reduce_fully,
-                    solve_4d, success_probability)
+                    UsdMeasurement, UsdNumericsWarning, WeightedDensityPair,
+                    classify, dispatch, lift_measurement, oracle_optimize,
+                    reduce_fully, solve_4d, success_probability)
 from usdkit import linalg as la
 from usdkit import oracle, pipeline
 from usdkit.cli import main
@@ -19,7 +20,8 @@ from usdkit.pipeline import (BLOCK_STRUCTURE_NOTE, ProblemFile,
                              save_measurement, save_problem, sweep,
                              sweep_bounds)
 
-from util import (REDUCED_SHAPES, example1_states, examples2_states,
+from util import (REDUCED_SHAPES, assert_same_answer,
+                  degenerate_host_states, example1_states, examples2_states,
                   generic_pair, haar_unitary, jordan_cosine_states,
                   peres_states, random_direction, with_eigenvalue_tails)
 
@@ -689,6 +691,8 @@ def _sweep_states(family):
         return examples2_states()
     if family == "peres":
         return peres_states(dim=3)
+    if family == "degenerate-host":
+        return degenerate_host_states()
     if family == "pure":
         return generic_pair(np.random.default_rng(0), 2, 1, 1)
     if family == "skew6":
@@ -698,28 +702,26 @@ def _sweep_states(family):
     return generic_pair(np.random.default_rng([d, r1, r2]), d, r1, r2)
 
 
-def _assert_same_answer(row, fresh):
-    assert row.branch == fresh.branch, row.p1
-    assert row.class_tag == (fresh.class_tag.e1_rank,
-                             fresh.class_tag.e2_rank), row.p1
-    assert row.success_probability == pytest.approx(fresh.success,
-                                                    abs=1e-12), row.p1
-
-
 @pytest.mark.parametrize("family", ["example1", "examples2", "peres", "pure",
                                     "3;1,2", "4;2,2", "5;2,3", "5;3,3",
                                     "skew6", "4;2,2@1", "4;2,2@2", "5;2,3@1",
-                                    "5;2,3@2"])
+                                    "5;2,3@2", "degenerate-host"])
+@pytest.mark.filterwarnings("ignore::usdkit.errors.UsdNumericsWarning")
 def test_sweep_matches_fresh_dispatch(family):
     # sweep shares one pair's geometry across its priors; each row must be
-    # the answer dispatch gives on the pair built afresh at that prior
+    # the answer dispatch gives on the pair built afresh at that prior.
+    # The degenerate-host pair takes the g23 = 0 branch of class-12 in the
+    # stack, and leaves its priors with both rank-(1,1) cross elements
+    # zero to dispatch; its sweep still flags the discarded family
     rho1, rho2 = _sweep_states(family)
     grid = np.linspace(0.1, 0.9, 9) if family == "skew6" else GRID
-    rows = sweep(rho1, rho2, grid)
+    with (pytest.warns(UsdNumericsWarning) if family == "degenerate-host"
+          else nullcontext()):
+        rows = sweep(rho1, rho2, grid)
     for row in rows:
         fresh = dispatch(WeightedDensityPair.from_states(rho1, rho2, row.p1),
                          with_certificate=False)
-        _assert_same_answer(row, fresh)
+        assert_same_answer(row, fresh)
     if family == "skew6":
         # the (6;3,3) pair reaches the oracle at every prior but p1 = 0.9
         assert [r.branch for r in rows] == ["oracle-checker"] * 8 + [
@@ -782,29 +784,28 @@ def test_sweep_matches_fresh_dispatch_near_rank_cutoff(tail, monkeypatch):
         if isinstance(shared, Exception) or isinstance(fresh, Exception):
             assert type(shared) is type(fresh), p1
         else:
-            _assert_same_answer(shared, fresh)
+            assert_same_answer(shared, fresh)
 
 
-def test_sweep_carries_the_family_across_the_near_cutoff4_grid():
-    # a whole-grid sweep hands each row's family to the next prior, which
-    # tries it first; on this grid the rows cross single state detection,
-    # class-12 and class-11, none reaches the oracle, and every row is
-    # still the answer of a fresh dispatch
+def test_sweep_matches_fresh_dispatch_across_the_near_cutoff4_grid():
+    # the pair at p1 = 0.5 lends its split to none of this grid's priors,
+    # so each runs a fresh dispatch; the rows cross single state
+    # detection, class-12 and class-11, none reaches the oracle, and every
+    # row is the answer of a fresh dispatch
     problem = load_problem(DATA / "near_cutoff4.json")
     rows = sweep(problem.rho1, problem.rho2, GRID)
     assert {r.branch for r in rows} == {"single-state-detection", "class-12",
                                         "class-11"}
     for row in rows:
-        _assert_same_answer(row, dispatch(problem.pair(row.p1),
-                                          with_certificate=False))
+        assert_same_answer(row, dispatch(problem.pair(row.p1),
+                                         with_certificate=False))
 
 
-def test_sweep_carries_the_family_with_fewer_solver_calls(monkeypatch):
+def test_sweep_runs_fewer_solver_calls_than_fresh_dispatches(monkeypatch):
     # example1's grid runs single state detection, class-12, class-11,
-    # class-12 and single state detection again: each prior tries the
-    # previous row's family first, so the closed forms and the class-12
-    # enumeration run less often than in fresh dispatches, and a prior
-    # checks a second measurement only where the family changes
+    # class-12 and single state detection again, all in one stack: the
+    # per-pair closed forms, the class-12 enumeration and the check run
+    # less often than in fresh dispatches (here not at all)
     from usdkit.closed_form import (try_fidelity_form,
                                     try_single_state_detection)
     from usdkit.optimality import check_optimality
@@ -815,7 +816,7 @@ def test_sweep_carries_the_family_with_fewer_solver_calls(monkeypatch):
                           try_fidelity_form, enumerate_candidates_12,
                           check_optimality)
     rows = sweep(rho1, rho2, GRID)
-    swept = dict(counts)
+    swept = Counter(counts)
     counts.clear()
     for p1 in GRID:
         dispatch(WeightedDensityPair.from_states(rho1, rho2, p1),
@@ -829,19 +830,36 @@ def test_sweep_carries_the_family_with_fewer_solver_calls(monkeypatch):
 
 
 def test_sweep_dispatches_only_the_priors_the_stack_leaves(monkeypatch):
-    # example1's grid has 19 class-11 rows and 4 branch changes: the stack
-    # answers every other row, and only class-11 rows and rows next to a
-    # change of family may need a dispatch of their own
-    calls = []
+    # the stack holds every family, so on a (4;2,2) core whose split every
+    # prior holds, dispatch runs at most for the priors whose fresh answer
+    # sits on a class boundary: none of example1's and one of examples2's
     real = pipeline.dispatch
-    monkeypatch.setattr(pipeline, "dispatch",
-                        lambda *args, **kwargs: calls.append(args[0].gamma1)
-                        or real(*args, **kwargs))
-    rows = sweep(*example1_states(), GRID)
-    class_11 = sum(r.branch == "class-11" for r in rows)
-    changes = sum(a.branch != b.branch for a, b in zip(rows, rows[1:]))
-    assert (class_11, changes) == (19, 4)
-    assert len(calls) <= class_11 + 2 * changes
+    for family, on_boundary in (("example1", 0), ("examples2", 1)):
+        calls = []
+        monkeypatch.setattr(pipeline, "dispatch", lambda *args, **kwargs:
+                            calls.append(args[0].gamma1)
+                            or real(*args, **kwargs))
+        rho1, rho2 = _sweep_states(family)
+        sweep(rho1, rho2, GRID)
+        fresh = [real(WeightedDensityPair.from_states(rho1, rho2, p1),
+                      with_certificate=False) for p1 in GRID]
+        assert sum(f.boundary for f in fresh) == on_boundary, family
+        assert len(calls) <= on_boundary, family
+
+
+@pytest.mark.parametrize("family", ["example1", "examples2", "4;2,2",
+                                    "5;2,3"])
+def test_sweep_mirrors_under_the_state_swap(family):
+    # swapping the states and the priors swaps e1 and e2: every row keeps
+    # its branch and success and swaps its class tag, through both
+    # class-12 hosts and the stacked class-11 rows alike
+    rho1, rho2 = _sweep_states(family)
+    rows = sweep(rho1, rho2, GRID)
+    for row, mirror in zip(rows, sweep(rho2, rho1, 1.0 - GRID)):
+        assert mirror.branch == row.branch, row.p1
+        assert mirror.class_tag == row.class_tag[::-1], row.p1
+        assert mirror.success_probability == pytest.approx(
+            row.success_probability, abs=1e-12), row.p1
 
 
 @pytest.mark.parametrize("family", ["example1", "examples2", "4;2,2",
@@ -851,6 +869,7 @@ def test_stacked_rows_hold_the_check_of_their_pair(family, monkeypatch):
     # measurement on the pair `from_states` builds at its prior: the check
     # and the classification of the reduced pair, where dispatch takes them
     from usdkit.model import _at
+    from usdkit.solver4d import _FAMILIES
 
     parts = []
     real = pipeline._solve_4d_rows
@@ -864,6 +883,9 @@ def test_stacked_rows_hold_the_check_of_their_pair(family, monkeypatch):
     rho1, rho2 = _sweep_states(family)
     sweep(rho1, rho2, GRID)
     assert sum(len(part[1]) for _, part in parts) >= 45
+    if family == "example1":
+        assert sum(len(rows) for _, (i, rows, *_) in parts
+                   if _FAMILIES[i][0] == "class-11") >= 19
     for p1s, (_, rows, m, tag, report) in parts:
         for j, row in enumerate(rows):
             core = WeightedDensityPair.from_states(

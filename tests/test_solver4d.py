@@ -12,7 +12,8 @@ from usdkit.solver4d import (Rejection, balance_residual_11,
                              enumerate_candidates_12, finalize_candidate_11,
                              finalize_candidate_12)
 
-from util import (example1_states, examples2_states, generic_pair,
+from util import (assert_same_answer, degenerate_host_states,
+                  example1_states, examples2_states, generic_pair,
                   jordan_cosine_states, random_density, random_skew_pair,
                   record_svd_shapes)
 
@@ -221,15 +222,7 @@ def test_degenerate_branch_flags_discarded_family():
     # uniqueness; the solver flags any numerically admissible one
     from usdkit import UsdNumericsWarning
 
-    v = np.array([1, 1], dtype=complex) / np.sqrt(2)
-    e0 = np.array([1, 0], dtype=complex)
-    rho1 = np.zeros((4, 4), dtype=complex)
-    rho2 = np.zeros((4, 4), dtype=complex)
-    rho1[:2, :2] = 0.1 * np.outer(e0, e0.conj())
-    rho1[2:, 2:] = 0.9 * np.outer(v, v.conj())
-    rho2[:2, :2] = 0.9 * np.outer(v, v.conj())
-    rho2[2:, 2:] = 0.1 * np.outer(e0, e0.conj())
-    pair = WeightedDensityPair.from_states(rho1, rho2, 0.5)
+    pair = WeightedDensityPair.from_states(*degenerate_host_states(), 0.5)
     with pytest.warns(UsdNumericsWarning):
         enumerate_candidates_12(pair, detect_on=1)
 
@@ -437,54 +430,22 @@ def test_uncompletable_candidate_is_rejected_as_such(monkeypatch):
         assert finalize_candidate_12(cand, pair) == Rejection("not_completable")
 
 
-def _pair_at(states, p1):
-    from usdkit import reduce_fully
-
-    return reduce_fully(WeightedDensityPair.from_states(*states, p1)
-                        ).reduced_pair
-
-
-def _outcome_facts(outcome):
-    return (outcome.branch, outcome.class_tag, outcome.success,
-            outcome.boundary, outcome.warnings, outcome.report)
-
-
-def test_a_carried_family_changes_nothing_it_does_not_answer():
-    # a sweep passes solve_4d the previous prior's family, which runs
-    # first.  A family that fails here, and one whose answer sits on a
-    # class boundary, leave the full order to decide: the outcome is the
-    # one solve_4d gives with no family at all
-    from usdkit.closed_form import single_detection_window
-    from usdkit.solver4d import _FAMILIES
-
-    states = example1_states()
-    inside = _pair_at(states, 0.5)  # class-11
-    edge = _pair_at(states, single_detection_window(*states).upper)
-    for pair, on_boundary in ((inside, False), (edge, True)):
-        fresh = solve_4d(pair)
-        assert fresh.boundary == on_boundary
-        for family in _FAMILIES:
-            assert _outcome_facts(solve_4d(pair, _family=family)) == \
-                _outcome_facts(fresh), family
-
-
-def test_a_carried_family_may_name_a_class_transition():
-    # at the upper end of examples2's fidelity window the fresh order's
-    # first answer, the fidelity form, sits on the boundary to class-12,
-    # and the candidate classes never run.  Carried class-12 passes off
-    # the boundary there and is the answer: the same measurement up to
-    # the check's tolerance, under its own family's name
+def test_a_sweep_row_on_a_class_transition_is_the_fresh_answer():
+    # at the upper end of examples2's fidelity window the fidelity form
+    # passes on the boundary to class-12, so the prior is left to a fresh
+    # dispatch, which names the fidelity form with boundary set.  The
+    # class-12 row before it hands nothing on to it
     from usdkit.closed_form import fidelity_window
-    from usdkit.solver4d import BRANCH_CLASS_12
+    from usdkit.pipeline import dispatch, sweep
 
     states = examples2_states()
-    pair = _pair_at(states, fidelity_window(*states).upper)
-    fresh = solve_4d(pair)
+    u = fidelity_window(*states).upper
+    rows = sweep(*states, [u + 1e-3, u])
+    fresh = dispatch(WeightedDensityPair.from_states(*states, u),
+                     with_certificate=False)
+    assert rows[0].branch == "class-12"
     assert fresh.branch == "fidelity-form" and fresh.boundary
-    carried = solve_4d(pair, _family=(BRANCH_CLASS_12, 2))
-    assert carried.branch == BRANCH_CLASS_12 and not carried.boundary
-    assert carried.class_tag.as_class == fresh.class_tag.as_class == (1, 2)
-    assert carried.success == pytest.approx(fresh.success, abs=1e-12)
+    assert_same_answer(rows[1], fresh)
 
 
 def _solved_on_reduced_pair(cosines, seed, p1):

@@ -2,9 +2,20 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from usdkit import WeightedDensityPair
 from usdkit.linalg import dag
+
+
+def assert_same_answer(row, fresh):
+    """A sweep row names the branch and class tag of `fresh`, the outcome
+    of a fresh `dispatch` at its prior, with the same success to 1e-12."""
+    assert row.branch == fresh.branch, row.p1
+    assert row.class_tag == (fresh.class_tag.e1_rank,
+                             fresh.class_tag.e2_rank), row.p1
+    assert row.success_probability == pytest.approx(fresh.success,
+                                                    abs=1e-12), row.p1
 
 
 def unit_phase(q: float) -> complex:
@@ -183,3 +194,18 @@ def record_svd_shapes(monkeypatch) -> list:
 
     monkeypatch.setattr(np.linalg, "svd", recording)
     return shapes
+
+
+def degenerate_host_states():
+    """A block-diagonal (4;2,2) pair: each state is one pure state per 2x2
+    block, so both hosts of class-12 are degenerate (g23 = 0) and both
+    rank-(1,1) cross elements vanish."""
+    v = np.array([1, 1], dtype=complex) / np.sqrt(2)
+    e0 = np.array([1, 0], dtype=complex)
+    rho1 = np.zeros((4, 4), dtype=complex)
+    rho2 = np.zeros((4, 4), dtype=complex)
+    rho1[:2, :2] = 0.1 * np.outer(e0, e0.conj())
+    rho1[2:, 2:] = 0.9 * np.outer(v, v.conj())
+    rho2[:2, :2] = 0.9 * np.outer(v, v.conj())
+    rho2[2:, 2:] = 0.1 * np.outer(e0, e0.conj())
+    return rho1, rho2
