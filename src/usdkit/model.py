@@ -54,9 +54,10 @@ class JordanSplit:
 
     The split is the one carrier of a pair's prior-independent geometry:
     everything below is read off the bases and cosines on first use and
-    kept, and a pair shares it with another by holding the same split
-    (`WeightedDensityPair.reweighted`, `reductions.reduce_fully`).  Its
-    arrays are read-only.
+    kept.  A reduced pair holds its pair's `core` (`reductions.reduce_fully`),
+    and a sweep solves all its stacked priors on one split
+    (`pipeline.sweep`); no other pair shares a split.  Its arrays are
+    read-only.
     """
 
     supports: tuple[Subspace, Subspace]
@@ -206,11 +207,6 @@ class WeightedDensityPair:
     gamma1: np.ndarray
     gamma2: np.ndarray
     tol: ToleranceContext = field(default=DEFAULT_TOL)
-    # (lender, c1, c2) when this pair holds a split handed over by
-    # `_lend_jordan`: it is (c1 gamma1, c2 gamma2) of the lender, whose split
-    # it holds and whose eigenvalues `jordan.values` are, if any
-    _lender: tuple | None = field(default=None, init=False, repr=False,
-                                  compare=False)
     # True on a pair built by `_known_valid`, set before __init__ runs
     _states_known_valid = False
 
@@ -257,56 +253,6 @@ class WeightedDensityPair:
                                    (1.0 - p1) * np.asarray(rho2, dtype=complex),
                                    tol)
 
-    def reweighted(self, c1: float, c2: float) -> "WeightedDensityPair":
-        """The pair (c1 gamma1, c2 gamma2), sharing this pair's geometry.
-
-        Supports, kernels and everything built from them depend on the
-        states alone, so the new pair is handed this pair's `JordanSplit`;
-        whatever carries the weights (the reduction record with its reduced
-        pair and lifted offset) it builds itself, and its root blocks are
-        this pair's, reweighted (`root_blocks`).
-        A split is handed over only when its rank decisions provably match
-        the ones the new pair would take itself
-        (`linalg.rank_survives_scaling`): the spectra of the two operators
-        scale by c1 and c2, and the Jordan cosines do not move.  Otherwise
-        the new pair classifies its own supports and computes its own root
-        blocks.  A split handed down by a reduction holds no rank decision
-        and is always handed over.
-        """
-        if not (c1 > 0.0 and c2 > 0.0):
-            raise ValueError("weights must be positive")
-        return self._lend_jordan(
-            WeightedDensityPair(self.dim, c1 * self.gamma1, c2 * self.gamma2,
-                                self.tol), c1, c2)
-
-    def _lends(self, c1, c2):
-        """Whether `reweighted` hands this pair's split to the pair (c1
-        gamma1, c2 gamma2); weights given as arrays of one shape give one
-        verdict per pair of weights.  A pair that holds a lent split tests
-        its lender's eigenvalues, at the weights multiplied."""
-        _, w1, w2 = self._lender or (self, 1.0, 1.0)
-        values = self.jordan.values
-        if values is None:
-            return np.ones(np.shape(c1), dtype=bool)
-        first, second = (
-            la.rank_survives_scaling(v, w, w, w * v.max(initial=0.0), self.tol)
-            for v, w in zip(values, (w1 * np.asarray(c1),
-                                     w2 * np.asarray(c2))))
-        return first & second
-
-    def _lend_jordan(self, pair: "WeightedDensityPair", c1: float,
-                     c2: float) -> "WeightedDensityPair":
-        """Hand `pair`, which must be (c1 gamma1, c2 gamma2) up to rounding,
-        this pair's `jordan` where `reweighted` allows it (`_lends`);
-        returns `pair`.  A pair handed the split records its lender, this
-        pair or the pair this one was lent by, and its weights relative to
-        it, and `pair.root_blocks` scales the lender's."""
-        if self._lends(c1, c2):
-            lender, w1, w2 = self._lender or (self, 1.0, 1.0)
-            object.__setattr__(pair, "jordan", self.jordan)
-            object.__setattr__(pair, "_lender", (lender, w1 * c1, w2 * c2))
-        return pair
-
     @property
     def total(self) -> np.ndarray:
         return self.gamma1 + self.gamma2
@@ -321,14 +267,8 @@ class WeightedDensityPair:
         and polar factors on the split's support bases (`_RootBlock`), from
         an `eigh` per state and one SVD of k x k blocks, at the split's
         ranks; computed once, and read by both windows and the fidelity
-        form.  A pair that holds a lent split (`_lend_jordan`), and the
-        reduced pair of one, is (c1 gamma1, c2 gamma2) of its lender on the
-        same bases, so it reweights the lender's blocks instead
-        (`_RootBlock.scaled`) and decomposes nothing."""
-        if self._lender is not None:
-            lender, c1, c2 = self._lender
-            root1, root2 = lender.root_blocks
-            return root1.scaled(c1, c2), root2.scaled(c2, c1)
+        form.  A sweep reweights the blocks of one pair for all its stacked
+        priors instead (`_RootBlock.scaled`)."""
         split, r = self.jordan, self.jordan.cross_rank
         blocks = [hermitian_part(dag(s.basis) @ g @ s.basis)
                   for s, g in zip(split.supports, (self.gamma1, self.gamma2))]
@@ -346,18 +286,17 @@ class WeightedDensityPair:
 
     # The geometry below does not depend on the prior: every value is read
     # off the Jordan classification of the two supports (`jordan`), which
-    # computes it on first use and keeps it, so a pair holding another
-    # pair's split shares all of it.  The reduction carries the weights and
-    # is built per pair.  Every array is shared by every caller and is
-    # read-only.
+    # computes it on first use and keeps it, so a reduced pair, which holds
+    # the split's `core`, shares all of it.  The reduction carries the
+    # weights and is built per pair.  Every array is shared by every caller
+    # and is read-only.
 
     @cached_property
     def jordan(self) -> JordanSplit:
         """The classification every support-geometry value below is read
         from: an eigendecomposition per state decides its support, one SVD
         gives the Jordan pairs, and the two cosine cutoffs classify them.
-        A reweighted or reduced pair is handed it instead (`reweighted`,
-        `reductions.reduce_fully`)."""
+        A reduced pair is handed it instead (`reductions.reduce_fully`)."""
         (w1, sup1, ker1), (w2, sup2, ker2) = (la.spectral_split(
             g, self.tol) for g in (self.gamma1, self.gamma2))
         b1, b2, cosines = la.jordan_bases(sup1, sup2, self.tol)
@@ -417,35 +356,26 @@ def _weight_limit(rho: np.ndarray, tol: ToleranceContext) -> float:
 
 
 def _sweep_pairs(rho1: np.ndarray, rho2: np.ndarray, tol: ToleranceContext):
-    """(base, pair_at, stacked) for a sweep of the priors of two unit-trace
-    states.
+    """(base, stacked) for a sweep of the priors of two unit-trace states.
 
-    base is `WeightedDensityPair.from_states(rho1, rho2, 0.5, tol)`, and
-    pair_at(p1) the pair `from_states` builds at p1, handed the split of
-    base as its reweighting by (2 p1, 2 (1 - p1)) would be (`_lend_jordan`).
-    The states are tested once: hermiticity and positivity scale with the
-    weights, so a prior whose weights lie within both states'
-    `_weight_limit` builds its pair without the per-state tests
-    (`_known_valid`), and any other prior tests them as `from_states` does.
-
+    base is `WeightedDensityPair.from_states(rho1, rho2, 0.5, tol)`.
     stacked(p1s), for an array of priors, returns (shared, gamma1,
-    gamma2): whether pair_at(p1) builds its pair without the state tests,
-    passes its total-trace test and holds base's split, and the states
-    that pair holds, stacked as (n, d, d) for every p1 of p1s.
+    gamma2): the states of each prior's pair (p1 rho1, (1 - p1) rho2),
+    stacked as (n, d, d), and whether that pair is base reweighted by
+    (2 p1, 2 (1 - p1)) as `from_states` would build it, so that base's
+    split and reduction hold for it.  A prior is shared when
+      - both weights lie within the states' `_weight_limit`: hermiticity
+        and positivity scale with the weights, so the pair passes the
+        per-state tests, which base ran once;
+      - the pair passes its total-trace test;
+      - every rank decision of base's split provably survives the weights
+        (`linalg.rank_survives_scaling`): the spectra of the two states
+        scale by them, and the Jordan cosines do not move.
+    Every other prior is left to a pair built afresh.
     """
     base = WeightedDensityPair.from_states(rho1, rho2, 0.5, tol)
     rho1, rho2 = (np.asarray(rho, dtype=complex) for rho in (rho1, rho2))
     limit1, limit2 = (_weight_limit(rho, tol) for rho in (rho1, rho2))
-
-    def pair_at(p1: float) -> WeightedDensityPair:
-        if not 0.0 < p1 < 1.0:
-            raise ValueError("p1 must lie strictly between 0 and 1")
-        if p1 <= limit1 and 1.0 - p1 <= limit2:
-            pair = WeightedDensityPair._known_valid(
-                base.dim, p1 * rho1, (1.0 - p1) * rho2, tol)
-        else:
-            pair = WeightedDensityPair.from_states(rho1, rho2, p1, tol)
-        return base._lend_jordan(pair, 2.0 * p1, 2.0 * (1.0 - p1))
 
     def stacked(p1s: np.ndarray):
         w = p1s[:, None, None]
@@ -453,11 +383,13 @@ def _sweep_pairs(rho1: np.ndarray, rho2: np.ndarray, tol: ToleranceContext):
         gamma2 = hermitian_part((1.0 - w) * rho2)
         total = np.real(np.trace(gamma1 + gamma2, axis1=1, axis2=2))
         shared = ((p1s <= limit1) & (1.0 - p1s <= limit2)
-                  & (total <= 1.0 + tol.equality)
-                  & base._lends(2.0 * p1s, 2.0 * (1.0 - p1s)))
+                  & (total <= 1.0 + tol.equality))
+        for v, c in zip(base.jordan.values, (2.0 * p1s, 2.0 * (1.0 - p1s))):
+            shared &= la.rank_survives_scaling(v, c, c, c * v.max(initial=0.0),
+                                               tol)
         return shared, gamma1, gamma2
 
-    return base, pair_at, stacked
+    return base, stacked
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -474,7 +406,7 @@ class _RootBlock(NamedTuple):
     U S U^dag (V S V^dag for state 2): F1 = sqrt(sqrt(g1) g2 sqrt(g1)) =
     B1 U S U^dag B1^dag, and polar^2 = K K^dag (K^dag K).  spectrum is
     the `eigh` of A (ascending eigenvalues, eigenvectors) the roots come
-    from.  A reweighted pair gets its lender's blocks, scaled (`scaled`).
+    from.  A sweep scales one pair's blocks to each stacked prior (`scaled`).
     """
 
     block: np.ndarray

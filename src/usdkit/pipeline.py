@@ -25,8 +25,7 @@ from .optimality import (OptimalityReport, SolverOutcome, build_certificate,
                          check_optimality, classify)
 from .oracle import OracleConfig, _extend, oracle_optimize
 from .reductions import ReductionRecord, lift_measurement, reduce_fully
-from .solver4d import (_FAMILIES, _first_closed_form, _solve_4d_rows,
-                       solve_4d)
+from .solver4d import _FAMILIES, _first_closed_form, _solve_rows, solve_4d
 from .tolerances import DEFAULT_TOL, ToleranceContext
 
 __all__ = [
@@ -258,36 +257,36 @@ def sweep(rho1: np.ndarray, rho2: np.ndarray, p1_grid,
     detector spaces and reduction projectors are computed once, on the
     `JordanSplit` of the pair at p1 = 0.5, and so is its reduction.  Each
     prior's pair, the one `WeightedDensityPair.from_states(rho1, rho2, p1)`
-    builds, is that pair reweighted by (2 p1, 2 (1 - p1)), on the same
-    bases (`WeightedDensityPair.reweighted`).  A split is handed over only
-    when its rank decisions provably match the ones the prior's pair would
-    take itself, and the states are tested once: a prior skips the
-    hermiticity and PSD tests of its pair where scaling provably keeps
-    them passing (`model._sweep_pairs`).
+    builds, is that pair reweighted by (2 p1, 2 (1 - p1)).  Where that
+    split's rank decisions provably hold at the prior, and scaling
+    provably keeps the states passing their tests, the prior is one row
+    of a stack (`model._sweep_pairs`).
 
-    Where the reduced pair at 0.5 is a (4;2,2) core, every prior whose
-    pair holds the split and skips the tests is solved in one stack
-    (`solver4d._solve_4d_rows`): every family of `solve_4d` runs once over
-    all such priors, in its order, with one stacked check, and a prior
-    whose first passing family is off a class boundary takes that family's
-    answer.  Every other prior runs a fresh `dispatch` on its own pair:
-    priors on a class boundary, priors where the check refuses every
-    family, priors with both rank-(1,1) cross elements zero, priors
-    outside the lent range or the weight limits, and every prior of a core
-    that is not (4;2,2).  So every row is the answer `dispatch` gives on
-    the pair built afresh, up to rounding.  A row keeps no measurement, so
-    no certificate is built.
+    Where the reduced pair at 0.5 is not empty, the stack is solved as
+    `dispatch` solves one core (`solver4d._solve_rows`): single state
+    detection and the fidelity form on any core, and on a (4;2,2) core
+    every family of `solve_4d`, each once over all rows, in order, with
+    one stacked check; a row whose first passing family is off a class
+    boundary takes that family's answer.  Every other prior runs a fresh
+    `dispatch` on `from_states(rho1, rho2, p1)`: priors on a class
+    boundary, priors where the check refuses every family (the oracle's),
+    priors with both rank-(1,1) cross elements zero, priors whose rank
+    decisions or state tests scaling does not prove, and every prior of
+    an empty core.  So every row is the answer `dispatch` gives on the
+    pair built afresh, up to rounding on stacked rows and exactly on the
+    others.  A row keeps no measurement, so no certificate is built.
     """
     grid = [float(p1) for p1 in p1_grid]
     if not all(0.0 < p1 < 1.0 for p1 in grid):
         raise ValueError("p1 must lie strictly between 0 and 1")
-    base, pair_at, stacked = _sweep_pairs(rho1, rho2, tol)
+    base, stacked = _sweep_pairs(rho1, rho2, tol)
     bounds = _bounds(base)
     answers = _stacked_answers(base, stacked, np.array(grid))
     rows = []
     for p1, answer in zip(grid, answers):
         if answer is None:
-            outcome = dispatch(pair_at(p1), with_certificate=False)
+            outcome = dispatch(WeightedDensityPair.from_states(
+                rho1, rho2, p1, tol), with_certificate=False)
             answer = (outcome.success, (outcome.class_tag.e1_rank,
                                         outcome.class_tag.e2_rank),
                       outcome.branch)
@@ -299,12 +298,12 @@ def _stacked_answers(base: WeightedDensityPair, stacked, grid: np.ndarray):
     """(success, class tag, branch) of each prior of the grid that `sweep`
     solves as one stack; None for every other prior.  base is the pair at
     p1 = 0.5 and stacked the states of the grid's pairs
-    (`model._sweep_pairs`)."""
+    (`model._sweep_pairs`).  Every non-empty core stacks its closed forms,
+    a (4;2,2) core its candidate classes too (`solver4d._solve_rows`)."""
     answers = [None] * len(grid)
     record = base.reduction
     core = record.reduced_pair
-    if not (core.collective_support().size == 4
-            and all(s.size == 2 for s in core.supports)):
+    if core.collective_support().size == 0:
         return answers
     shared, gamma1, gamma2 = stacked(grid)
     priors = np.flatnonzero(shared)
@@ -315,7 +314,7 @@ def _stacked_answers(base: WeightedDensityPair, stacked, grid: np.ndarray):
         core1, core2 = (hermitian_part(p @ g @ p)
                         for p, g in ((proj1, gamma1), (proj2, gamma2)))
     p1 = grid[priors]
-    for family, rows, m, tag, _ in _solve_4d_rows(
+    for family, rows, m, tag, _ in _solve_rows(
             core, 2.0 * p1, 2.0 * (1.0 - p1), core1, core2):
         success = _success(lift_measurement(m, record), gamma1[rows],
                            gamma2[rows])

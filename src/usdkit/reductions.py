@@ -95,10 +95,9 @@ def reduce_fully(pair: WeightedDensityPair) -> ReductionRecord:
     classification (`WeightedDensityPair.jordan`) decides.  The reduced
     pair is P_mu gamma_mu P_mu over the skew Jordan columns of supp
     gamma_mu and holds their classification, the split's `core`: it is
-    strictly skew by construction, and the reduced pairs of all pairs
-    that hold one split (the priors of a `sweep`) share one core split.
-    A second application never changes the result.  The record is
-    computed once per pair and kept (`WeightedDensityPair.reduction`).
+    strictly skew by construction.  A second application never changes
+    the result.  The record is computed once per pair and kept
+    (`WeightedDensityPair.reduction`).
     """
     return pair.reduction
 
@@ -109,10 +108,8 @@ def _reduction_record(pair: WeightedDensityPair) -> ReductionRecord:
     in from `WeightedDensityPair.reduction`.  The projectors are the
     split's (`JordanSplit.reduction_projectors`); the offset and the
     reduced pair carry the weights and are built on `pair`, and the
-    reduced pair is handed the split's `core`.  When `pair` holds a lent
-    split, (c1 gamma1, c2 gamma2) of its lender, the reduced pair is that
-    reweighting of the lender's reduced pair and records it as its lender
-    (`WeightedDensityPair.root_blocks`)."""
+    reduced pair is handed the split's `core`, so it decides no rank of
+    its own."""
     split = pair.jordan
     warnings = []
     for c in split.cosines:
@@ -130,10 +127,6 @@ def _reduction_record(pair: WeightedDensityPair) -> ReductionRecord:
     if not split.strictly_skew:
         reduced = _projected_pair(pair, *split.core.support_projectors)
         object.__setattr__(reduced, "jordan", split.core)
-        if pair._lender is not None:
-            lender, c1, c2 = pair._lender
-            object.__setattr__(reduced, "_lender", (
-                lender._reduction.reduced_pair, c1, c2))
     offset = float(np.real(np.trace((sigma1 + sigma2) @ pair.total)))
     return ReductionRecord(None, pi_par, sigma1, sigma2, xi, offset, reduced,
                            tuple(warnings))

@@ -50,9 +50,6 @@ _REAL_ROOT_TOL = 1e-8
 _FAMILIES = ((BRANCH_SINGLE_STATE, 0), (BRANCH_FIDELITY, 0),
              (BRANCH_CLASS_12, 1), (BRANCH_CLASS_12, 2), (BRANCH_CLASS_11, 0))
 _CLOSED_FORMS = _FAMILIES[:2]
-# the unordered class of each family's measurement on a (4;2,2) core
-_FAMILY_CLASSES = {BRANCH_SINGLE_STATE: (0, 2), BRANCH_FIDELITY: (2, 2),
-                   BRANCH_CLASS_12: (1, 2), BRANCH_CLASS_11: (1, 1)}
 # an answer whose conclusive ranks clear the rank cutoff by less than this
 # factor sits on a class boundary
 _BOUNDARY_RANK_MARGIN = 100.0
@@ -702,13 +699,15 @@ def _accepted_outcomes(pair: WeightedDensityPair, families=_FAMILIES):
                 yield outcome
 
 
-def _off_class(boundary, tag, branch: str):
-    """Whether answers of family `branch`, with the given boundary flags
-    and class tags (one value per row, or single values), sit on a class
-    boundary: their closed form called them marginal, their class is not
-    their family's, or a kept singular value of e1 or e2 sits within
-    `_BOUNDARY_RANK_MARGIN` of the rank cutoff."""
-    low, high = _FAMILY_CLASSES[branch]
+def _off_class(boundary, tag, branch: str, k: int):
+    """Whether answers of family `branch` on a strictly skew (2k;k,k) core,
+    with the given boundary flags and class tags (one value per row, or
+    single values), sit on a class boundary: their closed form called them
+    marginal, their class is not their family's, or a kept singular value
+    of e1 or e2 sits within `_BOUNDARY_RANK_MARGIN` of the rank cutoff.
+    The candidate classes exist only for k = 2."""
+    low, high = {BRANCH_SINGLE_STATE: (0, k), BRANCH_FIDELITY: (k, k),
+                 BRANCH_CLASS_12: (1, 2), BRANCH_CLASS_11: (1, 1)}[branch]
     return (boundary | (np.minimum(tag.e1_rank, tag.e2_rank) != low)
             | (np.maximum(tag.e1_rank, tag.e2_rank) != high)
             | (tag.rank_margin <= _BOUNDARY_RANK_MARGIN))
@@ -743,7 +742,7 @@ def solve_4d(pair: WeightedDensityPair) -> SolverOutcome:
 
     The outcome carries no certificate (its `certificate` is None); call
     `build_certificate` on the measurement when one is needed.
-    `_solve_4d_rows` is the same arithmetic over a stack of pairs.
+    `_solve_rows` is the same arithmetic over a stack of pairs.
     """
     if not pair.strictly_skew:
         raise PreconditionViolated("solver requires a strictly skew pair")
@@ -761,7 +760,7 @@ def solve_4d(pair: WeightedDensityPair) -> SolverOutcome:
             "no measurement family passed verification; the instance sits "
             "too close to a numerical degeneracy")
     found = ([first, *outcomes]
-             if _off_class(first.boundary, first.class_tag, first.branch)
+             if _off_class(first.boundary, first.class_tag, first.branch, 2)
              else [first])
     # on a class boundary, answers of two families can agree up to
     # tolerance: keep the one with the smaller residual and mark the outcome
@@ -786,33 +785,37 @@ def _take(record, keep):
         getattr(record, f.name) for f in fields(record))))
 
 
-def _solve_4d_rows(core: WeightedDensityPair, c1: np.ndarray, c2: np.ndarray,
-                   gamma1: np.ndarray, gamma2: np.ndarray):
-    """The answers of `solve_4d` on a stack of pairs that one stack of
+def _solve_rows(core: WeightedDensityPair, c1: np.ndarray, c2: np.ndarray,
+                gamma1: np.ndarray, gamma2: np.ndarray):
+    """The answers of `dispatch` on a stack of cores that one stack of
     arrays settles.
 
     Row i is the pair (gamma1[i], gamma2[i]), states (n, d, d), that
-    reweights the strictly skew (4;2,2) pair `core` by (c1[i], c2[i]) and
-    holds its split, as `WeightedDensityPair.reweighted` hands it over.
-    The families run in `solve_4d`'s order, each once, over the rows no
-    family before it settled, with the arithmetic of the per-pair path
-    given a leading row axis: `_single_state_branches`, `_fidelity_blocks`,
-    `_candidates_12` with either host and `_candidates_11` (the core's
-    data, reweighted), then `_diagnostics`, `_completion` or
+    reweights the non-empty strictly skew pair `core`, of k = n_skew Jordan
+    pairs, by (c1[i], c2[i]) on its split, whose rank decisions the row's
+    own pair would take too (`model._sweep_pairs`).  Single state
+    detection and the fidelity form run on any core; on a (4;2,2) core
+    class-12 with either host and class-11 follow, in `solve_4d`'s order.
+    Each family runs once, over the rows no family before it settled, with
+    the arithmetic of the per-pair path given a leading row axis:
+    `_single_state_branches`, `_fidelity_blocks` (the core's root blocks,
+    `_RootBlock.scaled`), `_candidates_12` and `_candidates_11` (the
+    core's data, reweighted), then `_diagnostics`, `_completion` or
     `_measurements_11`, `_check` and `_classify`.  A row is settled by the
     first family that passes its check there.  Off a class boundary
     (`_off_class`) that measurement is the row's answer, by uniqueness of
-    the optimum, as in `solve_4d`.  On one, the row is left to `solve_4d`,
-    as is a row no family passes, a row with both rank-(1,1) cross
-    elements zero (`_degenerate_family_probe`) and a row whose class-12
-    host basis would not be phased as the core's.
+    the optimum, as in `solve_4d` and `_first_closed_form`.  On one, the
+    row is left to `dispatch`, as is a row no family passes, a row with
+    both rank-(1,1) cross elements zero (`_degenerate_family_probe`) and a
+    row whose class-12 host basis would not be phased as the core's.
 
     Returns the answers in parts (family, rows, m, tag, report), one per
     family that answered rows: `_FAMILIES[family]` answers the rows with
     the measurements m, class tags and checks (`_check`), whose fields
-    hold one value per row.  Rows in no part are left to `solve_4d`.
+    hold one value per row.  Rows in no part are left to `dispatch`.
     """
     split, tol = core.jordan, core.tol
+    k = split.n_skew
     kernel = core.common_kernel()
     parts = []
     pending = np.arange(len(c1))  # the rows no family has settled
@@ -829,16 +832,16 @@ def _solve_4d_rows(core: WeightedDensityPair, c1: np.ndarray, c2: np.ndarray,
         candidates in its family's order) by its first candidate whose
         measurement in m passes its check, `boundary` flagging candidates
         their closed form called marginal, and leave the rows `left` to
-        solve_4d.  Only an answer off a class boundary is kept."""
+        dispatch.  Only an answer off a class boundary is kept."""
         nonlocal pending
         report = check(m, rows)
         passed = np.flatnonzero(report.is_optimal)
         first = passed[np.unique(rows[passed], return_index=True)[1]]
         m, report, rows = _take(m, first), _take(report, first), rows[first]
-        tag = _classify(m, 2, tol)
+        tag = _classify(m, k, tol)
         marginal = (np.zeros(len(first), bool) if boundary is None
                     else boundary[first])
-        answer = ~_off_class(marginal, tag, _FAMILIES[family][0])
+        answer = ~_off_class(marginal, tag, _FAMILIES[family][0], k)
         if answer.any():
             parts.append((family, pending[rows[answer]], _take(m, answer),
                           _take(tag, answer), _take(report, answer)))
@@ -850,6 +853,8 @@ def _solve_4d_rows(core: WeightedDensityPair, c1: np.ndarray, c2: np.ndarray,
         m = UsdMeasurement(*(np.broadcast_to(e, (len(rows),) + e.shape)
                              for e in m.elements()))
         settle(0, rows, m, marginal[pending[rows]])
+    if not pending.size:
+        return parts
     # the fidelity form
     w1, w2 = c1[pending, None, None], c2[pending, None, None]
     roots = tuple(root.scaled(c, other) for root, c, other in
@@ -859,8 +864,10 @@ def _solve_4d_rows(core: WeightedDensityPair, c1: np.ndarray, c2: np.ndarray,
     m = split.measurement(*(y[rows] for y in _fidelity_blocks(roots)))
     valid = _diagnostics(m.e_inconclusive, *states(rows), kernel.basis, tol).ok
     settle(1, rows[valid], _take(m, valid), marginal[rows[valid]])
-    # class-12, host 1 then host 2
+    # class-12, host 1 then host 2, on a (4;2,2) core only
     for family in (2, 3):
+        if k != 2 or not pending.size:
+            return parts
         host = _FAMILIES[family][1]
         h, o = host - 1, 2 - host
         s1, s2, g = _host_eigenbasis(core, host)
@@ -880,6 +887,8 @@ def _solve_4d_rows(core: WeightedDensityPair, c1: np.ndarray, c2: np.ndarray,
         closed = closure <= tol.equality
         settle(family, cand_rows[valid][closed], _take(m, closed),
                left=np.flatnonzero(unphased))
+    if not pending.size:
+        return parts
     # class-11, on the core's kernel Jordan data reweighted per row
     cand_rows, cands = _candidates_11(core, c1[pending], c2[pending])
     probed = (cands.jordan_data.g13 == 0.0) & (cands.jordan_data.g23 == 0.0)

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from usdkit import (InvalidInconclusive, NotPSD, UsdMeasurement,
+from usdkit import (DEFAULT_TOL, InvalidInconclusive, NotPSD, UsdMeasurement,
                     WeightedDensityPair, dispatch, is_proper, is_usd,
                     reduce_fully, success_probability)
 from usdkit import linalg as la
+from usdkit import pipeline
 from usdkit.linalg import dag
-from usdkit.model import (complete_measurement, failure_probability,
+from usdkit.model import (_sweep_pairs, complete_measurement,
+                          failure_probability,
                           projective_kernel_decomposition,
                           reconstruct_from_core, validate_inconclusive)
 from usdkit.oracle import random_feasible_inconclusive
@@ -41,46 +43,52 @@ def test_pair_subnormalized_accepted():
     assert pair.total_trace == pytest.approx(0.5)
 
 
-def test_reweighted_pair_shares_geometry_where_rank_decisions_hold():
+def test_sweep_stacks_a_prior_only_where_rank_decisions_hold(monkeypatch):
     # rho1 carries an eigenvalue of 5e-8: far above the relative cutoff, so
-    # it is support at any weight that keeps it above rank_atol = 1e-12
+    # it is support at any weight that keeps it above rank_atol = 1e-12.
+    # At p1 = 0.3 the prior shares the split of the pair at p1 = 0.5; at
+    # p1 = 5e-6 (weight c1 = 1e-5) the eigenvalue drops below rank_atol,
+    # and the prior is left to a pair built afresh
     rho1, rho2 = example1_states()
     rho1 = rho1 + np.diag([0.0, 0.0, 5e-8, 0.0])
-    base = WeightedDensityPair(4, 0.5 * rho1, 0.4 * rho2)
-    for c1, c2, shares in ((0.6, 1.4, True), (1e-5, 1.0, False)):
-        pair = base.reweighted(c1, c2)
-        fresh = WeightedDensityPair(4, c1 * base.gamma1, c2 * base.gamma2)
-        assert [s.size for s in pair.supports] == \
-            [s.size for s in fresh.supports]
-        # geometry is shared only by holding the base's split, and then
-        # everything read off it is the base's own object
-        assert (pair.jordan is base.jordan) == shares
-        assert (pair.supports[0] is base.supports[0]) == shares
-        assert (pair.collective_support() is base.collective_support()) \
-            == shares
-        for name in ("detector_spaces", "detectors", "lifts"):
-            assert (getattr(pair, name) is getattr(base, name)) == shares
-        record, fresh_record = reduce_fully(pair), reduce_fully(fresh)
-        assert record.pair is pair
-        assert (record.xi is reduce_fully(base).xi) == shares
-        assert (record.reduced_pair.jordan
-                is reduce_fully(base).reduced_pair.jordan) == shares
-        assert record.lifted_offset == pytest.approx(
-            fresh_record.lifted_offset, abs=1e-15)
-        outcome = dispatch(pair, with_certificate=False)
-        assert outcome.success == pytest.approx(
-            dispatch(fresh, with_certificate=False).success, abs=1e-12)
-    # the eigenvalue is support at c1 = 0.6 and kernel at c1 = 1e-5
-    assert base.reweighted(0.6, 1.4).supports[0].size == 3
-    assert base.reweighted(1e-5, 1.0).supports[0].size == 2
-    with pytest.raises(ValueError):
-        base.reweighted(0.0, 1.0)
+    rho1 = rho1 / np.trace(rho1).real
+    base, stacked = _sweep_pairs(rho1, rho2, DEFAULT_TOL)
+    p1s = np.array([0.3, 5e-6])
+    shared, gamma1, gamma2 = stacked(p1s)
+    assert shared.tolist() == [True, False]
+    fresh = [WeightedDensityPair.from_states(rho1, rho2, p1) for p1 in p1s]
+    # the eigenvalue is support at p1 = 0.3 and kernel at p1 = 5e-6
+    assert [pair.supports[0].size for pair in fresh] == [3, 2]
+    for pair, g1, g2 in zip(fresh, gamma1, gamma2):
+        np.testing.assert_array_equal(g1, pair.gamma1)
+        np.testing.assert_array_equal(g2, pair.gamma2)
+    # the shared prior holds base's rank decisions and reduction, reweighted
+    assert [s.size for s in base.supports] == \
+        [s.size for s in fresh[0].supports]
+    record, fresh_record = reduce_fully(base), reduce_fully(fresh[0])
+    assert [s.size for s in record.reduced_pair.supports] == \
+        [s.size for s in fresh_record.reduced_pair.supports]
+    offset = float(np.real(np.trace(
+        (record.sigma1 + record.sigma2) @ (gamma1[0] + gamma2[0]))))
+    assert offset == pytest.approx(fresh_record.lifted_offset, abs=1e-15)
+    # the sweep stacks the shared prior and dispatches the other afresh
+    dispatched = []
+    real = pipeline.dispatch
+    monkeypatch.setattr(pipeline, "dispatch", lambda pair, **kwargs:
+                        dispatched.append(pair) or real(pair, **kwargs))
+    rows = pipeline.sweep(rho1, rho2, p1s)
+    assert len(dispatched) == 1
+    assert dispatched[0].supports[0].size == 2
+    for row, pair in zip(rows, fresh):
+        assert row.success_probability == pytest.approx(
+            dispatch(pair, with_certificate=False).success, abs=1e-12)
 
 
-def test_reweighted_pair_scales_its_lenders_root_blocks(monkeypatch):
-    # a reweighted pair, and its reduced pair, reweight the root blocks of
-    # the pair they were lent by: no decomposition, and the same roots and
-    # polar factors as a pair that computes its own, up to rounding
+def test_scaled_root_blocks_are_a_fresh_pairs(monkeypatch):
+    # a pair's root blocks, scaled by the weights (c1, c2) = (0.3, 1.7),
+    # are those of the pair (c1 gamma1, c2 gamma2) built afresh, up to
+    # rounding, with no decomposition; on a pair and on the reduced pair
+    # of a pair that shares a support direction
     rho1, rho2 = example1_states()
     shared = np.zeros((5, 5), dtype=complex)
     shared[4, 4] = 1.0
@@ -88,27 +96,28 @@ def test_reweighted_pair_scales_its_lenders_root_blocks(monkeypatch):
     overlapping = WeightedDensityPair(
         5, *(0.5 * (0.9 * np.pad(rho, ((0, 1), (0, 1))) + 0.1 * shared)
              for rho in (rho1, rho2)))
-    lenders = (WeightedDensityPair.from_states(rho1, rho2, 0.5),
-               reduce_fully(overlapping).reduced_pair)
-    assert lenders[1] is not overlapping
-    for lender in lenders:
-        lender.root_blocks
-    pairs = [(lender.reweighted(0.3, 1.7), lender) for lender in lenders]
-    pairs.append((reduce_fully(overlapping.reweighted(0.3, 1.7)).reduced_pair,
-                  lenders[1]))
+    bases = (WeightedDensityPair.from_states(rho1, rho2, 0.5),
+             reduce_fully(overlapping).reduced_pair)
+    assert bases[1] is not overlapping
+    fresh = [WeightedDensityPair(base.dim, 0.3 * base.gamma1,
+                                 1.7 * base.gamma2) for base in bases]
+    fresh.append(reduce_fully(WeightedDensityPair(
+        5, 0.3 * overlapping.gamma1, 1.7 * overlapping.gamma2)).reduced_pair)
+    bases = bases + bases[1:]
+    for base in bases:
+        base.root_blocks
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a reweighted pair decomposed its blocks")
+        raise AssertionError("scaling decomposed a block")
 
     for name in ("eigh", "svd"):
         monkeypatch.setattr(np.linalg, name, refuse)
-    blocks = [pair.root_blocks for pair, _ in pairs]
+    blocks = [(root1.scaled(0.3, 1.7), root2.scaled(1.7, 0.3))
+              for root1, root2 in (base.root_blocks for base in bases)]
     monkeypatch.undo()
-    for roots, (pair, lender) in zip(blocks, pairs):
-        assert pair._lender[0] is lender
-        own = WeightedDensityPair(pair.dim, pair.gamma1, pair.gamma2)
+    for roots, base, own in zip(blocks, bases, fresh):
         for root, ref, b, b_ref in zip(roots, own.root_blocks,
-                                       pair.supports, own.supports):
+                                       base.supports, own.supports):
             def dense(x, basis):
                 return basis.basis @ x @ dag(basis.basis)
 

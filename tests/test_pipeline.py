@@ -766,9 +766,9 @@ def test_sweep_matches_fresh_dispatch_near_rank_cutoff(tail, monkeypatch):
     # (4;2,2) states whose kernels carry eigenvalues near the rank cutoffs:
     # the relative one, and rank_atol at the ends of the grid.  The two
     # paths must agree, or fail alike, up to the hand-off to the oracle.
-    # Past it they may not: on these pairs the oracle does not converge,
-    # and its seeded start depends on the basis of the core it is given,
-    # which the shared geometry picks differently.
+    # A prior the stack leaves runs dispatch on the pair built afresh, so
+    # past the hand-off the two are one call; on these pairs the oracle
+    # does not converge, and the stub keeps the test short.
     def reached_oracle(*args, **kwargs):
         raise _ReachedOracle
 
@@ -788,8 +788,8 @@ def test_sweep_matches_fresh_dispatch_near_rank_cutoff(tail, monkeypatch):
 
 
 def test_sweep_matches_fresh_dispatch_across_the_near_cutoff4_grid():
-    # the pair at p1 = 0.5 lends its split to none of this grid's priors,
-    # so each runs a fresh dispatch; the rows cross single state
+    # the split of the pair at p1 = 0.5 holds for none of this grid's
+    # priors, so each runs a fresh dispatch; the rows cross single state
     # detection, class-12 and class-11, none reaches the oracle, and every
     # row is the answer of a fresh dispatch
     problem = load_problem(DATA / "near_cutoff4.json")
@@ -832,19 +832,64 @@ def test_sweep_runs_fewer_solver_calls_than_fresh_dispatches(monkeypatch):
 def test_sweep_dispatches_only_the_priors_the_stack_leaves(monkeypatch):
     # the stack holds every family, so on a (4;2,2) core whose split every
     # prior holds, dispatch runs at most for the priors whose fresh answer
-    # sits on a class boundary: none of example1's and one of examples2's
+    # sits on a class boundary: none of example1's and one of examples2's.
+    # Every other non-empty core stacks its closed forms: the pure pairs'
+    # priors dispatch none, and skew6's only those the oracle answers
     real = pipeline.dispatch
+    calls = []
+    monkeypatch.setattr(pipeline, "dispatch", lambda *args, **kwargs:
+                        calls.append(args[0].gamma1)
+                        or real(*args, **kwargs))
     for family, on_boundary in (("example1", 0), ("examples2", 1)):
-        calls = []
-        monkeypatch.setattr(pipeline, "dispatch", lambda *args, **kwargs:
-                            calls.append(args[0].gamma1)
-                            or real(*args, **kwargs))
+        calls.clear()
         rho1, rho2 = _sweep_states(family)
         sweep(rho1, rho2, GRID)
         fresh = [real(WeightedDensityPair.from_states(rho1, rho2, p1),
                       with_certificate=False) for p1 in GRID]
         assert sum(f.boundary for f in fresh) == on_boundary, family
         assert len(calls) <= on_boundary, family
+    for family in ("peres", "pure", "3;1,2"):
+        calls.clear()
+        sweep(*_sweep_states(family), GRID)
+        assert calls == [], family
+    calls.clear()
+    rho1, rho2 = _sweep_states("skew6")
+    grid = np.linspace(0.1, 0.9, 9)
+    sweep(rho1, rho2, grid)
+    oracle_priors = [p1 for p1 in grid if real(
+        WeightedDensityPair.from_states(rho1, rho2, p1),
+        with_certificate=False).branch.startswith("oracle")]
+    assert len(oracle_priors) == 8
+    np.testing.assert_allclose([np.trace(g).real for g in calls],
+                               oracle_priors, rtol=1e-12)
+
+
+@pytest.mark.parametrize("family", ["skew6", "examples2"])
+def test_dispatched_sweep_rows_are_the_fresh_answer_bit_for_bit(
+        family, monkeypatch):
+    # a prior the stack leaves runs dispatch on the pair from_states builds
+    # at it, so its row is that answer exactly: skew6's oracle rows and
+    # examples2's class-boundary row at p1 = 0.01
+    left = []
+    real = pipeline._stacked_answers
+
+    def spy(*args):
+        answers = real(*args)
+        left.extend(i for i, answer in enumerate(answers) if answer is None)
+        return answers
+
+    monkeypatch.setattr(pipeline, "_stacked_answers", spy)
+    rho1, rho2 = _sweep_states(family)
+    grid = np.linspace(0.1, 0.9, 9) if family == "skew6" else GRID
+    rows = sweep(rho1, rho2, grid)
+    for i in left:
+        fresh = dispatch(WeightedDensityPair.from_states(rho1, rho2, grid[i]),
+                         with_certificate=False)
+        assert rows[i].success_probability == fresh.success, grid[i]
+        assert rows[i].branch == fresh.branch, grid[i]
+        assert rows[i].class_tag == (fresh.class_tag.e1_rank,
+                                     fresh.class_tag.e2_rank), grid[i]
+    assert len(left) == (8 if family == "skew6" else 1)
 
 
 @pytest.mark.parametrize("family", ["example1", "examples2", "4;2,2",
@@ -872,14 +917,14 @@ def test_stacked_rows_hold_the_check_of_their_pair(family, monkeypatch):
     from usdkit.solver4d import _FAMILIES
 
     parts = []
-    real = pipeline._solve_4d_rows
+    real = pipeline._solve_rows
 
     def spy(core, c1, c2, gamma1, gamma2):
         found = real(core, c1, c2, gamma1, gamma2)
         parts.extend((c1 / 2, part) for part in found)
         return found
 
-    monkeypatch.setattr(pipeline, "_solve_4d_rows", spy)
+    monkeypatch.setattr(pipeline, "_solve_rows", spy)
     rho1, rho2 = _sweep_states(family)
     sweep(rho1, rho2, GRID)
     assert sum(len(part[1]) for _, part in parts) >= 45
@@ -938,7 +983,7 @@ def test_sweep_rejects_a_prior_outside_the_open_interval(grid):
 
 def test_sweep_rejects_a_bad_grid_before_solving(monkeypatch):
     solved = []
-    for name in ("dispatch", "_solve_4d_rows"):
+    for name in ("dispatch", "_solve_rows"):
         monkeypatch.setattr(pipeline, name, lambda *args, **kwargs:
                             solved.append(args))
     rho1, rho2 = example1_states()
