@@ -17,10 +17,7 @@ from .tolerances import DEFAULT_TOL, ToleranceContext
 __all__ = [
     "Subspace", "dag", "hermitian_part", "is_hermitian", "assert_hermitian",
     "min_eigenvalue", "frobenius", "is_psd", "rank", "rank_from_values",
-    "rank_margin",
-    "rank_survives_scaling", "passing_weight_limit", "support", "kernel",
-    "spectral_split",
-    "intersect",
+    "rank_margin", "support", "kernel", "spectral_split", "intersect",
     "subspace_sum", "oblique_projector",
     "pseudo_inverse", "sqrt_psd", "jordan_bases",
 ]
@@ -74,9 +71,6 @@ def is_psd(a: np.ndarray, tol: ToleranceContext = DEFAULT_TOL) -> bool:
     return bool(w.min() >= -floor)
 
 
-_EPS = float(np.finfo(float).eps)
-
-
 def _rank_threshold(values: np.ndarray, tol: ToleranceContext) -> float:
     top = float(values.max(initial=0.0))
     return max(tol.rank_cutoff * top, tol.rank_atol)
@@ -102,50 +96,6 @@ def rank_margin(values: np.ndarray,
     cut = _rank_threshold(values, tol)
     kept = values[values > cut]
     return float(kept.min() / cut) if kept.size else float("inf")
-
-
-def rank_survives_scaling(values: np.ndarray, lo, hi, norm,
-                          tol: ToleranceContext):
-    """Whether scaling provably keeps every rank decision taken on `values`.
-
-    `values` are the eigen- or singular values of an operator, each kept
-    or dropped against the shared cutoff.  The question is whether any
-    operator whose k-th value lies in [lo * values[k], hi * values[k]] gets
-    the same decisions.  Each value must clear the cutoffs of that range by
-    a factor of two, after an allowance for the rounding of a
-    decomposition of an operator of norm `norm`.  lo, hi and norm may be
-    arrays of one shape, for one verdict per scaling.
-    """
-    vals = np.asarray(values)
-    lo, hi, norm = (np.asarray(x, dtype=float)[..., None]
-                    for x in (lo, hi, norm))
-    top = max(float(vals.max(initial=0.0)), 0.0)
-    cut = max(tol.rank_cutoff * top, tol.rank_atol)
-    cut_lo = np.maximum(tol.rank_cutoff * lo * top, tol.rank_atol)
-    cut_hi = np.maximum(tol.rank_cutoff * hi * top, tol.rank_atol)
-    slack = 16 * len(vals) * _EPS * norm
-    return np.where(vals > cut, lo * vals - slack > 2 * cut_hi,
-                    hi * vals + slack < 0.5 * cut_lo).all(axis=-1)
-
-
-def passing_weight_limit(deviation: float, scale: float, bound: float,
-                         n: int) -> float:
-    """The largest weight c at which a test provably passes on c A.
-
-    The test accepts an n x n operator A when its `deviation` is at most
-    `bound * max(1, scale)`: for `is_hermitian` the largest entry of
-    A - A^dag against the largest entry, for `is_psd` the most negative
-    eigenvalue against the largest eigenvalue modulus.  Both numbers scale
-    with the operator, so the test passes on c A for every c up to the
-    limit returned, after an allowance of 16 n eps per unit of scale for
-    the rounding of the scaling and of the decomposition, as in
-    `rank_survives_scaling`.  The limit is infinite when the deviation
-    clears the bound at any scale.
-    """
-    slack = 16 * n * _EPS * scale
-    if deviation + slack <= bound * (scale - slack):
-        return float("inf")
-    return bound / (deviation + slack)
 
 
 @dataclass(frozen=True)
@@ -188,26 +138,26 @@ class Subspace:
 
 
 def spectral_split(a: np.ndarray, tol: ToleranceContext = DEFAULT_TOL,
-                   ) -> tuple[np.ndarray, Subspace, Subspace]:
-    """Eigenvalues, support and kernel from one eigendecomposition.
+                   ) -> tuple[Subspace, Subspace]:
+    """Support and kernel from one eigendecomposition.
 
     The support is spanned by the eigenvectors with eigenvalue above the
     rank cutoff; the kernel is its orthocomplement.
     """
     w, u = np.linalg.eigh(assert_hermitian(a, tol))
     keep = w > _rank_threshold(w, tol)
-    return (w, Subspace(a.shape[0], u[:, keep].astype(complex)),
+    return (Subspace(a.shape[0], u[:, keep].astype(complex)),
             Subspace(a.shape[0], u[:, ~keep].astype(complex)))
 
 
 def support(a: np.ndarray, tol: ToleranceContext = DEFAULT_TOL) -> Subspace:
     """Span of eigenvectors with eigenvalue above the rank cutoff."""
-    return spectral_split(a, tol)[1]
+    return spectral_split(a, tol)[0]
 
 
 def kernel(a: np.ndarray, tol: ToleranceContext = DEFAULT_TOL) -> Subspace:
     """Orthocomplement of the support."""
-    return spectral_split(a, tol)[2]
+    return spectral_split(a, tol)[1]
 
 
 def _check_same_dim(a: Subspace, b: Subspace):

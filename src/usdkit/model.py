@@ -43,9 +43,7 @@ class JordanSplit:
     The first n_parallel pairs are parallel (cosine >= 1 -
     PARALLEL_COSINE_CUTOFF), the next n_skew skew.  The other columns,
     of orthogonal pairs (cosine <= ORTHOGONAL_COSINE_CUTOFF) or unpaired,
-    are free: there the state is detected for sure.  values holds the
-    eigenvalues that decided the two supports, None for a split handed
-    down by a reduction (`core`).
+    are free: there the state is detected for sure.
 
     The detector spaces pair up in the same bases: their skew columns
     (`detector_spaces`) have <d1_j|d2_k> = -cosines[k] for j = k, else 0.
@@ -54,10 +52,12 @@ class JordanSplit:
 
     The split is the one carrier of a pair's prior-independent geometry:
     everything below is read off the bases and cosines on first use and
-    kept.  A reduced pair holds its pair's `core` (`reductions.reduce_fully`),
-    and a sweep solves all its stacked priors on one split
-    (`pipeline.sweep`); no other pair shares a split.  Its arrays are
-    read-only.
+    kept.  It is taken once, by `_jordan_split`: on the two states for a
+    pair built by `WeightedDensityPair.from_states`, so the pair of the
+    same states at any prior takes the same decisions, and on the pair's
+    own operators otherwise.  A reduced pair holds its pair's `core`
+    (`reductions.reduce_fully`), and a sweep solves all its stacked priors
+    on one split (`pipeline.sweep`).  Its arrays are read-only.
     """
 
     supports: tuple[Subspace, Subspace]
@@ -65,7 +65,6 @@ class JordanSplit:
     cosines: np.ndarray
     n_parallel: int
     n_skew: int
-    values: tuple[np.ndarray, np.ndarray] | None
 
     @property
     def dim(self) -> int:
@@ -92,7 +91,7 @@ class JordanSplit:
         supports = tuple(Subspace(s.dim, s.basis[:, skew])
                          for s in self.supports)
         return JordanSplit(supports, kernels, self.cosines[skew], 0,
-                           self.n_skew, None)
+                           self.n_skew)
 
     @cached_property
     def support_projectors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -188,6 +187,23 @@ class JordanSplit:
         return tuple(_freeze(p) for p in (pi_par, sigma1, sigma2, xi))
 
 
+def _jordan_split(gamma1: np.ndarray, gamma2: np.ndarray,
+                  tol: ToleranceContext) -> JordanSplit:
+    """The split of the supports of two Hermitian operators: an
+    eigendecomposition per operator decides its support, one SVD gives the
+    Jordan pairs, and the two cosine cutoffs classify them."""
+    (sup1, ker1), (sup2, ker2) = (la.spectral_split(g, tol)
+                                  for g in (gamma1, gamma2))
+    b1, b2, cosines = la.jordan_bases(sup1, sup2, tol)
+    n_parallel = int(np.sum(cosines >= 1 - PARALLEL_COSINE_CUTOFF))
+    n_skew = int(np.sum(cosines > ORTHOGONAL_COSINE_CUTOFF)) - n_parallel
+    for a in (b1, b2, ker1.basis, ker2.basis, cosines):
+        _freeze(a)
+    dim = gamma1.shape[0]
+    return JordanSplit((Subspace(dim, b1), Subspace(dim, b2)), (ker1, ker2),
+                       cosines, n_parallel, n_skew)
+
+
 def _normal(b: np.ndarray, a: np.ndarray, cosines: np.ndarray) -> np.ndarray:
     """(b_k - c_k a_k) / sqrt(1 - c_k^2) per Jordan pair (a_k, b_k) with
     cosine c_k < 1: the unit vector of span{a_k, b_k} orthogonal to a_k."""
@@ -235,8 +251,9 @@ class WeightedDensityPair:
                      tol: ToleranceContext) -> "WeightedDensityPair":
         """`cls(dim, gamma1, gamma2, tol)` without the hermiticity and PSD
         tests of the two operators, which the caller has proven to pass:
-        the pair stores the same Hermitian parts, and the shape and
-        total-trace tests still run."""
+        `from_states` tested the states they weight, and a reduction's
+        operators compress a pair that passed.  The pair stores the same
+        Hermitian parts, and the shape and total-trace tests still run."""
         pair = object.__new__(cls)
         object.__setattr__(pair, "_states_known_valid", True)
         pair.__init__(dim, gamma1, gamma2, tol)
@@ -245,13 +262,29 @@ class WeightedDensityPair:
     @staticmethod
     def from_states(rho1: np.ndarray, rho2: np.ndarray, p1: float,
                     tol: ToleranceContext = DEFAULT_TOL) -> "WeightedDensityPair":
-        """Build the pair p1*rho1, (1-p1)*rho2 from unit-trace states."""
+        """Build the pair p1*rho1, (1-p1)*rho2 from unit-trace states.
+
+        The prior only weights the states, so the pair has their supports,
+        kernels and Jordan pairs.  The states are tested for hermiticity
+        and positivity and split (`_jordan_split`) once, here, on
+        themselves: the pair is built without tests of its own
+        (`_known_valid`) and is handed the states' split, as a reduced pair
+        is handed its pair's `core`.  So a state that fails a test fails at
+        every prior, and the pairs of the same states take the same rank
+        decisions at every prior.
+        """
         if not 0.0 < p1 < 1.0:
             raise ValueError("p1 must lie strictly between 0 and 1")
-        rho1 = np.asarray(rho1, dtype=complex)
-        return WeightedDensityPair(rho1.shape[0], p1 * rho1,
-                                   (1.0 - p1) * np.asarray(rho2, dtype=complex),
-                                   tol)
+        rho1, rho2 = (np.asarray(rho, dtype=complex) for rho in (rho1, rho2))
+        states = [la.assert_hermitian(rho, tol, name)
+                  for rho, name in ((rho1, "rho1"), (rho2, "rho2"))]
+        for name, rho in zip(("rho1", "rho2"), states):
+            if not la.is_psd(rho, tol):
+                raise NotPSD(f"{name} is not positive semi-definite")
+        pair = WeightedDensityPair._known_valid(
+            rho1.shape[0], p1 * rho1, (1.0 - p1) * rho2, tol)
+        object.__setattr__(pair, "jordan", _jordan_split(*states, tol))
+        return pair
 
     @property
     def total(self) -> np.ndarray:
@@ -272,7 +305,8 @@ class WeightedDensityPair:
         split, r = self.jordan, self.jordan.cross_rank
         blocks = [hermitian_part(dag(s.basis) @ g @ s.basis)
                   for s, g in zip(split.supports, (self.gamma1, self.gamma2))]
-        # positive definite: the split kept only eigenvalues above its cut
+        # positive definite: the split kept only eigenvalues above its cut,
+        # and a weight only scales them
         eigs = [np.linalg.eigh(a) for a in blocks]
         (w1, q1), (w2, q2) = eigs
         overlap = np.zeros((len(w1), len(w2)))
@@ -285,27 +319,19 @@ class WeightedDensityPair:
             for a, (w, q), x in zip(blocks, eigs, (u[:, :r], dag(vh[:r]))))
 
     # The geometry below does not depend on the prior: every value is read
-    # off the Jordan classification of the two supports (`jordan`), which
-    # computes it on first use and keeps it, so a reduced pair, which holds
-    # the split's `core`, shares all of it.  The reduction carries the
-    # weights and is built per pair.  Every array is shared by every caller
-    # and is read-only.
+    # off the Jordan classification of the two supports (`jordan`), handed
+    # to the pair or computed on first use, and kept, so a reduced pair,
+    # which holds the split's `core`, shares all of it.  The reduction
+    # carries the weights and is built per pair.  Every array is shared by
+    # every caller and is read-only.
 
     @cached_property
     def jordan(self) -> JordanSplit:
         """The classification every support-geometry value below is read
-        from: an eigendecomposition per state decides its support, one SVD
-        gives the Jordan pairs, and the two cosine cutoffs classify them.
-        A reduced pair is handed it instead (`reductions.reduce_fully`)."""
-        (w1, sup1, ker1), (w2, sup2, ker2) = (la.spectral_split(
-            g, self.tol) for g in (self.gamma1, self.gamma2))
-        b1, b2, cosines = la.jordan_bases(sup1, sup2, self.tol)
-        n_parallel = int(np.sum(cosines >= 1 - PARALLEL_COSINE_CUTOFF))
-        n_skew = int(np.sum(cosines > ORTHOGONAL_COSINE_CUTOFF)) - n_parallel
-        for a in (w1, w2, b1, b2, ker1.basis, ker2.basis, cosines):
-            _freeze(a)
-        return JordanSplit((Subspace(self.dim, b1), Subspace(self.dim, b2)),
-                           (ker1, ker2), cosines, n_parallel, n_skew, (w1, w2))
+        from, `_jordan_split` of the pair's two operators.  A pair built by
+        `from_states` is handed the split of its states instead, and a
+        reduced pair its pair's `core` (`reductions.reduce_fully`)."""
+        return _jordan_split(self.gamma1, self.gamma2, self.tol)
 
     # reads of the split, documented there: supports and kernels (in
     # Jordan bases), the support overlap, the detector spaces and their
@@ -338,58 +364,6 @@ class WeightedDensityPair:
         record = self._reduction
         return replace(record, pair=self,
                        reduced_pair=record.reduced_pair or self)
-
-
-def _weight_limit(rho: np.ndarray, tol: ToleranceContext) -> float:
-    """The largest weight c at which c rho provably passes both per-state
-    tests of a `WeightedDensityPair`, hermiticity and positivity
-    (`linalg.passing_weight_limit`)."""
-    n = len(rho)
-    w = np.linalg.eigvalsh(hermitian_part(rho))
-    return min(
-        la.passing_weight_limit(float(np.abs(rho - dag(rho)).max(initial=0.0)),
-                                float(np.abs(rho).max(initial=0.0)),
-                                tol.hermitian, n),
-        la.passing_weight_limit(max(0.0, -float(w.min(initial=0.0))),
-                                float(np.abs(w).max(initial=0.0)),
-                                tol.psd_floor, n))
-
-
-def _sweep_pairs(rho1: np.ndarray, rho2: np.ndarray, tol: ToleranceContext):
-    """(base, stacked) for a sweep of the priors of two unit-trace states.
-
-    base is `WeightedDensityPair.from_states(rho1, rho2, 0.5, tol)`.
-    stacked(p1s), for an array of priors, returns (shared, gamma1,
-    gamma2): the states of each prior's pair (p1 rho1, (1 - p1) rho2),
-    stacked as (n, d, d), and whether that pair is base reweighted by
-    (2 p1, 2 (1 - p1)) as `from_states` would build it, so that base's
-    split and reduction hold for it.  A prior is shared when
-      - both weights lie within the states' `_weight_limit`: hermiticity
-        and positivity scale with the weights, so the pair passes the
-        per-state tests, which base ran once;
-      - the pair passes its total-trace test;
-      - every rank decision of base's split provably survives the weights
-        (`linalg.rank_survives_scaling`): the spectra of the two states
-        scale by them, and the Jordan cosines do not move.
-    Every other prior is left to a pair built afresh.
-    """
-    base = WeightedDensityPair.from_states(rho1, rho2, 0.5, tol)
-    rho1, rho2 = (np.asarray(rho, dtype=complex) for rho in (rho1, rho2))
-    limit1, limit2 = (_weight_limit(rho, tol) for rho in (rho1, rho2))
-
-    def stacked(p1s: np.ndarray):
-        w = p1s[:, None, None]
-        gamma1 = hermitian_part(w * rho1)
-        gamma2 = hermitian_part((1.0 - w) * rho2)
-        total = np.real(np.trace(gamma1 + gamma2, axis1=1, axis2=2))
-        shared = ((p1s <= limit1) & (1.0 - p1s <= limit2)
-                  & (total <= 1.0 + tol.equality))
-        for v, c in zip(base.jordan.values, (2.0 * p1s, 2.0 * (1.0 - p1s))):
-            shared &= la.rank_survives_scaling(v, c, c, c * v.max(initial=0.0),
-                                               tol)
-        return shared, gamma1, gamma2
-
-    return base, stacked
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

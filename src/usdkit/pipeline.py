@@ -20,7 +20,7 @@ from . import linalg as la
 from .errors import CertificateFailure, UsdKitError
 from .linalg import hermitian_part
 from .model import (MeasurementClassTag, UsdMeasurement, WeightedDensityPair,
-                    _success, _sweep_pairs, success_probability)
+                    _success, success_probability)
 from .optimality import (OptimalityReport, SolverOutcome, build_certificate,
                          check_optimality, classify)
 from .oracle import OracleConfig, _extend, oracle_optimize
@@ -253,14 +253,14 @@ def sweep(rho1: np.ndarray, rho2: np.ndarray, p1_grid,
     with `dispatch`.
 
     A prior outside (0, 1) raises ValueError before anything is solved.
-    The prior only weights the two states, so their supports, kernels,
-    detector spaces and reduction projectors are computed once, on the
-    `JordanSplit` of the pair at p1 = 0.5, and so is its reduction.  Each
-    prior's pair, the one `WeightedDensityPair.from_states(rho1, rho2, p1)`
-    builds, is that pair reweighted by (2 p1, 2 (1 - p1)).  Where that
-    split's rank decisions provably hold at the prior, and scaling
-    provably keeps the states passing their tests, the prior is one row
-    of a stack (`model._sweep_pairs`).
+    The prior only weights the two states, and the pair that
+    `WeightedDensityPair.from_states(rho1, rho2, p1)` builds holds the
+    states' split at every prior: their supports, kernels, detector spaces
+    and reduction projectors.  So the states are tested and split once, in
+    the pair at p1 = 0.5, and so is its reduction, and a state that fails
+    a test raises before anything is solved.  Each prior's pair is that
+    pair reweighted by (2 p1, 2 (1 - p1)); every prior whose pair passes
+    its total-trace test is one row of a stack (`_stacked_answers`).
 
     Where the reduced pair at 0.5 is not empty, the stack is solved as
     `dispatch` solves one core (`solver4d._solve_rows`): single state
@@ -270,18 +270,19 @@ def sweep(rho1: np.ndarray, rho2: np.ndarray, p1_grid,
     boundary takes that family's answer.  Every other prior runs a fresh
     `dispatch` on `from_states(rho1, rho2, p1)`: priors on a class
     boundary, priors where the check refuses every family (the oracle's),
-    priors with both rank-(1,1) cross elements zero, priors whose rank
-    decisions or state tests scaling does not prove, and every prior of
-    an empty core.  So every row is the answer `dispatch` gives on the
-    pair built afresh, up to rounding on stacked rows and exactly on the
-    others.  A row keeps no measurement, so no certificate is built.
+    priors with both rank-(1,1) cross elements zero, priors whose pair
+    fails its total-trace test (`from_states` raises there), and every
+    prior of an empty core.  So every row is the answer `dispatch` gives
+    on the pair built afresh, up to rounding on stacked rows and exactly
+    on the others.  A row keeps no measurement, so no certificate is
+    built.
     """
     grid = [float(p1) for p1 in p1_grid]
     if not all(0.0 < p1 < 1.0 for p1 in grid):
         raise ValueError("p1 must lie strictly between 0 and 1")
-    base, stacked = _sweep_pairs(rho1, rho2, tol)
+    base = WeightedDensityPair.from_states(rho1, rho2, 0.5, tol)
     bounds = _bounds(base)
-    answers = _stacked_answers(base, stacked, np.array(grid))
+    answers = _stacked_answers(base, rho1, rho2, np.array(grid))
     rows = []
     for p1, answer in zip(grid, answers):
         if answer is None:
@@ -294,19 +295,26 @@ def sweep(rho1: np.ndarray, rho2: np.ndarray, p1_grid,
     return rows
 
 
-def _stacked_answers(base: WeightedDensityPair, stacked, grid: np.ndarray):
+def _stacked_answers(base: WeightedDensityPair, rho1: np.ndarray,
+                     rho2: np.ndarray, grid: np.ndarray):
     """(success, class tag, branch) of each prior of the grid that `sweep`
-    solves as one stack; None for every other prior.  base is the pair at
-    p1 = 0.5 and stacked the states of the grid's pairs
-    (`model._sweep_pairs`).  Every non-empty core stacks its closed forms,
-    a (4;2,2) core its candidate classes too (`solver4d._solve_rows`)."""
+    solves as one stack; None for every other prior.  base is the pair of
+    the states rho1, rho2 at p1 = 0.5, whose split every prior's pair
+    holds.  The rows are the priors whose pairs pass the total-trace
+    test, with the states (p1 rho1, (1 - p1) rho2) stacked as (n, d, d)
+    exactly as `WeightedDensityPair.from_states` builds them.  Every
+    non-empty core stacks its closed forms, a (4;2,2) core its candidate
+    classes too (`solver4d._solve_rows`)."""
     answers = [None] * len(grid)
     record = base.reduction
     core = record.reduced_pair
     if core.collective_support().size == 0:
         return answers
-    shared, gamma1, gamma2 = stacked(grid)
-    priors = np.flatnonzero(shared)
+    w = grid[:, None, None]
+    gamma1 = hermitian_part(w * np.asarray(rho1, dtype=complex))
+    gamma2 = hermitian_part((1.0 - w) * np.asarray(rho2, dtype=complex))
+    total = np.real(np.trace(gamma1 + gamma2, axis1=1, axis2=2))
+    priors = np.flatnonzero(total <= 1.0 + base.tol.equality)
     gamma1, gamma2 = gamma1[priors], gamma2[priors]
     core1, core2 = gamma1, gamma2
     if core is not base:  # the reduced pairs, as `reduce_fully` builds them

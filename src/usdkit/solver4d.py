@@ -792,8 +792,9 @@ def _solve_rows(core: WeightedDensityPair, c1: np.ndarray, c2: np.ndarray,
 
     Row i is the pair (gamma1[i], gamma2[i]), states (n, d, d), that
     reweights the non-empty strictly skew pair `core`, of k = n_skew Jordan
-    pairs, by (c1[i], c2[i]) on its split, whose rank decisions the row's
-    own pair would take too (`model._sweep_pairs`).  Single state
+    pairs, by (c1[i], c2[i]) on its split, which the row's own pair holds
+    too: a pair of two states holds their split at every prior
+    (`WeightedDensityPair.from_states`).  Single state
     detection and the fidelity form run on any core; on a (4;2,2) core
     class-12 with either host and class-11 follow, in `solve_4d`'s order.
     Each family runs once, over the rows no family before it settled, with

@@ -172,30 +172,6 @@ def test_rank_margin_is_the_smallest_kept_value_over_the_cutoff():
     assert la.rank_margin(np.zeros(2)) == np.inf
 
 
-def test_passing_weight_limit_bounds_the_weights_that_pass(rng):
-    # a Hermitian operator with a negative eigenvalue near the PSD floor,
-    # and the anti-Hermitian part near the hermiticity bound: below its
-    # limit the test passes at every weight, and it fails just past the
-    # weight where deviation reaches the bound
-    u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
-    for low in (-0.4e-10, -1.5e-10, -3e-10):
-        a = (u * np.array([low, 0.0, 0.3, 0.7 - low])) @ dag(u)
-        limit = la.passing_weight_limit(-low, 0.7 - low, TOL.psd_floor, 4)
-        assert (limit == np.inf) == (-low < TOL.psd_floor * 0.7)
-        for c in np.linspace(0.01, 1.99, 199):
-            if c <= limit:
-                assert la.is_psd(c * a, TOL), (low, c)
-        if limit < np.inf:
-            assert limit < 1e-10 / -low
-            assert not la.is_psd(1.01 * TOL.psd_floor / -low * a, TOL)
-        skew = 1.5e-10 * (u - dag(u)) / np.abs(u - dag(u)).max()
-        b = (u * np.array([0.1, 0.2, 0.3, 0.4])) @ dag(u) + skew
-        limit = la.passing_weight_limit(
-            np.abs(b - dag(b)).max(), np.abs(b).max(), TOL.hermitian, 4)
-        for c in np.linspace(0.01, 1.99, 199):
-            assert la.is_hermitian(c * b, TOL) or c > limit, c
-
-
 def test_pseudo_inverse_cases():
     a = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
     np.testing.assert_allclose(la.pseudo_inverse(a), np.linalg.inv(a), atol=1e-12)

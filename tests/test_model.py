@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from usdkit import (DEFAULT_TOL, InvalidInconclusive, NotPSD, UsdMeasurement,
+from usdkit import (InvalidInconclusive, NotPSD, UsdMeasurement,
                     WeightedDensityPair, dispatch, is_proper, is_usd,
                     reduce_fully, success_probability)
 from usdkit import linalg as la
 from usdkit import pipeline
 from usdkit.linalg import dag
-from usdkit.model import (_sweep_pairs, complete_measurement,
-                          failure_probability,
+from usdkit.model import (complete_measurement, failure_probability,
                           projective_kernel_decomposition,
                           reconstruct_from_core, validate_inconclusive)
 from usdkit.oracle import random_feasible_inconclusive
@@ -44,41 +43,57 @@ def test_pair_subnormalized_accepted():
 
 
 def test_sweep_stacks_a_prior_only_where_rank_decisions_hold(monkeypatch):
-    # rho1 carries an eigenvalue of 5e-8: far above the relative cutoff, so
-    # it is support at any weight that keeps it above rank_atol = 1e-12.
-    # At p1 = 0.3 the prior shares the split of the pair at p1 = 0.5; at
-    # p1 = 5e-6 (weight c1 = 1e-5) the eigenvalue drops below rank_atol,
-    # and the prior is left to a pair built afresh
+    # rho1 carries an eigenvalue of 5e-8: far above the state's relative
+    # cutoff, so it is support of the state.  The rank decisions are the
+    # states', so it stays support of the pair at every prior, also at
+    # p1 = 5e-6, where its weight puts it below rank_atol = 1e-12, and both
+    # priors hold the split of the pair at p1 = 0.5 and stack on it
     rho1, rho2 = example1_states()
     rho1 = rho1 + np.diag([0.0, 0.0, 5e-8, 0.0])
     rho1 = rho1 / np.trace(rho1).real
-    base, stacked = _sweep_pairs(rho1, rho2, DEFAULT_TOL)
     p1s = np.array([0.3, 5e-6])
-    shared, gamma1, gamma2 = stacked(p1s)
-    assert shared.tolist() == [True, False]
+    base = WeightedDensityPair.from_states(rho1, rho2, 0.5)
     fresh = [WeightedDensityPair.from_states(rho1, rho2, p1) for p1 in p1s]
-    # the eigenvalue is support at p1 = 0.3 and kernel at p1 = 5e-6
-    assert [pair.supports[0].size for pair in fresh] == [3, 2]
-    for pair, g1, g2 in zip(fresh, gamma1, gamma2):
-        np.testing.assert_array_equal(g1, pair.gamma1)
-        np.testing.assert_array_equal(g2, pair.gamma2)
-    # the shared prior holds base's rank decisions and reduction, reweighted
-    assert [s.size for s in base.supports] == \
-        [s.size for s in fresh[0].supports]
-    record, fresh_record = reduce_fully(base), reduce_fully(fresh[0])
-    assert [s.size for s in record.reduced_pair.supports] == \
-        [s.size for s in fresh_record.reduced_pair.supports]
-    offset = float(np.real(np.trace(
-        (record.sigma1 + record.sigma2) @ (gamma1[0] + gamma2[0]))))
-    assert offset == pytest.approx(fresh_record.lifted_offset, abs=1e-15)
-    # the sweep stacks the shared prior and dispatches the other afresh
-    dispatched = []
-    real = pipeline.dispatch
+    assert [pair.supports[0].size for pair in fresh] == [3, 3]
+    record = reduce_fully(base)
+    for pair in fresh:
+        assert [s.size for s in base.supports] == \
+            [s.size for s in pair.supports]
+        assert [s.size for s in record.reduced_pair.supports] == \
+            [s.size for s in reduce_fully(pair).reduced_pair.supports]
+    # both priors are rows of the stack, on the states of the fresh pairs
+    # and of their reduced pairs bit for bit, lifted by base's reduction.
+    # The stack answers p1 = 0.3 and leaves p1 = 5e-6 to dispatch, since
+    # its answer sits on a class boundary: its tiny PSD block is marginal
+    rows_in, answered, dispatched = [], [], []
+    real_rows, real_success = pipeline._solve_rows, pipeline._success
+    real_dispatch = pipeline.dispatch
+    monkeypatch.setattr(pipeline, "_solve_rows", lambda core, c1, c2, *states:
+                        rows_in.append((c1, states))
+                        or real_rows(core, c1, c2, *states))
+    monkeypatch.setattr(pipeline, "_success", lambda m, gamma1, gamma2:
+                        answered.extend(zip(gamma1, gamma2))
+                        or real_success(m, gamma1, gamma2))
     monkeypatch.setattr(pipeline, "dispatch", lambda pair, **kwargs:
-                        dispatched.append(pair) or real(pair, **kwargs))
+                        dispatched.append(pair)
+                        or real_dispatch(pair, **kwargs))
     rows = pipeline.sweep(rho1, rho2, p1s)
-    assert len(dispatched) == 1
-    assert dispatched[0].supports[0].size == 2
+    [(c1, (core1, core2))] = rows_in
+    np.testing.assert_array_equal(c1, 2.0 * p1s)
+    for g1, g2, pair in zip(core1, core2, fresh):
+        reduced = reduce_fully(pair).reduced_pair
+        np.testing.assert_array_equal(g1, reduced.gamma1)
+        np.testing.assert_array_equal(g2, reduced.gamma2)
+    [(g1, g2)] = answered
+    np.testing.assert_array_equal(g1, fresh[0].gamma1)
+    np.testing.assert_array_equal(g2, fresh[0].gamma2)
+    offset = float(np.real(np.trace(
+        (record.sigma1 + record.sigma2) @ (g1 + g2))))
+    assert offset == pytest.approx(reduce_fully(fresh[0]).lifted_offset,
+                                   abs=1e-15)
+    [left] = dispatched
+    np.testing.assert_array_equal(left.gamma1, fresh[1].gamma1)
+    assert dispatch(fresh[1], with_certificate=False).boundary
     for row, pair in zip(rows, fresh):
         assert row.success_probability == pytest.approx(
             dispatch(pair, with_certificate=False).success, abs=1e-12)

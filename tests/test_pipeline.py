@@ -319,7 +319,7 @@ _NOTHING_REMOVED = pytest.mark.xfail(
 
 # (ortho, par) -> {prior: why the case fails}
 _CLASHING_PRIORS = {
-    (1e-9, 1e-9): {p1: _NOTHING_REMOVED for p1 in (0.2, 0.5, 0.8)},
+    (1e-9, 1e-9): {p1: _NOTHING_REMOVED for p1 in (0.2, 0.4, 0.5, 0.8)},
 }
 _NEAR_CUTOFF_OFFSETS = [(o, p) for o in (1e-11, 1e-10, 1e-9)
                         for p in (1e-11, 1e-10, 1e-9)] + [
@@ -347,14 +347,15 @@ def test_near_cutoff_reductions_report_a_fresh_check(ortho, par, p1):
     pytest.param(0.2, marks=pytest.mark.xfail(
         strict=True, raises=AssertionError, reason=(
             "the splitting stalls on the near-parallel Jordan pair "
-            "(1 - c = 1.0000000827e-9): the gap stays at 5e-10 up to "
+            "(1 - c = 1.0000003048e-9): the gap stays at 5e-10 up to "
             "20 000 evaluations, and at the 2000-evaluation cap the check "
             "on the pair refuses the point (residual_a2 -1.26e-10 against "
             "the floor of -1e-10)"))),
-    0.5, 0.8])
+    0.4, 0.5, 0.8])
 def test_strictly_skew_near_cutoff_pairs_are_certified_by_the_oracle(p1):
-    # the three _NOTHING_REMOVED cases: both cosines lie just past their
-    # cutoffs, so the whole 8-dim pair is the core and reaches the oracle.
+    # the four _NOTHING_REMOVED cases: both cosines of the states' split lie
+    # just past their cutoffs, at every prior, so the whole 8-dim pair is
+    # the core and reaches the oracle.
     # Its measurement is built on the detector spaces, whose near-parallel
     # pair is 1e-9 from the cutoff, with no completion, and it is certified
     # on the pair itself
@@ -695,8 +696,8 @@ def _sweep_states(family):
         return degenerate_host_states()
     if family == "pure":
         return generic_pair(np.random.default_rng(0), 2, 1, 1)
-    if family == "skew6":
-        problem = load_problem(DATA / "skew6.json")
+    if family in ("skew6", "near_cutoff4"):
+        problem = load_problem(DATA / f"{family}.json")
         return problem.rho1, problem.rho2
     d, r1, r2 = (int(n) for n in family.replace(";", ",").split(","))
     return generic_pair(np.random.default_rng([d, r1, r2]), d, r1, r2)
@@ -763,8 +764,8 @@ def _outcome(solve):
 
 @pytest.mark.parametrize("tail", [1e-9, 1e-10, 3e-11, 1e-11, 1e-12])
 def test_sweep_matches_fresh_dispatch_near_rank_cutoff(tail, monkeypatch):
-    # (4;2,2) states whose kernels carry eigenvalues near the rank cutoffs:
-    # the relative one, and rank_atol at the ends of the grid.  The two
+    # (4;2,2) states whose kernels carry eigenvalues near the rank cutoffs,
+    # the relative one and rank_atol, which apply to the states.  The two
     # paths must agree, or fail alike, up to the hand-off to the oracle.
     # A prior the stack leaves runs dispatch on the pair built afresh, so
     # past the hand-off the two are one call; on these pairs the oracle
@@ -788,10 +789,10 @@ def test_sweep_matches_fresh_dispatch_near_rank_cutoff(tail, monkeypatch):
 
 
 def test_sweep_matches_fresh_dispatch_across_the_near_cutoff4_grid():
-    # the split of the pair at p1 = 0.5 holds for none of this grid's
-    # priors, so each runs a fresh dispatch; the rows cross single state
-    # detection, class-12 and class-11, none reaches the oracle, and every
-    # row is the answer of a fresh dispatch
+    # the states' kernel eigenvalues lie between rank_atol and the relative
+    # rank cutoff, and every prior holds the states' split; the rows cross
+    # single state detection, class-12 and class-11, none reaches the
+    # oracle, and every row is the answer of a fresh dispatch
     problem = load_problem(DATA / "near_cutoff4.json")
     rows = sweep(problem.rho1, problem.rho2, GRID)
     assert {r.branch for r in rows} == {"single-state-detection", "class-12",
@@ -834,7 +835,10 @@ def test_sweep_dispatches_only_the_priors_the_stack_leaves(monkeypatch):
     # prior holds, dispatch runs at most for the priors whose fresh answer
     # sits on a class boundary: none of example1's and one of examples2's.
     # Every other non-empty core stacks its closed forms: the pure pairs'
-    # priors dispatch none, and skew6's only those the oracle answers
+    # priors dispatch none, and skew6's only those the oracle answers.
+    # near_cutoff4's states carry kernel eigenvalues between rank_atol and
+    # the relative rank cutoff; every prior holds their split, and the
+    # stack answers all of them
     real = pipeline.dispatch
     calls = []
     monkeypatch.setattr(pipeline, "dispatch", lambda *args, **kwargs:
@@ -848,7 +852,7 @@ def test_sweep_dispatches_only_the_priors_the_stack_leaves(monkeypatch):
                       with_certificate=False) for p1 in GRID]
         assert sum(f.boundary for f in fresh) == on_boundary, family
         assert len(calls) <= on_boundary, family
-    for family in ("peres", "pure", "3;1,2"):
+    for family in ("peres", "pure", "3;1,2", "near_cutoff4"):
         calls.clear()
         sweep(*_sweep_states(family), GRID)
         assert calls == [], family
@@ -946,32 +950,36 @@ def test_stacked_rows_hold_the_check_of_their_pair(family, monkeypatch):
 
 
 def test_sweep_tests_the_states_once(monkeypatch):
-    # a state at -0.4e-10 passes the PSD test at every weight up to 1, so
-    # no prior tests it again: the only tests are the pair's at p1 = 0.5
+    # a state at -0.4e-10 passes the PSD test: the only tests are the two
+    # on the states, which every prior's pair holds
     rho1, rho2 = example1_states()
     rho1 = with_eigenvalue_tails(rho1, [-0.4e-10, 0.0])
-    base = WeightedDensityPair.from_states(rho1, rho2, 0.5)
     tested = []
     is_psd = la.is_psd
     monkeypatch.setattr(la, "is_psd",
                         lambda a, tol: tested.append(a) or is_psd(a, tol))
     assert len(sweep(rho1, rho2, GRID)) == len(GRID)
     assert len(tested) == 2
-    for a, b in zip(tested, (base.gamma1, base.gamma2)):
-        np.testing.assert_array_equal(a, b)
+    for a, b in zip(tested, (rho1, rho2)):
+        np.testing.assert_array_equal(a, la.hermitian_part(b))
 
 
-def test_sweep_tests_a_state_where_scaling_proves_nothing():
-    # at -1.5e-10 the state fails the PSD test from p1 = 0.67 on, where
-    # p1 * 1.5e-10 exceeds the 1e-10 floor, as a pair built afresh does
+def test_sweep_tests_a_state_where_scaling_proves_nothing(monkeypatch):
+    # at -1.5e-10 the state fails the PSD test, below the 1e-10 floor: a
+    # state that fails, fails at every prior, and the sweep raises before
+    # it solves anything
     rho1, rho2 = example1_states()
     rho1 = with_eigenvalue_tails(rho1, [-1.5e-10, 0.0])
-    WeightedDensityPair.from_states(rho1, rho2, 0.66)
+    for p1 in (0.01, 0.66):
+        with pytest.raises(NotPSD):
+            WeightedDensityPair.from_states(rho1, rho2, p1)
+    solved = []
+    for name in ("dispatch", "_solve_rows"):
+        monkeypatch.setattr(pipeline, name, lambda *args, **kwargs:
+                            solved.append(args))
     with pytest.raises(NotPSD):
-        WeightedDensityPair.from_states(rho1, rho2, 0.67)
-    assert len(sweep(rho1, rho2, GRID[:66])) == 66
-    with pytest.raises(NotPSD):
-        sweep(rho1, rho2, GRID)
+        sweep(rho1, rho2, GRID[:66])
+    assert solved == []
 
 
 @pytest.mark.parametrize("grid", [[0.5, 1.0], [0.0], [0.3, -0.2]])

@@ -112,3 +112,19 @@ def test_every_name_the_benchmark_tracer_patches_resolves():
     assert callable(oracle.FeasibleSet.project)
     assert "iterations" in {f.name
                             for f in dataclasses.fields(oracle.OracleResult)}
+
+
+def test_every_submodule_all_resolves_without_repeats():
+    # a name deleted from a module must leave its __all__ too, or
+    # `from usdkit.<module> import *` raises
+    import importlib
+
+    modules = [path.stem for path in sorted(SRC.glob("*.py"))
+               if path.stem not in ("__init__", "__main__")]
+    assert "linalg" in modules
+    for stem in modules:
+        module = importlib.import_module(f"usdkit.{stem}")
+        names = getattr(module, "__all__", [])
+        assert len(names) == len(set(names)), stem
+        missing = [n for n in names if not hasattr(module, n)]
+        assert not missing, (stem, missing)
