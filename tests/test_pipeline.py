@@ -311,25 +311,20 @@ def _near_cutoff_states(ortho, par):
     return q @ rho1 @ dag(q), q @ rho2 @ dag(q)
 
 
-_NOTHING_REMOVED = pytest.mark.xfail(
-    strict=True, raises=AssertionError, reason=(
-        "both cosines land just past their cutoffs (1 - c and c are about "
-        "1.0000001e-9 to 1.0000004e-9), so the pair is strictly skew, the "
-        "reduction removes nothing and the premise of the test fails"))
-
-# (ortho, par) -> {prior: why the case fails}
-_CLASHING_PRIORS = {
-    (1e-9, 1e-9): {p1: _NOTHING_REMOVED for p1 in (0.2, 0.4, 0.5, 0.8)},
-}
+# (1e-9, 1e-9) is left out: both cosines of the states' split land just
+# past their cutoffs (1 - c and c are about 1.0000001e-9 to 1.0000004e-9)
+# at every prior, so the reduction removes nothing there;
+# test_strictly_skew_near_cutoff_pairs_are_certified_by_the_oracle takes
+# those pairs instead
 _NEAR_CUTOFF_OFFSETS = [(o, p) for o in (1e-11, 1e-10, 1e-9)
-                        for p in (1e-11, 1e-10, 1e-9)] + [
+                        for p in (1e-11, 1e-10, 1e-9)
+                        if (o, p) != (1e-9, 1e-9)] + [
     (3e-11, 3e-11), (2e-10, 2e-10), (8e-10, 8e-10)]
 _NEAR_CUTOFF_ORACLE = OracleConfig(restarts=1, max_iters=2000)
 
 
 @pytest.mark.parametrize("ortho, par, p1", [
-    pytest.param(ortho, par, p1,
-                 marks=_CLASHING_PRIORS.get((ortho, par), {}).get(p1, ()))
+    (ortho, par, p1)
     for ortho, par in _NEAR_CUTOFF_OFFSETS for p1 in (0.2, 0.4, 0.5, 0.8)])
 def test_near_cutoff_reductions_report_a_fresh_check(ortho, par, p1):
     # the reduction removes both near-cutoff directions; the returned
@@ -353,9 +348,9 @@ def test_near_cutoff_reductions_report_a_fresh_check(ortho, par, p1):
             "the floor of -1e-10)"))),
     0.4, 0.5, 0.8])
 def test_strictly_skew_near_cutoff_pairs_are_certified_by_the_oracle(p1):
-    # the four _NOTHING_REMOVED cases: both cosines of the states' split lie
-    # just past their cutoffs, at every prior, so the whole 8-dim pair is
-    # the core and reaches the oracle.
+    # the (1e-9, 1e-9) states: both cosines of the states' split lie just
+    # past their cutoffs, at every prior, so the whole 8-dim pair is the
+    # core and reaches the oracle.
     # Its measurement is built on the detector spaces, whose near-parallel
     # pair is 1e-9 from the cutoff, with no completion, and it is certified
     # on the pair itself
