@@ -2,9 +2,10 @@
 
 The dispatcher follows the standard playbook: reduce the pair to its
 strictly skew core, try the closed-form families, use the complete
-four-dimensional solver when the core supports it, and otherwise fall
-back to the numerical oracle (flagged as best-known unless the
-operational checker happens to certify the point).  Sweeps evaluate the
+four-dimensional solver when the core supports it, and otherwise solve
+the core's k x k convex program (`program`); only where the checker
+refuses that answer does it fall back to the numerical oracle (flagged as
+best-known unless the checker certifies its point).  Sweeps evaluate the
 dispatcher over a prior grid and report class labels together with the
 single-state-detection lower bounds and the convexity ("bound triangle")
 upper bound.
@@ -24,6 +25,7 @@ from .model import (MeasurementClassTag, UsdMeasurement, WeightedDensityPair,
 from .optimality import (OptimalityReport, SolverOutcome, build_certificate,
                          check_optimality, classify)
 from .oracle import OracleConfig, _extend, oracle_optimize
+from .program import _solve_program
 from .reductions import ReductionRecord, lift_measurement, reduce_fully
 from .solver4d import _FAMILIES, _first_closed_form, _solve_rows, solve_4d
 from .tolerances import DEFAULT_TOL, ToleranceContext
@@ -79,6 +81,11 @@ def _lifted_report(report: OptimalityReport, m: UsdMeasurement,
 def _oracle_fallback(record: ReductionRecord, pair: WeightedDensityPair,
                      oracle_cfg: OracleConfig | None,
                      notes: tuple[str, ...]) -> SolverOutcome:
+    """The oracle's answer on the reduced pair, lifted, for a core that
+    neither a family nor the k x k program answers (`_solve_program`
+    returned None): certified (`BRANCH_ORACLE_CERTIFIED`) when the checker
+    accepts its point, else best known (`BRANCH_ORACLE`), and never with a
+    certificate."""
     cfg = oracle_cfg if oracle_cfg is not None else OracleConfig(restarts=3)
     core = record.reduced_pair
     # The optimum is unique and the checker's conditions are necessary and
@@ -120,25 +127,30 @@ def dispatch(pair: WeightedDensityPair,
 
     Reduces first.  A core that is 4-dim with two rank-2 states goes to the
     four-dimensional solver, which tries the closed forms itself; any
-    other core gets the closed forms.  The oracle is the last resort: it
-    runs one restart on the reduced pair, and the `oracle_cfg` restarts
-    (3 when none is given) only when the checker refuses that point or the
-    first run raises.  The outcome's class tag always refers to the
-    strictly skew core measurement; the measurement itself and the
-    optimality report refer to the original pair.
+    other core gets the closed forms.  A core no family answers (the
+    four-dimensional solver finds none or raises) gets its k x k convex
+    program (`program._solve_program`), branch "convex-program", checked
+    like a family's answer.  The oracle is the last resort, where the
+    check refuses the program's answer, its Newton solve runs out its
+    steps or meets a singular matrix: it runs one restart on the reduced
+    pair, and the `oracle_cfg` restarts (3 when none is given) only when
+    the checker refuses that point or the first run raises.  The outcome's
+    class tag always refers to the strictly skew core measurement; the
+    measurement itself and the optimality report refer to the original
+    pair.
 
     Each answer is checked once, where it is accepted: on the reduced pair,
-    in the caller's space, by the family (`optimality.accepted_outcome`) or
-    by the oracle's gate; `dispatch` makes no other copy of the pair.  That
-    check is the returned report; it equals the check of the lifted
-    measurement on the pair passed in, because the residuals do not change
-    under the lift (`OptimalityReport`), and the reduced pair is strictly
-    skew by construction (`reduce_fully`).  An answer is checked again on the pair
-    only when the record's `boundary_warnings` put a Jordan cosine within
-    10x of a reduction cutoff.  At most one certificate is built, on the
-    reduced pair in the caller's space, only with `with_certificate`, and
-    it takes the returned report instead of checking again; `solve_4d`
-    itself returns none.
+    in the caller's space, by the family or the program
+    (`optimality.accepted_outcome`) or by the oracle's gate; `dispatch`
+    makes no other copy of the pair.  That check is the returned report; it
+    equals the check of the lifted measurement on the pair passed in,
+    because the residuals do not change under the lift (`OptimalityReport`),
+    and the reduced pair is strictly skew by construction (`reduce_fully`).
+    An answer is checked again on the pair only when the record's
+    `boundary_warnings` put a Jordan cosine within 10x of a reduction
+    cutoff.  At most one certificate is built, on the reduced pair in the
+    caller's space, only with `with_certificate`, and it takes the returned
+    report instead of checking again; `solve_4d` itself returns none.
     `BLOCK_STRUCTURE_NOTE` is among the warnings when the core's
     collective support is larger than four dimensions.
     """
@@ -159,6 +171,8 @@ def dispatch(pair: WeightedDensityPair,
             notes = notes + (f"four-dimensional solver failed: {exc}",)
     else:
         core_outcome = _first_closed_form(core)
+    if core_outcome is None:
+        core_outcome = _solve_program(core)
     if core_outcome is None:
         return _oracle_fallback(record, pair, oracle_cfg, notes)
 
@@ -269,7 +283,8 @@ def sweep(rho1: np.ndarray, rho2: np.ndarray, p1_grid,
     one stacked check; a row whose first passing family is off a class
     boundary takes that family's answer.  Every other prior runs a fresh
     `dispatch` on `from_states(rho1, rho2, p1)`: priors on a class
-    boundary, priors where the check refuses every family (the oracle's),
+    boundary, priors where the check refuses every family (the k x k
+    program's, or the oracle's where the check refuses that too),
     priors with both rank-(1,1) cross elements zero, priors whose pair
     fails its total-trace test (`from_states` raises there), and every
     prior of an empty core.  So every row is the answer `dispatch` gives

@@ -341,24 +341,28 @@ def test_near_cutoff_reductions_report_a_fresh_check(ortho, par, p1):
 @pytest.mark.parametrize("p1", [
     pytest.param(0.2, marks=pytest.mark.xfail(
         strict=True, raises=AssertionError, reason=(
-            "the splitting stalls on the near-parallel Jordan pair "
-            "(1 - c = 1.0000003048e-9): the gap stays at 5e-10 up to "
-            "20 000 evaluations, and at the 2000-evaluation cap the check "
-            "on the pair refuses the point (residual_a2 -1.26e-10 against "
-            "the floor of -1e-10)"))),
+            "the k x k program stalls far from the optimum (the check "
+            "refuses its point, residual_b 1.5e-3), and the splitting "
+            "stalls on the near-parallel Jordan pair (1 - c = "
+            "1.0000003048e-9): the gap stays at 5e-10 up to 20 000 "
+            "evaluations, and at the 2000-evaluation cap the check on the "
+            "pair refuses the point (residual_a2 -1.26e-10 against the "
+            "floor of -1e-10)"))),
     0.4, 0.5, 0.8])
 def test_strictly_skew_near_cutoff_pairs_are_certified_by_the_oracle(p1):
     # the (1e-9, 1e-9) states: both cosines of the states' split lie just
     # past their cutoffs, at every prior, so the whole 8-dim pair is the
-    # core and reaches the oracle.
-    # Its measurement is built on the detector spaces, whose near-parallel
-    # pair is 1e-9 from the cutoff, with no completion, and it is certified
-    # on the pair itself
+    # core and reaches the k x k program, and the oracle where the check
+    # refuses the program's point (at 0.2, 0.4 and 0.8).
+    # Either measurement is built on the Jordan or detector bases, whose
+    # near-parallel pair is 1e-9 from the cutoff, with no completion, and
+    # it is certified on the pair itself
     rho1, rho2 = _near_cutoff_states(1e-9, 1e-9)
     pair = WeightedDensityPair.from_states(rho1, rho2, p1)
     assert pair.strictly_skew and reduce_fully(pair).reduced_pair is pair
     outcome = dispatch(pair, oracle_cfg=_NEAR_CUTOFF_ORACLE)
-    assert outcome.branch == "oracle-checker" and outcome.optimal
+    assert outcome.branch in ("oracle-checker", "convex-program")
+    assert outcome.optimal
     _assert_report_is_a_fresh_check(outcome, pair)
 
 
@@ -491,8 +495,9 @@ def test_dispatch_reports_block_structure_gap():
 
 
 def test_dispatch_oracle_fallback_six_dim_skew(rng):
-    # strictly skew rank-3 pair: no analytic family covers it, the oracle
-    # fallback (with the checker certifying) takes over
+    # strictly skew rank-3 pair: no analytic family covers it, the k x k
+    # program or the oracle fallback (with the checker certifying) takes
+    # over
     from util import random_density
 
     while True:
@@ -502,8 +507,9 @@ def test_dispatch_oracle_fallback_six_dim_skew(rng):
         if pair.strictly_skew:
             break
     outcome = dispatch(pair)
-    assert outcome.branch in ("oracle-checker", "oracle-best-known",
-                              "single-state-detection", "fidelity-form")
+    assert outcome.branch in ("convex-program", "oracle-checker",
+                              "oracle-best-known", "single-state-detection",
+                              "fidelity-form")
     if outcome.branch.startswith("oracle"):
         assert outcome.report is not None
         # oracle fallback on a generic instance still verifies
@@ -517,6 +523,12 @@ def _c7_pair(rng):
     rho1 = random_density(rng, 7, 3)
     rho2 = random_density(rng, 7, 3)
     return WeightedDensityPair.from_states(rho1, rho2, 0.45)
+
+
+def _refuse_program(monkeypatch):
+    """Make the k x k program refuse every core, so that dispatch reaches
+    the oracle."""
+    monkeypatch.setattr(pipeline, "_solve_program", lambda core: None)
 
 
 def _spy_oracle(monkeypatch):
@@ -572,11 +584,13 @@ def _not_converged(monkeypatch):
 
 
 def test_oracle_fallback_runs_on_the_reduced_pair(rng, monkeypatch):
-    # a rank-(3,3) pair in C^7 is strictly skew with a common kernel: the
-    # oracle runs once, one restart, on the pair itself, and dispatch builds
-    # no other pair.  The answer matches a three-restart run
+    # a rank-(3,3) pair in C^7 is strictly skew with a common kernel; with
+    # the k x k program refusing it, the oracle runs once, one restart, on
+    # the pair itself, and dispatch builds no other pair.  The answer
+    # matches a three-restart run
     pair = _c7_pair(rng)
     assert pair.strictly_skew and pair.common_kernel().size == 1
+    _refuse_program(monkeypatch)
     real = pipeline.oracle_optimize
     problems = []
 
@@ -601,13 +615,15 @@ def test_oracle_fallback_runs_on_the_reduced_pair(rng, monkeypatch):
 @pytest.mark.parametrize("first_run", [_refuse, _not_converged])
 def test_oracle_fallback_runs_the_configured_restarts_on_refusal(
         first_run, rng, monkeypatch):
-    # a first point the checker refuses, or a first run that raises, sends
-    # dispatch to the default three restarts, whose answer it returns.  A
-    # refused restart 0 is kept, so only restarts 1 and 2 run again; a
-    # first run that raises leaves nothing to keep
+    # with the k x k program refusing the pair, a first point the checker
+    # refuses, or a first run that raises, sends dispatch to the default
+    # three restarts, whose answer it returns.  A refused restart 0 is
+    # kept, so only restarts 1 and 2 run again; a first run that raises
+    # leaves nothing to keep
     from usdkit.oracle import oracle_optimize
 
     pair = _c7_pair(rng)
+    _refuse_program(monkeypatch)
     calls = _spy_oracle(monkeypatch)
     first_run(monkeypatch)
     splittings = _spy_objective_splittings(monkeypatch)
@@ -623,6 +639,7 @@ def test_oracle_fallback_runs_the_configured_restarts_on_refusal(
 
 def test_oracle_fallback_with_one_restart_runs_once(rng, monkeypatch):
     pair = _c7_pair(rng)
+    _refuse_program(monkeypatch)
     calls = _spy_oracle(monkeypatch)
     _refuse(monkeypatch)
     splittings = _spy_objective_splittings(monkeypatch)
@@ -719,8 +736,9 @@ def test_sweep_matches_fresh_dispatch(family):
                          with_certificate=False)
         assert_same_answer(row, fresh)
     if family == "skew6":
-        # the (6;3,3) pair reaches the oracle at every prior but p1 = 0.9
-        assert [r.branch for r in rows] == ["oracle-checker"] * 8 + [
+        # the (6;3,3) pair reaches the k x k program at every prior but
+        # p1 = 0.9
+        assert [r.branch for r in rows] == ["convex-program"] * 8 + [
             "single-state-detection"]
 
 
@@ -830,7 +848,8 @@ def test_sweep_dispatches_only_the_priors_the_stack_leaves(monkeypatch):
     # prior holds, dispatch runs at most for the priors whose fresh answer
     # sits on a class boundary: none of example1's and one of examples2's.
     # Every other non-empty core stacks its closed forms: the pure pairs'
-    # priors dispatch none, and skew6's only those the oracle answers.
+    # priors dispatch none, and skew6's only those the k x k program
+    # answers.
     # near_cutoff4's states carry kernel eigenvalues between rank_atol and
     # the relative rank cutoff; every prior holds their split, and the
     # stack answers all of them
@@ -855,19 +874,19 @@ def test_sweep_dispatches_only_the_priors_the_stack_leaves(monkeypatch):
     rho1, rho2 = _sweep_states("skew6")
     grid = np.linspace(0.1, 0.9, 9)
     sweep(rho1, rho2, grid)
-    oracle_priors = [p1 for p1 in grid if real(
+    program_priors = [p1 for p1 in grid if real(
         WeightedDensityPair.from_states(rho1, rho2, p1),
-        with_certificate=False).branch.startswith("oracle")]
-    assert len(oracle_priors) == 8
+        with_certificate=False).branch == "convex-program"]
+    assert len(program_priors) == 8
     np.testing.assert_allclose([np.trace(g).real for g in calls],
-                               oracle_priors, rtol=1e-12)
+                               program_priors, rtol=1e-12)
 
 
 @pytest.mark.parametrize("family", ["skew6", "examples2"])
 def test_dispatched_sweep_rows_are_the_fresh_answer_bit_for_bit(
         family, monkeypatch):
     # a prior the stack leaves runs dispatch on the pair from_states builds
-    # at it, so its row is that answer exactly: skew6's oracle rows and
+    # at it, so its row is that answer exactly: skew6's program rows and
     # examples2's class-boundary row at p1 = 0.01
     left = []
     real = pipeline._stacked_answers
@@ -1261,8 +1280,10 @@ def test_near_orthogonal_fidelity4_problem_solves_as_fidelity_form(capsys):
     assert payload["branch"] == "fidelity-form" and payload["optimal"] is True
 
 
-def test_cli_solve_reaches_the_oracle(capsys):
-    # a strictly skew rank-(3,3) pair on C^6: no analytic family applies
+def test_cli_solve_reaches_the_oracle(capsys, monkeypatch):
+    # a strictly skew rank-(3,3) pair on C^6: no analytic family applies,
+    # and with the k x k program refusing it the oracle answers
+    _refuse_program(monkeypatch)
     code = main(["solve", str(DATA / "skew6.json"), "--p1", "0.5", "--json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
