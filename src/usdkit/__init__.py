@@ -12,11 +12,11 @@ their submodules (`usdkit.solver4d`, `usdkit.linalg`, `usdkit.oracle`,
 from .closed_form import (ProbabilityWindow, fidelity_window,
                           single_detection_window, try_fidelity_form,
                           try_single_state_detection)
-from .errors import (CertificateFailure, DegenerateFamily, DimensionMismatch,
-                     IncompatibleRecord, InvalidInconclusive, NoSolutionFound,
-                     NonConvergence, NotHermitian, NotPSD, NotProper,
-                     NotReconstructible, PreconditionViolated, SkewViolation,
-                     UsdKitError, UsdNumericsWarning)
+from .errors import (CertificateFailure, DimensionMismatch, IncompatibleRecord,
+                     InvalidInconclusive, NoSolutionFound, NonConvergence,
+                     NotHermitian, NotPSD, NotProper, NotReconstructible,
+                     PreconditionViolated, SkewViolation, UsdKitError,
+                     UsdNumericsWarning)
 from .model import (MeasurementClassTag, UsdMeasurement, WeightedDensityPair,
                     is_proper, is_usd, success_probability)
 from .optimality import (CertificateZ, OptimalityReport, SolverOutcome,
@@ -33,9 +33,9 @@ from .tolerances import DEFAULT_TOL, ToleranceContext
 __version__ = "0.1.0"
 
 __all__ = [
-    "CertificateFailure", "CertificateZ", "DEFAULT_TOL", "DegenerateFamily",
-    "DimensionMismatch", "IncompatibleRecord", "InvalidInconclusive",
-    "MeasurementClassTag", "NoSolutionFound", "NonConvergence",
+    "CertificateFailure", "CertificateZ", "DEFAULT_TOL", "DimensionMismatch",
+    "IncompatibleRecord", "InvalidInconclusive", "MeasurementClassTag",
+    "NoSolutionFound", "NonConvergence",
     "NotHermitian", "NotPSD", "NotProper", "NotReconstructible",
     "OptimalityReport", "OracleConfig", "OracleResult",
     "PreconditionViolated", "ProbabilityWindow", "ProblemFile",

@@ -45,10 +45,6 @@ class PreconditionViolated(UsdKitError):
     """Caller must reduce the pair before using this solver."""
 
 
-class DegenerateFamily(UsdKitError):
-    """A continuous solution family appeared where uniqueness forbids one."""
-
-
 class CertificateFailure(UsdKitError):
     """Constructed certificate operator violates an optimality condition."""
 

@@ -139,9 +139,12 @@ def accepted_outcome(m: UsdMeasurement, pair: WeightedDensityPair,
     once; only a measurement that passes is classified and has its
     success evaluated, and that check is the outcome's report.  By
     uniqueness of the optimum, the one passed check certifies the answer.
-    Returns None when the check refuses `m`.
+    Returns None when the check refuses `m`.  Every family builds its
+    conclusive elements inside the detector spaces, through
+    `JordanSplit.measurement` or on the detector bases, so `m` is proper
+    and the check does not test that (`is_proper`).
     """
-    report = check_optimality(m, pair)
+    report = check_optimality(m, pair, require_proper=False)
     if not report.is_optimal:
         return None
     return SolverOutcome(measurement=m, class_tag=classify(m, pair),

@@ -22,8 +22,8 @@ from .errors import CertificateFailure, UsdKitError
 from .linalg import hermitian_part
 from .model import (MeasurementClassTag, UsdMeasurement, WeightedDensityPair,
                     _success, success_probability)
-from .optimality import (OptimalityReport, SolverOutcome, build_certificate,
-                         check_optimality, classify)
+from .optimality import (SolverOutcome, build_certificate, check_optimality,
+                         classify)
 from .oracle import OracleConfig, _extend, oracle_optimize
 from .program import _solve_program
 from .reductions import ReductionRecord, lift_measurement, reduce_fully
@@ -53,10 +53,12 @@ BLOCK_STRUCTURE_NOTE = (
 
 def _trivial_outcome(record: ReductionRecord,
                      pair: WeightedDensityPair) -> SolverOutcome:
+    """The lift of the measurement that answers nothing on an empty core:
+    proper by construction, so the check does not test that."""
     d = pair.dim
     zero = np.zeros((d, d), dtype=complex)
     m = lift_measurement(UsdMeasurement(zero, zero, np.eye(d)), record)
-    report = check_optimality(m, pair)
+    report = check_optimality(m, pair, require_proper=False)
     return SolverOutcome(
         measurement=m,
         class_tag=MeasurementClassTag(0, 0, True),
@@ -66,18 +68,6 @@ def _trivial_outcome(record: ReductionRecord,
     )
 
 
-def _lifted_report(report: OptimalityReport, m: UsdMeasurement,
-                   record: ReductionRecord) -> OptimalityReport:
-    """`report`, the check of the core measurement that `m` lifts, or a
-    fresh check of `m` on the pair when a Jordan cosine lies within 10x of
-    a cutoff (`boundary_warnings`).  The lift keeps the residuals
-    (`OptimalityReport`) up to rounding, but next to a cutoff that rounding
-    reaches a few 1e-10."""
-    if record.boundary_warnings:
-        return check_optimality(m, record.pair)
-    return report
-
-
 def _oracle_fallback(record: ReductionRecord, pair: WeightedDensityPair,
                      oracle_cfg: OracleConfig | None,
                      notes: tuple[str, ...]) -> SolverOutcome:
@@ -85,7 +75,8 @@ def _oracle_fallback(record: ReductionRecord, pair: WeightedDensityPair,
     neither a family nor the k x k program answers (`_solve_program`
     returned None): certified (`BRANCH_ORACLE_CERTIFIED`) when the checker
     accepts its point, else best known (`BRANCH_ORACLE`), and never with a
-    certificate."""
+    certificate.  The oracle builds its point on the core's detector bases,
+    so the measurement is proper and the check does not test that."""
     cfg = oracle_cfg if oracle_cfg is not None else OracleConfig(restarts=3)
     core = record.reduced_pair
     # The optimum is unique and the checker's conditions are necessary and
@@ -101,12 +92,13 @@ def _oracle_fallback(record: ReductionRecord, pair: WeightedDensityPair,
         if cfg.restarts == 1:
             raise
     else:
-        report = check_optimality(result.measurement, core)
+        report = check_optimality(result.measurement, core,
+                                  require_proper=False)
     if cfg.restarts > 1 and (report is None or not report.is_optimal):
         result = _extend(core, cfg, result)
-        report = check_optimality(result.measurement, core)
+        report = check_optimality(result.measurement, core,
+                                  require_proper=False)
     m = lift_measurement(result.measurement, record)
-    report = _lifted_report(report, m, record)
     certified = report.is_optimal
     return SolverOutcome(
         measurement=m,
@@ -146,9 +138,10 @@ def dispatch(pair: WeightedDensityPair,
     equals the check of the lifted measurement on the pair passed in,
     because the residuals do not change under the lift (`OptimalityReport`),
     and the reduced pair is strictly skew by construction (`reduce_fully`).
-    An answer is checked again on the pair only when the record's
-    `boundary_warnings` put a Jordan cosine within 10x of a reduction
-    cutoff.  At most one certificate is built, on the reduced pair in the
+    That holds next to a reduction cutoff too, where the record's
+    `boundary_warnings` stay notes on the outcome.  Only when the checker
+    refuses the oracle's first restart is the extended run checked once
+    more.  At most one certificate is built, on the reduced pair in the
     caller's space, only with `with_certificate`, and it takes the returned
     report instead of checking again; `solve_4d` itself returns none.
     `BLOCK_STRUCTURE_NOTE` is among the warnings when the core's
@@ -179,7 +172,7 @@ def dispatch(pair: WeightedDensityPair,
     m = core_outcome.measurement
     if core is not pair:
         m = lift_measurement(m, record)
-    report = _lifted_report(core_outcome.report, m, record)
+    report = core_outcome.report
     certificate = None
     if with_certificate and report.is_optimal:
         try:
@@ -285,12 +278,12 @@ def sweep(rho1: np.ndarray, rho2: np.ndarray, p1_grid,
     `dispatch` on `from_states(rho1, rho2, p1)`: priors on a class
     boundary, priors where the check refuses every family (the k x k
     program's, or the oracle's where the check refuses that too),
-    priors with both rank-(1,1) cross elements zero, priors whose pair
-    fails its total-trace test (`from_states` raises there), and every
-    prior of an empty core.  So every row is the answer `dispatch` gives
-    on the pair built afresh, up to rounding on stacked rows and exactly
-    on the others.  A row keeps no measurement, so no certificate is
-    built.
+    priors whose class-12 host basis would not be phased as the core's,
+    priors whose pair fails its total-trace test (`from_states` raises
+    there), and every prior of an empty core.  So every row is the answer
+    `dispatch` gives on the pair built afresh, up to rounding on stacked
+    rows and exactly on the others.  A row keeps no measurement, so no
+    certificate is built.
     """
     grid = [float(p1) for p1 in p1_grid]
     if not all(0.0 < p1 < 1.0 for p1 in grid):

@@ -22,7 +22,7 @@ from .closed_form import (BRANCH_FIDELITY, BRANCH_SINGLE_STATE,
                           _fidelity_blocks, _fidelity_feasible,
                           _single_state_branches,
                           try_fidelity_form, try_single_state_detection)
-from .errors import (DegenerateFamily, InvalidInconclusive, NoSolutionFound,
+from .errors import (InvalidInconclusive, NoSolutionFound,
                      PreconditionViolated, UsdNumericsWarning)
 from .linalg import dag, hermitian_part
 from .model import (UsdMeasurement, WeightedDensityPair, _at, _completion,
@@ -462,24 +462,24 @@ def enumerate_candidates_11(pair: WeightedDensityPair) -> list[Candidate11]:
     theta follows from A1 sin(theta) = A2 cos(theta) (or from the
     closed-form fallback when both vanish), and candidates with a
     determinate angle must also satisfy B1 = B3 sin(theta) - B2 cos(theta).
-    With both cross elements zero, `_degenerate_family_probe` runs instead
-    of the polynomial.  This is the one-row case of `_candidates_11`.
+    With both cross elements zero the polynomial vanishes, and only the
+    basis-vector candidates remain: a nonzero-x solution would form a
+    continuous optimal family, which uniqueness forbids.  This is the
+    one-row case of `_candidates_11`.
     """
     _, cands = _candidates_11(pair)
     jordan = _at(cands.jordan_data, 0)
-    out = [Candidate11(*v, x, theta, jordan) for *v, x, theta in zip(
+    return [Candidate11(*v, x, theta, jordan) for *v, x, theta in zip(
         cands.psi1, cands.psi1_perp, cands.psi2, cands.psi2_perp,
         cands.x.tolist(), cands.theta.tolist())]
-    if jordan.g13 == 0.0 and jordan.g23 == 0.0:
-        _degenerate_family_probe(pair)
-    return out
 
 
 def _candidates_11(pair: WeightedDensityPair, c1=1.0, c2=1.0):
     """(rows, candidates) of `enumerate_candidates_11` for each pair of a
     stack that weights `pair` by arrays (n,) of weights (c1, c2), with
     jordan_data (`_kernel_jordan_data`) one value per row; a row with both
-    cross elements zero gets its basis-vector candidates only."""
+    cross elements zero has an all-zero polynomial, and so its
+    basis-vector candidates only."""
     tol = pair.tol
     vecs, phase, c, g13, g23, d1, d2 = _kernel_jordan_data(pair, c1, c2)
     phase, g13, g23, d1, d2, scale = np.atleast_1d(
@@ -504,9 +504,12 @@ def _candidates_11(pair: WeightedDensityPair, c1=1.0, c2=1.0):
     h, o = g13[:, None], c * g23[:, None]
     a1_poly = (o * v - h * u) * cos_p[:, None]
     a2_poly = (o * v + h * u) * sin_p[:, None]
-    b1_poly = _b1_poly(c, d1, d2)
-    g13_part = h * np.convolve(np.convolve(u, u), [1.0, 0.0, -1.0])
-    g23_part = o * np.convolve(np.convolve(v, v), [c * c, 0.0, -1.0])
+    uu, vv = np.convolve(u, u), np.convolve(v, v)
+    # B1(x) = x [(c^2 x^2 + 1)^2 d1 - c^2 (x^2 + 1)^2 d2]
+    b1_poly = (np.multiply.outer(d1, np.append(uu, 0.0))
+               - np.multiply.outer(c * c * d2, np.append(vv, 0.0)))
+    g13_part = h * np.convolve(uu, [1.0, 0.0, -1.0])
+    g23_part = o * np.convolve(vv, [c * c, 0.0, -1.0])
     b2_poly = (g13_part - g23_part) * cos_p[:, None]
     b3_poly = (g13_part + g23_part) * sin_p[:, None]
     # B1^2 (A1^2 + A2^2) - (A1 B2 - A2 B3)^2; the first term has degree 14,
@@ -564,41 +567,6 @@ def _polymul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     spread = np.equal.outer(np.add.outer(np.arange(k), np.arange(l)).ravel(),
                             np.arange(k + l - 1))
     return (p[:, :, None] * q[:, None, :]).reshape(len(p), k * l) @ spread
-
-
-def _b1_poly(c: float, d1, d2) -> np.ndarray:
-    """Coefficients of B1(x) = x [(c^2 x^2 + 1)^2 d1 - c^2 (x^2 + 1)^2 d2],
-    one row per value of arrays d1, d2."""
-    u = [c * c, 0.0, 1.0]
-    v = [1.0, 0.0, 1.0]
-    return (np.multiply.outer(d1, np.convolve(np.convolve(u, u), [1.0, 0.0]))
-            - np.multiply.outer(c * c * d2,
-                                np.convolve(np.convolve(v, v), [1.0, 0.0])))
-
-
-def _degenerate_family_probe(pair: WeightedDensityPair):
-    """With both cross elements zero, any nonzero-x solution of the
-    remaining conditions would form a continuous optimal family, which
-    uniqueness forbids; finding one numerically means the instance is
-    degenerate for this method."""
-    vecs, _, c, _, _, d1, d2 = _kernel_jordan_data(pair)
-    # B1(x) = 0 with x != 0: B1(x) / x is a quadratic in y = x^2, with the
-    # coefficients of x^4, x^2 and x^0
-    coeffs = _b1_poly(c, d1, d2)[0:5:2]
-    top = float(np.abs(coeffs).max())
-    if top == 0.0:
-        return
-    for y in np.roots(np.trim_zeros(coeffs / top, "f")):
-        if abs(np.imag(y)) > 1e-10 or np.real(y) <= 1e-12:
-            continue
-        x = float(np.sqrt(np.real(y)))
-        cand = Candidate11(*_vectors_11(*vecs, c, x, 0.0), x, 0.0, None)
-        if _measurements_11(cand, pair.gamma1, pair.gamma2,
-                            pair.tol)[1] == len(_GATES_11):
-            raise DegenerateFamily(
-                "a continuous family of rank-(1,1) solutions appeared with "
-                "vanishing cross elements; the instance is numerically "
-                "degenerate for the candidate method")
 
 
 def balance_residual_11(cand: Candidate11) -> float:
@@ -806,9 +774,10 @@ def _solve_rows(core: WeightedDensityPair, c1: np.ndarray, c2: np.ndarray,
     first family that passes its check there.  Off a class boundary
     (`_off_class`) that measurement is the row's answer, by uniqueness of
     the optimum, as in `solve_4d` and `_first_closed_form`.  On one, the
-    row is left to `dispatch`, as is a row no family passes, a row with
-    both rank-(1,1) cross elements zero (`_degenerate_family_probe`) and a
-    row whose class-12 host basis would not be phased as the core's.
+    row is left to `dispatch`, as is a row no family passes and a row
+    whose class-12 host basis would not be phased as the core's.  A row
+    with both rank-(1,1) cross elements zero is settled like any other,
+    by its basis-vector candidates (`_candidates_11`).
 
     Returns the answers in parts (family, rows, m, tag, report), one per
     family that answered rows: `_FAMILIES[family]` answers the rows with
@@ -892,8 +861,7 @@ def _solve_rows(core: WeightedDensityPair, c1: np.ndarray, c2: np.ndarray,
         return parts
     # class-11, on the core's kernel Jordan data reweighted per row
     cand_rows, cands = _candidates_11(core, c1[pending], c2[pending])
-    probed = (cands.jordan_data.g13 == 0.0) & (cands.jordan_data.g23 == 0.0)
     m, failed = _measurements_11(cands, *states(cand_rows), tol)
-    gated = (failed == len(_GATES_11)) & ~probed[cand_rows]
-    settle(4, cand_rows[gated], _take(m, gated), left=np.flatnonzero(probed))
+    gated = failed == len(_GATES_11)
+    settle(4, cand_rows[gated], _take(m, gated))
     return parts

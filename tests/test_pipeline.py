@@ -158,6 +158,15 @@ def test_dispatch_runs_each_stage_once(monkeypatch):
     assert counts["solve_4d"] == 1
     assert counts["check_optimality"] == 1
     assert counts["classify"] <= 1
+    # a reduction whose Jordan cosines lie within 10x of their cutoffs
+    # carries boundary_warnings, and the core's check is still the report
+    counts.clear()
+    pair = WeightedDensityPair.from_states(
+        *_near_cutoff_states(1e-9, 1e-10), 0.5)
+    assert reduce_fully(pair).boundary_warnings
+    outcome = dispatch(pair, oracle_cfg=_NEAR_CUTOFF_ORACLE)
+    assert outcome.optimal
+    assert counts["check_optimality"] == 1
     counts.clear()
     rows = sweep(rho1, rho2, np.linspace(0.05, 0.95, 7))
     assert len(rows) == 7
@@ -563,9 +572,9 @@ def _refuse(monkeypatch):
     # the checker refuses the first point it is shown
     real = pipeline.check_optimality
 
-    def refuse_once(m, pair):
+    def refuse_once(m, pair, **kwargs):
         monkeypatch.setattr(pipeline, "check_optimality", real)
-        return replace(real(m, pair), cond_b=False)
+        return replace(real(m, pair, **kwargs), cond_b=False)
 
     monkeypatch.setattr(pipeline, "check_optimality", refuse_once)
 
@@ -649,6 +658,52 @@ def test_oracle_fallback_with_one_restart_runs_once(rng, monkeypatch):
     assert outcome.branch == "oracle-best-known" and not outcome.optimal
 
 
+def _embedded(rho1, rho2, seed):
+    """The states padded with zeros to one more dimension and conjugated by
+    a Haar-random unitary, so that their pair has a common kernel."""
+    u = haar_unitary(np.random.default_rng([seed, 5]), len(rho1) + 1)
+    return [u @ np.pad(rho, (0, 1)) @ u.conj().T for rho in (rho1, rho2)]
+
+
+def test_every_checked_measurement_is_proper(rng, monkeypatch):
+    # dispatch checks its own measurements without testing properness:
+    # every branch builds its conclusive elements inside the detector
+    # spaces.  Pinned on pairs with a common kernel, where is_proper has
+    # something to test, on every branch and on every pair checked
+    from usdkit import is_proper
+
+    seen = []
+
+    def spy(m, pair, **kwargs):
+        seen.append((m, pair))
+        return check_optimality(m, pair, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "usdkit"
+                and getattr(module, "check_optimality", None)
+                is check_optimality):
+            monkeypatch.setattr(module, "check_optimality", spy)
+    rho = np.diag([0.6, 0.4]).astype(complex)
+    pairs = [WeightedDensityPair.from_states(*_embedded(rho, rho, 0), 0.5)]
+    for seed, states in enumerate((example1_states, examples2_states), 1):
+        rho1, rho2 = _embedded(*states(), seed)
+        pairs += [WeightedDensityPair.from_states(rho1, rho2, p1)
+                  for p1 in np.linspace(0.05, 0.95, 10)]
+    pairs.append(_c7_pair(rng))
+    outcomes = [dispatch(pair, with_certificate=False) for pair in pairs]
+    _refuse_program(monkeypatch)
+    outcomes.append(dispatch(pairs[-1], with_certificate=False))
+    assert {o.branch for o in outcomes} == {
+        "trivial", "single-state-detection", "fidelity-form", "class-12",
+        "class-11", "convex-program", "oracle-checker"}
+    for pair, outcome in zip(pairs + pairs[-1:], outcomes):
+        assert is_proper(outcome.measurement, pair), outcome.branch
+    assert len(seen) >= len(outcomes)
+    for m, pair in seen:
+        assert pair.common_kernel().size == 1
+        assert is_proper(m, pair)
+
+
 # ------------------------------------------------------------- sweeps
 
 def test_sweep_pure_states_three_regions():
@@ -724,8 +779,8 @@ def test_sweep_matches_fresh_dispatch(family):
     # sweep shares one pair's geometry across its priors; each row must be
     # the answer dispatch gives on the pair built afresh at that prior.
     # The degenerate-host pair takes the g23 = 0 branch of class-12 in the
-    # stack, and leaves its priors with both rank-(1,1) cross elements
-    # zero to dispatch; its sweep still flags the discarded family
+    # stack, and its basis-vector rank-(1,1) candidates where both cross
+    # elements are zero; its sweep still flags the discarded family
     rho1, rho2 = _sweep_states(family)
     grid = np.linspace(0.1, 0.9, 9) if family == "skew6" else GRID
     with (pytest.warns(UsdNumericsWarning) if family == "degenerate-host"
@@ -852,7 +907,9 @@ def test_sweep_dispatches_only_the_priors_the_stack_leaves(monkeypatch):
     # answers.
     # near_cutoff4's states carry kernel eigenvalues between rank_atol and
     # the relative rank cutoff; every prior holds their split, and the
-    # stack answers all of them
+    # stack answers all of them.  The degenerate-host pair's priors with
+    # both rank-(1,1) cross elements zero settle through the stacked
+    # basis-vector candidates
     real = pipeline.dispatch
     calls = []
     monkeypatch.setattr(pipeline, "dispatch", lambda *args, **kwargs:
@@ -866,9 +923,12 @@ def test_sweep_dispatches_only_the_priors_the_stack_leaves(monkeypatch):
                       with_certificate=False) for p1 in GRID]
         assert sum(f.boundary for f in fresh) == on_boundary, family
         assert len(calls) <= on_boundary, family
-    for family in ("peres", "pure", "3;1,2", "near_cutoff4"):
+    for family in ("peres", "pure", "3;1,2", "near_cutoff4",
+                   "degenerate-host"):
         calls.clear()
-        sweep(*_sweep_states(family), GRID)
+        with (pytest.warns(UsdNumericsWarning)
+              if family == "degenerate-host" else nullcontext()):
+            sweep(*_sweep_states(family), GRID)
         assert calls == [], family
     calls.clear()
     rho1, rho2 = _sweep_states("skew6")
@@ -1253,6 +1313,13 @@ def test_near_orthogonal_fidelity4_file_holds_its_draw():
     pair = problem.pair()
     assert pair.strictly_skew
     np.testing.assert_allclose(pair.jordan.cosines, [0.01, 1e-6], rtol=1e-6)
+
+
+def test_degenerate_host_file_holds_its_states():
+    problem = load_problem(DATA / "degenerate_host.json")
+    for loaded, state in zip((problem.rho1, problem.rho2),
+                             degenerate_host_states()):
+        np.testing.assert_array_equal(loaded, state)
 
 
 def test_near_orthogonal_fidelity_form_is_certified():

@@ -290,32 +290,6 @@ def _two_block_pair():
                                block_state(0.2, 0.5, 0.4, 0.0))
 
 
-def test_degenerate_probe_roots_solve_b1(monkeypatch):
-    # two 2x2 blocks: both cross elements vanish, so the rank-(1,1)
-    # enumeration probes every nonzero root x of B1 for a continuous
-    # family; each probed x must make B1 vanish
-    import usdkit.solver4d as s4
-
-    pair = _two_block_pair()
-    *_, c, g13, g23, d1, d2 = s4._kernel_jordan_data(pair)
-    assert g13 == 0.0 and g23 == 0.0
-    probed = []
-    vectors_11 = s4._vectors_11
-
-    def recording(k11, k12, k21, k22, c, x, theta):
-        probed.append(x)
-        return vectors_11(k11, k12, k21, k22, c, x, theta)
-
-    monkeypatch.setattr(s4, "_vectors_11", recording)
-    enumerate_candidates_11(pair)
-    roots = [x for x in probed if x != 0.0]
-    assert roots
-    for x in roots:
-        # B1(x) / x = (c^2 x^2 + 1)^2 d1 - c^2 (x^2 + 1)^2 d2
-        terms = ((c * c * x * x + 1) ** 2 * d1, c * c * (x * x + 1) ** 2 * d2)
-        assert abs(terms[0] - terms[1]) <= 1e-12 * max(map(abs, terms))
-
-
 def test_class11_kernel_bases_take_no_svd(monkeypatch):
     # the kernel Jordan pairs are read off the pair's split, which the
     # pair classified once

@@ -11,7 +11,7 @@ SRC = ROOT / "src" / "usdkit"
 # what the README and the CLI use; internals stay in their submodules
 PUBLIC = {
     # errors and tolerances
-    "CertificateFailure", "DegenerateFamily", "DimensionMismatch",
+    "CertificateFailure", "DimensionMismatch",
     "IncompatibleRecord", "InvalidInconclusive", "NoSolutionFound",
     "NonConvergence", "NotHermitian", "NotPSD", "NotProper",
     "NotReconstructible", "PreconditionViolated", "SkewViolation",
@@ -38,7 +38,7 @@ PUBLIC = {
 
 
 def test_all_is_the_public_surface():
-    assert len(usdkit.__all__) == len(set(usdkit.__all__)) == 53
+    assert len(usdkit.__all__) == len(set(usdkit.__all__)) == 52
     assert set(usdkit.__all__) == PUBLIC
     for name in usdkit.__all__:
         assert getattr(usdkit, name) is not None, name
