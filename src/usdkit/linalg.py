@@ -16,8 +16,7 @@ from .tolerances import DEFAULT_TOL, ToleranceContext
 
 __all__ = [
     "Subspace", "dag", "hermitian_part", "is_hermitian", "assert_hermitian",
-    "min_eigenvalue", "frobenius", "is_psd", "rank", "rank_from_values",
-    "rank_margin", "support", "kernel", "spectral_split", "intersect",
+    "min_eigenvalue", "frobenius", "is_psd", "rank", "rank_margin", "support", "kernel", "spectral_split", "intersect",
     "subspace_sum", "oblique_projector",
     "pseudo_inverse", "sqrt_psd", "jordan_bases",
 ]
@@ -77,15 +76,10 @@ def _rank_threshold(values: np.ndarray, tol: ToleranceContext) -> float:
 
 
 def rank(a: np.ndarray, tol: ToleranceContext = DEFAULT_TOL) -> int:
-    """Numerical rank by singular values against the shared cutoff."""
+    """Numerical rank: the singular values above the shared cutoff."""
     if a.size == 0:
         return 0
-    return rank_from_values(np.linalg.svd(a, compute_uv=False), tol)
-
-
-def rank_from_values(values: np.ndarray,
-                     tol: ToleranceContext = DEFAULT_TOL) -> int:
-    """Number of singular (or eigen-) values above the shared cutoff."""
+    values = np.linalg.svd(a, compute_uv=False)
     return int(np.sum(values > _rank_threshold(values, tol)))
 
 

@@ -584,31 +584,25 @@ def complete_measurement(e_q: np.ndarray,
                          pair: WeightedDensityPair) -> UsdMeasurement:
     """The unique proper USD measurement with the given inconclusive element.
 
-    e_mu = L_mu Y_mu L_mu^dag with Y_mu = T_mu^dag (1 - e_q) T_mu
-    (`JordanSplit.measurement`), which must close to the identity.  This is
-    the one-row case of `validate_inconclusive` and `_completion`.
+    For callers that hold an e_q; the library's solvers build their
+    measurements from k x k blocks instead.  e_q must pass
+    `validate_inconclusive`; then e_mu = L_mu Y_mu L_mu^dag with Y_mu =
+    T_mu^dag (1 - e_q) T_mu (`JordanSplit.measurement`), whose
+    inconclusive element must give e_q back within tol.equality (largest
+    entry).  Either failure raises `InvalidInconclusive`.
     """
     diag = validate_inconclusive(e_q, pair)
     if not diag.ok:
         raise InvalidInconclusive(
             f"inconclusive operator rejected: {diag.first_failure()}", diag)
-    m, closure = _completion(e_q, pair.jordan)
+    split, rest = pair.jordan, np.eye(pair.dim) - e_q
+    m = split.measurement(*(dag(t) @ rest @ t for t in split.lifted_columns))
+    closure = np.abs(m.e_inconclusive - e_q).max()
     if closure > pair.tol.equality:
         raise InvalidInconclusive(
             f"completion does not close to identity (residual {closure:.2e})",
             diag)
-    return m
-
-
-def _completion(e_q: np.ndarray, split: JordanSplit):
-    """(m, closure) for each e_q of a stack (..., d, d) on pairs that hold
-    `split`: the measurement `complete_measurement` returns, whose elements
-    carry the same leading axes, and how far its completion misses e_q
-    (largest entry), to be held against tol.equality."""
-    rest = np.eye(split.dim) - e_q
-    m = split.measurement(*(dag(t) @ rest @ t for t in split.lifted_columns))
-    closure = np.abs(m.e_inconclusive - e_q).max(axis=(-2, -1))
-    return UsdMeasurement(m.e1, m.e2, hermitian_part(e_q)), closure
+    return UsdMeasurement(m.e1, m.e2, hermitian_part(e_q))
 
 
 def reconstruct_from_core(core: np.ndarray,

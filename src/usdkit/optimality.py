@@ -192,7 +192,7 @@ def _classify(m: UsdMeasurement, cross_rank: int,
     # the singular values of e1 and e2, stacked as (2, ..., d)
     values = np.stack([np.linalg.svd(e, compute_uv=False)
                        for e in (m.e1, m.e2)])
-    # `linalg.rank_from_values` and `linalg.rank_margin` of each
+    # `linalg.rank` and `linalg.rank_margin` of each, from those values
     cut = np.maximum(tol.rank_cutoff * values.max(axis=-1, initial=0.0),
                      tol.rank_atol)[..., None]
     kept = values > cut

@@ -43,11 +43,6 @@ class ReductionRecord:
     reduced_pair: WeightedDensityPair
     boundary_warnings: tuple[str, ...] = field(default=())
 
-    @property
-    def trivial(self) -> bool:
-        """True when the reduction removed nothing."""
-        return self.reduced_pair is self.pair
-
 
 def _projected_pair(pair: WeightedDensityPair, p1: np.ndarray,
                     p2: np.ndarray) -> WeightedDensityPair:

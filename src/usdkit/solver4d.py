@@ -22,11 +22,10 @@ from .closed_form import (BRANCH_FIDELITY, BRANCH_SINGLE_STATE,
                           _fidelity_blocks, _fidelity_feasible,
                           _single_state_branches,
                           try_fidelity_form, try_single_state_detection)
-from .errors import (InvalidInconclusive, NoSolutionFound,
-                     PreconditionViolated, UsdNumericsWarning)
+from .errors import NoSolutionFound, PreconditionViolated, UsdNumericsWarning
 from .linalg import dag, hermitian_part
-from .model import (UsdMeasurement, WeightedDensityPair, _at, _completion,
-                    _diagnostics, complete_measurement)
+from .model import (UsdMeasurement, WeightedDensityPair, _at, _diagnostics,
+                    validate_inconclusive)
 from .optimality import (OptimalityReport, SolverOutcome, _check, _classify,
                          accepted_outcome)
 from .tolerances import ToleranceContext
@@ -67,15 +66,18 @@ class Candidate12:
     """Candidate data for a rank-(1,2) measurement.
 
     (phi, phi_perp) is an orthonormal basis of the support of the host
-    state; the inconclusive element fixes phi and keeps weight nu on the
-    unit vector behind n_vector = sqrt(nu)*n.  x is the real root that
-    generated the basis (0 for the eigenvector candidates).
+    state, and rho = sqrt(<pp|g_other|pp> / <pp|g_host|pp>) the ratio of
+    the two states' forms on pp = phi_perp.  The measurement is built from
+    these alone, as k x k blocks on the split's support columns
+    (`_blocks_12`); its inconclusive element fixes phi and keeps the
+    weight nu on one more direction.  x is the real root that generated
+    the basis (0 for the eigenvector candidates).
     """
 
     phi: np.ndarray
     phi_perp: np.ndarray
     x: float
-    n_vector: np.ndarray
+    rho: float
     nu: float
     host: int  # which state's support hosts ker(1 - e_inconclusive)
 
@@ -140,17 +142,20 @@ def _host_eigenbasis(pair: WeightedDensityPair, host: int):
 
 
 def _finish_candidate_12(phi_perp, q_host, q_other, host, split):
-    """(n_vec, nu): n = sqrt(r) L_h T_h^dag pp + L_o T_o^dag pp / sqrt(r)
-    with the split's `lifts`, pp = phi_perp, r = sqrt(q_other / q_host) for
-    the positive quadratic forms q = <pp|g|pp> of the host and the other
-    state, up to one common factor, and nu = |n|^2.  phi_perp may be a
-    stack (..., d) of vectors, with forms (...)."""
-    root = np.sqrt(np.sqrt(q_other / q_host))[..., None]
-    t, lift = split.lifted_columns, split.lifts
-    h, o = host - 1, 2 - host
-    n_vec = (root * ((phi_perp @ t[h].conj()) @ lift[h].T)
-             + ((phi_perp @ t[o].conj()) @ lift[o].T) / root)
-    return n_vec, np.sum(np.abs(n_vec) ** 2, axis=-1)
+    """(rho, nu): rho = sqrt(q_other / q_host) for the positive quadratic
+    forms q = <pp|g|pp> of the host and the other state on pp = phi_perp,
+    up to one common factor, and the weight nu of the inconclusive
+    element off phi, |n|^2 for n = sqrt(rho) L_h u + L_o C u / sqrt(rho)
+    (the split's `lifts`, u = B_h^dag pp), read off the cosines in a form
+    free of cancellation near parallel: sum_k |u_k|^2 ((rho - c_k^2)^2 /
+    s_k^2 + c_k^2) / rho.  phi_perp may be a stack (..., d) of vectors,
+    with forms (...)."""
+    rho = np.sqrt(q_other / q_host)
+    weight = np.abs(phi_perp @ split.lifted_columns[host - 1].conj()) ** 2
+    c = split.cosines[split.skew]
+    cc = c * c
+    terms = (rho[..., None] - cc) ** 2 / ((1.0 - c) * (1.0 + c)) + cc
+    return rho, np.sum(weight * terms, axis=-1) / rho
 
 
 def enumerate_candidates_12(pair: WeightedDensityPair,
@@ -163,8 +168,9 @@ def enumerate_candidates_12(pair: WeightedDensityPair,
     Otherwise the mixing angle vanishes and each real nonzero root of the
     degree-six polynomial yields one candidate, filtered by the sign
     condition x g1 (x g2 + g23 (x^2-1)) >= 0 and by
-    <phi|g_other - g_host|phi> >= 0.  This is the one-row case of
-    `_candidates_12`.
+    <phi|g_other - g_host|phi> >= 0.  Each candidate carries its ratio
+    rho and weight nu (`_finish_candidate_12`), all `finalize_candidate_12`
+    needs besides its basis.  This is the one-row case of `_candidates_12`.
     """
     if detect_on not in (1, 2):
         raise ValueError("detect_on must be 1 or 2")
@@ -172,9 +178,9 @@ def enumerate_candidates_12(pair: WeightedDensityPair,
     host, other = (pair.gamma1, pair.gamma2)[::1 if detect_on == 1 else -1]
     _, cands = _candidates_12(s1, s2, g, detect_on, pair.jordan, pair.tol,
                               host[None], other[None])
-    return [Candidate12(phi, pp, x, n, nu, detect_on) for phi, pp, x, n, nu
-            in zip(cands.phi, cands.phi_perp, cands.x.tolist(),
-                   cands.n_vector, cands.nu.tolist())]
+    return [Candidate12(phi, pp, x, rho, nu, detect_on) for phi, pp, x, rho,
+            nu in zip(cands.phi, cands.phi_perp, cands.x.tolist(),
+                      cands.rho.tolist(), cands.nu.tolist())]
 
 
 def _candidates_12(s1, s2, g, host, split, tol: ToleranceContext, gamma_h,
@@ -217,8 +223,8 @@ def _eigenvector_candidates_12(s1, s2, g, host, split, tol: ToleranceContext,
         np.stack([o11 >= h11 - tol.equality * scale,
                   o22 >= h12 - tol.equality * scale], axis=1)
         & (q_host > 0.0) & (q_other > 0.0))
-    n_vec, nu = _finish_candidate_12(phi_perp[k], q_host[rows, k],
-                                     q_other[rows, k], host, split)
+    rho, nu = _finish_candidate_12(phi_perp[k], q_host[rows, k],
+                                   q_other[rows, k], host, split)
     # uniqueness forbids mixed-basis solutions here; flag any that the
     # quadratic sign pattern would admit, for inspection
     diff1, diff2 = h11 - h12, o11 - o22
@@ -229,7 +235,7 @@ def _eigenvector_candidates_12(s1, s2, g, host, split, tol: ToleranceContext,
             "discarded a nonzero-angle solution family in the "
             "degenerate (g23 = 0) branch; uniqueness excludes it",
             UsdNumericsWarning, stacklevel=4)
-    return rows, Candidate12(phi[k], phi_perp[k], np.zeros(len(rows)), n_vec,
+    return rows, Candidate12(phi[k], phi_perp[k], np.zeros(len(rows)), rho,
                              nu, host)
 
 
@@ -300,10 +306,10 @@ def _mixing_candidates_12(s1, s2, g, host, split, tol: ToleranceContext,
     rows, x, xx = rows[keep], x[keep], xx[keep]
     norm = (1.0 / np.sqrt(1.0 + xx))[:, None]
     phi_perp = norm * (x[:, None] * s1 - s2)
-    n_vec, nu = _finish_candidate_12(phi_perp, q_host[keep], q_other[keep],
-                                     host, split)
+    rho, nu = _finish_candidate_12(phi_perp, q_host[keep], q_other[keep],
+                                   host, split)
     return rows, Candidate12(norm * (s1 + x[:, None] * s2), phi_perp, x,
-                             n_vec, nu, host)
+                             rho, nu, host)
 
 
 def _real_nonzero_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -351,19 +357,19 @@ def finalize_candidate_12(cand: Candidate12, pair: WeightedDensityPair,
                           ) -> SolverOutcome | Rejection:
     """Build and verify the measurement of a rank-(1,2) candidate.
 
-    The inconclusive element is |phi><phi| + n n^dag; the candidate is
-    accepted only if its weight nu lies strictly inside (0, 1), the
-    inconclusive element completes to a measurement ("not_completable"
-    otherwise) and that measurement passes the full optimality check
-    ("optimality_residual" otherwise).  An accepted candidate gives the
-    outcome of `optimality.accepted_outcome` on `pair`, branch class-12.
+    The measurement is mapped out once from its k x k blocks
+    (`_blocks_12`, `JordanSplit.measurement`).  The candidate is accepted
+    only if its weight nu lies strictly inside (0, 1) ("nu_ge_one"
+    otherwise), the inconclusive element is valid ("not_completable"
+    otherwise, `validate_inconclusive`) and the measurement passes the
+    full optimality check ("optimality_residual" otherwise).  An accepted
+    candidate gives the outcome of `optimality.accepted_outcome` on
+    `pair`, branch class-12.
     """
     if not _nu_inside(cand.nu, pair.tol):
         return Rejection("nu_ge_one")
-    try:
-        m = complete_measurement(
-            _inconclusive_12(cand, pair.common_kernel().projector()), pair)
-    except InvalidInconclusive:
+    m = pair.jordan.measurement(*_blocks_12(cand, pair.jordan))
+    if not validate_inconclusive(m.e_inconclusive, pair).ok:
         return Rejection("not_completable")
     return (accepted_outcome(m, pair, BRANCH_CLASS_12)
             or Rejection("optimality_residual"))
@@ -375,14 +381,22 @@ def _nu_inside(nu, tol: ToleranceContext):
     return (0.0 < nu) & (nu < 1.0 - tol.rank_atol)
 
 
-def _inconclusive_12(cand: Candidate12, kernel_projector: np.ndarray):
-    """|phi><phi| + n n^dag + the common kernel's projector, the e_q of a
-    rank-(1,2) candidate; (m, d, d) for candidates whose fields hold one
+def _blocks_12(cand: Candidate12, split):
+    """(Y1, Y2) of a rank-(1,2) candidate on the `split` its pair holds,
+    with u = B_h^dag phi and u_perp = B_h^dag phi_perp on the host's
+    support basis and C the cosines: Y_host = (1 - rho) u_perp u_perp^dag,
+    built as this outer product, and Y_other = 1 - C (u u^dag + u_perp
+    u_perp^dag / rho) C; (m, k, k) for candidates whose fields hold one
     value per candidate."""
     def outer(v):
         return v[..., :, None] * v.conj()[..., None, :]
-    return hermitian_part(outer(cand.phi) + outer(cand.n_vector)
-                          + kernel_projector)
+    t = split.lifted_columns[cand.host - 1].conj()
+    u, u_perp = outer(cand.phi @ t), outer(cand.phi_perp @ t)
+    c = split.cosines[split.skew]
+    rho = np.asarray(cand.rho)[..., None, None]
+    blocks = ((1.0 - rho) * u_perp,
+              np.eye(len(c)) - np.outer(c, c) * (u + u_perp / rho))
+    return blocks if cand.host == 1 else blocks[::-1]
 
 
 def _kernel_jordan_data(pair: WeightedDensityPair, c1=1.0, c2=1.0):
@@ -767,10 +781,11 @@ def _solve_rows(core: WeightedDensityPair, c1: np.ndarray, c2: np.ndarray,
     class-12 with either host and class-11 follow, in `solve_4d`'s order.
     Each family runs once, over the rows no family before it settled, with
     the arithmetic of the per-pair path given a leading row axis:
-    `_single_state_branches`, `_fidelity_blocks` (the core's root blocks,
-    `_RootBlock.scaled`), `_candidates_12` and `_candidates_11` (the
-    core's data, reweighted), then `_diagnostics`, `_completion` or
-    `_measurements_11`, `_check` and `_classify`.  A row is settled by the
+    `_single_state_branches`; `_fidelity_blocks` (the core's root blocks,
+    `_RootBlock.scaled`) or `_candidates_12` and `_blocks_12` (the core's
+    data, reweighted), mapped out by `JordanSplit.measurement` and
+    validated by `_diagnostics`; `_candidates_11` (the core's data,
+    reweighted) and `_measurements_11`; then `_check` and `_classify`.  A row is settled by the
     first family that passes its check there.  Off a class boundary
     (`_off_class`) that measurement is the row's answer, by uniqueness of
     the optimum, as in `solve_4d` and `_first_closed_form`.  On one, the
@@ -850,12 +865,11 @@ def _solve_rows(core: WeightedDensityPair, c1: np.ndarray, c2: np.ndarray,
                                           row_states[h], row_states[o],
                                           c_h[rows], c_o[rows])
         inside = _nu_inside(cands.nu, tol)
-        cand_rows, e_q = rows[cand_rows[inside]], _inconclusive_12(
-            _take(cands, inside), kernel.projector())
-        valid = _diagnostics(e_q, *states(cand_rows), kernel.basis, tol).ok
-        m, closure = _completion(e_q[valid], split)
-        closed = closure <= tol.equality
-        settle(family, cand_rows[valid][closed], _take(m, closed),
+        cand_rows = rows[cand_rows[inside]]
+        m = split.measurement(*_blocks_12(_take(cands, inside), split))
+        valid = _diagnostics(m.e_inconclusive, *states(cand_rows),
+                             kernel.basis, tol).ok
+        settle(family, cand_rows[valid], _take(m, valid),
                left=np.flatnonzero(unphased))
     if not pending.size:
         return parts

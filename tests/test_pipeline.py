@@ -337,8 +337,8 @@ _NEAR_CUTOFF_ORACLE = OracleConfig(restarts=1, max_iters=2000)
     for ortho, par in _NEAR_CUTOFF_OFFSETS for p1 in (0.2, 0.4, 0.5, 0.8)])
 def test_near_cutoff_reductions_report_a_fresh_check(ortho, par, p1):
     # the reduction removes both near-cutoff directions; the returned
-    # report must still be the check of the returned measurement on the
-    # pair, whether the core report is kept or the lift is checked again.
+    # report, the core's check kept through the lift, must still be the
+    # check of the returned measurement on the pair.
     # A small oracle budget keeps the uncertified fallbacks cheap.
     rho1, rho2 = _near_cutoff_states(ortho, par)
     pair = WeightedDensityPair.from_states(rho1, rho2, p1)
@@ -1320,6 +1320,14 @@ def test_degenerate_host_file_holds_its_states():
     for loaded, state in zip((problem.rho1, problem.rho2),
                              degenerate_host_states()):
         np.testing.assert_array_equal(loaded, state)
+
+
+def test_near_parallel12_file_holds_its_states():
+    problem = load_problem(DATA / "near_parallel12.json")
+    states = jordan_cosine_states(np.random.default_rng(1), 1 - 1e-6, 1e-6)
+    for loaded, state in zip((problem.rho1, problem.rho2), states):
+        np.testing.assert_array_equal(loaded, state)
+    assert problem.p1 == 0.25
 
 
 def test_near_orthogonal_fidelity_form_is_certified():

@@ -78,7 +78,7 @@ def test_tau_skew_removes_orthogonal_direction():
 def test_reduce_fully_strictly_skew_identity(rng):
     pair = random_skew_pair(rng)
     rec = reduce_fully(pair)
-    assert rec.trivial
+    assert rec.reduced_pair is rec.pair
     assert rec.lifted_offset == pytest.approx(0.0, abs=1e-12)
     np.testing.assert_allclose(rec.reduced_pair.gamma1, pair.gamma1, atol=1e-9)
 

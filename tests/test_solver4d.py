@@ -165,11 +165,40 @@ def test_candidates_12_nu_gate(rng):
                 else:
                     assert isinstance(result.measurement, UsdMeasurement)
                     assert 0 < cand.nu < 1
-                    # accepted geometry: phi ⊥ phi_perp and n ⊥ phi
+                    # accepted geometry: phi ⊥ phi_perp
                     assert abs(np.vdot(cand.phi, cand.phi_perp)) < 1e-10
-                    assert abs(np.vdot(cand.n_vector, cand.phi)) < 1e-8
                     accepted += 1
     assert rejected >= 1 and accepted >= 1
+
+
+def test_candidate_12_blocks_are_those_of_its_lifted_inconclusive_element():
+    # a class-12 candidate is mapped out from k x k blocks; they, and its
+    # weight nu, are those of the d x d element phi phi^dag + n n^dag +
+    # P_ker, n = sqrt(rho) L_h u + L_o C u / sqrt(rho) on the split's lifts
+    # (u = B_h^dag phi_perp), completed as Y_mu = T_mu^dag (1 - e_q) T_mu
+    from usdkit.solver4d import _blocks_12
+
+    rng = np.random.default_rng(12)
+    checked = 0
+    for _ in range(20):
+        pair = random_skew_pair(rng, margin=0.1)
+        split = pair.jordan
+        c = split.cosines[split.skew]
+        rest = np.eye(pair.dim) - pair.common_kernel().projector()
+        for host in (1, 2):
+            h, o = host - 1, 2 - host
+            for cand in enumerate_candidates_12(pair, detect_on=host):
+                u = dag(split.lifted_columns[h]) @ cand.phi_perp
+                root = np.sqrt(cand.rho)
+                n = root * split.lifts[h] @ u + split.lifts[o] @ (c * u) / root
+                assert cand.nu == pytest.approx(np.vdot(n, n).real, rel=1e-12)
+                one_minus_e_q = (rest - np.outer(cand.phi, cand.phi.conj())
+                                 - np.outer(n, n.conj()))
+                for t, y in zip(split.lifted_columns, _blocks_12(cand, split)):
+                    np.testing.assert_allclose(y, dag(t) @ one_minus_e_q @ t,
+                                               rtol=0, atol=1e-13)
+                checked += 1
+    assert checked >= 20
 
 
 def test_accepted_12_measurement_ranks(rng):
@@ -379,11 +408,11 @@ def test_outcome_report_is_a_fresh_check_of_its_measurement(case):
 
 
 def test_uncompletable_candidate_is_rejected_as_such(monkeypatch):
-    # a candidate whose inconclusive element does not complete to a
-    # measurement never reaches the optimality check
+    # a candidate whose mapped-out inconclusive element is not valid never
+    # reaches the optimality check
     import usdkit.optimality as optimality
     import usdkit.solver4d as s4
-    from usdkit import InvalidInconclusive
+    from usdkit.model import InconclusiveDiagnostics
 
     rho1, rho2 = example1_states()
     pair = WeightedDensityPair.from_states(rho1, rho2, 0.7)
@@ -393,12 +422,13 @@ def test_uncompletable_candidate_is_rejected_as_such(monkeypatch):
     assert cands
 
     def refuse(e_q, pair):
-        raise InvalidInconclusive("refused")
+        return InconclusiveDiagnostics(True, False, True, True,
+                                       0.0, 1.0, 0.0, 0.0)
 
     def unreachable(m, pair):
         raise AssertionError("checked a measurement that was never built")
 
-    monkeypatch.setattr(s4, "complete_measurement", refuse)
+    monkeypatch.setattr(s4, "validate_inconclusive", refuse)
     monkeypatch.setattr(optimality, "check_optimality", unreachable)
     for cand in cands:
         assert finalize_candidate_12(cand, pair) == Rejection("not_completable")
@@ -441,6 +471,22 @@ def test_completion_through_the_lifts_answers_a_near_degenerate_core(p1):
     # split's lifts, with no inverse of gamma1 + gamma2 and its own rank
     # decision, passes the check
     _solved_on_reduced_pair((1 - 1e-6, 1e-6), 1, p1)
+
+
+@pytest.mark.parametrize("p1", [0.05, 0.25, 0.5])
+def test_near_parallel_class_12_host_element_is_rank_one(p1):
+    # one cosine 1e-6 from parallel: the host block (1 - rho) u u^dag is a
+    # rank-one outer product mapped out once by the lifts, so the host
+    # element keeps rank one and the answer is tagged (1,2), off any
+    # class boundary
+    rho1, rho2 = jordan_cosine_states(np.random.default_rng(1),
+                                      1 - 1e-6, 1e-6)
+    outcome = solve_4d(WeightedDensityPair.from_states(rho1, rho2, p1))
+    assert outcome.branch == "class-12" and not outcome.boundary
+    tag = outcome.class_tag
+    assert (tag.e1_rank, tag.e2_rank) == (1, 2)
+    values = np.linalg.svd(outcome.measurement.e1, compute_uv=False)
+    assert values[1] < 1e-14 * values[0]
 
 
 @pytest.mark.parametrize("cosines, p1", [
