@@ -3,11 +3,11 @@
 Given two weighted density operators, this package computes the provably
 unique optimal measurement that never misidentifies a state: reductions
 to the strictly skew core, closed-form measurement families, the complete
-four-dimensional solver, operational optimality checks with explicit dual
-certificates, and an independent convex-feasibility oracle for
-verification.  Candidate, linear-algebra and oracle internals live in
-their submodules (`usdkit.solver4d`, `usdkit.linalg`, `usdkit.oracle`,
-...).
+four-dimensional solver, the core's k x k convex program, operational
+optimality checks with explicit dual certificates, and an independent
+convex-feasibility oracle for verification.  Candidate, program,
+linear-algebra and oracle internals live in their submodules
+(`usdkit.solver4d`, `usdkit.program`, `usdkit.linalg`, `usdkit.oracle`).
 """
 from .closed_form import (ProbabilityWindow, fidelity_window,
                           single_detection_window, try_fidelity_form,

@@ -2,13 +2,16 @@
 
 Subcommands: solve, sweep, verify, reduce, oracle.  Exit codes: 0 on
 success, 1 on input/validation errors, 2 when no certified optimum was
-produced (best-known fallback or failed verification).
+produced (best-known fallback or failed verification), 141 (128 +
+SIGPIPE) when the reader closed the output early (`usdkit ... | head`).
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import suppress
 
 import numpy as np
 
@@ -24,6 +27,7 @@ from .tolerances import DEFAULT_TOL, ToleranceContext
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_UNCERTIFIED = 2
+EXIT_SIGPIPE = 141
 
 
 def _tolerances(args) -> ToleranceContext:
@@ -231,7 +235,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:  # the flush at exit goes to the null device
+        with suppress(AttributeError, OSError, ValueError):  # no descriptor
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return EXIT_SIGPIPE
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -63,8 +63,9 @@ class OracleConfig:
     convergence_tol does not run out the budgets.  The oracle raises
     NonConvergence when the returned measurement's inconclusive element
     has an eigenvalue below -convergence_tol, its only possible
-    infeasibility.  `dispatch` runs restart 0 alone first, and the other
-    `restarts` only when the checker refuses that point.
+    infeasibility.  `dispatch` runs it only where neither a family nor
+    the k x k program (`program._solve_program`) answers: restart 0
+    alone first, the other `restarts` only when the checker refuses it.
     """
 
     seed: int = 0

@@ -17,7 +17,6 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import linalg as la
 from .closed_form import (BRANCH_FIDELITY, BRANCH_SINGLE_STATE,
                           _fidelity_blocks, _fidelity_feasible,
                           _single_state_branches,
@@ -94,11 +93,11 @@ class JordanData11:
 
 @dataclass(frozen=True)
 class Candidate11:
-    """Candidate data for a von Neumann rank-(1,1) measurement.
-
-    psi1 (in ker gamma2) and psi2 (in ker gamma1) are the conclusive
-    directions; the perp vectors complete the respective kernel bases.
-    """
+    """Candidate data for a von Neumann rank-(1,1) measurement: the
+    conclusive directions as k-vectors on the detector Jordan columns,
+    psi1 on those of -D1 in ker gamma2 and psi2 on those of D2 in ker
+    gamma1 (`JordanSplit.detector_spaces`), and the perp vectors that
+    complete each side's basis; <psi1|psi2> = psi1^dag C psi2."""
 
     psi1: np.ndarray
     psi1_perp: np.ndarray
@@ -388,10 +387,8 @@ def _blocks_12(cand: Candidate12, split):
     built as this outer product, and Y_other = 1 - C (u u^dag + u_perp
     u_perp^dag / rho) C; (m, k, k) for candidates whose fields hold one
     value per candidate."""
-    def outer(v):
-        return v[..., :, None] * v.conj()[..., None, :]
     t = split.lifted_columns[cand.host - 1].conj()
-    u, u_perp = outer(cand.phi @ t), outer(cand.phi_perp @ t)
+    u, u_perp = _outer(cand.phi @ t), _outer(cand.phi_perp @ t)
     c = split.cosines[split.skew]
     rho = np.asarray(cand.rho)[..., None, None]
     blocks = ((1.0 - rho) * u_perp,
@@ -399,79 +396,60 @@ def _blocks_12(cand: Candidate12, split):
     return blocks if cand.host == 1 else blocks[::-1]
 
 
-def _kernel_jordan_data(pair: WeightedDensityPair, c1=1.0, c2=1.0):
-    """Jordan bases of the detector spaces (the kernels inside the
-    collective support), with the phase conventions the rank-(1,1)
-    candidate equations assume, and the data of those equations, of the
-    pair (c1 gamma1, c2 gamma2).  They are read off the split
-    (<d1_k|d2_k> = -c_k): D2 in ker gamma1 and -D1 in ker gamma2 overlap in
-    the split's cosines.  Cosines within 10 tol.equality of each other get
-    the basis that diagonalizes gamma1 on the ker gamma2 side, each pair
-    phased to a positive overlap.  The weights scale (g13, d1) by c1 and
-    (g23, d2) by c2; the bases, the phase and c stay, unless a cross
-    element falls to zero.  Arrays (n,) of weights give one value per row,
-    and (k12, k22) as (n, d)."""
-    tol = pair.tol
-    split = pair.jordan
-    if not (split.strictly_skew and split.n_skew == 2):
-        raise PreconditionViolated(
-            "kernel geometry is not strictly skew with two Jordan pairs")
-    d1, d2 = (s.basis for s in split.detector_spaces)
-    basis1, basis2, cosines = d2, -d1, split.cosines
+def _detector_forms(roots, cosines, c1=1.0, c2=1.0):
+    """(F1, F2): the forms c_mu S A_mu S of (c1 gamma1, c2 gamma2) on the
+    detector columns, A_mu the blocks of `root_blocks` `roots`, as B_mu^dag
+    D_mu = S = diag(sqrt((1 - c)(1 + c))) for the skew `cosines`; (n, k,
+    k) for weights (n, 1, 1)."""
+    s = np.sqrt((1.0 - cosines) * (1.0 + cosines))
+    return tuple(w * s[:, None] * root.block * s
+                 for root, w in zip(roots, (c1, c2)))
+
+
+def _outer(v):
+    """|v><v| of each vector of a stack (..., k), as (..., k, k)."""
+    return v[..., :, None] * v.conj()[..., None, :]
+
+
+def _kernel_jordan_data(roots, cosines, tol: ToleranceContext,
+                        c1=1.0, c2=1.0):
+    """((r1, r2), data, scale): the frame of the detector spaces, the data
+    of the rank-(1,1) equations (`JordanData11`) and the trace c1 tr A1 +
+    c2 tr A2 of (c1 gamma1, c2 gamma2), per row of the weights, on the
+    `root_blocks` `roots` and skew `cosines`.  Both sides take the frame
+    (`Candidate11`), so each overlap r^dag C r is real and positive: the
+    identity, or the eigenbasis of F1 (`_detector_forms`) for cosines
+    within 10 tol.equality.  The data are entries of F1 and F2 on it,
+    cross elements below tol.equality of the trace zero, r2 phased to
+    give them opposite phases in [0, pi)."""
+    c1, c2 = np.atleast_1d(c1, c2)
+    f1, f2 = _detector_forms(roots, cosines)
+    frame = np.eye(len(cosines))
     if cosines[0] - cosines[1] <= 10 * tol.equality:
-        _, rot = np.linalg.eigh(hermitian_part(dag(basis2) @ pair.gamma1
-                                               @ basis2))
-        basis1, basis2 = basis1 @ rot, basis2 @ rot
-        for k in range(2):
-            z = np.vdot(basis1[:, k], basis2[:, k])
-            if abs(z) > tol.rank_atol:
-                basis2[:, k] *= z.conjugate() / abs(z)
-    k11, k12 = basis1[:, 0], basis1[:, 1]
-    k21, k22 = basis2[:, 0], basis2[:, 1]
-    b1 = c1 * complex(np.vdot(k21, pair.gamma1 @ k22))
-    b2 = c2 * complex(np.vdot(k11, pair.gamma2 @ k12))
-    scale = _weighted_trace(pair, c1, c2)
+        frame = np.linalg.eigh(f1)[1]
+        f1, f2 = (dag(frame) @ f @ frame for f in (f1, f2))
+    b1, b2 = c1 * f1[0, 1], c2 * f2[0, 1]
+    scale = c1 * roots[0].block.trace().real + c2 * roots[1].block.trace().real
     g13, g23 = (np.where(abs(b) > tol.equality * scale, abs(b), 0.0)
                 for b in (b1, b2))
-    # one joint phase on (k12, k22) makes the two cross elements carry
-    # opposite phases +phase / -phase with phase in [0, pi)
     beta1, beta2 = np.angle(b1), np.angle(b2)
     phase = np.where((g13 == 0.0) | (g23 == 0.0), 0.0,
                      np.mod(0.5 * (beta1 - beta2), np.pi))
     shift = np.where(g13 == 0.0, np.where(g23 == 0.0, 0.0, -beta2),
                      np.where(g23 == 0.0, -beta1, phase - beta1))
-    g11, g12, g21, g22 = (np.real(np.vdot(k, g @ k)) for k, g in (
-        (k21, pair.gamma1), (k22, pair.gamma1), (k11, pair.gamma2),
-        (k12, pair.gamma2)))
-    turn = np.exp(1j * shift)[..., None]
-    return ((k11, k12 * turn, k21, k22 * turn), phase,
-            cosines[1] / cosines[0], g13, g23, c1 * (g11 - g12),
-            c2 * (g21 - g22))
-
-
-def _weighted_trace(pair: WeightedDensityPair, c1, c2):
-    """The total trace of the pair (c1 gamma1, c2 gamma2), at least 1e-300."""
-    return np.maximum(c1 * np.real(np.trace(pair.gamma1))
-                      + c2 * np.real(np.trace(pair.gamma2)), 1e-300)
-
-
-def _vectors_11(k11, k12, k21, k22, c, x, theta):
-    e = np.exp(1j * theta)
-    n1 = 1.0 / np.sqrt(1.0 + x * x)
-    n2 = 1.0 / np.sqrt(1.0 + c * c * x * x)
-    psi1 = n1 * (k21 + x * e * k22)
-    psi1_perp = n1 * (x * e.conjugate() * k21 - k22)
-    psi2 = n2 * (-x * e.conjugate() * c * k11 + k12)
-    psi2_perp = n2 * (-k11 - x * e * c * k12)
-    return psi1, psi1_perp, psi2, psi2_perp
+    r2 = frame[:, 1] * np.exp(1j * shift)[:, None]
+    data = JordanData11(phase, cosines[1] / cosines[0], g13, g23,
+                        c1 * (f1[0, 0].real - f1[1, 1].real),
+                        c2 * (f2[0, 0].real - f2[1, 1].real))
+    return (np.broadcast_to(frame[:, 0], r2.shape), r2), data, scale
 
 
 def enumerate_candidates_11(pair: WeightedDensityPair) -> list[Candidate11]:
     """Candidates for the von Neumann class with both conclusive ranks one.
 
     Basis-vector candidates fire when the phase vanishes and the cross
-    elements balance (c*g23 = g13 for psi1 = k21, c*g13 = g23 for
-    psi1 = k22).  Mixed candidates come from real nonzero roots of the
+    elements balance (c*g23 = g13 for psi1 = r1, c*g13 = g23 for
+    psi1 = r2).  Mixed candidates come from real nonzero roots of the
     even polynomial B1^2 (A1^2 + A2^2) = (A1 B2 - A2 B3)^2; the angle
     theta follows from A1 sin(theta) = A2 cos(theta) (or from the
     closed-form fallback when both vanish), and candidates with a
@@ -479,33 +457,34 @@ def enumerate_candidates_11(pair: WeightedDensityPair) -> list[Candidate11]:
     With both cross elements zero the polynomial vanishes, and only the
     basis-vector candidates remain: a nonzero-x solution would form a
     continuous optimal family, which uniqueness forbids.  This is the
-    one-row case of `_candidates_11`.
+    one-row case of `_candidates_11`, on the pair's root blocks.
     """
-    _, cands = _candidates_11(pair)
+    split = pair.jordan
+    if not (split.strictly_skew and split.n_skew == 2):
+        raise PreconditionViolated(
+            "kernel geometry is not strictly skew with two Jordan pairs")
+    _, cands = _candidates_11(pair.root_blocks, split.cosines[split.skew],
+                              pair.tol)
     jordan = _at(cands.jordan_data, 0)
     return [Candidate11(*v, x, theta, jordan) for *v, x, theta in zip(
         cands.psi1, cands.psi1_perp, cands.psi2, cands.psi2_perp,
         cands.x.tolist(), cands.theta.tolist())]
 
 
-def _candidates_11(pair: WeightedDensityPair, c1=1.0, c2=1.0):
+def _candidates_11(roots, cosines, tol: ToleranceContext, c1=1.0, c2=1.0):
     """(rows, candidates) of `enumerate_candidates_11` for each pair of a
-    stack that weights `pair` by arrays (n,) of weights (c1, c2), with
-    jordan_data (`_kernel_jordan_data`) one value per row; a row with both
-    cross elements zero has an all-zero polynomial, and so its
-    basis-vector candidates only."""
-    tol = pair.tol
-    vecs, phase, c, g13, g23, d1, d2 = _kernel_jordan_data(pair, c1, c2)
-    phase, g13, g23, d1, d2, scale = np.atleast_1d(
-        phase, g13, g23, d1, d2, _weighted_trace(pair, c1, c2))
-    k11, k12, k21, k22 = (np.broadcast_to(k, (len(g13), k.shape[-1]))
-                          for k in vecs)
-    jordan = JordanData11(phase, c, g13, g23, d1, d2)
+    stack that weights the pair of `root_blocks` `roots` and skew
+    `cosines` by arrays (n,) of weights (c1, c2), with jordan_data one
+    value per row (`_kernel_jordan_data`); a row with both cross elements
+    zero has an all-zero polynomial, so basis-vector candidates only."""
+    (r1, r2), jordan, scale = _kernel_jordan_data(roots, cosines, tol, c1,
+                                                  c2)
+    phase, c, g13, g23, d1, d2 = vars(jordan).values()
     cos_p, sin_p = np.cos(phase), np.sin(phase)
     parts = []
-    # the basis-vector candidates psi1 = k21, then the swapped psi1 = k22
-    for balance, vectors in ((c * g23 - g13, (k21, -k22, k12, -k11)),
-                             (c * g13 - g23, (k22, k21, k11, k12))):
+    # the basis-vector candidates psi1 = r1, then the swapped psi1 = r2
+    for balance, vectors in ((c * g23 - g13, (r1, -r2, r2, -r1)),
+                             (c * g13 - g23, (r2, r1, r1, r2))):
         rows = np.flatnonzero((np.abs(sin_p) <= tol.equality)
                               & (np.abs(balance) <= tol.equality * scale))
         zero = np.zeros(len(rows))
@@ -565,11 +544,13 @@ def _candidates_11(pair: WeightedDensityPair, c1=1.0, c2=1.0):
                      free & (theta != 0.0)], axis=1).ravel()
     j = np.repeat(np.arange(len(x)), 2)[keep]
     theta = np.stack([theta, -theta], axis=1).ravel()[keep]
-    if len(j):
-        r = rows[j]
-        parts.append((r, Candidate11(*_vectors_11(
-            k11[r], k12[r], k21[r], k22[r], c, x[j, None], theta[:, None]),
-            x[j], theta, jordan)))
+    r, x, e = rows[j], x[j, None], np.exp(1j * theta)[:, None]
+    n1, n2 = 1.0 / np.sqrt(1.0 + x * x), 1.0 / np.sqrt(1.0 + c * c * x * x)
+    r1, r2 = r1[r], r2[r]
+    parts.append((r, Candidate11(
+        n1 * (r1 + x * e * r2), n1 * (x * e.conj() * r1 - r2),
+        n2 * (r2 - x * e.conj() * c * r1), n2 * (-r1 - x * e * c * r2),
+        x[:, 0], theta, jordan)))
     return _in_row_order(parts)
 
 
@@ -602,52 +583,51 @@ def finalize_candidate_11(cand: Candidate11, pair: WeightedDensityPair,
                           ) -> SolverOutcome | Rejection:
     """Build and verify the projective measurement of a rank-(1,1) candidate.
 
-    e1 = |psi1><psi1| and e2 = |psi2><psi2|; the candidate must leave the
-    inconclusive element PSD and satisfy both acceptance inequalities
-    before the full optimality check is consulted.  An accepted candidate
-    gives the outcome of `optimality.accepted_outcome` on `pair`, branch
-    class-11.  The gates are the one-row case of `_measurements_11`.
+    Its measurement is mapped out once from k x k blocks (`_blocks_11`).
+    It is accepted only if its inconclusive element is valid ("not_psd"
+    otherwise, `validate_inconclusive`), both acceptance inequalities hold
+    (`_acceptance_11`) and it passes the full optimality check
+    ("optimality_residual" otherwise), as `optimality.accepted_outcome`.
     """
-    m, failed = _measurements_11(cand, pair.gamma1, pair.gamma2, pair.tol)
-    if failed < len(_GATES_11):
-        return Rejection(_GATES_11[failed])
+    split = pair.jordan
+    m = split.measurement(*_blocks_11(cand, split))
+    if not validate_inconclusive(m.e_inconclusive, pair).ok:
+        return Rejection("not_psd")
+    first, second = _acceptance_11(cand, pair.root_blocks,
+                                   split.cosines[split.skew], pair.tol)
+    if not (first and second):
+        return Rejection(("second" if first else "first")
+                         + "_acceptance_inequality")
     return (accepted_outcome(m, pair, BRANCH_CLASS_11)
             or Rejection("optimality_residual"))
 
 
-# the rejections of the gates of `finalize_candidate_11`, in order
-_GATES_11 = ("not_psd", "first_acceptance_inequality",
-             "second_acceptance_inequality")
+def _blocks_11(cand: Candidate11, split):
+    """(Y1, Y2) = ((S psi1)(S psi1)^dag, (S psi2)(S psi2)^dag) of
+    rank-(1,1) candidates on their pair's `split`, which the lifts map out
+    to |psi><psi| of the lifted directions; (m, k, k) for a stack.  S is
+    the lifts' own scales t^dag d, 1e-8 off sqrt(1 - c^2) near parallel."""
+    s1, s2 = (np.einsum("ij,ij->j", t.conj(), d.basis) for t, d in
+              zip(split.lifted_columns, split.detector_spaces))
+    return _outer(s1 * cand.psi1), _outer(s2 * cand.psi2)
 
 
-def _measurements_11(cand: Candidate11, gamma1, gamma2,
-                     tol: ToleranceContext):
-    """(m, failed) for each rank-(1,1) candidate of a stack on the pair
-    (gamma1, gamma2) of its row: its measurement, and the index in
-    `_GATES_11` of the first gate it fails, len(_GATES_11) if none.  The
-    acceptance inequalities are |<psi1_perp|psi2>|^2 <psi2|g2|psi2> >=
-    <psi1_perp|g1|psi1_perp> - tol.equality and its mirror."""
-    def outer(v):
-        return v[..., :, None] * v.conj()[..., None, :]
+def _acceptance_11(cand: Candidate11, roots, c, tol: ToleranceContext,
+                   c1=1.0, c2=1.0):
+    """Whether rank-(1,1) candidates pass |<psi1_perp|psi2>|^2
+    <psi2|g2|psi2> >= <psi1_perp|g1|psi1_perp> - tol.equality, and its
+    mirror, on the forms `_detector_forms` of (roots, c, c1, c2), with
+    <a|b> = a^dag C b across the two sides; per candidate of a stack."""
+    f1, f2 = _detector_forms(roots, c, c1, c2)
 
-    def form(v, gamma):
-        return np.real(np.sum(v.conj() * (gamma @ v[..., None])[..., 0], -1))
+    def form(v, f):
+        return np.real(np.einsum("...i,...ij,...j->...", v.conj(), f, v))
 
-    def overlap(a, b):
-        return np.abs(np.sum(a.conj() * b, axis=-1))
-
-    e1, e2 = outer(cand.psi1), outer(cand.psi2)
-    e_q = np.eye(e1.shape[-1]) - e1 - e2
-    psd = ((overlap(cand.psi1, cand.psi2) <= np.sqrt(tol.equality))
-           & (la.min_eigenvalue(e_q) >= -tol.psd_floor))
-    first, second = (
-        overlap(perp, psi) ** 2 * form(psi, g) >= form(perp, g_perp)
-        - tol.equality for perp, psi, g, g_perp in (
-            (cand.psi1_perp, cand.psi2, gamma2, gamma1),
-            (cand.psi2_perp, cand.psi1, gamma1, gamma2)))
-    # how many gates pass before the first that fails
-    return (UsdMeasurement(e1, e2, hermitian_part(e_q)),
-            psd * (1 + first * (1 + second)))
+    return tuple(np.abs(np.sum(perp.conj() * c * psi, -1)) ** 2 * form(psi, f)
+                 >= form(perp, f_perp) - tol.equality
+                 for perp, psi, f, f_perp in (
+                     (cand.psi1_perp, cand.psi2, f2, f1),
+                     (cand.psi2_perp, cand.psi1, f1, f2)))
 
 
 def _residual_total(report: OptimalityReport) -> float:
@@ -776,23 +756,23 @@ def _solve_rows(core: WeightedDensityPair, c1: np.ndarray, c2: np.ndarray,
     reweights the non-empty strictly skew pair `core`, of k = n_skew Jordan
     pairs, by (c1[i], c2[i]) on its split, which the row's own pair holds
     too: a pair of two states holds their split at every prior
-    (`WeightedDensityPair.from_states`).  Single state
-    detection and the fidelity form run on any core; on a (4;2,2) core
-    class-12 with either host and class-11 follow, in `solve_4d`'s order.
-    Each family runs once, over the rows no family before it settled, with
-    the arithmetic of the per-pair path given a leading row axis:
-    `_single_state_branches`; `_fidelity_blocks` (the core's root blocks,
-    `_RootBlock.scaled`) or `_candidates_12` and `_blocks_12` (the core's
-    data, reweighted), mapped out by `JordanSplit.measurement` and
-    validated by `_diagnostics`; `_candidates_11` (the core's data,
-    reweighted) and `_measurements_11`; then `_check` and `_classify`.  A row is settled by the
-    first family that passes its check there.  Off a class boundary
-    (`_off_class`) that measurement is the row's answer, by uniqueness of
-    the optimum, as in `solve_4d` and `_first_closed_form`.  On one, the
-    row is left to `dispatch`, as is a row no family passes and a row
-    whose class-12 host basis would not be phased as the core's.  A row
-    with both rank-(1,1) cross elements zero is settled like any other,
-    by its basis-vector candidates (`_candidates_11`).
+    (`WeightedDensityPair.from_states`).  Single state detection and the
+    fidelity form run on any core; on a (4;2,2) core class-12 with either
+    host and class-11 follow, in `solve_4d`'s order.  Each family runs
+    once, over the rows no family before it settled, with the arithmetic
+    of the per-pair path given a leading row axis:
+    `_single_state_branches`; or the k x k blocks of `_fidelity_blocks`,
+    `_blocks_12` or `_blocks_11`, of the core's root blocks and data
+    reweighted (`_RootBlock.scaled`, `_candidates_12`, `_candidates_11`
+    and `_acceptance_11`), mapped out by `JordanSplit.measurement` and
+    validated by `_diagnostics`; then `_check` and `_classify`.  A row is
+    settled by the first family that passes its check there.  Off a class
+    boundary (`_off_class`) that measurement is the row's answer, by
+    uniqueness of the optimum, as in `solve_4d` and `_first_closed_form`.
+    On one, the row is left to `dispatch`, as is a row no family passes
+    and a row whose class-12 host basis would not be phased as the core's.
+    A row with both rank-(1,1) cross elements zero is settled like any
+    other, by its basis-vector candidates (`_candidates_11`).
 
     Returns the answers in parts (family, rows, m, tag, report), one per
     family that answered rows: `_FAMILIES[family]` answers the rows with
@@ -873,9 +853,16 @@ def _solve_rows(core: WeightedDensityPair, c1: np.ndarray, c2: np.ndarray,
                left=np.flatnonzero(unphased))
     if not pending.size:
         return parts
-    # class-11, on the core's kernel Jordan data reweighted per row
-    cand_rows, cands = _candidates_11(core, c1[pending], c2[pending])
-    m, failed = _measurements_11(cands, *states(cand_rows), tol)
-    gated = failed == len(_GATES_11)
-    settle(4, cand_rows[gated], _take(m, gated))
+    # class-11, on the core's root blocks reweighted per row
+    roots, cosines = core.root_blocks, split.cosines[split.skew]
+    rows, cands = _candidates_11(roots, cosines, tol, c1[pending],
+                                 c2[pending])
+    w1, w2 = (c[pending[rows], None, None] for c in (c1, c2))
+    gated = np.logical_and(*_acceptance_11(cands, roots, cosines, tol, w1,
+                                           w2))
+    rows = rows[gated]
+    m = split.measurement(*_blocks_11(_take(cands, gated), split))
+    valid = _diagnostics(m.e_inconclusive, *states(rows), kernel.basis,
+                         tol).ok
+    settle(4, rows[valid], _take(m, valid))
     return parts

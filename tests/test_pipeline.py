@@ -1375,6 +1375,22 @@ def test_cli_solve_json_payload(capsys):
     assert payload["report"]["is_optimal"] is True
 
 
+def test_cli_closed_pipe_exits_quietly(capsys, monkeypatch):
+    # the reader of the output has gone (`usdkit solve ... | head -c 1`):
+    # no traceback, and the status a shell gives a process killed by
+    # SIGPIPE, not the one for invalid input
+    import io
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["solve", str(DATA / "peres.json"), "--json"])
+    assert code == 141
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_sweep_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main(["sweep", str(DATA / "example1.json"), "--min", "0.01",

@@ -14,8 +14,8 @@ from usdkit.solver4d import (Rejection, balance_residual_11,
 
 from util import (assert_same_answer, degenerate_host_states,
                   example1_states, examples2_states, generic_pair,
-                  jordan_cosine_states, random_density, random_skew_pair,
-                  record_svd_shapes)
+                  haar_unitary, jordan_cosine_states, random_density,
+                  random_skew_pair, record_svd_shapes)
 
 
 def oracle_value(pair, seed=0):
@@ -232,18 +232,99 @@ def test_candidates_11_back_substitution(rng):
     assert checked >= 5
 
 
+def _lifted_11(vectors, split):
+    """k-vectors of a rank-(1,1) candidate, (psi1, psi1_perp, psi2,
+    psi2_perp) or a frame (r1, r2, r1, r2), lifted to C^d: the ker gamma2
+    side on the columns of -D1, the ker gamma1 side on those of D2."""
+    d1, d2 = (s.basis for s in split.detector_spaces)
+    return [-d1 @ vectors[0], -d1 @ vectors[1], d2 @ vectors[2],
+            d2 @ vectors[3]]
+
+
 def test_candidates_11_orthonormal_geometry(rng):
     for trial in range(10):
         pair = random_skew_pair(rng)
         for cand in enumerate_candidates_11(pair):
-            assert abs(np.vdot(cand.psi1, cand.psi2)) < 1e-8
-            assert abs(np.linalg.norm(cand.psi1) - 1) < 1e-10
-            assert abs(np.linalg.norm(cand.psi2) - 1) < 1e-10
-            assert abs(np.vdot(cand.psi1, cand.psi1_perp)) < 1e-10
-            assert abs(np.vdot(cand.psi2, cand.psi2_perp)) < 1e-10
+            psi1, psi1_perp, psi2, psi2_perp = _lifted_11(
+                (cand.psi1, cand.psi1_perp, cand.psi2, cand.psi2_perp),
+                pair.jordan)
+            assert abs(np.vdot(psi1, psi2)) < 1e-8
+            assert abs(np.linalg.norm(psi1) - 1) < 1e-10
+            assert abs(np.linalg.norm(psi2) - 1) < 1e-10
+            assert abs(np.vdot(psi1, psi1_perp)) < 1e-10
+            assert abs(np.vdot(psi2, psi2_perp)) < 1e-10
             # psi1 lives in ker gamma2, psi2 in ker gamma1
-            assert np.linalg.norm(pair.gamma2 @ cand.psi1) < 1e-8
-            assert np.linalg.norm(pair.gamma1 @ cand.psi2) < 1e-8
+            assert np.linalg.norm(pair.gamma2 @ psi1) < 1e-8
+            assert np.linalg.norm(pair.gamma1 @ psi2) < 1e-8
+
+
+def test_candidate_11_data_and_measurement_are_the_lifted_reads(rng):
+    # the k x k data of every candidate are the d x d reads of the states
+    # on its frame lifted to the detector spaces, its acceptance
+    # inequalities are those of its lifted vectors, and its mapped-out
+    # conclusive elements are |psi><psi| of its lifted directions
+    import usdkit.solver4d as s4
+
+    checked = 0
+    for trial in range(20):
+        pair = random_skew_pair(rng)
+        split = pair.jordan
+        cosines = split.cosines[split.skew]
+        (r1, r2), _, _ = s4._kernel_jordan_data(pair.root_blocks, cosines,
+                                                pair.tol)
+        k21, k22, k11, k12 = _lifted_11((r1[0], r2[0], r1[0], r2[0]), split)
+
+        def read(u, gamma, v):
+            return complex(np.vdot(u, gamma @ v))
+
+        g1, g2 = pair.gamma1, pair.gamma2
+        for cand in enumerate_candidates_11(pair):
+            d = cand.jordan_data
+            phase = np.exp(1j * d.phase)
+            assert abs(read(k21, g1, k22) - d.g13 * phase) < 1e-13
+            assert abs(read(k11, g2, k12) - d.g23 / phase) < 1e-13
+            assert abs(read(k21, g1, k21) - read(k22, g1, k22) - d.g1) < 1e-13
+            assert abs(read(k11, g2, k11) - read(k12, g2, k12) - d.g2) < 1e-13
+            assert d.c == cosines[1] / cosines[0]
+            psi1, perp1, psi2, perp2 = _lifted_11(
+                (cand.psi1, cand.psi1_perp, cand.psi2, cand.psi2_perp), split)
+            lifted = tuple(
+                abs(np.vdot(perp, psi)) ** 2 * read(psi, g, psi).real
+                >= read(perp, g_perp, perp).real - pair.tol.equality
+                for perp, psi, g, g_perp in ((perp1, psi2, g2, g1),
+                                             (perp2, psi1, g1, g2)))
+            assert tuple(s4._acceptance_11(cand, pair.root_blocks, cosines,
+                                           pair.tol)) == lifted
+            m = split.measurement(*s4._blocks_11(cand, split))
+            np.testing.assert_allclose(m.e1, np.outer(psi1, psi1.conj()),
+                                       rtol=0, atol=1e-13)
+            np.testing.assert_allclose(m.e2, np.outer(psi2, psi2.conj()),
+                                       rtol=0, atol=1e-13)
+            checked += 1
+    assert checked >= 20
+
+
+def test_near_parallel_class_11_maps_out_its_directions():
+    # at cosine 1 - 1e-8 the lifts' scales t^dag d round 1e-8 away from
+    # sqrt(1 - c^2); the blocks take the lifts' own, so e1 and e2 are the
+    # projectors onto the lifted directions and the answer stays class-11
+    import usdkit.solver4d as s4
+
+    states = jordan_cosine_states(np.random.default_rng(1), 1 - 1e-8, 0.1)
+    for p1 in (0.3, 0.7):
+        pair = WeightedDensityPair.from_states(*states, p1)
+        outcome = solve_4d(pair)
+        assert outcome.branch == "class-11"
+        assert outcome.class_tag.as_class == (1, 1)
+        split = pair.jordan
+        for cand in enumerate_candidates_11(pair):
+            psi1, _, psi2, _ = _lifted_11(
+                (cand.psi1, cand.psi1_perp, cand.psi2, cand.psi2_perp), split)
+            m = split.measurement(*s4._blocks_11(cand, split))
+            np.testing.assert_allclose(m.e1, np.outer(psi1, psi1.conj()),
+                                       rtol=0, atol=1e-13)
+            np.testing.assert_allclose(m.e2, np.outer(psi2, psi2.conj()),
+                                       rtol=0, atol=1e-13)
 
 
 def test_degenerate_branch_flags_discarded_family():
@@ -324,6 +405,9 @@ def test_class11_kernel_bases_take_no_svd(monkeypatch):
     # pair classified once
     pair = _two_block_pair()
     assert pair.strictly_skew
+    # the root blocks, which the fidelity form reads first, take their
+    # one SVD before the candidates read them
+    pair.root_blocks
     calls = record_svd_shapes(monkeypatch)
     enumerate_candidates_11(pair)
     assert calls == []
@@ -332,7 +416,8 @@ def test_class11_kernel_bases_take_no_svd(monkeypatch):
 def test_kernel_jordan_data_reads_the_split(rng):
     # equal-angle pair: supp gamma2 tilts both axes of supp gamma1 by the
     # same angle, so the two cosines coincide and the kernel bases are
-    # rotated to make gamma1's form on the ker(gamma2) basis diagonal
+    # rotated to make gamma1's form on the ker(gamma2) basis diagonal; so
+    # are its copies conjugated by a random unitary
     import usdkit.solver4d as s4
 
     c, s = np.cos(0.4), np.sin(0.4)
@@ -340,16 +425,27 @@ def test_kernel_jordan_data_reads_the_split(rng):
     b2 = np.array([[c, 0, s, 0], [0, c, 0, s]], dtype=complex).T
     rho1 = b1 @ random_density(rng, 2, 2) @ dag(b1)
     rho2 = b2 @ random_density(rng, 2, 2) @ dag(b2)
-    pair = WeightedDensityPair.from_states(rho1, rho2, 0.4)
-    cosines = pair.jordan.cosines
-    np.testing.assert_allclose(cosines, [c, c], atol=1e-12)
-    (k11, k12, k21, k22), _, ratio, g13, *_ = s4._kernel_jordan_data(pair)
-    assert g13 == 0.0
-    overlap = dag(np.column_stack((k11, k12))) @ np.column_stack((k21, k22))
-    np.testing.assert_allclose(overlap, np.diag(np.diag(overlap)), atol=1e-9)
-    assert np.all(np.abs(np.diag(overlap).imag) < 1e-12)
-    assert np.all(np.diag(overlap).real > 0)
-    assert ratio == cosines[1] / cosines[0]
+    pairs = [WeightedDensityPair.from_states(rho1, rho2, 0.4)]
+    for seed in (1, 2, 3):
+        u = haar_unitary(np.random.default_rng(seed), 4)
+        pairs.append(WeightedDensityPair.from_states(
+            u @ rho1 @ dag(u), u @ rho2 @ dag(u), 0.4))
+    for pair in pairs:
+        split = pair.jordan
+        cosines = split.cosines[split.skew]
+        np.testing.assert_allclose(cosines, [c, c], atol=1e-12)
+        (r1, r2), data, _ = s4._kernel_jordan_data(pair.root_blocks, cosines,
+                                                   pair.tol)
+        assert data.g13 == 0.0
+        k21, k22, k11, k12 = (
+            _lifted_11((r1[0], r2[0], r1[0], r2[0]), split))
+        overlap = dag(np.column_stack((k11, k12))) @ np.column_stack(
+            (k21, k22))
+        np.testing.assert_allclose(overlap, np.diag(np.diag(overlap)),
+                                   atol=1e-9)
+        assert np.all(np.abs(np.diag(overlap).imag) < 1e-12)
+        assert np.all(np.diag(overlap).real > 0)
+        assert data.c == cosines[1] / cosines[0]
 
 
 # ---------------------------------------------------------------- reports
