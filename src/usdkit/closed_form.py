@@ -151,9 +151,9 @@ def try_fidelity_form(pair: WeightedDensityPair) -> SolverOutcome | None:
     Feasible iff gamma_mu - F_mu >= 0 for both states, F_mu the polar
     factors of sqrt(g1) sqrt(g2): A_mu - polar_mu >= 0 on the pair's
     `root_blocks`, at the rank its Jordan split decided.  The measurement
-    is then Y_mu = 1 - A_mu^-1/2 polar_mu A_mu^-1/2, mapped out by the
-    split (`JordanSplit.measurement`).  When its e_q is valid and the
-    optimality check accepts it (`accepted_outcome`), its success
+    is then 1 - A_mu^-1/2 polar_mu A_mu^-1/2 on the support columns,
+    mapped out by the split (`_fidelity_blocks`).  When its e_q is valid
+    and the optimality check accepts it (`accepted_outcome`), its success
     probability equals tr(g1+g2) - 2 tr|sqrt(g1) sqrt(g2)|.  Returns None
     when infeasible, invalid (just outside the window) or refused.
     """
@@ -162,7 +162,7 @@ def try_fidelity_form(pair: WeightedDensityPair) -> SolverOutcome | None:
     ok, marginal = _fidelity_feasible(roots, pair.tol)
     if not ok:
         return None
-    m = pair.jordan.measurement(*_fidelity_blocks(roots))
+    m = pair.jordan.measurement(*_fidelity_blocks(roots, pair.jordan.sines))
     if not validate_inconclusive(m.e_inconclusive, pair).ok:
         return None
     return accepted_outcome(m, pair, BRANCH_FIDELITY, bool(marginal))
@@ -179,9 +179,15 @@ def _fidelity_feasible(roots, tol: ToleranceContext):
     return ok1 & ok2, marginal1 | marginal2
 
 
-def _fidelity_blocks(roots):
-    """The blocks Y_mu = 1 - A_mu^-1/2 polar_mu A_mu^-1/2 of the
-    fidelity-form measurement on the pair whose `root_blocks` are `roots`;
-    (n, k, k) for root blocks scaled by arrays of weights."""
-    return tuple(np.eye(r.block.shape[-1])
-                 - r.inverse_root @ r.polar @ r.inverse_root for r in roots)
+def _fidelity_blocks(roots, sines):
+    """The fidelity form's blocks in detector coordinates, S^-1 (1 -
+    A_mu^-1/2 polar_mu A_mu^-1/2) S^-1 for the `root_blocks` `roots`, S
+    the `sines` and 1 on a free column; (n, k, k) for root blocks scaled
+    by arrays of weights."""
+    blocks = []
+    for r in roots:
+        k = r.block.shape[-1]
+        inv = np.append(1.0 / sines, np.ones(k - len(sines)))
+        blocks.append(inv[:, None] * inv * (
+            np.eye(k) - r.inverse_root @ r.polar @ r.inverse_root))
+    return tuple(blocks)

@@ -46,9 +46,9 @@ class JordanSplit:
     are free: there the state is detected for sure.
 
     The detector spaces pair up in the same bases: their skew columns
-    (`detector_spaces`) have <d1_j|d2_k> = -cosines[k] for j = k, else 0.
-    Rescaled, they are the dual basis of the supports (`lifts`), and every
-    completion maps k x k blocks out by them (`measurement`).
+    (`detector_spaces`) have <d1_j|d2_k> = -cosines[k] for j = k, else 0,
+    in orthonormal bases, and every family states its answer in these
+    detector coordinates, E_mu = D_mu X_mu D_mu^dag (`measurement`).
 
     The split is the one carrier of a pair's prior-independent geometry:
     everything below is read off the bases and cosines on first use and
@@ -100,21 +100,18 @@ class JordanSplit:
 
     @cached_property
     def collective(self) -> tuple[Subspace, Subspace]:
-        """(collective support, common kernel): supp gamma1, the unit
-        vector orthogonal to it in each Jordan pair that is not parallel,
-        the unpaired columns of supp gamma2; the rest, from one QR unless
-        the support is the whole space."""
+        """(collective support, common kernel): the span of both supports
+        and its complement; the whole space, with no decomposition, or one
+        complete QR of [B1, the non-parallel columns of B2]."""
         b1, b2 = (s.basis for s in self.supports)
-        paired = slice(self.n_parallel, len(self.cosines))
-        basis = np.hstack((b1, _normal(b2[:, paired], b1[:, paired],
-                                       self.cosines[paired]),
-                           b2[:, paired.stop:]))
-        if basis.shape[1] == self.dim:
-            kernel = Subspace.zero(self.dim)
-        else:
-            q = np.linalg.qr(basis, mode="complete")[0]
-            kernel = Subspace(self.dim, _freeze(q[:, basis.shape[1]:]))
-        return Subspace(self.dim, _freeze(basis)), kernel
+        columns = np.hstack((b1, b2[:, self.n_parallel:]))
+        size = columns.shape[1]
+        if size == self.dim:
+            eye = _freeze(np.eye(self.dim, dtype=complex))
+            return Subspace(self.dim, eye), Subspace.zero(self.dim)
+        q = np.linalg.qr(columns, mode="complete")[0]
+        return (Subspace(self.dim, _freeze(q[:, :size])),
+                Subspace(self.dim, _freeze(q[:, size:])))
 
     @cached_property
     def support_overlap(self) -> Subspace:
@@ -125,15 +122,28 @@ class JordanSplit:
     @cached_property
     def detector_spaces(self) -> tuple[Subspace, Subspace]:
         """ker(gamma2) resp. ker(gamma1) inside the collective support: the
-        directions on which state 1 resp. state 2 is detected for sure;
-        for state 1, (b1 - c b2) / sqrt(1 - c^2) per skew pair and the
-        free columns of supp gamma1."""
+        directions on which state 1 resp. state 2 is detected for sure.
+        For state 1, the columns after B2 of a QR of [B2, b1 - c b2 per
+        skew pair, the free columns of B1], each phased as its column, so
+        B1^dag D1 = diag(`sines`) on the skew pairs: orthonormal however
+        close to parallel the pairs come.  Both sides' matrices have the
+        shape of the collective support, so one stacked QR takes both."""
         skew = self.skew
-        c = self.cosines[skew]
         b1, b2 = (s.basis for s in self.supports)
-        return tuple(Subspace(self.dim, _freeze(np.hstack((
-            _normal(own[:, skew], other[:, skew], c), own[:, skew.stop:]))))
-            for own, other in ((b1, b2), (b2, b1)))
+        sides = ((b1, b2), (b2, b1))
+        q, r = np.linalg.qr(np.stack([np.hstack((
+            other, own[:, skew] - other[:, skew] * self.cosines[skew],
+            own[:, skew.stop:])) for own, other in sides]))
+        diagonal = np.diagonal(r, axis1=1, axis2=2)
+        q = q * (diagonal / np.abs(diagonal))[:, None, :]
+        return tuple(Subspace(self.dim, _freeze(side[:, other.shape[1]:]))
+                     for side, (_, other) in zip(q, sides))
+
+    @cached_property
+    def sines(self) -> np.ndarray:
+        """sqrt((1 - c)(1 + c)) of the skew cosines, <b_mu_j|d_mu_j>."""
+        c = self.cosines[self.skew]
+        return _freeze(np.sqrt((1.0 - c) * (1.0 + c)))
 
     @cached_property
     def detectors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -152,17 +162,18 @@ class JordanSplit:
         basis and T_mu the `lifted_columns`, so T_mu^dag L_mu = 1 and
         T_nu^dag L_mu = 0; the overlap is diagonal, so no decomposition.
         Q_mu = T_mu L_mu^dag is the oblique projector onto the non-parallel
-        part of supp(gamma_mu) along ker(Lambda_mu)."""
+        part of supp(gamma_mu) along ker(Lambda_mu).  No solver reads them:
+        `complete_measurement` and the certificate do."""
         return tuple(
             _freeze(d.basis / np.einsum("ij,ij->j", t.conj(), d.basis))
             for d, t in zip(self.detector_spaces, self.lifted_columns))
 
-    def measurement(self, y1: np.ndarray, y2: np.ndarray) -> "UsdMeasurement":
-        """E_mu = L_mu Y_mu L_mu^dag (`lifts`) and E_q = 1 - E1 - E2, for
-        blocks Y_mu on the `lifted_columns`, with no d x d inverse.  Blocks
-        stacked as (n, k, k) give elements stacked as (n, d, d)."""
-        e1, e2 = (hermitian_part(l @ y @ dag(l))
-                  for l, y in zip(self.lifts, (y1, y2)))
+    def measurement(self, x1: np.ndarray, x2: np.ndarray) -> "UsdMeasurement":
+        """E_mu = D_mu X_mu D_mu^dag on the orthonormal `detector_spaces`
+        and E_q = 1 - E1 - E2, for blocks X_mu in detector coordinates.
+        Blocks stacked as (n, k, k) give elements stacked as (n, d, d)."""
+        e1, e2 = (hermitian_part(d.basis @ x @ dag(d.basis))
+                  for d, x in zip(self.detector_spaces, (x1, x2)))
         return UsdMeasurement(e1, e2, np.eye(self.dim) - e1 - e2)
 
     @cached_property
@@ -202,12 +213,6 @@ def _jordan_split(gamma1: np.ndarray, gamma2: np.ndarray,
     dim = gamma1.shape[0]
     return JordanSplit((Subspace(dim, b1), Subspace(dim, b2)), (ker1, ker2),
                        cosines, n_parallel, n_skew)
-
-
-def _normal(b: np.ndarray, a: np.ndarray, cosines: np.ndarray) -> np.ndarray:
-    """(b_k - c_k a_k) / sqrt(1 - c_k^2) per Jordan pair (a_k, b_k) with
-    cosine c_k < 1: the unit vector of span{a_k, b_k} orthogonal to a_k."""
-    return (b - a * cosines) / np.sqrt(1.0 - cosines ** 2)
 
 
 @dataclass(frozen=True)
@@ -585,24 +590,25 @@ def complete_measurement(e_q: np.ndarray,
     """The unique proper USD measurement with the given inconclusive element.
 
     For callers that hold an e_q; the library's solvers build their
-    measurements from k x k blocks instead.  e_q must pass
-    `validate_inconclusive`; then e_mu = L_mu Y_mu L_mu^dag with Y_mu =
-    T_mu^dag (1 - e_q) T_mu (`JordanSplit.measurement`), whose
-    inconclusive element must give e_q back within tol.equality (largest
-    entry).  Either failure raises `InvalidInconclusive`.
+    measurements from k x k blocks instead (`JordanSplit.measurement`).
+    e_q must pass `validate_inconclusive`; then e_mu = Q_mu^dag (1 - e_q)
+    Q_mu with Q_mu = T_mu L_mu^dag the oblique projectors of the split's
+    `lifts`, and 1 - e1 - e2 must give e_q back within tol.equality
+    (largest entry).  Either failure raises `InvalidInconclusive`.
     """
     diag = validate_inconclusive(e_q, pair)
     if not diag.ok:
         raise InvalidInconclusive(
             f"inconclusive operator rejected: {diag.first_failure()}", diag)
-    split, rest = pair.jordan, np.eye(pair.dim) - e_q
-    m = split.measurement(*(dag(t) @ rest @ t for t in split.lifted_columns))
-    closure = np.abs(m.e_inconclusive - e_q).max()
+    split, eye = pair.jordan, np.eye(pair.dim)
+    e1, e2 = (hermitian_part(dag(q) @ (eye - e_q) @ q) for q in (
+        t @ dag(lift) for t, lift in zip(split.lifted_columns, split.lifts)))
+    closure = np.abs(eye - e1 - e2 - e_q).max()
     if closure > pair.tol.equality:
         raise InvalidInconclusive(
             f"completion does not close to identity (residual {closure:.2e})",
             diag)
-    return UsdMeasurement(m.e1, m.e2, hermitian_part(e_q))
+    return UsdMeasurement(e1, e2, hermitian_part(e_q))
 
 
 def reconstruct_from_core(core: np.ndarray,

@@ -34,17 +34,11 @@ __all__ = [
     "ProblemFile", "SweepRow", "BRANCH_TRIVIAL", "BRANCH_ORACLE",
     "dispatch", "sweep", "sweep_bounds", "load_problem", "save_problem",
     "load_measurement", "save_measurement", "rows_to_csv",
-    "BLOCK_STRUCTURE_NOTE",
 ]
 
 BRANCH_TRIVIAL = "trivial"
 BRANCH_ORACLE = "oracle-best-known"
 BRANCH_ORACLE_CERTIFIED = "oracle-checker"
-
-BLOCK_STRUCTURE_NOTE = (
-    "unsupported: detection of two-dimensional common block-diagonal "
-    "structure is out of scope; a block-structured core may admit a "
-    "composed solution this dispatcher does not attempt")
 
 
 # --------------------------------------------------------------------------
@@ -144,8 +138,6 @@ def dispatch(pair: WeightedDensityPair,
     more.  At most one certificate is built, on the reduced pair in the
     caller's space, only with `with_certificate`, and it takes the returned
     report instead of checking again; `solve_4d` itself returns none.
-    `BLOCK_STRUCTURE_NOTE` is among the warnings when the core's
-    collective support is larger than four dimensions.
     """
     record = reduce_fully(pair)
     notes = tuple(record.boundary_warnings)
@@ -153,8 +145,6 @@ def dispatch(pair: WeightedDensityPair,
     core_support = core.collective_support().size
     if core_support == 0:
         return _trivial_outcome(record, pair)
-    if core_support > 4:
-        notes = notes + (BLOCK_STRUCTURE_NOTE,)
 
     core_outcome: SolverOutcome | None = None
     if core_support == 4:  # strictly skew, so both ranks are 2

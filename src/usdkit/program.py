@@ -3,12 +3,13 @@
 In the Jordan bases of a strictly skew (2k; k, k) core, with A_mu the
 blocks B_mu^dag gamma_mu B_mu (`_RootBlock.block`), C = diag(cosines) and
 S = diag(sines), every proper USD measurement is fixed by a Hermitian G
-with C^2 <= G <= 1: Y1 = 1 - G and Y2 = 1 - C G^-1 C, mapped out by the
-split (`JordanSplit.measurement`), and its success is tr A1 + tr A2 -
-f(G), f(G) = tr(A1 G) + tr(C A2 C G^-1).  This is the dual of Eldar,
-Stojnic & Hassibi (PRA 69, 062318, 2004) in Jordan coordinates; f is
-convex, as G^-1 is operator convex, and its unconstrained minimiser
-A1^-1 # C A2 C is the fidelity form.
+with C^2 <= G <= 1: its blocks on the support columns are 1 - G and
+1 - C G^-1 C, X_mu = S^-1 (.) S^-1 in the split's detector coordinates
+(`JordanSplit.measurement`), and its success is tr A1 + tr A2 - f(G),
+f(G) = tr(A1 G) + tr(C A2 C G^-1).
+This is the dual of Eldar, Stojnic & Hassibi (PRA 69, 062318, 2004) in
+Jordan coordinates; f is convex, as G^-1 is operator convex, and its
+unconstrained minimiser A1^-1 # C A2 C is the fidelity form.
 
 The program is solved in the W form, G = C^2 + S W S with 0 <= W <= 1,
 so that both bounds have width one whatever the cosines, by semismooth
@@ -46,14 +47,14 @@ def _solve_program(core: WeightedDensityPair) -> SolverOutcome | None:
     `pipeline.dispatch` then runs the oracle."""
     split = core.jordan
     try:
-        blocks = _program_blocks(core.root_blocks, split.cosines[split.skew])
+        blocks = _program_blocks(core.root_blocks, split)
     except np.linalg.LinAlgError:
         return None
     if blocks is None:
         return None
     m = split.measurement(*blocks)
-    # the box keeps E_q >= 0 in exact arithmetic; the lifts scale rounding
-    # by 1/s^2, so the element is validated as the fidelity form's is
+    # the box keeps E_q >= 0 in exact arithmetic, not in rounding, so the
+    # element is validated as the fidelity form's is
     if not validate_inconclusive(m.e_inconclusive, core).ok:
         return None
     return accepted_outcome(m, core, _BRANCH_PROGRAM)
@@ -73,11 +74,11 @@ def _hessian(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     return h.reshape(k * k, k * k)
 
 
-def _program_blocks(roots, cosines: np.ndarray):
-    """(Y1, Y2) at the minimiser of f over C^2 <= G <= 1 for the core whose
-    `root_blocks` are `roots`, A_mu their blocks, and whose Jordan cosines
-    are `cosines`; or None when `_MAX_STEPS` Newton steps do not bring the
-    natural residual below `_RESIDUAL_TOL`.
+def _program_blocks(roots, split):
+    """(X1, X2) at the minimiser of f over C^2 <= G <= 1 for the core whose
+    `root_blocks` are `roots`, A_mu their blocks, on its `split`, whose
+    skew cosines and sines give C and S; or None when `_MAX_STEPS` Newton
+    steps do not bring the natural residual below `_RESIDUAL_TOL`.
 
     The start is the unconstrained minimiser, the fidelity form's G =
     A1^-1/2 polar1 A1^-1/2 (`closed_form._fidelity_blocks`), clipped to the
@@ -94,15 +95,14 @@ def _program_blocks(roots, cosines: np.ndarray):
     Newton cannot settle on a point outside it, and a step is halved until
     |R| falls by the Armijo fraction; a step that no halving improves ends
     the solve, stalled at rounding, and the check decides.  The answer is
-    P(V) at the last iterate, mapped out as
-    Y1 = S (1 - W) S and Y2 = S^2 - C G^-1 S (1 - W) S C, which is
-    1 - C G^-1 C without its cancellation near parallel.
+    P(V) at the last iterate, in detector coordinates: X1 = 1 - W and
+    X2 = 1 - (C/S) G^-1 S (1 - W) S (C/S), which is S^-1 (1 - C G^-1 C)
+    S^-1 without its cancellation near parallel.
     """
     (a1, a2), first = (root.block for root in roots), roots[0]
     start = first.inverse_root @ first.polar @ first.inverse_root
-    k = len(cosines)
-    c = cosines
-    s = np.sqrt((1.0 - c) * (1.0 + c))
+    c, s = split.cosines[split.skew], split.sines
+    k = len(c)
     ss = np.outer(s, s)
     cac = np.outer(c, c) * a2
     sas = ss * a1
@@ -154,6 +154,7 @@ def _program_blocks(roots, cosines: np.ndarray):
     else:
         return None
     box = state[1]
-    rest = ss * (eye - box)
-    q = np.linalg.solve(c2 + ss * box, rest)
-    return rest, hermitian_part(np.diag(s * s) - np.outer(c, c) * q)
+    rest = eye - box
+    q = np.linalg.solve(c2 + ss * box, ss * rest)
+    ratio = c / s
+    return rest, hermitian_part(eye - np.outer(ratio, ratio) * q)

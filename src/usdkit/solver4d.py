@@ -67,7 +67,7 @@ class Candidate12:
     (phi, phi_perp) is an orthonormal basis of the support of the host
     state, and rho = sqrt(<pp|g_other|pp> / <pp|g_host|pp>) the ratio of
     the two states' forms on pp = phi_perp.  The measurement is built from
-    these alone, as k x k blocks on the split's support columns
+    these alone, as k x k blocks in the split's detector coordinates
     (`_blocks_12`); its inconclusive element fixes phi and keeps the
     weight nu on one more direction.  x is the real root that generated
     the basis (0 for the eigenvector candidates).
@@ -145,15 +145,14 @@ def _finish_candidate_12(phi_perp, q_host, q_other, host, split):
     forms q = <pp|g|pp> of the host and the other state on pp = phi_perp,
     up to one common factor, and the weight nu of the inconclusive
     element off phi, |n|^2 for n = sqrt(rho) L_h u + L_o C u / sqrt(rho)
-    (the split's `lifts`, u = B_h^dag pp), read off the cosines in a form
-    free of cancellation near parallel: sum_k |u_k|^2 ((rho - c_k^2)^2 /
-    s_k^2 + c_k^2) / rho.  phi_perp may be a stack (..., d) of vectors,
-    with forms (...)."""
+    (L_mu the split's `lifts`, u = B_h^dag pp), read off the cosines and
+    `sines` in a form free of cancellation near parallel: sum_k |u_k|^2
+    ((rho - c_k^2)^2 / s_k^2 + c_k^2) / rho.  phi_perp may be a stack
+    (..., d) of vectors, with forms (...)."""
     rho = np.sqrt(q_other / q_host)
-    weight = np.abs(phi_perp @ split.lifted_columns[host - 1].conj()) ** 2
-    c = split.cosines[split.skew]
-    cc = c * c
-    terms = (rho[..., None] - cc) ** 2 / ((1.0 - c) * (1.0 + c)) + cc
+    weight = np.abs(phi_perp @ split.supports[host - 1].basis.conj()) ** 2
+    cc = split.cosines[split.skew] ** 2
+    terms = (rho[..., None] - cc) ** 2 / split.sines ** 2 + cc
     return rho, np.sum(weight * terms, axis=-1) / rho
 
 
@@ -381,27 +380,28 @@ def _nu_inside(nu, tol: ToleranceContext):
 
 
 def _blocks_12(cand: Candidate12, split):
-    """(Y1, Y2) of a rank-(1,2) candidate on the `split` its pair holds,
-    with u = B_h^dag phi and u_perp = B_h^dag phi_perp on the host's
-    support basis and C the cosines: Y_host = (1 - rho) u_perp u_perp^dag,
-    built as this outer product, and Y_other = 1 - C (u u^dag + u_perp
-    u_perp^dag / rho) C; (m, k, k) for candidates whose fields hold one
-    value per candidate."""
-    t = split.lifted_columns[cand.host - 1].conj()
-    u, u_perp = _outer(cand.phi @ t), _outer(cand.phi_perp @ t)
-    c = split.cosines[split.skew]
+    """(X1, X2) in detector coordinates of a rank-(1,2) candidate on its
+    pair's `split`: X_host = (1 - rho) v v^dag and X_other = 1 - (1/rho -
+    1) w w^dag, v = S^-1 B_h^dag phi_perp and w = C v.  They are S^-1 Y
+    S^-1 of the blocks on the support columns, (1 - rho) u_perp u_perp^dag
+    and 1 - C (u u^dag + u_perp u_perp^dag / rho) C, as u u^dag + u_perp
+    u_perp^dag = 1, free of cancellation near parallel; (m, k, k) for a
+    stack of candidates."""
+    v = (cand.phi_perp @ split.supports[cand.host - 1].basis.conj()
+         ) / split.sines
+    w = split.cosines[split.skew] * v
     rho = np.asarray(cand.rho)[..., None, None]
-    blocks = ((1.0 - rho) * u_perp,
-              np.eye(len(c)) - np.outer(c, c) * (u + u_perp / rho))
+    blocks = ((1.0 - rho) * _outer(v),
+              np.eye(len(split.sines)) - (1.0 / rho - 1.0) * _outer(w))
     return blocks if cand.host == 1 else blocks[::-1]
 
 
-def _detector_forms(roots, cosines, c1=1.0, c2=1.0):
+def _detector_forms(roots, split, c1=1.0, c2=1.0):
     """(F1, F2): the forms c_mu S A_mu S of (c1 gamma1, c2 gamma2) on the
     detector columns, A_mu the blocks of `root_blocks` `roots`, as B_mu^dag
-    D_mu = S = diag(sqrt((1 - c)(1 + c))) for the skew `cosines`; (n, k,
-    k) for weights (n, 1, 1)."""
-    s = np.sqrt((1.0 - cosines) * (1.0 + cosines))
+    D_mu = S = diag(sines) on the `split`'s skew pairs; (n, k, k) for
+    weights (n, 1, 1)."""
+    s = split.sines
     return tuple(w * s[:, None] * root.block * s
                  for root, w in zip(roots, (c1, c2)))
 
@@ -411,19 +411,20 @@ def _outer(v):
     return v[..., :, None] * v.conj()[..., None, :]
 
 
-def _kernel_jordan_data(roots, cosines, tol: ToleranceContext,
+def _kernel_jordan_data(roots, split, tol: ToleranceContext,
                         c1=1.0, c2=1.0):
     """((r1, r2), data, scale): the frame of the detector spaces, the data
     of the rank-(1,1) equations (`JordanData11`) and the trace c1 tr A1 +
     c2 tr A2 of (c1 gamma1, c2 gamma2), per row of the weights, on the
-    `root_blocks` `roots` and skew `cosines`.  Both sides take the frame
-    (`Candidate11`), so each overlap r^dag C r is real and positive: the
-    identity, or the eigenbasis of F1 (`_detector_forms`) for cosines
-    within 10 tol.equality.  The data are entries of F1 and F2 on it,
-    cross elements below tol.equality of the trace zero, r2 phased to
-    give them opposite phases in [0, pi)."""
+    `root_blocks` `roots` and the skew pairs of the `split`.  Both sides
+    take the frame (`Candidate11`), so each overlap r^dag C r is real and
+    positive: the identity, or the eigenbasis of F1 (`_detector_forms`)
+    for cosines within 10 tol.equality.  The data are entries of F1 and
+    F2 on it, cross elements below tol.equality of the trace zero, r2
+    phased to give them opposite phases in [0, pi)."""
     c1, c2 = np.atleast_1d(c1, c2)
-    f1, f2 = _detector_forms(roots, cosines)
+    cosines = split.cosines[split.skew]
+    f1, f2 = _detector_forms(roots, split)
     frame = np.eye(len(cosines))
     if cosines[0] - cosines[1] <= 10 * tol.equality:
         frame = np.linalg.eigh(f1)[1]
@@ -463,21 +464,20 @@ def enumerate_candidates_11(pair: WeightedDensityPair) -> list[Candidate11]:
     if not (split.strictly_skew and split.n_skew == 2):
         raise PreconditionViolated(
             "kernel geometry is not strictly skew with two Jordan pairs")
-    _, cands = _candidates_11(pair.root_blocks, split.cosines[split.skew],
-                              pair.tol)
+    _, cands = _candidates_11(pair.root_blocks, split, pair.tol)
     jordan = _at(cands.jordan_data, 0)
     return [Candidate11(*v, x, theta, jordan) for *v, x, theta in zip(
         cands.psi1, cands.psi1_perp, cands.psi2, cands.psi2_perp,
         cands.x.tolist(), cands.theta.tolist())]
 
 
-def _candidates_11(roots, cosines, tol: ToleranceContext, c1=1.0, c2=1.0):
+def _candidates_11(roots, split, tol: ToleranceContext, c1=1.0, c2=1.0):
     """(rows, candidates) of `enumerate_candidates_11` for each pair of a
-    stack that weights the pair of `root_blocks` `roots` and skew
-    `cosines` by arrays (n,) of weights (c1, c2), with jordan_data one
-    value per row (`_kernel_jordan_data`); a row with both cross elements
-    zero has an all-zero polynomial, so basis-vector candidates only."""
-    (r1, r2), jordan, scale = _kernel_jordan_data(roots, cosines, tol, c1,
+    stack that weights the pair of `root_blocks` `roots` on the `split` by
+    arrays (n,) of weights (c1, c2), with jordan_data one value per row
+    (`_kernel_jordan_data`); a row with both cross elements zero has an
+    all-zero polynomial, so basis-vector candidates only."""
+    (r1, r2), jordan, scale = _kernel_jordan_data(roots, split, tol, c1,
                                                   c2)
     phase, c, g13, g23, d1, d2 = vars(jordan).values()
     cos_p, sin_p = np.cos(phase), np.sin(phase)
@@ -590,11 +590,10 @@ def finalize_candidate_11(cand: Candidate11, pair: WeightedDensityPair,
     ("optimality_residual" otherwise), as `optimality.accepted_outcome`.
     """
     split = pair.jordan
-    m = split.measurement(*_blocks_11(cand, split))
+    m = split.measurement(*_blocks_11(cand))
     if not validate_inconclusive(m.e_inconclusive, pair).ok:
         return Rejection("not_psd")
-    first, second = _acceptance_11(cand, pair.root_blocks,
-                                   split.cosines[split.skew], pair.tol)
+    first, second = _acceptance_11(cand, pair.root_blocks, split, pair.tol)
     if not (first and second):
         return Rejection(("second" if first else "first")
                          + "_acceptance_inequality")
@@ -602,23 +601,20 @@ def finalize_candidate_11(cand: Candidate11, pair: WeightedDensityPair,
             or Rejection("optimality_residual"))
 
 
-def _blocks_11(cand: Candidate11, split):
-    """(Y1, Y2) = ((S psi1)(S psi1)^dag, (S psi2)(S psi2)^dag) of
-    rank-(1,1) candidates on their pair's `split`, which the lifts map out
-    to |psi><psi| of the lifted directions; (m, k, k) for a stack.  S is
-    the lifts' own scales t^dag d, 1e-8 off sqrt(1 - c^2) near parallel."""
-    s1, s2 = (np.einsum("ij,ij->j", t.conj(), d.basis) for t, d in
-              zip(split.lifted_columns, split.detector_spaces))
-    return _outer(s1 * cand.psi1), _outer(s2 * cand.psi2)
+def _blocks_11(cand: Candidate11):
+    """(X1, X2) = (psi1 psi1^dag, psi2 psi2^dag) of rank-(1,1) candidates,
+    in the detector coordinates of their vectors; (m, k, k) for a stack."""
+    return _outer(cand.psi1), _outer(cand.psi2)
 
 
-def _acceptance_11(cand: Candidate11, roots, c, tol: ToleranceContext,
+def _acceptance_11(cand: Candidate11, roots, split, tol: ToleranceContext,
                    c1=1.0, c2=1.0):
     """Whether rank-(1,1) candidates pass |<psi1_perp|psi2>|^2
     <psi2|g2|psi2> >= <psi1_perp|g1|psi1_perp> - tol.equality, and its
-    mirror, on the forms `_detector_forms` of (roots, c, c1, c2), with
+    mirror, on the forms `_detector_forms` of (roots, split, c1, c2), with
     <a|b> = a^dag C b across the two sides; per candidate of a stack."""
-    f1, f2 = _detector_forms(roots, c, c1, c2)
+    f1, f2 = _detector_forms(roots, split, c1, c2)
+    c = split.cosines[split.skew]
 
     def form(v, f):
         return np.real(np.einsum("...i,...ij,...j->...", v.conj(), f, v))
@@ -826,7 +822,8 @@ def _solve_rows(core: WeightedDensityPair, c1: np.ndarray, c2: np.ndarray,
                   zip(core.root_blocks, (w1, w2), (w2, w1)))
     ok, marginal = _fidelity_feasible(roots, tol)
     rows = np.flatnonzero(ok)
-    m = split.measurement(*(y[rows] for y in _fidelity_blocks(roots)))
+    m = split.measurement(*(x[rows] for x in _fidelity_blocks(roots,
+                                                              split.sines)))
     valid = _diagnostics(m.e_inconclusive, *states(rows), kernel.basis, tol).ok
     settle(1, rows[valid], _take(m, valid), marginal[rows[valid]])
     # class-12, host 1 then host 2, on a (4;2,2) core only
@@ -854,14 +851,12 @@ def _solve_rows(core: WeightedDensityPair, c1: np.ndarray, c2: np.ndarray,
     if not pending.size:
         return parts
     # class-11, on the core's root blocks reweighted per row
-    roots, cosines = core.root_blocks, split.cosines[split.skew]
-    rows, cands = _candidates_11(roots, cosines, tol, c1[pending],
-                                 c2[pending])
+    roots = core.root_blocks
+    rows, cands = _candidates_11(roots, split, tol, c1[pending], c2[pending])
     w1, w2 = (c[pending[rows], None, None] for c in (c1, c2))
-    gated = np.logical_and(*_acceptance_11(cands, roots, cosines, tol, w1,
-                                           w2))
+    gated = np.logical_and(*_acceptance_11(cands, roots, split, tol, w1, w2))
     rows = rows[gated]
-    m = split.measurement(*_blocks_11(_take(cands, gated), split))
+    m = split.measurement(*_blocks_11(_take(cands, gated)))
     valid = _diagnostics(m.e_inconclusive, *states(rows), kernel.basis,
                          tol).ok
     settle(4, rows[valid], _take(m, valid))

@@ -15,10 +15,9 @@ from usdkit import (NonConvergence, NotPSD, OracleConfig, check_optimality,
 from usdkit import linalg as la
 from usdkit import oracle, pipeline
 from usdkit.cli import main
-from usdkit.pipeline import (BLOCK_STRUCTURE_NOTE, ProblemFile,
-                             load_measurement, load_problem, rows_to_csv,
-                             save_measurement, save_problem, sweep,
-                             sweep_bounds)
+from usdkit.pipeline import (ProblemFile, load_measurement, load_problem,
+                             rows_to_csv, save_measurement, save_problem,
+                             sweep, sweep_bounds)
 
 from util import (REDUCED_SHAPES, assert_same_answer,
                   degenerate_host_states, example1_states, examples2_states,
@@ -492,15 +491,17 @@ def test_dispatch_with_parallel_component(rng):
                                shared, atol=1e-8)
 
 
-def test_dispatch_reports_block_structure_gap():
-    # the note is on outcomes whose core is larger than four dimensions:
-    # the strictly skew rank-(3,3) pair on C^6 has one, a (4;2,2) pair not
+def test_dispatch_notes_nothing_on_a_core_larger_than_four():
+    # a core larger than four dimensions is the program's, certified like
+    # a (4;2,2) core's answer, with no note: the strictly skew rank-(3,3)
+    # pair on C^6
     outcome = dispatch(load_problem(DATA / "skew6.json").pair(0.5))
-    assert BLOCK_STRUCTURE_NOTE in outcome.warnings
+    assert outcome.branch == "convex-program"
+    assert outcome.optimal and outcome.certificate is not None
+    assert outcome.warnings == ()
     rho1, rho2 = example1_states()
     outcome = dispatch(WeightedDensityPair.from_states(rho1, rho2, 0.5))
     assert outcome.optimal
-    assert BLOCK_STRUCTURE_NOTE not in outcome.warnings
 
 
 def test_dispatch_oracle_fallback_six_dim_skew(rng):

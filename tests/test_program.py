@@ -7,7 +7,7 @@ import pytest
 from usdkit import (NoSolutionFound, WeightedDensityPair, dispatch,
                     oracle_optimize, reduce_fully, solve_4d, sweep)
 from usdkit import pipeline, program
-from usdkit.pipeline import BLOCK_STRUCTURE_NOTE, load_problem
+from usdkit.pipeline import load_problem
 
 from util import example1_states, generic_pair, jordan_cosine_states
 
@@ -33,15 +33,16 @@ def test_program_certifies_rank_33_pairs_like_the_oracle(d, seed, p1):
 
 
 def _program_success(core):
-    """tr(A1 Y1) + tr(A2 Y2) of the program on the core's canonical data,
-    or None when it declines."""
+    """tr(A1 S X1 S) + tr(A2 S X2 S) of the program on the core's canonical
+    data, its blocks X_mu in detector coordinates, or None when it
+    declines."""
     split = core.jordan
-    blocks = program._program_blocks(core.root_blocks,
-                                     split.cosines[split.skew])
+    blocks = program._program_blocks(core.root_blocks, split)
     if blocks is None:
         return None
-    return sum(np.trace(root.block @ y).real
-               for root, y in zip(core.root_blocks, blocks))
+    s = split.sines
+    return sum(np.trace(root.block @ (s[:, None] * x * s)).real
+               for root, x in zip(core.root_blocks, blocks))
 
 
 _FAMILIES = {
@@ -97,8 +98,7 @@ def test_a_refused_program_leaves_the_oracle_answer(monkeypatch):
                         lambda m, core, branch: refused.append(branch))
     outcome = dispatch(pair)
     assert refused == ["convex-program"]
-    expected = pipeline._oracle_fallback(reduce_fully(pair), pair, None,
-                                         (BLOCK_STRUCTURE_NOTE,))
+    expected = pipeline._oracle_fallback(reduce_fully(pair), pair, None, ())
     assert outcome.branch == expected.branch == "oracle-checker"
     assert outcome.certificate is None
     for name in ("e1", "e2", "e_inconclusive"):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from usdkit import (OracleConfig, PreconditionViolated, UsdMeasurement,
-                    WeightedDensityPair, check_optimality, reduce_fully,
-                    solve_4d, success_probability)
+from usdkit import (NoSolutionFound, OracleConfig, PreconditionViolated,
+                    UsdMeasurement, WeightedDensityPair, check_optimality,
+                    reduce_fully, solve_4d, success_probability)
 from usdkit import linalg as la
 from usdkit.linalg import dag
 from usdkit.oracle import oracle_optimize
@@ -12,10 +12,10 @@ from usdkit.solver4d import (Rejection, balance_residual_11,
                              enumerate_candidates_12, finalize_candidate_11,
                              finalize_candidate_12)
 
-from util import (assert_same_answer, degenerate_host_states,
+from util import (GRID_COSINES, assert_same_answer, degenerate_host_states,
                   example1_states, examples2_states, generic_pair,
-                  haar_unitary, jordan_cosine_states, random_density,
-                  random_skew_pair, record_svd_shapes)
+                  grid_states, haar_unitary, jordan_cosine_states,
+                  random_density, random_skew_pair, record_svd_shapes)
 
 
 def oracle_value(pair, seed=0):
@@ -172,10 +172,11 @@ def test_candidates_12_nu_gate(rng):
 
 
 def test_candidate_12_blocks_are_those_of_its_lifted_inconclusive_element():
-    # a class-12 candidate is mapped out from k x k blocks; they, and its
-    # weight nu, are those of the d x d element phi phi^dag + n n^dag +
-    # P_ker, n = sqrt(rho) L_h u + L_o C u / sqrt(rho) on the split's lifts
-    # (u = B_h^dag phi_perp), completed as Y_mu = T_mu^dag (1 - e_q) T_mu
+    # a class-12 candidate is mapped out from k x k blocks in detector
+    # coordinates; its measurement, and its weight nu, are those of the
+    # d x d element phi phi^dag + n n^dag + P_ker, n = sqrt(rho) L_h u +
+    # L_o C u / sqrt(rho) on the split's lifts (u = B_h^dag phi_perp),
+    # completed as E_mu = L_mu T_mu^dag (1 - e_q) T_mu L_mu^dag
     from usdkit.solver4d import _blocks_12
 
     rng = np.random.default_rng(12)
@@ -194,9 +195,12 @@ def test_candidate_12_blocks_are_those_of_its_lifted_inconclusive_element():
                 assert cand.nu == pytest.approx(np.vdot(n, n).real, rel=1e-12)
                 one_minus_e_q = (rest - np.outer(cand.phi, cand.phi.conj())
                                  - np.outer(n, n.conj()))
-                for t, y in zip(split.lifted_columns, _blocks_12(cand, split)):
-                    np.testing.assert_allclose(y, dag(t) @ one_minus_e_q @ t,
-                                               rtol=0, atol=1e-13)
+                m = split.measurement(*_blocks_12(cand, split))
+                for t, lift, e in zip(split.lifted_columns, split.lifts,
+                                      (m.e1, m.e2)):
+                    np.testing.assert_allclose(
+                        e, lift @ dag(t) @ one_minus_e_q @ t @ dag(lift),
+                        rtol=0, atol=1e-13)
                 checked += 1
     assert checked >= 20
 
@@ -270,7 +274,7 @@ def test_candidate_11_data_and_measurement_are_the_lifted_reads(rng):
         pair = random_skew_pair(rng)
         split = pair.jordan
         cosines = split.cosines[split.skew]
-        (r1, r2), _, _ = s4._kernel_jordan_data(pair.root_blocks, cosines,
+        (r1, r2), _, _ = s4._kernel_jordan_data(pair.root_blocks, split,
                                                 pair.tol)
         k21, k22, k11, k12 = _lifted_11((r1[0], r2[0], r1[0], r2[0]), split)
 
@@ -293,9 +297,9 @@ def test_candidate_11_data_and_measurement_are_the_lifted_reads(rng):
                 >= read(perp, g_perp, perp).real - pair.tol.equality
                 for perp, psi, g, g_perp in ((perp1, psi2, g2, g1),
                                              (perp2, psi1, g1, g2)))
-            assert tuple(s4._acceptance_11(cand, pair.root_blocks, cosines,
+            assert tuple(s4._acceptance_11(cand, pair.root_blocks, split,
                                            pair.tol)) == lifted
-            m = split.measurement(*s4._blocks_11(cand, split))
+            m = split.measurement(*s4._blocks_11(cand))
             np.testing.assert_allclose(m.e1, np.outer(psi1, psi1.conj()),
                                        rtol=0, atol=1e-13)
             np.testing.assert_allclose(m.e2, np.outer(psi2, psi2.conj()),
@@ -305,8 +309,8 @@ def test_candidate_11_data_and_measurement_are_the_lifted_reads(rng):
 
 
 def test_near_parallel_class_11_maps_out_its_directions():
-    # at cosine 1 - 1e-8 the lifts' scales t^dag d round 1e-8 away from
-    # sqrt(1 - c^2); the blocks take the lifts' own, so e1 and e2 are the
+    # at cosine 1 - 1e-8 the blocks psi psi^dag are mapped out on the
+    # orthonormal detector bases with no scale, so e1 and e2 are the
     # projectors onto the lifted directions and the answer stays class-11
     import usdkit.solver4d as s4
 
@@ -320,7 +324,7 @@ def test_near_parallel_class_11_maps_out_its_directions():
         for cand in enumerate_candidates_11(pair):
             psi1, _, psi2, _ = _lifted_11(
                 (cand.psi1, cand.psi1_perp, cand.psi2, cand.psi2_perp), split)
-            m = split.measurement(*s4._blocks_11(cand, split))
+            m = split.measurement(*s4._blocks_11(cand))
             np.testing.assert_allclose(m.e1, np.outer(psi1, psi1.conj()),
                                        rtol=0, atol=1e-13)
             np.testing.assert_allclose(m.e2, np.outer(psi2, psi2.conj()),
@@ -434,7 +438,7 @@ def test_kernel_jordan_data_reads_the_split(rng):
         split = pair.jordan
         cosines = split.cosines[split.skew]
         np.testing.assert_allclose(cosines, [c, c], atol=1e-12)
-        (r1, r2), data, _ = s4._kernel_jordan_data(pair.root_blocks, cosines,
+        (r1, r2), data, _ = s4._kernel_jordan_data(pair.root_blocks, split,
                                                    pair.tol)
         assert data.g13 == 0.0
         k21, k22, k11, k12 = (
@@ -620,3 +624,26 @@ def test_stacked_roots_are_those_of_np_roots_per_polynomial():
                     and abs(r.real) > 1e-12]
         np.testing.assert_allclose(roots[rows == i], expected, rtol=1e-12,
                                    atol=1e-14)
+
+
+# the near-parallel cores of the cosine grid at seed 0: c0 >= 1 - 1e-4 and
+# c1 > 1e-4, at five priors
+_NEAR_PARALLEL_GRID = [
+    (c0, c1, p1) for i, c0 in enumerate(GRID_COSINES)
+    for c1 in GRID_COSINES[:i + 1] if c0 >= 1 - 1e-4 and c1 > 1e-4
+    for p1 in (0.1, 0.3, 0.5, 0.7, 0.9)]
+_NO_FAMILY = pytest.mark.xfail(strict=True, raises=NoSolutionFound, reason=(
+    "both cosines 1 - 1e-8 at p1 = 0.1: no family passes its check "
+    "(ROADMAP item 12)"))
+
+
+@pytest.mark.parametrize("c0, c1, p1", [
+    pytest.param(*case, marks=_NO_FAMILY)
+    if case == (1 - 1e-8, 1 - 1e-8, 0.1) else case
+    for case in _NEAR_PARALLEL_GRID])
+def test_solve_4d_answers_every_near_parallel_grid_core(c0, c1, p1):
+    # the families map their answers out on orthonormal detector bases,
+    # so a cosine within 1e-8 of parallel costs no family its answer
+    core = WeightedDensityPair.from_states(
+        *grid_states(0, c0, c1), p1).reduction.reduced_pair
+    assert solve_4d(core).optimal

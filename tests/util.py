@@ -172,6 +172,29 @@ def jordan_cosine_states(rng: np.random.Generator, c0: float, c1: float):
     return q @ rho1 @ dag(q), q @ rho2 @ dag(q)
 
 
+# the cosine grid of ROADMAP item 12: every pair c0 >= c1 of these
+# cosines, at each seed and prior (`grid_states`)
+GRID_COSINES = (1e-8, 1e-6, 1e-4, 0.01, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.99,
+                1 - 1e-4, 1 - 1e-6, 1 - 1e-8)
+GRID_PRIORS = np.linspace(0.05, 0.95, 19)
+
+
+def grid_states(seed: int, c0: float, c1: float):
+    """The states of the cosine grid at Jordan cosines c0 >= c1: a fresh
+    `default_rng(seed)` draws R1 and then R2 (`random_density(rng, 2,
+    2)`), rho_mu = b_mu R_mu b_mu^dag with b1 = (e0, e1) and b2 = (c0 e0 +
+    s0 e2, c1 e1 + s1 e3), s_k = sqrt(1 - c_k^2), and then one
+    `haar_unitary(rng, 4)` rotates both."""
+    rng = np.random.default_rng(seed)
+    r1, r2 = random_density(rng, 2, 2), random_density(rng, 2, 2)
+    b1 = np.eye(4, dtype=complex)[:, :2]
+    b2 = np.zeros((4, 2), dtype=complex)
+    b2[0, 0], b2[2, 0] = c0, np.sqrt(1 - c0 * c0)
+    b2[1, 1], b2[3, 1] = c1, np.sqrt(1 - c1 * c1)
+    u = haar_unitary(rng, 4)
+    return tuple(u @ b @ r @ dag(b) @ dag(u) for b, r in ((b1, r1), (b2, r2)))
+
+
 def with_eigenvalue_tails(rho: np.ndarray, tails) -> np.ndarray:
     """rho with its eigenvalues below 1e-6 set to `tails` (ascending order),
     renormalized to unit trace."""
