@@ -16,7 +16,7 @@ from .tolerances import DEFAULT_TOL, ToleranceContext
 
 __all__ = [
     "Subspace", "dag", "hermitian_part", "is_hermitian", "assert_hermitian",
-    "min_eigenvalue", "frobenius", "is_psd", "rank", "rank_margin", "support", "kernel", "spectral_split", "intersect",
+    "frobenius", "is_psd", "rank", "rank_margin", "support", "kernel", "spectral_split", "intersect",
     "subspace_sum", "oblique_projector",
     "pseudo_inverse", "sqrt_psd", "jordan_bases",
 ]
@@ -44,14 +44,6 @@ def assert_hermitian(a: np.ndarray, tol: ToleranceContext = DEFAULT_TOL,
     if not is_hermitian(a, tol):
         raise NotHermitian(f"{what} deviates from its adjoint beyond tolerance")
     return hermitian_part(a)
-
-
-def min_eigenvalue(a: np.ndarray):
-    """Smallest eigenvalue of the Hermitian part, per matrix of a stack
-    (..., n, n); 0 for n = 0."""
-    if a.shape[-1] == 0:
-        return np.zeros(a.shape[:-2])[()]
-    return np.linalg.eigvalsh(hermitian_part(a)).min(axis=-1)
 
 
 def frobenius(a: np.ndarray):
@@ -133,15 +125,18 @@ class Subspace:
 
 def spectral_split(a: np.ndarray, tol: ToleranceContext = DEFAULT_TOL,
                    ) -> tuple[Subspace, Subspace]:
-    """Support and kernel from one eigendecomposition.
+    """Support and kernel from one eigendecomposition: the eigenvectors
+    with eigenvalue above the rank cutoff span the support, the rest the
+    kernel."""
+    return _split_spectrum(np.linalg.eigh(assert_hermitian(a, tol)), tol)
 
-    The support is spanned by the eigenvectors with eigenvalue above the
-    rank cutoff; the kernel is its orthocomplement.
-    """
-    w, u = np.linalg.eigh(assert_hermitian(a, tol))
+
+def _split_spectrum(spectrum, tol: ToleranceContext):
+    """`spectral_split` of the operator whose `eigh` is `spectrum`."""
+    w, u = spectrum
     keep = w > _rank_threshold(w, tol)
-    return (Subspace(a.shape[0], u[:, keep].astype(complex)),
-            Subspace(a.shape[0], u[:, ~keep].astype(complex)))
+    return (Subspace(u.shape[0], u[:, keep].astype(complex)),
+            Subspace(u.shape[0], u[:, ~keep].astype(complex)))
 
 
 def support(a: np.ndarray, tol: ToleranceContext = DEFAULT_TOL) -> Subspace:

@@ -101,17 +101,15 @@ class JordanSplit:
     @cached_property
     def collective(self) -> tuple[Subspace, Subspace]:
         """(collective support, common kernel): the span of both supports
-        and its complement; the whole space, with no decomposition, or one
-        complete QR of [B1, the non-parallel columns of B2]."""
-        b1, b2 = (s.basis for s in self.supports)
-        columns = np.hstack((b1, b2[:, self.n_parallel:]))
-        size = columns.shape[1]
-        if size == self.dim:
+        and its complement; the whole space, with no decomposition, or read
+        off state 2's complete QR (`_sides`), whose columns span exactly [B1,
+        B2's non-parallel columns] (state 1's drop B1's parallel columns)."""
+        size = sum(s.size for s in self.supports) - self.n_parallel
+        if size >= self.dim:
             eye = _freeze(np.eye(self.dim, dtype=complex))
             return Subspace(self.dim, eye), Subspace.zero(self.dim)
-        q = np.linalg.qr(columns, mode="complete")[0]
-        return (Subspace(self.dim, _freeze(q[:, :size])),
-                Subspace(self.dim, _freeze(q[:, size:])))
+        q = self._sides[1]
+        return Subspace(self.dim, q[:, :size]), Subspace(self.dim, q[:, size:])
 
     @cached_property
     def support_overlap(self) -> Subspace:
@@ -120,24 +118,30 @@ class JordanSplit:
         return Subspace(self.dim, self.supports[0].basis[:, :self.n_parallel])
 
     @cached_property
+    def _sides(self) -> np.ndarray:
+        """The Q (2, d, d) of one stacked complete QR of both states'
+        matrices, each column phased as the column it orthonormalises."""
+        skew = self.skew
+        b1, b2 = (s.basis for s in self.supports)
+        q, r = np.linalg.qr(np.stack([np.hstack((
+            other, own[:, skew] - other[:, skew] * self.cosines[skew],
+            own[:, skew.stop:])) for own, other in ((b1, b2), (b2, b1))]),
+            mode="complete")
+        diagonal = np.diagonal(r, axis1=1, axis2=2)
+        q[:, :, :diagonal.shape[1]] *= (diagonal / np.abs(diagonal))[:, None]
+        return _freeze(q)
+
+    @cached_property
     def detector_spaces(self) -> tuple[Subspace, Subspace]:
         """ker(gamma2) resp. ker(gamma1) inside the collective support: the
         directions on which state 1 resp. state 2 is detected for sure.
-        For state 1, the columns after B2 of a QR of [B2, b1 - c b2 per
-        skew pair, the free columns of B1], each phased as its column, so
-        B1^dag D1 = diag(`sines`) on the skew pairs: orthonormal however
-        close to parallel the pairs come.  Both sides' matrices have the
-        shape of the collective support, so one stacked QR takes both."""
-        skew = self.skew
-        b1, b2 = (s.basis for s in self.supports)
-        sides = ((b1, b2), (b2, b1))
-        q, r = np.linalg.qr(np.stack([np.hstack((
-            other, own[:, skew] - other[:, skew] * self.cosines[skew],
-            own[:, skew.stop:])) for own, other in sides]))
-        diagonal = np.diagonal(r, axis1=1, axis2=2)
-        q = q * (diagonal / np.abs(diagonal))[:, None, :]
-        return tuple(Subspace(self.dim, _freeze(side[:, other.shape[1]:]))
-                     for side, (_, other) in zip(q, sides))
+        For state 1, the columns after B2 of the QR (`_sides`) of [B2, b1 -
+        c b2 per skew pair, the free columns of B1], the collective
+        support's size, so B1^dag D1 = diag(`sines`) on the skew pairs:
+        orthonormal however close to parallel they come."""
+        size = sum(s.size for s in self.supports) - self.n_parallel
+        return tuple(Subspace(self.dim, q[:, other.size:size])
+                     for q, other in zip(self._sides, self.supports[::-1]))
 
     @cached_property
     def sines(self) -> np.ndarray:
@@ -162,8 +166,8 @@ class JordanSplit:
         basis and T_mu the `lifted_columns`, so T_mu^dag L_mu = 1 and
         T_nu^dag L_mu = 0; the overlap is diagonal, so no decomposition.
         Q_mu = T_mu L_mu^dag is the oblique projector onto the non-parallel
-        part of supp(gamma_mu) along ker(Lambda_mu).  No solver reads them:
-        `complete_measurement` and the certificate do."""
+        part of supp(gamma_mu) along ker(Lambda_mu).  Only
+        `complete_measurement` reads them."""
         return tuple(
             _freeze(d.basis / np.einsum("ij,ij->j", t.conj(), d.basis))
             for d, t in zip(self.detector_spaces, self.lifted_columns))
@@ -198,21 +202,27 @@ class JordanSplit:
         return tuple(_freeze(p) for p in (pi_par, sigma1, sigma2, xi))
 
 
-def _jordan_split(gamma1: np.ndarray, gamma2: np.ndarray,
-                  tol: ToleranceContext) -> JordanSplit:
-    """The split of the supports of two Hermitian operators: an
-    eigendecomposition per operator decides its support, one SVD gives the
-    Jordan pairs, and the two cosine cutoffs classify them."""
-    (sup1, ker1), (sup2, ker2) = (la.spectral_split(g, tol)
-                                  for g in (gamma1, gamma2))
+def _jordan_split(spectra, tol: ToleranceContext) -> JordanSplit:
+    """The split of the supports of two Hermitian operators, given the
+    `eigh` of each: each spectrum decides its operator's support, one SVD
+    gives the Jordan pairs, and the two cosine cutoffs classify them."""
+    (sup1, ker1), (sup2, ker2) = (la._split_spectrum(s, tol) for s in spectra)
     b1, b2, cosines = la.jordan_bases(sup1, sup2, tol)
     n_parallel = int(np.sum(cosines >= 1 - PARALLEL_COSINE_CUTOFF))
     n_skew = int(np.sum(cosines > ORTHOGONAL_COSINE_CUTOFF)) - n_parallel
     for a in (b1, b2, ker1.basis, ker2.basis, cosines):
         _freeze(a)
-    dim = gamma1.shape[0]
+    dim = sup1.dim
     return JordanSplit((Subspace(dim, b1), Subspace(dim, b2)), (ker1, ker2),
                        cosines, n_parallel, n_skew)
+
+
+def _state_spectrum(state: np.ndarray, tol: ToleranceContext, name: str):
+    """The `eigh` of a Hermitian state, for its PSD test and its support."""
+    w, u = np.linalg.eigh(state)
+    if w.size and w[0] < -tol.psd_floor * max(1.0, float(np.abs(w).max())):
+        raise NotPSD(f"{name} is not positive semi-definite")
+    return w, u
 
 
 @dataclass(frozen=True)
@@ -270,25 +280,22 @@ class WeightedDensityPair:
         """Build the pair p1*rho1, (1-p1)*rho2 from unit-trace states.
 
         The prior only weights the states, so the pair has their supports,
-        kernels and Jordan pairs.  The states are tested for hermiticity
-        and positivity and split (`_jordan_split`) once, here, on
-        themselves: the pair is built without tests of its own
-        (`_known_valid`) and is handed the states' split, as a reduced pair
-        is handed its pair's `core`.  So a state that fails a test fails at
-        every prior, and the pairs of the same states take the same rank
-        decisions at every prior.
+        kernels and Jordan pairs.  The states are tested and split
+        (`_jordan_split`) once, here, rho1 before rho2: one hermiticity test
+        and one `eigh` (`_state_spectrum`) each, for the PSD test and the
+        support.  The pair is built untested (`_known_valid`) and handed the
+        states' split, as a reduced pair is handed its pair's `core`.  So a
+        state that fails a test fails at every prior, and the pairs of the
+        same states take the same rank decisions at every prior.
         """
         if not 0.0 < p1 < 1.0:
             raise ValueError("p1 must lie strictly between 0 and 1")
         rho1, rho2 = (np.asarray(rho, dtype=complex) for rho in (rho1, rho2))
-        states = [la.assert_hermitian(rho, tol, name)
-                  for rho, name in ((rho1, "rho1"), (rho2, "rho2"))]
-        for name, rho in zip(("rho1", "rho2"), states):
-            if not la.is_psd(rho, tol):
-                raise NotPSD(f"{name} is not positive semi-definite")
+        spectra = [_state_spectrum(la.assert_hermitian(rho, tol, n), tol, n)
+                   for rho, n in ((rho1, "rho1"), (rho2, "rho2"))]
         pair = WeightedDensityPair._known_valid(
             rho1.shape[0], p1 * rho1, (1.0 - p1) * rho2, tol)
-        object.__setattr__(pair, "jordan", _jordan_split(*states, tol))
+        object.__setattr__(pair, "jordan", _jordan_split(spectra, tol))
         return pair
 
     @property
@@ -336,7 +343,8 @@ class WeightedDensityPair:
         from, `_jordan_split` of the pair's two operators.  A pair built by
         `from_states` is handed the split of its states instead, and a
         reduced pair its pair's `core` (`reductions.reduce_fully`)."""
-        return _jordan_split(self.gamma1, self.gamma2, self.tol)
+        return _jordan_split(map(np.linalg.eigh, (self.gamma1, self.gamma2)),
+                             self.tol)
 
     # reads of the split, documented there: supports and kernels (in
     # Jordan bases), the support overlap, the detector spaces and their

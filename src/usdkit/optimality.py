@@ -110,10 +110,11 @@ def _check(e: np.ndarray, gamma1: np.ndarray, gamma2: np.ndarray,
                                              axis2=-1)))
     s11 = lam1 @ core @ lam1
     s22 = lam2 @ core @ lam2
-    anti = np.maximum(la.frobenius(s11 - hermitian_part(s11)),
-                      la.frobenius(s22 - hermitian_part(s22)))
-    res_a1 = np.minimum(0.0, la.min_eigenvalue(s11))
-    res_a2 = np.minimum(0.0, la.min_eigenvalue(-s22))
+    h11, h22 = hermitian_part(s11), hermitian_part(s22)
+    anti = np.maximum(la.frobenius(s11 - h11), la.frobenius(s22 - h22))
+    # the smallest eigenvalues of both Hermitian parts, from one call
+    res_a1, res_a2 = np.linalg.eigvalsh(np.stack((h11, -h22))).min(
+        axis=-1, initial=0.0)
     res_cross = la.frobenius(lam1 @ core @ lam2)
     res_b = la.frobenius((lam1 - lam2) @ core @ (np.eye(e.shape[-1]) - e))
     floor = tol.psd_floor * scale
@@ -190,8 +191,7 @@ def _classify(m: UsdMeasurement, cross_rank: int,
     (..., d, d), on pairs of the given `cross_rank`: every field holds one
     value per row."""
     # the singular values of e1 and e2, stacked as (2, ..., d)
-    values = np.stack([np.linalg.svd(e, compute_uv=False)
-                       for e in (m.e1, m.e2)])
+    values = np.linalg.svd(np.stack((m.e1, m.e2)), compute_uv=False)
     # `linalg.rank` and `linalg.rank_margin` of each, from those values
     cut = np.maximum(tol.rank_cutoff * values.max(axis=-1, initial=0.0),
                      tol.rank_atol)[..., None]
@@ -201,9 +201,9 @@ def _classify(m: UsdMeasurement, cross_rank: int,
                                                      initial=np.inf)
     von_neumann = e1_rank + e2_rank == cross_rank
     if von_neumann.any():
-        for e in m.elements():
-            von_neumann = von_neumann & (
-                np.abs(e @ e - e).max(axis=(-2, -1)) <= tol.equality)
+        e = np.stack(m.elements())
+        von_neumann = von_neumann & (np.abs(e @ e - e).max(
+            axis=(-2, -1)) <= tol.equality).all(axis=0)
     return MeasurementClassTag(e1_rank, e2_rank, von_neumann, margin)
 
 
@@ -245,11 +245,10 @@ class CertificateZ:
 
     z is PSD, annihilates the inconclusive element, dominates gamma_mu on
     the detector subspaces and agrees with gamma_mu against the conclusive
-    elements.  v1_condition is the condition number of the operator the
-    construction inverts: it tracks how ill-posed that inversion was.
+    elements.  v1_condition is the condition number of the k x k V that
+    z carries (`build_certificate`): it tracks how ill-posed that was.
     `pair` is the reduced pair (`reduce_fully`) of the pair the
-    certificate was asked for, in that pair's own space, so z has the
-    caller's dimension.
+    certificate was asked for, in its space: z has the caller's dimension.
     """
 
     z: np.ndarray
@@ -260,11 +259,15 @@ class CertificateZ:
 
 def _certificate_residuals(z, m: UsdMeasurement, pair: WeightedDensityPair):
     lam1, lam2 = pair.detectors
+    psd = np.linalg.eigvalsh(np.stack([z] + [
+        hermitian_part(lam @ (z - g) @ lam)
+        for lam, g in zip(pair.detectors, (pair.gamma1, pair.gamma2))])).min(
+        axis=-1, initial=0.0).tolist()
     return {
-        "z_psd": min(0.0, la.min_eigenvalue(z)),
+        "z_psd": psd[0],
         "z_annihilates_inconclusive": float(np.linalg.norm(z @ m.e_inconclusive)),
-        "dominates_1": min(0.0, la.min_eigenvalue(lam1 @ (z - pair.gamma1) @ lam1)),
-        "dominates_2": min(0.0, la.min_eigenvalue(lam2 @ (z - pair.gamma2) @ lam2)),
+        "dominates_1": psd[1],
+        "dominates_2": psd[2],
         "agrees_1": float(np.linalg.norm(lam1 @ (z - pair.gamma1) @ m.e1)),
         "agrees_2": float(np.linalg.norm(lam2 @ (z - pair.gamma2) @ m.e2)),
     }
@@ -278,14 +281,18 @@ def build_certificate(m: UsdMeasurement, pair: WeightedDensityPair, *,
     reduced pair (`reduce_fully(pair).reduced_pair`, the pair itself when
     the reduction removes nothing), in the pair's own space, for the
     measurement sandwiched by the record's projector xi onto the strictly
-    skew core, (xi e1 xi, xi e2 xi, xi e_q xi + 1 - xi).  By the
-    reduction laws that measurement is optimal for the reduced pair iff
-    `m` is optimal for `pair`.  The reduced pair is strictly skew, so the
-    oblique projector between its detector spaces is read off its
-    `JordanSplit`; the one SVD inverts V1.  Every residual of the
-    certificate (`CertificateZ.residuals`) must lie within the fixed
-    absolute bound 1e-7, or `CertificateFailure` is raised; this gate also
-    refuses a construction scaled by 1/c on a near-orthogonal Jordan pair.
+    skew core, (xi e1 xi, xi e2 xi, xi e_q xi + 1 - xi), or `m` itself
+    when nothing is removed.  By the reduction laws that measurement is
+    optimal for the reduced pair iff `m` is optimal for `pair`.  z is
+    built in the reduced pair's detector coordinates, z = M V M^dag with
+    the k x k V = D1^dag (e (gamma2 - gamma1) e + gamma1) D1 and the d x k
+    M = T1 diag(tau1)^-* + T2 diag(tau2)^-* [diag(1/<d1_j|d2_j>) (1 -
+    D1^dag e1 D1) + D2^dag e1 D1], tau_mu = diag(T_mu^dag D_mu), read off
+    the split's bases: the dense t V1 t^dag through the oblique projectors
+    (V1 = D1 V D1^dag, t = Q1 + Q2 R V1 V1^+), where V1's pseudo-inverse
+    cancels.  Every residual (`CertificateZ.residuals`, d x d) must lie
+    within the fixed absolute bound 1e-7, or `CertificateFailure` is
+    raised; this also refuses a 1/c-scaled near-orthogonal construction.
 
     `report` is the `check_optimality(m, pair)` a caller already holds;
     without it the measurement is checked here.  Either way a report that
@@ -298,37 +305,29 @@ def build_certificate(m: UsdMeasurement, pair: WeightedDensityPair, *,
             "measurement fails the operational optimality conditions; "
             "no certificate exists", report.to_dict())
     record = pair.reduction
-    core, xi = record.reduced_pair, record.xi
+    core = record.reduced_pair
     if core.collective_support().size == 0:
         raise CertificateFailure(
             "pair reduces to nothing; optimality is trivial and the "
             "certificate construction is empty", {})
-    # the measurement of the reduced pair that m lifts
-    e1, e2, e = (hermitian_part(xi @ a @ xi) for a in m.elements())
-    e = e + np.eye(pair.dim) - xi
-    m = UsdMeasurement(e1, e2, e)
-    tol = core.tol
-    g1, g2 = core.gamma1, core.gamma2
-    lam1, lam2 = core.detectors
-    # oblique projectors between the detector spaces (the kernels inside
-    # the collective support), of diagonal overlap, and along them onto the
-    # supports, Q_mu = T_mu L_mu^dag
-    d1, d2 = (s.basis for s in core.detector_spaces)
-    r1 = (d2 / np.einsum("ij,ij->j", d1.conj(), d2)) @ dag(d1)
-    q1, q2 = (t @ dag(lift) for t, lift in zip(core.jordan.lifted_columns,
-                                               core.jordan.lifts))
-    v1 = hermitian_part(lam1 @ e @ (g2 - g1) @ e @ lam1 + lam1 @ g1 @ lam1)
-    w1 = (r1 @ (lam1 - m.e1) + lam2 @ m.e1) @ v1
-    # pseudo-inverse (cutoff relative to the largest singular value, as in
-    # `linalg.pseudo_inverse`) and condition number from one SVD
-    u, sv, vh = np.linalg.svd(v1)
-    top = sv.max(initial=0.0)
-    keep = sv > tol.rank_cutoff * top
-    v1_pinv = (dag(vh[keep]) / sv[keep]) @ dag(u[:, keep])
-    sv = sv[sv > max(tol.rank_cutoff * top, tol.rank_atol)]
+    if core is not pair:  # the measurement of the reduced pair that m lifts
+        xi = record.xi
+        e1, e2, e = (hermitian_part(xi @ a @ xi) for a in m.elements())
+        m = UsdMeasurement(e1, e2, e + np.eye(pair.dim) - xi)
+    (d1, d2), (t1, t2) = ((s.basis for s in core.detector_spaces),
+                          core.jordan.lifted_columns)
+    tau1, tau2, overlap = (np.einsum("ij,ij->j", a.conj(), b)
+                           for a, b in ((t1, d1), (t2, d2), (d1, d2)))
+    e, e1_d1 = m.e_inconclusive, m.e1 @ d1
+    v = hermitian_part(dag(d1) @ (e @ (core.gamma2 - core.gamma1) @ e
+                                  + core.gamma1) @ d1)
+    x = ((np.eye(len(overlap)) - dag(d1) @ e1_d1) / overlap[:, None]
+         + dag(d2) @ e1_d1)
+    t = t1 / tau1.conj() + (t2 / tau2.conj()) @ x
+    z = hermitian_part(t @ v @ dag(t))
+    sv = np.abs(np.linalg.eigvalsh(v))  # kept as `linalg.rank` keeps them
+    sv = sv[sv > la._rank_threshold(sv, core.tol)]
     v1_cond = float(sv.max() / sv.min()) if sv.size else float("inf")
-    t = q1 + q2 @ w1 @ v1_pinv
-    z = hermitian_part(t @ v1 @ dag(t))
     residuals = _certificate_residuals(z, m, core)
     for name, value in residuals.items():
         # the PSD residuals are at most 0, the norms at least 0

@@ -583,20 +583,20 @@ def finalize_candidate_11(cand: Candidate11, pair: WeightedDensityPair,
                           ) -> SolverOutcome | Rejection:
     """Build and verify the projective measurement of a rank-(1,1) candidate.
 
-    Its measurement is mapped out once from k x k blocks (`_blocks_11`).
-    It is accepted only if its inconclusive element is valid ("not_psd"
-    otherwise, `validate_inconclusive`), both acceptance inequalities hold
-    (`_acceptance_11`) and it passes the full optimality check
-    ("optimality_residual" otherwise), as `optimality.accepted_outcome`.
+    It is accepted only if, in this order as in `_solve_rows`, both k x k
+    acceptance inequalities hold (`_acceptance_11`), its measurement, then
+    mapped out from k x k blocks (`_blocks_11`), is valid ("not_psd"
+    otherwise) and passes the full optimality check ("optimality_residual"
+    otherwise), as `optimality.accepted_outcome`.
     """
     split = pair.jordan
-    m = split.measurement(*_blocks_11(cand))
-    if not validate_inconclusive(m.e_inconclusive, pair).ok:
-        return Rejection("not_psd")
     first, second = _acceptance_11(cand, pair.root_blocks, split, pair.tol)
     if not (first and second):
         return Rejection(("second" if first else "first")
                          + "_acceptance_inequality")
+    m = split.measurement(*_blocks_11(cand))
+    if not validate_inconclusive(m.e_inconclusive, pair).ok:
+        return Rejection("not_psd")
     return (accepted_outcome(m, pair, BRANCH_CLASS_11)
             or Rejection("optimality_residual"))
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from usdkit import (InvalidInconclusive, NotPSD, UsdMeasurement,
+from usdkit import (InvalidInconclusive, NotHermitian, NotPSD, UsdMeasurement,
                     WeightedDensityPair, dispatch, is_proper, is_usd,
                     reduce_fully, success_probability)
 from usdkit import linalg as la
@@ -12,8 +12,10 @@ from usdkit.model import (complete_measurement, failure_probability,
                           reconstruct_from_core, validate_inconclusive)
 from usdkit.oracle import random_feasible_inconclusive
 
-from util import (example1_states, jordan_cosine_states,
-                  peres_nonproper_measurement, peres_states, random_skew_pair)
+from util import (example1_states, haar_unitary, jordan_cosine_states,
+                  peres_nonproper_measurement, peres_states, random_density,
+                  random_skew_pair, record_decompositions,
+                  with_eigenvalue_tails)
 
 IDP = 1 - 1 / np.sqrt(2)  # optimal success for the symmetric |1>,|+> pair
 
@@ -214,6 +216,78 @@ def test_full_support_pair_has_an_empty_kernel_without_a_qr(rng, monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", refuse)
     assert pair.common_kernel().size == 0
     assert pair.collective_support().size == 4
+
+
+def _embedded_states(rng, c):
+    """Rank-3 states on C^6 with one parallel Jordan pair (cosine 1 - 1e-10,
+    inside the parallel cutoff), one skew pair of cosine c, one orthogonal
+    pair and a one-dimensional common kernel: supports (e0, e1, e2) and
+    (c' e0 + s' e5, c e1 + s e3, e4), rotated together."""
+    e = np.eye(6, dtype=complex)
+    s, c_par = np.sqrt((1 - c) * (1 + c)), 1 - 1e-10
+    b1 = e[:, [0, 1, 2]]
+    b2 = np.stack([c_par * e[:, 0] + np.sqrt(1 - c_par ** 2) * e[:, 5],
+                   c * e[:, 1] + s * e[:, 3], e[:, 4]], axis=1)
+    r1, r2 = random_density(rng, 3, 3), random_density(rng, 3, 3)
+    u = haar_unitary(rng, 6)
+    return tuple(u @ b @ r @ dag(b) @ dag(u)
+                 for b, r in ((b1, r1), (b2, r2)))
+
+
+@pytest.mark.parametrize("c", [0.5, 1 - 1e-8])
+@pytest.mark.parametrize("seed", range(3))
+def test_collective_support_reads_the_detector_qr(seed, c, monkeypatch):
+    # off full support the collective support and the common kernel are
+    # read off the complete QR the detector spaces take: one np.linalg.qr
+    # call per fresh split, for both
+    rho1, rho2 = _embedded_states(np.random.default_rng(seed), c)
+    calls = record_decompositions(monkeypatch, ("qr",))
+    pair = WeightedDensityPair.from_states(rho1, rho2, 0.4)
+    split = pair.jordan
+    assert (split.n_parallel, split.n_skew) == (1, 1)
+    support, kernel = pair.collective_support(), pair.common_kernel()
+    assert [d.size for d in pair.detector_spaces] == [2, 2]
+    assert len(calls) == 1
+    assert (support.size, kernel.size) == (5, 1)
+    basis = np.hstack((support.basis, kernel.basis))
+    assert np.abs(dag(basis) @ basis - np.eye(6)).max() <= 1e-13
+    # span[B1, the non-parallel columns of B2]: its columns lie in the
+    # collective support, which has their joint dimension (B1's parallel
+    # column, 1.4e-5 off B2's, is in it; B2's is not)
+    b1, b2 = (s.basis for s in split.supports)
+    columns = np.hstack((b1, b2[:, split.n_parallel:]))
+    p = support.projector()
+    assert np.abs(columns - p @ columns).max() <= 1e-13
+    # the projector of that span by SVD; at c = 1 - 1e-8 the columns have
+    # a singular value near s = 1.4e-4, so any factorisation of them (this
+    # SVD, or the complete QR that gave the collective support before) is
+    # only good to about 1e-16 / s, and the containment above is the
+    # well-conditioned statement
+    reference = la.Subspace.from_columns(columns).projector()
+    assert np.abs(p - reference).max() <= (1e-13 if c < 0.9 else 1e-11)
+
+
+def _tests_raise(rho1, rho2, error, name):
+    with pytest.raises(error, match=name):
+        WeightedDensityPair.from_states(rho1, rho2, 0.5)
+
+
+def test_from_states_tests_each_state_once():
+    rho1, rho2 = example1_states()
+    # a tail at -0.4e-10 passes the PSD test, one at -1.5e-10 fails it
+    WeightedDensityPair.from_states(*(with_eigenvalue_tails(
+        rho, [-0.4e-10, 0.0]) for rho in (rho1, rho2)), 0.5)
+    bad1, bad2 = (with_eigenvalue_tails(rho, [-1.5e-10, 0.0])
+                  for rho in (rho1, rho2))
+    _tests_raise(bad1, rho2, NotPSD, "rho1")
+    _tests_raise(rho1, bad2, NotPSD, "rho2")
+    skew = np.zeros((4, 4), dtype=complex)
+    skew[0, 1] = 1e-3
+    _tests_raise(rho1 + skew, rho2, NotHermitian, "rho1")
+    _tests_raise(rho1, rho2 + skew, NotHermitian, "rho2")
+    # rho1 is tested, both ways, before rho2
+    _tests_raise(bad1, rho2 + skew, NotPSD, "rho1")
+    _tests_raise(rho1 + skew, bad2, NotHermitian, "rho1")
 
 
 def test_validate_inconclusive_identity(peres_pair3):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,12 @@ from usdkit import linalg as la
 from usdkit.optimality import (count_types_classes, projective_part_law,
                                rank_law_check)
 from usdkit.oracle import FeasibleSet, oracle_optimize
+from usdkit.pipeline import dispatch, load_problem
 
-from util import (peres_nonproper_measurement, peres_states,
-                  random_direction, random_skew_pair, record_svd_shapes)
+from util import (REDUCED_SHAPES, dense_certificate, generic_pair,
+                  peres_nonproper_measurement, peres_states,
+                  random_direction, random_skew_pair,
+                  record_decompositions)
 
 CERT_RESIDUAL = 1e-7
 
@@ -55,7 +60,7 @@ def test_forced_detection_on_violating_pair(rng):
     for _ in range(50):
         pair = random_skew_pair(rng)
         cond = pair.gamma1 @ (pair.gamma2 - pair.gamma1) @ pair.gamma1
-        if la.min_eigenvalue(cond) > -1e-6:
+        if np.linalg.eigvalsh(la.hermitian_part(cond))[0] > -1e-6:
             continue
         lam2 = la.intersect(la.kernel(pair.gamma1),
                             pair.collective_support()).projector()
@@ -215,8 +220,6 @@ def test_uniqueness_two_optimal_measurements_agree(rng):
 def test_free_detector_parts_saturate(rng):
     # at any optimum, the conclusive elements act as identity on their
     # free detector subspaces
-    from usdkit import dispatch
-
     g1 = np.diag([0.2, 0.25, 0.0, 0.0]).astype(complex)
     plus = np.array([1, 0, 1, 0], dtype=complex) / np.sqrt(2)
     e3 = np.array([0, 0, 0, 1], dtype=complex)
@@ -258,20 +261,70 @@ def test_certificate_on_class11(rng):
         if outcome.class_tag.as_class != (1, 1):
             continue
         cert = build_certificate(outcome.measurement, pair)
-        assert la.min_eigenvalue(cert.z) >= -CERT_RESIDUAL
+        assert np.linalg.eigvalsh(cert.z)[0] >= -CERT_RESIDUAL
         return
     pytest.fail("no class-[1,1] instance in 60 draws")
 
 
-def test_certificate_takes_one_svd(rng, monkeypatch):
-    # the oblique projector between the detector spaces is read off the
-    # pair's Jordan split; the one SVD is the pseudo-inverse of V1
+def test_certificate_takes_no_svd(rng, monkeypatch):
+    # z is built in the detector coordinates of the pair's Jordan split,
+    # where the pseudo-inverse of V1 cancels: no SVD and no pinv, only the
+    # k x k spectrum of V and one stacked call for the three PSD residuals
     pair = random_skew_pair(rng)
     m = solve_4d(pair).measurement
     report = check_optimality(m, pair)
-    calls = record_svd_shapes(monkeypatch)
+    calls = record_decompositions(monkeypatch)
     build_certificate(m, pair, report=report)
-    assert calls == [(4, 4)]
+    assert calls == [("eigvalsh", (2, 2)), ("eigvalsh", (3, 4, 4))]
+
+
+# (problem file, prior): single state detection, the fidelity form,
+# class-12, class-11, the k x k program, a near-parallel grid pair
+# (cosines 1 - 1e-8 and 0.2), and two answers the gate refuses: the class-12
+# answers near parallel and at cosine 5e-9
+_CERTIFICATE_FILES = (("example1", 0.95), ("peres", 0.5), ("example1", 0.5),
+                      ("near_cutoff4", 0.5), ("skew6", 0.5),
+                      ("near_parallel11", 0.5), ("near_parallel12", 0.25),
+                      ("near_orthogonal4", 0.1))
+
+
+def _certificate_pair(case):
+    if isinstance(case[0], str):
+        name, p1 = case
+        path = Path(__file__).parent / "data" / f"{name}.json"
+        return load_problem(path).pair(p1)
+    shape, p1 = case
+    rho1, rho2 = generic_pair(np.random.default_rng(shape), *shape)
+    return WeightedDensityPair.from_states(rho1, rho2, p1)
+
+
+@pytest.mark.parametrize("case", _CERTIFICATE_FILES + tuple(
+    (shape, p1) for shape in REDUCED_SHAPES for p1 in (0.3, 0.7)), ids=str)
+def test_certificate_matches_the_dense_construction(case):
+    # the k x k construction gives the d x d one's z, residual verdicts and
+    # condition number, on the pair and, for the reduced shapes, through
+    # the sandwich by xi
+    pair = _certificate_pair(case)
+    outcome = dispatch(pair, with_certificate=False)
+    assert outcome.optimal
+    z_ref, residuals_ref, cond_ref = dense_certificate(outcome.measurement,
+                                                       pair)
+    try:
+        cert = build_certificate(outcome.measurement, pair,
+                                 report=outcome.report)
+    except CertificateFailure as exc:
+        residuals = exc.residuals
+    else:
+        residuals = cert.residuals
+        scale = max(1.0, np.linalg.norm(cert.z))
+        assert np.linalg.norm(cert.z - z_ref) <= 1e-12 * scale
+        assert cert.v1_condition == pytest.approx(cond_ref, rel=1e-10)
+    assert ({name: abs(v) <= CERT_RESIDUAL for name, v in residuals.items()}
+            == {name: abs(v) <= CERT_RESIDUAL
+                for name, v in residuals_ref.items()})
+    refused = case in _CERTIFICATE_FILES[-2:]
+    assert all(abs(v) <= CERT_RESIDUAL
+               for v in residuals_ref.values()) != refused
 
 
 def test_certificate_rejects_suboptimal(rng):
@@ -301,8 +354,6 @@ def test_certificate_takes_the_callers_report(rng):
 
 def test_certificate_for_reduced_pair(rng):
     # non-strictly-skew input: certificate is built for the skew core
-    from usdkit import dispatch
-
     g1 = np.diag([0.2, 0.25, 0.0, 0.0]).astype(complex)
     plus = np.array([1, 0, 1, 0], dtype=complex) / np.sqrt(2)
     e3 = np.array([0, 0, 0, 1], dtype=complex)

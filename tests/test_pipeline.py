@@ -13,7 +13,7 @@ from usdkit import (NonConvergence, NotPSD, OracleConfig, check_optimality,
                     classify, dispatch, lift_measurement, oracle_optimize,
                     reduce_fully, solve_4d, success_probability)
 from usdkit import linalg as la
-from usdkit import oracle, pipeline
+from usdkit import model, oracle, pipeline
 from usdkit.cli import main
 from usdkit.pipeline import (ProblemFile, load_measurement, load_problem,
                              rows_to_csv, save_measurement, save_problem,
@@ -22,7 +22,8 @@ from usdkit.pipeline import (ProblemFile, load_measurement, load_problem,
 from util import (REDUCED_SHAPES, assert_same_answer,
                   degenerate_host_states, example1_states, examples2_states,
                   generic_pair, haar_unitary, jordan_cosine_states,
-                  peres_states, random_direction, with_eigenvalue_tails)
+                  peres_states, random_direction, record_decompositions,
+                  with_eigenvalue_tails)
 
 DATA = Path(__file__).parent / "data"
 IDP = 1 - 1 / np.sqrt(2)
@@ -1024,15 +1025,39 @@ def test_stacked_rows_hold_the_check_of_their_pair(family, monkeypatch):
             assert _at(tag, j) == classify(m_row, core), p1s[row]
 
 
+def _oracle_fallback_states():
+    """The benchmark's rank-(3,3) pair on C^6 of index 2 in its
+    oracle-fallback workload, drawn as `perfbench/instances.py` draws it
+    (pool seed 20080311, family 206); the k x k program answers it."""
+    return generic_pair(np.random.default_rng([20080311, 206, 2]), 6, 3, 3)
+
+
+@pytest.mark.parametrize("states, bounds", [
+    (example1_states, {"eigh": 2, "eigvalsh": 8, "svd": 2}),
+    (_oracle_fallback_states, {"eigh": 14, "eigvalsh": 9, "svd": 2}),
+], ids=["example1", "oracle-fallback-6"])
+def test_dispatch_decomposition_counts(states, bounds, monkeypatch):
+    # upper bounds on the dense decompositions of one dispatch, with its
+    # certificate, at p1 = 0.5: the split, the check, the classification
+    # and the certificate decompose each operator once
+    pair = WeightedDensityPair.from_states(*states(), 0.5)
+    calls = record_decompositions(monkeypatch, tuple(bounds))
+    outcome = dispatch(pair)
+    assert outcome.optimal and outcome.certificate is not None
+    counts = Counter(name for name, _ in calls)
+    assert all(counts[name] <= bound for name, bound in bounds.items()), \
+        counts
+
+
 def test_sweep_tests_the_states_once(monkeypatch):
     # a state at -0.4e-10 passes the PSD test: the only tests are the two
     # on the states, which every prior's pair holds
     rho1, rho2 = example1_states()
     rho1 = with_eigenvalue_tails(rho1, [-0.4e-10, 0.0])
     tested = []
-    is_psd = la.is_psd
-    monkeypatch.setattr(la, "is_psd",
-                        lambda a, tol: tested.append(a) or is_psd(a, tol))
+    state_spectrum = model._state_spectrum
+    monkeypatch.setattr(model, "_state_spectrum", lambda a, tol, name: (
+        tested.append(a) or state_spectrum(a, tol, name)))
     assert len(sweep(rho1, rho2, GRID)) == len(GRID)
     assert len(tested) == 2
     for a, b in zip(tested, (rho1, rho2)):

@@ -15,7 +15,7 @@ from usdkit.solver4d import (Rejection, balance_residual_11,
 from util import (GRID_COSINES, assert_same_answer, degenerate_host_states,
                   example1_states, examples2_states, generic_pair,
                   grid_states, haar_unitary, jordan_cosine_states,
-                  random_density, random_skew_pair, record_svd_shapes)
+                  random_density, random_skew_pair, record_decompositions)
 
 
 def oracle_value(pair, seed=0):
@@ -412,7 +412,7 @@ def test_class11_kernel_bases_take_no_svd(monkeypatch):
     # the root blocks, which the fidelity form reads first, take their
     # one SVD before the candidates read them
     pair.root_blocks
-    calls = record_svd_shapes(monkeypatch)
+    calls = record_decompositions(monkeypatch, ("svd",))
     enumerate_candidates_11(pair)
     assert calls == []
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from usdkit import WeightedDensityPair
-from usdkit.linalg import dag
+from usdkit.linalg import dag, hermitian_part
 
 
 def assert_same_answer(row, fresh):
@@ -205,18 +205,68 @@ def with_eigenvalue_tails(rho: np.ndarray, tails) -> np.ndarray:
     return out / np.real(np.trace(out))
 
 
-def record_svd_shapes(monkeypatch) -> list:
-    """Patch np.linalg.svd to record the shape of every matrix it is
-    given; returns the (growing) list of shapes."""
-    shapes = []
-    svd = np.linalg.svd
+def record_decompositions(monkeypatch,
+                          names=("eigh", "eigvalsh", "svd", "pinv", "qr"),
+                          ) -> list:
+    """Patch the named np.linalg functions to record (name, shape) of every
+    matrix (stack) they are given; returns the (growing) list."""
+    calls = []
 
-    def recording(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return svd(a, *args, **kwargs)
+    def recording(name, fn):
+        def wrapper(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return fn(a, *args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(np.linalg, "svd", recording)
-    return shapes
+    for name in names:
+        monkeypatch.setattr(np.linalg, name,
+                            recording(name, getattr(np.linalg, name)))
+    return calls
+
+
+def dense_certificate(m, pair):
+    """(z, residuals, v1_condition) of the d x d certificate construction
+    that `build_certificate` replaced by its k x k form, kept as its
+    reference: on the reduced pair, with V1 = Lambda1 (e (g2 - g1) e + g1)
+    Lambda1, W1 = (R1 (Lambda1 - e1) + Lambda2 e1) V1 with R1 the oblique
+    map D1 -> D2 of diagonal overlap, and t = Q1 + Q2 W1 V1^+ through the
+    obliques Q_mu = T_mu L_mu^dag, z = t V1 t^dag; V1^+ and the condition
+    number come from one SVD, and each residual from its own call.  It
+    raises nothing: the caller reads the residuals."""
+    record = pair.reduction
+    core, xi = record.reduced_pair, record.xi
+    e1, e2, e = (hermitian_part(xi @ a @ xi) for a in m.elements())
+    e = e + np.eye(pair.dim) - xi
+    tol = core.tol
+    g1, g2 = core.gamma1, core.gamma2
+    lam1, lam2 = core.detectors
+    d1, d2 = (s.basis for s in core.detector_spaces)
+    r1 = (d2 / np.einsum("ij,ij->j", d1.conj(), d2)) @ dag(d1)
+    q1, q2 = (t @ dag(lift) for t, lift in zip(core.jordan.lifted_columns,
+                                               core.jordan.lifts))
+    v1 = hermitian_part(lam1 @ e @ (g2 - g1) @ e @ lam1 + lam1 @ g1 @ lam1)
+    w1 = (r1 @ (lam1 - e1) + lam2 @ e1) @ v1
+    u, sv, vh = np.linalg.svd(v1)
+    top = sv.max(initial=0.0)
+    keep = sv > tol.rank_cutoff * top
+    v1_pinv = (dag(vh[keep]) / sv[keep]) @ dag(u[:, keep])
+    sv = sv[sv > max(tol.rank_cutoff * top, tol.rank_atol)]
+    v1_cond = float(sv.max() / sv.min()) if sv.size else float("inf")
+    t = q1 + q2 @ w1 @ v1_pinv
+    z = hermitian_part(t @ v1 @ dag(t))
+
+    def min_eig(a):
+        return min(0.0, float(np.linalg.eigvalsh(hermitian_part(a))[0]))
+
+    residuals = {
+        "z_psd": min_eig(z),
+        "z_annihilates_inconclusive": float(np.linalg.norm(z @ e)),
+        "dominates_1": min_eig(lam1 @ (z - g1) @ lam1),
+        "dominates_2": min_eig(lam2 @ (z - g2) @ lam2),
+        "agrees_1": float(np.linalg.norm(lam1 @ (z - g1) @ e1)),
+        "agrees_2": float(np.linalg.norm(lam2 @ (z - g2) @ e2)),
+    }
+    return z, residuals, v1_cond
 
 
 def degenerate_host_states():
