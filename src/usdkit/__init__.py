@@ -15,8 +15,7 @@ from .closed_form import (ProbabilityWindow, fidelity_window,
 from .errors import (CertificateFailure, DimensionMismatch, IncompatibleRecord,
                      InvalidInconclusive, NoSolutionFound, NonConvergence,
                      NotHermitian, NotPSD, NotProper, NotReconstructible,
-                     PreconditionViolated, SkewViolation, UsdKitError,
-                     UsdNumericsWarning)
+                     PreconditionViolated, UsdKitError, UsdNumericsWarning)
 from .model import (MeasurementClassTag, UsdMeasurement, WeightedDensityPair,
                     is_proper, is_usd, success_probability)
 from .optimality import (CertificateZ, OptimalityReport, SolverOutcome,
@@ -39,7 +38,7 @@ __all__ = [
     "NotHermitian", "NotPSD", "NotProper", "NotReconstructible",
     "OptimalityReport", "OracleConfig", "OracleResult",
     "PreconditionViolated", "ProbabilityWindow", "ProblemFile",
-    "ReductionRecord", "SkewViolation", "SolverOutcome", "SweepRow",
+    "ReductionRecord", "SolverOutcome", "SweepRow",
     "ToleranceContext", "UniquenessReport", "UsdKitError", "UsdMeasurement",
     "UsdNumericsWarning", "WeightedDensityPair", "build_certificate",
     "check_optimality", "classify", "dispatch", "fidelity_window",

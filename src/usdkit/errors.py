@@ -17,10 +17,6 @@ class DimensionMismatch(UsdKitError):
     """Operands live in different ambient dimensions."""
 
 
-class SkewViolation(UsdKitError):
-    """Subspace pair is not skew-compatible; no oblique projector exists."""
-
-
 class InvalidInconclusive(UsdKitError):
     """Candidate inconclusive operator violates a feasibility condition."""
 

@@ -1,9 +1,9 @@
 """Tolerance-aware dense complex linear algebra.
 
 Supports and kernels of Hermitian operators, subspace arithmetic through
-orthonormal column bases, orthogonal and oblique projectors, operator
-square roots, Moore-Penrose inverses and Jordan (canonical) bases of
-subspace pairs.  All functions are pure; arrays are never mutated.
+orthonormal column bases, orthogonal projectors, operator square roots,
+Moore-Penrose inverses and Jordan (canonical) bases of subspace pairs.
+All functions are pure; arrays are never mutated.
 """
 from __future__ import annotations
 
@@ -11,14 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotPSD, SkewViolation
+from .errors import DimensionMismatch, NotHermitian, NotPSD
 from .tolerances import DEFAULT_TOL, ToleranceContext
 
 __all__ = [
     "Subspace", "dag", "hermitian_part", "is_hermitian", "assert_hermitian",
-    "frobenius", "is_psd", "rank", "rank_margin", "support", "kernel", "spectral_split", "intersect",
-    "subspace_sum", "oblique_projector",
-    "pseudo_inverse", "sqrt_psd", "jordan_bases",
+    "frobenius", "is_psd", "rank", "support", "kernel", "spectral_split",
+    "intersect", "subspace_sum", "pseudo_inverse", "sqrt_psd", "jordan_bases",
 ]
 
 
@@ -73,15 +72,6 @@ def rank(a: np.ndarray, tol: ToleranceContext = DEFAULT_TOL) -> int:
         return 0
     values = np.linalg.svd(a, compute_uv=False)
     return int(np.sum(values > _rank_threshold(values, tol)))
-
-
-def rank_margin(values: np.ndarray,
-                tol: ToleranceContext = DEFAULT_TOL) -> float:
-    """How far the rank decision on `values` cleared the shared cutoff: the
-    smallest ratio of a kept value to the cutoff (inf when none is kept)."""
-    cut = _rank_threshold(values, tol)
-    kept = values[values > cut]
-    return float(kept.min() / cut) if kept.size else float("inf")
 
 
 @dataclass(frozen=True)
@@ -171,33 +161,6 @@ def subspace_sum(a: Subspace, b: Subspace,
     """Column space of the concatenated bases."""
     _check_same_dim(a, b)
     return Subspace.from_columns(np.hstack([a.basis, b.basis]), tol)
-
-
-def oblique_projector(lam: np.ndarray, pi: np.ndarray,
-                      tol: ToleranceContext = DEFAULT_TOL) -> np.ndarray:
-    """Idempotent Q with range pi*H and kernel equal to ker(lam).
-
-    lam and pi must be orthogonal projectors onto skew-compatible subspaces
-    (neither may contain a direction orthogonal to the other).  Q is the
-    Moore-Penrose inverse of lam @ pi and satisfies
-    Q lam = Q,  pi Q = Q,  lam Q = lam,  Q pi = pi.
-    With L, P the bases of the two supports, Q = P (L^dag P)^-1 L^dag,
-    inverted through the SVD of the overlap that also gives the principal
-    cosines; each must exceed tol.equality, or `SkewViolation` is raised.
-    """
-    lam, pi = support(lam, tol), support(pi, tol)
-    _check_same_dim(lam, pi)
-    if lam.size != pi.size:
-        raise SkewViolation(
-            f"subspace dimensions differ: {lam.size} vs {pi.size}")
-    if lam.size == 0:
-        return np.zeros((lam.dim, lam.dim), dtype=complex)
-    x, cosines, yh = np.linalg.svd(dag(lam.basis) @ pi.basis)
-    if cosines.min() <= tol.equality:
-        raise SkewViolation(
-            "subspaces contain near-orthogonal directions; oblique projector "
-            f"is unbounded (smallest principal cosine {cosines.min():.3e})")
-    return (pi.basis @ dag(yh) / cosines) @ dag(lam.basis @ x)
 
 
 def pseudo_inverse(a: np.ndarray, tol: ToleranceContext = DEFAULT_TOL) -> np.ndarray:

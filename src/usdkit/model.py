@@ -47,8 +47,9 @@ class JordanSplit:
 
     The detector spaces pair up in the same bases: their skew columns
     (`detector_spaces`) have <d1_j|d2_k> = -cosines[k] for j = k, else 0,
-    in orthonormal bases, and every family states its answer in these
-    detector coordinates, E_mu = D_mu X_mu D_mu^dag (`measurement`).
+    in orthonormal bases.  Every measurement leaves these detector
+    coordinates through one map, E_mu = D_mu X_mu D_mu^dag (`measurement`):
+    the families, the k x k program, the oracle and `complete_measurement`.
 
     The split is the one carrier of a pair's prior-independent geometry:
     everything below is read off the bases and cosines on first use and
@@ -157,20 +158,19 @@ class JordanSplit:
     @property
     def lifted_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """(T1, T2): the non-parallel Jordan columns of each support, skew
-        and free, to which `lifts` is the dual basis."""
+        and free, paired column by column with the detector bases D_mu:
+        T_mu^dag D_mu = diag(`tau`) and T_nu^dag D_mu = 0."""
         return tuple(s.basis[:, self.n_parallel:] for s in self.supports)
 
     @cached_property
-    def lifts(self) -> tuple[np.ndarray, np.ndarray]:
-        """(L1, L2): L_mu = D_mu diag(t_mu^dag d_mu)^-1, D_mu the detector
-        basis and T_mu the `lifted_columns`, so T_mu^dag L_mu = 1 and
-        T_nu^dag L_mu = 0; the overlap is diagonal, so no decomposition.
-        Q_mu = T_mu L_mu^dag is the oblique projector onto the non-parallel
-        part of supp(gamma_mu) along ker(Lambda_mu).  Only
-        `complete_measurement` reads them."""
+    def tau(self) -> tuple[np.ndarray, np.ndarray]:
+        """(tau1, tau2): tau_mu = diag(T_mu^dag D_mu), the overlap of each
+        `lifted_columns` column with its detector column, read off the
+        bases (not off `sines`); read by `complete_measurement` and
+        `optimality.build_certificate`."""
         return tuple(
-            _freeze(d.basis / np.einsum("ij,ij->j", t.conj(), d.basis))
-            for d, t in zip(self.detector_spaces, self.lifted_columns))
+            _freeze(np.einsum("ij,ij->j", t.conj(), d.basis))
+            for t, d in zip(self.lifted_columns, self.detector_spaces))
 
     def measurement(self, x1: np.ndarray, x2: np.ndarray) -> "UsdMeasurement":
         """E_mu = D_mu X_mu D_mu^dag on the orthonormal `detector_spaces`
@@ -348,13 +348,12 @@ class WeightedDensityPair:
 
     # reads of the split, documented there: supports and kernels (in
     # Jordan bases), the support overlap, the detector spaces and their
-    # projectors, the lifts and the strictly-skew verdict
+    # projectors and the strictly-skew verdict
     supports = property(lambda self: self.jordan.supports)
     kernels = property(lambda self: self.jordan.kernels)
     support_overlap = property(lambda self: self.jordan.support_overlap)
     detector_spaces = property(lambda self: self.jordan.detector_spaces)
     detectors = property(lambda self: self.jordan.detectors)
-    lifts = property(lambda self: self.jordan.lifts)
     strictly_skew = property(lambda self: self.jordan.strictly_skew)
 
     def collective_support(self) -> Subspace:
@@ -462,8 +461,8 @@ class MeasurementClassTag:
     e_mu <= r <= e1 + e2; the unordered pair [e1, e2] is the measurement
     class.  The measurement is von Neumann exactly when e1 + e2 = r.
     rank_margin is how far the two conclusive rank decisions cleared the
-    rank cutoff (`linalg.rank_margin`); it does not take part in
-    comparisons.
+    rank cutoff, the smallest ratio of a kept singular value to it
+    (`optimality.classify`); it does not take part in comparisons.
     """
 
     e1_rank: int
@@ -598,25 +597,28 @@ def complete_measurement(e_q: np.ndarray,
     """The unique proper USD measurement with the given inconclusive element.
 
     For callers that hold an e_q; the library's solvers build their
-    measurements from k x k blocks instead (`JordanSplit.measurement`).
-    e_q must pass `validate_inconclusive`; then e_mu = Q_mu^dag (1 - e_q)
-    Q_mu with Q_mu = T_mu L_mu^dag the oblique projectors of the split's
-    `lifts`, and 1 - e1 - e2 must give e_q back within tol.equality
-    (largest entry).  Either failure raises `InvalidInconclusive`.
+    measurements from k x k blocks instead.  e_q must pass
+    `validate_inconclusive`; then its blocks in detector coordinates are
+    X_mu = diag(1/tau_mu) T_mu^dag (1 - e_q) T_mu diag(1/conj(tau_mu)), on
+    the split's `lifted_columns` T_mu and `tau`, mapped out by the one map
+    of every family, E_mu = D_mu X_mu D_mu^dag (`JordanSplit.measurement`),
+    and 1 - e1 - e2 must give e_q back within tol.equality (largest
+    entry).  Either failure raises `InvalidInconclusive`.
     """
     diag = validate_inconclusive(e_q, pair)
     if not diag.ok:
         raise InvalidInconclusive(
             f"inconclusive operator rejected: {diag.first_failure()}", diag)
-    split, eye = pair.jordan, np.eye(pair.dim)
-    e1, e2 = (hermitian_part(dag(q) @ (eye - e_q) @ q) for q in (
-        t @ dag(lift) for t, lift in zip(split.lifted_columns, split.lifts)))
-    closure = np.abs(eye - e1 - e2 - e_q).max()
+    split, rest = pair.jordan, np.eye(pair.dim) - e_q
+    m = split.measurement(*(
+        dag(t) @ rest @ t / tau[:, None] / tau.conj()
+        for t, tau in zip(split.lifted_columns, split.tau)))
+    closure = np.abs(m.e_inconclusive - e_q).max()
     if closure > pair.tol.equality:
         raise InvalidInconclusive(
             f"completion does not close to identity (residual {closure:.2e})",
             diag)
-    return UsdMeasurement(e1, e2, hermitian_part(e_q))
+    return UsdMeasurement(m.e1, m.e2, hermitian_part(e_q))
 
 
 def reconstruct_from_core(core: np.ndarray,

@@ -192,7 +192,8 @@ def _classify(m: UsdMeasurement, cross_rank: int,
     value per row."""
     # the singular values of e1 and e2, stacked as (2, ..., d)
     values = np.linalg.svd(np.stack((m.e1, m.e2)), compute_uv=False)
-    # `linalg.rank` and `linalg.rank_margin` of each, from those values
+    # `linalg.rank` of each from those values, and how far the kept ones
+    # cleared the cutoff
     cut = np.maximum(tol.rank_cutoff * values.max(axis=-1, initial=0.0),
                      tol.rank_atol)[..., None]
     kept = values > cut
@@ -287,12 +288,13 @@ def build_certificate(m: UsdMeasurement, pair: WeightedDensityPair, *,
     built in the reduced pair's detector coordinates, z = M V M^dag with
     the k x k V = D1^dag (e (gamma2 - gamma1) e + gamma1) D1 and the d x k
     M = T1 diag(tau1)^-* + T2 diag(tau2)^-* [diag(1/<d1_j|d2_j>) (1 -
-    D1^dag e1 D1) + D2^dag e1 D1], tau_mu = diag(T_mu^dag D_mu), read off
-    the split's bases: the dense t V1 t^dag through the oblique projectors
-    (V1 = D1 V D1^dag, t = Q1 + Q2 R V1 V1^+), where V1's pseudo-inverse
-    cancels.  Every residual (`CertificateZ.residuals`, d x d) must lie
-    within the fixed absolute bound 1e-7, or `CertificateFailure` is
-    raised; this also refuses a 1/c-scaled near-orthogonal construction.
+    D1^dag e1 D1) + D2^dag e1 D1], tau_mu = diag(T_mu^dag D_mu) the
+    split's `tau`: the dense t V1 t^dag (V1 = D1 V D1^dag, t = Q1 + Q2 R
+    V1 V1^+, Q_mu = T_mu diag(tau_mu)^-* D_mu^dag), where V1's
+    pseudo-inverse cancels.  Every residual (`CertificateZ.residuals`,
+    d x d) must lie within the fixed absolute bound 1e-7, or
+    `CertificateFailure` is raised; this also refuses a 1/c-scaled
+    near-orthogonal construction.
 
     `report` is the `check_optimality(m, pair)` a caller already holds;
     without it the measurement is checked here.  Either way a report that
@@ -316,8 +318,8 @@ def build_certificate(m: UsdMeasurement, pair: WeightedDensityPair, *,
         m = UsdMeasurement(e1, e2, e + np.eye(pair.dim) - xi)
     (d1, d2), (t1, t2) = ((s.basis for s in core.detector_spaces),
                           core.jordan.lifted_columns)
-    tau1, tau2, overlap = (np.einsum("ij,ij->j", a.conj(), b)
-                           for a, b in ((t1, d1), (t2, d2), (d1, d2)))
+    tau1, tau2 = core.jordan.tau
+    overlap = np.einsum("ij,ij->j", d1.conj(), d2)
     e, e1_d1 = m.e_inconclusive, m.e1 @ d1
     v = hermitian_part(dag(d1) @ (e @ (core.gamma2 - core.gamma1) @ e
                                   + core.gamma1) @ d1)

@@ -3,12 +3,14 @@
 The variables are those of Eldar's semidefinite program for unambiguous
 discrimination (IEEE Trans. Inf. Theory 49, 446, 2003): E_mu = D_mu Z_mu
 D_mu^dag with Z_mu >= 0 on the pair's detector bases D_mu, and E_q = 1 -
-E1 - E2.  Such a triple is USD, sums to the identity and acts as the
-identity on the common kernel by construction; E_q >= 0 is the one
-condition left.  A slack S >= 0 carries it through one affine identity,
-a S + Q^dag (E1 + E2) Q = 1, with Q an orthonormal basis of the span of
-both detector spaces and a = _SLACK_WEIGHT.  The success, tr(Z1 D1^dag
-gamma1 D1) + tr(Z2 D2^dag gamma2 D2), is linear, so each restart solves a
+E1 - E2, mapped out by the split's one map out of detector coordinates
+(`JordanSplit.measurement`), which the analytic solvers use too.  Such a
+triple is USD, sums to the identity and acts as the identity on the
+common kernel by construction; E_q >= 0 is the one condition left.  A
+slack S >= 0 carries it through one affine identity, a S + Q^dag (E1 +
+E2) Q = 1, with Q an orthonormal basis of the span of both detector
+spaces and a = _SLACK_WEIGHT.  The success, tr(Z1 D1^dag gamma1 D1) +
+tr(Z2 D2^dag gamma2 D2), is linear, so each restart solves a
 semidefinite program by Douglas-Rachford (ADMM) splitting: the exact
 affine projection alternates with the projection onto the PSD blocks
 while a scaled dual variable accumulates the constraint forces, and
@@ -23,8 +25,9 @@ measurement has success <= tr Y+ + sum_mu tr(D_mu^dag (gamma_mu - Y+)
 D_mu)_+.  The splitting's dual gives the Y that makes this tight.
 
 This module deliberately knows nothing about optimal-measurement theory:
-it only uses the feasibility conditions, so it can serve as an
-independent reference for the analytic solvers.
+it shares only the pair's geometry with the analytic solvers and uses
+only the feasibility conditions, so it can serve as an independent
+reference for them.
 """
 from __future__ import annotations
 
@@ -176,11 +179,11 @@ class FeasibleSet:
                          dag(q) @ m.e_inconclusive @ q / _SLACK_WEIGHT))
 
     def measurement(self, point: np.ndarray) -> UsdMeasurement:
-        """E_mu = D_mu Z_mu D_mu^dag and E_q = 1 - E1 - E2 at the point."""
-        d = self._d
-        e1, e2 = (hermitian_part(d @ (point[0] * block) @ dag(d))
-                  for block in self._blocks)
-        return UsdMeasurement(e1, e2, np.eye(self.pair.dim) - e1 - e2)
+        """The measurement at the point: its blocks Z_mu mapped out by the
+        split's one map, E_mu = D_mu Z_mu D_mu^dag and E_q = 1 - E1 - E2
+        (`JordanSplit.measurement`)."""
+        z, k1 = point[0], self.pair.detector_spaces[0].size
+        return self.pair.jordan.measurement(z[:k1, :k1], z[k1:, k1:])
 
     def project_affine(self, x: np.ndarray) -> np.ndarray:
         """The affine projection of the point whose `_real_view` is x."""

@@ -145,7 +145,7 @@ def _finish_candidate_12(phi_perp, q_host, q_other, host, split):
     forms q = <pp|g|pp> of the host and the other state on pp = phi_perp,
     up to one common factor, and the weight nu of the inconclusive
     element off phi, |n|^2 for n = sqrt(rho) L_h u + L_o C u / sqrt(rho)
-    (L_mu the split's `lifts`, u = B_h^dag pp), read off the cosines and
+    (L_mu = D_mu diag(tau_mu)^-1, u = B_h^dag pp), read off the cosines and
     `sines` in a form free of cancellation near parallel: sum_k |u_k|^2
     ((rho - c_k^2)^2 / s_k^2 + c_k^2) / rho.  phi_perp may be a stack
     (..., d) of vectors, with forms (...)."""

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from usdkit import (DimensionMismatch, NotHermitian, NotPSD, SkewViolation,
-                    ToleranceContext)
+from usdkit import DimensionMismatch, NotHermitian, NotPSD, ToleranceContext
 from usdkit import linalg as la
 from usdkit.linalg import Subspace, dag
 
@@ -110,66 +109,6 @@ def test_orthogonal_projector_cases():
     assert np.allclose(Subspace.full(3).projector(), np.eye(3))
     s = subspace([1, 1])
     np.testing.assert_allclose(s.projector(), 0.5 * np.ones((2, 2)), atol=1e-12)
-
-
-def test_oblique_projector_self_case():
-    p = subspace([1, 0, 0], [0, 1, 0]).projector()
-    q = la.oblique_projector(p, p)
-    np.testing.assert_allclose(q, p, atol=1e-10)
-
-
-def test_oblique_projector_known_matrix():
-    # project onto span{(1,1)/sqrt(2)} along the complement of span{e0};
-    # expected matrix derived by solving the four defining identities
-    # Q lam = Q, pi Q = Q, lam Q = lam, Q pi = pi over 2x2 matrices
-    lam = subspace([1, 0]).projector()
-    pi = subspace([1, 1]).projector()
-    q = la.oblique_projector(lam, pi)
-    expected = np.array([[1, 0], [1, 0]], dtype=complex)
-    for lhs, rhs in ((expected @ lam, expected), (pi @ expected, expected),
-                     (lam @ expected, lam), (expected @ pi, pi)):
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-    np.testing.assert_allclose(q, expected, atol=1e-10)
-
-
-def test_oblique_projector_rejects_orthogonal_pair():
-    lam = subspace([1, 0]).projector()
-    pi = subspace([0, 1]).projector()
-    with pytest.raises(SkewViolation):
-        la.oblique_projector(lam, pi)
-
-
-def test_oblique_between_rejects_what_oblique_projector_rejects():
-    # a line against a plane (unequal ranks) and a line against a nearly
-    # orthogonal one (cosine 1e-9, below tol.equality) are both refused
-    line = subspace([1, 0, 0])
-    plane = subspace([1, 0, 0], [0, 1, 0])
-    tilted = subspace([1e-9, 1, 0])
-    for a, b in ((line, plane), (line, tilted)):
-        with pytest.raises(SkewViolation):
-            la.oblique_projector(a.projector(), b.projector())
-
-
-def test_oblique_projector_identities(rng):
-    # Q lam = Q, pi Q = Q, lam Q = lam, Q pi = pi over random skew pairs
-    for _ in range(25):
-        d, k = 5, 2
-        lam = Subspace.from_columns(
-            rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k))).projector()
-        pi = Subspace.from_columns(
-            rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k))).projector()
-        q = la.oblique_projector(lam, pi)
-        np.testing.assert_allclose(q @ lam, q, atol=1e-8)
-        np.testing.assert_allclose(pi @ q, q, atol=1e-8)
-        np.testing.assert_allclose(lam @ q, lam, atol=1e-8)
-        np.testing.assert_allclose(q @ pi, pi, atol=1e-8)
-        np.testing.assert_allclose(q @ q, q, atol=1e-8)
-
-
-def test_rank_margin_is_the_smallest_kept_value_over_the_cutoff():
-    # the cutoff is rank_cutoff = 1e-10 times the largest value, 2e-10 here
-    assert la.rank_margin(np.array([2.0, 1e-8, 1e-11])) == pytest.approx(50.0)
-    assert la.rank_margin(np.zeros(2)) == np.inf
 
 
 def test_pseudo_inverse_cases():

@@ -1,9 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from usdkit import (InvalidInconclusive, NotHermitian, NotPSD, UsdMeasurement,
                     WeightedDensityPair, dispatch, is_proper, is_usd,
-                    reduce_fully, success_probability)
+                    load_problem, reduce_fully, success_probability)
 from usdkit import linalg as la
 from usdkit import pipeline
 from usdkit.linalg import dag
@@ -12,7 +14,8 @@ from usdkit.model import (complete_measurement, failure_probability,
                           reconstruct_from_core, validate_inconclusive)
 from usdkit.oracle import random_feasible_inconclusive
 
-from util import (example1_states, haar_unitary, jordan_cosine_states,
+from util import (REDUCED_SHAPES, example1_states, generic_pair,
+                  haar_unitary, jordan_cosine_states,
                   peres_nonproper_measurement, peres_states, random_density,
                   random_skew_pair, record_decompositions,
                   with_eigenvalue_tails)
@@ -336,6 +339,34 @@ def test_completion_closes_and_validates(rng):
         assert is_usd(m, pair)
         total = success_probability(m, pair) + failure_probability(m, pair)
         assert total == pytest.approx(pair.total_trace, abs=1e-9)
+
+
+# (problem file, prior): class-11 and class-12 on example1, single state
+# detection, the k x k program, the fidelity form and a class-12 answer
+# near orthogonal; then the near-parallel grid pairs, bounded by the
+# completion's own closure gate
+_INVERSE_FILES = (("example1", 0.4), ("example1", 0.5), ("examples2", 0.1),
+                  ("skew6", 0.5), ("peres", 0.5), ("near_orthogonal4", 0.1))
+_NEAR_PARALLEL_FILES = (("near_parallel11", 0.5), ("near_parallel12", 0.25))
+
+
+@pytest.mark.parametrize("case", _INVERSE_FILES + _NEAR_PARALLEL_FILES + tuple(
+    (shape, p1) for shape in REDUCED_SHAPES for p1 in (0.3, 0.7)), ids=str)
+def test_completion_inverts_the_map_of_every_family(case):
+    # every family maps its blocks out of detector coordinates; completing
+    # the inconclusive element of its answer gives back its e1 and e2
+    source, p1 = case
+    if isinstance(source, str):
+        path = Path(__file__).parent / "data" / f"{source}.json"
+        pair = load_problem(path).pair(p1)
+    else:
+        rho1, rho2 = generic_pair(np.random.default_rng(source), *source)
+        pair = WeightedDensityPair.from_states(rho1, rho2, p1)
+    m = dispatch(pair, with_certificate=False).measurement
+    completed = complete_measurement(m.e_inconclusive, pair)
+    bound = pair.tol.equality if case in _NEAR_PARALLEL_FILES else 1e-13
+    for e, e_ref in ((completed.e1, m.e1), (completed.e2, m.e2)):
+        assert np.abs(e - e_ref).max() <= bound
 
 
 def test_reconstruct_from_core_round_trip(rng):

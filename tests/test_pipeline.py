@@ -276,28 +276,6 @@ def test_dispatch_report_is_the_check_of_its_measurement():
         _assert_report_is_a_fresh_check(outcome, pair)
 
 
-def test_detector_oblique_is_read_off_the_split():
-    # on a strictly skew pair the detector columns pair up with the support
-    # columns in the Jordan bases, so the oblique projector onto each
-    # support along ker(Lambda_mu), T_mu L_mu^dag from the split's lifts,
-    # needs no decomposition; it is the one that oblique_projector finds by
-    # an SVD
-    from usdkit.linalg import dag, oblique_projector
-
-    rho1, rho2 = generic_pair(np.random.default_rng([31, 4]), 4, 2, 2)
-    pairs = [WeightedDensityPair.from_states(rho1, rho2, 0.4)] + [
-        reduce_fully(WeightedDensityPair.from_states(
-            *generic_pair(np.random.default_rng(shape), *shape), 0.4)
-        ).reduced_pair for shape in REDUCED_SHAPES]
-    for pair in pairs:
-        assert pair.strictly_skew
-        for t, lift, lam, sup in zip(pair.jordan.lifted_columns, pair.lifts,
-                                     pair.detectors, pair.supports):
-            np.testing.assert_allclose(t @ dag(lift),
-                                       oblique_projector(lam, sup.projector()),
-                                       rtol=0, atol=1e-10)
-
-
 def _near_cutoff_states(ortho, par):
     """States on C^8 whose supports have one Jordan cosine `ortho` and one
     1 - `par`, beside a generic (4;2,2) block, in a random basis."""

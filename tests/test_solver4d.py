@@ -14,7 +14,7 @@ from usdkit.solver4d import (Rejection, balance_residual_11,
 
 from util import (GRID_COSINES, assert_same_answer, degenerate_host_states,
                   example1_states, examples2_states, generic_pair,
-                  grid_states, haar_unitary, jordan_cosine_states,
+                  grid_states, haar_unitary, jordan_cosine_states, lifts,
                   random_density, random_skew_pair, record_decompositions)
 
 
@@ -175,8 +175,9 @@ def test_candidate_12_blocks_are_those_of_its_lifted_inconclusive_element():
     # a class-12 candidate is mapped out from k x k blocks in detector
     # coordinates; its measurement, and its weight nu, are those of the
     # d x d element phi phi^dag + n n^dag + P_ker, n = sqrt(rho) L_h u +
-    # L_o C u / sqrt(rho) on the split's lifts (u = B_h^dag phi_perp),
-    # completed as E_mu = L_mu T_mu^dag (1 - e_q) T_mu L_mu^dag
+    # L_o C u / sqrt(rho) on the lifts L_mu = D_mu diag(tau_mu)^-1
+    # (`util.lifts`, u = B_h^dag phi_perp), completed as E_mu = L_mu
+    # T_mu^dag (1 - e_q) T_mu L_mu^dag
     from usdkit.solver4d import _blocks_12
 
     rng = np.random.default_rng(12)
@@ -184,22 +185,22 @@ def test_candidate_12_blocks_are_those_of_its_lifted_inconclusive_element():
     for _ in range(20):
         pair = random_skew_pair(rng, margin=0.1)
         split = pair.jordan
-        c = split.cosines[split.skew]
+        c, lift = split.cosines[split.skew], lifts(split)
         rest = np.eye(pair.dim) - pair.common_kernel().projector()
         for host in (1, 2):
             h, o = host - 1, 2 - host
             for cand in enumerate_candidates_12(pair, detect_on=host):
                 u = dag(split.lifted_columns[h]) @ cand.phi_perp
                 root = np.sqrt(cand.rho)
-                n = root * split.lifts[h] @ u + split.lifts[o] @ (c * u) / root
+                n = root * lift[h] @ u + lift[o] @ (c * u) / root
                 assert cand.nu == pytest.approx(np.vdot(n, n).real, rel=1e-12)
                 one_minus_e_q = (rest - np.outer(cand.phi, cand.phi.conj())
                                  - np.outer(n, n.conj()))
                 m = split.measurement(*_blocks_12(cand, split))
-                for t, lift, e in zip(split.lifted_columns, split.lifts,
-                                      (m.e1, m.e2)):
+                for t, el, e in zip(split.lifted_columns, lift,
+                                    (m.e1, m.e2)):
                     np.testing.assert_allclose(
-                        e, lift @ dag(t) @ one_minus_e_q @ t @ dag(lift),
+                        e, el @ dag(t) @ one_minus_e_q @ t @ dag(el),
                         rtol=0, atol=1e-13)
                 checked += 1
     assert checked >= 20
@@ -567,17 +568,17 @@ def _solved_on_reduced_pair(cosines, seed, p1):
 @pytest.mark.parametrize("p1", [0.05, 0.25, 0.5, 0.75, 0.95])
 def test_completion_through_the_lifts_answers_a_near_degenerate_core(p1):
     # one cosine 1e-6 from parallel, the other 1e-6 from orthogonal: a
-    # class-12 inconclusive element built and completed through the
-    # split's lifts, with no inverse of gamma1 + gamma2 and its own rank
-    # decision, passes the check
+    # class-12 measurement mapped out of detector coordinates
+    # (`JordanSplit.measurement`), with no inverse of gamma1 + gamma2 and
+    # its own rank decision, passes the check
     _solved_on_reduced_pair((1 - 1e-6, 1e-6), 1, p1)
 
 
 @pytest.mark.parametrize("p1", [0.05, 0.25, 0.5])
 def test_near_parallel_class_12_host_element_is_rank_one(p1):
     # one cosine 1e-6 from parallel: the host block (1 - rho) u u^dag is a
-    # rank-one outer product mapped out once by the lifts, so the host
-    # element keeps rank one and the answer is tagged (1,2), off any
+    # rank-one outer product mapped out once by the detector basis, so the
+    # host element keeps rank one and the answer is tagged (1,2), off any
     # class boundary
     rho1, rho2 = jordan_cosine_states(np.random.default_rng(1),
                                       1 - 1e-6, 1e-6)

@@ -224,6 +224,16 @@ def record_decompositions(monkeypatch,
     return calls
 
 
+def lifts(split):
+    """(L1, L2): L_mu = D_mu diag(tau_mu)^-1, tau_mu = diag(T_mu^dag D_mu),
+    on the split's detector bases D_mu and `lifted_columns` T_mu, so
+    T_mu^dag L_mu = 1 and T_nu^dag L_mu = 0; Q_mu = T_mu L_mu^dag is the
+    oblique projector onto the non-parallel part of supp(gamma_mu) along
+    ker(Lambda_mu)."""
+    return tuple(d.basis / np.einsum("ij,ij->j", t.conj(), d.basis)
+                 for d, t in zip(split.detector_spaces, split.lifted_columns))
+
+
 def dense_certificate(m, pair):
     """(z, residuals, v1_condition) of the d x d certificate construction
     that `build_certificate` replaced by its k x k form, kept as its
@@ -243,7 +253,7 @@ def dense_certificate(m, pair):
     d1, d2 = (s.basis for s in core.detector_spaces)
     r1 = (d2 / np.einsum("ij,ij->j", d1.conj(), d2)) @ dag(d1)
     q1, q2 = (t @ dag(lift) for t, lift in zip(core.jordan.lifted_columns,
-                                               core.jordan.lifts))
+                                               lifts(core.jordan)))
     v1 = hermitian_part(lam1 @ e @ (g2 - g1) @ e @ lam1 + lam1 @ g1 @ lam1)
     w1 = (r1 @ (lam1 - e1) + lam2 @ e1) @ v1
     u, sv, vh = np.linalg.svd(v1)
