@@ -168,14 +168,16 @@ def try_fidelity_form(pair: WeightedDensityPair) -> SolverOutcome | None:
     return accepted_outcome(m, pair, BRANCH_FIDELITY, bool(marginal))
 
 
-def _fidelity_feasible(roots, tol: ToleranceContext):
+def _fidelity_feasible(roots, tol: ToleranceContext, c1=1.0, c2=1.0):
     """(ok, marginal) of `try_fidelity_form` on the pair whose `root_blocks`
-    are `roots`: whether both conditions A_mu - polar_mu >= 0 hold, and
-    whether one sits on its boundary (`_psd_with_boundary`).  For root
-    blocks scaled by arrays of weights (`_RootBlock.scaled`), one verdict
-    per row."""
+    are `roots`, weighted by (c1, c2) as `_RootBlock.scaled` weights them:
+    whether both conditions A_mu - polar_mu >= 0 hold, and whether one
+    sits on its boundary (`_psd_with_boundary`); for weights (n, 1, 1),
+    one verdict per row."""
     (ok1, marginal1), (ok2, marginal2) = (
-        _psd_with_boundary(root.block - root.polar, tol) for root in roots)
+        _psd_with_boundary(c * root.block - np.sqrt(c * other) * root.polar,
+                           tol)
+        for root, c, other in zip(roots, (c1, c2), (c2, c1)))
     return ok1 & ok2, marginal1 | marginal2
 
 

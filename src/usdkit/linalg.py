@@ -49,7 +49,8 @@ def frobenius(a: np.ndarray):
     """Frobenius norm, per matrix of a stack (..., m, n)."""
     if a.ndim == 2:
         return np.linalg.norm(a)
-    return np.linalg.norm(a, axis=(-2, -1))
+    # np.linalg.norm(a, axis=(-2, -1)), without its argument handling
+    return np.sqrt(np.add.reduce((a.conj() * a).real, axis=(-2, -1)))
 
 
 def is_psd(a: np.ndarray, tol: ToleranceContext = DEFAULT_TOL) -> bool:

@@ -151,9 +151,9 @@ class JordanSplit:
         return _freeze(np.sqrt((1.0 - c) * (1.0 + c)))
 
     @cached_property
-    def detectors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(Lambda1, Lambda2): orthogonal projectors onto the detector spaces."""
-        return tuple(_freeze(s.projector()) for s in self.detector_spaces)
+    def detectors(self) -> np.ndarray:
+        """(Lambda1, Lambda2), (2, d, d): projectors onto the detectors."""
+        return _freeze(np.stack([s.projector() for s in self.detector_spaces]))
 
     @property
     def lifted_columns(self) -> tuple[np.ndarray, np.ndarray]:

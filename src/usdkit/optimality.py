@@ -28,6 +28,8 @@ __all__ = [
 
 # absolute bound on every residual of a built certificate
 _CERTIFICATE_RESIDUAL_TOL = 1e-7
+# the signs of the two PSD conditions of the check, per detector
+_SIGNS = np.array([1.0, -1.0])[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -103,26 +105,32 @@ def _check(e: np.ndarray, gamma1: np.ndarray, gamma2: np.ndarray,
            detectors, tol: ToleranceContext) -> OptimalityReport:
     """`check_optimality` of each inconclusive element e of a stack
     (..., d, d) on the pair (gamma1, gamma2) of its row, whose detector
-    projectors are `detectors`: every field holds one value per row."""
-    lam1, lam2 = detectors
+    projectors are `detectors` (2, d, d): every field holds one value per
+    row."""
+    lam = np.asarray(detectors)
     core = e @ (gamma2 - gamma1) @ e
     scale = np.maximum(1.0, np.real(np.trace(gamma1 + gamma2, axis1=-2,
                                              axis2=-1)))
-    s11 = lam1 @ core @ lam1
-    s22 = lam2 @ core @ lam2
-    h11, h22 = hermitian_part(s11), hermitian_part(s22)
-    anti = np.maximum(la.frobenius(s11 - h11), la.frobenius(s22 - h22))
-    # the smallest eigenvalues of both Hermitian parts, from one call
-    res_a1, res_a2 = np.linalg.eigvalsh(np.stack((h11, -h22))).min(
-        axis=-1, initial=0.0)
-    res_cross = la.frobenius(lam1 @ core @ lam2)
-    res_b = la.frobenius((lam1 - lam2) @ core @ (np.eye(e.shape[-1]) - e))
-    floor = tol.psd_floor * scale
+    # Lambda_mu M and Lambda_mu M Lambda_mu of both detectors, (..., 2, d, d)
+    left = lam @ core[..., None, :, :]
+    s = left @ lam
+    h = hermitian_part(s)
+    # the smallest eigenvalues of Lambda1 M Lambda1 and -Lambda2 M Lambda2,
+    # from one call, and the norms of both antihermitian parts, of Lambda1
+    # M Lambda2 and of (Lambda1 - Lambda2) M (1 - e), from another
+    lowest = np.linalg.eigvalsh(h * _SIGNS).min(axis=-1, initial=0.0)
+    norms = la.frobenius(np.concatenate((
+        s - h, left[..., :1, :, :] @ lam[1], ((lam[0] - lam[1]) @ core @ (
+            np.eye(e.shape[-1]) - e))[..., None, :, :]), axis=-3))
+    res_a1, res_a2 = lowest[..., 0], lowest[..., 1]
+    res_cross, res_b = norms[..., 2], norms[..., 3]
+    anti = norms[..., :2].max(axis=-1)
+    floor, equal = tol.psd_floor * scale, tol.equality * scale
     return OptimalityReport(
         cond_a1=(res_a1 >= -floor) & (anti <= tol.hermitian * scale),
         cond_a2=res_a2 >= -floor,
-        cond_cross=res_cross <= tol.equality * scale,
-        cond_b=res_b <= tol.equality * scale,
+        cond_cross=res_cross <= equal,
+        cond_b=res_b <= equal,
         residual_a1=res_a1,
         residual_a2=res_a2,
         residual_cross=res_cross,

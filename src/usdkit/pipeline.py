@@ -1,14 +1,14 @@
 """Generic solve strategy, parameter sweeps and file formats.
 
 The dispatcher follows the standard playbook: reduce the pair to its
-strictly skew core, try the closed-form families, use the complete
-four-dimensional solver when the core supports it, and otherwise solve
-the core's k x k convex program (`program`); only where the checker
-refuses that answer does it fall back to the numerical oracle (flagged as
-best-known unless the checker certifies its point).  Sweeps evaluate the
-dispatcher over a prior grid and report class labels together with the
-single-state-detection lower bounds and the convexity ("bound triangle")
-upper bound.
+strictly skew core, try the families on it (the closed forms, and the
+candidate classes of the four-dimensional solver when the core supports
+them), and otherwise solve the core's k x k convex program (`program`);
+only where the checker refuses that answer does it fall back to the
+numerical oracle (flagged as best-known unless the checker certifies its
+point).  Sweeps evaluate the dispatcher over a prior grid and report class
+labels together with the single-state-detection lower bounds and the
+convexity ("bound triangle") upper bound.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from .optimality import (SolverOutcome, build_certificate, check_optimality,
 from .oracle import OracleConfig, _extend, oracle_optimize
 from .program import _solve_program
 from .reductions import ReductionRecord, lift_measurement, reduce_fully
-from .solver4d import _FAMILIES, _first_closed_form, _solve_rows, solve_4d
+from .solver4d import _FAMILIES, _solve_core, _solve_rows, solve_4d
 from .tolerances import DEFAULT_TOL, ToleranceContext
 
 __all__ = [
@@ -111,33 +111,26 @@ def dispatch(pair: WeightedDensityPair,
              with_certificate: bool = True) -> SolverOutcome:
     """Solve an arbitrary two-state instance end to end.
 
-    Reduces first.  A core that is 4-dim with two rank-2 states goes to the
-    four-dimensional solver, which tries the closed forms itself; any
-    other core gets the closed forms.  A core no family answers (the
-    four-dimensional solver finds none or raises) gets its k x k convex
-    program (`program._solve_program`), branch "convex-program", checked
-    like a family's answer.  The oracle is the last resort, where the
-    check refuses the program's answer, its Newton solve runs out its
-    steps or meets a singular matrix: it runs one restart on the reduced
-    pair, and the `oracle_cfg` restarts (3 when none is given) only when
-    the checker refuses that point or the first run raises.  The outcome's
-    class tag always refers to the strictly skew core measurement; the
-    measurement itself and the optimality report refer to the original
-    pair.
+    Reduces first.  The families reach the strictly skew core only through
+    its row of `solver4d._solve_rows`: `solve_4d` on a 4-dim core with two
+    rank-2 states, the closed forms alone (`solver4d._solve_core`) on any
+    other.  A core no family answers gets its k x k convex program
+    (`program._solve_program`), branch "convex-program", checked like a
+    family's answer.  The oracle is the last resort, where the check
+    refuses the program's answer, its Newton solve runs out its steps or
+    meets a singular matrix: it runs one restart on the reduced pair, and
+    the `oracle_cfg` restarts (3 when none is given) only when the checker
+    refuses that point or the first run raises.  The outcome's class tag
+    refers to the strictly skew core measurement; the measurement and the
+    optimality report refer to the original pair.
 
-    Each answer is checked once, where it is accepted: on the reduced pair,
-    in the caller's space, by the family or the program
-    (`optimality.accepted_outcome`) or by the oracle's gate; `dispatch`
-    makes no other copy of the pair.  That check is the returned report; it
-    equals the check of the lifted measurement on the pair passed in,
-    because the residuals do not change under the lift (`OptimalityReport`),
-    and the reduced pair is strictly skew by construction (`reduce_fully`).
-    That holds next to a reduction cutoff too, where the record's
-    `boundary_warnings` stay notes on the outcome.  Only when the checker
-    refuses the oracle's first restart is the extended run checked once
-    more.  At most one certificate is built, on the reduced pair in the
-    caller's space, only with `with_certificate`, and it takes the returned
-    report instead of checking again; `solve_4d` itself returns none.
+    Each answer is checked once, on the reduced pair in the caller's space,
+    and that check is the returned report: the residuals do not change
+    under the lift (`OptimalityReport`), also next to a reduction cutoff,
+    whose `boundary_warnings` stay notes on the outcome.  Only an oracle
+    run extended past its refused first restart is checked again.  At
+    most one certificate is built, only with `with_certificate`, and it
+    takes the returned report instead of checking again.
     """
     record = reduce_fully(pair)
     notes = tuple(record.boundary_warnings)
@@ -153,7 +146,7 @@ def dispatch(pair: WeightedDensityPair,
         except UsdKitError as exc:
             notes = notes + (f"four-dimensional solver failed: {exc}",)
     else:
-        core_outcome = _first_closed_form(core)
+        core_outcome = _solve_core(core)
     if core_outcome is None:
         core_outcome = _solve_program(core)
     if core_outcome is None:
@@ -249,31 +242,22 @@ def sweep(rho1: np.ndarray, rho2: np.ndarray, p1_grid,
     """Solve every prior on the grid: most of them as one stack, the rest
     with `dispatch`.
 
-    A prior outside (0, 1) raises ValueError before anything is solved.
-    The prior only weights the two states, and the pair that
-    `WeightedDensityPair.from_states(rho1, rho2, p1)` builds holds the
-    states' split at every prior: their supports, kernels, detector spaces
-    and reduction projectors.  So the states are tested and split once, in
-    the pair at p1 = 0.5, and so is its reduction, and a state that fails
-    a test raises before anything is solved.  Each prior's pair is that
-    pair reweighted by (2 p1, 2 (1 - p1)); every prior whose pair passes
-    its total-trace test is one row of a stack (`_stacked_answers`).
-
-    Where the reduced pair at 0.5 is not empty, the stack is solved as
-    `dispatch` solves one core (`solver4d._solve_rows`): single state
-    detection and the fidelity form on any core, and on a (4;2,2) core
-    every family of `solve_4d`, each once over all rows, in order, with
-    one stacked check; a row whose first passing family is off a class
-    boundary takes that family's answer.  Every other prior runs a fresh
-    `dispatch` on `from_states(rho1, rho2, p1)`: priors on a class
-    boundary, priors where the check refuses every family (the k x k
-    program's, or the oracle's where the check refuses that too),
-    priors whose class-12 host basis would not be phased as the core's,
-    priors whose pair fails its total-trace test (`from_states` raises
-    there), and every prior of an empty core.  So every row is the answer
-    `dispatch` gives on the pair built afresh, up to rounding on stacked
-    rows and exactly on the others.  A row keeps no measurement, so no
-    certificate is built.
+    A prior outside (0, 1), or a state that fails its tests, raises before
+    anything is solved.  The prior only weights the two states, so the
+    pair `WeightedDensityPair.from_states(rho1, rho2, p1)` holds the
+    states' split at every prior, and the states are tested, split and
+    reduced once, in the pair at p1 = 0.5.  Each prior whose pair passes
+    its total-trace test is a row of one stack, that pair reweighted by
+    (2 p1, 2 (1 - p1)) (`_stacked_answers`), solved by `_solve_rows` as
+    `dispatch` solves one core.  Every other prior runs a fresh `dispatch` on
+    `from_states(rho1, rho2, p1)`: priors on a class boundary, priors
+    where the check refuses every family (the k x k program's, or the
+    oracle's), priors whose class-12 host basis would not be phased as
+    the core's, priors whose pair fails its total-trace test
+    (`from_states` raises there), and every prior of an empty core.  So
+    every row is the answer `dispatch` gives on the pair built afresh, up
+    to rounding on stacked rows and exactly on the others.  A row keeps no
+    measurement, so no certificate is built.
     """
     grid = [float(p1) for p1 in p1_grid]
     if not all(0.0 < p1 < 1.0 for p1 in grid):
@@ -297,12 +281,12 @@ def _stacked_answers(base: WeightedDensityPair, rho1: np.ndarray,
                      rho2: np.ndarray, grid: np.ndarray):
     """(success, class tag, branch) of each prior of the grid that `sweep`
     solves as one stack; None for every other prior.  base is the pair of
-    the states rho1, rho2 at p1 = 0.5, whose split every prior's pair
-    holds.  The rows are the priors whose pairs pass the total-trace
-    test, with the states (p1 rho1, (1 - p1) rho2) stacked as (n, d, d)
-    exactly as `WeightedDensityPair.from_states` builds them.  Every
-    non-empty core stacks its closed forms, a (4;2,2) core its candidate
-    classes too (`solver4d._solve_rows`)."""
+    the states at p1 = 0.5, whose split every prior's pair holds.  The rows
+    are the priors whose pairs pass the total-trace test, their states
+    stacked exactly as `from_states` and `reduce_fully` build them, solved
+    by `solver4d._solve_rows`.  A row on a class boundary is left: there
+    two answers pass within rounding, and the stack's and a fresh pair's
+    rounding can keep different families."""
     answers = [None] * len(grid)
     record = base.reduction
     core = record.reduced_pair
@@ -320,14 +304,19 @@ def _stacked_answers(base: WeightedDensityPair, rho1: np.ndarray,
         core1, core2 = (hermitian_part(p @ g @ p)
                         for p, g in ((proj1, gamma1), (proj2, gamma2)))
     p1 = grid[priors]
-    for family, rows, m, tag, _ in _solve_rows(
-            core, 2.0 * p1, 2.0 * (1.0 - p1), core1, core2):
-        success = _success(lift_measurement(m, record), gamma1[rows],
-                           gamma2[rows])
-        for i, value, e1_rank, e2_rank in zip(
-                priors[rows].tolist(), success.tolist(),
-                tag.e1_rank.tolist(), tag.e2_rank.tolist()):
-            answers[i] = (value, (e1_rank, e2_rank), _FAMILIES[family][0])
+    found = _solve_rows(core, 2.0 * p1, 2.0 * (1.0 - p1), core1, core2)
+    if found is None:
+        return answers
+    keep = ~found.boundary
+    rows, tag = found.rows[keep], found.tag
+    success = _success(lift_measurement(UsdMeasurement(*(
+        e[keep] for e in found.m.elements())), record), gamma1[rows],
+        gamma2[rows])
+    for i, family, value, e1_rank, e2_rank in zip(
+            priors[rows].tolist(), found.family[keep].tolist(),
+            success.tolist(), tag.e1_rank[keep].tolist(),
+            tag.e2_rank[keep].tolist()):
+        answers[i] = (value, (e1_rank, e2_rank), _FAMILIES[family][0])
     return answers
 
 

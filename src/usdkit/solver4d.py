@@ -4,37 +4,35 @@ With both states of rank two, the optimal measurement falls into one of
 six rank types.  Single state detection and the fidelity form cover the
 extreme classes; the remaining classes [1,2] and [1,1] reduce to real
 roots of explicit polynomials (degree six, respectively degree eight in
-x^2) plus sign and positivity gates.  By uniqueness of the optimum, the
-first family whose measurement passes verification is the answer, and it
-is returned with its class tag and optimality evidence.  Only at a class
-boundary, where two families can both pass within tolerance, are the
-other families tried as well.
+x^2) plus sign and positivity gates.  Every family runs through one code
+path, `_solve_rows`, over a stack of reweighted cores; `solve_4d` and
+`dispatch` solve one core as its one row.  By uniqueness of the optimum,
+the first family whose measurement passes verification is the answer;
+only at a class boundary, where two can pass within tolerance, do the
+others run too.  The per-pair `enumerate_*` and `finalize_*` functions
+are the one-row reference of the stacked candidate arithmetic.
 """
 from __future__ import annotations
 
 import warnings as _warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .closed_form import (BRANCH_FIDELITY, BRANCH_SINGLE_STATE,
                           _fidelity_blocks, _fidelity_feasible,
-                          _single_state_branches,
-                          try_fidelity_form, try_single_state_detection)
+                          _single_state_branches)
 from .errors import NoSolutionFound, PreconditionViolated, UsdNumericsWarning
 from .linalg import dag, hermitian_part
-from .model import (UsdMeasurement, WeightedDensityPair, _at, _diagnostics,
+from .model import (MeasurementClassTag, UsdMeasurement, WeightedDensityPair,
+                    _at, _diagnostics, _freeze, success_probability,
                     validate_inconclusive)
 from .optimality import (OptimalityReport, SolverOutcome, _check, _classify,
                          accepted_outcome)
 from .tolerances import ToleranceContext
 
-__all__ = [
-    "Candidate12", "Candidate11", "Rejection", "BRANCH_CLASS_12",
-    "BRANCH_CLASS_11", "solve_4d", "enumerate_candidates_12",
-    "finalize_candidate_12", "enumerate_candidates_11",
-    "finalize_candidate_11", "balance_residual_12", "balance_residual_11",
-]
+__all__ = ["solve_4d"]
 
 BRANCH_CLASS_12 = "class-12"
 BRANCH_CLASS_11 = "class-11"
@@ -51,6 +49,8 @@ _CLOSED_FORMS = _FAMILIES[:2]
 # an answer whose conclusive ranks clear the rank cutoff by less than this
 # factor sits on a class boundary
 _BOUNDARY_RANK_MARGIN = 100.0
+# the weight of the one row of a core solved on its own (`_solve_core`)
+_ONE = _freeze(np.ones(1))
 
 
 @dataclass(frozen=True)
@@ -239,15 +239,11 @@ def _eigenvector_candidates_12(s1, s2, g, host, split, tol: ToleranceContext,
 
 def _in_row_order(parts):
     """The candidates of parts (rows, candidates) as one (rows,
-    candidates), in row order, each row's in the order of the parts; a
-    field of one value for all candidates is the first part's."""
-    rows = np.concatenate([r for r, _ in parts])
+    candidates), in row order, each row's in the order of the parts
+    (`_joined`)."""
+    rows, cands = _joined(parts)
     order = np.argsort(rows, kind="stable")
-    first = parts[0][1]
-    return rows[order], type(first)(*(
-        np.concatenate([getattr(c, f.name) for _, c in parts])[order]
-        if np.ndim(getattr(first, f.name)) else getattr(first, f.name)
-        for f in fields(first)))
+    return rows[order], _take(cands, order)
 
 
 def _degenerate_12(g, tol: ToleranceContext, c_host, c_other):
@@ -340,29 +336,14 @@ def _real_nonzero_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[order], roots[order]
 
 
-def balance_residual_12(cand: Candidate12, pair: WeightedDensityPair) -> float:
-    """Residual of the complex balance equation the candidate must solve:
-    sqrt(<pp|gh|pp>) <pp|go|phi> - sqrt(<pp|go|pp>) <pp|gh|phi>."""
-    gh = pair.gamma1 if cand.host == 1 else pair.gamma2
-    go = pair.gamma2 if cand.host == 1 else pair.gamma1
-    pp, phi = cand.phi_perp, cand.phi
-    lhs = (np.sqrt(np.real(np.vdot(pp, gh @ pp))) * np.vdot(pp, go @ phi))
-    rhs = (np.sqrt(np.real(np.vdot(pp, go @ pp))) * np.vdot(pp, gh @ phi))
-    return float(abs(lhs - rhs))
-
-
 def finalize_candidate_12(cand: Candidate12, pair: WeightedDensityPair,
                           ) -> SolverOutcome | Rejection:
-    """Build and verify the measurement of a rank-(1,2) candidate.
-
-    The measurement is mapped out once from its k x k blocks
-    (`_blocks_12`, `JordanSplit.measurement`).  The candidate is accepted
-    only if its weight nu lies strictly inside (0, 1) ("nu_ge_one"
-    otherwise), the inconclusive element is valid ("not_completable"
-    otherwise, `validate_inconclusive`) and the measurement passes the
-    full optimality check ("optimality_residual" otherwise).  An accepted
-    candidate gives the outcome of `optimality.accepted_outcome` on
-    `pair`, branch class-12.
+    """Build and verify the measurement of a rank-(1,2) candidate, mapped
+    out once from its k x k blocks (`_blocks_12`), through the gates of
+    `_solve_rows` in order: a weight nu strictly inside (0, 1)
+    ("nu_ge_one"), a valid inconclusive element ("not_completable") and
+    the optimality check ("optimality_residual"); an accepted candidate
+    gives the outcome of `optimality.accepted_outcome`, branch class-12.
     """
     if not _nu_inside(cand.nu, pair.tol):
         return Rejection("nu_ge_one")
@@ -564,30 +545,13 @@ def _polymul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (p[:, :, None] * q[:, None, :]).reshape(len(p), k * l) @ spread
 
 
-def balance_residual_11(cand: Candidate11) -> float:
-    """Relative residual of the complex balance equation behind the
-    x-polynomial (the raw terms grow like x^4, so the difference is scaled
-    by the larger side)."""
-    d = cand.jordan_data
-    x, theta, phase, c = cand.x, cand.theta, d.phase, d.c
-    u = c * c * x * x + 1.0
-    v = x * x + 1.0
-    lhs = u * u * (x * d.g1 - np.exp(1j * (theta + phase)) * d.g13
-                   + x * x * np.exp(-1j * (theta + phase)) * d.g13)
-    rhs = c * v * v * (x * c * d.g2 - np.exp(1j * (theta - phase)) * d.g23
-                       + x * x * c * c * np.exp(-1j * (theta - phase)) * d.g23)
-    return float(abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
-
-
 def finalize_candidate_11(cand: Candidate11, pair: WeightedDensityPair,
                           ) -> SolverOutcome | Rejection:
-    """Build and verify the projective measurement of a rank-(1,1) candidate.
-
-    It is accepted only if, in this order as in `_solve_rows`, both k x k
-    acceptance inequalities hold (`_acceptance_11`), its measurement, then
-    mapped out from k x k blocks (`_blocks_11`), is valid ("not_psd"
-    otherwise) and passes the full optimality check ("optimality_residual"
-    otherwise), as `optimality.accepted_outcome`.
+    """Build and verify the projective measurement of a rank-(1,1)
+    candidate through the gates of `_solve_rows` in order: both k x k
+    acceptance inequalities (`_acceptance_11`), then its measurement, mapped
+    out from k x k blocks (`_blocks_11`), valid ("not_psd") and passing the
+    optimality check ("optimality_residual"), as `accepted_outcome`.
     """
     split = pair.jordan
     first, second = _acceptance_11(cand, pair.root_blocks, split, pair.tol)
@@ -626,37 +590,6 @@ def _acceptance_11(cand: Candidate11, roots, split, tol: ToleranceContext,
                      (cand.psi2_perp, cand.psi1, f1, f2)))
 
 
-def _residual_total(report: OptimalityReport) -> float:
-    return (abs(report.residual_a1) + abs(report.residual_a2)
-            + report.residual_cross + report.residual_b)
-
-
-def _accepted_outcomes(pair: WeightedDensityPair, families=_FAMILIES):
-    """The outcomes of `families` that pass their check on `pair`, in the
-    order they are tried, each family's in the order of its candidates;
-    lazily, so a caller that stops at the first one runs nothing past it.
-    The candidate classes run only when neither closed form passes."""
-    closed = False
-    for family in families:
-        branch, host = family
-        if closed and family not in _CLOSED_FORMS:
-            return
-        if branch == BRANCH_SINGLE_STATE:
-            results = [try_single_state_detection(pair)]
-        elif branch == BRANCH_FIDELITY:
-            results = [try_fidelity_form(pair)]
-        elif branch == BRANCH_CLASS_12:
-            results = (finalize_candidate_12(cand, pair) for cand
-                       in enumerate_candidates_12(pair, detect_on=host))
-        else:
-            results = (finalize_candidate_11(cand, pair)
-                       for cand in enumerate_candidates_11(pair))
-        for outcome in results:
-            if isinstance(outcome, SolverOutcome):
-                closed = closed or family in _CLOSED_FORMS
-                yield outcome
-
-
 def _off_class(boundary, tag, branch: str, k: int):
     """Whether answers of family `branch` on a strictly skew (2k;k,k) core,
     with the given boundary flags and class tags (one value per row, or
@@ -671,36 +604,20 @@ def _off_class(boundary, tag, branch: str, k: int):
             | (tag.rank_margin <= _BOUNDARY_RANK_MARGIN))
 
 
-def _first_closed_form(pair: WeightedDensityPair) -> SolverOutcome | None:
-    """The answer of `dispatch` on a strictly skew core that is not 4-dim:
-    the first closed form that passes, single state detection before the
-    fidelity form, or None."""
-    return next(_accepted_outcomes(pair, _CLOSED_FORMS), None)
-
-
 def solve_4d(pair: WeightedDensityPair) -> SolverOutcome:
     """Optimal measurement of a strictly skew rank-(2,2) pair (4-dim support).
 
-    Families are tried cheapest first, each at most once, on the pair as
-    given, in its own space: single state detection, the fidelity form,
-    the two rank-(1,2) orientations, then rank-(1,1); the last three only
-    when neither closed form passes.  A common kernel is no obstacle: each
-    family builds an inconclusive element that is the identity on it.
-    Each family checks its measurement once, on the pair, and that check
-    is the outcome's report.
-
-    By uniqueness, the first answer that passes is the optimum, and the
-    remaining families are skipped, unless that answer sits on a class
-    boundary: its closed form flagged it marginal, its class tag is not
-    its family's class, or a kept singular value of e1 or e2 lies within
-    100x above the rank cutoff.  There two families can both pass within
-    tolerance, so all of them run; when more than one passes, the one with
-    the smallest total residual is kept, with `boundary` set and a note
-    naming how many families passed.
-
-    The outcome carries no certificate (its `certificate` is None); call
-    `build_certificate` on the measurement when one is needed.
-    `_solve_rows` is the same arithmetic over a stack of pairs.
+    The pair's row of `_solve_rows`: its own states at weights (1, 1), in
+    its own space, so a common kernel is no obstacle.  Single state
+    detection, the fidelity form, class-12 with either host and class-11
+    are tried in that order, each at most once and checked once on the
+    pair; that check is the outcome's report.  By uniqueness, the first
+    answer that passes is the optimum.  On a class boundary the families
+    that may follow it run too, and the answer with the smallest total
+    residual is kept, with `boundary` set and a note naming how many
+    passed where more than one did.  Raises NoSolutionFound where none
+    passes.  The outcome carries no certificate; call `build_certificate`
+    on the measurement when one is needed.
     """
     if not pair.strictly_skew:
         raise PreconditionViolated("solver requires a strictly skew pair")
@@ -710,25 +627,31 @@ def solve_4d(pair: WeightedDensityPair) -> SolverOutcome:
             f"collective support must be four-dimensional, got {support}")
     if any(s.size != 2 for s in pair.supports):
         raise PreconditionViolated("both states must have rank two")
-
-    outcomes = _accepted_outcomes(pair)
-    first = next(outcomes, None)
-    if first is None:
+    outcome = _solve_core(pair)
+    if outcome is None:
         raise NoSolutionFound(
             "no measurement family passed verification; the instance sits "
             "too close to a numerical degeneracy")
-    found = ([first, *outcomes]
-             if _off_class(first.boundary, first.class_tag, first.branch, 2)
-             else [first])
-    # on a class boundary, answers of two families can agree up to
-    # tolerance: keep the one with the smaller residual and mark the outcome
-    found.sort(key=lambda oc: _residual_total(oc.report))
-    best = found[0]
-    if len(found) == 1:
-        return best
-    note = (f"{len(found)} families passed verification (class boundary);"
-            f" kept {best.branch} by smaller residual")
-    return replace(best, boundary=True, warnings=best.warnings + (note,))
+    return outcome
+
+
+def _solve_core(core: WeightedDensityPair) -> SolverOutcome | None:
+    """The outcome of `_solve_rows` on the non-empty strictly skew pair
+    `core` itself, as one row; None where no family passes.  `solve_4d` on
+    a (4;2,2) core and `dispatch`'s closed forms on any other."""
+    found = _solve_rows(core, _ONE, _ONE, core.gamma1[None],
+                        core.gamma2[None])
+    if found is None:
+        return None
+    m = UsdMeasurement(*(e[0] for e in found.m.elements()))
+    branch, passed = _FAMILIES[found.family[0]][0], int(found.passed[0])
+    return SolverOutcome(
+        measurement=m, class_tag=_at(found.tag, 0),
+        success=success_probability(m, core), report=_at(found.report, 0),
+        branch=branch, boundary=bool(found.boundary[0]),
+        warnings=() if passed == 1 else (
+            f"{passed} families passed verification (class boundary); "
+            f"kept {branch} by smaller residual",))
 
 
 # --------------------------------------------------------------------------
@@ -736,128 +659,204 @@ def solve_4d(pair: WeightedDensityPair) -> SolverOutcome:
 # --------------------------------------------------------------------------
 
 def _take(record, keep):
-    """`record`, a dataclass whose fields hold one value per row, at the
-    rows `keep` (a mask or indices); a field of one value for all rows
-    (a candidate's host) stays."""
-    return type(record)(*(v[keep] if np.ndim(v) else v for v in (
-        getattr(record, f.name) for f in fields(record))))
+    """`record`, a dataclass whose array fields hold one value per row, at
+    the rows `keep` (a mask or indices); its other fields stay."""
+    return type(record)(*(v[keep] if np.ndim(v) else v
+                          for v in vars(record).values()))
+
+
+def _firsts(rows):
+    """The index of the first of each run of equal values of `rows` (n > 0)."""
+    return np.concatenate(([True], rows[1:] != rows[:-1])).nonzero()[0]
+
+
+class _Answers(NamedTuple):
+    """The rows `_solve_rows` answers, one value per row in each field: its
+    index in the stack, family (into `_FAMILIES`), measurement, class tag,
+    check, class-boundary flag and how many answers passed its check."""
+
+    rows: np.ndarray
+    family: np.ndarray
+    m: UsdMeasurement
+    tag: MeasurementClassTag
+    report: OptimalityReport
+    boundary: np.ndarray
+    passed: np.ndarray
 
 
 def _solve_rows(core: WeightedDensityPair, c1: np.ndarray, c2: np.ndarray,
-                gamma1: np.ndarray, gamma2: np.ndarray):
-    """The answers of `dispatch` on a stack of cores that one stack of
-    arrays settles.
+                gamma1: np.ndarray, gamma2: np.ndarray) -> _Answers | None:
+    """The answers of the families on a stack of cores that one stack of
+    arrays settles: the only code path of every family.
 
     Row i is the pair (gamma1[i], gamma2[i]), states (n, d, d), that
     reweights the non-empty strictly skew pair `core`, of k = n_skew Jordan
     pairs, by (c1[i], c2[i]) on its split, which the row's own pair holds
-    too: a pair of two states holds their split at every prior
-    (`WeightedDensityPair.from_states`).  Single state detection and the
-    fidelity form run on any core; on a (4;2,2) core class-12 with either
-    host and class-11 follow, in `solve_4d`'s order.  Each family runs
-    once, over the rows no family before it settled, with the arithmetic
-    of the per-pair path given a leading row axis:
-    `_single_state_branches`; or the k x k blocks of `_fidelity_blocks`,
-    `_blocks_12` or `_blocks_11`, of the core's root blocks and data
-    reweighted (`_RootBlock.scaled`, `_candidates_12`, `_candidates_11`
-    and `_acceptance_11`), mapped out by `JordanSplit.measurement` and
-    validated by `_diagnostics`; then `_check` and `_classify`.  A row is
-    settled by the first family that passes its check there.  Off a class
-    boundary (`_off_class`) that measurement is the row's answer, by
-    uniqueness of the optimum, as in `solve_4d` and `_first_closed_form`.
-    On one, the row is left to `dispatch`, as is a row no family passes
-    and a row whose class-12 host basis would not be phased as the core's.
-    A row with both rank-(1,1) cross elements zero is settled like any
-    other, by its basis-vector candidates (`_candidates_11`).
+    too (`WeightedDensityPair.from_states`); the core at weights (1, 1) is
+    its own row (`_solve_core`).  The families of `_FAMILIES` run in order,
+    the candidate classes on a (4;2,2) core only, each once over the rows
+    it may still answer, with a leading row axis: the two branches of
+    `_single_state_branches`, or the k x k blocks of `_fidelity_blocks`,
+    `_blocks_12` or `_blocks_11` on the core's root blocks and data
+    reweighted (`_RootBlock.scaled`, `_candidates_12`, `_candidates_11`),
+    mapped out by `JordanSplit.measurement` and validated by
+    `_diagnostics`; then one `_check`, and `_classify` on what passes.
 
-    Returns the answers in parts (family, rows, m, tag, report), one per
-    family that answered rows: `_FAMILIES[family]` answers the rows with
-    the measurements m, class tags and checks (`_check`), whose fields
-    hold one value per row.  Rows in no part are left to `dispatch`.
+    By uniqueness, a row's first answer that passes its check is the row's
+    answer, unless it sits on a class boundary (`_off_class`).  Then the
+    families that may follow run on the row too, a closed form only after
+    a closed form and a candidate class only after a candidate class, and
+    of every answer that passes from the first on the row keeps the one
+    with the smallest total residual, the first tried among equals.  A row
+    no family passes is left to `dispatch`, as is a row whose class-12 host
+    basis a fresh pair would phase otherwise than the core's, which a row
+    of the core itself never is.  Returns the answered rows, or None.
     """
     split, tol = core.jordan, core.tol
     k = split.n_skew
-    kernel = core.common_kernel()
-    parts = []
-    pending = np.arange(len(c1))  # the rows no family has settled
+    kernel = core.common_kernel().basis
+    closed = len(_CLOSED_FORMS)
+    waiting = np.ones(len(c1), bool)  # the rows with no answer yet
+    # the rows whose first answer sits on a class boundary, with its
+    # family, and the rows left to dispatch
+    opened, left = {}, set()
+    found = []  # (family, rows, m, tag, report, marginal) of kept answers
 
-    def states(rows):
-        """The states of the pending rows `rows` (indices into pending)."""
-        return gamma1[pending[rows]], gamma2[pending[rows]]
-
-    def check(m, rows):
-        return _check(m.e_inconclusive, *states(rows), split.detectors, tol)
-
-    def settle(family, rows, m, boundary=None, left=()):
-        """Settle each pending row of `rows` (indices into pending, a row's
-        candidates in its family's order) by its first candidate whose
-        measurement in m passes its check, `boundary` flagging candidates
-        their closed form called marginal, and leave the rows `left` to
-        dispatch.  Only an answer off a class boundary is kept."""
-        nonlocal pending
-        report = check(m, rows)
-        passed = np.flatnonzero(report.is_optimal)
-        first = passed[np.unique(rows[passed], return_index=True)[1]]
-        m, report, rows = _take(m, first), _take(report, first), rows[first]
+    def settle(family, rows, m, marginal=None, validate=True):
+        """Check the candidates of `family` at the stack rows `rows` (each
+        row's in order; measurements m, closed-form marginal flags, valid
+        by `_diagnostics` where `validate`).  A row with no answer takes its
+        first that passes, final off a class boundary; a row on one keeps
+        every one that passes."""
+        g1, g2 = gamma1[rows], gamma2[rows]
+        report = _check(m.e_inconclusive, g1, g2, split.detectors, tol)
+        passes = report.is_optimal
+        if validate:
+            passes &= _diagnostics(m.e_inconclusive, g1, g2, kernel, tol).ok
+        passed = passes.nonzero()[0]
+        if not passed.size:
+            return
+        if marginal is None:
+            marginal = np.zeros(len(rows), bool)
+        if len(passed) < len(rows):
+            rows, marginal = rows[passed], marginal[passed]
+            m, report = _take(m, passed), _take(report, passed)
         tag = _classify(m, k, tol)
-        marginal = (np.zeros(len(first), bool) if boundary is None
-                    else boundary[first])
-        answer = ~_off_class(marginal, tag, _FAMILIES[family][0], k)
-        if answer.any():
-            parts.append((family, pending[rows[answer]], _take(m, answer),
-                          _take(tag, answer), _take(report, answer)))
-        pending = np.delete(pending, np.concatenate((rows, left)).astype(int))
+        new = waiting[rows].nonzero()[0] if opened else np.arange(len(rows))
+        first = new if len(new) < 2 else new[_firsts(rows[new])]
+        first_tag = tag if len(first) == len(rows) else _take(tag, first)
+        off = _off_class(marginal[first], first_tag, _FAMILIES[family][0],
+                         k)
+        waiting[rows[first]] = False
+        final = first
+        if off.any():
+            opened.update(dict.fromkeys(rows[first[off]].tolist(), family))
+            final = first[~off]
+        if len(final) < len(rows):
+            keep = np.isin(rows, list(opened))
+            keep[final] = True
+            rows, marginal = rows[keep], marginal[keep]
+            m, tag, report = (_take(x, keep) for x in (m, tag, report))
+        found.append((np.full(len(rows), family), rows, m, tag, report,
+                      marginal))
 
-    # single state detection: two fixed measurements, in order
-    for ok, marginal, m in _single_state_branches(gamma1, gamma2, split, tol):
-        rows = np.flatnonzero(ok[pending])
-        m = UsdMeasurement(*(np.broadcast_to(e, (len(rows),) + e.shape)
-                             for e in m.elements()))
-        settle(0, rows, m, marginal[pending[rows]])
-    if not pending.size:
-        return parts
-    # the fidelity form
-    w1, w2 = c1[pending, None, None], c2[pending, None, None]
-    roots = tuple(root.scaled(c, other) for root, c, other in
-                  zip(core.root_blocks, (w1, w2), (w2, w1)))
-    ok, marginal = _fidelity_feasible(roots, tol)
-    rows = np.flatnonzero(ok)
-    m = split.measurement(*(x[rows] for x in _fidelity_blocks(roots,
-                                                              split.sines)))
-    valid = _diagnostics(m.e_inconclusive, *states(rows), kernel.basis, tol).ok
-    settle(1, rows[valid], _take(m, valid), marginal[rows[valid]])
-    # class-12, host 1 then host 2, on a (4;2,2) core only
-    for family in (2, 3):
-        if k != 2 or not pending.size:
-            return parts
+    def single_state(family, rows):
+        # two fixed measurements, the second on the rows the first leaves
+        for ok, marginal, m in _single_state_branches(gamma1, gamma2, split,
+                                                      tol):
+            rows = (ok & waiting).nonzero()[0]
+            if rows.size:
+                settle(family, rows, UsdMeasurement(*(
+                    e[None].repeat(len(rows), 0) for e in m.elements())),
+                    marginal[rows], validate=False)
+            if not waiting.any():
+                return
+
+    def fidelity(family, rows):
+        w1, w2 = c1[rows, None, None], c2[rows, None, None]
+        ok, marginal = _fidelity_feasible(core.root_blocks, tol, w1, w2)
+        feasible = ok.nonzero()[0]
+        if feasible.size:
+            w1, w2 = w1[feasible], w2[feasible]
+            roots = tuple(root.scaled(c, other) for root, c, other in
+                          zip(core.root_blocks, (w1, w2), (w2, w1)))
+            settle(family, rows[feasible], split.measurement(
+                *_fidelity_blocks(roots, split.sines)), marginal[feasible])
+
+    def class_12(family, rows):
         host = _FAMILIES[family][1]
         h, o = host - 1, 2 - host
         s1, s2, g = _host_eigenbasis(core, host)
-        c_h, c_o = (c1, c2)[h][pending], (c1, c2)[o][pending]
-        unphased = ((c_o * g[4] <= tol.rank_atol)
-                    & ~_degenerate_12(g, tol, c_h, c_o))
-        rows = np.flatnonzero(~unphased)
-        row_states = states(rows)
+        c_h, c_o = (c1, c2)[h][rows], (c1, c2)[o][rows]
+        unphased = (c_o * g[4] > tol.rank_atol) != (g[4] > tol.rank_atol)
+        if unphased.any():
+            unphased &= ~_degenerate_12(g, tol, c_h, c_o)
+            left.update(rows[unphased].tolist())
+            waiting[rows[unphased]] = False
+            rows, c_h, c_o = rows[~unphased], c_h[~unphased], c_o[~unphased]
+        states = gamma1[rows], gamma2[rows]
         cand_rows, cands = _candidates_12(s1, s2, g, host, split, tol,
-                                          row_states[h], row_states[o],
-                                          c_h[rows], c_o[rows])
+                                          states[h], states[o], c_h, c_o)
         inside = _nu_inside(cands.nu, tol)
-        cand_rows = rows[cand_rows[inside]]
-        m = split.measurement(*_blocks_12(_take(cands, inside), split))
-        valid = _diagnostics(m.e_inconclusive, *states(cand_rows),
-                             kernel.basis, tol).ok
-        settle(family, cand_rows[valid], _take(m, valid),
-               left=np.flatnonzero(unphased))
-    if not pending.size:
-        return parts
-    # class-11, on the core's root blocks reweighted per row
-    roots = core.root_blocks
-    rows, cands = _candidates_11(roots, split, tol, c1[pending], c2[pending])
-    w1, w2 = (c[pending[rows], None, None] for c in (c1, c2))
-    gated = np.logical_and(*_acceptance_11(cands, roots, split, tol, w1, w2))
-    rows = rows[gated]
-    m = split.measurement(*_blocks_11(_take(cands, gated)))
-    valid = _diagnostics(m.e_inconclusive, *states(rows), kernel.basis,
-                         tol).ok
-    settle(4, rows[valid], _take(m, valid))
-    return parts
+        if not inside.all():
+            cand_rows, cands = cand_rows[inside], _take(cands, inside)
+        if cand_rows.size:
+            settle(family, rows[cand_rows],
+                   split.measurement(*_blocks_12(cands, split)))
+
+    def class_11(family, rows):
+        roots = core.root_blocks
+        cand_rows, cands = _candidates_11(roots, split, tol, c1[rows],
+                                          c2[rows])
+        gated = np.logical_and(*_acceptance_11(cands, roots, split, tol, *(
+            c[rows[cand_rows], None, None] for c in (c1, c2))))
+        if gated.any():
+            settle(family, rows[cand_rows[gated]],
+                   split.measurement(*_blocks_11(_take(cands, gated))))
+
+    stages = (single_state, fidelity, class_12, class_12, class_11)
+    for family, stage in enumerate(stages[:len(stages) if k == 2 else closed]):
+        # the rows with no answer, and the class-boundary rows the family
+        # may follow: closed forms follow closed forms, classes classes
+        rows = waiting.nonzero()[0]
+        follow = [row for row, first in opened.items() if first < family
+                  and (first < closed) == (family < closed)
+                  and row not in left]
+        if follow:
+            rows = np.union1d(rows, follow)
+        if not rows.size:
+            break
+        stage(family, rows)
+    if not found:
+        return None
+    family, rows, m, tag, report, marginal = (
+        found[0] if len(found) == 1 else _joined(found))
+    if not opened:
+        return _Answers(rows, family, m, tag, report, marginal,
+                        np.ones(len(rows), int))
+    # a row on a class boundary keeps its smallest total residual, the
+    # first tried among equals; a row left to dispatch keeps nothing
+    order = np.lexsort((abs(report.residual_a1) + abs(report.residual_a2)
+                        + report.residual_cross + report.residual_b, rows))
+    starts = _firsts(rows[order])
+    passed = np.diff(np.append(starts, len(order)))
+    pick = order[starts]
+    kept = ~np.isin(rows[pick], list(left))
+    pick, passed = pick[kept], passed[kept]
+    if not pick.size:
+        return None
+    family, rows, marginal = family[pick], rows[pick], marginal[pick]
+    m, tag, report = (_take(x, pick) for x in (m, tag, report))
+    return _Answers(rows, family, m, tag, report, marginal | (passed > 1),
+                    passed)
+
+
+def _joined(parts):
+    """Tuples of arrays and of dataclasses whose array fields hold one value
+    per row, joined row-wise into one such tuple; a field of one value for
+    all rows is the first part's."""
+    def join(values):
+        return (np.concatenate(values) if isinstance(values[0], np.ndarray)
+                else values[0])
+    return tuple(join(v) if isinstance(v[0], np.ndarray) else type(v[0])(
+        *map(join, zip(*(vars(r).values() for r in v)))) for v in zip(*parts))

@@ -127,26 +127,29 @@ def _count_calls(monkeypatch, *functions):
 
 
 def test_dispatch_runs_each_stage_once(monkeypatch):
-    from usdkit.closed_form import (try_fidelity_form,
-                                    try_single_state_detection)
-    from usdkit.optimality import (build_certificate, check_optimality,
-                                   classify)
-    from usdkit.solver4d import solve_4d
+    # the families run only as stages of the one-row stack: each stage at
+    # most once, and one check of its candidates per stage that has any
+    from usdkit import solver4d
+    from usdkit.closed_form import _fidelity_feasible, _single_state_branches
+    from usdkit.optimality import _check, _classify, build_certificate
 
-    counts = _count_calls(monkeypatch, try_single_state_detection,
-                          try_fidelity_form, solve_4d, build_certificate,
-                          check_optimality, classify)
+    counts = _count_calls(monkeypatch, solver4d._solve_rows,
+                          _single_state_branches, _fidelity_feasible,
+                          solver4d._candidates_12, solver4d._candidates_11,
+                          build_certificate, _check, _classify)
     rho1, rho2 = example1_states()
     outcome = dispatch(WeightedDensityPair.from_states(rho1, rho2, 0.5))
-    assert outcome.certificate is not None
-    for name in ("try_single_state_detection", "try_fidelity_form",
-                 "solve_4d"):
+    assert outcome.certificate is not None and not outcome.boundary
+    assert counts["_solve_rows"] == 1
+    for name in ("_single_state_branches", "_fidelity_feasible",
+                 "_candidates_11"):
         assert counts[name] <= 1, name
+    assert counts["_candidates_12"] <= 2  # one stage per host
     assert counts["build_certificate"] == 1
     # one check, on the pair itself (the reduction removes nothing here);
     # the certificate takes that report
-    assert counts["check_optimality"] == 1
-    assert counts["classify"] <= 1
+    assert counts["_check"] == 1
+    assert counts["_classify"] <= 1
     # a (5;2,3) pair reduces to a (2,2) core: the core's check is the
     # lifted measurement's report, with no second check on the pair
     counts.clear()
@@ -155,9 +158,9 @@ def test_dispatch_runs_each_stage_once(monkeypatch):
     assert reduce_fully(pair).reduced_pair is not pair
     outcome = dispatch(pair)
     assert outcome.optimal and outcome.certificate is not None
-    assert counts["solve_4d"] == 1
-    assert counts["check_optimality"] == 1
-    assert counts["classify"] <= 1
+    assert counts["_solve_rows"] == 1
+    assert counts["_check"] == 1
+    assert counts["_classify"] <= 1
     # a reduction whose Jordan cosines lie within 10x of their cutoffs
     # carries boundary_warnings, and the core's check is still the report
     counts.clear()
@@ -166,7 +169,7 @@ def test_dispatch_runs_each_stage_once(monkeypatch):
     assert reduce_fully(pair).boundary_warnings
     outcome = dispatch(pair, oracle_cfg=_NEAR_CUTOFF_ORACLE)
     assert outcome.optimal
-    assert counts["check_optimality"] == 1
+    assert counts["_check"] == 1
     counts.clear()
     rows = sweep(rho1, rho2, np.linspace(0.05, 0.95, 7))
     assert len(rows) == 7
@@ -203,28 +206,45 @@ def test_class_transition_tie_keeps_the_smaller_residual(states, p1, branch,
             " by smaller residual") in outcome.warnings
 
 
+def test_a_closed_form_tie_keeps_the_smaller_residual_on_any_core():
+    # the class-boundary rule is the same on every core: at the upper end
+    # of a pure pair's single-state-detection window both closed forms
+    # pass on its (2;1,1) core, and dispatch keeps the smaller residual,
+    # as a sweep of that prior does in its stack
+    from usdkit import single_detection_window
+
+    states = generic_pair(np.random.default_rng(0), 2, 1, 1)
+    p1 = single_detection_window(*states).upper
+    outcome = dispatch(WeightedDensityPair.from_states(*states, p1))
+    assert outcome.optimal and outcome.boundary
+    assert (f"2 families passed verification (class boundary); kept "
+            f"{outcome.branch} by smaller residual") in outcome.warnings
+    assert_same_answer(sweep(*states, [p1])[0], outcome)
+
+
 def test_solve_4d_stops_at_the_first_accepted_family(monkeypatch):
     from usdkit import solver4d
+    from usdkit.closed_form import _fidelity_feasible
 
-    counts = _count_calls(monkeypatch, solver4d.enumerate_candidates_11,
-                          solver4d.try_fidelity_form)
+    counts = _count_calls(monkeypatch, solver4d._candidates_11,
+                          _fidelity_feasible)
     rho1, rho2 = example1_states()
-    # a class-12 prior away from any transition: class 11 is not enumerated
+    # a class-12 prior away from any transition: class 11 is not entered
     outcome = dispatch(WeightedDensityPair.from_states(rho1, rho2, 0.7))
     assert outcome.branch == "class-12" and not outcome.boundary
-    assert counts["enumerate_candidates_11"] == 0
-    # single state detection passes: the fidelity form is not tried
+    assert counts["_candidates_11"] == 0
+    # single state detection passes: the fidelity form is not entered
     counts.clear()
     outcome = dispatch(WeightedDensityPair.from_states(rho1, rho2, 0.01))
     assert outcome.branch == "single-state-detection"
-    assert counts["try_fidelity_form"] == 0
-    # on a class boundary every family runs
+    assert counts["_fidelity_feasible"] == 0
+    # on a class boundary every family that may follow the first runs
     for states, p1, _, _ in (TIE_PRIORS[0], TIE_PRIORS[-1]):
         counts.clear()
         outcome = dispatch(WeightedDensityPair.from_states(*states(), p1))
         assert outcome.boundary
-        assert counts["try_fidelity_form"] == 1
-        assert counts["enumerate_candidates_11"] == (
+        assert counts["_fidelity_feasible"] == 1
+        assert counts["_candidates_11"] == (
             1 if outcome.branch == "class-12" else 0)
 
 
@@ -651,18 +671,23 @@ def test_every_checked_measurement_is_proper(rng, monkeypatch):
     # spaces.  Pinned on pairs with a common kernel, where is_proper has
     # something to test, on every branch and on every pair checked
     from usdkit import is_proper
+    from usdkit.optimality import _check
 
     seen = []
 
-    def spy(m, pair, **kwargs):
-        seen.append((m, pair))
-        return check_optimality(m, pair, **kwargs)
+    def spy(e, gamma1, gamma2, *args):
+        # each row's measurement, by its conclusive part 1 - e, on its pair
+        d = e.shape[-1]
+        for e_q, g1, g2 in zip(*np.broadcast_arrays(
+                *(np.reshape(a, (-1, d, d)) for a in (e, gamma1, gamma2)))):
+            seen.append((UsdMeasurement(np.eye(d) - e_q, 0 * e_q, e_q),
+                         WeightedDensityPair(d, g1, g2)))
+        return _check(e, gamma1, gamma2, *args)
 
     for name, module in list(sys.modules.items()):
         if (name.split(".")[0] == "usdkit"
-                and getattr(module, "check_optimality", None)
-                is check_optimality):
-            monkeypatch.setattr(module, "check_optimality", spy)
+                and getattr(module, "_check", None) is _check):
+            monkeypatch.setattr(module, "_check", spy)
     rho = np.diag([0.6, 0.4]).astype(complex)
     pairs = [WeightedDensityPair.from_states(*_embedded(rho, rho, 0), 0.5)]
     for seed, states in enumerate((example1_states, examples2_states), 1):
@@ -743,17 +768,26 @@ def _sweep_states(family):
         return degenerate_host_states()
     if family == "pure":
         return generic_pair(np.random.default_rng(0), 2, 1, 1)
-    if family in ("skew6", "near_cutoff4"):
+    if family in ("skew6", "near_cutoff4", "near_orthogonal4"):
         problem = load_problem(DATA / f"{family}.json")
         return problem.rho1, problem.rho2
     d, r1, r2 = (int(n) for n in family.replace(";", ",").split(","))
     return generic_pair(np.random.default_rng([d, r1, r2]), d, r1, r2)
 
 
-@pytest.mark.parametrize("family", ["example1", "examples2", "peres", "pure",
-                                    "3;1,2", "4;2,2", "5;2,3", "5;3,3",
-                                    "skew6", "4;2,2@1", "4;2,2@2", "5;2,3@1",
-                                    "5;2,3@2", "degenerate-host"])
+@pytest.mark.parametrize("family", [
+    "example1", "examples2", "peres", "pure", "3;1,2", "4;2,2", "5;2,3",
+    "5;3,3", "skew6", "4;2,2@1", "4;2,2@2", "5;2,3@1", "5;2,3@2",
+    "degenerate-host",
+    # near orthogonal (c1 about 1e-8): 35 of the 99 stacked rows differ
+    # from a fresh dispatch, 9 class-12 where it takes the program, 26 in
+    # success by up to 4.0e-10.  The stack reweights the core's class-12
+    # roots, a fresh pair solves its own, and at this cosine the rounding
+    # decides whether a root passes (ROADMAP items 12 and 25)
+    pytest.param("near_orthogonal4", marks=pytest.mark.xfail(
+        strict=True, reason="stacked class-12 rows near orthogonal differ "
+        "from a fresh dispatch (ROADMAP items 12, 25)")),
+])
 @pytest.mark.filterwarnings("ignore::usdkit.errors.UsdNumericsWarning")
 def test_sweep_matches_fresh_dispatch(family):
     # sweep shares one pair's geometry across its priors; each row must be
@@ -853,29 +887,30 @@ def test_sweep_matches_fresh_dispatch_across_the_near_cutoff4_grid():
 def test_sweep_runs_fewer_solver_calls_than_fresh_dispatches(monkeypatch):
     # example1's grid runs single state detection, class-12, class-11,
     # class-12 and single state detection again, all in one stack: the
-    # per-pair closed forms, the class-12 enumeration and the check run
-    # less often than in fresh dispatches (here not at all)
-    from usdkit.closed_form import (try_fidelity_form,
-                                    try_single_state_detection)
-    from usdkit.optimality import check_optimality
-    from usdkit.solver4d import enumerate_candidates_12
+    # stages and the check run less often than in fresh dispatches, each
+    # stage once, and one check per stage that has candidates
+    from usdkit import solver4d
+    from usdkit.closed_form import _fidelity_feasible, _single_state_branches
+    from usdkit.optimality import _check
 
     rho1, rho2 = example1_states()
-    counts = _count_calls(monkeypatch, try_single_state_detection,
-                          try_fidelity_form, enumerate_candidates_12,
-                          check_optimality)
+    counts = _count_calls(monkeypatch, _single_state_branches,
+                          _fidelity_feasible, solver4d._candidates_12, _check)
     rows = sweep(rho1, rho2, GRID)
     swept = Counter(counts)
     counts.clear()
     for p1 in GRID:
         dispatch(WeightedDensityPair.from_states(rho1, rho2, p1),
                  with_certificate=False)
-    for name in ("try_single_state_detection", "try_fidelity_form",
-                 "enumerate_candidates_12"):
+    for name in ("_single_state_branches", "_fidelity_feasible",
+                 "_candidates_12", "_check"):
         assert swept[name] < counts[name], name
+    assert swept["_single_state_branches"] == swept["_fidelity_feasible"] == 1
+    assert swept["_candidates_12"] <= 2
     changes = sum(a.branch != b.branch for a, b in zip(rows, rows[1:]))
     assert changes == 4
-    assert swept["check_optimality"] <= len(rows) + changes
+    # two single-state-detection branches, then one check per family
+    assert swept["_check"] <= len(solver4d._FAMILIES) + 1
 
 
 def test_sweep_dispatches_only_the_priors_the_stack_leaves(monkeypatch):
@@ -974,22 +1009,23 @@ def test_stacked_rows_hold_the_check_of_their_pair(family, monkeypatch):
     from usdkit.model import _at
     from usdkit.solver4d import _FAMILIES
 
-    parts = []
+    stacks = []
     real = pipeline._solve_rows
 
     def spy(core, c1, c2, gamma1, gamma2):
         found = real(core, c1, c2, gamma1, gamma2)
-        parts.extend((c1 / 2, part) for part in found)
+        stacks.append((c1 / 2, found))
         return found
 
     monkeypatch.setattr(pipeline, "_solve_rows", spy)
     rho1, rho2 = _sweep_states(family)
     sweep(rho1, rho2, GRID)
-    assert sum(len(part[1]) for _, part in parts) >= 45
+    [(p1s, found)] = stacks
+    assert len(found.rows) >= 45
     if family == "example1":
-        assert sum(len(rows) for _, (i, rows, *_) in parts
-                   if _FAMILIES[i][0] == "class-11") >= 19
-    for p1s, (_, rows, m, tag, report) in parts:
+        assert sum(_FAMILIES[i][0] == "class-11"
+                   for i in found.family) >= 19
+    for p1s, (rows, _, m, tag, report, *_) in stacks:
         for j, row in enumerate(rows):
             core = WeightedDensityPair.from_states(
                 rho1, rho2, p1s[row]).reduction.reduced_pair

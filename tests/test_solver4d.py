@@ -7,12 +7,12 @@ from usdkit import (NoSolutionFound, OracleConfig, PreconditionViolated,
 from usdkit import linalg as la
 from usdkit.linalg import dag
 from usdkit.oracle import oracle_optimize
-from usdkit.solver4d import (Rejection, balance_residual_11,
-                             balance_residual_12, enumerate_candidates_11,
+from usdkit.solver4d import (Rejection, enumerate_candidates_11,
                              enumerate_candidates_12, finalize_candidate_11,
                              finalize_candidate_12)
 
-from util import (GRID_COSINES, assert_same_answer, degenerate_host_states,
+from util import (GRID_COSINES, assert_same_answer, balance_residual_11,
+                  balance_residual_12, degenerate_host_states,
                   example1_states, examples2_states, generic_pair,
                   grid_states, haar_unitary, jordan_cosine_states, lifts,
                   random_density, random_skew_pair, record_decompositions)

@@ -292,3 +292,30 @@ def degenerate_host_states():
     rho2[:2, :2] = 0.9 * np.outer(v, v.conj())
     rho2[2:, 2:] = 0.1 * np.outer(e0, e0.conj())
     return rho1, rho2
+
+
+def balance_residual_12(cand, pair: WeightedDensityPair) -> float:
+    """Residual of the complex balance equation a class-12 candidate
+    (`solver4d.Candidate12`) must solve: sqrt(<pp|gh|pp>) <pp|go|phi> -
+    sqrt(<pp|go|pp>) <pp|gh|phi>."""
+    gh = pair.gamma1 if cand.host == 1 else pair.gamma2
+    go = pair.gamma2 if cand.host == 1 else pair.gamma1
+    pp, phi = cand.phi_perp, cand.phi
+    lhs = (np.sqrt(np.real(np.vdot(pp, gh @ pp))) * np.vdot(pp, go @ phi))
+    rhs = (np.sqrt(np.real(np.vdot(pp, go @ pp))) * np.vdot(pp, gh @ phi))
+    return float(abs(lhs - rhs))
+
+
+def balance_residual_11(cand) -> float:
+    """Relative residual of the complex balance equation behind the
+    x-polynomial of a class-11 candidate (`solver4d.Candidate11`); the raw
+    terms grow like x^4, so the difference is scaled by the larger side."""
+    d = cand.jordan_data
+    x, theta, phase, c = cand.x, cand.theta, d.phase, d.c
+    u = c * c * x * x + 1.0
+    v = x * x + 1.0
+    lhs = u * u * (x * d.g1 - np.exp(1j * (theta + phase)) * d.g13
+                   + x * x * np.exp(-1j * (theta + phase)) * d.g13)
+    rhs = c * v * v * (x * c * d.g2 - np.exp(1j * (theta - phase)) * d.g23
+                       + x * x * c * c * np.exp(-1j * (theta - phase)) * d.g23)
+    return float(abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
